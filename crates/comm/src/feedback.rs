@@ -12,9 +12,8 @@
 //!
 //! The residual state lives with the simulation session (it is
 //! client-side state in a real deployment), is keyed by client id, and
-//! is updated in the canonical fold order both execution backends
-//! share — so lockstep and event-driven runs stay bit-for-bit
-//! equivalent with EF active. The lossless `Identity` codec bypasses EF
+//! is updated in the round plan's canonical fold order — so runs stay
+//! bit-for-bit equivalent at every thread count with EF active. The lossless `Identity` codec bypasses EF
 //! entirely, preserving every historical bit-for-bit pin.
 
 use std::collections::BTreeMap;

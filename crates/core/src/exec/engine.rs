@@ -1,46 +1,24 @@
-//! The virtual-time discrete-event round engine.
+//! The asynchronous aggregation engine — the one mode that needs an
+//! event queue.
 //!
-//! One priority-queue scheduler ([`EventQueue`]) unifies everything the
-//! simulator knows about time — response latencies, dropouts
-//! (timeouts), drift — with the execution machinery: client training
-//! runs on the [`ClientExecutor`] worker pool, updates fold into the
-//! global model as they complete ([`StreamingFold`] through an
-//! [`OrderedMerge`]), and global-model evaluation is deferred onto the
-//! same pool so it overlaps the next round's training.
-//!
-//! # Equivalence contract
-//!
-//! For the synchronous aggregation modes (`WaitAll`, `FirstK`) the
-//! engine consumes the *same* [`RoundPlan`](tifl_fl::session::RoundPlan)s, trains the *same*
-//! contributors with the *same* per-client RNG streams, and folds the
-//! weighted mean in the *same* canonical order as the lockstep loop —
-//! so its [`TrainingReport`]s and final weights are bit-for-bit equal
-//! to `Session::run` for **any** worker-thread count. The worker count
-//! changes wall-clock time and nothing else.
-//!
-//! # What only this engine can do
-//!
-//! * **Straggler cancellation** — under `FirstK` over-selection the
-//!   round ends at the `|C|`-th completion; the engine cancels the
-//!   pending completion events of every in-flight straggler at that
-//!   virtual deadline ([`EventQueue::cancel`]) and never trains them.
-//!   The recorded [`RoundTimeline`]s show them as
-//!   [`tifl_fl::timeline::TimelineEvent::Cancelled`].
-//! * **Asynchronous aggregation** — [`AggregationMode::Async`] keeps
-//!   `|C|` clients in flight with no round barrier at all: each arrival
-//!   folds into the global model damped by its staleness, and a
-//!   replacement dispatches immediately (FedAsync-style; see
-//!   [`ASYNC_BASE_MIX`]).
+//! Synchronous rounds (`WaitAll`, `FirstK`) are executed by the single
+//! round loop in [`Session::run_rounds`]; [`EventEngine`] hands them
+//! straight to it with its thread count. What lives here is
+//! [`AggregationMode::Async`]: `|C|` clients in flight with no round
+//! barrier at all, arrivals ordered in virtual time by an
+//! [`EventQueue`], each one folded into the global model damped by its
+//! staleness, and a replacement dispatched immediately (FedAsync-style;
+//! see [`ASYNC_BASE_MIX`]). Training and deferred evaluation run on the
+//! same [`ClientExecutor`] the round loop uses, so results are
+//! invariant under the thread count here too.
 
-use crate::exec::executor::{ClientExecutor, TaskResult, TrainContext, WorkQueue};
-use crate::exec::streaming::OrderedMerge;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
+use tifl_fl::exec::{ClientExecutor, DeferredEvals, TaskResult, WorkQueue};
 use tifl_fl::selector::ClientSelector;
 use tifl_fl::session::AggregationMode;
-use tifl_fl::timeline::RoundTimeline;
-use tifl_fl::{RoundReport, Session, StreamingFold, TrainingReport};
+use tifl_fl::{RoundReport, Session, TrainingReport};
 use tifl_obs::{Phase, TraceEvent};
 use tifl_sim::event::EventQueue;
 
@@ -50,51 +28,25 @@ use tifl_sim::event::EventQueue;
 /// FedAsync (Xie et al.), with α = 0.5.
 pub const ASYNC_BASE_MIX: f32 = 0.5;
 
-/// Deferred-evaluation results waiting to be patched into reports.
-type EvalPatch = (usize, f64, f32);
-
-/// The event-driven execution engine. Create one per run (or per
-/// re-profiling segment); it carries no model state of its own — the
-/// session stays the single source of truth.
+/// Runs a session on a fixed thread count, whatever its aggregation
+/// mode. Create one per run (or per re-profiling segment); it carries
+/// no model state of its own — the session stays the single source of
+/// truth.
 pub struct EventEngine {
     threads: usize,
-    record_timelines: bool,
-    timelines: Vec<RoundTimeline>,
 }
 
 impl EventEngine {
-    /// An engine with `threads` training workers (0 = machine default).
+    /// An engine on `threads` threads (0 = the ambient rayon
+    /// parallelism).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            record_timelines: false,
-            timelines: Vec::new(),
-        }
-    }
-
-    /// Record a [`RoundTimeline`] per executed round (synchronous modes
-    /// only; the asynchronous mode has no per-round trace). Off by
-    /// default — traces cost memory proportional to `|selected|·rounds`.
-    pub fn record_timelines(&mut self, on: bool) -> &mut Self {
-        self.record_timelines = on;
-        self
-    }
-
-    /// The per-round event traces recorded so far (empty unless
-    /// [`EventEngine::record_timelines`] was enabled).
-    #[must_use]
-    pub fn timelines(&self) -> &[RoundTimeline] {
-        &self.timelines
+        Self { threads }
     }
 
     /// Run the session's remaining configured rounds and return the
-    /// full report (the engine counterpart of `Session::run`).
-    pub fn run(
-        &mut self,
-        session: &mut Session,
-        selector: &mut dyn ClientSelector,
-    ) -> TrainingReport {
+    /// full report.
+    pub fn run(&self, session: &mut Session, selector: &mut dyn ClientSelector) -> TrainingReport {
         let remaining = session.config().rounds - session.rounds_done();
         let rounds = self.run_rounds(session, selector, remaining);
         TrainingReport {
@@ -106,7 +58,7 @@ impl EventEngine {
     /// Execute `rounds` rounds (or, under [`AggregationMode::Async`],
     /// `rounds` aggregation steps) and return their reports.
     pub fn run_rounds(
-        &mut self,
+        &self,
         session: &mut Session,
         selector: &mut dyn ClientSelector,
         rounds: u64,
@@ -116,154 +68,9 @@ impl EventEngine {
                 self.run_async(session, selector, rounds, max_staleness)
             }
             AggregationMode::WaitAll | AggregationMode::FirstK { .. } => {
-                self.run_sync(session, selector, rounds)
+                session.run_rounds(selector, rounds, self.threads)
             }
         }
-    }
-
-    // -- synchronous rounds, streamed -------------------------------------
-
-    fn run_sync(
-        &mut self,
-        session: &mut Session,
-        selector: &mut dyn ClientSelector,
-        rounds: u64,
-    ) -> Vec<RoundReport> {
-        let ctx = TrainContext::of(session);
-        let executor = ClientExecutor::new(self.threads);
-        let comm = session.config().comm;
-        let (reports, timelines) = executor.run(&ctx, |queue, results| {
-            let mut reports: Vec<RoundReport> = Vec::with_capacity(rounds as usize);
-            let mut timelines = Vec::new();
-            let mut evals_pending = 0usize;
-            let mut eval_patches: Vec<EvalPatch> = Vec::new();
-            // Reused across rounds; with the session's pooled fold
-            // accumulator and encode scratch, a steady-state round
-            // allocates only its dispatch snapshot.
-            let mut weights: Vec<f32> = Vec::new();
-            for _ in 0..rounds {
-                let t_plan = session.host_begin();
-                let plan = session.plan_round(selector);
-                session.host_end(Phase::Plan, plan.round, t_plan);
-                if self.record_timelines {
-                    let first_k =
-                        matches!(session.config().aggregation, AggregationMode::FirstK { .. });
-                    timelines.push(RoundTimeline::from_plan(
-                        &plan,
-                        first_k,
-                        session.config().tmax_sec,
-                    ));
-                }
-
-                // The fold's total weight is known before any client
-                // finishes — contributors and their sample counts come
-                // from the plan alone.
-                weights.clear();
-                weights.extend(plan.contributors.iter().map(|&c| ctx.samples(c) as f32));
-                let mut fold = StreamingFold::with_acc(session.take_fold_acc(), &weights);
-                let global = Arc::new(session.global_params().clone());
-                // Host attribution mirrors the lockstep loop's span
-                // structure (Plan, Train, Fold per round); here the
-                // Train span covers dispatch through the streamed
-                // drain (training and incremental folds overlap), and
-                // the Fold span the final resolve — durations shift
-                // between the two, the span sequence does not.
-                let t_train = session.host_begin();
-                for (slot, &c) in plan.contributors.iter().enumerate() {
-                    queue.submit_train(slot as u64, c, plan.round, Arc::clone(&global));
-                }
-
-                // Stream: fold each update the moment its canonical
-                // predecessor has been folded; collect any finished
-                // deferred evaluations that arrive in between. With a
-                // comm spec active, each released update encodes (with
-                // error-feedback compensation) and folds from its wire
-                // form — one push can release and encode a whole batch
-                // of stashed out-of-order arrivals, all on the session's
-                // scratch buffers.
-                let mut merge = OrderedMerge::new();
-                while fold.folded() < fold.expected() {
-                    match results.recv().expect("workers outlive the round") {
-                        TaskResult::Update { tag, update } => {
-                            merge.push(tag as usize, update, |u| match comm {
-                                // Identity's encoded fold is bitwise the
-                                // plain fold (pinned in tifl_fl tests) —
-                                // skip the per-update model clone.
-                                None => fold.fold(&u),
-                                Some(spec) if spec.codec == tifl_comm::CodecSpec::Identity => {
-                                    fold.fold(&u);
-                                }
-                                Some(spec) => {
-                                    let (feedback, scratch) = session.codec_state_mut();
-                                    fold.fold_compensated(
-                                        &spec.codec,
-                                        &u,
-                                        &global,
-                                        feedback,
-                                        scratch,
-                                    );
-                                }
-                            });
-                        }
-                        TaskResult::Eval {
-                            report_index,
-                            accuracy,
-                            loss,
-                        } => {
-                            evals_pending -= 1;
-                            eval_patches.push((report_index, accuracy, loss));
-                        }
-                    }
-                }
-
-                session.host_end(Phase::Train, plan.round, t_train);
-
-                let round = plan.round;
-                let t_fold = session.host_begin();
-                let new_global = if comm.is_some() {
-                    fold.finish_against(&global)
-                } else {
-                    fold.finish()
-                };
-                session.host_end(Phase::Fold, round, t_fold);
-                let report = session.finish_round(plan, new_global, selector, false);
-                if session.is_eval_round(round) {
-                    evals_pending += 1;
-                    queue.submit_eval(reports.len(), Arc::new(session.global_params().clone()));
-                }
-                reports.push(report);
-            }
-
-            while evals_pending > 0 {
-                match results.recv().expect("workers outlive the run") {
-                    TaskResult::Eval {
-                        report_index,
-                        accuracy,
-                        loss,
-                    } => {
-                        evals_pending -= 1;
-                        eval_patches.push((report_index, accuracy, loss));
-                    }
-                    TaskResult::Update { .. } => {
-                        // tifl-lint: allow(panic-in-library) — invariant panic: the lockstep loop drains every update it spawned before looking for round ends
-                        unreachable!("every round drains its own updates")
-                    }
-                }
-            }
-            for (i, accuracy, loss) in eval_patches {
-                // The evaluation itself ran on a pool worker; the host
-                // span marks where its deferred result lands, keeping
-                // one Eval span per eval round on every backend (the
-                // duration is the patch cost, not the worker's).
-                let t_eval = session.host_begin();
-                reports[i].accuracy = Some(accuracy);
-                reports[i].loss = Some(loss);
-                session.host_end(Phase::Eval, reports[i].round, t_eval);
-            }
-            (reports, timelines)
-        });
-        self.timelines.extend(timelines);
-        reports
     }
 
     // -- asynchronous aggregation ------------------------------------------
@@ -285,13 +92,13 @@ impl EventEngine {
     /// `10 · |C|` consecutive dispatches time out — a cluster where no
     /// client ever responds within `tmax_sec` cannot make progress.
     fn run_async(
-        &mut self,
+        &self,
         session: &mut Session,
         selector: &mut dyn ClientSelector,
         steps: u64,
         max_staleness: u64,
     ) -> Vec<RoundReport> {
-        let ctx = TrainContext::of(session);
+        let ctx = session.train_context();
         let executor = ClientExecutor::new(self.threads);
         let in_flight_target = session.config().clients_per_round;
         let tmax = session.config().tmax_sec;
@@ -305,8 +112,7 @@ impl EventEngine {
             // (already-trained) updates are dropped on receipt instead
             // of accumulating in the stash.
             let mut discarded: BTreeSet<u64> = BTreeSet::new();
-            let mut evals_pending = 0usize;
-            let mut eval_patches: Vec<EvalPatch> = Vec::new();
+            let mut evals = DeferredEvals::default();
             let mut next_seq: u64 = 0;
             let mut version: u64 = 0;
             let mut consecutive_timeouts = 0usize;
@@ -384,14 +190,8 @@ impl EventEngine {
                         );
                         if fresh {
                             let t_train = session.host_begin();
-                            let update = take_update(
-                                seq,
-                                &mut stash,
-                                &mut discarded,
-                                results,
-                                &mut evals_pending,
-                                &mut eval_patches,
-                            );
+                            let update =
+                                take_update(seq, &mut stash, &mut discarded, results, &mut evals);
                             session.host_end(Phase::Train, session.rounds_done(), t_train);
                             // With a codec active the server only ever
                             // sees the encoded upload: round-trip the
@@ -421,11 +221,8 @@ impl EventEngine {
 
                         let round = session.rounds_done();
                         if session.is_eval_round(round) {
-                            evals_pending += 1;
-                            queue.submit_eval(
-                                reports.len(),
-                                Arc::new(session.global_params().clone()),
-                            );
+                            let global = Arc::new(session.global_params().clone());
+                            evals.submit(queue, reports.len(), global);
                         }
                         session.mark_round_done();
                         let task = session.task_for(client);
@@ -450,27 +247,9 @@ impl EventEngine {
                 }
             }
 
-            while evals_pending > 0 {
-                match results.recv().expect("workers outlive the run") {
-                    TaskResult::Eval {
-                        report_index,
-                        accuracy,
-                        loss,
-                    } => {
-                        evals_pending -= 1;
-                        eval_patches.push((report_index, accuracy, loss));
-                    }
-                    // Updates still in flight past the horizon are
-                    // abandoned, like the stragglers they are.
-                    TaskResult::Update { .. } => {}
-                }
-            }
-            for (i, accuracy, loss) in eval_patches {
-                let t_eval = session.host_begin();
-                reports[i].accuracy = Some(accuracy);
-                reports[i].loss = Some(loss);
-                session.host_end(Phase::Eval, reports[i].round, t_eval);
-            }
+            // Updates still in flight past the horizon are abandoned,
+            // like the stragglers they are.
+            evals.finish(results, session, &mut reports);
             reports
         })
     }
@@ -517,8 +296,7 @@ fn take_update(
     stash: &mut BTreeMap<u64, tifl_fl::ClientUpdate>,
     discarded: &mut BTreeSet<u64>,
     results: &Receiver<TaskResult>,
-    evals_pending: &mut usize,
-    eval_patches: &mut Vec<EvalPatch>,
+    evals: &mut DeferredEvals,
 ) -> tifl_fl::ClientUpdate {
     loop {
         if let Some(update) = stash.remove(&seq) {
@@ -530,14 +308,7 @@ fn take_update(
                     stash.insert(tag, update);
                 }
             }
-            TaskResult::Eval {
-                report_index,
-                accuracy,
-                loss,
-            } => {
-                *evals_pending -= 1;
-                eval_patches.push((report_index, accuracy, loss));
-            }
+            TaskResult::Eval(eval) => evals.land(eval),
         }
     }
 }

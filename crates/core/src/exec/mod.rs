@@ -1,75 +1,71 @@
-//! The round execution engine: *how* runs execute, independently of
-//! *what* they run.
+//! How runs execute, independently of *what* they run: one loop, a
+//! thread count, and an asynchronous mode.
 //!
-//! The lockstep loop in `tifl_fl::Session` executes every selected
-//! client inline inside a synchronous round barrier — fine for paper
-//! topologies (50 clients, 5 per round), hopeless at production scale.
-//! This module family replaces the *mechanism* while preserving the
-//! *semantics* bit for bit:
+//! Every synchronous round (`WaitAll`, `FirstK`) in the workspace is
+//! executed by one loop, [`tifl_fl::Session::run_rounds`]: plan the
+//! round, dispatch its contributors to the [`ClientExecutor`], fold
+//! each update the moment its canonical predecessor has
+//! ([`OrderedMerge`] into a [`tifl_fl::StreamingFold`]), commit, and
+//! defer the global-test evaluation onto the executor so it overlaps
+//! the next round's training. Training is a pure function of
+//! `(seed, client, round)` and folds happen in plan order, so reports
+//! and final weights are bit-for-bit the same for **any** thread count;
+//! on one thread the executor runs every task inline.
 //!
-//! * [`engine`] — a virtual-time discrete-event engine that unifies the
-//!   simulator's clock/event/latency/dropout/drift models behind one
-//!   priority-queue scheduler ([`tifl_sim::event::EventQueue`]), with
-//!   real cancellation of in-flight stragglers and a staleness-aware
-//!   asynchronous aggregation mode;
-//! * [`executor`] — a shared-queue parallel client executor (built on
-//!   the vendored `rayon` scope) that trains clients concurrently and
-//!   streams each update back the moment it finishes;
-//! * [`streaming`] — the ordered-merge buffer that re-serialises
-//!   out-of-order completions into the canonical aggregation order, so
-//!   the streaming fold ([`tifl_fl::StreamingFold`]) reproduces batch
-//!   FedAvg exactly for *any* thread count.
+//! An [`ExecBackend`] is therefore just a thread count:
+//! [`Lockstep`](ExecBackend::Lockstep) is the loop at the ambient rayon
+//! parallelism, [`EventDriven`](ExecBackend::EventDriven) at an
+//! explicit one. The pieces:
 //!
-//! Pick the mechanism per run through [`ExecBackend`]:
+//! * [`executor`] / [`streaming`] — the client executor and the ordered
+//!   merge, re-exported from [`tifl_fl::exec`] where the loop lives;
+//! * [`engine`] — [`EventEngine`], which hands synchronous modes to the
+//!   loop and owns the one mode that needs an event queue: staleness-
+//!   aware asynchronous aggregation
+//!   ([`Async`](tifl_fl::session::AggregationMode::Async)) over
+//!   [`tifl_sim::event::EventQueue`].
 //!
 //! ```no_run
 //! use tifl_core::experiment::ExperimentConfig;
 //! use tifl_core::runner::Experiment;
 //!
 //! let cfg = ExperimentConfig::cifar10_resource_het(42);
-//! // Identical report to the default lockstep backend — just faster.
+//! // Identical report to the default backend — on four threads.
 //! let report = cfg.runner().adaptive(None).event_driven(4).run();
 //! println!("{}: {:.3}", report.policy, report.final_accuracy());
 //! ```
 
 pub mod engine;
-pub mod executor;
-pub mod streaming;
+pub use tifl_fl::exec::{executor, streaming};
 
 pub use engine::EventEngine;
-pub use executor::{ClientExecutor, TrainContext};
-pub use streaming::OrderedMerge;
+pub use tifl_fl::exec::{ClientExecutor, OrderedMerge, TrainContext};
 
 use serde::{Deserialize, Serialize};
 
-/// Which execution mechanism a run uses. The backend never changes a
-/// run's results — only its wall-clock speed, memory footprint, and
-/// which aggregation modes are expressible
-/// ([`Async`](tifl_fl::session::AggregationMode::Async) needs
-/// [`EventDriven`](ExecBackend::EventDriven)).
+/// How many threads a run's round loop uses. The backend never changes
+/// a run's results — only its wall-clock speed; the two variants (and
+/// their serialized forms, which live in `RunKey`s and stored
+/// artifacts) differ only in where the thread count comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecBackend {
-    /// The legacy synchronous round loop: plan, train every contributor
-    /// through a parallel iterator, aggregate in one batch. Exact
-    /// historical behaviour; round memory is O(|selected| × model).
+    /// The round loop at the ambient rayon parallelism: the machine
+    /// default, or the width of an enclosing `ThreadPool::install` (how
+    /// the sweep scheduler divides the host among its workers).
     #[default]
     Lockstep,
-    /// The discrete-event engine: contributors train on a pool of
-    /// worker threads, updates fold into the global model as they
-    /// complete (round memory O(model + reorder window)), evaluation
-    /// overlaps the next round's training, and over-selection cancels
-    /// in-flight stragglers at their virtual deadline. Bit-for-bit
-    /// equal to [`Lockstep`](ExecBackend::Lockstep) for any `threads`.
+    /// The round loop at an explicit thread count. Also the backend
+    /// [`Async`](tifl_fl::session::AggregationMode::Async) aggregation
+    /// requires.
     EventDriven {
-        /// Worker threads training clients (0 = machine default, capped
-        /// like the rayon pool).
+        /// Threads training clients (0 = ambient, like
+        /// [`Lockstep`](ExecBackend::Lockstep)).
         threads: usize,
     },
 }
 
 impl ExecBackend {
-    /// The worker-thread count this backend implies (lockstep reports
-    /// the ambient rayon parallelism of its `par_iter`).
+    /// The thread count this backend resolves to, here and now.
     #[must_use]
     pub fn threads(&self) -> usize {
         match *self {

@@ -18,14 +18,13 @@
 use crate::policy::Policy;
 use crate::profiler::ProfilerConfig;
 use crate::runner::Experiment;
-use crate::scheduler::AdaptiveConfig;
 use crate::tiering::TieringConfig;
 use serde::{Deserialize, Serialize};
 use tifl_data::partition::{self, Partition};
 use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
 use tifl_data::FederatedDataset;
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides};
-use tifl_fl::{ClientConfig, TrainingReport};
+use tifl_fl::ClientConfig;
 use tifl_nn::models::ModelSpec;
 use tifl_sim::latency::LatencyModelConfig;
 use tifl_sim::{Cluster, ClusterConfig, DriftModel};
@@ -353,90 +352,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn estimate_policy(&self, policy: &Policy) -> f64 {
         self.runner().estimate(policy)
-    }
-
-    // -- legacy execution wrappers ----------------------------------------
-    //
-    // The pipeline these methods used to duplicate lives in
-    // `crate::runner`; each one is now a thin spec over it. They remain
-    // bit-for-bit compatible (same seeds, same labels).
-
-    /// Run one full training under a static policy (vanilla bypasses
-    /// tiering, matching Algorithm 1).
-    #[deprecated(since = "0.2.0", note = "use `cfg.runner().policy(policy).run()`")]
-    #[must_use]
-    pub fn run_policy(&self, policy: &Policy) -> TrainingReport {
-        self.runner().policy(policy).run()
-    }
-
-    /// As `run_policy` but also returns the finished session, so callers
-    /// can inspect the final global model.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `cfg.runner().policy(policy).run_with_session()`"
-    )]
-    #[must_use]
-    pub fn run_policy_session(&self, policy: &Policy) -> (TrainingReport, Session) {
-        self.runner().policy(policy).run_with_session()
-    }
-
-    /// Run one full training under the adaptive policy (Algorithm 2).
-    #[deprecated(since = "0.2.0", note = "use `cfg.runner().adaptive(config).run()`")]
-    #[must_use]
-    pub fn run_adaptive(&self, config: Option<AdaptiveConfig>) -> TrainingReport {
-        self.runner().adaptive(config).run()
-    }
-
-    /// Run the FedCS baseline (§2): random selection filtered by a
-    /// per-round deadline over profiled latencies.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `cfg.runner().deadline(deadline_sec).run()`"
-    )]
-    #[must_use]
-    pub fn run_fedcs(&self, deadline_sec: f64) -> TrainingReport {
-        self.runner().deadline(deadline_sec).run()
-    }
-
-    /// Run the Bonawitz et al. over-selection baseline (§2).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `cfg.runner().vanilla().overselect(factor).run()`"
-    )]
-    #[must_use]
-    pub fn run_overselection(&self, factor: f64) -> TrainingReport {
-        self.runner().vanilla().overselect(factor).run()
-    }
-
-    /// Run vanilla selection with the FedProx proximal objective (§2).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `cfg.runner().vanilla().fedprox(mu).run()`"
-    )]
-    #[must_use]
-    pub fn run_fedprox(&self, mu: f32) -> TrainingReport {
-        self.runner().vanilla().fedprox(mu).run()
-    }
-
-    /// Run a static tier policy with periodic re-profiling every
-    /// `reprofile_every` rounds (§4.2).
-    ///
-    /// # Panics
-    /// Panics on a vanilla policy or a zero interval.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `cfg.runner().policy(policy).reprofile_every(n).run()`"
-    )]
-    #[must_use]
-    pub fn run_policy_with_reprofiling(
-        &self,
-        policy: &Policy,
-        reprofile_every: u64,
-    ) -> TrainingReport {
-        self.runner()
-            .policy(policy)
-            .reprofile_every(reprofile_every)
-            .run()
     }
 }
 

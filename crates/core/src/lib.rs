@@ -19,11 +19,10 @@
 //!   describing one cell of the §5 evaluation matrix, and the
 //!   [`Runner`] that executes it through the one canonical
 //!   profile → tier → select → train pipeline (with a profiling cache);
-//! * [`exec`] — the round execution engine: a virtual-time
-//!   discrete-event scheduler with a parallel streaming client
-//!   executor, selectable per run via [`exec::ExecBackend`]
-//!   (bit-for-bit equal to the lockstep loop, plus straggler
-//!   cancellation and asynchronous staleness-aware aggregation).
+//! * [`exec`] — how runs execute: [`exec::ExecBackend`] (the thread
+//!   count the one round loop in `tifl_fl` runs on; never changes a
+//!   result) and the event-queue engine for asynchronous
+//!   staleness-aware aggregation.
 
 #![forbid(unsafe_code)]
 

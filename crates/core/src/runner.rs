@@ -25,11 +25,10 @@
 //! curve. Anything implementing [`Experiment`] gets the full API —
 //! `ExperimentConfig` and `tifl_leaf::LeafExperiment` both do.
 //!
-//! RNG streams are bit-for-bit compatible with the legacy `run_*`
-//! methods: the selector stream is `split_seed(seed, 0x5E1EC7)` (keyed
-//! per re-profiling segment exactly as before) and the session stream is
-//! owned by [`Experiment::build_session`], so a spec reproducing a
-//! legacy call reproduces its [`TrainingReport`] exactly.
+//! RNG streams: the selector stream is `split_seed(seed, 0x5E1EC7)`
+//! (re-keyed per re-profiling segment) and the session stream is owned
+//! by [`Experiment::build_session`]; `tests/runspec.rs` pins the
+//! resulting [`TrainingReport`] digests per scenario.
 
 use crate::baselines::DeadlineSelector;
 use crate::exec::{EventEngine, ExecBackend};
@@ -58,8 +57,7 @@ pub enum SelectionStrategy {
     #[default]
     Vanilla,
     /// Static tier selection under a fixed probability vector (§4.3).
-    /// A vanilla [`Policy`] degrades gracefully to [`Vanilla`]
-    /// (matching the legacy `run_policy` behaviour).
+    /// A vanilla [`Policy`] degrades gracefully to [`Vanilla`].
     ///
     /// [`Vanilla`]: SelectionStrategy::Vanilla
     TierPolicy {
@@ -137,10 +135,10 @@ pub struct RunSpec {
     /// (see [`RunSpec::display_label`]).
     #[serde(default)]
     pub label: Option<String>,
-    /// Execution mechanism (see [`ExecBackend`]). Never changes the
-    /// results — [`ExecBackend::EventDriven`] is bit-for-bit equal to
-    /// the default lockstep loop — so it does not decorate the label;
-    /// but [`AggregationMode::Async`] scenarios require it.
+    /// The round loop's thread count (see [`ExecBackend`]). Never
+    /// changes the results, so it does not decorate the label; but
+    /// [`AggregationMode::Async`] scenarios require
+    /// [`ExecBackend::EventDriven`].
     #[serde(default)]
     pub backend: ExecBackend,
     /// Communication model: update codec × link model (× optional
@@ -183,11 +181,9 @@ impl RunSpec {
 
     /// The `TrainingReport::policy` label for this spec: the explicit
     /// [`RunSpec::label`] if set, otherwise the selector's name with
-    /// `fedprox(μ)` / `overselect(factor)` / `+reprofile` decorations
-    /// (matching the labels the legacy `run_*` methods produced).
+    /// `fedprox(μ)` / `overselect(factor)` / `+reprofile` decorations.
     /// An inherited aggregation mode (`aggregation: None`) is not
-    /// decorated, mirroring how legacy `run_policy` never relabelled
-    /// runs on over-selecting configs.
+    /// decorated.
     #[must_use]
     pub fn display_label(&self) -> String {
         if let Some(label) = &self.label {
@@ -428,8 +424,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// round barrier, updates staler than `max_staleness` model
     /// versions are discarded. Implies the event-driven backend — this
     /// also switches the backend to [`ExecBackend::EventDriven`]
-    /// (machine-default threads) if the spec still has the lockstep
-    /// one, since the lockstep loop cannot express it.
+    /// (ambient threads) if the spec still has the lockstep one.
     pub fn async_aggregation(&mut self, max_staleness: u64) -> &mut Self {
         if self.spec.backend == ExecBackend::Lockstep {
             self.spec.backend = ExecBackend::EventDriven { threads: 0 };
@@ -437,20 +432,19 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         self.aggregation(AggregationMode::Async { max_staleness })
     }
 
-    /// Choose the execution mechanism (results are backend-invariant;
-    /// see [`ExecBackend`]).
+    /// Choose where the thread count comes from (results are
+    /// backend-invariant; see [`ExecBackend`]).
     pub fn backend(&mut self, backend: ExecBackend) -> &mut Self {
         self.spec.backend = backend;
         self
     }
 
-    /// Execute on the event-driven engine with `threads` training
-    /// workers (0 = machine default).
+    /// Execute on `threads` threads (0 = ambient).
     pub fn event_driven(&mut self, threads: usize) -> &mut Self {
         self.backend(ExecBackend::EventDriven { threads })
     }
 
-    /// Execute on the legacy lockstep round loop (the default).
+    /// Execute at the ambient thread count (the default).
     pub fn lockstep(&mut self) -> &mut Self {
         self.backend(ExecBackend::Lockstep)
     }
@@ -686,18 +680,19 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// Drive the spec against an already-built session (the shared
     /// tail of [`Runner::run_with_session`] / [`Runner::run_observed`]).
     fn execute(&mut self, session: &mut Session) -> TrainingReport {
+        assert!(
+            self.spec.backend != ExecBackend::Lockstep
+                || !matches!(session.config().aggregation, AggregationMode::Async { .. }),
+            "Async aggregation requires the event-driven backend (ExecBackend::EventDriven)"
+        );
+        let engine = EventEngine::new(self.spec.backend.threads());
         let mut report = match self.spec.reprofile_every {
             None => {
                 let seed = split_seed(self.exp.seed(), 0x5E1EC7);
                 let mut selector = self.build_selector(seed);
-                match self.spec.backend {
-                    ExecBackend::Lockstep => session.run(selector.as_mut()),
-                    ExecBackend::EventDriven { threads } => {
-                        EventEngine::new(threads).run(session, selector.as_mut())
-                    }
-                }
+                engine.run(session, selector.as_mut())
             }
-            Some(every) => self.run_segmented(session, every),
+            Some(every) => self.run_segmented(session, every, &engine),
         };
         report.policy = self.spec.display_label();
         report
@@ -733,7 +728,12 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// tiers and a fresh selector (seeded per segment), and continue the
     /// same session. Adaptive segments restart Algorithm 2's credits
     /// and probabilities, since the old tiers they refer to are gone.
-    fn run_segmented(&mut self, session: &mut Session, every: u64) -> TrainingReport {
+    fn run_segmented(
+        &mut self,
+        session: &mut Session,
+        every: u64,
+        engine: &EventEngine,
+    ) -> TrainingReport {
         assert!(
             self.spec.selection.needs_profile(),
             "re-profiling requires a tiered policy"
@@ -780,20 +780,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
                     SelectionStrategy::Vanilla => unreachable!("rejected above"),
                 };
             let segment = every.min(rounds_total - done);
-            match self.spec.backend {
-                ExecBackend::Lockstep => {
-                    for _ in 0..segment {
-                        rounds.push(session.run_round(selector.as_mut()));
-                    }
-                }
-                ExecBackend::EventDriven { threads } => {
-                    rounds.extend(EventEngine::new(threads).run_rounds(
-                        session,
-                        selector.as_mut(),
-                        segment,
-                    ));
-                }
-            }
+            rounds.extend(engine.run_rounds(session, selector.as_mut(), segment));
             done += segment;
         }
         TrainingReport {

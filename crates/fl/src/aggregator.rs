@@ -1,6 +1,5 @@
 //! FedAvg aggregation (Algorithm 1, line 8).
 
-use std::sync::mpsc;
 use tifl_comm::{CodecSpec, EncodeScratch, EncodedUpdate, ErrorFeedback};
 use tifl_tensor::ParamVec;
 
@@ -44,7 +43,7 @@ pub fn aggregate_fedavg(updates: &[ClientUpdate]) -> ParamVec {
 /// training finishes), each [`StreamingFold::fold`] is one `axpy` with
 /// the same coefficient, and floating-point addition at every
 /// coordinate happens in the same order. Executors that receive updates
-/// out of order must re-order them (see `tifl_core::exec`) before
+/// out of order must re-order them (see [`crate::exec::OrderedMerge`]) before
 /// folding.
 #[derive(Debug)]
 pub struct StreamingFold {
@@ -222,66 +221,6 @@ impl StreamingFold {
     }
 }
 
-/// Channel-based collector for updates produced by concurrently running
-/// clients.
-///
-/// The paper's architecture has clients push trained weights to the
-/// aggregator as they finish; this mirrors that shape: workers hold a
-/// [`UpdateSender`] and the aggregator drains the channel once all
-/// selected clients have reported (synchronous FL waits for every
-/// response, §3.1).
-pub struct UpdateCollector {
-    rx: mpsc::Receiver<ClientUpdate>,
-}
-
-/// Sending half handed to each in-flight client.
-#[derive(Clone)]
-pub struct UpdateSender {
-    tx: mpsc::Sender<ClientUpdate>,
-}
-
-impl UpdateSender {
-    /// Deliver a finished update to the aggregator.
-    ///
-    /// # Panics
-    /// Panics if the collector was dropped (protocol bug).
-    pub fn send(&self, update: ClientUpdate) {
-        self.tx
-            .send(update)
-            .expect("aggregator dropped while clients in flight");
-    }
-}
-
-impl UpdateCollector {
-    /// Create a collector and its sending half.
-    #[must_use]
-    pub fn new() -> (Self, UpdateSender) {
-        let (tx, rx) = mpsc::channel();
-        (Self { rx }, UpdateSender { tx })
-    }
-
-    /// Wait for exactly `expected` updates and aggregate them.
-    ///
-    /// Updates are sorted by client id before averaging so the result is
-    /// independent of arrival order (floating-point addition is not
-    /// associative; determinism requires a canonical order).
-    ///
-    /// # Panics
-    /// Panics if the channel closes before `expected` updates arrive.
-    #[must_use]
-    pub fn collect_and_aggregate(&self, expected: usize) -> ParamVec {
-        let mut updates: Vec<ClientUpdate> = (0..expected)
-            .map(|_| {
-                self.rx
-                    .recv()
-                    .expect("client worker dropped before reporting")
-            })
-            .collect();
-        updates.sort_by_key(|u| u.client);
-        aggregate_fedavg(&updates)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +266,7 @@ mod tests {
 
     #[test]
     fn streaming_fold_is_bitwise_equal_to_batch() {
-        // The event-driven engine's contract: folding updates one at a
+        // The round loop's contract: folding updates one at a
         // time in canonical order reproduces aggregate_fedavg exactly —
         // not approximately.
         let updates: Vec<ClientUpdate> = (0..7)
@@ -441,40 +380,5 @@ mod tests {
     fn streaming_fold_rejects_early_finish() {
         let fold = StreamingFold::new(1, &[1.0]);
         let _ = fold.finish();
-    }
-
-    #[test]
-    fn collector_is_order_independent() {
-        let run = |order: &[usize]| {
-            let (col, tx) = UpdateCollector::new();
-            let updates = [
-                upd(0, vec![1.0], 1),
-                upd(1, vec![2.0], 2),
-                upd(2, vec![4.0], 3),
-            ];
-            for &i in order {
-                tx.send(updates[i].clone());
-            }
-            col.collect_and_aggregate(3)
-        };
-        assert_eq!(run(&[0, 1, 2]), run(&[2, 0, 1]));
-    }
-
-    #[test]
-    fn collector_works_across_threads() {
-        let (col, tx) = UpdateCollector::new();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    tx.send(upd(i, vec![i as f32], 10));
-                })
-            })
-            .collect();
-        let g = col.collect_and_aggregate(4);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!((g.0[0] - 1.5).abs() < 1e-6);
     }
 }

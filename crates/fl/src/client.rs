@@ -229,9 +229,9 @@ fn apply_dp_noise(params: &mut ParamVec, global: &ParamVec, dp: DpNoiseConfig, s
 
 /// Train one client of a federated dataset and package the result as a
 /// [`ClientUpdate`] (weights + the training-set size FedAvg weights
-/// by). The one canonical construction shared by the lockstep round
-/// loop and the event-driven executor — both backends' bit-for-bit
-/// equality rests on there being exactly one of these.
+/// by). The one canonical construction every executor task goes
+/// through — thread-count invariance rests on there being exactly one
+/// of these.
 ///
 /// [`ClientUpdate`]: crate::aggregator::ClientUpdate
 #[must_use]

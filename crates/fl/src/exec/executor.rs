@@ -1,0 +1,367 @@
+//! The client executor: the one place client training and deferred
+//! evaluation tasks run.
+//!
+//! Training a selected client is a pure function of
+//! `(seed, client, round, global)` — see [`crate::client::local_train`] —
+//! so *where* and *when* it runs cannot change its result. With one
+//! thread every task runs inline on the calling thread the moment it is
+//! submitted (no worker, no hand-off); with more, tasks go to a pool of
+//! worker threads pulling from a shared queue (the vendored `rayon`'s
+//! [`rayon::scope`]). Either way every finished result streams back to
+//! the coordinating thread over a channel, and determinism for any
+//! thread count is restored downstream by the ordered merge
+//! ([`crate::exec::OrderedMerge`]).
+//!
+//! Global-model evaluation rides the same executor: an evaluation task
+//! captures an immutable snapshot of the round's aggregated model, so
+//! on a pool it runs concurrently with the *next* round's training
+//! ([`DeferredEvals`] patches the results into the reports afterwards).
+
+use crate::client::{self, ClientConfig};
+use crate::report::RoundReport;
+use crate::{ClientUpdate, Session};
+use std::sync::mpsc;
+use std::sync::Arc;
+use tifl_data::FederatedDataset;
+use tifl_nn::model::EvalResult;
+use tifl_nn::models::ModelSpec;
+use tifl_obs::{HostClock, Phase};
+use tifl_tensor::ParamVec;
+
+/// Everything a worker needs to train any client of a session — shared,
+/// immutable, and independent of the session's mutable state (global
+/// model, clock), which stays with the coordinating thread.
+#[derive(Clone)]
+pub struct TrainContext {
+    /// The federated dataset (shared handle).
+    pub data: Arc<FederatedDataset>,
+    /// Global model architecture.
+    pub model: ModelSpec,
+    /// Local-training hyper-parameters.
+    pub client: ClientConfig,
+    /// The session's root seed (per-client streams derive from it).
+    pub seed: u64,
+    /// The attached host profiler's clock, so a deferred evaluation is
+    /// timed where it runs (`None` without a profiler).
+    pub host_clock: Option<Arc<dyn HostClock>>,
+}
+
+impl TrainContext {
+    /// Train `client` for `round` against `global`. Deterministic in
+    /// `(seed, client, round)`.
+    #[must_use]
+    pub fn train(&self, client: usize, round: u64, global: &ParamVec) -> ClientUpdate {
+        client::train_update(
+            &self.model,
+            global,
+            &self.data,
+            &self.client,
+            round,
+            client,
+            self.seed,
+        )
+    }
+
+    /// Evaluate `params` on the balanced global test set.
+    #[must_use]
+    pub fn evaluate(&self, params: &ParamVec) -> EvalResult {
+        let mut model = client::eval_model(&self.model, params);
+        model.evaluate(&self.data.global_test.x, &self.data.global_test.y)
+    }
+}
+
+/// One finished deferred evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct DeferredEval {
+    /// Index into the caller's report list.
+    pub report_index: usize,
+    /// Global test accuracy and loss.
+    pub result: EvalResult,
+    /// Host seconds the evaluation took where it ran (0 without a
+    /// profiler clock).
+    pub host_sec: f64,
+}
+
+/// A finished task, streamed back to the coordinating thread.
+#[derive(Debug)]
+pub enum TaskResult {
+    /// One client finished local training.
+    Update {
+        /// Caller-defined identity (the canonical slot in a synchronous
+        /// round, the dispatch sequence number in asynchronous mode).
+        tag: u64,
+        /// The trained update.
+        update: ClientUpdate,
+    },
+    /// One deferred global-model evaluation finished.
+    Eval(DeferredEval),
+}
+
+/// Handle for submitting work from inside [`ClientExecutor::run`].
+pub struct WorkQueue<'a, 'scope> {
+    /// `None` on a one-thread executor: tasks run inline at submission.
+    scope: Option<&'a rayon::Scope<'scope>>,
+    ctx: &'scope TrainContext,
+    tx: mpsc::Sender<TaskResult>,
+}
+
+impl<'scope> WorkQueue<'_, 'scope> {
+    fn submit(&self, task: impl FnOnce(&TrainContext) -> TaskResult + Send + 'scope) {
+        let ctx = self.ctx;
+        // The receiver may already be gone when a run abandons
+        // still-in-flight work (asynchronous mode at its horizon).
+        match self.scope {
+            Some(scope) => {
+                let tx = self.tx.clone();
+                scope.spawn(move || {
+                    let _ = tx.send(task(ctx));
+                });
+            }
+            None => {
+                let _ = self.tx.send(task(ctx));
+            }
+        }
+    }
+
+    /// Queue local training of `client` for `round` against the given
+    /// global snapshot; the result arrives as [`TaskResult::Update`]
+    /// carrying `tag`.
+    pub fn submit_train(&self, tag: u64, client: usize, round: u64, global: Arc<ParamVec>) {
+        self.submit(move |ctx| TaskResult::Update {
+            tag,
+            update: ctx.train(client, round, &global),
+        });
+    }
+
+    /// Queue evaluation of a global-model snapshot; the result arrives
+    /// as [`TaskResult::Eval`] carrying `report_index`.
+    pub fn submit_eval(&self, report_index: usize, global: Arc<ParamVec>) {
+        self.submit(move |ctx| {
+            let clock = ctx.host_clock.as_deref();
+            let start = clock.map_or(0.0, HostClock::now_sec);
+            let result = ctx.evaluate(&global);
+            TaskResult::Eval(DeferredEval {
+                report_index,
+                result,
+                host_sec: clock.map_or(0.0, HostClock::now_sec) - start,
+            })
+        });
+    }
+}
+
+/// Global-model evaluations deferred onto the executor: submitted after
+/// a round commits, collected whenever they surface in the result
+/// stream, and patched into the reports once the run's last round is
+/// done.
+#[derive(Debug, Default)]
+pub struct DeferredEvals {
+    submitted: usize,
+    landed: Vec<DeferredEval>,
+}
+
+impl DeferredEvals {
+    /// Queue the evaluation of `global` for `reports[report_index]`.
+    pub fn submit(
+        &mut self,
+        queue: &WorkQueue<'_, '_>,
+        report_index: usize,
+        global: Arc<ParamVec>,
+    ) {
+        self.submitted += 1;
+        queue.submit_eval(report_index, global);
+    }
+
+    /// Keep an evaluation that surfaced in the result stream.
+    pub fn land(&mut self, eval: DeferredEval) {
+        self.landed.push(eval);
+    }
+
+    /// Wait for the evaluations still outstanding (updates that surface
+    /// meanwhile belong to abandoned work and are dropped), then patch
+    /// every result into its report. Each patch closes one `Eval` host
+    /// span carrying the seconds the evaluation took where it ran.
+    pub fn finish(
+        mut self,
+        results: &mpsc::Receiver<TaskResult>,
+        session: &mut Session,
+        reports: &mut [RoundReport],
+    ) {
+        while self.landed.len() < self.submitted {
+            if let TaskResult::Eval(eval) = results.recv().expect("workers outlive the run") {
+                self.landed.push(eval);
+            }
+        }
+        for eval in self.landed {
+            let report = &mut reports[eval.report_index];
+            report.accuracy = Some(eval.result.accuracy);
+            report.loss = Some(eval.result.loss);
+            session.host_record(Phase::Eval, report.round, eval.host_sec);
+        }
+    }
+}
+
+/// Executes client training and evaluation tasks on a fixed thread
+/// count, streaming results as they complete.
+pub struct ClientExecutor {
+    threads: usize,
+}
+
+impl ClientExecutor {
+    /// An executor on `threads` threads (0 = the ambient rayon
+    /// parallelism, so an enclosing `ThreadPool::install` is honoured).
+    #[must_use]
+    pub fn new(threads: usize) -> Self {
+        let threads = if threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            threads
+        };
+        Self { threads }
+    }
+
+    /// The thread count in effect.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Run `body` on the calling thread: `body` submits tasks through
+    /// the [`WorkQueue`] and consumes results from the receiver. On one
+    /// thread each task has already run when its `submit_*` returns and
+    /// results arrive in submission order; on more, `body` consumes
+    /// *while workers execute*. Returns after `body` and every
+    /// submitted task finished.
+    pub fn run<R>(
+        &self,
+        ctx: &TrainContext,
+        body: impl FnOnce(&WorkQueue<'_, '_>, &mpsc::Receiver<TaskResult>) -> R,
+    ) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.threads)
+            .build()
+            .expect("thread pool builds");
+        let (tx, rx) = mpsc::channel();
+        pool.install(|| {
+            if self.threads == 1 {
+                let scope = None;
+                body(&WorkQueue { scope, ctx, tx }, &rx)
+            } else {
+                rayon::scope(|scope| {
+                    let scope = Some(scope);
+                    body(&WorkQueue { scope, ctx, tx }, &rx)
+                })
+            }
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tifl_data::partition;
+    use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
+    use tifl_tensor::seed_rng;
+
+    fn ctx() -> TrainContext {
+        let gen = Generator::new(SynthSpec::family(SynthFamily::Mnist), 5);
+        let part = partition::iid(4, 30, 10, &mut seed_rng(5));
+        let data = FederatedDataset::materialize(&gen, &part, 0.2, 10, 5);
+        TrainContext {
+            data: Arc::new(data),
+            model: ModelSpec::Mlp {
+                input: 64,
+                hidden: 16,
+                classes: 10,
+            },
+            client: ClientConfig::paper_synthetic(),
+            seed: 5,
+            host_clock: None,
+        }
+    }
+
+    #[test]
+    fn training_results_are_thread_count_independent() {
+        let ctx = ctx();
+        let global = Arc::new(ctx.model.build(5).params());
+        let run = |threads: usize| {
+            let exec = ClientExecutor::new(threads);
+            exec.run(&ctx, |queue, rx| {
+                for c in 0..4u64 {
+                    queue.submit_train(c, c as usize, 0, Arc::clone(&global));
+                }
+                let mut got: Vec<Option<ClientUpdate>> = vec![None, None, None, None];
+                for _ in 0..4 {
+                    match rx.recv().expect("4 updates") {
+                        TaskResult::Update { tag, update } => got[tag as usize] = Some(update),
+                        TaskResult::Eval(_) => unreachable!("no evals submitted"),
+                    }
+                }
+                got.into_iter()
+                    .map(|u| u.expect("all tags seen").params)
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn evaluation_matches_the_inline_path() {
+        let ctx = ctx();
+        let params = ctx.model.build(7).params();
+        let inline = ctx.evaluate(&params);
+        let exec = ClientExecutor::new(2);
+        let deferred = exec.run(&ctx, |queue, rx| {
+            queue.submit_eval(3, Arc::new(params.clone()));
+            match rx.recv().expect("one eval") {
+                TaskResult::Eval(eval) => {
+                    assert_eq!(eval.report_index, 3);
+                    eval.result
+                }
+                TaskResult::Update { .. } => unreachable!("no training submitted"),
+            }
+        });
+        assert_eq!(inline, deferred, "deferred evaluation must be bit-equal");
+    }
+
+    #[test]
+    fn executor_reports_thread_count() {
+        assert_eq!(ClientExecutor::new(3).threads(), 3);
+        assert!(ClientExecutor::new(0).threads() >= 1);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(5)
+            .build()
+            .expect("thread pool builds");
+        let ambient = pool.install(|| ClientExecutor::new(0).threads());
+        assert_eq!(ambient, 5, "0 resolves to the enclosing pool's width");
+    }
+
+    #[test]
+    fn one_thread_runs_tasks_inline_in_submission_order() {
+        let ctx = ctx();
+        let here = std::thread::current().id();
+        let tags = ClientExecutor::new(1).run(&ctx, |queue, rx| {
+            for tag in 0..5u64 {
+                queue.submit(move |_| {
+                    assert_eq!(std::thread::current().id(), here, "no worker spawned");
+                    let params = ParamVec::zeros(0);
+                    TaskResult::Update {
+                        tag,
+                        update: ClientUpdate {
+                            client: 0,
+                            params,
+                            samples: 0,
+                        },
+                    }
+                });
+            }
+            // Non-blocking: every task already ran when `submit` returned.
+            rx.try_iter()
+                .map(|r| match r {
+                    TaskResult::Update { tag, .. } => tag,
+                    TaskResult::Eval(_) => unreachable!("no evals submitted"),
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(tags, [0, 1, 2, 3, 4]);
+    }
+}

@@ -3,7 +3,7 @@
 //! Parallel workers finish clients in wall-clock order, the virtual
 //! event queue delivers completions in virtual-time order — but FedAvg
 //! folds must happen in the *canonical aggregation order* of the round
-//! plan, or the floating-point sums drift from the lockstep backend
+//! plan, or the floating-point sums change with the thread count
 //! (addition is commutative but not associative). [`OrderedMerge`] is
 //! the small reorder buffer between the two: completions are pushed
 //! with their canonical slot index, and the in-order prefix is released
@@ -13,8 +13,8 @@
 //! straggling predecessor. Expected occupancy is the reorder window of
 //! the completion order vs the canonical order (small — under
 //! over-selection the two orders even coincide); the worst case (exact
-//! reverse arrival) is the in-flight count, i.e. never worse than the
-//! lockstep backend's full-round buffer.
+//! reverse arrival) is the in-flight count, i.e. never worse than
+//! buffering the whole round.
 
 use std::collections::BTreeMap;
 

@@ -5,8 +5,8 @@
 //! model; each round a [`selector`] picks `|C|` clients from the pool
 //! `K`; every selected [`client`] trains locally on its own data and
 //! returns updated weights; the aggregator averages them weighted by
-//! local training-set size. The [`session`] round engine drives this
-//! loop against the simulated testbed, advancing the virtual clock by
+//! local training-set size. The [`session`] round loop drives this
+//! against the simulated testbed on the [`exec`] client executor, advancing the virtual clock by
 //! the round latency `max_i L_i` (Eq. 1) and recording a
 //! [`report::RoundReport`] per round.
 //!
@@ -21,6 +21,7 @@
 pub mod aggregator;
 pub mod checkpoint;
 pub mod client;
+pub mod exec;
 pub mod hierarchy;
 pub mod report;
 pub mod selector;

@@ -1,12 +1,12 @@
-//! The round engine: drives Algorithm 1 against the simulated testbed.
+//! The round loop: drives Algorithm 1 against the simulated testbed.
 
 use crate::aggregator::{ClientUpdate, StreamingFold};
 use crate::client::{self, ClientConfig};
+use crate::exec::{ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TrainContext};
 use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
 use crate::timeline::{schedule_plan_events, TimelineEvent};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tifl_comm::{CodecSpec, CommSpec, EncodeScratch, ErrorFeedback};
@@ -42,8 +42,8 @@ pub enum AggregationMode {
     /// immediately dispatches a replacement. An update trained against a
     /// global model more than `max_staleness` versions old is discarded.
     ///
-    /// This mode only exists on the event-driven execution backend
-    /// (`tifl_core::exec`): the lockstep round loop has no notion of
+    /// This mode is driven by the event-queue engine in
+    /// `tifl_core::exec`: the synchronous round loop has no notion of
     /// overlapping rounds and panics on it.
     Async {
         /// Maximum tolerated model-version staleness.
@@ -124,9 +124,8 @@ impl SessionConfig {
 ///
 /// Everything here derives from the latency/dropout models and the
 /// selector alone — client training results cannot influence it — so
-/// both execution backends (the lockstep loop and the event-driven
-/// engine in `tifl_core::exec`) share one source of truth for *what* a
-/// round is and only differ in *how* they execute the training.
+/// *what* a round is never depends on how many threads execute its
+/// training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundPlan {
     /// Round index this plan was made for.
@@ -238,9 +237,9 @@ impl Session {
 
     /// Attach a tracing/metrics observer. Every subsequent round emits
     /// the canonical virtual-time event stream (see
-    /// [`schedule_plan_events`]) into it; both execution backends
-    /// derive the stream from the round plans alone, so it is
-    /// bit-for-bit identical across backends and thread counts.
+    /// [`schedule_plan_events`]) into it; the stream derives from the
+    /// round plans alone, so it is bit-for-bit identical across
+    /// backends and thread counts.
     pub fn attach_observer(&mut self, observer: RunObserver) {
         self.observer = Some(observer);
     }
@@ -266,8 +265,8 @@ impl Session {
     }
 
     /// Open a host-time phase (no-op stamp without a profiler). Public
-    /// so the executors in `tifl_core::exec`, which drive the session
-    /// from outside, share the same profiler.
+    /// so the asynchronous engine in `tifl_core::exec`, which drives
+    /// the session from outside, shares the same profiler.
     #[must_use]
     pub fn host_begin(&self) -> f64 {
         self.host_prof.as_ref().map_or(0.0, HostProfiler::begin)
@@ -278,6 +277,15 @@ impl Session {
     pub fn host_end(&mut self, phase: Phase, round: u64, start: f64) {
         if let Some(prof) = self.host_prof.as_mut() {
             prof.end(phase, round, start);
+        }
+    }
+
+    /// Attribute host seconds measured off the coordinating thread (a
+    /// deferred evaluation, timed where it ran) to `phase` (no-op
+    /// without a profiler).
+    pub fn host_record(&mut self, phase: Phase, round: u64, dur_sec: f64) {
+        if let Some(prof) = self.host_prof.as_mut() {
+            prof.record(phase, round, dur_sec);
         }
     }
 
@@ -349,8 +357,8 @@ impl Session {
             );
         }
         // Evaluation is traced whenever the round is an eval round,
-        // whether the backend evaluates inline or defers it onto a
-        // worker — the *virtual* schedule is the same either way.
+        // whether it runs inline or deferred — the *virtual* schedule
+        // is the same either way.
         if eval {
             observer.record(t0 + plan.latency, TraceEvent::Eval { round: plan.round });
         }
@@ -372,12 +380,18 @@ impl Session {
         &self.data
     }
 
-    /// Shared handle to the (immutable) federated dataset, for executors
-    /// that train clients on worker threads while the session itself
-    /// advances on the coordinating thread.
+    /// What a task needs to train or evaluate for this session off the
+    /// coordinating thread: shared data, the training configuration,
+    /// and the attached profiler's clock.
     #[must_use]
-    pub fn data_handle(&self) -> Arc<FederatedDataset> {
-        Arc::clone(&self.data)
+    pub fn train_context(&self) -> TrainContext {
+        TrainContext {
+            data: Arc::clone(&self.data),
+            model: self.config.model,
+            client: self.config.client,
+            seed: self.config.seed,
+            host_clock: self.host_prof.as_ref().map(HostProfiler::clock),
+        }
     }
 
     /// The simulated testbed.
@@ -440,8 +454,7 @@ impl Session {
     /// Evaluate the global model on the balanced global test set.
     #[must_use]
     pub fn evaluate_global(&self) -> EvalResult {
-        let mut model = client::eval_model(&self.config.model, &self.global);
-        model.evaluate(&self.data.global_test.x, &self.data.global_test.y)
+        self.train_context().evaluate(&self.global)
     }
 
     /// Per-class accuracy of the global model on the global test set —
@@ -518,7 +531,7 @@ impl Session {
     ///
     /// # Panics
     /// Panics under [`AggregationMode::Async`] (which has no round
-    /// plans; use the event-driven engine), on an over-selection factor
+    /// plans; use `tifl_core::exec::EventEngine`), on an over-selection factor
     /// below 1, or if the selector returns no clients.
     pub fn plan_round(&self, selector: &mut dyn ClientSelector) -> RoundPlan {
         let round = self.round;
@@ -530,7 +543,7 @@ impl Session {
                 ((target as f64 * factor).ceil() as usize).min(self.data.num_clients())
             }
             AggregationMode::Async { .. } => {
-                // tifl-lint: allow(panic-in-library) — documented precondition: config validation rejects Async on the lockstep backend before a session starts
+                // tifl-lint: allow(panic-in-library) — documented precondition: the runner rejects Async on the lockstep backend before a session starts
                 panic!("Async aggregation requires the event-driven backend (ExecBackend::EventDriven)")
             }
         };
@@ -611,15 +624,7 @@ impl Session {
     /// global model. Deterministic in `(seed, client, round)`.
     #[must_use]
     pub fn train_contributor(&self, c: usize, round: u64) -> ClientUpdate {
-        client::train_update(
-            &self.config.model,
-            &self.global,
-            &self.data,
-            &self.config.client,
-            round,
-            c,
-            self.config.seed,
-        )
+        self.train_context().train(c, round, &self.global)
     }
 
     /// True when the global model is evaluated after `round` (every
@@ -635,9 +640,9 @@ impl Session {
     /// and record the round.
     ///
     /// `eval_inline: false` skips the global-test evaluation and leaves
-    /// `accuracy`/`loss` unset — for executors that evaluate the
-    /// round's (immutable) global snapshot concurrently with later
-    /// rounds and patch the report afterwards. Monitored-group
+    /// `accuracy`/`loss` unset — for [`Session::run_rounds`], which
+    /// evaluates the round's (immutable) global snapshot concurrently
+    /// with later rounds and patches the report afterwards. Monitored-group
     /// evaluation is never deferred: the selector may need it before
     /// the next selection.
     pub fn finish_round(
@@ -686,8 +691,7 @@ impl Session {
             latency,
             // Every selected client downloads the global model; every
             // aggregated contributor's (encoded) update crossed the
-            // uplink. Both derive from the plan alone, so the two
-            // execution backends account identically.
+            // uplink. Both derive from the plan alone.
             bytes_down: self.update_bytes * selected.len() as u64,
             bytes_up: self.upload_wire_bytes() * contributors.len() as u64,
             selected,
@@ -711,8 +715,8 @@ impl Session {
     }
 
     /// Disjoint borrows of the error-feedback state and the encode
-    /// scratch arena, for executors that encode updates outside
-    /// [`Session::run_round`] while reading the global model.
+    /// scratch arena, for callers that encode updates outside
+    /// [`Session::fold_update`] while reading the global model.
     pub fn codec_state_mut(&mut self) -> (&mut ErrorFeedback, &mut EncodeScratch) {
         (&mut self.feedback, &mut self.codec_scratch)
     }
@@ -790,88 +794,126 @@ impl Session {
         self.round += 1;
     }
 
-    /// Execute one global round with `selector` and return its record.
-    pub fn run_round(&mut self, selector: &mut dyn ClientSelector) -> RoundReport {
-        let t_plan = self.host_begin();
-        let plan = self.plan_round(selector);
-        self.host_end(Phase::Plan, plan.round, t_plan);
-        // Local training in parallel across contributing clients. Each
-        // client's result depends only on (seed, client, round), so rayon
-        // scheduling cannot perturb the outcome. On a single-threaded
-        // pool the fan-out is pure overhead — worse, the pool's lone
-        // worker briefly spin-waits for more work after the collect,
-        // contending with this thread for the only core exactly while
-        // the fold below runs — so train inline instead (same results
-        // either way).
-        // Host attribution: one batch-level Train span per round from
-        // the coordinator's side (parallel workers are not individually
-        // attributed; per-worker lanes are a sweep-scheduler concept).
-        let t_train = self.host_begin();
-        let updates: Vec<ClientUpdate> = if rayon::current_num_threads() > 1 {
-            plan.contributors
-                .par_iter()
-                .map(|&c| self.train_contributor(c, plan.round))
-                .collect()
-        } else {
-            plan.contributors
+    // -- the synchronous round loop -----------------------------------------
+
+    /// Open the streaming fold of a round over `contributors` (the
+    /// plan's canonical aggregation order). The fold's total weight is
+    /// known before any client finishes — sample counts come from the
+    /// data alone — and its accumulator comes from the session's pool.
+    #[must_use]
+    pub fn begin_fold(&mut self, contributors: &[usize]) -> StreamingFold {
+        let acc = self.take_fold_acc();
+        self.fold_weights.clear();
+        self.fold_weights.extend(
+            contributors
                 .iter()
-                .map(|&c| self.train_contributor(c, plan.round))
-                .collect()
-        };
-        self.host_end(Phase::Train, plan.round, t_train);
-        // Synchronous aggregation over the received updates, in the
-        // plan's canonical contributor order. With a comm spec the
-        // server folds each update from its encoded wire form — the
-        // exact decode-and-fold path the event-driven engine streams.
-        // Every buffer (accumulator, weights, payloads) cycles through
-        // the session's scratch pools: a steady-state round allocates
-        // nothing on this path.
-        let t_fold = self.host_begin();
-        let new_global = if updates.is_empty() {
-            None
-        } else {
-            self.fold_weights.clear();
-            self.fold_weights
-                .extend(updates.iter().map(|u| u.samples as f32));
-            let acc = self.codec_scratch.take_zeroed(self.global.len());
-            let mut fold = StreamingFold::with_acc(acc, &self.fold_weights);
-            match self.config.comm.map(|spec| spec.codec) {
-                // The plain streaming fold is bitwise `aggregate_fedavg`
-                // (pinned in the aggregator tests) — Identity skips the
-                // wire-format copy the encode would make.
-                None | Some(CodecSpec::Identity) => {
-                    for u in &updates {
-                        fold.fold(u);
-                    }
-                    fold.finish()
-                }
-                Some(codec) => {
-                    for u in &updates {
-                        fold.fold_compensated(
-                            &codec,
-                            u,
-                            &self.global,
-                            &mut self.feedback,
-                            &mut self.codec_scratch,
-                        );
-                    }
-                    fold.finish_against(&self.global)
-                }
-            }
-        };
-        self.host_end(Phase::Fold, plan.round, t_fold);
-        self.finish_round(plan, new_global, selector, true)
+                .map(|&c| self.data.clients[c].train.len() as f32),
+        );
+        StreamingFold::with_acc(acc, &self.fold_weights)
     }
 
-    /// Run the configured number of rounds and collect the full report.
+    /// Fold the next update (in canonical order) the way the server
+    /// receives it: with a lossy codec active it is encoded with
+    /// error-feedback compensation and folded from its wire form; with
+    /// none (or Identity, bitwise the same) the weights fold directly.
+    /// Runs on the session's scratch buffers — at steady state this
+    /// allocates nothing. Resolve the fold with
+    /// `fold.finish_against(session.global_params())`.
+    pub fn fold_update(&mut self, fold: &mut StreamingFold, update: &ClientUpdate) {
+        let codec = self
+            .config
+            .comm
+            .map_or(CodecSpec::Identity, |spec| spec.codec);
+        fold.fold_compensated(
+            &codec,
+            update,
+            &self.global,
+            &mut self.feedback,
+            &mut self.codec_scratch,
+        );
+    }
+
+    /// Execute `rounds` synchronous rounds on `threads` threads (0 = the
+    /// ambient rayon parallelism) and return their reports — the one
+    /// round loop behind [`Session::run`], [`Session::run_round`] and
+    /// every `tifl_core` execution backend.
+    ///
+    /// Contributors train on the [`ClientExecutor`], each update folds
+    /// the moment its canonical predecessor has ([`OrderedMerge`] into a
+    /// [`StreamingFold`]), and the global-test evaluation of a finished
+    /// round is deferred onto the executor so it overlaps the next
+    /// round's training. Each client's result depends only on
+    /// `(seed, client, round)` and folds happen in plan order, so the
+    /// reports and weights are bit-for-bit the same for any `threads`;
+    /// on one thread every task simply runs inline when submitted.
+    pub fn run_rounds(
+        &mut self,
+        selector: &mut dyn ClientSelector,
+        rounds: u64,
+        threads: usize,
+    ) -> Vec<RoundReport> {
+        let ctx = self.train_context();
+        ClientExecutor::new(threads).run(&ctx, |queue, results| {
+            let mut reports: Vec<RoundReport> = Vec::with_capacity(rounds as usize);
+            let mut evals = DeferredEvals::default();
+            // The committed model, shared with the tasks: each round's
+            // training base is the previous round's evaluation snapshot.
+            let mut global = Arc::new(self.global.clone());
+            for _ in 0..rounds {
+                let t_plan = self.host_begin();
+                let plan = self.plan_round(selector);
+                self.host_end(Phase::Plan, plan.round, t_plan);
+
+                // Host attribution: the Train span covers dispatch
+                // through the streamed drain (training and incremental
+                // folds overlap), the Fold span the final resolve.
+                let mut fold = self.begin_fold(&plan.contributors);
+                let t_train = self.host_begin();
+                for (slot, &c) in plan.contributors.iter().enumerate() {
+                    queue.submit_train(slot as u64, c, plan.round, Arc::clone(&global));
+                }
+                let mut merge = OrderedMerge::new();
+                while fold.folded() < fold.expected() {
+                    match results.recv().expect("workers outlive the round") {
+                        TaskResult::Update { tag, update } => {
+                            merge.push(tag as usize, update, |u| self.fold_update(&mut fold, &u));
+                        }
+                        TaskResult::Eval(eval) => evals.land(eval),
+                    }
+                }
+                self.host_end(Phase::Train, plan.round, t_train);
+
+                let round = plan.round;
+                let t_fold = self.host_begin();
+                let new_global = fold.finish_against(&self.global);
+                self.host_end(Phase::Fold, round, t_fold);
+                let report = self.finish_round(plan, new_global, selector, false);
+                global = Arc::new(self.global.clone());
+                if self.is_eval_round(round) {
+                    evals.submit(queue, reports.len(), Arc::clone(&global));
+                }
+                reports.push(report);
+            }
+            evals.finish(results, self, &mut reports);
+            reports
+        })
+    }
+
+    /// Execute one global round at the ambient thread count and return
+    /// its (evaluated) record.
+    pub fn run_round(&mut self, selector: &mut dyn ClientSelector) -> RoundReport {
+        self.run_rounds(selector, 1, 0)
+            .pop()
+            .expect("one round ran")
+    }
+
+    /// Run the remaining configured rounds at the ambient thread count
+    /// and collect the full report.
     pub fn run(&mut self, selector: &mut dyn ClientSelector) -> TrainingReport {
-        let mut rounds = Vec::with_capacity(self.config.rounds as usize);
-        for _ in self.round..self.config.rounds {
-            rounds.push(self.run_round(selector));
-        }
+        let remaining = self.config.rounds - self.round;
         TrainingReport {
             policy: selector.name(),
-            rounds,
+            rounds: self.run_rounds(selector, remaining, 0),
         }
     }
 }

@@ -2,13 +2,11 @@
 
 use crate::dataset::{build_femnist, LeafDataConfig};
 use serde::{Deserialize, Serialize};
-use tifl_core::policy::Policy;
 use tifl_core::profiler::ProfilerConfig;
 use tifl_core::runner::Experiment;
-use tifl_core::scheduler::AdaptiveConfig;
 use tifl_core::tiering::TieringConfig;
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides};
-use tifl_fl::{ClientConfig, TrainingReport};
+use tifl_fl::ClientConfig;
 use tifl_nn::models::ModelSpec;
 use tifl_sim::latency::LatencyModelConfig;
 use tifl_sim::{Cluster, ClusterConfig, GroupSpec};
@@ -128,20 +126,6 @@ impl LeafExperiment {
     pub fn make_session(&self) -> Session {
         self.build_session(&SessionOverrides::default())
     }
-
-    /// Run a static policy (vanilla bypasses tiering).
-    #[deprecated(since = "0.2.0", note = "use `exp.runner().policy(policy).run()`")]
-    #[must_use]
-    pub fn run_policy(&self, policy: &Policy) -> TrainingReport {
-        self.runner().policy(policy).run()
-    }
-
-    /// Run the adaptive policy.
-    #[deprecated(since = "0.2.0", note = "use `exp.runner().adaptive(config).run()`")]
-    #[must_use]
-    pub fn run_adaptive(&self, config: Option<AdaptiveConfig>) -> TrainingReport {
-        self.runner().adaptive(config).run()
-    }
 }
 
 impl Experiment for LeafExperiment {
@@ -186,6 +170,7 @@ impl Experiment for LeafExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tifl_core::policy::Policy;
 
     #[test]
     fn cluster_covers_all_clients() {

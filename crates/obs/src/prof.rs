@@ -363,14 +363,31 @@ impl HostProfiler {
     /// seconds to `phase` for `round`.
     pub fn end(&mut self, phase: Phase, round: u64, start: f64) {
         let end = self.clock.now_sec();
-        self.totals[phase.index()] += end - start;
-        self.counts[phase.index()] += 1;
-        let span = HostSpan {
+        self.push(HostSpan {
             phase,
             round,
             start,
             end,
-        };
+        });
+    }
+
+    /// Attribute `dur_sec` host seconds, measured elsewhere on this
+    /// profiler's clock (a deferred evaluation timed on its worker), to
+    /// `phase` for `round`. The span closes now and lasts `dur_sec`, so
+    /// spans keep closing in clock order.
+    pub fn record(&mut self, phase: Phase, round: u64, dur_sec: f64) {
+        let end = self.clock.now_sec();
+        self.push(HostSpan {
+            phase,
+            round,
+            start: end - dur_sec,
+            end,
+        });
+    }
+
+    fn push(&mut self, span: HostSpan) {
+        self.totals[span.phase.index()] += span.dur();
+        self.counts[span.phase.index()] += 1;
         self.total_spans += 1;
         if self.buf.len() < self.cap {
             self.buf.push(span);
@@ -465,6 +482,19 @@ mod tests {
         assert_eq!(prof.count(Phase::Train), 3);
         assert_eq!(prof.totals().train_sec, 3.0);
         assert_eq!(prof.totals().total(), 3.0);
+    }
+
+    #[test]
+    fn recorded_spans_close_now_and_carry_the_measured_duration() {
+        let mut prof = HostProfiler::with_clock(4, FrozenClock::shared());
+        let t0 = prof.begin(); // tick 0
+        prof.end(Phase::Plan, 0, t0); // tick 1
+        prof.record(Phase::Eval, 0, 0.25); // tick 2
+        let spans = prof.spans();
+        assert_eq!((spans[1].start, spans[1].end), (1.75, 2.0));
+        assert!(spans[1].end >= spans[0].end, "close order is clock order");
+        assert_eq!(prof.totals().eval_sec, 0.25);
+        assert_eq!(prof.count(Phase::Eval), 1);
     }
 
     #[test]

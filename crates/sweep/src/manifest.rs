@@ -15,33 +15,7 @@ use tifl_core::exec::ExecBackend;
 use tifl_core::experiment::ExperimentConfig;
 use tifl_core::runner::{LocalTraining, RunRequest, RunSpec, SelectionStrategy};
 use tifl_fl::session::AggregationMode;
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// The standard FNV-1a 64-bit offset basis.
-const FNV_BASIS_LO: u64 = 0xcbf2_9ce4_8422_2325;
-/// An independent basis for the upper half of the 128-bit key (the
-/// FNV-1a *128-bit* offset basis truncated to 64 bits).
-const FNV_BASIS_HI: u64 = 0x6c62_272e_07bb_0142;
-
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// A 128-bit content hash of canonical JSON (two independent FNV-1a
-/// passes), used both for [`RunKey`]s and for the scheduler's
-/// profile-cache keys.
-#[must_use]
-pub(crate) fn content_key(canonical_json: &str) -> u128 {
-    let bytes = canonical_json.as_bytes();
-    let lo = fnv1a64(bytes, FNV_BASIS_LO);
-    let hi = fnv1a64(bytes, FNV_BASIS_HI);
-    (u128::from(hi) << 64) | u128::from(lo)
-}
+use tifl_obs::Digest128;
 
 /// The stable identity of one run: a 128-bit content hash of the fully
 /// resolved request (experiment with every scalar override applied,
@@ -58,8 +32,7 @@ impl RunKey {
     #[must_use]
     pub fn of(request: &RunRequest) -> Self {
         let resolved = (request.experiment(), request.spec.clone());
-        let canon = serde_json::to_string(&resolved).expect("run requests serialize");
-        RunKey(content_key(&canon))
+        RunKey(Digest128::of_value(&resolved).0)
     }
 
     /// Parse the 32-hex-digit rendering back into a key.
@@ -319,6 +292,33 @@ mod tests {
 
     fn base() -> ExperimentConfig {
         ExperimentConfig::tiny(60)
+    }
+
+    #[test]
+    fn run_key_of_a_fixed_request_is_pinned() {
+        // The hex every existing store names its artifacts by: captured
+        // before `RunKey` moved onto `Digest128`, it must never move.
+        let request = RunRequest {
+            experiment: ExperimentConfig::tiny(70),
+            rounds: Some(6),
+            seed: Some(9),
+            clients_per_round: None,
+            spec: RunSpec {
+                selection: SelectionStrategy::Adaptive { config: None },
+                backend: ExecBackend::EventDriven { threads: 2 },
+                comm: Some(CommSpec::with_codec(CodecSpec::QuantizeI8)),
+                ..RunSpec::default()
+            },
+        };
+        assert_eq!(
+            RunKey::of(&request).to_string(),
+            "d556250a2293426225a62b5de5bfaec7"
+        );
+        let profile = crate::scheduler::profile_key(&request.experiment(), request.spec.comm);
+        assert_eq!(
+            format!("{profile:032x}"),
+            "6e440d1b1476dd0737d41fac828c691a"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cache uses — so a sweep profiles each topology once, not once per
 //! run.
 
-use crate::manifest::{content_key, KeyedRun, RunKey, SweepManifest};
+use crate::manifest::{KeyedRun, RunKey, SweepManifest};
 use crate::store::{
     host_parallelism, LaneSpan, RunArtifact, RunStore, RunSummaryLine, SweepSummary, WorkerLane,
 };
@@ -27,7 +27,7 @@ use tifl_core::experiment::ExperimentConfig;
 use tifl_core::runner::{Experiment, RunRequest, Runner, SharedProfile};
 use tifl_fl::session::SessionOverrides;
 use tifl_fl::TrainingReport;
-use tifl_obs::{HostClock, MetricsSnapshot, Phase, PhaseTotals, RealClock};
+use tifl_obs::{Digest128, HostClock, MetricsSnapshot, Phase, PhaseTotals, RealClock};
 
 /// The cross-run profile-cache key: a content hash of the resolved
 /// experiment and the spec's comm axis — the same two inputs
@@ -35,8 +35,7 @@ use tifl_obs::{HostClock, MetricsSnapshot, Phase, PhaseTotals, RealClock};
 /// interchangeable profiles.
 #[must_use]
 pub fn profile_key(experiment: &ExperimentConfig, comm: Option<CommSpec>) -> u128 {
-    let canon = serde_json::to_string(&(experiment, comm)).expect("experiment configs serialize");
-    content_key(&canon)
+    Digest128::of_value(&(experiment, comm)).0
 }
 
 /// A mutex-guarded profile/tier cache shared by every worker of a
@@ -592,6 +591,13 @@ impl SweepScheduler {
         let finished = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
         let workers = self.workers.min(total.max(1));
+        // Each worker's runs get an equal share of the host: a run at
+        // the ambient thread count would otherwise fan out to every
+        // core again, `workers` times over.
+        let share = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads_per_run(workers))
+            .build()
+            .expect("thread pool builds");
         let lane_slots: Vec<Mutex<Vec<LaneSpan>>> =
             (0..workers).map(|_| Mutex::new(Vec::new())).collect();
 
@@ -604,6 +610,7 @@ impl SweepScheduler {
             let cache = &cache;
             let next = &next;
             let finished = &finished;
+            let share = &share;
             for (w, lane_slot) in lane_slots.iter().enumerate() {
                 scope.spawn(move || {
                     let mut lane: Vec<LaneSpan> = Vec::new();
@@ -617,7 +624,8 @@ impl SweepScheduler {
                         if let Some(log) = progress {
                             log.emit(&ProgressEvent::run("run_started", start_sec, total, w, run));
                         }
-                        let outcome = execute_one(run, cache, store, resume, clock);
+                        let outcome =
+                            share.install(|| execute_one(run, cache, store, resume, clock));
                         let end_sec = clock.now_sec() - t0;
                         let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
                         let tag = match &outcome {
@@ -711,6 +719,11 @@ impl SweepScheduler {
             wall_clock_sec,
         }
     }
+}
+
+/// Threads each run of a `workers`-wide sweep may use.
+fn threads_per_run(workers: usize) -> usize {
+    (host_parallelism() / workers).max(1)
 }
 
 fn execute_one(
@@ -907,6 +920,17 @@ mod tests {
     fn scheduler_defaults_workers_to_host_parallelism() {
         assert_eq!(SweepScheduler::new(0).workers(), host_parallelism());
         assert_eq!(SweepScheduler::new(3).workers(), 3);
+    }
+
+    #[test]
+    fn workers_split_the_host_between_their_runs() {
+        let host = host_parallelism();
+        assert_eq!(threads_per_run(1), host);
+        assert_eq!(threads_per_run(host), 1);
+        assert_eq!(threads_per_run(2 * host), 1, "never below one thread");
+        for workers in 1..=host {
+            assert!(workers * threads_per_run(workers) <= host);
+        }
     }
 
     #[test]

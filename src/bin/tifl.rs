@@ -192,9 +192,9 @@ fn main() -> ExitCode {
             }
             let mut request: RunRequest = read_json(path);
             if let Some(threads) = threads {
-                // Force the worker count: event-driven specs get their
-                // thread knob overridden; lockstep specs run with the
-                // parallel iterators capped at the same width.
+                // Force the thread count: event-driven specs get their
+                // knob overridden; lockstep specs take the ambient
+                // count, which the pool below sets.
                 if request.spec.backend != ExecBackend::Lockstep {
                     request.spec.backend = ExecBackend::EventDriven { threads };
                 }
@@ -205,16 +205,11 @@ fn main() -> ExitCode {
                 request.spec.display_label(),
                 request.spec.backend.label()
             );
-            let report = match threads {
-                Some(n) if request.spec.backend == ExecBackend::Lockstep => {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(n)
-                        .build()
-                        .expect("thread pool builds");
-                    pool.install(|| request.run())
-                }
-                _ => request.run(),
-            };
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads.unwrap_or(0))
+                .build()
+                .expect("thread pool builds");
+            let report = pool.install(|| request.run());
             print_report(&report);
             if let Some(out) = out {
                 // The sweep store's serializer, so a single run's

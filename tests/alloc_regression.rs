@@ -16,10 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use tifl::comm::{CodecSpec, EncodeScratch, ErrorFeedback};
-use tifl::fl::session::RoundPlan;
+use tifl::comm::{CodecSpec, CommSpec};
+use tifl::core::experiment::ExperimentConfig;
+use tifl::core::runner::Experiment;
+use tifl::fl::session::{RoundPlan, Session, SessionOverrides};
 use tifl::fl::timeline::{schedule_plan_events, TimelineEvent};
-use tifl::fl::{ClientUpdate, StreamingFold};
+use tifl::fl::ClientUpdate;
 use tifl::obs::{RunObserver, TraceEvent, TraceSink};
 use tifl::tensor::ParamVec;
 
@@ -68,87 +70,56 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-/// One aggregation round exactly as `Session::run_round` performs it:
-/// pooled accumulator, per-contributor compensated encode + fold,
-/// deferred delta bases, old global recycled into the arena.
-fn round(
-    codec: CodecSpec,
-    global: &mut ParamVec,
-    updates: &[ClientUpdate],
-    weights: &mut Vec<f32>,
-    feedback: &mut ErrorFeedback,
-    scratch: &mut EncodeScratch,
-) {
-    weights.clear();
-    weights.extend(updates.iter().map(|u| u.samples as f32));
-    let acc = scratch.take_zeroed(global.len());
-    let mut fold = StreamingFold::with_acc(acc, weights);
-    let new_global = if matches!(codec, CodecSpec::Identity) {
-        for u in updates {
-            fold.fold(u);
-        }
-        fold.finish()
-    } else {
-        for u in updates {
-            fold.fold_compensated(&codec, u, global, feedback, scratch);
-        }
-        fold.finish_against(global)
+/// One aggregation round through the very calls `Session::run_rounds`
+/// makes: pooled accumulator, per-contributor compensated encode +
+/// fold, deferred delta bases, old global recycled into the arena.
+fn round(session: &mut Session, contributors: &[usize], updates: &[ClientUpdate]) {
+    let mut fold = session.begin_fold(contributors);
+    for u in updates {
+        session.fold_update(&mut fold, u);
     }
-    .expect("non-empty round");
-    let old = std::mem::replace(global, new_global);
-    scratch.recycle_dense(old);
+    let new_global = fold
+        .finish_against(session.global_params())
+        .expect("non-empty round");
+    session.set_global_params(new_global);
 }
 
 #[test]
 fn steady_state_fold_encode_round_is_allocation_free() {
-    const PARAMS: usize = 4_096;
     const CLIENTS: usize = 6;
-
-    let updates: Vec<ClientUpdate> = (0..CLIENTS)
-        .map(|c| ClientUpdate {
-            client: c,
-            params: ParamVec(
-                (0..PARAMS)
-                    .map(|j| ((c * 131 + j * 7) as f32 * 0.013).sin() * 2.0)
-                    .collect(),
-            ),
-            samples: 50 + c * 13,
-        })
-        .collect();
+    let contributors: Vec<usize> = (0..CLIENTS).collect();
 
     for codec in [
         CodecSpec::Identity,
         CodecSpec::QuantizeI8,
         CodecSpec::TopK { frac: 0.25 },
     ] {
-        let mut global = ParamVec::zeros(PARAMS);
-        let mut weights = Vec::new();
-        let mut feedback = ErrorFeedback::new();
-        let mut scratch = EncodeScratch::new();
+        let mut cfg = ExperimentConfig::tiny(3);
+        cfg.comm = Some(CommSpec::with_codec(codec));
+        let mut session = cfg.build_session(&SessionOverrides::default());
+        let params = session.global_params().len();
+        let updates: Vec<ClientUpdate> = contributors
+            .iter()
+            .map(|&c| ClientUpdate {
+                client: c,
+                params: ParamVec(
+                    (0..params)
+                        .map(|j| ((c * 131 + j * 7) as f32 * 0.013).sin() * 2.0)
+                        .collect(),
+                ),
+                samples: session.data().clients[c].train.len(),
+            })
+            .collect();
 
         // Warm-up: grows every pool buffer, residual vector and the
         // weights vec to steady-state capacity.
         for _ in 0..3 {
-            round(
-                codec,
-                &mut global,
-                &updates,
-                &mut weights,
-                &mut feedback,
-                &mut scratch,
-            );
+            round(&mut session, &contributors, &updates);
         }
 
         let allocs = allocations_in(|| {
             for _ in 0..5 {
-                round(
-                    codec,
-                    &mut global,
-                    &updates,
-                    &mut weights,
-                    &mut feedback,
-                    &mut scratch,
-                );
+                round(&mut session, &contributors, &updates);
             }
         });
         assert_eq!(

@@ -1,14 +1,15 @@
 //! The communication subsystem's contract:
 //!
 //! 1. the Identity codec over the cluster-default link model is
-//!    *bit-for-bit* the legacy uncompressed run — reports, times and
-//!    final weights — on every pinned `RunSpec` scenario, for both
-//!    execution backends and any thread count;
+//!    *bit-for-bit* the uncompressed run — golden digest, reports,
+//!    times and final weights — on every pinned `RunSpec` scenario, at
+//!    every thread count;
 //! 2. on any *other* link model, Identity changes timing (and, through
 //!    it, nothing else under `WaitAll`): the accuracy trajectory is
 //!    unchanged while round latencies move with the links;
-//! 3. every codec is backend-invariant (`EventDriven{1,4}` ==
-//!    `Lockstep`, bit for bit);
+//! 3. every codec is thread-count invariant (ambient and 1, 4, 8
+//!    threads agree with each other and with the golden digests, bit
+//!    for bit);
 //! 4. lossy codecs ship strictly fewer uplink bytes than Identity and
 //!    their accuracy curves stay within a pinned tolerance of the
 //!    uncompressed run on the §5.1 `cifar10_resource_het` topology;
@@ -17,104 +18,37 @@
 //! 6. hierarchical aggregation adds its combine cost — in the same
 //!    transfer-seconds units — to every synchronous round.
 
+mod common;
+
+use common::{on_every_backend, pinned_scenarios, tiny};
 use proptest::prelude::*;
+use tifl::obs::Digest128;
 use tifl::prelude::*;
 use tifl::tensor::ParamVec;
-
-fn tiny(seed: u64) -> ExperimentConfig {
-    ExperimentConfig::tiny(seed)
-}
-
-/// The same scenario grid `tests/runspec.rs` pins for backend
-/// equivalence, reused here for comm equivalence.
-fn scenarios() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
-    vec![
-        ("vanilla", tiny(70), RunSpec::default()),
-        (
-            "uniform-policy",
-            tiny(70),
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "adaptive",
-            tiny(72),
-            RunSpec {
-                selection: SelectionStrategy::Adaptive { config: None },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "overselect",
-            tiny(74),
-            RunSpec {
-                aggregation: Some(AggregationMode::FirstK { factor: 1.5 }),
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "fedprox",
-            tiny(75),
-            RunSpec {
-                local: LocalTraining::FedProx { mu: 0.25 },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "uniform+reprofile",
-            {
-                let mut cfg = tiny(76);
-                cfg.rounds = 16;
-                cfg
-            },
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                reprofile_every: Some(4),
-                ..RunSpec::default()
-            },
-        ),
-    ]
-}
 
 // -- 1. Identity × ClusterDefault is the legacy run, bit for bit -----------
 
 #[test]
 fn identity_comm_is_bit_for_bit_legacy_on_every_scenario() {
-    for (name, cfg, spec) in scenarios() {
+    for (name, cfg, spec, golden) in pinned_scenarios() {
         let (legacy, legacy_session) = Runner::with_spec(&cfg, spec.clone()).run_with_session();
+        assert_eq!(legacy.digest_chain().to_string(), golden, "{name}");
         let identity_spec = RunSpec {
             comm: Some(CommSpec::default()),
             ..spec.clone()
         };
-        let (identity, identity_session) =
-            Runner::with_spec(&cfg, identity_spec.clone()).run_with_session();
-        assert_eq!(
-            legacy, identity,
-            "{name}: identity comm diverged (lockstep)"
-        );
-        assert_eq!(
-            legacy_session.global_params(),
-            identity_session.global_params(),
-            "{name}: identity comm changed the final weights"
-        );
-        for threads in [1usize, 4] {
-            let event = Runner::with_spec(
-                &cfg,
-                RunSpec {
-                    backend: ExecBackend::EventDriven { threads },
-                    ..identity_spec.clone()
-                },
-            )
-            .run();
+        for backend_spec in on_every_backend(&identity_spec) {
+            let backend = backend_spec.backend.label();
+            let (identity, identity_session) =
+                Runner::with_spec(&cfg, backend_spec).run_with_session();
             assert_eq!(
-                legacy, event,
-                "{name}: identity comm on EventDriven{{{threads}}} diverged"
+                legacy, identity,
+                "{name}: identity comm diverged on {backend}"
+            );
+            assert_eq!(
+                legacy_session.global_params(),
+                identity_session.global_params(),
+                "{name}: identity comm changed the final weights on {backend}"
             );
         }
     }
@@ -190,38 +124,46 @@ fn identity_on_any_link_model_changes_timing_only_under_waitall() {
 
 #[test]
 fn every_codec_is_backend_invariant() {
+    // Golden (report digest-chain head, final-weights digest) per codec
+    // from the last two-loop commit (22c929f).
     let codecs = [
-        CodecSpec::Identity,
-        CodecSpec::QuantizeI8,
-        CodecSpec::TopK { frac: 0.1 },
+        (
+            CodecSpec::Identity,
+            "4f39b8de0af9a1321ac84ba9d4c05981",
+            "12176e8633c66bda4fc24bcc2b6ae203",
+        ),
+        (
+            CodecSpec::QuantizeI8,
+            "b19d4796a39511c36be7012802553c54",
+            "156a7decdb9324400dd697909f8f1751",
+        ),
+        (
+            CodecSpec::TopK { frac: 0.1 },
+            "6984b580705a1244586902e682085843",
+            "5cced487f43657ecd14457a89c4eb829",
+        ),
     ];
-    for codec in codecs {
-        // Over-selection stresses the engine's straggler cancellation
-        // alongside the decode-and-fold path.
+    for (codec, golden_report, golden_weights) in codecs {
+        // Over-selection stresses straggler handling alongside the
+        // decode-and-fold path.
         let cfg = tiny(92);
         let spec = RunSpec {
             aggregation: Some(AggregationMode::FirstK { factor: 1.5 }),
             comm: Some(CommSpec::with_codec(codec)),
             ..RunSpec::default()
         };
-        let (lockstep, lockstep_session) = Runner::with_spec(&cfg, spec.clone()).run_with_session();
-        for threads in [1usize, 4] {
-            let (event, event_session) = Runner::with_spec(
-                &cfg,
-                RunSpec {
-                    backend: ExecBackend::EventDriven { threads },
-                    ..spec.clone()
-                },
-            )
-            .run_with_session();
+        for backend_spec in on_every_backend(&spec) {
+            let backend = backend_spec.backend.label();
+            let (report, session) = Runner::with_spec(&cfg, backend_spec).run_with_session();
             assert_eq!(
-                lockstep, event,
-                "{codec:?}: EventDriven{{{threads}}} diverged from Lockstep"
+                report.digest_chain().to_string(),
+                golden_report,
+                "{codec:?} on {backend}: report moved"
             );
             assert_eq!(
-                lockstep_session.global_params(),
-                event_session.global_params(),
-                "{codec:?}: final weights diverged on {threads} threads"
+                Digest128::of_value(session.global_params()).to_string(),
+                golden_weights,
+                "{codec:?} on {backend}: final weights moved"
             );
         }
     }
@@ -412,7 +354,11 @@ fn hierarchical_aggregation_is_a_runspec_reachable_scenario() {
             f.round
         );
     }
-    // And it stays backend-invariant like everything else.
+    // And it stays thread-count invariant like everything else.
+    assert_eq!(
+        hier.digest_chain().to_string(),
+        "535f8097ac6a549137733e9c652892de"
+    );
     let event = Runner::with_spec(
         &cfg,
         RunSpec {

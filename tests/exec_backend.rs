@@ -1,11 +1,15 @@
-//! Property tests for the execution engine's determinism contract:
-//! `EventDriven{1}`, `EventDriven{4}`, `EventDriven{8}` and `Lockstep`
-//! must produce
+//! Property tests for the round loop's determinism contract: at the
+//! ambient thread count (`Lockstep`) and on 1, 4 and 8 explicit threads
+//! (`EventDriven`) a run must reproduce the serial reference — Algorithm
+//! 1 from the session's public phase functions and batch FedAvg — with
 //! identical round timelines (the full per-round report series: times,
 //! latencies, selections, aggregations, accuracies) and identical final
 //! global weights, on randomly drawn small `cifar10_resource_het`
 //! configurations across the composable spec axes.
 
+mod common;
+
+use common::{on_every_backend, serial_reference};
 use proptest::prelude::*;
 use tifl::prelude::*;
 
@@ -62,28 +66,24 @@ proptest! {
         let cfg = small_resource_het(seed, rounds);
         let spec = spec_for(scenario);
 
-        let (lockstep, lockstep_session) =
-            Runner::with_spec(&cfg, spec.clone()).run_with_session();
-        for threads in [1usize, 4, 8] {
-            let event_spec = RunSpec {
-                backend: ExecBackend::EventDriven { threads },
-                ..spec.clone()
-            };
-            let (event, event_session) =
-                Runner::with_spec(&cfg, event_spec).run_with_session();
+        let (serial, serial_weights) = serial_reference(&cfg, &spec);
+        for backend_spec in on_every_backend(&spec) {
+            let backend = backend_spec.backend.label();
+            let (report, session) =
+                Runner::with_spec(&cfg, backend_spec).run_with_session();
             // Identical round timelines: every RoundReport field —
             // virtual times, latencies, selection, aggregation order,
             // evaluated accuracies — compared exactly.
             prop_assert_eq!(
-                &lockstep, &event,
-                "scenario {} seed {} threads {}", scenario, seed, threads
+                &serial, &report,
+                "scenario {} seed {} on {}", scenario, seed, backend
             );
             // Identical final weights, bit for bit.
             prop_assert_eq!(
-                lockstep_session.global_params(),
-                event_session.global_params(),
-                "final weights diverged: scenario {} seed {} threads {}",
-                scenario, seed, threads
+                &serial_weights,
+                session.global_params(),
+                "final weights diverged: scenario {} seed {} on {}",
+                scenario, seed, backend
             );
         }
     }

@@ -15,76 +15,20 @@
 //!    the live trace shares — reproduces the legacy event-queue
 //!    builder on real session plans.
 
+mod common;
+
+use common::tiny;
 use proptest::prelude::*;
 use tifl::prelude::*;
 
-fn tiny(seed: u64) -> ExperimentConfig {
-    ExperimentConfig::tiny(seed)
-}
-
 /// The pinned scenario matrix of `tests/runspec.rs`, reused here so
 /// the trace invariance claim covers every selection × aggregation ×
-/// local-objective × re-profiling shape the engine supports.
+/// local-objective × re-profiling shape the round loop supports.
 fn scenarios() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
-    vec![
-        (
-            "uniform-policy",
-            tiny(70),
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "vanilla",
-            tiny(70),
-            RunSpec {
-                selection: SelectionStrategy::Vanilla,
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "adaptive",
-            tiny(72),
-            RunSpec {
-                selection: SelectionStrategy::Adaptive { config: None },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "overselect",
-            tiny(74),
-            RunSpec {
-                aggregation: Some(AggregationMode::FirstK { factor: 1.5 }),
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "fedprox",
-            tiny(75),
-            RunSpec {
-                local: LocalTraining::FedProx { mu: 0.25 },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "uniform+reprofile",
-            {
-                let mut cfg = tiny(76);
-                cfg.rounds = 16;
-                cfg
-            },
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                reprofile_every: Some(4),
-                ..RunSpec::default()
-            },
-        ),
-    ]
+    common::pinned_scenarios()
+        .into_iter()
+        .map(|(name, cfg, spec, _)| (name, cfg, spec))
+        .collect()
 }
 
 /// Ring large enough that no tiny-scenario run ever wraps: record
@@ -538,6 +482,38 @@ fn host_chrome_export_adds_a_second_process_lane() {
     pids.sort_unstable();
     pids.dedup();
     assert_eq!(pids, vec![1, 2], "virtual lane is pid 1, host lane pid 2");
+}
+
+#[test]
+fn deferred_eval_spans_carry_the_evaluation_time() {
+    // On a pool the evaluation runs on a worker while the coordinator
+    // moves on; its Eval span must still report how long the evaluation
+    // took there — not the nanoseconds the report patch costs — or
+    // `host_phase_sec.eval` silently reads zero for multi-threaded runs.
+    let cfg = tiny(70);
+    let spec = RunSpec {
+        backend: ExecBackend::EventDriven { threads: 4 },
+        ..RunSpec::default()
+    };
+    let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
+    let evals: Vec<f64> = observed
+        .host_spans
+        .iter()
+        .filter(|s| s.phase == Phase::Eval)
+        .map(HostSpan::dur)
+        .collect();
+    assert!(!evals.is_empty());
+    // A forward pass over the global test set takes tens of
+    // microseconds even for tiny's model; two adjacent clock reads take
+    // tens of nanoseconds.
+    for dur in &evals {
+        assert!(
+            *dur > 2.0e-6,
+            "eval span of {dur} s is a patch, not an eval"
+        );
+    }
+    let total: f64 = evals.iter().sum();
+    assert!((observed.host_phases.eval_sec - total).abs() < 1e-9);
 }
 
 // -- randomised invariance --------------------------------------------------

@@ -1,8 +1,10 @@
 //! The `RunSpec`/`Runner` API contract:
 //!
-//! 1. every legacy `run_*` method is pinned to its `RunSpec`
-//!    counterpart with an *identical* `TrainingReport` (same RNG
-//!    streams, same labels, bit for bit);
+//! 1. every scenario the deleted `run_*` methods used to cover is
+//!    pinned, as a spec, to the golden digest its report had when those
+//!    methods, the lockstep loop and the event engine all agreed on it;
+//!    and every backend / thread count reproduces a serial reference
+//!    built from the session's public phase functions;
 //! 2. newly composable cells of the §5 evaluation matrix (FedProx ×
 //!    adaptive tiering, over-selection × static tier policy, FedCS ×
 //!    re-profiling) run and stay deterministic;
@@ -11,11 +13,11 @@
 //! 4. specs round-trip through JSON and drive full runs, including
 //!    through the `tifl run --spec` CLI.
 
-use tifl::prelude::*;
+mod common;
 
-fn tiny(seed: u64) -> ExperimentConfig {
-    ExperimentConfig::tiny(seed)
-}
+use common::{on_every_backend, pinned_scenarios, serial_reference, tiny};
+use tifl::obs::Digest128;
+use tifl::prelude::*;
 
 /// `tiny` with 4 clients per tier instead of 2, so tier-wise
 /// over-selection (ask `ceil(|C|·factor)` *within one tier*) has a
@@ -28,46 +30,57 @@ fn wide(seed: u64) -> ExperimentConfig {
 
 // -- 1. legacy equivalence -------------------------------------------------
 //
-// The only module in the workspace allowed to call the deprecated
-// `run_*` wrappers: it exists to pin them against their `RunSpec`
-// counterparts, so the allow is scoped here and nowhere else.
+// Each golden below is the `digest_chain` head the named legacy method
+// returned at the last commit that had it (22c929f); the spec that
+// replaced the method must keep reproducing it, bit for bit.
 mod legacy_equivalence {
-    #![allow(deprecated)]
-
     use super::*;
+
+    fn assert_golden(report: &TrainingReport, golden: &str, what: &str) {
+        assert_eq!(report.digest_chain().to_string(), golden, "{what}");
+    }
 
     #[test]
     fn run_policy_matches_spec_for_every_policy() {
         let cfg = tiny(70);
-        for policy in Policy::cifar_set(5) {
-            let legacy = cfg.run_policy(&policy);
-            let spec = cfg.runner().policy(&policy).run();
-            assert_eq!(legacy, spec, "policy {}", policy.name);
+        let golden = [
+            "1f07da737dc8b25e02bd2438dc00ebcd",
+            "0162e217f77fffde6fc68934b6293535",
+            "3de4df8de8a9562b548c6bc9bea6c418",
+            "f3dd0aa680993732bb01ce686ec007f9",
+            "247637e3a022c4d856522b35106f734b",
+        ];
+        for (policy, golden) in Policy::cifar_set(5).iter().zip(golden) {
+            let spec = cfg.runner().policy(policy).run();
+            assert_golden(&spec, golden, &policy.name);
+            assert_eq!(spec.policy, policy.name);
         }
     }
 
     #[test]
     fn run_policy_session_matches_spec() {
         let cfg = tiny(71);
-        let (legacy, legacy_session) = cfg.run_policy_session(&Policy::uniform(5));
-        let (spec, spec_session) = cfg.runner().policy(&Policy::uniform(5)).run_with_session();
-        assert_eq!(legacy, spec);
-        assert_eq!(legacy_session.global_params(), spec_session.global_params());
+        let (spec, session) = cfg.runner().policy(&Policy::uniform(5)).run_with_session();
+        assert_golden(&spec, "cd4052c6983d023c78c583a3655f0433", "report");
+        assert_eq!(
+            Digest128::of_value(session.global_params()).to_string(),
+            "6ead26c2143d0480cb7de314ba8a26df",
+            "final weights"
+        );
     }
 
     #[test]
     fn run_adaptive_matches_spec_with_and_without_config() {
         let cfg = tiny(72);
-        assert_eq!(cfg.run_adaptive(None), cfg.runner().adaptive(None).run());
+        let default = cfg.runner().adaptive(None).run();
+        assert_golden(&default, "434ae8c96ceb13df6d04197b1678b49c", "default");
         let acfg = AdaptiveConfig {
             interval: 3,
             credits_per_tier: 40,
             gamma: 1.5,
         };
-        assert_eq!(
-            cfg.run_adaptive(Some(acfg)),
-            cfg.runner().adaptive(Some(acfg)).run()
-        );
+        let explicit = cfg.runner().adaptive(Some(acfg)).run();
+        assert_golden(&explicit, "d12508b26e1e3a544873a321b466271f", "explicit");
     }
 
     #[test]
@@ -79,27 +92,22 @@ mod legacy_equivalence {
             let lats = runner.tiers().tier_latencies();
             (lats[2] + lats[3]) / 2.0
         };
-        let legacy = cfg.run_fedcs(deadline);
         let spec = cfg.runner().deadline(deadline).run();
-        assert_eq!(legacy, spec);
+        assert_golden(&spec, "e1b9acfce41d04617ce7dcbf8f6cf72e", "fedcs");
         assert_eq!(spec.policy, "fedcs");
     }
 
     #[test]
     fn run_overselection_matches_spec() {
-        let cfg = tiny(74);
-        let legacy = cfg.run_overselection(1.5);
-        let spec = cfg.runner().vanilla().overselect(1.5).run();
-        assert_eq!(legacy, spec);
+        let spec = tiny(74).runner().vanilla().overselect(1.5).run();
+        assert_golden(&spec, "4a1cf016eec6ceac0540f2734e421f7b", "overselect");
         assert_eq!(spec.policy, "overselect(1.5)");
     }
 
     #[test]
     fn run_fedprox_matches_spec() {
-        let cfg = tiny(75);
-        let legacy = cfg.run_fedprox(0.25);
-        let spec = cfg.runner().vanilla().fedprox(0.25).run();
-        assert_eq!(legacy, spec);
+        let spec = tiny(75).runner().vanilla().fedprox(0.25).run();
+        assert_golden(&spec, "dddea256f113d931c714c1cf39dbf4fa", "fedprox");
         assert_eq!(spec.policy, "fedprox(0.25)");
     }
 
@@ -107,113 +115,58 @@ mod legacy_equivalence {
     fn run_policy_with_reprofiling_matches_spec() {
         let mut cfg = tiny(76);
         cfg.rounds = 16;
-        let legacy = cfg.run_policy_with_reprofiling(&Policy::uniform(5), 4);
         let spec = cfg
             .runner()
             .policy(&Policy::uniform(5))
             .reprofile_every(4)
             .run();
-        assert_eq!(legacy, spec);
+        assert_golden(&spec, "453e9ff9fb490cc0585176abe4578f37", "reprofile");
         assert_eq!(spec.policy, "uniform+reprofile");
     }
 
     #[test]
     fn leaf_run_methods_match_specs() {
         let exp = LeafExperiment::tiny(77);
-        assert_eq!(
-            exp.run_policy(&Policy::vanilla()),
-            exp.runner().vanilla().run()
-        );
-        assert_eq!(
-            exp.run_policy(&Policy::uniform(5)),
-            exp.runner().policy(&Policy::uniform(5)).run()
-        );
-        assert_eq!(exp.run_adaptive(None), exp.runner().adaptive(None).run());
+        let vanilla = exp.runner().vanilla().run();
+        assert_golden(&vanilla, "1d48d9e43f191dd9f7bf3e90648c7e7a", "vanilla");
+        let uniform = exp.runner().policy(&Policy::uniform(5)).run();
+        assert_golden(&uniform, "ad0867d9a82836934145614a9bf48718", "uniform");
+        let adaptive = exp.runner().adaptive(None).run();
+        assert_golden(&adaptive, "ad0867d9a82836934145614a9bf48718", "adaptive");
     }
 }
 
-// -- 1b. execution-backend equivalence --------------------------------------
+// -- 1b. thread-count invariance ---------------------------------------------
 //
-// The `ExecBackend` knob must never change results: every pinned
-// scenario above re-runs on the event-driven engine and must produce
-// the identical `TrainingReport`, bit for bit.
+// An `ExecBackend` is a thread count and must never change results:
+// every pinned scenario runs at the ambient count and on 1, 4 and 8
+// threads, and each run must equal the golden digest and — where the
+// serial reference covers the spec — the reference's full report and
+// final weights, bit for bit.
 
 #[test]
 fn event_driven_matches_lockstep_on_every_pinned_scenario() {
-    let specs: Vec<(&str, ExperimentConfig, RunSpec)> = vec![
-        (
-            "uniform-policy",
-            tiny(70),
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "vanilla",
-            tiny(70),
-            RunSpec {
-                selection: SelectionStrategy::Vanilla,
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "adaptive",
-            tiny(72),
-            RunSpec {
-                selection: SelectionStrategy::Adaptive { config: None },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "overselect",
-            tiny(74),
-            RunSpec {
-                aggregation: Some(AggregationMode::FirstK { factor: 1.5 }),
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "fedprox",
-            tiny(75),
-            RunSpec {
-                local: LocalTraining::FedProx { mu: 0.25 },
-                ..RunSpec::default()
-            },
-        ),
-        (
-            "uniform+reprofile",
-            {
-                let mut cfg = tiny(76);
-                cfg.rounds = 16;
-                cfg
-            },
-            RunSpec {
-                selection: SelectionStrategy::TierPolicy {
-                    policy: Policy::uniform(5),
-                },
-                reprofile_every: Some(4),
-                ..RunSpec::default()
-            },
-        ),
-    ];
-    for (name, cfg, spec) in specs {
-        let lockstep = Runner::with_spec(&cfg, spec.clone()).run();
-        for threads in [1, 4] {
-            let event = Runner::with_spec(
-                &cfg,
-                RunSpec {
-                    backend: ExecBackend::EventDriven { threads },
-                    ..spec.clone()
-                },
-            )
-            .run();
+    for (name, cfg, spec, golden) in pinned_scenarios() {
+        let reference = spec
+            .reprofile_every
+            .is_none()
+            .then(|| serial_reference(&cfg, &spec));
+        for backend_spec in on_every_backend(&spec) {
+            let backend = backend_spec.backend.label();
+            let (report, session) = Runner::with_spec(&cfg, backend_spec).run_with_session();
             assert_eq!(
-                lockstep, event,
-                "{name}: EventDriven{{{threads}}} diverged from Lockstep"
+                report.digest_chain().to_string(),
+                golden,
+                "{name} on {backend}: golden digest moved"
             );
+            if let Some((serial, weights)) = &reference {
+                assert_eq!(&report, serial, "{name} on {backend}: report diverged");
+                assert_eq!(
+                    session.global_params(),
+                    weights,
+                    "{name} on {backend}: final weights diverged"
+                );
+            }
         }
     }
 }
@@ -234,6 +187,24 @@ fn async_aggregation_runs_only_on_the_engine() {
     let a = run(1);
     let b = run(4);
     assert_eq!(a, b, "async must be thread-count invariant");
+    // Golden heads from the last two-loop commit (22c929f): the
+    // asynchronous engine shares the executor and the deferred-eval
+    // patching with the round loop, so it is pinned across commits too.
+    assert_eq!(
+        a.digest_chain().to_string(),
+        "23ae29a9131d906b418f3fd0a55d9644"
+    );
+    let compressed = cfg
+        .runner()
+        .vanilla()
+        .quantized_i8()
+        .event_driven(2)
+        .async_aggregation(2)
+        .run();
+    assert_eq!(
+        compressed.digest_chain().to_string(),
+        "c9d867ee22e107bc5dc3985c4897673b"
+    );
     assert_eq!(a.rounds.len() as u64, cfg.rounds);
     assert_eq!(a.policy, "async(0)");
     // max_staleness = 0: of the |C| initial in-flight updates only the
