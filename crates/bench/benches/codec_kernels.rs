@@ -1,9 +1,12 @@
-//! Hot-kernel microbenches for the codec/fold path, gated in CI.
+//! Hot-kernel microbenches for the codec/fold path and the client
+//! train step, gated in CI.
 //!
 //! These are the kernels the allocation-free aggregation round spends
 //! its time in: blocked `axpy`/`scale`, decode-side
 //! `dequantize_i8_axpy`/`axpy_sparse`, encode-side `quantize_i8_into` /
-//! `top_k_by_magnitude_into`, and one whole compensated fold round.
+//! `top_k_by_magnitude_into`, and one whole compensated fold round —
+//! and where local training spends its: the three GEMM forms at the
+//! shapes of a batch-10 step of the default MLP, and that step.
 //!
 //! The `calibration/axpy_scalar` entry is a host-speed probe: the perf
 //! gate divides every time by it before comparing against the
@@ -12,13 +15,15 @@
 //! Regenerate the baseline with:
 //!
 //! ```text
-//! cargo bench --bench codec_kernels -- --save-baseline BENCH_codec_kernels.json
+//! cargo bench --bench codec_kernels -- --save-baseline "$PWD/BENCH_codec_kernels.json"
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tifl_comm::{CodecSpec, EncodeScratch, ErrorFeedback};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
-use tifl_tensor::{codec, ops, ParamVec};
+use tifl_nn::models::ModelSpec;
+use tifl_nn::RmsProp;
+use tifl_tensor::{codec, ops, Matrix, ParamVec};
 
 /// One CIFAR-10-CNN-ish flattened model (order of the paper's models).
 const N: usize = 65_536;
@@ -151,5 +156,44 @@ fn bench_round(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_kernels, bench_round);
+/// One batch-10 step of the paper's default model (MLP 64-128-10,
+/// RMSprop) and its three GEMMs: forward `X W`, weight gradient
+/// `X^T dY`, input gradient `dY W^T`.
+fn bench_train_step(c: &mut Criterion) {
+    let wave = |rows: usize, cols: usize, f: f32| {
+        Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * f).sin())
+    };
+    let (x, w, dy) = (
+        wave(10, 64, 0.37),
+        wave(64, 128, 0.011),
+        wave(10, 128, 0.23),
+    );
+    c.bench_function("hot/matmul", |b| {
+        b.iter(|| ops::matmul(black_box(&x), black_box(&w)));
+    });
+    c.bench_function("hot/matmul_transpose_a", |b| {
+        b.iter(|| ops::matmul_transpose_a(black_box(&x), black_box(&dy)));
+    });
+    c.bench_function("hot/matmul_transpose_b", |b| {
+        b.iter(|| ops::matmul_transpose_b(black_box(&dy), black_box(&w)));
+    });
+
+    let mut model = ModelSpec::Mlp {
+        input: 64,
+        hidden: 128,
+        classes: 10,
+    }
+    .build(1);
+    // Learning rate 0: every iteration does the same work on the same
+    // weights. At a real rate the loop overfits its one batch within a
+    // few thousand iterations, the gradients go subnormal and the step
+    // slows twofold — a property of the loop, not of the step.
+    let mut opt = RmsProp::new(0.0);
+    let y: Vec<usize> = (0..10).collect();
+    c.bench_function("step/train_batch_mlp_64_128_10", |b| {
+        b.iter(|| model.train_batch(black_box(x.clone()), black_box(&y), &mut opt));
+    });
+}
+
+criterion_group!(benches, bench_kernels, bench_round, bench_train_step);
 criterion_main!(benches);

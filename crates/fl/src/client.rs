@@ -121,7 +121,7 @@ impl ClientConfig {
 
 /// Train the global model on one client's local data for one round.
 ///
-/// * builds a fresh model from `spec`, loads `global` weights;
+/// * builds a fresh model from `spec` holding the `global` weights;
 /// * runs `local_epochs` epochs of mini-batch SGD/RMSprop over a
 ///   shuffled copy of the local training set;
 /// * returns the updated weights.
@@ -140,12 +140,10 @@ pub fn local_train(
     seed: u64,
 ) -> ParamVec {
     assert!(!data.is_empty(), "client {client} has no training data");
-    // Model seed irrelevant (weights are overwritten) except for dropout
-    // streams; derive it from (seed, client, round) so dropout noise
-    // differs across rounds.
+    // The model seed only seeds the dropout streams; derive it from
+    // (seed, client, round) so dropout noise differs across rounds.
     let model_seed = split_seed(seed, split_seed(client as u64, round ^ 0xD80F));
-    let mut model = spec.build(model_seed);
-    model.set_params(global);
+    let mut model = spec.build_with_params(global, model_seed);
 
     let lr_factor = config.lr_round_decay.powi(round as i32);
     let mut opt = config.optimizer.build(lr_factor);
@@ -262,9 +260,7 @@ pub fn train_update(
 /// Build a model for evaluation with the given global weights.
 #[must_use]
 pub fn eval_model(spec: &ModelSpec, global: &ParamVec) -> Sequential {
-    let mut model = spec.build(0);
-    model.set_params(global);
-    model
+    spec.build_with_params(global, 0)
 }
 
 #[cfg(test)]

@@ -51,10 +51,27 @@ pub trait Layer: Send {
     /// records parameter gradients internally.
     fn backward(&mut self, grad: Matrix) -> Matrix;
 
+    /// The parameter half of [`Layer::backward`]: records the parameter
+    /// gradients and computes no `dL/d(input)`. `Sequential::train_batch`
+    /// calls this on a model's first layer, whose input gradient nobody
+    /// reads. The provided method runs the full backward pass.
+    fn backward_params(&mut self, grad: Matrix) {
+        drop(self.backward(grad));
+    }
+
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0
     }
+
+    /// Hand each parameter block and the gradient recorded for it to
+    /// `f`, in [`Layer::append_params`] order, so an optimiser can step
+    /// the layer's own buffers in place. A layer with parameters must
+    /// override this together with `param_count`, `append_params`,
+    /// `append_grads` and `load_params`: `Sequential::train_batch` trains
+    /// only what this hands out (and debug-asserts that it is all of
+    /// `param_count`).
+    fn for_each_param(&mut self, _f: &mut dyn FnMut(&mut [f32], &[f32])) {}
 
     /// Append the parameters, in a fixed order, to `out`.
     fn append_params(&self, _out: &mut Vec<f32>) {}
@@ -91,13 +108,33 @@ impl Dense {
     /// New dense layer with Xavier-uniform weights and zero bias.
     #[must_use]
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
+        Self::init(in_features, out_features, Some(rng))
+    }
+
+    /// [`Dense::new`], or with no `rng` all-zero weights (for a model
+    /// about to be loaded with parameters).
+    pub(crate) fn init(in_features: usize, out_features: usize, rng: Option<&mut StdRng>) -> Self {
         Self {
-            w: init::xavier_uniform(in_features, out_features, rng),
+            w: match rng {
+                Some(rng) => init::xavier_uniform(in_features, out_features, rng),
+                None => Matrix::zeros(in_features, out_features),
+            },
             b: vec![0.0; out_features],
             grad_w: Matrix::zeros(in_features, out_features),
             grad_b: vec![0.0; out_features],
             cache_x: None,
         }
+    }
+
+    /// `dW = X^T dY` and `db = column sums of dY`, into the layer's own
+    /// gradient buffers.
+    fn record_grads(&mut self, grad: &Matrix) {
+        let x = self
+            .cache_x
+            .take()
+            .expect("Dense::backward called without a preceding forward");
+        ops::matmul_transpose_a_into(&x, grad, &mut self.grad_w);
+        self.grad_b = ops::col_sum(grad);
     }
 
     /// Input feature count.
@@ -126,17 +163,21 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Dense::backward called without a preceding forward");
-        self.grad_w = ops::matmul_transpose_a(&x, &grad);
-        self.grad_b = ops::col_sum(&grad);
+        self.record_grads(&grad);
         ops::matmul_transpose_b(&grad, &self.w)
+    }
+
+    fn backward_params(&mut self, grad: Matrix) {
+        self.record_grads(&grad);
     }
 
     fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
+    }
+
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32])) {
+        f(self.w.as_mut_slice(), self.grad_w.as_slice());
+        f(&mut self.b, &self.grad_b);
     }
 
     fn append_params(&self, out: &mut Vec<f32>) {
@@ -326,6 +367,17 @@ impl Conv2d {
     /// Panics if the kernel does not fit in the input.
     #[must_use]
     pub fn new(in_shape: Shape3, out_channels: usize, ksize: usize, rng: &mut StdRng) -> Self {
+        Self::init(in_shape, out_channels, ksize, Some(rng))
+    }
+
+    /// [`Conv2d::new`], or with no `rng` all-zero weights (for a model
+    /// about to be loaded with parameters).
+    pub(crate) fn init(
+        in_shape: Shape3,
+        out_channels: usize,
+        ksize: usize,
+        rng: Option<&mut StdRng>,
+    ) -> Self {
         assert!(
             ksize <= in_shape.h && ksize <= in_shape.w,
             "kernel {ksize} larger than input {}x{}",
@@ -337,7 +389,10 @@ impl Conv2d {
             in_shape,
             out_channels,
             ksize,
-            w: init::he_uniform(out_channels, fan_in, rng),
+            w: match rng {
+                Some(rng) => init::he_uniform(out_channels, fan_in, rng),
+                None => Matrix::zeros(out_channels, fan_in),
+            },
             b: vec![0.0; out_channels],
             grad_w: Matrix::zeros(out_channels, fan_in),
             grad_b: vec![0.0; out_channels],
@@ -414,6 +469,34 @@ impl Conv2d {
         }
         x
     }
+
+    /// `dW = gp^T cols` and `db = column sums of gp` into the layer's own
+    /// gradient buffers; returns `gp`, the output gradient rearranged
+    /// patch-major `(batch*oh*ow, out_c)`.
+    fn record_grads(&mut self, grad: &Matrix) -> Matrix {
+        let cols = self
+            .cache_cols
+            .take()
+            .expect("Conv2d::backward called without a preceding forward");
+        let batch = self.cache_batch;
+        let out_shape = self.out_shape();
+        let oh_ow = out_shape.h * out_shape.w;
+
+        let mut gp = Matrix::zeros(batch * oh_ow, self.out_channels);
+        for s in 0..batch {
+            let grow = grad.row(s);
+            for p in 0..oh_ow {
+                let dst = gp.row_mut(s * oh_ow + p);
+                for (oc, d) in dst.iter_mut().enumerate() {
+                    *d = grow[oc * oh_ow + p];
+                }
+            }
+        }
+
+        ops::matmul_transpose_a_into(&gp, &cols, &mut self.grad_w);
+        self.grad_b = ops::col_sum(&gp);
+        gp
+    }
 }
 
 impl Layer for Conv2d {
@@ -450,36 +533,23 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Matrix) -> Matrix {
-        let cols = self
-            .cache_cols
-            .take()
-            .expect("Conv2d::backward called without a preceding forward");
-        let batch = self.cache_batch;
-        let out_shape = self.out_shape();
-        let oh_ow = out_shape.h * out_shape.w;
-
-        // Un-rearrange grad to patch-major (batch*oh*ow, out_c).
-        let mut gp = Matrix::zeros(batch * oh_ow, self.out_channels);
-        for s in 0..batch {
-            let grow = grad.row(s);
-            for p in 0..oh_ow {
-                let dst = gp.row_mut(s * oh_ow + p);
-                for (oc, d) in dst.iter_mut().enumerate() {
-                    *d = grow[oc * oh_ow + p];
-                }
-            }
-        }
-
-        // dW = gp^T * cols ; db = column sums of gp.
-        self.grad_w = ops::matmul_transpose_a(&gp, &cols);
-        self.grad_b = ops::col_sum(&gp);
+        let gp = self.record_grads(&grad);
         // dcols = gp * W
         let dcols = ops::matmul(&gp, &self.w);
-        self.col2im(&dcols, batch)
+        self.col2im(&dcols, self.cache_batch)
+    }
+
+    fn backward_params(&mut self, grad: Matrix) {
+        self.record_grads(&grad);
     }
 
     fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
+    }
+
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32])) {
+        f(self.w.as_mut_slice(), self.grad_w.as_slice());
+        f(&mut self.b, &self.grad_b);
     }
 
     fn append_params(&self, out: &mut Vec<f32>) {

@@ -112,14 +112,34 @@ impl Sequential {
     }
 
     /// One optimisation step on a mini-batch; returns the batch loss.
+    ///
+    /// Equal, bit for bit, to `forward` → loss → `backward` →
+    /// `Optimizer::step` on `params()`/`grads()` → `set_params`, minus
+    /// what that composition throws away: the first layer computes no
+    /// input gradient, and the optimiser steps each layer's own buffers
+    /// at their offsets in the flat vector.
     pub fn train_batch(&mut self, x: Matrix, labels: &[usize], opt: &mut dyn Optimizer) -> f32 {
         let logits = self.forward(x, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-        self.backward(dlogits);
-        let grads = self.grads();
-        let mut params = self.params();
-        opt.step(&mut params, &grads);
-        self.set_params(&params);
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let grad = rest
+                .iter_mut()
+                .rev()
+                .fold(dlogits, |acc, layer| layer.backward(acc));
+            first.backward_params(grad);
+        }
+        let mut offset = 0;
+        for layer in &mut self.layers {
+            layer.for_each_param(&mut |params, grads| {
+                opt.step_slice(offset, params, grads);
+                offset += params.len();
+            });
+        }
+        debug_assert_eq!(
+            offset,
+            self.param_count(),
+            "a layer's for_each_param does not cover its param_count"
+        );
         loss
     }
 

@@ -16,7 +16,7 @@ use crate::model::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use tifl_tensor::split_seed;
+use tifl_tensor::{split_seed, ParamVec};
 
 /// Architecture selector, serialisable so experiment configs can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,19 +77,37 @@ impl ModelSpec {
     /// Instantiate the model with weights drawn from `seed`.
     #[must_use]
     pub fn build(&self, seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
+        self.assemble(seed, Some(&mut StdRng::seed_from_u64(seed)))
+    }
+
+    /// Instantiate the model holding `params` (the layout of
+    /// [`Sequential::params`]); `seed` only seeds the dropout streams.
+    /// Equal to `build(seed)` followed by `set_params(params)`, without
+    /// drawing initial weights that are then overwritten.
+    ///
+    /// # Panics
+    /// Panics if `params` is not exactly the model's parameter count.
+    #[must_use]
+    pub fn build_with_params(&self, params: &ParamVec, seed: u64) -> Sequential {
+        let mut model = self.assemble(seed, None);
+        model.set_params(params);
+        model
+    }
+
+    /// The architecture table: weights drawn from `init`, or all zero.
+    fn assemble(&self, seed: u64, mut init: Option<&mut StdRng>) -> Sequential {
         match *self {
             ModelSpec::Logistic { input, classes } => {
-                Sequential::new(vec![Box::new(Dense::new(input, classes, &mut rng))])
+                Sequential::new(vec![Box::new(Dense::init(input, classes, init))])
             }
             ModelSpec::Mlp {
                 input,
                 hidden,
                 classes,
             } => Sequential::new(vec![
-                Box::new(Dense::new(input, hidden, &mut rng)),
+                Box::new(Dense::init(input, hidden, init.as_deref_mut())),
                 Box::new(Relu::new(hidden)),
-                Box::new(Dense::new(hidden, classes, &mut rng)),
+                Box::new(Dense::init(hidden, classes, init)),
             ]),
             ModelSpec::Cnn {
                 side,
@@ -102,9 +120,9 @@ impl ModelSpec {
                     h: side,
                     w: side,
                 };
-                let conv1 = Conv2d::new(in_shape, channels.0, 3, &mut rng);
+                let conv1 = Conv2d::init(in_shape, channels.0, 3, init.as_deref_mut());
                 let s1 = conv1.out_shape();
-                let conv2 = Conv2d::new(s1, channels.1, 3, &mut rng);
+                let conv2 = Conv2d::init(s1, channels.1, 3, init.as_deref_mut());
                 let s2 = conv2.out_shape();
                 let pool = MaxPool2d::new(s2);
                 let sp = pool.out_shape();
@@ -120,10 +138,10 @@ impl ModelSpec {
                     Box::new(Relu::new(s2.len())),
                     Box::new(pool),
                     Box::new(d1),
-                    Box::new(Dense::new(flat, hidden, &mut rng)),
+                    Box::new(Dense::init(flat, hidden, init.as_deref_mut())),
                     Box::new(Relu::new(hidden)),
                     Box::new(d2),
-                    Box::new(Dense::new(hidden, classes, &mut rng)),
+                    Box::new(Dense::init(hidden, classes, init)),
                 ])
             }
         }
@@ -188,6 +206,30 @@ mod tests {
             classes: 4,
         };
         assert_ne!(spec.build(1).params(), spec.build(2).params());
+    }
+
+    #[test]
+    fn build_with_params_holds_the_given_weights() {
+        for spec in [
+            ModelSpec::Logistic {
+                input: 16,
+                classes: 4,
+            },
+            ModelSpec::Mlp {
+                input: 16,
+                hidden: 8,
+                classes: 4,
+            },
+            ModelSpec::Cnn {
+                side: 8,
+                channels: (2, 3),
+                hidden: 8,
+                classes: 4,
+            },
+        ] {
+            let params = spec.build(5).params();
+            assert_eq!(spec.build_with_params(&params, 0).params(), params);
+        }
     }
 
     #[test]

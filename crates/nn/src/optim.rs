@@ -6,15 +6,29 @@
 //! [`ParamVec`]s so they are agnostic to model structure.
 
 use serde::{Deserialize, Serialize};
-use tifl_tensor::ParamVec;
+use tifl_tensor::{ops, ParamVec};
 
 /// A first-order optimiser over flat parameter vectors.
+///
+/// Per-parameter state (momentum, squared-gradient mean) is one flat
+/// vector indexed like the parameters; it starts at zero, grows on
+/// demand and is dropped by [`Optimizer::reset_state`].
 pub trait Optimizer: Send {
-    /// Apply one update step: mutate `params` using `grads`.
+    /// Apply one update step to the block of the flat parameter vector
+    /// that starts at `offset`: mutate `params` using `grads`. Stepping
+    /// every block of a model once is one step on the whole vector.
     ///
     /// # Panics
     /// Implementations panic on length mismatch between `params`/`grads`.
-    fn step(&mut self, params: &mut ParamVec, grads: &ParamVec);
+    fn step_slice(&mut self, offset: usize, params: &mut [f32], grads: &[f32]);
+
+    /// Apply one update step to a whole parameter vector.
+    ///
+    /// # Panics
+    /// Panics on length mismatch between `params`/`grads`.
+    fn step(&mut self, params: &mut ParamVec, grads: &ParamVec) {
+        self.step_slice(0, &mut params.0, grads.as_slice());
+    }
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
@@ -56,22 +70,23 @@ impl Sgd {
     }
 }
 
+/// The `len` state entries at `offset`, zero-extending `state` to reach.
+fn state_block(state: &mut Vec<f32>, offset: usize, len: usize) -> &mut [f32] {
+    if state.len() < offset + len {
+        state.resize(offset + len, 0.0);
+    }
+    &mut state[offset..offset + len]
+}
+
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamVec, grads: &ParamVec) {
+    fn step_slice(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "Sgd::step length mismatch");
         if self.momentum == 0.0 {
-            params.axpy(-self.lr, grads);
+            ops::axpy(-self.lr, grads, params);
             return;
         }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((v, p), &g) in self
-            .velocity
-            .iter_mut()
-            .zip(params.0.iter_mut())
-            .zip(grads.as_slice())
-        {
+        let velocity = state_block(&mut self.velocity, offset, params.len());
+        for ((v, p), &g) in velocity.iter_mut().zip(params.iter_mut()).zip(grads) {
             *v = self.momentum * *v + g;
             *p -= self.lr * *v;
         }
@@ -120,17 +135,10 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut ParamVec, grads: &ParamVec) {
+    fn step_slice(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "RmsProp::step length mismatch");
-        if self.cache.len() != params.len() {
-            self.cache = vec![0.0; params.len()];
-        }
-        for ((c, p), &g) in self
-            .cache
-            .iter_mut()
-            .zip(params.0.iter_mut())
-            .zip(grads.as_slice())
-        {
+        let cache = state_block(&mut self.cache, offset, params.len());
+        for ((c, p), &g) in cache.iter_mut().zip(params.iter_mut()).zip(grads) {
             *c = self.rho * *c + (1.0 - self.rho) * g * g;
             *p -= self.lr * g / (c.sqrt() + self.eps);
         }
@@ -186,6 +194,28 @@ mod tests {
             (0.5..2.0).contains(&ratio),
             "steps not normalised, ratio {ratio}"
         );
+    }
+
+    #[test]
+    fn stepping_every_block_is_one_step_on_the_whole_vector() {
+        let builds: [fn() -> Box<dyn Optimizer>; 3] = [
+            || Box::new(Sgd::new(0.1)),
+            || Box::new(Sgd::with_momentum(0.1, 0.9)),
+            || Box::new(RmsProp::new(0.01)),
+        ];
+        for build in builds {
+            let (mut whole, mut blocks) = (build(), build());
+            let mut p = ParamVec((0..11).map(|i| i as f32 * 0.3 - 1.0).collect());
+            let mut q = p.clone();
+            for step in 0..4 {
+                let g = ParamVec((0..11).map(|i| ((i + step) as f32).sin()).collect());
+                whole.step(&mut p, &g);
+                for (start, end) in [(0, 4), (4, 5), (5, 11)] {
+                    blocks.step_slice(start, &mut q.0[start..end], &g.0[start..end]);
+                }
+                assert_eq!(p, q, "step {step}");
+            }
+        }
     }
 
     #[test]

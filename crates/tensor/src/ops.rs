@@ -1,44 +1,35 @@
 //! Matrix and vector kernels.
 //!
-//! `matmul` parallelises over output rows with rayon once the problem is
-//! large enough to amortise the fork-join overhead; everything else is
-//! simple, cache-friendly sequential code (batch sizes in the TiFL
-//! experiments are small, so the GEMMs dominate).
+//! The three GEMM forms ([`matmul`], [`matmul_transpose_a`],
+//! [`matmul_transpose_b`]) share one shape: every `out[i][j]` starts at
+//! `+0.0` and adds its `k` products in index order, one rounding per
+//! multiply and per add, so blocking, lane-parallel accumulation over
+//! `j` and row-parallel execution (rayon, above `PAR_THRESHOLD`
+//! multiply-adds) cannot change a result bit. The element-wise kernels
+//! ([`axpy`], [`scale`]) are unrolled or SSE2 and pinned to scalar
+//! references the same way.
+//!
+//! # Zeros in the left operand
+//! `matmul` and `matmul_transpose_a` skip a term whose `a` factor is
+//! `±0.0` (post-ReLU activations are mostly zero), so there `0 × inf`
+//! and `0 × NaN` contribute nothing. `matmul_transpose_b` multiplies
+//! every term through, so the same operands give NaN. With finite
+//! operands the two agree bit for bit (adding `±0.0` to a sum that
+//! started at `+0.0` changes nothing); with non-finite weights they do
+//! not, and `tests/kernels.rs` pins one case per kernel.
 
 use crate::Matrix;
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Problems smaller than this many multiply-adds run sequentially.
 const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
-/// `a (m x k) * b (k x n) -> (m x n)`.
-///
-/// # Panics
-/// Panics if the inner dimensions disagree.
-#[must_use]
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let (k2, n) = b.shape();
-    assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-
-    let mut out = Matrix::zeros(m, n);
-    let b_data = b.as_slice();
-
-    let kernel = |(row_idx, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(row_idx);
-        // ikj loop order: streams through b rows, vectorises the inner j loop.
-        for (ki, &a_v) in a_row.iter().enumerate() {
-            if a_v == 0.0 {
-                continue;
-            }
-            let b_row = &b_data[ki * n..(ki + 1) * n];
-            for (o, &b_v) in out_row.iter_mut().zip(b_row) {
-                *o += a_v * b_v;
-            }
-        }
-    };
-
-    if m * n * k >= PAR_THRESHOLD {
+/// Run `kernel` on every `(index, row)` of `out`; rows run in parallel
+/// once the GEMM has [`PAR_THRESHOLD`] multiply-adds.
+fn for_each_row(out: &mut Matrix, k: usize, kernel: impl Fn((usize, &mut [f32])) + Sync) {
+    let n = out.cols();
+    if out.len() * k >= PAR_THRESHOLD {
         out.as_mut_slice()
             .par_chunks_mut(n)
             .enumerate()
@@ -49,15 +40,47 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
             .enumerate()
             .for_each(kernel);
     }
+}
+
+/// `out (m x n) += a (m x k) * b (k x n, row-major)`, one output row at
+/// a time: `ikj` order streams through `b`'s rows and vectorises the
+/// inner `j` loop.
+fn gemm_rows<const SKIP_ZEROS: bool>(a: &Matrix, b: &[f32], out: &mut Matrix) {
+    let n = out.cols();
+    for_each_row(out, a.cols(), |(row_idx, out_row)| {
+        for (&a_v, b_row) in a.row(row_idx).iter().zip(b.chunks_exact(n)) {
+            if SKIP_ZEROS && a_v == 0.0 {
+                continue;
+            }
+            for (o, &b_v) in out_row.iter_mut().zip(b_row) {
+                *o += a_v * b_v;
+            }
+        }
+    });
+}
+
+/// `a (m x k) * b (k x n) -> (m x n)`. Skips zeros in `a` (module docs).
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[must_use]
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    let (k2, n) = b.shape();
+    assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
+    let mut out = Matrix::zeros(m, n);
+    gemm_rows::<true>(a, b.as_slice(), &mut out);
     out
 }
 
-/// `a * b^T` without materialising the transpose.
+/// Reference implementation of [`matmul_transpose_b`]: one scalar dot
+/// product per output element, nothing packed. The packed kernel is
+/// pinned bit-for-bit against this in `tests/kernels.rs`.
 ///
-/// Shape: `a (m x k) * b (n x k) -> (m x n)`. This is the backward-pass
-/// workhorse (`dX = dY * W^T`).
+/// # Panics
+/// Panics if the inner dimensions disagree.
 #[must_use]
-pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+pub fn matmul_transpose_b_scalar(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
     assert_eq!(
@@ -66,7 +89,7 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     );
 
     let mut out = Matrix::zeros(m, n);
-    let kernel = |(row_idx, out_row): (usize, &mut [f32])| {
+    for_each_row(&mut out, k, |(row_idx, out_row)| {
         let a_row = a.row(row_idx);
         for (j, o) in out_row.iter_mut().enumerate() {
             let b_row = b.row(j);
@@ -76,36 +99,87 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
             }
             *o = acc;
         }
-    };
-
-    if m * n * k >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    }
+    });
     out
 }
 
-/// `a^T * b` without materialising the transpose.
+thread_local! {
+    /// The packed `b^T` of [`matmul_transpose_b`], kept per thread so a
+    /// train step does not allocate a weight-sized buffer per call.
+    static PACKED_BT: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// `a * b^T`. Multiplies zeros in `a` through (module docs).
+///
+/// Shape: `a (m x k) * b (n x k) -> (m x n)`. This is the input-gradient
+/// workhorse (`dX = dY * W^T`) and the convolution's forward GEMM.
+/// `b^T` is packed once per call so the accumulation runs lane-parallel
+/// over `j`; each element still sums its products in `k` order, so the
+/// result is bit-for-bit [`matmul_transpose_b_scalar`]'s.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[must_use]
+pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    let (n, k2) = b.shape();
+    assert_eq!(
+        k, k2,
+        "matmul_transpose_b inner dimension mismatch: {k} vs {k2}"
+    );
+    // Taken, not borrowed: a nested call on this thread finds an empty
+    // buffer and grows its own.
+    let mut bt = PACKED_BT.take();
+    bt.resize(k * n, 0.0);
+    pack_transposed(b, &mut bt);
+    let mut out = Matrix::zeros(m, n);
+    gemm_rows::<false>(a, &bt, &mut out);
+    PACKED_BT.set(bt);
+    out
+}
+
+/// `bt (k x n) = b (n x k)^T`, eight rows of `b` at a time so both the
+/// reads (eight streams) and the writes (32 contiguous bytes) stay
+/// sequential.
+fn pack_transposed(b: &Matrix, bt: &mut [f32]) {
+    const BLOCK: usize = 8;
+    let n = b.rows();
+    let mut j0 = 0;
+    while j0 + BLOCK <= n {
+        let rows: [&[f32]; BLOCK] = std::array::from_fn(|jj| b.row(j0 + jj));
+        for (ki, dst) in bt.chunks_exact_mut(n).enumerate() {
+            for (d, row) in dst[j0..j0 + BLOCK].iter_mut().zip(&rows) {
+                *d = row[ki];
+            }
+        }
+        j0 += BLOCK;
+    }
+    for j in j0..n {
+        for (ki, &v) in b.row(j).iter().enumerate() {
+            bt[ki * n + j] = v;
+        }
+    }
+}
+
+/// `a^T * b` into `out`, overwriting it. Skips zeros in `a` (module
+/// docs).
 ///
 /// Shape: `a (k x m) * b (k x n) -> (m x n)`. This is the weight-gradient
-/// workhorse (`dW = X^T * dY`).
-#[must_use]
-pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
+/// workhorse (`dW = X^T * dY`); layers call it on their own gradient
+/// buffer.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree or `out` is not `m x n`.
+pub fn matmul_transpose_a_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (k, m) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(
         k, k2,
         "matmul_transpose_a inner dimension mismatch: {k} vs {k2}"
     );
-
-    let mut out = Matrix::zeros(m, n);
+    assert_eq!(out.shape(), (m, n), "matmul_transpose_a output shape");
+    let out = out.as_mut_slice();
+    out.fill(0.0);
     // Accumulate rank-1 updates; sequential over k keeps this deterministic.
     for ki in 0..k {
         let a_row = a.row(ki);
@@ -114,12 +188,19 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
             if a_v == 0.0 {
                 continue;
             }
-            let out_row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
+            let out_row = &mut out[i * n..(i + 1) * n];
             for (o, &b_v) in out_row.iter_mut().zip(b_row) {
                 *o += a_v * b_v;
             }
         }
     }
+}
+
+/// `a^T * b` as a fresh matrix; see [`matmul_transpose_a_into`].
+#[must_use]
+pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    matmul_transpose_a_into(a, b, &mut out);
     out
 }
 

@@ -13,9 +13,6 @@
 //! is process-global, so no other test may run concurrently in this
 //! process (one `#[test]` here, single-threaded by construction).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use tifl::comm::{CodecSpec, CommSpec};
 use tifl::core::experiment::ExperimentConfig;
 use tifl::core::runner::Experiment;
@@ -25,49 +22,12 @@ use tifl::fl::ClientUpdate;
 use tifl::obs::{RunObserver, TraceEvent, TraceSink};
 use tifl::tensor::ParamVec;
 
-struct CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f` with allocation counting enabled; returns how many heap
-/// allocations (alloc/alloc_zeroed/realloc) it performed.
+/// Heap allocations performed by `f`.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    counting_alloc::allocations_in(f).0
 }
 
 /// One aggregation round through the very calls `Session::run_rounds`

@@ -1,6 +1,7 @@
 //! Bit-for-bit equivalence proptests for the blocked/unrolled hot-path
-//! kernels against their scalar reference implementations, plus the
-//! documented non-finite contract of the codec kernels.
+//! kernels and the three GEMM forms against their scalar reference
+//! implementations, plus the documented non-finite contract of the
+//! codec kernels and the GEMMs' zero-skip asymmetry.
 //!
 //! These run against whichever dispatch the build selected: the default
 //! 4/8-wide unrolled loops, or (under `cargo test --features simd`) the
@@ -12,23 +13,133 @@
 
 use proptest::prelude::*;
 use tifl::comm::{CodecSpec, EncodeScratch};
-use tifl::tensor::{codec, ops, ParamVec};
+use tifl::tensor::{codec, ops, Matrix, ParamVec};
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Overwrite a sprinkling of elements with NaN/±inf, driven by a
-/// generated tag vector (most tags leave the element finite).
+/// Overwrite a sprinkling of elements with NaN/±inf/±0.0, driven by a
+/// generated tag vector (most tags leave the element as it is).
 fn inject_specials(xs: &mut [f32], tags: &[u8]) {
     for (x, &t) in xs.iter_mut().zip(tags) {
         match t {
             0 => *x = f32::NAN,
             1 => *x = f32::INFINITY,
             2 => *x = f32::NEG_INFINITY,
+            3 => *x = -0.0,
+            4 => *x = 0.0,
             _ => {}
         }
     }
+}
+
+/// [`bits`] with every NaN mapped to one pattern. A GEMM element can
+/// add two NaNs of different sign (an injected NaN, and the default NaN
+/// of `0 × inf` or `inf − inf`); which payload survives depends on the
+/// operand order the compiler picks for a commutative add, which IEEE
+/// 754 and Rust leave open. Everything else is compared bit for bit.
+fn gemm_bits(m: &Matrix) -> Vec<u32> {
+    let canonical = |x: &f32| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() };
+    m.as_slice().iter().map(canonical).collect()
+}
+
+/// The GEMM contract, spelled out naively: `out[i][j]` starts at `+0.0`
+/// and adds `a(i, p) * b(p, j)` for `p` in index order; `skip_zeros`
+/// drops the terms whose `a` factor is `±0.0`.
+fn gemm_reference(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    skip_zeros: bool,
+) -> Matrix {
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0f32;
+        for p in 0..k {
+            if !(skip_zeros && a(i, p) == 0.0) {
+                acc += a(i, p) * b(p, j);
+            }
+        }
+        acc
+    })
+}
+
+/// All three GEMM forms at `m x k x n` against [`gemm_reference`], and
+/// the packed `A·Bᵀ` against its scalar reference kernel. `a` and `b`
+/// are flat operand data, reshaped per form.
+fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b: &[f32]) {
+    let (m, k, n) = shape;
+    let (a, b) = (a[..m * k].to_vec(), b[..k * n].to_vec());
+
+    let (x, w) = (
+        Matrix::from_vec(m, k, a.clone()),
+        Matrix::from_vec(k, n, b.clone()),
+    );
+    let want = gemm_reference(shape, |i, p| x[(i, p)], |p, j| w[(p, j)], true);
+    assert_eq!(
+        gemm_bits(&ops::matmul(&x, &w)),
+        gemm_bits(&want),
+        "matmul {shape:?}"
+    );
+
+    let xt = Matrix::from_vec(k, m, a.clone());
+    let want = gemm_reference(shape, |i, p| xt[(p, i)], |p, j| w[(p, j)], true);
+    assert_eq!(
+        gemm_bits(&ops::matmul_transpose_a(&xt, &w)),
+        gemm_bits(&want),
+        "matmul_transpose_a {shape:?}"
+    );
+
+    let wt = Matrix::from_vec(n, k, b);
+    let want = gemm_reference(shape, |i, p| x[(i, p)], |p, j| wt[(j, p)], false);
+    let got = ops::matmul_transpose_b(&x, &wt);
+    assert_eq!(
+        gemm_bits(&got),
+        gemm_bits(&want),
+        "matmul_transpose_b {shape:?}"
+    );
+    assert_eq!(
+        gemm_bits(&got),
+        gemm_bits(&ops::matmul_transpose_b_scalar(&x, &wt)),
+        "matmul_transpose_b vs scalar kernel {shape:?}"
+    );
+}
+
+/// The training shape of the default MLP and one above the GEMMs'
+/// row-parallel threshold, specials included.
+#[test]
+fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
+    for shape in [(10usize, 64usize, 128usize), (6, 64, 2048)] {
+        let (m, k, n) = shape;
+        let wave = |len: usize, f: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * f).sin() * 3.0).collect()
+        };
+        let tags = |len: usize, step: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i * step) % 97) as u8).collect()
+        };
+        let (mut a, mut b) = (wave(m * k, 0.37), wave(k * n, 0.011));
+        assert_gemm_forms_match_reference(shape, &a, &b);
+        inject_specials(&mut a, &tags(m * k, 7));
+        inject_specials(&mut b, &tags(k * n, 13));
+        assert_gemm_forms_match_reference(shape, &a, &b);
+    }
+}
+
+/// The zero-skip asymmetry documented in `ops`: a zero in the left
+/// operand hides a non-finite weight from `matmul` and
+/// `matmul_transpose_a`, and does not from `matmul_transpose_b`.
+#[test]
+fn zero_times_infinity_is_skipped_by_two_gemm_forms_and_not_the_third() {
+    let zero_one = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+    let inf_two = Matrix::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
+    assert_eq!(ops::matmul(&zero_one, &inf_two).as_slice(), &[2.0]);
+    // a^T b with a = [0 1]^T (2x1), b = [inf 2]^T (2x1).
+    let a = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
+    assert_eq!(ops::matmul_transpose_a(&a, &inf_two).as_slice(), &[2.0]);
+    // a b^T with b = [inf 2] (1x2): 0 * inf is multiplied through.
+    let b = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
+    assert!(ops::matmul_transpose_b(&zero_one, &b).as_slice()[0].is_nan());
+    assert!(ops::matmul_transpose_b_scalar(&zero_one, &b).as_slice()[0].is_nan());
 }
 
 proptest! {
@@ -49,6 +160,25 @@ proptest! {
         ops::axpy(alpha, &x, &mut fast);
         ops::axpy_scalar(alpha, &x, &mut slow);
         prop_assert_eq!(bits(&fast), bits(&slow));
+    }
+
+    /// Every GEMM form is its naive `k`-ordered reference on awkward
+    /// shapes, with NaN/±inf/−0.0 in both operands and zeros in `a`.
+    #[test]
+    fn gemm_forms_match_reference_bitwise(
+        m in 1usize..=33,
+        k in 1usize..=33,
+        n in 1usize..=33,
+        a in prop::collection::vec(-4.0f32..4.0, 33 * 33),
+        b in prop::collection::vec(-4.0f32..4.0, 33 * 33),
+        tags_a in prop::collection::vec(0u8..12, 33 * 33),
+        tags_b in prop::collection::vec(0u8..40, 33 * 33),
+    ) {
+        let (mut a, mut b) = (a, b);
+        assert_gemm_forms_match_reference((m, k, n), &a, &b);
+        inject_specials(&mut a, &tags_a);
+        inject_specials(&mut b, &tags_b);
+        assert_gemm_forms_match_reference((m, k, n), &a, &b);
     }
 
     /// `ops::scale` is bitwise `ops::scale_scalar`.

@@ -1,0 +1,158 @@
+//! The client train step against the public pieces it replaced.
+//!
+//! `Sequential::train_batch` skips work its result never needed (the
+//! first layer's input gradient, the flat `grads()`/`params()` copies)
+//! and `local_train`/`eval_model` build their model straight from the
+//! global weights. None of that may change a bit: every step is held
+//! to a reference composed from `forward`, `backward`, `grads`,
+//! `params`, `Optimizer::step` and `set_params`, and `local_train` to
+//! digests captured at f97334c, before the step was touched.
+
+use tifl::fl::client::{eval_model, local_train, ClientConfig, DpNoiseConfig, OptimizerSpec};
+use tifl::nn::{softmax_cross_entropy, Optimizer, Sequential};
+use tifl::obs::Digest128;
+use tifl::prelude::*;
+use tifl::tensor::Matrix;
+
+const LOGISTIC: ModelSpec = ModelSpec::Logistic {
+    input: 64,
+    classes: 10,
+};
+const MLP: ModelSpec = ModelSpec::Mlp {
+    input: 64,
+    hidden: 32,
+    classes: 10,
+};
+/// First layer `Conv2d`, two dropout layers.
+const CNN: ModelSpec = ModelSpec::Cnn {
+    side: 8,
+    channels: (4, 8),
+    hidden: 32,
+    classes: 10,
+};
+
+fn data() -> Dataset {
+    Generator::new(SynthSpec::family(SynthFamily::Mnist), 5).generate_uniform(60, 0)
+}
+
+/// One step from the public pieces only.
+fn reference_step(model: &mut Sequential, x: Matrix, y: &[usize], opt: &mut dyn Optimizer) -> f32 {
+    let logits = model.forward(x, true);
+    let (loss, dlogits) = softmax_cross_entropy(&logits, y);
+    let _ = model.backward(dlogits);
+    let grads = model.grads();
+    let mut params = model.params();
+    opt.step(&mut params, &grads);
+    model.set_params(&params);
+    loss
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn train_batch_equals_the_reference_step_bitwise() {
+    let data = data();
+    let optimizers = [
+        OptimizerSpec::Sgd { lr: 0.05 },
+        OptimizerSpec::SgdMomentum {
+            lr: 0.05,
+            momentum: 0.9,
+        },
+        OptimizerSpec::RmsProp { lr: 0.01 },
+    ];
+    for spec in [LOGISTIC, MLP, CNN] {
+        for optimizer in optimizers {
+            // Same seed: same weights, same dropout streams.
+            let (mut fast, mut slow) = (spec.build(9), spec.build(9));
+            let (mut fast_opt, mut slow_opt) = (optimizer.build(1.0), optimizer.build(1.0));
+            for step in 0..24 {
+                // Batches of 10, 7 and 1 rows at shifting offsets.
+                let rows = [10, 7, 1][step % 3];
+                let batch: Vec<usize> = (0..rows).map(|i| (step * 7 + i) % data.len()).collect();
+                let x = data.x.gather_rows(&batch);
+                let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
+                let got = fast.train_batch(x.clone(), &y, fast_opt.as_mut());
+                let want = reference_step(&mut slow, x, &y, slow_opt.as_mut());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{spec:?} {optimizer:?} step {step}: loss"
+                );
+                assert_eq!(
+                    bits(fast.params().as_slice()),
+                    bits(slow.params().as_slice()),
+                    "{spec:?} {optimizer:?} step {step}: weights"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn local_train_output_is_the_parents_with_fedprox_dp_and_dropout() {
+    let data = data();
+    let base = ClientConfig {
+        local_epochs: 2,
+        ..ClientConfig::paper_synthetic()
+    };
+    let dp = Some(DpNoiseConfig {
+        clip: 0.5,
+        noise_multiplier: 0.3,
+    });
+    let cases = [
+        (
+            "mlp fedprox",
+            MLP,
+            ClientConfig {
+                proximal_mu: 0.25,
+                ..base
+            },
+            "290cc3015f4f0d3d86bc4bea957d2f7e",
+        ),
+        (
+            "mlp dp",
+            MLP,
+            ClientConfig { dp, ..base },
+            "1bc340f4ca84198e8f274ed9dd6bdf0b",
+        ),
+        (
+            "cnn fedprox+dp, sgd momentum",
+            CNN,
+            ClientConfig {
+                optimizer: OptimizerSpec::SgdMomentum {
+                    lr: 0.02,
+                    momentum: 0.9,
+                },
+                proximal_mu: 0.1,
+                dp,
+                ..base
+            },
+            "42e5ced480210a171dfb79bfc8359ad2",
+        ),
+    ];
+    for (name, spec, config, golden) in cases {
+        let global = spec.build(1).params();
+        let updated = local_train(&spec, &global, &data, &config, 3, 7, 42);
+        assert_eq!(Digest128::of_value(&updated).to_string(), golden, "{name}");
+    }
+}
+
+#[test]
+fn eval_model_from_weights_evaluates_like_build_then_set_params() {
+    let data = data();
+    for spec in [LOGISTIC, MLP, CNN] {
+        let global = spec.build(3).params();
+        let mut reference = spec.build(0);
+        reference.set_params(&global);
+        let mut model = eval_model(&spec, &global);
+        assert_eq!(model.params(), global, "{spec:?}");
+        let (got, want) = (
+            model.evaluate(&data.x, &data.y),
+            reference.evaluate(&data.x, &data.y),
+        );
+        assert_eq!(got, want, "{spec:?}");
+        assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{spec:?}");
+    }
+}
