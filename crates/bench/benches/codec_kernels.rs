@@ -6,7 +6,12 @@
 //! `dequantize_i8_axpy`/`axpy_sparse`, encode-side `quantize_i8_into` /
 //! `top_k_by_magnitude_into`, and one whole compensated fold round —
 //! and where local training spends its: the three GEMM forms at the
-//! shapes of a batch-10 step of the default MLP, and that step.
+//! shapes of a batch-10 step of the default MLP, that step over a
+//! client's forty batches, and the two kernels whose cost depends on
+//! which hidden units fired (ReLU, and a GEMM over post-ReLU
+//! activations). Those two and the step draw their inputs from a pool
+//! too large for the branch predictor to memorise: replaying one input
+//! times a branch that never mispredicts, which no client round does.
 //!
 //! The `calibration/axpy_scalar` entry is a host-speed probe: the perf
 //! gate divides every time by it before comparing against the
@@ -20,10 +25,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tifl_comm::{CodecSpec, EncodeScratch, ErrorFeedback};
+use tifl_data::synth::Generator;
+use tifl_data::{SynthFamily, SynthSpec};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
+use tifl_nn::layer::Relu;
 use tifl_nn::models::ModelSpec;
-use tifl_nn::RmsProp;
-use tifl_tensor::{codec, ops, Matrix, ParamVec};
+use tifl_nn::{Layer, RmsProp};
+use tifl_tensor::{codec, ops, split_seed, Matrix, ParamVec};
 
 /// One CIFAR-10-CNN-ish flattened model (order of the paper's models).
 const N: usize = 65_536;
@@ -156,9 +164,33 @@ fn bench_round(c: &mut Criterion) {
     }
 }
 
-/// One batch-10 step of the paper's default model (MLP 64-128-10,
-/// RMSprop) and its three GEMMs: forward `X W`, weight gradient
-/// `X^T dY`, input gradient `dY W^T`.
+/// Inputs the data-dependent kernels cycle through, so that no two
+/// consecutive iterations see the same sparsity pattern.
+const POOL: usize = 64;
+
+/// `POOL` pre-activation matrices of a batch-10, 128-unit hidden layer:
+/// each element is negative or positive with equal odds, decided by a
+/// hash of its position (an arithmetic pattern would be learnable).
+fn pre_activation_pool() -> Vec<Matrix> {
+    (0..POOL)
+        .map(|s| {
+            Matrix::from_fn(10, 128, |r, c| {
+                let h = split_seed(s as u64, (r * 128 + c) as u64);
+                let magnitude = 0.1 + (h >> 40) as f32 / (1u64 << 24) as f32;
+                if h & 1 == 0 {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            })
+        })
+        .collect()
+}
+
+/// The batch-10 step of the paper's default model (MLP 64-128-10,
+/// RMSprop), its three GEMMs on dense operands — forward `X W`, weight
+/// gradient `X^T dY`, input gradient `dY W^T` — and its two kernels
+/// that see post-ReLU sparsity.
 fn bench_train_step(c: &mut Criterion) {
     let wave = |rows: usize, cols: usize, f: f32| {
         Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * f).sin())
@@ -178,20 +210,62 @@ fn bench_train_step(c: &mut Criterion) {
         b.iter(|| ops::matmul_transpose_b(black_box(&dy), black_box(&w)));
     });
 
+    let pre_activations = pre_activation_pool();
+    let mut relu = Relu::new(128);
+    let mut at = 0;
+    // Includes the clone that hands `forward` its input by value.
+    c.bench_function("hot/relu_fwd_bwd_1280", |b| {
+        b.iter(|| {
+            at = (at + 1) % POOL;
+            let y = relu.forward(black_box(pre_activations[at].clone()), true);
+            relu.backward(y)
+        });
+    });
+
+    // The output layer's forward GEMM: 10x128 activations, half of
+    // them zero, times 128x10 weights.
+    let activations: Vec<Matrix> = pre_activations
+        .into_iter()
+        .map(|m| relu.forward(m, false))
+        .collect();
+    let w_out = wave(128, 10, 0.017);
+    let mut at = 0;
+    c.bench_function("hot/matmul_sparse_a", |b| {
+        b.iter(|| {
+            at = (at + 1) % POOL;
+            ops::matmul(black_box(&activations[at]), black_box(&w_out))
+        });
+    });
+
     let mut model = ModelSpec::Mlp {
         input: 64,
         hidden: 128,
         classes: 10,
     }
     .build(1);
-    // Learning rate 0: every iteration does the same work on the same
-    // weights. At a real rate the loop overfits its one batch within a
-    // few thousand iterations, the gradients go subnormal and the step
-    // slows twofold — a property of the loop, not of the step.
+    // One client's epoch as `local_train` cuts it: 400 samples, forty
+    // batches of ten, cycled.
+    let data = Generator::new(SynthSpec::family(SynthFamily::Cifar10), 42).generate_uniform(400, 0);
+    let rows: Vec<usize> = (0..data.len()).collect();
+    let batches: Vec<(Matrix, Vec<usize>)> = rows
+        .chunks(10)
+        .map(|batch| {
+            let y = batch.iter().map(|&i| data.y[i]).collect();
+            (data.x.gather_rows(batch), y)
+        })
+        .collect();
+    // Learning rate 0: every pass over the forty batches does the same
+    // work on the same weights. At a real rate the loop overfits them,
+    // the gradients go subnormal and the step slows twofold — a
+    // property of the loop, not of the step.
     let mut opt = RmsProp::new(0.0);
-    let y: Vec<usize> = (0..10).collect();
+    let mut at = 0;
     c.bench_function("step/train_batch_mlp_64_128_10", |b| {
-        b.iter(|| model.train_batch(black_box(x.clone()), black_box(&y), &mut opt));
+        b.iter(|| {
+            at = (at + 1) % batches.len();
+            let (x, y) = &batches[at];
+            model.train_batch(black_box(x.clone()), black_box(y), &mut opt)
+        });
     });
 }
 

@@ -644,7 +644,7 @@ impl Session {
     /// evaluates the round's (immutable) global snapshot concurrently
     /// with later rounds and patches the report afterwards. Monitored-group
     /// evaluation is never deferred: the selector may need it before
-    /// the next selection.
+    /// the next selection. It is a `Phase::Eval` host span of its own.
     pub fn finish_round(
         &mut self,
         plan: RoundPlan,
@@ -680,7 +680,9 @@ impl Session {
 
         // Feed monitored-group accuracies back to the selector.
         if let Some(groups) = selector.monitored_groups(round) {
+            let t_eval = self.host_begin();
             let accs: Vec<f64> = groups.iter().map(|g| self.evaluate_group(g)).collect();
+            self.host_end(Phase::Eval, round, t_eval);
             selector.observe(round, &accs);
         }
 

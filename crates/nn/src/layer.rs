@@ -134,7 +134,7 @@ impl Dense {
             .take()
             .expect("Dense::backward called without a preceding forward");
         ops::matmul_transpose_a_into(&x, grad, &mut self.grad_w);
-        self.grad_b = ops::col_sum(grad);
+        ops::col_sum_into(grad, &mut self.grad_b);
     }
 
     /// Input feature count.
@@ -232,14 +232,13 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
+        // Selects, not branches: whether a unit fired is a coin flip
+        // the predictor loses, and a select vectorises.
         self.mask.clear();
-        self.mask.reserve(x.len());
-        for v in x.as_mut_slice() {
-            let keep = *v > 0.0;
-            self.mask.push(keep);
-            if !keep {
-                *v = 0.0;
-            }
+        self.mask.resize(x.len(), false);
+        for (v, keep) in x.as_mut_slice().iter_mut().zip(&mut self.mask) {
+            *keep = *v > 0.0;
+            *v = if *keep { *v } else { 0.0 };
         }
         x
     }
@@ -251,9 +250,7 @@ impl Layer for Relu {
             "Relu::backward shape mismatch with cached forward"
         );
         for (g, &keep) in grad.as_mut_slice().iter_mut().zip(&self.mask) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         grad
     }
@@ -494,7 +491,7 @@ impl Conv2d {
         }
 
         ops::matmul_transpose_a_into(&gp, &cols, &mut self.grad_w);
-        self.grad_b = ops::col_sum(&gp);
+        ops::col_sum_into(&gp, &mut self.grad_b);
         gp
     }
 }

@@ -45,7 +45,9 @@ pub enum Phase {
     Encode,
     /// Decode-and-fold of contributor updates into the aggregate.
     Fold,
-    /// Held-out evaluation of the global model.
+    /// Held-out evaluation of the global model: on the global test set,
+    /// and on the tiers' holdout sets when adaptive selection monitors
+    /// them.
     Eval,
     /// Persisting a run artifact into the sweep store.
     StoreWrite,

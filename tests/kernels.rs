@@ -1,7 +1,8 @@
 //! Bit-for-bit equivalence proptests for the blocked/unrolled hot-path
 //! kernels and the three GEMM forms against their scalar reference
 //! implementations, plus the documented non-finite contract of the
-//! codec kernels and the GEMMs' zero-skip asymmetry.
+//! codec kernels, the GEMMs' zero-skip asymmetry, and the zero skip
+//! itself over sparsity patterns around its compaction strip.
 //!
 //! These run against whichever dispatch the build selected: the default
 //! 4/8-wide unrolled loops, or (under `cargo test --features simd`) the
@@ -142,6 +143,74 @@ fn zero_times_infinity_is_skipped_by_two_gemm_forms_and_not_the_third() {
     assert!(ops::matmul_transpose_b_scalar(&zero_one, &b).as_slice()[0].is_nan());
 }
 
+/// Row lengths of the skipped operand that straddle the zero skip's
+/// compaction strip: the skip walks each row of `a` (as stored) strip
+/// by strip, so these are `k` for `matmul` and `m` for
+/// `matmul_transpose_a`.
+const STRADDLING: [usize; 5] = [
+    1,
+    ops::ZERO_SKIP_STRIP - 1,
+    ops::ZERO_SKIP_STRIP,
+    ops::ZERO_SKIP_STRIP + 1,
+    2 * ops::ZERO_SKIP_STRIP + 1,
+];
+
+/// Every GEMM form against [`gemm_reference`] with the rows of `a` as
+/// stored (`rows x len`) under the zero skip of both skipping forms:
+/// `matmul` reads `a` as `m x k`, `matmul_transpose_a` as `k x m`.
+fn assert_skipping_gemms_match_reference(
+    (rows, len, n): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+) {
+    assert_gemm_forms_match_reference((rows, len, n), a, b);
+    assert_gemm_forms_match_reference((len, rows, n), a, b);
+}
+
+/// A zero of either sign in `a` hides whatever it would have multiplied
+/// — `±inf` and NaN included — at every position of a strip, in the
+/// strip's tail, and across strips; every other term still lands.
+#[test]
+fn zeros_in_a_hide_non_finite_b_at_every_strip_position() {
+    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for len in STRADDLING {
+        for hole in 0..len {
+            // One stored row of `a`, zero at `hole` and wherever the
+            // wave says so; `w`'s row under every zero is poisoned.
+            let a: Vec<f32> = (0..len)
+                .map(|p| match (p == hole, p % 3) {
+                    (true, _) => [0.0, -0.0][hole % 2],
+                    (false, 0) => 0.0,
+                    (false, _) => (p as f32 * 0.37).sin() + 1.5,
+                })
+                .collect();
+            let n = 3;
+            let w: Vec<f32> = (0..len * n)
+                .map(|at| match a[at / n] == 0.0 {
+                    true => poison[at % 3],
+                    false => (at as f32 * 0.11).cos(),
+                })
+                .collect();
+            assert_skipping_gemms_match_reference((1, len, n), &a, &w);
+            // The same row as the only row of `aᵀ`'s operand: output
+            // row `i` is `a[i] * g`, so a zero leaves it `+0.0` even
+            // under a poisoned `g`.
+            let (a_row, g) = (
+                Matrix::from_vec(1, len, a.clone()),
+                Matrix::from_vec(1, n, poison.to_vec()),
+            );
+            let got = ops::matmul_transpose_a(&a_row, &g);
+            for (i, row) in got.as_slice().chunks(n).enumerate() {
+                assert_eq!(
+                    row.iter().all(|v| v.to_bits() == 0),
+                    a[i] == 0.0,
+                    "matmul_transpose_a len {len} hole {hole} row {i}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// `ops::axpy` (unrolled or SIMD) is bitwise `ops::axpy_scalar`,
     /// including NaN/±inf propagation.
@@ -179,6 +248,43 @@ proptest! {
         inject_specials(&mut a, &tags_a);
         inject_specials(&mut b, &tags_b);
         assert_gemm_forms_match_reference((m, k, n), &a, &b);
+    }
+
+    /// The zero skip is a list of positions, not a branch per element:
+    /// both skipping GEMMs stay bitwise the naive reference over rows
+    /// of `a` that are all zero, all non-zero, or mixed — `-0.0`
+    /// counting as zero and NaN as non-zero — at row lengths around
+    /// the compaction strip, with non-finite values in `b`.
+    #[test]
+    fn zero_skipping_gemms_match_reference_on_sparsity_patterns(
+        rows in 1usize..=4,
+        len_pick in 0usize..STRADDLING.len(),
+        n in 1usize..=12,
+        row_kinds in prop::collection::vec(0u8..6, 4),
+        cells in prop::collection::vec(0u8..8, 4 * STRADDLING[4]),
+        a in prop::collection::vec(-4.0f32..4.0, 4 * STRADDLING[4]),
+        b in prop::collection::vec(-4.0f32..4.0, 12 * STRADDLING[4]),
+        tags_b in prop::collection::vec(0u8..200, 12 * STRADDLING[4]),
+    ) {
+        let len = STRADDLING[len_pick];
+        let nonzero = |v: f32| if v == 0.0 { 1.0 } else { v };
+        let a: Vec<f32> = (0..rows * len)
+            .map(|at| match (row_kinds[at / len], cells[at]) {
+                // All zero, of both signs.
+                (0, cell) => [0.0, -0.0][usize::from(cell % 2)],
+                // All non-zero.
+                (1, _) => nonzero(a[at]),
+                // Mixed, about half zeros; one row kind in six also
+                // carries NaNs (a NaN poisons its whole output row).
+                (_, 0..=2) => 0.0,
+                (_, 3) => -0.0,
+                (2, 4) => f32::NAN,
+                _ => nonzero(a[at]),
+            })
+            .collect();
+        let mut b = b;
+        inject_specials(&mut b, &tags_b);
+        assert_skipping_gemms_match_reference((rows, len, n), &a, &b);
     }
 
     /// `ops::scale` is bitwise `ops::scale_scalar`.

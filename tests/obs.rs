@@ -418,6 +418,55 @@ fn host_span_structure_is_pinned_across_backends() {
 }
 
 #[test]
+fn monitored_tier_evaluation_is_one_eval_span_per_monitored_round() {
+    // Adaptive selection evaluates every tier's holdout set on the
+    // coordinator every `interval` rounds (Algorithm 2); at population
+    // scale that is most of what the engine does outside train, so it
+    // must show up as host time of its round, on every backend.
+    let cfg = tiny(72);
+    let interval = 3;
+    let request = RunRequest {
+        experiment: cfg.clone(),
+        rounds: None,
+        seed: None,
+        clients_per_round: None,
+        spec: RunSpec {
+            selection: SelectionStrategy::Adaptive {
+                config: Some(AdaptiveConfig {
+                    interval,
+                    credits_per_tier: cfg.rounds,
+                    gamma: 2.0,
+                }),
+            },
+            ..RunSpec::default()
+        },
+    };
+    // Rounds 2, 5, 8 and 11 are monitored; 2, 8 and 11 also evaluate
+    // the global model, and carry two Eval spans.
+    let session = cfg.build_session(&SessionOverrides::default());
+    let mut expected: SpanShape = Vec::new();
+    for r in 0..cfg.rounds {
+        let monitored = (r + 1).is_multiple_of(interval);
+        let spans = usize::from(session.is_eval_round(r)) + usize::from(monitored);
+        expected.extend(std::iter::repeat_n((Phase::Eval, r), spans));
+    }
+    assert_eq!(expected.len(), 7 + 4);
+
+    let lockstep = request.run_observed_with_clock(CAP, FrozenClock::shared());
+    let (base_seq, base_evals) = span_shape(&lockstep.host_spans);
+    assert_eq!(base_evals, expected, "Lockstep");
+    for threads in [1, 4] {
+        let mut event_request = request.clone();
+        event_request.spec.backend = ExecBackend::EventDriven { threads };
+        let event = event_request.run_observed_with_clock(CAP, FrozenClock::shared());
+        let (seq, evals) = span_shape(&event.host_spans);
+        assert_eq!(evals, expected, "EventDriven{{{threads}}}");
+        assert_eq!(seq, base_seq, "EventDriven{{{threads}}}");
+        assert_eq!(event.report, lockstep.report, "EventDriven{{{threads}}}");
+    }
+}
+
+#[test]
 fn profiling_never_touches_the_deterministic_surface() {
     let cfg = tiny(70);
     let spec = RunSpec {

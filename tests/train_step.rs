@@ -6,10 +6,13 @@
 //! global weights. None of that may change a bit: every step is held
 //! to a reference composed from `forward`, `backward`, `grads`,
 //! `params`, `Optimizer::step` and `set_params`, and `local_train` to
-//! digests captured at f97334c, before the step was touched.
+//! digests captured at f97334c, before the step was touched. `Relu`,
+//! whose loops are selects so that they vectorise, is held to the
+//! branching loop it replaced.
 
 use tifl::fl::client::{eval_model, local_train, ClientConfig, DpNoiseConfig, OptimizerSpec};
-use tifl::nn::{softmax_cross_entropy, Optimizer, Sequential};
+use tifl::nn::layer::Relu;
+use tifl::nn::{softmax_cross_entropy, Layer, Optimizer, Sequential};
 use tifl::obs::Digest128;
 use tifl::prelude::*;
 use tifl::tensor::Matrix;
@@ -154,5 +157,72 @@ fn eval_model_from_weights_evaluates_like_build_then_set_params() {
         );
         assert_eq!(got, want, "{spec:?}");
         assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{spec:?}");
+    }
+}
+
+/// `Relu` as it was written before its loops became selects: forward
+/// output, keep-mask, and the gradient `backward` returns for `grad`.
+fn branching_relu(x: &[f32], grad: &[f32]) -> (Vec<f32>, Vec<bool>, Vec<f32>) {
+    let mut y = x.to_vec();
+    let mut mask = Vec::with_capacity(x.len());
+    for v in &mut y {
+        let keep = *v > 0.0;
+        mask.push(keep);
+        if !keep {
+            *v = 0.0;
+        }
+    }
+    let mut dx = grad.to_vec();
+    for (g, &keep) in dx.iter_mut().zip(&mask) {
+        if !keep {
+            *g = 0.0;
+        }
+    }
+    (y, mask, dx)
+}
+
+#[test]
+fn relu_equals_the_branching_loop_bitwise_on_every_class_of_float() {
+    let subnormal = f32::from_bits(1);
+    let pool = [
+        f32::NAN,
+        -f32::NAN,
+        0.0,
+        -0.0,
+        subnormal,
+        -subnormal,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.5,
+        -1.5,
+        f32::MAX,
+        f32::MIN,
+        3.0e-5,
+        -7.25,
+    ];
+    let n = pool.len();
+    // Every (activation, gradient) pair of the pool, at every offset
+    // into a vector lane and with every remainder length.
+    for shift in 0..8 {
+        let len = n * n + shift;
+        let x: Vec<f32> = (0..len).map(|i| pool[(i + shift) % n]).collect();
+        let grad: Vec<f32> = (0..len).map(|i| pool[(i + shift) / n % n]).collect();
+        let (want_y, want_mask, want_dx) = branching_relu(&x, &grad);
+
+        let mut relu = Relu::new(len);
+        let y = relu.forward(Matrix::from_vec(1, len, x), true);
+        assert_eq!(bits(y.as_slice()), bits(&want_y), "forward, shift {shift}");
+        let dx = relu.backward(Matrix::from_vec(1, len, grad));
+        assert_eq!(
+            bits(dx.as_slice()),
+            bits(&want_dx),
+            "backward, shift {shift}"
+        );
+        // The mask itself: a gradient of ones comes back as it.
+        let ones = relu.backward(Matrix::filled(1, len, 1.0));
+        let mask: Vec<bool> = ones.as_slice().iter().map(|&g| g == 1.0).collect();
+        assert_eq!(mask, want_mask, "mask, shift {shift}");
     }
 }
