@@ -1,5 +1,5 @@
-//! Hot-kernel microbenches for the codec/fold path and the client
-//! train step, gated in CI.
+//! Hot-kernel microbenches for the codec/fold path, the client train
+//! step and run set-up, gated in CI.
 //!
 //! These are the kernels the allocation-free aggregation round spends
 //! its time in: blocked `axpy`/`scale`, decode-side
@@ -13,6 +13,12 @@
 //! too large for the branch predictor to memorise: replaying one input
 //! times a branch that never mispredicts, which no client round does.
 //!
+//! `setup/*` are the two pieces of set-up a user waits for before the
+//! first round: materialising a federated dataset (on one thread, so
+//! the gated number does not depend on the runner's cores) and §4.2
+//! profiling plus tiering of a 5 000-client population, which builds
+//! no dataset.
+//!
 //! The `calibration/axpy_scalar` entry is a host-speed probe: the perf
 //! gate divides every time by it before comparing against the
 //! checked-in `BENCH_codec_kernels.json`, so the gate measures
@@ -25,6 +31,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tifl_comm::{CodecSpec, EncodeScratch, ErrorFeedback};
+use tifl_core::experiment::{DataScenario, ExperimentConfig};
+use tifl_core::runner::Experiment;
 use tifl_data::synth::Generator;
 use tifl_data::{SynthFamily, SynthSpec};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
@@ -269,5 +277,32 @@ fn bench_train_step(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernels, bench_round, bench_train_step);
+/// What a run pays before its first round, at `tifl-benchmark`'s IID
+/// 100-samples-a-client shape.
+fn bench_setup(c: &mut Criterion) {
+    let mut cfg = ExperimentConfig::cifar10_resource_het(42);
+    cfg.data = DataScenario::Iid { per_client: 100 };
+
+    cfg.num_clients = 500;
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool builds");
+    c.bench_function("setup/materialize_iid_500x100", |b| {
+        b.iter(|| one_thread.install(|| black_box(&cfg).build_data()));
+    });
+
+    cfg.num_clients = 5000;
+    c.bench_function("setup/profile_and_tier_5000", |b| {
+        b.iter(|| black_box(&cfg).profile_and_tier());
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_round,
+    bench_train_step,
+    bench_setup
+);
 criterion_main!(benches);

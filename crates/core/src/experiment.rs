@@ -312,6 +312,12 @@ impl ExperimentConfig {
 
     // -- construction -----------------------------------------------------
 
+    /// The label partition of this config's data scenario.
+    fn partition(&self) -> Partition {
+        let classes = SynthSpec::family(self.family).classes;
+        self.data.partition(self.num_clients, classes, self.seed)
+    }
+
     /// Materialise the federated dataset for this config.
     #[must_use]
     pub fn build_data(&self) -> FederatedDataset {
@@ -320,9 +326,7 @@ impl ExperimentConfig {
             spec.style_scale = self.feature_skew;
         }
         let gen = Generator::new(spec, split_seed(self.seed, 0x6E4));
-        let part = self
-            .data
-            .partition(self.num_clients, spec.classes, self.seed);
+        let part = self.partition();
         FederatedDataset::materialize(&gen, &part, 0.1, 50, split_seed(self.seed, 0xFED))
     }
 
@@ -376,8 +380,8 @@ impl Experiment for ExperimentConfig {
         self.tiering
     }
 
-    fn build_session(&self, overrides: &SessionOverrides) -> Session {
-        let session_cfg = SessionConfig {
+    fn session_config(&self, overrides: &SessionOverrides) -> SessionConfig {
+        SessionConfig {
             model: self.model,
             client: self.client,
             clients_per_round: self.clients_per_round,
@@ -388,8 +392,19 @@ impl Experiment for ExperimentConfig {
             comm: self.comm,
             seed: split_seed(self.seed, 0x5E55),
         }
-        .with_overrides(overrides);
-        Session::new(self.build_data(), self.build_cluster(), session_cfg)
+        .with_overrides(overrides)
+    }
+
+    fn build_cluster(&self) -> Cluster {
+        Self::build_cluster(self)
+    }
+
+    fn build_data(&self) -> FederatedDataset {
+        Self::build_data(self)
+    }
+
+    fn train_sizes(&self) -> Vec<usize> {
+        self.partition().sizes()
     }
 }
 

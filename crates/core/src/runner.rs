@@ -27,7 +27,7 @@
 //!
 //! RNG streams: the selector stream is `split_seed(seed, 0x5E1EC7)`
 //! (re-keyed per re-profiling segment) and the session stream is owned
-//! by [`Experiment::build_session`]; `tests/runspec.rs` pins the
+//! by [`Experiment::session_config`]; `tests/runspec.rs` pins the
 //! resulting [`TrainingReport`] digests per scenario.
 
 use crate::baselines::DeadlineSelector;
@@ -40,13 +40,15 @@ use crate::tiering::{TierAssignment, TieringConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tifl_comm::{CodecSpec, CommSpec, HierarchySpec, LinkModel};
+use tifl_data::FederatedDataset;
 use tifl_fl::selector::{ClientSelector, RandomSelector};
-use tifl_fl::session::{AggregationMode, Session, SessionOverrides};
+use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides, TaskPricing};
 use tifl_fl::TrainingReport;
 use tifl_obs::{
     HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase, PhaseTotals, RealClock, RunObserver,
     TraceEvent, TraceRecord,
 };
+use tifl_sim::Cluster;
 use tifl_tensor::split_seed;
 
 /// Which client-selection strategy drives the run (the rows of the
@@ -232,12 +234,26 @@ impl RunSpec {
 }
 
 /// An experiment a [`Runner`] can execute: everything the canonical
-/// pipeline needs — seeds, horizons, and fresh [`Session`]s.
+/// pipeline needs — seeds, horizons, and the four pieces a run is set
+/// up from ([`session_config`], [`build_cluster`], [`build_data`],
+/// [`train_sizes`]).
 ///
 /// Implemented by [`ExperimentConfig`] and `tifl_leaf::LeafExperiment`;
 /// implement it for your own experiment type to get the whole
 /// [`RunSpec`] grid (including the profiling cache and re-profiling)
 /// for free.
+///
+/// Profiling (§4.2) needs the testbed, what a round of the model costs
+/// ([`TaskPricing`]) and how many samples each client trains on — and
+/// nothing else: [`profile_and_tier_with`] never calls [`build_data`].
+/// Only [`build_session`] does, once per run.
+///
+/// [`session_config`]: Experiment::session_config
+/// [`build_cluster`]: Experiment::build_cluster
+/// [`build_data`]: Experiment::build_data
+/// [`train_sizes`]: Experiment::train_sizes
+/// [`build_session`]: Experiment::build_session
+/// [`profile_and_tier_with`]: Experiment::profile_and_tier_with
 pub trait Experiment {
     /// Root seed; the selector stream (`0x5E1EC7`) derives from it.
     fn seed(&self) -> u64;
@@ -249,9 +265,27 @@ pub trait Experiment {
     fn profiler_config(&self) -> ProfilerConfig;
     /// Tiering parameters (`m` tiers).
     fn tiering_config(&self) -> TieringConfig;
+    /// The session configuration with `overrides` applied.
+    fn session_config(&self, overrides: &SessionOverrides) -> SessionConfig;
+    /// Build the simulated testbed (deterministic per experiment).
+    fn build_cluster(&self) -> Cluster;
+    /// Materialise the federated dataset (deterministic per
+    /// experiment) — the expensive piece of set-up.
+    fn build_data(&self) -> FederatedDataset;
+    /// Per-client training-set sizes, equal to
+    /// `self.build_data().train_sizes()` but computed from the label
+    /// plan alone: no features are generated.
+    fn train_sizes(&self) -> Vec<usize>;
+
     /// Build a fresh training session with `overrides` applied to the
     /// session configuration (deterministic per experiment).
-    fn build_session(&self, overrides: &SessionOverrides) -> Session;
+    fn build_session(&self, overrides: &SessionOverrides) -> Session {
+        Session::new(
+            self.build_data(),
+            self.build_cluster(),
+            self.session_config(overrides),
+        )
+    }
 
     /// Run the profiler over all clients and tier them (§4.2) — the one
     /// canonical implementation shared by every selection strategy.
@@ -267,14 +301,21 @@ pub trait Experiment {
     /// (links and encoded upload sizes), so a bandwidth-heterogeneous
     /// or compressed run is tiered by the latencies it will actually
     /// experience.
+    ///
+    /// Builds no dataset: every client's task is priced by the
+    /// [`TaskPricing`] a session of this configuration would use, at
+    /// its [`Experiment::train_sizes`] entry.
     #[must_use]
     fn profile_and_tier_with(
         &self,
         overrides: &SessionOverrides,
     ) -> (TierAssignment, ProfileResult) {
-        let session = self.build_session(overrides);
+        let config = self.session_config(overrides);
+        let mut cluster = self.build_cluster();
+        let sizes = self.train_sizes();
+        let pricing = TaskPricing::activate(&config, &mut cluster, sizes.len());
         let profiler = Profiler::new(self.profiler_config());
-        let result = profiler.profile(session.cluster(), |c| session.task_for(c));
+        let result = profiler.profile(&cluster, |c| pricing.task(sizes[c]));
         let assignment =
             TierAssignment::from_latencies(&result.mean_latency, &self.tiering_config());
         (assignment, result)

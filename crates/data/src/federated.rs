@@ -4,6 +4,7 @@ use crate::dataset::Dataset;
 use crate::partition::Partition;
 use crate::synth::Generator;
 use rand::seq::SliceRandom;
+use rayon::prelude::*;
 use tifl_tensor::{seed_rng, split_seed};
 
 /// One client's local data.
@@ -40,8 +41,8 @@ impl FederatedDataset {
     ///   set.
     ///
     /// # Panics
-    /// Panics if `test_fraction` is not in `[0, 1]` or a client has no
-    /// samples.
+    /// Panics if `test_fraction` is not in `[0, 1]`, a client has no
+    /// samples, or a label is not below the generator's class count.
     #[must_use]
     pub fn materialize(
         gen: &Generator,
@@ -54,42 +55,87 @@ impl FederatedDataset {
             (0.0..=1.0).contains(&test_fraction),
             "test_fraction out of range"
         );
-        let clients = partition
+        // Holdout labels: resample from the client's empirical label
+        // distribution.
+        let test_labels: Vec<Vec<usize>> = partition
             .labels
             .iter()
             .enumerate()
             .map(|(cid, labels)| {
                 assert!(!labels.is_empty(), "client {cid} has no samples");
-                let style = if gen.spec().style_scale > 0.0 {
-                    Some(gen.draw_style(cid as u64))
-                } else {
-                    None
-                };
-                let train = gen.generate_with_labels_and_style(
-                    labels,
-                    style.as_deref(),
-                    split_seed(seed, 2 * cid as u64),
-                );
-                // Holdout labels: resample from the client's empirical
-                // label distribution.
                 let n_test = ((labels.len() as f64 * test_fraction).round() as usize).max(1);
                 let mut rng = seed_rng(split_seed(seed, 0xE5C0 ^ cid as u64));
-                let test_labels: Vec<usize> = (0..n_test)
+                (0..n_test)
                     .map(|_| *labels.choose(&mut rng).expect("non-empty"))
-                    .collect();
-                let test = gen.generate_with_labels_and_style(
-                    &test_labels,
-                    style.as_deref(),
-                    split_seed(seed, 2 * cid as u64 + 1),
-                );
-                ClientData { train, test }
+                    .collect()
+            })
+            .collect();
+        Self::from_labels(
+            gen,
+            &partition.labels,
+            &test_labels,
+            global_test_per_class,
+            seed,
+        )
+    }
+
+    /// Generate the features of a label plan: client `c` trains on
+    /// `train_labels[c]` and holds out `test_labels[c]`, plus a balanced
+    /// global test set of `global_test_per_class` samples per class.
+    ///
+    /// Clients generate in parallel at the ambient rayon thread count.
+    /// Each draws from its own `split_seed` streams of `seed`, so the
+    /// result is the same at every thread count; and the plan is checked
+    /// before any thread starts, so a bad one panics here, on the
+    /// caller's thread, naming its lowest offending client.
+    ///
+    /// # Panics
+    /// Panics if the two plans differ in length, a client has no
+    /// training samples, or a label is not below the generator's class
+    /// count.
+    #[must_use]
+    pub fn from_labels(
+        gen: &Generator,
+        train_labels: &[Vec<usize>],
+        test_labels: &[Vec<usize>],
+        global_test_per_class: usize,
+        seed: u64,
+    ) -> Self {
+        let classes = gen.spec().classes;
+        assert_eq!(
+            train_labels.len(),
+            test_labels.len(),
+            "one holdout plan per client"
+        );
+        for (cid, (train, test)) in train_labels.iter().zip(test_labels).enumerate() {
+            assert!(!train.is_empty(), "client {cid} has no samples");
+            for &label in train.iter().chain(test) {
+                assert!(label < classes, "client {cid}: label {label} out of range");
+            }
+        }
+        let client_ids: Vec<usize> = (0..train_labels.len()).collect();
+        let clients = client_ids
+            .par_iter()
+            .map(|&cid| {
+                let style = (gen.spec().style_scale > 0.0).then(|| gen.draw_style(cid as u64));
+                let generate = |labels: &[usize], stream: u64| {
+                    gen.generate_with_labels_and_style(
+                        labels,
+                        style.as_deref(),
+                        split_seed(seed, stream),
+                    )
+                };
+                ClientData {
+                    train: generate(&train_labels[cid], 2 * cid as u64),
+                    test: generate(&test_labels[cid], 2 * cid as u64 + 1),
+                }
             })
             .collect();
         let global_test = gen.generate_balanced(global_test_per_class, split_seed(seed, 0x6E57));
         Self {
             clients,
             global_test,
-            classes: partition.classes,
+            classes,
         }
     }
 

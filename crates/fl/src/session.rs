@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tifl_comm::{CodecSpec, CommSpec, EncodeScratch, ErrorFeedback};
 use tifl_data::FederatedDataset;
-use tifl_nn::model::EvalResult;
+use tifl_nn::model::{EvalResult, Sequential};
 use tifl_nn::models::ModelSpec;
 use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent, TraceSink};
 use tifl_sim::latency::TrainingTask;
@@ -120,6 +120,85 @@ impl SessionConfig {
     }
 }
 
+/// What a round costs a client apart from its sample count — local
+/// epochs, the model's FLOPs per sample, the dense update size and the
+/// codec's upload size — over a cluster whose links the comm spec has
+/// been installed on.
+///
+/// This is everything §4.2 profiling needs besides the per-client
+/// training-set sizes, and none of it depends on data:
+/// [`Session::new`] prices its rounds with it, and
+/// `tifl_core::runner::Experiment::profile_and_tier_with` profiles with
+/// it without building a dataset.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskPricing {
+    /// The task of a client with no samples.
+    unit: TrainingTask,
+}
+
+impl TaskPricing {
+    /// Price a round of `config`'s model for a population of `clients`
+    /// and activate the communication subsystem on `cluster`: the
+    /// spec's per-client links are installed (every latency path —
+    /// rounds, profiling, deadlines — sees them) and the encoded upload
+    /// is priced once (wire sizes are data-independent).
+    ///
+    /// # Panics
+    /// Panics if the cluster has fewer devices than `clients`, or
+    /// `config.clients_per_round` exceeds `clients`.
+    #[must_use]
+    pub fn activate(config: &SessionConfig, cluster: &mut Cluster, clients: usize) -> Self {
+        Self::with_template(config, cluster, clients).0
+    }
+
+    /// [`TaskPricing::activate`], handing back the model it built so
+    /// [`Session::new`] initialises the global weights from the same one.
+    fn with_template(
+        config: &SessionConfig,
+        cluster: &mut Cluster,
+        clients: usize,
+    ) -> (Self, Sequential) {
+        assert!(
+            cluster.num_devices() >= clients,
+            "cluster has {} devices for {clients} clients",
+            cluster.num_devices(),
+        );
+        assert!(
+            config.clients_per_round <= clients,
+            "clients_per_round exceeds client count"
+        );
+        let template = config.model.build(config.seed);
+        let upload_bytes = config.comm.map(|spec| {
+            let device_bps: Vec<f64> = (0..cluster.num_devices())
+                .map(|d| cluster.device(d).bandwidth_bps)
+                .collect();
+            let links = spec
+                .link
+                .materialize(&device_bps, split_seed(config.seed, 0xC033));
+            cluster.set_links(links.into_links());
+            spec.codec.encoded_bytes(template.param_count())
+        });
+        let unit = TrainingTask {
+            samples: 0,
+            epochs: config.client.local_epochs,
+            flops_per_sample: template.flops_per_sample(),
+            update_bytes: template.update_bytes(),
+            upload_bytes,
+        };
+        (Self { unit }, template)
+    }
+
+    /// The training task of a client holding `samples` training samples
+    /// (feeds the latency model and the profiler).
+    #[must_use]
+    pub fn task(&self, samples: usize) -> TrainingTask {
+        TrainingTask {
+            samples,
+            ..self.unit
+        }
+    }
+}
+
 /// One fully simulated round, before any local training has happened.
 ///
 /// Everything here derives from the latency/dropout models and the
@@ -152,11 +231,7 @@ pub struct Session {
     config: SessionConfig,
     global: ParamVec,
     clock: VirtualClock,
-    flops_per_sample: u64,
-    update_bytes: u64,
-    /// Exact wire size of one encoded client upload (`None` without a
-    /// comm spec: uncompressed, `update_bytes` both ways).
-    upload_bytes: Option<u64>,
+    pricing: TaskPricing,
     round: u64,
     /// Reusable encode/fold buffers: at steady state a round's
     /// aggregation path allocates nothing.
@@ -180,50 +255,29 @@ pub struct Session {
 impl Session {
     /// Create a session; initialises global weights from `config.seed`.
     ///
+    /// Topology checks, model cost and comm activation are
+    /// [`TaskPricing::activate`]'s — the same call data-free profiling
+    /// makes — so a profile taken without a session prices every task
+    /// exactly as this session's rounds will.
+    ///
     /// # Panics
     /// Panics if the cluster is smaller than the client count, or the
     /// model's input width does not match the data.
     #[must_use]
     pub fn new(data: FederatedDataset, mut cluster: Cluster, config: SessionConfig) -> Self {
-        assert!(
-            cluster.num_devices() >= data.num_clients(),
-            "cluster has {} devices for {} clients",
-            cluster.num_devices(),
-            data.num_clients()
-        );
-        assert!(
-            config.clients_per_round <= data.num_clients(),
-            "clients_per_round exceeds client count"
-        );
+        let (pricing, template) =
+            TaskPricing::with_template(&config, &mut cluster, data.num_clients());
         assert_eq!(
             config.model.input_features(),
             data.global_test.features(),
             "model input width does not match dataset features"
         );
-        let template = config.model.build(config.seed);
-        let global = template.params();
-        // Activate the communication subsystem: install the spec's
-        // per-client links on the cluster (every latency path — rounds,
-        // profiling, deadlines — sees them) and price the encoded
-        // upload once (wire sizes are data-independent).
-        let upload_bytes = config.comm.map(|spec| {
-            let device_bps: Vec<f64> = (0..cluster.num_devices())
-                .map(|d| cluster.device(d).bandwidth_bps)
-                .collect();
-            let links = spec
-                .link
-                .materialize(&device_bps, split_seed(config.seed, 0xC033));
-            cluster.set_links(links.into_links());
-            spec.codec.encoded_bytes(global.len())
-        });
         Self {
-            flops_per_sample: template.flops_per_sample(),
-            update_bytes: template.update_bytes(),
-            upload_bytes,
+            pricing,
             data: Arc::new(data),
             cluster,
             config,
-            global,
+            global: template.params(),
             clock: VirtualClock::new(),
             round: 0,
             codec_scratch: EncodeScratch::new(),
@@ -311,7 +365,7 @@ impl Session {
         let tmax = self.config.tmax_sec;
         let eval = self.is_eval_round(plan.round);
         let wire_bytes = self.upload_wire_bytes();
-        let bytes_down = self.update_bytes * plan.selected.len() as u64;
+        let bytes_down = self.download_wire_bytes() * plan.selected.len() as u64;
         let t0 = self.clock.now();
         schedule_plan_events(plan, first_k, tmax, &mut self.trace_scratch);
         let Some(observer) = self.observer.as_mut() else {
@@ -428,27 +482,21 @@ impl Session {
     /// latency model and the profiler).
     #[must_use]
     pub fn task_for(&self, c: usize) -> TrainingTask {
-        TrainingTask {
-            samples: self.data.clients[c].train.len(),
-            epochs: self.config.client.local_epochs,
-            flops_per_sample: self.flops_per_sample,
-            update_bytes: self.update_bytes,
-            upload_bytes: self.upload_bytes,
-        }
+        self.pricing.task(self.data.clients[c].train.len())
     }
 
     /// Bytes one client uploads per round: the codec's exact wire size,
     /// or the dense `update_bytes` when no comm spec is active.
     #[must_use]
     pub fn upload_wire_bytes(&self) -> u64 {
-        self.upload_bytes.unwrap_or(self.update_bytes)
+        self.pricing.unit.upload()
     }
 
     /// Bytes one client downloads per round (the full-precision global
     /// model).
     #[must_use]
     pub fn download_wire_bytes(&self) -> u64 {
-        self.update_bytes
+        self.pricing.unit.update_bytes
     }
 
     /// Evaluate the global model on the balanced global test set.
@@ -605,7 +653,7 @@ impl Session {
                     + tree.aggregation_latency_encoded(
                         contributors.len(),
                         self.upload_wire_bytes(),
-                        self.update_bytes,
+                        self.download_wire_bytes(),
                     )
             }
             None => latency,
@@ -694,7 +742,7 @@ impl Session {
             // Every selected client downloads the global model; every
             // aggregated contributor's (encoded) update crossed the
             // uplink. Both derive from the plan alone.
-            bytes_down: self.update_bytes * selected.len() as u64,
+            bytes_down: self.download_wire_bytes() * selected.len() as u64,
             bytes_up: self.upload_wire_bytes() * contributors.len() as u64,
             selected,
             aggregated: contributors,

@@ -4,8 +4,7 @@ use rand::distributions::WeightedIndex;
 use rand::prelude::*;
 use rand_distr::LogNormal;
 use serde::{Deserialize, Serialize};
-use tifl_data::dataset::Dataset;
-use tifl_data::federated::{ClientData, FederatedDataset};
+use tifl_data::federated::FederatedDataset;
 use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
 use tifl_tensor::{seed_rng, split_seed};
 
@@ -44,6 +43,25 @@ impl Default for LeafDataConfig {
     }
 }
 
+/// Writer `w`'s plan stream, and the training-sample count that is its
+/// first draw: `n_w ~ LogNormal(ln median, sigma)`, clipped below.
+fn writer_stream(config: &LeafDataConfig, seed: u64, w: usize) -> (StdRng, usize) {
+    let count_dist = LogNormal::new((config.median_samples as f64).ln(), config.quantity_sigma)
+        .expect("valid lognormal");
+    let mut rng = seed_rng(split_seed(seed, 0x11F ^ w as u64));
+    let n = (count_dist.sample(&mut rng) as usize).max(config.min_samples);
+    (rng, n)
+}
+
+/// Per-writer training-set sizes of [`build_femnist`]`(config, seed)`,
+/// without generating anything else.
+#[must_use]
+pub fn femnist_train_sizes(config: &LeafDataConfig, seed: u64) -> Vec<usize> {
+    (0..config.num_clients)
+        .map(|w| writer_stream(config, seed, w).1)
+        .collect()
+}
+
 /// Generate the FEMNIST-like federated dataset.
 ///
 /// Per writer `w`:
@@ -53,24 +71,27 @@ impl Default for LeafDataConfig {
 /// * a style offset added to every sample (feature skew);
 /// * labels drawn from the writer's class distribution.
 ///
+/// The label plans are drawn serially, writer by writer; the features
+/// generate in parallel ([`FederatedDataset::from_labels`]).
+///
 /// # Panics
-/// Panics if `num_clients == 0`.
+/// Panics if `num_clients == 0`, `test_fraction` is not in `[0, 1]`, or
+/// a writer ends up with no samples (`min_samples == 0`).
 #[must_use]
 pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
     assert!(config.num_clients > 0, "need at least one client");
+    assert!(
+        (0.0..=1.0).contains(&config.test_fraction),
+        "test_fraction out of range"
+    );
     let spec = SynthSpec::family(SynthFamily::Femnist);
     let gen = Generator::new(spec, split_seed(seed, 0xFE31));
     let classes = spec.classes;
 
-    let count_dist = LogNormal::new((config.median_samples as f64).ln(), config.quantity_sigma)
-        .expect("valid lognormal");
-
-    let clients: Vec<ClientData> = (0..config.num_clients)
+    let (train_labels, test_labels): (Vec<Vec<usize>>, Vec<Vec<usize>>) = (0..config.num_clients)
         .map(|w| {
-            let mut rng = seed_rng(split_seed(seed, 0x11F ^ w as u64));
-
             // Quantity heterogeneity.
-            let n = (count_dist.sample(&mut rng) as usize).max(config.min_samples);
+            let (mut rng, n) = writer_stream(config, seed, w);
 
             // Class subset + skewed proportions.
             let (lo, hi) = config.classes_per_writer;
@@ -87,36 +108,25 @@ pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
             let n_test = ((n as f64 * config.test_fraction).round() as usize).max(1);
             let test_labels: Vec<usize> =
                 (0..n_test).map(|_| subset[dist.sample(&mut rng)]).collect();
-
-            // Feature skew: per-writer style.
-            let style = gen.draw_style(w as u64);
-            let train = gen.generate_with_labels_and_style(
-                &labels,
-                Some(&style),
-                split_seed(seed, 2 * w as u64),
-            );
-            let test = gen.generate_with_labels_and_style(
-                &test_labels,
-                Some(&style),
-                split_seed(seed, 2 * w as u64 + 1),
-            );
-            ClientData { train, test }
+            (labels, test_labels)
         })
-        .collect();
+        .unzip();
 
-    let global_test: Dataset =
-        gen.generate_balanced(config.global_test_per_class, split_seed(seed, 0x6E57));
-
-    FederatedDataset {
-        clients,
-        global_test,
-        classes,
-    }
+    // Feature skew: the Femnist spec's `style_scale` gives every writer
+    // a style offset.
+    FederatedDataset::from_labels(
+        &gen,
+        &train_labels,
+        &test_labels,
+        config.global_test_per_class,
+        seed,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tifl_data::dataset::Dataset;
 
     fn small() -> LeafDataConfig {
         LeafDataConfig {

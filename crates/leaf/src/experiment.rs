@@ -1,10 +1,11 @@
 //! The LEAF/FEMNIST experiment runner (§5.2.6, Fig. 9).
 
-use crate::dataset::{build_femnist, LeafDataConfig};
+use crate::dataset::{build_femnist, femnist_train_sizes, LeafDataConfig};
 use serde::{Deserialize, Serialize};
 use tifl_core::profiler::ProfilerConfig;
 use tifl_core::runner::Experiment;
 use tifl_core::tiering::TieringConfig;
+use tifl_data::FederatedDataset;
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides};
 use tifl_fl::ClientConfig;
 use tifl_nn::models::ModelSpec;
@@ -121,6 +122,11 @@ impl LeafExperiment {
         Cluster::new(&cfg)
     }
 
+    /// Seed of the data stream (`build_femnist`, `femnist_train_sizes`).
+    fn data_seed(&self) -> u64 {
+        split_seed(self.seed, 0xFED)
+    }
+
     /// Build a fresh training session.
     #[must_use]
     pub fn make_session(&self) -> Session {
@@ -149,9 +155,8 @@ impl Experiment for LeafExperiment {
         self.tiering
     }
 
-    fn build_session(&self, overrides: &SessionOverrides) -> Session {
-        let fed = build_femnist(&self.data, split_seed(self.seed, 0xFED));
-        let session_cfg = SessionConfig {
+    fn session_config(&self, overrides: &SessionOverrides) -> SessionConfig {
+        SessionConfig {
             model: self.model,
             client: self.client,
             clients_per_round: self.clients_per_round,
@@ -162,8 +167,19 @@ impl Experiment for LeafExperiment {
             comm: None,
             seed: split_seed(self.seed, 0x5E55),
         }
-        .with_overrides(overrides);
-        Session::new(fed, self.build_cluster(), session_cfg)
+        .with_overrides(overrides)
+    }
+
+    fn build_cluster(&self) -> Cluster {
+        Self::build_cluster(self)
+    }
+
+    fn build_data(&self) -> FederatedDataset {
+        build_femnist(&self.data, self.data_seed())
+    }
+
+    fn train_sizes(&self) -> Vec<usize> {
+        femnist_train_sizes(&self.data, self.data_seed())
     }
 }
 

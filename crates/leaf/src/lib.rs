@@ -19,5 +19,5 @@
 pub mod dataset;
 pub mod experiment;
 
-pub use dataset::{build_femnist, LeafDataConfig};
+pub use dataset::{build_femnist, femnist_train_sizes, LeafDataConfig};
 pub use experiment::LeafExperiment;

@@ -104,7 +104,7 @@ pub mod prelude {
     pub use tifl_fl::report::{ReportSummary, RoundReport, TrainingReport};
     pub use tifl_fl::selector::{ClientSelector, RandomSelector};
     pub use tifl_fl::session::{
-        AggregationMode, RoundPlan, Session, SessionConfig, SessionOverrides,
+        AggregationMode, RoundPlan, Session, SessionConfig, SessionOverrides, TaskPricing,
     };
     pub use tifl_fl::timeline::{RoundTimeline, TimelineEvent};
     pub use tifl_leaf::{LeafDataConfig, LeafExperiment};

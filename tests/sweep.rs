@@ -230,6 +230,28 @@ fn failed_runs_do_not_sink_the_sweep() {
 }
 
 #[test]
+fn a_cell_that_dies_in_a_parallel_section_reports_its_own_panic() {
+    // An infinite feature skew is rejected where the first client's
+    // style is drawn: inside materialisation's parallel section. One
+    // worker owns every core, so its cell materialises in parallel and
+    // the panic crosses the rayon shim's threads; two workers on a
+    // two-core host materialise serially. The stored message must be
+    // the panic's own either way, not `thread::scope`'s.
+    let mut cfg = small_resource_het(7, 3);
+    cfg.feature_skew = f32::INFINITY;
+    let runs = SweepManifest::new(cfg).expand();
+    for workers in [1, 2] {
+        let sweep = SweepScheduler::new(workers).execute(&runs, None, false);
+        assert_eq!(sweep.failed(), 1, "{workers} workers");
+        let message = &sweep.failures()[0].2;
+        assert!(
+            message.contains("valid normal"),
+            "{workers} workers: {message}"
+        );
+    }
+}
+
+#[test]
 fn sweep_builder_runs_comm_and_aggregation_axes() {
     // A cross of lossy codecs and aggregation modes — cells the legacy
     // figure loops never expressed — all through one builder chain.
