@@ -1,98 +1,196 @@
-//! Experiment-harness support for the per-figure binaries.
+//! The paper driver: every table and figure of the paper's evaluation,
+//! by id.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin` (see DESIGN.md §4 for the index). Binaries accept:
+//! `paper <id> [--rounds N] [--seed S] [--json PATH]` (see [`run`]):
 //!
+//! * `<id>` — one of [`FIGURES`] (`fig3`, `table2`, `baselines`, …; the
+//!   README maps each id to its paper figure and scenario);
 //! * `--rounds N` — override the number of global rounds (paper-scale
 //!   defaults can take minutes; `--rounds 100` gives quick shape checks);
 //! * `--seed S` — change the root seed;
 //! * `--json PATH` — additionally dump the raw series as JSON.
+//!
+//! Every training figure is a list of [`RunRequest`]s handed to the
+//! sweep scheduler (`run_all`), so its curves run in parallel across
+//! the host's cores, share one profiling pass per topology, and are
+//! the same requests `tifl run --spec` and `tifl sweep` execute.
 //!
 //! All "time" columns are **virtual seconds** from the simulated
 //! testbed.
 
 #![forbid(unsafe_code)]
 
-use serde::Serialize;
-use std::fmt::Write as _;
-use tifl_fl::TrainingReport;
+mod figures;
 
-/// Command-line arguments shared by all harness binaries.
+pub use figures::FIGURES;
+
+use serde::Serialize;
+use std::io::{self, Write};
+use tifl_core::experiment::ExperimentConfig;
+use tifl_core::runner::{RunRequest, RunSpec};
+use tifl_fl::TrainingReport;
+use tifl_sweep::{KeyedRun, RunKey, SweepScheduler};
+
+/// A figure: prints its tables to the writer and dumps its series.
+pub type Figure = fn(&HarnessArgs, &mut dyn Write) -> io::Result<()>;
+
+/// Run the driver on `argv` (the arguments after the program name),
+/// printing the figure to `out`.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] with a usage message listing the
+/// valid ids for an unknown id or a malformed flag; otherwise whatever
+/// writing to `out` or to the `--json` path returned.
+///
+/// # Panics
+/// Panics if a training run of the figure fails — a partially plotted
+/// figure is a bug.
+pub fn run(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
+    let (id, args) = HarnessArgs::parse(argv)?;
+    let (_, figure) = FIGURES
+        .iter()
+        .find(|(name, _)| *name == id)
+        .ok_or_else(|| usage(&format!("unknown id `{id}`")))?;
+    figure(&args, out)
+}
+
+fn usage(problem: &str) -> io::Error {
+    let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{problem}\nusage: paper <id> [--rounds N] [--seed S] [--json PATH]\nids: {}",
+            ids.join(" ")
+        ),
+    )
+}
+
+/// The flags every figure accepts.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessArgs {
     /// Override for the round count.
-    pub rounds: Option<u64>,
+    rounds: Option<u64>,
     /// Override for the root seed.
-    pub seed: Option<u64>,
+    seed: Option<u64>,
     /// Optional JSON dump path.
-    pub json: Option<String>,
+    json: Option<String>,
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics with a usage message on malformed arguments.
-    #[must_use]
-    pub fn parse() -> Self {
+    /// Split `argv` into the figure id and the flags.
+    fn parse(argv: &[String]) -> io::Result<(&str, Self)> {
+        let mut args = argv.iter();
+        let id = args.next().ok_or_else(|| usage("missing figure id"))?;
         let mut out = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--rounds" => {
-                    let v = args.next().expect("--rounds needs a value");
-                    out.rounds = Some(v.parse().expect("--rounds must be an integer"));
-                }
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    out.seed = Some(v.parse().expect("--seed must be an integer"));
-                }
-                "--json" => {
-                    out.json = Some(args.next().expect("--json needs a path"));
-                }
-                other => panic!("unknown argument `{other}` (expected --rounds/--seed/--json)"),
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| usage(&format!("{flag} needs a value")))
+            };
+            let integer = |v: &String| {
+                v.parse()
+                    .map_err(|_| usage(&format!("{flag} must be an integer, got `{v}`")))
+            };
+            match flag.as_str() {
+                "--rounds" => out.rounds = Some(integer(value()?)?),
+                "--seed" => out.seed = Some(integer(value()?)?),
+                "--json" => out.json = Some(value()?.clone()),
+                other => return Err(usage(&format!("unknown argument `{other}`"))),
             }
         }
-        out
+        Ok((id, out))
     }
 
-    /// Round count to use given a paper-scale default.
-    #[must_use]
-    pub fn rounds_or(&self, default: u64) -> u64 {
-        self.rounds.unwrap_or(default)
+    /// The root seed (default 42).
+    fn seed(&self) -> u64 {
+        self.seed.unwrap_or(42)
     }
 
-    /// Seed to use given a default.
-    #[must_use]
-    pub fn seed_or(&self, default: u64) -> u64 {
-        self.seed.unwrap_or(default)
+    /// A preset at this seed, its horizon cut to `--rounds` if given.
+    fn preset(&self, preset: impl Fn(u64) -> ExperimentConfig) -> ExperimentConfig {
+        let mut cfg = preset(self.seed());
+        cfg.rounds = self.rounds.unwrap_or(cfg.rounds);
+        cfg
     }
 
-    /// Write `value` as pretty JSON to the `--json` path, if given.
-    pub fn maybe_dump_json<T: Serialize>(&self, value: &T) {
+    /// The resource-heterogeneous CIFAR-10 setup at the figure's own
+    /// default horizon — the base of most extension tables.
+    fn resource_het(&self, rounds: u64) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::cifar10_resource_het(self.seed());
+        cfg.rounds = self.rounds.unwrap_or(rounds);
+        cfg
+    }
+
+    /// Write `value` as pretty JSON to the `--json` path, if given; a
+    /// failed write's error names the path.
+    fn maybe_dump_json<T: Serialize>(&self, value: &T) -> io::Result<()> {
         if let Some(path) = &self.json {
             let s = serde_json::to_string_pretty(value).expect("serialisable");
-            std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            std::fs::write(path, s)
+                .map_err(|e| io::Error::new(e.kind(), format!("writing {path}: {e}")))?;
             eprintln!("wrote raw series to {path}");
         }
+        Ok(())
     }
+}
+
+/// `spec` over `cfg` as a self-contained request.
+fn request(cfg: &ExperimentConfig, spec: RunSpec) -> RunRequest {
+    RunRequest {
+        experiment: cfg.clone(),
+        rounds: None,
+        seed: None,
+        clients_per_round: None,
+        spec,
+    }
+}
+
+/// Execute `requests` on the sweep scheduler — in parallel across the
+/// host's cores, one profiling pass per topology — and return their
+/// reports in request order.
+fn run_all(requests: Vec<RunRequest>) -> Vec<TrainingReport> {
+    let runs: Vec<KeyedRun> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(index, request)| KeyedRun {
+            index,
+            key: RunKey::of(&request),
+            request,
+        })
+        .collect();
+    SweepScheduler::new(0)
+        .execute(&runs, None, false)
+        .into_reports()
+}
+
+/// Every spec over every config: one row of outcomes per config, in
+/// spec order.
+fn grid(cfgs: &[ExperimentConfig], specs: &[RunSpec]) -> Vec<Vec<PolicyOutcome>> {
+    let requests = cfgs
+        .iter()
+        .flat_map(|cfg| specs.iter().map(|spec| request(cfg, spec.clone())))
+        .collect();
+    run_all(requests)
+        .chunks(specs.len())
+        .map(|row| row.iter().map(PolicyOutcome::from).collect())
+        .collect()
 }
 
 /// A labelled experiment outcome used by the tabular printers.
 #[derive(Debug, Clone, Serialize)]
-pub struct PolicyOutcome {
+struct PolicyOutcome {
     /// Policy name.
-    pub policy: String,
+    policy: String,
     /// Total virtual training time (seconds).
-    pub total_time: f64,
+    total_time: f64,
     /// Final global accuracy.
-    pub final_accuracy: f64,
+    final_accuracy: f64,
     /// Best global accuracy seen.
-    pub best_accuracy: f64,
+    best_accuracy: f64,
     /// `(round, accuracy)` curve.
-    pub accuracy_over_rounds: Vec<(u64, f64)>,
+    accuracy_over_rounds: Vec<(u64, f64)>,
     /// `(virtual time, accuracy)` curve.
-    pub accuracy_over_time: Vec<(f64, f64)>,
+    accuracy_over_time: Vec<(f64, f64)>,
 }
 
 impl From<&TrainingReport> for PolicyOutcome {
@@ -109,97 +207,103 @@ impl From<&TrainingReport> for PolicyOutcome {
 }
 
 /// Print a figure/table header.
-pub fn header(id: &str, caption: &str) {
-    println!("\n== {id} — {caption} ==");
+fn header(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
+    writeln!(out, "\n== {id} — {caption} ==")
 }
 
-/// Print the training-time bar chart (Figs. 3a/b, 5a/b, 6a/b, 7a, 9a):
-/// one row per policy with total virtual training time.
-pub fn print_time_bars(outcomes: &[PolicyOutcome]) {
-    println!("{:<10} {:>16}", "policy", "train time [s]");
-    for o in outcomes {
-        println!("{:<10} {:>16.0}", o.policy, o.total_time);
+/// Print one table row: `label`, then `cells`, each padded to its
+/// entry of `widths` and separated by single spaces. A positive width
+/// right-aligns, a negative one left-aligns; the last width repeats
+/// for any further cells.
+fn row<C: AsRef<str>>(
+    out: &mut dyn Write,
+    widths: &[i32],
+    label: impl std::fmt::Display,
+    cells: impl IntoIterator<Item = C>,
+) -> io::Result<()> {
+    let pad = |width: i32, cell: &str| match width.unsigned_abs() as usize {
+        n if width < 0 => format!("{cell:<n$}"),
+        n => format!("{cell:>n$}"),
+    };
+    let mut line = pad(widths[0], &label.to_string());
+    for (cell, i) in cells.into_iter().zip(1..) {
+        line.push(' ');
+        line += &pad(widths[i.min(widths.len() - 1)], cell.as_ref());
     }
+    writeln!(out, "{line}")
+}
+
+/// `x` to `precision` decimals — a numeric table cell.
+fn fx(x: f64, precision: usize) -> String {
+    format!("{x:.precision$}")
+}
+
+/// An accuracy cell of a curve table (`-` where the curve has no point).
+fn accuracy_cell(accuracy: Option<f64>) -> String {
+    accuracy.map_or("-".into(), |a| fx(a, 3))
+}
+
+/// Print the training-time bar chart (Figs. 3a/b, 5a/b, 6a/b, 9a): one
+/// row per policy with total virtual training time.
+fn print_time_bars(out: &mut dyn Write, outcomes: &[PolicyOutcome]) -> io::Result<()> {
+    row(out, &[-10, 16], "policy", ["train time [s]"])?;
+    for o in outcomes {
+        row(out, &[-10, 16], &o.policy, [fx(o.total_time, 0)])?;
+    }
+    Ok(())
 }
 
 /// Print accuracy-over-rounds curves side by side, sampled every
 /// `stride` evaluation points (Figs. 3c/d, 4, 5c/d, 8, 9b).
-pub fn print_accuracy_over_rounds(outcomes: &[PolicyOutcome], stride: usize) {
-    let mut line = format!("{:>7}", "round");
-    for o in outcomes {
-        let _ = write!(line, " {:>9}", truncate(&o.policy, 9));
-    }
-    println!("{line}");
-
-    let longest = outcomes
-        .iter()
-        .map(|o| o.accuracy_over_rounds.len())
-        .max()
-        .unwrap_or(0);
+fn print_accuracy_over_rounds(
+    out: &mut dyn Write,
+    outcomes: &[PolicyOutcome],
+    stride: usize,
+) -> io::Result<()> {
+    let names = outcomes.iter().map(|o| truncate(&o.policy, 9));
+    row(out, &[7, 9], "round", names)?;
+    let curves = || outcomes.iter().map(|o| &o.accuracy_over_rounds);
+    let longest = curves().map(Vec::len).max().unwrap_or(0);
     for i in (0..longest).step_by(stride.max(1)) {
-        let round = outcomes
-            .iter()
-            .find_map(|o| o.accuracy_over_rounds.get(i).map(|&(r, _)| r));
-        let Some(round) = round else { continue };
-        let mut line = format!("{round:>7}");
-        for o in outcomes {
-            match o.accuracy_over_rounds.get(i) {
-                Some(&(_, a)) => {
-                    let _ = write!(line, " {a:>9.3}");
-                }
-                None => {
-                    let _ = write!(line, " {:>9}", "-");
-                }
-            }
-        }
-        println!("{line}");
+        let Some(round) = curves().find_map(|c| c.get(i).map(|&(r, _)| r)) else {
+            continue;
+        };
+        let point = |c: &Vec<(u64, f64)>| accuracy_cell(c.get(i).map(|&(_, a)| a));
+        row(out, &[7, 9], round, curves().map(point))?;
     }
+    Ok(())
 }
 
 /// Print accuracy-over-virtual-time curves (Figs. 3e/f, 6e/f): for a set
 /// of common time checkpoints, the accuracy each policy had reached.
-pub fn print_accuracy_over_time(outcomes: &[PolicyOutcome], checkpoints: usize) {
+fn print_accuracy_over_time(
+    out: &mut dyn Write,
+    outcomes: &[PolicyOutcome],
+    checkpoints: usize,
+) -> io::Result<()> {
     let t_max = outcomes.iter().map(|o| o.total_time).fold(0.0f64, f64::max);
-    let mut line = format!("{:>12}", "time [s]");
-    for o in outcomes {
-        let _ = write!(line, " {:>9}", truncate(&o.policy, 9));
-    }
-    println!("{line}");
+    let names = outcomes.iter().map(|o| truncate(&o.policy, 9));
+    row(out, &[12, 9], "time [s]", names)?;
     for i in 1..=checkpoints {
         let t = t_max * i as f64 / checkpoints as f64;
-        let mut line = format!("{t:>12.0}");
-        for o in outcomes {
-            let acc = o
-                .accuracy_over_time
-                .iter()
-                .take_while(|&&(tt, _)| tt <= t)
-                .map(|&(_, a)| a)
-                .last();
-            match acc {
-                Some(a) => {
-                    let _ = write!(line, " {a:>9.3}");
-                }
-                None => {
-                    let _ = write!(line, " {:>9}", "-");
-                }
-            }
-        }
-        println!("{line}");
+        let reached = |o: &PolicyOutcome| {
+            let so_far = o.accuracy_over_time.iter().take_while(|&&(tt, _)| tt <= t);
+            accuracy_cell(so_far.map(|&(_, a)| a).last())
+        };
+        row(out, &[12, 9], fx(t, 0), outcomes.iter().map(reached))?;
     }
+    Ok(())
 }
 
 /// Print a summary row per policy: time, final and best accuracy.
-pub fn print_summary(outcomes: &[PolicyOutcome]) {
-    println!(
-        "{:<10} {:>14} {:>11} {:>11}",
-        "policy", "time [s]", "final acc", "best acc"
-    );
+fn print_summary(out: &mut dyn Write, outcomes: &[PolicyOutcome]) -> io::Result<()> {
+    const W: [i32; 4] = [-10, 14, 11, 11];
+    row(out, &W, "policy", ["time [s]", "final acc", "best acc"])?;
     for o in outcomes {
-        println!(
-            "{:<10} {:>14.0} {:>11.3} {:>11.3}",
-            o.policy, o.total_time, o.final_accuracy, o.best_accuracy
-        );
+        let (last, best) = (fx(o.final_accuracy, 3), fx(o.best_accuracy, 3));
+        row(out, &W, &o.policy, [fx(o.total_time, 0), last, best])?;
     }
+    Ok(())
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -253,10 +357,13 @@ mod tests {
     #[test]
     fn printers_do_not_panic() {
         let os = vec![outcome("vanilla"), outcome("uniform")];
-        print_time_bars(&os);
-        print_accuracy_over_rounds(&os, 1);
-        print_accuracy_over_time(&os, 4);
-        print_summary(&os);
+        let mut out = Vec::new();
+        print_time_bars(&mut out, &os).unwrap();
+        print_accuracy_over_rounds(&mut out, &os, 1).unwrap();
+        print_accuracy_over_time(&mut out, &os, 4).unwrap();
+        print_summary(&mut out, &os).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("train time [s]") && text.contains("0.800"));
     }
 
     #[test]

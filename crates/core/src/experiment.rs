@@ -1,8 +1,8 @@
 //! Ready-made experiment configurations reproducing the setups of §5.1.
 //!
 //! An [`ExperimentConfig`] bundles dataset family, partition scenario,
-//! hardware profile, model and hyper-parameters; the bench binaries and
-//! examples build one, then compose runs through the
+//! hardware profile, model and hyper-parameters; the `paper` driver and
+//! the examples build one, then compose runs through the
 //! [`crate::runner::Runner`] it hands out via
 //! [`crate::runner::Experiment::runner`]
 //! (`cfg.runner().policy(&p).run()`, `cfg.runner().adaptive(None).run()`
@@ -22,7 +22,7 @@ use crate::tiering::TieringConfig;
 use serde::{Deserialize, Serialize};
 use tifl_data::partition::{self, Partition};
 use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
-use tifl_data::FederatedDataset;
+use tifl_data::{build_femnist, femnist_train_sizes, FederatedDataset, LeafDataConfig};
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides};
 use tifl_fl::ClientConfig;
 use tifl_nn::models::ModelSpec;
@@ -69,14 +69,21 @@ pub enum DataScenario {
         /// Classes per client.
         k: usize,
     },
+    /// LEAF's FEMNIST split (§5.2.6): one client per *writer*, each
+    /// with its own sample count, class subset and style; the
+    /// experiment's `num_clients` is the writer count.
+    FemnistWriters(LeafDataConfig),
 }
 
 impl DataScenario {
-    /// Generate the label partition for `clients` clients.
+    /// Generate the label partition for `clients` clients. `None` for
+    /// [`DataScenario::FemnistWriters`], which is not a partition of a
+    /// shared label pool: every writer plans its own holdout as well
+    /// ([`tifl_data::build_femnist`]).
     #[must_use]
-    pub fn partition(&self, clients: usize, classes: usize, seed: u64) -> Partition {
+    pub fn partition(&self, clients: usize, classes: usize, seed: u64) -> Option<Partition> {
         let mut rng = seed_rng(split_seed(seed, 0xDA7A));
-        match *self {
+        Some(match *self {
             DataScenario::Iid { per_client } => {
                 partition::iid(clients, per_client, classes, &mut rng)
             }
@@ -103,7 +110,8 @@ impl DataScenario {
                     &mut rng,
                 )
             }
-        }
+            DataScenario::FemnistWriters(_) => return None,
+        })
     }
 }
 
@@ -120,7 +128,8 @@ pub struct ExperimentConfig {
     pub clients_per_round: usize,
     /// Global rounds `N`.
     pub rounds: u64,
-    /// Per-group CPU shares (equal-sized groups over `num_clients`).
+    /// Per-group CPU shares (equal-sized groups over `num_clients`, the
+    /// first groups one larger when it does not divide).
     pub cpu_profile: Vec<f64>,
     /// Assign hardware to clients uniformly at random (LEAF extension).
     pub shuffle_assignment: bool,
@@ -264,7 +273,7 @@ impl ExperimentConfig {
     pub fn mnist_like_combined(family: SynthFamily, seed: u64) -> Self {
         assert!(
             matches!(family, SynthFamily::Mnist | SynthFamily::FashionMnist),
-            "use the cifar/femnist constructors for other families"
+            "use the cifar10_* / leaf_femnist constructors for other families"
         );
         let name = match family {
             SynthFamily::Mnist => "mnist/resource+data-het",
@@ -283,6 +292,52 @@ impl ExperimentConfig {
             hidden: 128,
             classes: 10,
         };
+        c
+    }
+
+    /// §5.2.6 / Fig. 9: LEAF's FEMNIST — 182 writers with LEAF's default
+    /// data heterogeneity, hardware assigned uniformly at random, |C| =
+    /// 10, 2000 rounds, LEAF's default SGD (lr 0.004, batch 10).
+    #[must_use]
+    pub fn leaf_femnist(seed: u64) -> Self {
+        let mut c = Self::cifar_base("leaf/femnist", seed);
+        c.family = SynthFamily::Femnist;
+        c.num_clients = 182;
+        c.clients_per_round = 10;
+        c.rounds = 2000;
+        c.shuffle_assignment = true;
+        c.data = DataScenario::FemnistWriters(LeafDataConfig::default());
+        c.model = ModelSpec::Mlp {
+            input: 64,
+            hidden: 128,
+            classes: 62,
+        };
+        c.client = ClientConfig::paper_leaf();
+        c.eval_every = 20;
+        c
+    }
+
+    /// [`ExperimentConfig::leaf_femnist`] cut down for tests: 30 small
+    /// writers, |C| = 3, 10 rounds.
+    #[must_use]
+    pub fn leaf_femnist_tiny(seed: u64) -> Self {
+        let mut c = Self::leaf_femnist(seed);
+        c.num_clients = 30;
+        c.clients_per_round = 3;
+        c.rounds = 10;
+        c.data = DataScenario::FemnistWriters(LeafDataConfig {
+            median_samples: 40,
+            min_samples: 10,
+            global_test_per_class: 2,
+            ..LeafDataConfig::default()
+        });
+        c.model = ModelSpec::Mlp {
+            input: 64,
+            hidden: 32,
+            classes: 62,
+        };
+        c.eval_every = 2;
+        c.profiler.sync_rounds = 2;
         c
     }
 
@@ -312,22 +367,41 @@ impl ExperimentConfig {
 
     // -- construction -----------------------------------------------------
 
-    /// The label partition of this config's data scenario.
+    /// Seed of the data stream (holdouts, features, the writer plans).
+    fn data_seed(&self) -> u64 {
+        split_seed(self.seed, 0xFED)
+    }
+
+    /// The label partition of this config's data scenario (FEMNIST
+    /// writers, which have none, are dispatched before every call).
     fn partition(&self) -> Partition {
         let classes = SynthSpec::family(self.family).classes;
-        self.data.partition(self.num_clients, classes, self.seed)
+        self.data
+            .partition(self.num_clients, classes, self.seed)
+            .expect("FEMNIST writers are planned by build_femnist")
     }
 
     /// Materialise the federated dataset for this config.
+    ///
+    /// # Panics
+    /// Panics if the scenario is FEMNIST writers but the family is not
+    /// [`SynthFamily::Femnist`].
     #[must_use]
     pub fn build_data(&self) -> FederatedDataset {
+        if let DataScenario::FemnistWriters(writers) = &self.data {
+            assert!(
+                self.family == SynthFamily::Femnist,
+                "FemnistWriters data is the Femnist family"
+            );
+            return build_femnist(self.num_clients, writers, self.data_seed());
+        }
         let mut spec = SynthSpec::family(self.family);
         if self.feature_skew > 0.0 {
             spec.style_scale = self.feature_skew;
         }
         let gen = Generator::new(spec, split_seed(self.seed, 0x6E4));
         let part = self.partition();
-        FederatedDataset::materialize(&gen, &part, 0.1, 50, split_seed(self.seed, 0xFED))
+        FederatedDataset::materialize(&gen, &part, 0.1, 50, self.data_seed())
     }
 
     /// Build the simulated testbed for this config.
@@ -404,7 +478,12 @@ impl Experiment for ExperimentConfig {
     }
 
     fn train_sizes(&self) -> Vec<usize> {
-        self.partition().sizes()
+        match &self.data {
+            DataScenario::FemnistWriters(writers) => {
+                femnist_train_sizes(self.num_clients, writers, self.data_seed())
+            }
+            _ => self.partition().sizes(),
+        }
     }
 }
 
@@ -475,7 +554,7 @@ mod tests {
     #[test]
     fn scenario_partitions_have_expected_shape() {
         let sc = DataScenario::QuantitySkew { total: 1000 };
-        let p = sc.partition(10, 10, 0);
+        let p = sc.partition(10, 10, 0).unwrap();
         assert_eq!(p.total_samples(), 1000);
         let sizes = p.sizes();
         assert!(sizes[0] < sizes[9], "quantity skew not applied: {sizes:?}");
@@ -484,7 +563,7 @@ mod tests {
             per_client: 100,
             k: 2,
         };
-        let p = sc.partition(10, 10, 0);
+        let p = sc.partition(10, 10, 0).unwrap();
         for c in 0..10 {
             assert!(p.distinct_classes(c) <= 2);
         }
@@ -600,6 +679,71 @@ mod tests {
             fresh.total_time(),
             stale.total_time()
         );
+    }
+
+    // -- the LEAF/FEMNIST preset (§5.2.6) ---------------------------------
+
+    #[test]
+    fn paper_config_matches_section_526() {
+        let e = ExperimentConfig::leaf_femnist(0);
+        assert_eq!(e.num_clients, 182);
+        assert_eq!(e.clients_per_round, 10);
+        assert_eq!(e.rounds, 2000);
+        assert_eq!(e.tiering.num_tiers, 5);
+        assert!(e.shuffle_assignment, "hardware is assigned at random");
+        assert_eq!(e.client, ClientConfig::paper_leaf());
+    }
+
+    #[test]
+    fn cluster_covers_all_clients() {
+        // 182 writers do not divide into five groups: 37+37+36+36+36.
+        let paper = ExperimentConfig::leaf_femnist(0).build_cluster();
+        assert_eq!(paper.num_devices(), 182);
+        let tiny = ExperimentConfig::leaf_femnist_tiny(0).build_cluster();
+        assert_eq!(tiny.num_devices(), 30);
+    }
+
+    #[test]
+    fn tiering_produces_five_tiers() {
+        let e = ExperimentConfig::leaf_femnist_tiny(1);
+        let (assignment, result) = e.profile_and_tier();
+        assert_eq!(assignment.num_tiers(), 5);
+        assert_eq!(assignment.num_clients(), 30 - result.dropouts().len());
+    }
+
+    #[test]
+    fn vanilla_and_tiered_policies_run() {
+        let e = ExperimentConfig::leaf_femnist_tiny(2);
+        let mut runner = e.runner();
+        let v = runner.vanilla().run();
+        assert_eq!(v.rounds.len(), 10);
+        let u = runner.policy(&Policy::uniform(5)).run();
+        assert_eq!(u.rounds.len(), 10);
+    }
+
+    #[test]
+    fn adaptive_runs_on_leaf() {
+        let e = ExperimentConfig::leaf_femnist_tiny(3);
+        let r = e.runner().adaptive(None).run();
+        assert_eq!(r.policy, "adaptive");
+        assert_eq!(r.rounds.len(), 10);
+    }
+
+    #[test]
+    fn fast_policy_beats_slow_on_time() {
+        let e = ExperimentConfig::leaf_femnist_tiny(4);
+        let mut runner = e.runner();
+        let fast = runner.policy(&Policy::fast(5)).run().total_time();
+        let slow = runner.policy(&Policy::slow(5)).run().total_time();
+        assert!(slow > fast, "slow {slow} vs fast {fast}");
+    }
+
+    #[test]
+    #[should_panic(expected = "Femnist family")]
+    fn femnist_writers_reject_another_family() {
+        let mut e = ExperimentConfig::leaf_femnist_tiny(5);
+        e.family = SynthFamily::Cifar10;
+        let _ = e.build_data();
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!
 //! A [`Runner`] binds specs to one experiment and caches the profiling
 //! outcome ([`TierAssignment`] + [`ProfileResult`]), so multi-curve
-//! figure binaries profile once per configuration instead of once per
-//! curve. Anything implementing [`Experiment`] gets the full API —
-//! `ExperimentConfig` and `tifl_leaf::LeafExperiment` both do.
+//! figures profile once per configuration instead of once per curve.
+//! Anything implementing [`Experiment`] gets the full API;
+//! [`ExperimentConfig`] — every preset of the paper, LEAF/FEMNIST
+//! included — is the workspace's one implementor.
 //!
 //! RNG streams: the selector stream is `split_seed(seed, 0x5E1EC7)`
 //! (re-keyed per re-profiling segment) and the session stream is owned
@@ -238,8 +239,8 @@ impl RunSpec {
 /// up from ([`session_config`], [`build_cluster`], [`build_data`],
 /// [`train_sizes`]).
 ///
-/// Implemented by [`ExperimentConfig`] and `tifl_leaf::LeafExperiment`;
-/// implement it for your own experiment type to get the whole
+/// Implemented by [`ExperimentConfig`]; implement it for your own
+/// experiment type to get the whole
 /// [`RunSpec`] grid (including the profiling cache and re-profiling)
 /// for free.
 ///
@@ -623,7 +624,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     }
 
     /// How many times this runner actually ran the profiler — the
-    /// cache-effectiveness observable the figure binaries assert on.
+    /// cache-effectiveness observable.
     #[must_use]
     pub fn profile_count(&self) -> usize {
         self.profile_runs

@@ -175,4 +175,76 @@ mod tests {
         let c = Dataset::concat(&[&a, &b]);
         assert_eq!(c, d);
     }
+
+    // -- FEMNIST writers: each client's `Dataset` as the generator
+    // built it (the suite of `tifl-leaf`'s `dataset` module, which
+    // moved into this crate as `femnist`) ----------------------------
+
+    fn small() -> crate::LeafDataConfig {
+        crate::LeafDataConfig {
+            global_test_per_class: 2,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn builds_requested_clients() {
+        let fed = crate::build_femnist(30, &small(), 0);
+        assert_eq!(fed.num_clients(), 30);
+        assert_eq!(fed.classes, 62);
+        assert_eq!(fed.global_test.len(), 124);
+    }
+
+    #[test]
+    fn quantity_is_heterogeneous() {
+        let fed = crate::build_femnist(30, &small(), 1);
+        let sizes = fed.train_sizes();
+        let min = *sizes.iter().min().unwrap();
+        let max = *sizes.iter().max().unwrap();
+        assert!(
+            max as f64 / min as f64 > 2.0,
+            "expected >2x quantity spread, got {min}..{max}"
+        );
+        assert!(sizes.iter().all(|&s| s >= 20));
+    }
+
+    #[test]
+    fn class_content_is_non_iid() {
+        let fed = crate::build_femnist(30, &small(), 2);
+        for c in fed.clients.iter().take(5) {
+            let distinct = c.train.distinct_classes();
+            assert!(
+                distinct <= 40,
+                "writer covers {distinct} classes, expected a subset"
+            );
+        }
+        // Different writers favour different classes.
+        let top = |d: &Dataset| {
+            d.class_counts()
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, &n)| n)
+                .map(|(i, _)| i)
+                .unwrap()
+        };
+        let tops: Vec<usize> = fed.clients.iter().take(10).map(|c| top(&c.train)).collect();
+        let mut uniq = tops.clone();
+        uniq.sort_unstable();
+        uniq.dedup();
+        assert!(uniq.len() > 3, "writers share favourite classes: {tops:?}");
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        let a = crate::build_femnist(30, &small(), 3);
+        let b = crate::build_femnist(30, &small(), 3);
+        assert_eq!(a.train_sizes(), b.train_sizes());
+        assert_eq!(a.clients[7].train, b.clients[7].train);
+    }
+
+    #[test]
+    fn paper_scale_config() {
+        let fed = crate::build_femnist(182, &crate::LeafDataConfig::default(), 4);
+        assert_eq!(fed.num_clients(), 182);
+    }
 }

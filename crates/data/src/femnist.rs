@@ -1,18 +1,27 @@
-//! Synthetic FEMNIST-like federated data (LEAF's joint heterogeneity).
+//! Synthetic FEMNIST-like federated data (LEAF's joint heterogeneity,
+//! §5.2.6).
+//!
+//! LEAF's FEMNIST task partitions handwritten characters by *writer*:
+//! 62 classes, inherently non-IID in both quantity (writers contribute
+//! wildly different sample counts) and content (each writer's style and
+//! class mix differ). The paper samples LEAF at rate 0.05, giving 182
+//! clients. This is the synthetic equivalent: per-writer power-law
+//! sample counts, per-writer class subsets with skewed proportions and
+//! per-writer style offsets (the feature skew).
 
+use crate::federated::FederatedDataset;
+use crate::synth::{Generator, SynthFamily, SynthSpec};
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;
 use rand_distr::LogNormal;
 use serde::{Deserialize, Serialize};
-use tifl_data::federated::FederatedDataset;
-use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
 use tifl_tensor::{seed_rng, split_seed};
 
-/// FEMNIST-like generation parameters.
+/// FEMNIST-like generation parameters: the statistics every writer is
+/// drawn from. The number of writers is the caller's (paper: 182 at
+/// LEAF sampling 0.05).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LeafDataConfig {
-    /// Number of writers/clients (paper: 182 at LEAF sampling 0.05).
-    pub num_clients: usize,
     /// Median samples per writer (counts are lognormal around this).
     pub median_samples: usize,
     /// Lognormal sigma of the per-writer sample count (controls the
@@ -32,7 +41,6 @@ pub struct LeafDataConfig {
 impl Default for LeafDataConfig {
     fn default() -> Self {
         Self {
-            num_clients: 182,
             median_samples: 100,
             quantity_sigma: 0.6,
             min_samples: 20,
@@ -53,16 +61,17 @@ fn writer_stream(config: &LeafDataConfig, seed: u64, w: usize) -> (StdRng, usize
     (rng, n)
 }
 
-/// Per-writer training-set sizes of [`build_femnist`]`(config, seed)`,
-/// without generating anything else.
+/// Per-writer training-set sizes of
+/// [`build_femnist`]`(writers, config, seed)`, without generating
+/// anything else.
 #[must_use]
-pub fn femnist_train_sizes(config: &LeafDataConfig, seed: u64) -> Vec<usize> {
-    (0..config.num_clients)
+pub fn femnist_train_sizes(writers: usize, config: &LeafDataConfig, seed: u64) -> Vec<usize> {
+    (0..writers)
         .map(|w| writer_stream(config, seed, w).1)
         .collect()
 }
 
-/// Generate the FEMNIST-like federated dataset.
+/// Generate the FEMNIST-like federated dataset of `writers` clients.
 ///
 /// Per writer `w`:
 /// * sample count `n_w ~ LogNormal(ln median, sigma)`, clipped below;
@@ -75,11 +84,11 @@ pub fn femnist_train_sizes(config: &LeafDataConfig, seed: u64) -> Vec<usize> {
 /// generate in parallel ([`FederatedDataset::from_labels`]).
 ///
 /// # Panics
-/// Panics if `num_clients == 0`, `test_fraction` is not in `[0, 1]`, or
-/// a writer ends up with no samples (`min_samples == 0`).
+/// Panics if `writers == 0`, `test_fraction` is not in `[0, 1]`, or a
+/// writer ends up with no samples (`min_samples == 0`).
 #[must_use]
-pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
-    assert!(config.num_clients > 0, "need at least one client");
+pub fn build_femnist(writers: usize, config: &LeafDataConfig, seed: u64) -> FederatedDataset {
+    assert!(writers > 0, "need at least one client");
     assert!(
         (0.0..=1.0).contains(&config.test_fraction),
         "test_fraction out of range"
@@ -88,7 +97,7 @@ pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
     let gen = Generator::new(spec, split_seed(seed, 0xFE31));
     let classes = spec.classes;
 
-    let (train_labels, test_labels): (Vec<Vec<usize>>, Vec<Vec<usize>>) = (0..config.num_clients)
+    let (train_labels, test_labels): (Vec<Vec<usize>>, Vec<Vec<usize>>) = (0..writers)
         .map(|w| {
             // Quantity heterogeneity.
             let (mut rng, n) = writer_stream(config, seed, w);
@@ -121,81 +130,4 @@ pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
         config.global_test_per_class,
         seed,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tifl_data::dataset::Dataset;
-
-    fn small() -> LeafDataConfig {
-        LeafDataConfig {
-            num_clients: 30,
-            global_test_per_class: 2,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn builds_requested_clients() {
-        let fed = build_femnist(&small(), 0);
-        assert_eq!(fed.num_clients(), 30);
-        assert_eq!(fed.classes, 62);
-        assert_eq!(fed.global_test.len(), 124);
-    }
-
-    #[test]
-    fn quantity_is_heterogeneous() {
-        let fed = build_femnist(&small(), 1);
-        let sizes = fed.train_sizes();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(
-            max as f64 / min as f64 > 2.0,
-            "expected >2x quantity spread, got {min}..{max}"
-        );
-        assert!(sizes.iter().all(|&s| s >= 20));
-    }
-
-    #[test]
-    fn class_content_is_non_iid() {
-        let fed = build_femnist(&small(), 2);
-        for c in fed.clients.iter().take(5) {
-            let distinct = c.train.distinct_classes();
-            assert!(
-                distinct <= 40,
-                "writer covers {distinct} classes, expected a subset"
-            );
-        }
-        // Different writers favour different classes.
-        let top = |d: &Dataset| {
-            d.class_counts()
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &n)| n)
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        let tops: Vec<usize> = fed.clients.iter().take(10).map(|c| top(&c.train)).collect();
-        let mut uniq = tops.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert!(uniq.len() > 3, "writers share favourite classes: {tops:?}");
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = build_femnist(&small(), 3);
-        let b = build_femnist(&small(), 3);
-        assert_eq!(a.train_sizes(), b.train_sizes());
-        assert_eq!(a.clients[7].train, b.clients[7].train);
-    }
-
-    #[test]
-    fn paper_scale_config() {
-        let cfg = LeafDataConfig::default();
-        assert_eq!(cfg.num_clients, 182);
-        let fed = build_femnist(&cfg, 4);
-        assert_eq!(fed.num_clients(), 182);
-    }
 }

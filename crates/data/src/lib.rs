@@ -10,15 +10,18 @@
 //!
 //! [`partition`] implements the partitioning strategies of §5.1: IID,
 //! shard-based sort-by-label (McMahan et al.), class-limited non-IID(k)
-//! (Zhao et al.), and the 10/15/20/25/30 % quantity-skew split.
+//! (Zhao et al.), and the 10/15/20/25/30 % quantity-skew split;
+//! [`femnist`] plans LEAF's per-writer FEMNIST split (§5.2.6).
 
 #![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod federated;
+pub mod femnist;
 pub mod partition;
 pub mod synth;
 
 pub use dataset::Dataset;
 pub use federated::FederatedDataset;
+pub use femnist::{build_femnist, femnist_train_sizes, LeafDataConfig};
 pub use synth::{SynthFamily, SynthSpec};

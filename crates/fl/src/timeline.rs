@@ -7,15 +7,12 @@
 //! schedule of a planned round (dispatches at `t = 0`, completions at
 //! each response latency, timeouts at `tmax`, cancellations at the
 //! over-selection deadline). [`RoundTimeline::from_plan`] is its thin
-//! per-round view, the live engine trace maps it onto
-//! `tifl_obs::TraceEvent`s, and [`RoundTimeline::build`] remains for
-//! hypothetical what-if replays from raw response lists (it reproduces
-//! the same ordering through the simulator's event queue).
+//! per-round view and the live engine trace maps it onto
+//! `tifl_obs::TraceEvent`s. A what-if round is a hand-built
+//! [`RoundPlan`]; a hierarchy's combine cost rides in `plan.latency`.
 
-use crate::hierarchy::AggregationTree;
 use crate::session::RoundPlan;
 use serde::{Deserialize, Serialize};
-use tifl_sim::event::EventQueue;
 
 /// One entry in a round's event trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,9 +48,8 @@ pub enum TimelineEvent {
 /// triples sorted by `(time, seq)`.
 ///
 /// This is the single source of event ordering for everything trace-
-/// shaped in the workspace — [`RoundTimeline::from_plan`], the live
-/// engine trace, and (historically) the event-queue replay — so the
-/// ordering rules live here, once:
+/// shaped in the workspace — [`RoundTimeline::from_plan`] and the live
+/// engine trace — so the ordering rules live here, once:
 ///
 /// * every selected client's `Dispatch` fires at `t = 0`, in
 ///   selection order;
@@ -128,45 +124,6 @@ impl RoundTimeline {
             events: scratch.into_iter().map(|(t, _, e)| (t, e)).collect(),
         }
     }
-    /// Replay a round. `responses[i] = (client, Some(latency) | None)`;
-    /// non-responders are charged `tmax`. If `tree` is given, the
-    /// aggregation cost of the hierarchical design is appended after the
-    /// last completion; otherwise aggregation is instantaneous.
-    ///
-    /// # Panics
-    /// Panics if `responses` is empty.
-    #[must_use]
-    pub fn build(
-        responses: &[(usize, Option<f64>)],
-        tmax: f64,
-        tree: Option<(AggregationTree, u64)>,
-    ) -> Self {
-        assert!(!responses.is_empty(), "timeline of an empty round");
-        let mut queue = EventQueue::new();
-        let mut completions = 0usize;
-        for &(client, latency) in responses {
-            queue.schedule(0.0, TimelineEvent::Dispatch { client });
-            match latency {
-                Some(l) => {
-                    queue.schedule(l.min(tmax), TimelineEvent::Complete { client });
-                    completions += 1;
-                }
-                None => {
-                    queue.schedule(tmax, TimelineEvent::TimedOut { client });
-                }
-            }
-        }
-
-        let mut events = Vec::with_capacity(responses.len() * 2 + 1);
-        let mut last = 0.0f64;
-        while let Some(e) = queue.pop() {
-            last = e.time;
-            events.push((e.time, e.payload));
-        }
-        let agg_cost = tree.map_or(0.0, |(t, bytes)| t.aggregation_latency(completions, bytes));
-        events.push((last + agg_cost, TimelineEvent::RoundEnd));
-        Self { events }
-    }
 
     /// Virtual time at which the round ended.
     ///
@@ -204,58 +161,7 @@ impl RoundTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_are_time_ordered() {
-        let t = RoundTimeline::build(
-            &[(0, Some(3.0)), (1, Some(1.0)), (2, Some(2.0))],
-            100.0,
-            None,
-        );
-        for w in t.events.windows(2) {
-            assert!(w[0].0 <= w[1].0, "out of order: {w:?}");
-        }
-        assert_eq!(t.round_end(), 3.0);
-    }
-
-    #[test]
-    fn dispatches_precede_completions() {
-        let t = RoundTimeline::build(&[(7, Some(0.5))], 100.0, None);
-        assert_eq!(t.events[0], (0.0, TimelineEvent::Dispatch { client: 7 }));
-        assert_eq!(t.events[1], (0.5, TimelineEvent::Complete { client: 7 }));
-    }
-
-    #[test]
-    fn timeouts_charged_tmax() {
-        let t = RoundTimeline::build(&[(0, Some(1.0)), (1, None)], 50.0, None);
-        assert_eq!(t.round_end(), 50.0);
-        assert!(t
-            .events
-            .iter()
-            .any(|(time, e)| *time == 50.0 && matches!(e, TimelineEvent::TimedOut { client: 1 })));
-    }
-
-    #[test]
-    fn straggler_wait_measures_completion_spread() {
-        let t = RoundTimeline::build(
-            &[(0, Some(1.0)), (1, Some(9.0)), (2, Some(2.0))],
-            100.0,
-            None,
-        );
-        assert!((t.straggler_wait() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregation_tree_extends_round() {
-        let tree = AggregationTree::with_fan_out(10);
-        let t = RoundTimeline::build(
-            &[(0, Some(1.0)), (1, Some(2.0))],
-            100.0,
-            Some((tree, 1_000_000)),
-        );
-        let expected = 2.0 + tree.aggregation_latency(2, 1_000_000);
-        assert!((t.round_end() - expected).abs() < 1e-12);
-    }
+    use crate::hierarchy::AggregationTree;
 
     fn plan(
         responses: Vec<(usize, Option<f64>)>,
@@ -269,6 +175,93 @@ mod tests {
             contributors,
             latency,
         }
+    }
+
+    /// The timeline of a `WaitAll` round: every responder contributes,
+    /// non-responders are charged `tmax`, and the round lasts until the
+    /// slowest of them (Eq. 1) plus `agg_cost`.
+    fn wait_all(responses: &[(usize, Option<f64>)], tmax: f64, agg_cost: f64) -> RoundTimeline {
+        let contributors = responses
+            .iter()
+            .filter_map(|&(c, l)| l.map(|_| c))
+            .collect();
+        let slowest = responses
+            .iter()
+            .map(|&(_, l)| l.unwrap_or(tmax))
+            .fold(0.0, f64::max);
+        let p = plan(responses.to_vec(), contributors, slowest + agg_cost);
+        RoundTimeline::from_plan(&p, false, tmax)
+    }
+
+    #[test]
+    fn events_are_time_ordered() {
+        let t = wait_all(
+            &[(0, Some(3.0)), (1, Some(1.0)), (2, Some(2.0))],
+            100.0,
+            0.0,
+        );
+        for w in t.events.windows(2) {
+            assert!(w[0].0 <= w[1].0, "out of order: {w:?}");
+        }
+        assert_eq!(t.round_end(), 3.0);
+    }
+
+    #[test]
+    fn dispatches_precede_completions() {
+        let t = wait_all(&[(7, Some(0.5))], 100.0, 0.0);
+        assert_eq!(t.events[0], (0.0, TimelineEvent::Dispatch { client: 7 }));
+        assert_eq!(t.events[1], (0.5, TimelineEvent::Complete { client: 7 }));
+    }
+
+    #[test]
+    fn timeouts_charged_tmax() {
+        let t = wait_all(&[(0, Some(1.0)), (1, None)], 50.0, 0.0);
+        assert_eq!(t.round_end(), 50.0);
+        assert!(t
+            .events
+            .iter()
+            .any(|(time, e)| *time == 50.0 && matches!(e, TimelineEvent::TimedOut { client: 1 })));
+    }
+
+    #[test]
+    fn same_time_events_keep_selection_order_and_round_end_comes_last() {
+        let t = wait_all(
+            &[(3, Some(4.0)), (1, Some(1.5)), (4, None), (2, Some(1.5))],
+            20.0,
+            0.0,
+        );
+        let tail: Vec<(f64, TimelineEvent)> = t.events[4..].to_vec();
+        assert_eq!(
+            tail,
+            vec![
+                (1.5, TimelineEvent::Complete { client: 1 }),
+                (1.5, TimelineEvent::Complete { client: 2 }),
+                (4.0, TimelineEvent::Complete { client: 3 }),
+                (20.0, TimelineEvent::TimedOut { client: 4 }),
+                (20.0, TimelineEvent::RoundEnd),
+            ]
+        );
+    }
+
+    #[test]
+    fn straggler_wait_measures_completion_spread() {
+        let t = wait_all(
+            &[(0, Some(1.0)), (1, Some(9.0)), (2, Some(2.0))],
+            100.0,
+            0.0,
+        );
+        assert!((t.straggler_wait() - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn aggregation_tree_extends_round() {
+        // The hierarchy's combine cost rides in `plan.latency`: the
+        // round ends that long after the last completion.
+        let agg_cost = AggregationTree::with_fan_out(10).aggregation_latency(2, 1_000_000);
+        let t = wait_all(&[(0, Some(1.0)), (1, Some(2.0))], 100.0, agg_cost);
+        assert!(agg_cost > 0.0);
+        assert!((t.round_end() - (2.0 + agg_cost)).abs() < 1e-12);
+        assert!((t.straggler_wait() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -318,32 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn from_plan_matches_the_event_queue_builder_under_wait_all() {
-        // The what-if builder replays responses through the simulator's
-        // event queue; the plan-derived view must order identically,
-        // RoundEnd included (`plan.latency` = max response-or-tmax).
-        let responses = vec![(3, Some(4.0)), (1, Some(1.5)), (4, None), (2, Some(1.5))];
-        let tmax = 20.0;
-        let p = plan(responses.clone(), vec![3, 1, 2], 20.0);
-        assert_eq!(
-            RoundTimeline::from_plan(&p, false, tmax),
-            RoundTimeline::build(&responses, tmax, None)
-        );
-    }
-
-    #[test]
     fn similar_latencies_have_small_wait() {
         // The tiering pitch in one assert: same-tier clients finish close
         // together, so the aggregator barely waits.
-        let same_tier = RoundTimeline::build(
+        let same_tier = wait_all(
             &[(0, Some(10.0)), (1, Some(10.5)), (2, Some(10.2))],
             100.0,
-            None,
+            0.0,
         );
-        let mixed = RoundTimeline::build(
+        let mixed = wait_all(
             &[(0, Some(1.0)), (1, Some(45.0)), (2, Some(4.0))],
             100.0,
-            None,
+            0.0,
         );
         assert!(same_tier.straggler_wait() < mixed.straggler_wait() / 10.0);
     }

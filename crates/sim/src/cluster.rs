@@ -36,23 +36,22 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Equal-sized groups over the given CPU-share profile.
+    /// Equal-sized groups over the given CPU-share profile; when
+    /// `total` does not divide evenly, the first `total % groups`
+    /// groups take one device more (182 over 5 = 37+37+36+36+36).
     ///
     /// # Panics
-    /// Panics if `total` does not divide evenly by the profile length.
+    /// Panics if the profile is empty.
     #[must_use]
     pub fn equal_groups(total: usize, cpu_profile: &[f64], seed: u64) -> Self {
-        assert!(
-            !cpu_profile.is_empty() && total.is_multiple_of(cpu_profile.len()),
-            "total devices must divide evenly into {} groups",
-            cpu_profile.len()
-        );
-        let per = total / cpu_profile.len();
+        assert!(!cpu_profile.is_empty(), "need at least one device group");
+        let groups = cpu_profile.len();
         Self {
             groups: cpu_profile
                 .iter()
-                .map(|&cpu_share| GroupSpec {
-                    count: per,
+                .enumerate()
+                .map(|(i, &cpu_share)| GroupSpec {
+                    count: total / groups + usize::from(i < total % groups),
                     cpu_share,
                 })
                 .collect(),
@@ -236,6 +235,46 @@ mod tests {
         assert_eq!(c.num_devices(), 50);
         assert_eq!(c.device(0).cpu_share, 4.0);
         assert_eq!(c.device(49).cpu_share, 0.1);
+    }
+
+    #[test]
+    fn equal_groups_spreads_the_remainder_over_the_first_groups() {
+        // The LEAF deployment: 182 writers over five hardware groups.
+        let cfg = ClusterConfig::equal_groups(182, &profiles::CIFAR, 7);
+        let counts: Vec<usize> = cfg.groups.iter().map(|g| g.count).collect();
+        assert_eq!(counts, [37, 37, 36, 36, 36]);
+        assert_eq!(Cluster::new(&cfg).num_devices(), 182);
+    }
+
+    #[test]
+    fn equal_groups_is_unchanged_when_the_total_divides() {
+        // The groups the divide-evenly-only rule built, spelled out.
+        let mut by_hand = ClusterConfig {
+            groups: profiles::CIFAR
+                .iter()
+                .map(|&cpu_share| GroupSpec {
+                    count: 10,
+                    cpu_share,
+                })
+                .collect(),
+            bandwidth_bps: 1_000_000.0,
+            latency: LatencyModelConfig::default(),
+            shuffle_assignment: false,
+            seed: 7,
+        };
+        let mut cfg = ClusterConfig::equal_groups(50, &profiles::CIFAR, 7);
+        assert_eq!(cfg.groups, by_hand.groups);
+        for shuffle in [false, true] {
+            cfg.shuffle_assignment = shuffle;
+            by_hand.shuffle_assignment = shuffle;
+            let (a, b) = (Cluster::new(&cfg), Cluster::new(&by_hand));
+            for d in 0..50 {
+                // Device order (and the shuffle stream behind it)...
+                assert_eq!(a.device(d), b.device(d));
+                // ...and the jitter stream.
+                assert_eq!(a.response(d, 3, &task()), b.response(d, 3, &task()));
+            }
+        }
     }
 
     #[test]

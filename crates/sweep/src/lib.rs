@@ -149,7 +149,7 @@ impl SweepBuilder {
         self
     }
 
-    /// Sweep a family of static tier policies (the figure binaries'
+    /// Sweep a family of static tier policies (the paper figures'
     /// idiom: one curve per Table 1 policy; a vanilla policy degrades
     /// to vanilla selection exactly like `Runner::policy`).
     pub fn policies(&mut self, policies: &[Policy]) -> &mut Self {

@@ -294,7 +294,7 @@ impl SweepReport {
     ///
     /// # Panics
     /// Panics if any run failed, naming every failure — the behaviour
-    /// the figure binaries want (a partially plotted figure is a bug).
+    /// the paper figures want (a partially plotted figure is a bug).
     #[must_use]
     pub fn into_reports(self) -> Vec<TrainingReport> {
         assert!(

@@ -10,8 +10,8 @@
 //! no use of system entropy anywhere in the workspace.
 //!
 //! This is the only workspace crate allowed to contain `unsafe` (the
-//! SSE2 SIMD lanes in [`ops`] and [`codec`]); every block carries a
-//! `// SAFETY:` contract, enforced by `tifl-lint`.
+//! unchecked float-to-int conversion of [`codec`]'s quantizer); every
+//! block carries a `// SAFETY:` contract, enforced by `tifl-lint`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -6,8 +6,8 @@
 //! multiply and per add, so blocking, lane-parallel accumulation over
 //! `j` and row-parallel execution (rayon, above `PAR_THRESHOLD`
 //! multiply-adds) cannot change a result bit. The element-wise kernels
-//! ([`axpy`], [`scale`]) are unrolled or SSE2 and pinned to scalar
-//! references the same way.
+//! ([`axpy`], [`scale`]) are unrolled and pinned to scalar references
+//! the same way.
 //!
 //! # Zeros in the left operand
 //! `matmul` and `matmul_transpose_a` skip a term whose `a` factor is
@@ -252,7 +252,7 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Reference implementation of [`axpy`]: the plain element-order loop.
 ///
-/// The blocked/SIMD variants are pinned bit-for-bit against this in the
+/// The unrolled variant is pinned bit-for-bit against this in the
 /// equivalence proptests — `axpy` is element-wise (no reassociated
 /// reduction), so unrolling cannot change any result bit.
 ///
@@ -267,35 +267,28 @@ pub fn axpy_scalar(alpha: f32, x: &[f32], out: &mut [f32]) {
 
 /// Element-wise `out[i] += alpha * x[i]` on flat slices.
 ///
-/// 8-wide unrolled (SSE2 when the `simd` feature is on); bit-for-bit
-/// identical to [`axpy_scalar`] because each lane computes the exact
-/// scalar expression `o + alpha * v` with no fused multiply-add.
+/// 8-wide unrolled; bit-for-bit identical to [`axpy_scalar`] because
+/// each lane computes the exact scalar expression `o + alpha * v` with
+/// no fused multiply-add.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn axpy(alpha: f32, x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "axpy length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::axpy(alpha, x, out);
+    let mut xs = x.chunks_exact(8);
+    let mut os = out.chunks_exact_mut(8);
+    for (o, v) in (&mut os).zip(&mut xs) {
+        o[0] += alpha * v[0];
+        o[1] += alpha * v[1];
+        o[2] += alpha * v[2];
+        o[3] += alpha * v[3];
+        o[4] += alpha * v[4];
+        o[5] += alpha * v[5];
+        o[6] += alpha * v[6];
+        o[7] += alpha * v[7];
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let mut xs = x.chunks_exact(8);
-        let mut os = out.chunks_exact_mut(8);
-        for (o, v) in (&mut os).zip(&mut xs) {
-            o[0] += alpha * v[0];
-            o[1] += alpha * v[1];
-            o[2] += alpha * v[2];
-            o[3] += alpha * v[3];
-            o[4] += alpha * v[4];
-            o[5] += alpha * v[5];
-            o[6] += alpha * v[6];
-            o[7] += alpha * v[7];
-        }
-        for (o, &v) in os.into_remainder().iter_mut().zip(xs.remainder()) {
-            *o += alpha * v;
-        }
+    for (o, &v) in os.into_remainder().iter_mut().zip(xs.remainder()) {
+        *o += alpha * v;
     }
 }
 
@@ -309,77 +302,19 @@ pub fn scale_scalar(alpha: f32, out: &mut [f32]) {
 /// Element-wise scale in place (8-wide unrolled, bit-for-bit identical
 /// to [`scale_scalar`]).
 pub fn scale(alpha: f32, out: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::scale(alpha, out);
+    let mut os = out.chunks_exact_mut(8);
+    for o in &mut os {
+        o[0] *= alpha;
+        o[1] *= alpha;
+        o[2] *= alpha;
+        o[3] *= alpha;
+        o[4] *= alpha;
+        o[5] *= alpha;
+        o[6] *= alpha;
+        o[7] *= alpha;
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let mut os = out.chunks_exact_mut(8);
-        for o in &mut os {
-            o[0] *= alpha;
-            o[1] *= alpha;
-            o[2] *= alpha;
-            o[3] *= alpha;
-            o[4] *= alpha;
-            o[5] *= alpha;
-            o[6] *= alpha;
-            o[7] *= alpha;
-        }
-        for o in os.into_remainder() {
-            *o *= alpha;
-        }
-    }
-}
-
-/// SSE2 lanes for the element-wise hot kernels.
-///
-/// Every intrinsic used here (`mulps`/`addps`) performs the same IEEE 754
-/// single-rounding operation per lane as the scalar expression, and no
-/// FMA contraction is involved, so results are bit-for-bit identical to
-/// the scalar references. SSE2 is part of the x86_64 baseline, so no
-/// runtime feature detection is needed.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps};
-
-    pub fn axpy(alpha: f32, x: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(x.len(), out.len());
-        let n4 = x.len() - x.len() % 4;
-        // SAFETY: loads/stores stay within `..n4 <= len` for both slices,
-        // which hold plain f32s with no alignment requirement (unaligned
-        // loadu/storeu).
-        unsafe {
-            let a = _mm_set1_ps(alpha);
-            let mut i = 0;
-            while i < n4 {
-                let xv = _mm_loadu_ps(x.as_ptr().add(i));
-                let ov = _mm_loadu_ps(out.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(ov, _mm_mul_ps(a, xv)));
-                i += 4;
-            }
-        }
-        for (o, &v) in out[n4..].iter_mut().zip(&x[n4..]) {
-            *o += alpha * v;
-        }
-    }
-
-    pub fn scale(alpha: f32, out: &mut [f32]) {
-        let n4 = out.len() - out.len() % 4;
-        // SAFETY: loads/stores stay within `..n4 <= len`; unaligned
-        // loadu/storeu impose no alignment requirement.
-        unsafe {
-            let a = _mm_set1_ps(alpha);
-            let mut i = 0;
-            while i < n4 {
-                let ov = _mm_loadu_ps(out.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_mul_ps(ov, a));
-                i += 4;
-            }
-        }
-        for o in &mut out[n4..] {
-            *o *= alpha;
-        }
+    for o in os.into_remainder() {
+        *o *= alpha;
     }
 }
 

@@ -12,13 +12,13 @@
 use tifl::prelude::*;
 
 fn main() {
-    let mut exp = LeafExperiment::paper(3);
+    let mut exp = ExperimentConfig::leaf_femnist(3);
     // Demo scale: 60 writers, 200 rounds (paper: 182 writers, 2000).
-    exp.data.num_clients = 60;
+    exp.num_clients = 60;
     exp.rounds = 200;
     exp.eval_every = 10;
 
-    let fed = tifl::leaf::build_femnist(&exp.data, 99);
+    let fed = exp.build_data();
     let sizes = fed.train_sizes();
     println!(
         "{} writers, {} total samples (min {} / median {} / max {})",

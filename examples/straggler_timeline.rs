@@ -4,8 +4,8 @@
 //! cargo run --release --example straggler_timeline
 //! ```
 //!
-//! Replays one vanilla round and one same-tier round through the
-//! discrete-event trace and prints who finished when — the aggregator's
+//! Lays one vanilla round and one same-tier round out as event traces
+//! and prints who finished when — the aggregator's
 //! idle window is the entire case for tiering. Also shows the
 //! hierarchical master-child aggregation cost at fleet scale.
 
@@ -38,25 +38,34 @@ fn print_trace(label: &str, timeline: &RoundTimeline) {
     );
 }
 
+/// The wait-all round-0 timeline of `clients`: everyone responds (no
+/// dropouts are configured), the round lasts until the slowest (Eq. 1).
+fn round_of(session: &Session, clients: &[usize]) -> RoundTimeline {
+    let responses: Vec<(usize, Option<f64>)> = clients
+        .iter()
+        .map(|&c| (c, session.cluster().response(c, 0, &session.task_for(c))))
+        .collect();
+    let plan = RoundPlan {
+        round: 0,
+        selected: clients.to_vec(),
+        contributors: clients.to_vec(),
+        latency: responses.iter().filter_map(|&(_, l)| l).fold(0.0, f64::max),
+        responses,
+    };
+    RoundTimeline::from_plan(&plan, false, session.config().tmax_sec)
+}
+
 fn main() {
     let cfg = ExperimentConfig::cifar10_resource_het(5);
     let session = cfg.make_session();
     let (tiers, _) = cfg.profile_and_tier();
 
     // A vanilla round: one client from each hardware group.
-    let mixed: Vec<(usize, Option<f64>)> = [0usize, 11, 22, 33, 44]
-        .iter()
-        .map(|&c| (c, session.cluster().response(c, 0, &session.task_for(c))))
-        .collect();
-    let t_mixed = RoundTimeline::build(&mixed, 1000.0, None);
+    let t_mixed = round_of(&session, &[0, 11, 22, 33, 44]);
     print_trace("vanilla round (one client per hardware group)", &t_mixed);
 
     // A TiFL round: five clients from the fastest tier.
-    let same: Vec<(usize, Option<f64>)> = tiers.tiers[0].clients[..5]
-        .iter()
-        .map(|&c| (c, session.cluster().response(c, 0, &session.task_for(c))))
-        .collect();
-    let t_same = RoundTimeline::build(&same, 1000.0, None);
+    let t_same = round_of(&session, &tiers.tiers[0].clients[..5]);
     print_trace("TiFL round (five clients from tier 0)", &t_same);
 
     println!(

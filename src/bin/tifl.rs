@@ -36,7 +36,8 @@
 use std::process::ExitCode;
 use tifl::prelude::*;
 
-fn usage() -> ExitCode {
+/// Print the usage text; the command line was malformed (exit 1).
+fn usage() -> Result<ExitCode, String> {
     eprintln!(
         "usage:\n  tifl init <config.json>\n  tifl init --spec <run.json>\n  \
          tifl init --sweep <sweep.json>\n  tifl profile <config.json>\n  \
@@ -52,7 +53,7 @@ fn usage() -> ExitCode {
          tifl report <store-dir> [--format human|json] [--target ACC]\n  \
          tifl lint [--deny] [--format human|json] [path]"
     );
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 fn policy_by_name(name: &str, m: usize) -> Option<Policy> {
@@ -90,7 +91,16 @@ fn print_report(report: &TrainingReport) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("[tifl] {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Execute one command line. `Err` is an input file that could not be
+/// loaded, as `<path>: <cause>`.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    Ok(match args {
         [cmd, path] if cmd == "init" => {
             let cfg = ExperimentConfig::cifar10_resource_het(42);
             write_json(path, &cfg);
@@ -144,7 +154,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         [cmd, path] if cmd == "profile" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = read_json(path)?;
             let (tiers, profile) = cfg.profile_and_tier();
             println!(
                 "profiled {} clients in {:.0} virtual s ({} dropouts)",
@@ -162,7 +172,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         [cmd, path] if cmd == "estimate" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = read_json(path)?;
             let mut runner = cfg.runner();
             println!("{:<10} {:>16}", "policy", "estimate [s]");
             let num_tiers = runner.tiers().num_tiers();
@@ -190,7 +200,7 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            let mut request: RunRequest = read_json(path);
+            let mut request: RunRequest = read_json(path)?;
             if let Some(threads) = threads {
                 // Force the thread count: event-driven specs get their
                 // knob overridden; lockstep specs take the ambient
@@ -255,14 +265,14 @@ fn main() -> ExitCode {
                         let Some((i, n)) = parsed else { return usage() };
                         if n == 0 || i >= n {
                             eprintln!("[tifl] bad --shard {i}/{n}: index must be < count");
-                            return ExitCode::FAILURE;
+                            return Ok(ExitCode::FAILURE);
                         }
                         shard = Some((i, n));
                     }
                     _ => return usage(),
                 }
             }
-            let manifest: SweepManifest = read_json(path);
+            let manifest: SweepManifest = read_json(path)?;
             let store = RunStore::open(&out).unwrap_or_else(|e| panic!("opening {out}: {e}"));
             let scheduler = SweepScheduler::new(workers);
             let expanded = manifest.expand();
@@ -359,9 +369,7 @@ fn main() -> ExitCode {
             // regenerated bit-for-bit. An artifact's stored metrics
             // double as a determinism check against the regenerated
             // run.
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-            let (request, stored_metrics) = match serde_json::from_str::<RunArtifact>(&text) {
+            let (request, stored_metrics) = match read_json::<RunArtifact>(path) {
                 Ok(artifact) => {
                     let Some(metrics) = artifact.metrics else {
                         eprintln!(
@@ -369,24 +377,21 @@ fn main() -> ExitCode {
                              (re-execute the cell with `tifl sweep --out` to rewrite the \
                              artifact with a metrics section, or trace the request file)"
                         );
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     };
                     (artifact.request, Some(metrics))
                 }
-                Err(artifact_err) => match serde_json::from_str::<RunRequest>(&text) {
-                    Ok(request) => (request, None),
-                    Err(e) => {
-                        if serde_json::from_str::<TrainingReport>(&text).is_ok() {
-                            eprintln!(
-                                "[tifl] {path} is a bare training report: it records results, \
-                                 not a request, so there is nothing to re-run; trace a run \
-                                 request or a store artifact"
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                        panic!("parsing {path}: not an artifact ({artifact_err}) nor a RunRequest ({e})")
-                    }
-                },
+                Err(_) if read_json::<TrainingReport>(path).is_ok() => {
+                    return Err(format!(
+                        "{path}: a bare training report records results, not a request, so \
+                         there is nothing to re-run; trace a run request or a store artifact"
+                    ));
+                }
+                Err(artifact_err) => (
+                    read_json::<RunRequest>(path)
+                        .map_err(|e| format!("{e} (nor an artifact: {artifact_err})"))?,
+                    None,
+                ),
             };
             eprintln!(
                 "[tifl] tracing {} / {} ...",
@@ -405,7 +410,7 @@ fn main() -> ExitCode {
                         "[tifl] WARNING: regenerated metrics diverge from the artifact's \
                          stored snapshot — determinism bug or corrupt artifact (try `tifl audit`)"
                     );
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
             if let Some(out) = out {
@@ -442,17 +447,12 @@ fn main() -> ExitCode {
             // Operands are store artifacts or bare training reports
             // (`tifl run --spec --out`); either way the diff walks the
             // digest chains — nothing is re-run.
-            let load = |path: &str| -> TrainingReport {
-                let text =
-                    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-                match serde_json::from_str::<RunArtifact>(&text) {
-                    Ok(artifact) => artifact.report,
-                    Err(_) => serde_json::from_str::<TrainingReport>(&text).unwrap_or_else(|e| {
-                        panic!("parsing {path} as a run artifact or training report: {e}")
-                    }),
-                }
+            let load = |path: &str| {
+                read_json::<RunArtifact>(path)
+                    .map(|artifact| artifact.report)
+                    .or_else(|_| read_json::<TrainingReport>(path))
             };
-            let diff = load(a).diff(a, &load(b), b);
+            let diff = load(a)?.diff(a, &load(b)?, b);
             match format.as_str() {
                 "human" => print!("{}", diff.render_text()),
                 "json" => println!(
@@ -488,7 +488,7 @@ fn main() -> ExitCode {
             }
             if !std::path::Path::new(dir).is_dir() {
                 eprintln!("[tifl] no store directory at {dir}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             let store = RunStore::open(dir).unwrap_or_else(|e| panic!("opening {dir}: {e}"));
             let report = tifl::sweep::audit_store(&store);
@@ -536,7 +536,7 @@ fn main() -> ExitCode {
                 Ok(report) => report,
                 Err(e) => {
                     eprintln!("[tifl] merge failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             print!("{}", report.render_text());
@@ -568,7 +568,7 @@ fn main() -> ExitCode {
             let rows = tifl::sweep::pivot_rows(&store, target);
             if rows.is_empty() {
                 eprintln!("[tifl] no run artifacts found in {dir}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             match format.as_str() {
                 "human" => print!("{}", tifl::obs::render_pivot(&rows, target)),
@@ -584,7 +584,7 @@ fn main() -> ExitCode {
         }
         [cmd, rest @ ..] if cmd == "lint" => ExitCode::from(tifl::lint::cli::run(rest)),
         [cmd, path, policy] if cmd == "run" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = read_json(path)?;
             let mut runner = cfg.runner();
             let report = if policy == "adaptive" {
                 runner.adaptive(None).run()
@@ -597,13 +597,18 @@ fn main() -> ExitCode {
             print_report(&report);
             ExitCode::SUCCESS
         }
-        _ => usage(),
-    }
+        _ => return usage(),
+    })
 }
 
-fn read_json<T: serde::Deserialize>(path: &str) -> T {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+/// Load `path` as a JSON `T`; the error names the path, then the cause
+/// (unreadable, malformed or truncated JSON, or a different document).
+fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| {
+        let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
+        format!("{path}: not a {what}: {e}")
+    })
 }
 
 fn write_json<T: serde::Serialize>(path: &str, value: &T) {

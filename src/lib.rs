@@ -25,8 +25,7 @@
 //!   a worker-pool scheduler with a shared profile cache, a resumable
 //!   keyed artifact store, store-backed pivot reporting (`tifl
 //!   report`), store auditing (`tifl audit`), and verified shard-store
-//!   merging (`tifl merge` / `tifl sweep --shard`);
-//! * [`leaf`] — the LEAF-like FEMNIST benchmark harness.
+//!   merging (`tifl merge` / `tifl sweep --shard`).
 //!
 //! ## Quickstart
 //!
@@ -74,7 +73,6 @@ pub use tifl_comm as comm;
 pub use tifl_core as core;
 pub use tifl_data as data;
 pub use tifl_fl as fl;
-pub use tifl_leaf as leaf;
 pub use tifl_lint as lint;
 pub use tifl_nn as nn;
 pub use tifl_obs as obs;
@@ -96,7 +94,7 @@ pub mod prelude {
     pub use tifl_core::scheduler::{AdaptiveConfig, AdaptiveTierSelector, StaticTierSelector};
     pub use tifl_core::tiering::{TierAssignment, TieringConfig};
     pub use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
-    pub use tifl_data::{Dataset, FederatedDataset};
+    pub use tifl_data::{Dataset, FederatedDataset, LeafDataConfig};
     pub use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
     pub use tifl_fl::checkpoint::{Checkpoint, SelectorState};
     pub use tifl_fl::client::{ClientConfig, DpNoiseConfig};
@@ -107,7 +105,6 @@ pub mod prelude {
         AggregationMode, RoundPlan, Session, SessionConfig, SessionOverrides, TaskPricing,
     };
     pub use tifl_fl::timeline::{RoundTimeline, TimelineEvent};
-    pub use tifl_leaf::{LeafDataConfig, LeafExperiment};
     pub use tifl_nn::models::ModelSpec;
     pub use tifl_obs::{
         chrome_trace, host_chrome_trace, DiffReport, DiffSide, Digest128, DigestChain, Divergence,

@@ -53,7 +53,7 @@ fn dataset_generation_is_deterministic() {
 
 #[test]
 fn leaf_runs_identical_across_invocations() {
-    let exp = LeafExperiment::tiny(17);
+    let exp = ExperimentConfig::leaf_femnist_tiny(17);
     let a = exp.runner().policy(&Policy::uniform(5)).run();
     let b = exp.runner().policy(&Policy::uniform(5)).run();
     assert_eq!(a, b);

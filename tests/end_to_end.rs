@@ -158,7 +158,7 @@ fn dropouts_are_excluded_from_tiers_but_training_continues() {
 
 #[test]
 fn leaf_pipeline_end_to_end() {
-    let exp = LeafExperiment::tiny(7);
+    let exp = ExperimentConfig::leaf_femnist_tiny(7);
     let mut runner = exp.runner();
     let vanilla = runner.vanilla().run();
     let adaptive = runner.adaptive(None).run();

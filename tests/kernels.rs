@@ -4,9 +4,6 @@
 //! codec kernels, the GEMMs' zero-skip asymmetry, and the zero skip
 //! itself over sparsity patterns around its compaction strip.
 //!
-//! These run against whichever dispatch the build selected: the default
-//! 4/8-wide unrolled loops, or (under `cargo test --features simd`) the
-//! SSE2 kernels — so one suite pins both tiers to the scalar reference.
 //! Equality is asserted on raw bit patterns, never on approximate
 //! values: the aggregation pipeline's two execution backends are pinned
 //! bit-for-bit equal, so any kernel that reassociates or fuses floats
@@ -212,7 +209,7 @@ fn zeros_in_a_hide_non_finite_b_at_every_strip_position() {
 }
 
 proptest! {
-    /// `ops::axpy` (unrolled or SIMD) is bitwise `ops::axpy_scalar`,
+    /// `ops::axpy` (8-wide unrolled) is bitwise `ops::axpy_scalar`,
     /// including NaN/±inf propagation.
     #[test]
     fn axpy_matches_scalar_reference_bitwise(

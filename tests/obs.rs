@@ -10,10 +10,7 @@
 //! 3. metrics snapshots are byte-deterministic (identical JSON) across
 //!    repeated runs;
 //! 4. pre-observability artifacts (no `metrics` field) still load and
-//!    validate against the store's resume predicate;
-//! 5. `RoundTimeline::from_plan` — the canonical-schedule derivation
-//!    the live trace shares — reproduces the legacy event-queue
-//!    builder on real session plans.
+//!    validate against the store's resume predicate.
 
 mod common;
 
@@ -300,34 +297,6 @@ fn artifacts_without_metrics_still_load_and_validate() {
     assert!(loaded.metrics.is_none());
     assert!(store.validates(key, &request));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// -- 5. timeline equivalence ------------------------------------------------
-
-#[test]
-fn from_plan_matches_the_event_queue_builder_on_live_session_plans() {
-    // `RoundTimeline::build` is the legacy what-if replay: it knows
-    // nothing of over-selection, so the equivalence claim is scoped to
-    // `WaitAll` — exactly the regime where both derivations must agree
-    // on every real plan a session produces.
-    for seed in [70, 74, 82] {
-        let cfg = tiny(seed);
-        let mut session = cfg.build_session(&SessionOverrides::default());
-        let mut selector = RandomSelector::new(cfg.num_clients, seed);
-        let tmax = session.config().tmax_sec;
-        for _ in 0..cfg.rounds {
-            let plan = session.plan_round(&mut selector);
-            let derived = RoundTimeline::from_plan(&plan, false, tmax);
-            let replayed = RoundTimeline::build(&plan.responses, tmax, None);
-            assert_eq!(
-                derived, replayed,
-                "seed {seed} round {}: canonical schedule diverged from the \
-                 event-queue replay",
-                plan.round
-            );
-            let _ = session.finish_round(plan, None, &mut selector, false);
-        }
-    }
 }
 
 // -- host-time phase profiling ---------------------------------------------

@@ -126,7 +126,7 @@ mod legacy_equivalence {
 
     #[test]
     fn leaf_run_methods_match_specs() {
-        let exp = LeafExperiment::tiny(77);
+        let exp = ExperimentConfig::leaf_femnist_tiny(77);
         let vanilla = exp.runner().vanilla().run();
         assert_golden(&vanilla, "1d48d9e43f191dd9f7bf3e90648c7e7a", "vanilla");
         let uniform = exp.runner().policy(&Policy::uniform(5)).run();
@@ -440,5 +440,62 @@ fn spec_cli_threads_override_is_result_invariant() {
     let threaded = run_cli(&["--threads", "2"]);
     assert_eq!(plain, threaded, "thread override changed the results");
     assert!(plain.contains("vanilla: 5 rounds"), "summary: {plain}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_reports_an_unloadable_input_file_without_panicking() {
+    // Every file-reading command, handed a file that is missing, cut
+    // off mid-object, or a different document: exit code 1 and
+    // `[tifl] <path>: <cause>` on stderr, never a panic.
+    let dir = std::env::temp_dir().join(format!("tifl-badfile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write fixture");
+        path.to_str().unwrap().to_string()
+    };
+    let request = RunRequest {
+        experiment: tiny(86),
+        rounds: Some(2),
+        seed: None,
+        clients_per_round: None,
+        spec: RunSpec::default(),
+    };
+    let request_json = serde_json::to_string_pretty(&request).unwrap();
+    let report_json = serde_json::to_string_pretty(&request.run()).unwrap();
+    let missing = dir.join("missing.json").to_str().unwrap().to_string();
+    let truncated = write("truncated.json", &request_json[..request_json.len() / 2]);
+    let report = write("report.json", &report_json);
+    let a_request = write("request.json", &request_json);
+
+    // (command prefix, the operand that is the wrong document for it)
+    let commands: [(&[&str], &str); 4] = [
+        (&["run", "--spec"], &report),
+        (&["sweep"], &report),
+        (&["profile"], &report),
+        (&["diff"], &a_request),
+    ];
+    for (command, wrong_shape) in commands {
+        for bad in [missing.as_str(), truncated.as_str(), wrong_shape] {
+            let mut args = command.to_vec();
+            args.push(bad);
+            if command == ["diff"] {
+                args.push(&report); // a good second operand
+            }
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+                .args(&args)
+                .current_dir(&dir) // a stray default store lands here
+                .output()
+                .expect("tifl binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "tifl {args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("[tifl] {bad}: ")),
+                "tifl {args:?} must name the file: {stderr}"
+            );
+            assert!(!stderr.contains("panicked at"), "tifl {args:?}: {stderr}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

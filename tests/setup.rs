@@ -62,7 +62,10 @@ fn train_sizes_match_the_materialised_dataset() {
         assert_eq!(sizes, cfg.build_data().train_sizes(), "{data:?}");
         assert_eq!(sizes.len(), cfg.num_clients, "{data:?}");
     }
-    for exp in [LeafExperiment::tiny(32), LeafExperiment::paper(33)] {
+    for exp in [
+        ExperimentConfig::leaf_femnist_tiny(32),
+        ExperimentConfig::leaf_femnist(33),
+    ] {
         assert_eq!(
             exp.train_sizes(),
             Experiment::build_data(&exp).train_sizes(),
@@ -317,13 +320,13 @@ fn profile_goldens() -> Vec<(String, String, &'static str)> {
     );
     rows.push((
         "leaf/tiny77".to_string(),
-        profile_digest(&LeafExperiment::tiny(77), None),
+        profile_digest(&ExperimentConfig::leaf_femnist_tiny(77), None),
         "7d795f57be672c7a599aebfcf3e65769",
     ));
     rows.push((
         "leaf/tiny77/topk".to_string(),
         profile_digest(
-            &LeafExperiment::tiny(77),
+            &ExperimentConfig::leaf_femnist_tiny(77),
             comm(CodecSpec::TopK { frac: 0.1 }, group_scaled(0.5, 0.01)),
         ),
         "922d82de3c9a56c18703667ce0fc9ca4",
@@ -416,7 +419,7 @@ fn materialisation_is_thread_count_invariant_and_equals_1f0fe8b() {
     assert_thread_count_invariant("styles on", "ae3df87f43bec353f0ec7666f8929c18", || {
         styled.build_data()
     });
-    let leaf = LeafExperiment::tiny(23);
+    let leaf = ExperimentConfig::leaf_femnist_tiny(23);
     assert_thread_count_invariant("femnist", "d4d56a18d5d4bb9fecbaa17811709a44", || {
         Experiment::build_data(&leaf)
     });
@@ -473,13 +476,12 @@ fn bad_plans_name_the_lowest_offending_client_at_every_thread_count() {
         );
 
         let mut leaf = LeafDataConfig {
-            num_clients: 12,
             min_samples: 0,
             median_samples: 1,
             quantity_sigma: 3.0,
             ..LeafDataConfig::default()
         };
-        let sizes = tifl::leaf::femnist_train_sizes(&leaf, 4);
+        let sizes = tifl::data::femnist_train_sizes(12, &leaf, 4);
         let first_empty = sizes
             .iter()
             .position(|&n| n == 0)
@@ -489,14 +491,14 @@ fn bad_plans_name_the_lowest_offending_client_at_every_thread_count() {
             "two empty writers: {sizes:?}"
         );
         assert_eq!(
-            panic_message_on(threads, || drop(tifl::leaf::build_femnist(&leaf, 4))),
+            panic_message_on(threads, || drop(tifl::data::build_femnist(12, &leaf, 4))),
             format!("client {first_empty} has no samples"),
             "{threads} threads"
         );
         leaf.min_samples = 5;
         leaf.test_fraction = -0.1;
         assert_eq!(
-            panic_message_on(threads, || drop(tifl::leaf::build_femnist(&leaf, 4))),
+            panic_message_on(threads, || drop(tifl::data::build_femnist(12, &leaf, 4))),
             "test_fraction out of range",
             "{threads} threads"
         );

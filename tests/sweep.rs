@@ -493,3 +493,83 @@ proptest! {
         }
     }
 }
+
+// -- LEAF through the front door ----------------------------------------------
+
+#[test]
+fn leaf_is_a_first_class_request_for_run_sweep_and_audit() {
+    let tifl = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(args)
+            .output()
+            .expect("tifl binary runs");
+        assert!(
+            out.status.success(),
+            "tifl {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let dir = tmp_dir("leaf");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+
+    // A LEAF RunRequest is ordinary JSON...
+    let request = RunRequest {
+        experiment: ExperimentConfig::leaf_femnist_tiny(77),
+        rounds: None,
+        seed: None,
+        clients_per_round: None,
+        spec: RunSpec::default(),
+    };
+    let json = serde_json::to_string_pretty(&request).unwrap();
+    let back: RunRequest = serde_json::from_str(&json).expect("request parses back");
+    assert_eq!(back, request);
+
+    // ...that `tifl run --spec` executes: the vanilla LEAF run pinned
+    // in tests/runspec.rs.
+    std::fs::write(path("run.json"), json).expect("write spec");
+    tifl(&["run", "--spec", &path("run.json"), "--out", &path("r.json")]);
+    let report: TrainingReport =
+        serde_json::from_str(&std::fs::read_to_string(path("r.json")).unwrap()).unwrap();
+    assert_eq!(
+        report.digest_chain().to_string(),
+        "1d48d9e43f191dd9f7bf3e90648c7e7a"
+    );
+
+    // A two-cell LEAF sweep stores, resumes, audits clean and pivots
+    // into one row per cell.
+    let mut manifest = SweepManifest::new(ExperimentConfig::leaf_femnist_tiny(77));
+    manifest.name = Some("leaf".into());
+    manifest.axes.selection = vec![
+        SelectionStrategy::Vanilla,
+        SelectionStrategy::Adaptive { config: None },
+    ];
+    std::fs::write(
+        path("sweep.json"),
+        serde_json::to_string_pretty(&manifest).unwrap(),
+    )
+    .expect("write manifest");
+    let sweep = |extra: &[&str]| {
+        let (manifest, arts) = (path("sweep.json"), path("arts"));
+        let mut args = vec!["sweep", &manifest, "--out", &arts];
+        args.extend_from_slice(extra);
+        tifl(&args)
+    };
+    let first = sweep(&[]);
+    assert!(
+        first.contains("2 completed, 0 skipped, 0 failed"),
+        "{first}"
+    );
+    let second = sweep(&["--resume"]);
+    assert!(
+        second.contains("0 completed, 2 skipped, 0 failed"),
+        "{second}"
+    );
+    let audit = tifl(&["audit", &path("arts"), "--deny"]);
+    assert!(audit.contains("2 artifacts, 2 clean"), "audit: {audit}");
+    let rows = tifl(&["report", &path("arts"), "--format", "json"]);
+    let rows: Vec<tifl::obs::PivotRow> = serde_json::from_str(&rows).expect("pivot rows parse");
+    assert_eq!(rows.len(), 2, "one pivot row per cell");
+    let _ = std::fs::remove_dir_all(&dir);
+}
