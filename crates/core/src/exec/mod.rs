@@ -1,29 +1,21 @@
-//! How runs execute, independently of *what* they run: one loop, a
-//! thread count, and an asynchronous mode.
+//! How runs execute, independently of *what* they run: one loop and a
+//! thread count.
 //!
-//! Every synchronous round (`WaitAll`, `FirstK`) in the workspace is
-//! executed by one loop, [`tifl_fl::Session::run_rounds`]: plan the
-//! round, dispatch its contributors to the [`ClientExecutor`], fold
-//! each update the moment its canonical predecessor has
-//! ([`OrderedMerge`] into a [`tifl_fl::StreamingFold`]), commit, and
-//! defer the global-test evaluation onto the executor so it overlaps
-//! the next round's training. Training is a pure function of
-//! `(seed, client, round)` and folds happen in plan order, so reports
-//! and final weights are bit-for-bit the same for **any** thread count;
-//! on one thread the executor runs every task inline.
+//! Every round (`WaitAll`, `FirstK`) in the workspace is executed by
+//! one loop, [`tifl_fl::Session::run_rounds`]: plan the round, dispatch
+//! its contributors to `tifl_fl`'s client executor, fold each update
+//! the moment its canonical predecessor has (an ordered merge into a
+//! [`tifl_fl::StreamingFold`]), commit, and defer the global-test
+//! evaluation onto the executor so it overlaps the next round's
+//! training. Training is a pure function of `(seed, client, round)` and
+//! folds happen in plan order, so reports and final weights are
+//! bit-for-bit the same for **any** thread count; on one thread the
+//! executor runs every task inline.
 //!
 //! An [`ExecBackend`] is therefore just a thread count:
 //! [`Lockstep`](ExecBackend::Lockstep) is the loop at the ambient rayon
 //! parallelism, [`EventDriven`](ExecBackend::EventDriven) at an
-//! explicit one. The pieces:
-//!
-//! * [`executor`] / [`streaming`] — the client executor and the ordered
-//!   merge, re-exported from [`tifl_fl::exec`] where the loop lives;
-//! * [`engine`] — [`EventEngine`], which hands synchronous modes to the
-//!   loop and owns the one mode that needs an event queue: staleness-
-//!   aware asynchronous aggregation
-//!   ([`Async`](tifl_fl::session::AggregationMode::Async)) over
-//!   [`tifl_sim::event::EventQueue`].
+//! explicit one.
 //!
 //! ```no_run
 //! use tifl_core::experiment::ExperimentConfig;
@@ -35,13 +27,9 @@
 //! println!("{}: {:.3}", report.policy, report.final_accuracy());
 //! ```
 
-pub mod engine;
-pub use tifl_fl::exec::{executor, streaming};
-
-pub use engine::EventEngine;
-pub use tifl_fl::exec::{ClientExecutor, OrderedMerge, TrainContext};
-
 use serde::{Deserialize, Serialize};
+use tifl_fl::selector::ClientSelector;
+use tifl_fl::{RoundReport, Session, TrainingReport};
 
 /// How many threads a run's round loop uses. The backend never changes
 /// a run's results — only its wall-clock speed; the two variants (and
@@ -54,9 +42,7 @@ pub enum ExecBackend {
     /// the sweep scheduler divides the host among its workers).
     #[default]
     Lockstep,
-    /// The round loop at an explicit thread count. Also the backend
-    /// [`Async`](tifl_fl::session::AggregationMode::Async) aggregation
-    /// requires.
+    /// The round loop at an explicit thread count.
     EventDriven {
         /// Threads training clients (0 = ambient, like
         /// [`Lockstep`](ExecBackend::Lockstep)).
@@ -84,6 +70,37 @@ impl ExecBackend {
             ExecBackend::EventDriven { threads: 0 } => "event".to_string(),
             ExecBackend::EventDriven { threads } => format!("event({threads})"),
         }
+    }
+}
+
+/// [`Session::run_rounds`] at a fixed thread count (0 = ambient). Kept
+/// only because `crates/benchmark/src/bin/tifl-benchmark/fl.rs` names
+/// it; everything else calls the session.
+pub struct EventEngine(usize);
+
+impl EventEngine {
+    /// An engine on `threads` threads.
+    #[must_use]
+    pub fn new(threads: usize) -> Self {
+        Self(threads)
+    }
+
+    /// Run the session's remaining configured rounds.
+    pub fn run(&self, session: &mut Session, selector: &mut dyn ClientSelector) -> TrainingReport {
+        let remaining = session.config().rounds - session.rounds_done();
+        let rounds = session.run_rounds(selector, remaining, self.0);
+        let policy = selector.name();
+        TrainingReport { policy, rounds }
+    }
+
+    /// Run `rounds` rounds.
+    pub fn run_rounds(
+        &self,
+        session: &mut Session,
+        selector: &mut dyn ClientSelector,
+        rounds: u64,
+    ) -> Vec<RoundReport> {
+        session.run_rounds(selector, rounds, self.0)
     }
 }
 

@@ -19,10 +19,9 @@
 //!   describing one cell of the §5 evaluation matrix, and the
 //!   [`Runner`] that executes it through the one canonical
 //!   profile → tier → select → train pipeline (with a profiling cache);
-//! * [`exec`] — how runs execute: [`exec::ExecBackend`] (the thread
-//!   count the one round loop in `tifl_fl` runs on; never changes a
-//!   result) and the event-queue engine for asynchronous
-//!   staleness-aware aggregation.
+//! * [`exec`] — how runs execute: [`exec::ExecBackend`], the thread
+//!   count the one round loop in `tifl_fl` runs on (never changes a
+//!   result).
 
 #![forbid(unsafe_code)]
 

@@ -32,7 +32,7 @@
 //! resulting [`TrainingReport`] digests per scenario.
 
 use crate::baselines::DeadlineSelector;
-use crate::exec::{EventEngine, ExecBackend};
+use crate::exec::ExecBackend;
 use crate::experiment::ExperimentConfig;
 use crate::policy::Policy;
 use crate::profiler::{ProfileResult, Profiler, ProfilerConfig};
@@ -44,7 +44,7 @@ use tifl_comm::{CodecSpec, CommSpec, HierarchySpec, LinkModel};
 use tifl_data::FederatedDataset;
 use tifl_fl::selector::{ClientSelector, RandomSelector};
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides, TaskPricing};
-use tifl_fl::TrainingReport;
+use tifl_fl::{RoundReport, TrainingReport};
 use tifl_obs::{
     HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase, PhaseTotals, RealClock, RunObserver,
     TraceEvent, TraceRecord,
@@ -139,9 +139,7 @@ pub struct RunSpec {
     #[serde(default)]
     pub label: Option<String>,
     /// The round loop's thread count (see [`ExecBackend`]). Never
-    /// changes the results, so it does not decorate the label; but
-    /// [`AggregationMode::Async`] scenarios require
-    /// [`ExecBackend::EventDriven`].
+    /// changes the results, so it does not decorate the label.
     #[serde(default)]
     pub backend: ExecBackend,
     /// Communication model: update codec × link model (× optional
@@ -210,13 +208,6 @@ impl RunSpec {
                 format!("overselect({factor})")
             } else {
                 format!("{base}+overselect({factor})")
-            };
-        }
-        if let Some(AggregationMode::Async { max_staleness }) = self.aggregation {
-            base = if base == "vanilla" {
-                format!("async({max_staleness})")
-            } else {
-                format!("{base}+async({max_staleness})")
             };
         }
         // The codec decorates only when it is lossy: an Identity comm
@@ -460,18 +451,6 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// aggregate the first `|C|` responders.
     pub fn overselect(&mut self, factor: f64) -> &mut Self {
         self.aggregation(AggregationMode::FirstK { factor })
-    }
-
-    /// Staleness-aware asynchronous aggregation (FedAsync-style): no
-    /// round barrier, updates staler than `max_staleness` model
-    /// versions are discarded. Implies the event-driven backend — this
-    /// also switches the backend to [`ExecBackend::EventDriven`]
-    /// (ambient threads) if the spec still has the lockstep one.
-    pub fn async_aggregation(&mut self, max_staleness: u64) -> &mut Self {
-        if self.spec.backend == ExecBackend::Lockstep {
-            self.spec.backend = ExecBackend::EventDriven { threads: 0 };
-        }
-        self.aggregation(AggregationMode::Async { max_staleness })
     }
 
     /// Choose where the thread count comes from (results are
@@ -722,46 +701,24 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// Drive the spec against an already-built session (the shared
     /// tail of [`Runner::run_with_session`] / [`Runner::run_observed`]).
     fn execute(&mut self, session: &mut Session) -> TrainingReport {
-        assert!(
-            self.spec.backend != ExecBackend::Lockstep
-                || !matches!(session.config().aggregation, AggregationMode::Async { .. }),
-            "Async aggregation requires the event-driven backend (ExecBackend::EventDriven)"
-        );
-        let engine = EventEngine::new(self.spec.backend.threads());
-        let mut report = match self.spec.reprofile_every {
+        let threads = self.spec.backend.threads();
+        let rounds = match self.spec.reprofile_every {
             None => {
                 let seed = split_seed(self.exp.seed(), 0x5E1EC7);
-                let mut selector = self.build_selector(seed);
-                engine.run(session, selector.as_mut())
+                let selection = self.spec.selection.clone();
+                let (clients, horizon) = (self.exp.num_clients(), self.exp.rounds());
+                let mut selector = build_selector(&selection, clients, horizon, seed, || {
+                    let profile = self.shared_profile();
+                    (profile.0.clone(), profile.1.mean_latency.clone())
+                });
+                let remaining = session.config().rounds - session.rounds_done();
+                session.run_rounds(selector.as_mut(), remaining, threads)
             }
-            Some(every) => self.run_segmented(session, every, &engine),
+            Some(every) => self.run_segmented(session, every, threads),
         };
-        report.policy = self.spec.display_label();
-        report
-    }
-
-    /// Build the spec's selector from the (cached) profile.
-    fn build_selector(&mut self, seed: u64) -> Box<dyn ClientSelector> {
-        let selection = self.spec.selection.clone();
-        match selection {
-            s if s.is_vanilla() => Box::new(RandomSelector::new(self.exp.num_clients(), seed)),
-            SelectionStrategy::TierPolicy { policy } => {
-                let assignment = self.tiers().clone();
-                Box::new(StaticTierSelector::new(assignment, policy, seed))
-            }
-            SelectionStrategy::Adaptive { config } => {
-                let rounds = self.exp.rounds();
-                let assignment = self.tiers().clone();
-                let config = config
-                    .unwrap_or_else(|| AdaptiveConfig::for_run(rounds, assignment.num_tiers()));
-                Box::new(AdaptiveTierSelector::new(assignment, config, seed))
-            }
-            SelectionStrategy::Deadline { deadline_sec } => {
-                let latencies = self.profile().1.mean_latency.clone();
-                Box::new(DeadlineSelector::new(latencies, deadline_sec, seed))
-            }
-            // tifl-lint: allow(panic-in-library) — invariant panic: the is_vanilla branch above handles this variant
-            SelectionStrategy::Vanilla => unreachable!("covered by the is_vanilla arm"),
+        TrainingReport {
+            policy: self.spec.display_label(),
+            rounds,
         }
     }
 
@@ -774,8 +731,8 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         &mut self,
         session: &mut Session,
         every: u64,
-        engine: &EventEngine,
-    ) -> TrainingReport {
+        threads: usize,
+    ) -> Vec<RoundReport> {
         assert!(
             self.spec.selection.needs_profile(),
             "re-profiling requires a tiered policy"
@@ -783,6 +740,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         assert!(every > 0, "re-profiling interval must be positive");
         let profiler = Profiler::new(self.exp.profiler_config());
         let tiering = self.exp.tiering_config();
+        let clients = self.exp.num_clients();
         let rounds_total = self.exp.rounds();
         let mut rounds = Vec::with_capacity(rounds_total as usize);
         let mut done = 0u64;
@@ -794,40 +752,52 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
             session.trace_event(
                 now,
                 TraceEvent::ProfilePass {
-                    clients: self.exp.num_clients() as u32,
+                    clients: clients as u32,
                     dropouts: profile.dropouts().len() as u32,
                     profiling_sec: profile.profiling_time,
                 },
             );
             let seed = split_seed(self.exp.seed(), split_seed(0x5E1EC7, done));
-            let mut selector: Box<dyn ClientSelector> =
-                match &self.spec.selection {
-                    SelectionStrategy::TierPolicy { policy } => {
-                        let assignment =
-                            TierAssignment::from_latencies(&profile.mean_latency, &tiering);
-                        Box::new(StaticTierSelector::new(assignment, policy.clone(), seed))
-                    }
-                    SelectionStrategy::Adaptive { config } => {
-                        let assignment =
-                            TierAssignment::from_latencies(&profile.mean_latency, &tiering);
-                        let config = config.unwrap_or_else(|| {
-                            AdaptiveConfig::for_run(rounds_total, assignment.num_tiers())
-                        });
-                        Box::new(AdaptiveTierSelector::new(assignment, config, seed))
-                    }
-                    SelectionStrategy::Deadline { deadline_sec } => Box::new(
-                        DeadlineSelector::new(profile.mean_latency, *deadline_sec, seed),
-                    ),
-                    // tifl-lint: allow(panic-in-library) — invariant panic: vanilla selection is dispatched before this match
-                    SelectionStrategy::Vanilla => unreachable!("rejected above"),
-                };
+            let mut selector =
+                build_selector(&self.spec.selection, clients, rounds_total, seed, || {
+                    let tiers = TierAssignment::from_latencies(&profile.mean_latency, &tiering);
+                    (tiers, profile.mean_latency)
+                });
             let segment = every.min(rounds_total - done);
-            rounds.extend(engine.run_rounds(session, selector.as_mut(), segment));
+            rounds.extend(session.run_rounds(selector.as_mut(), segment, threads));
             done += segment;
         }
-        TrainingReport {
-            policy: String::new(), // overwritten by the caller
-            rounds,
+        rounds
+    }
+}
+
+/// The one place a [`SelectionStrategy`] becomes a selector. `profile`
+/// supplies the tiers and the per-client mean latencies they were cut
+/// from — the runner's cached measurement, or a re-profiling segment's
+/// fresh one — and is never called for a vanilla strategy, which
+/// selects without profiling.
+fn build_selector(
+    selection: &SelectionStrategy,
+    clients: usize,
+    rounds: u64,
+    seed: u64,
+    profile: impl FnOnce() -> (TierAssignment, Vec<Option<f64>>),
+) -> Box<dyn ClientSelector> {
+    let random = || Box::new(RandomSelector::new(clients, seed));
+    match selection {
+        SelectionStrategy::Vanilla => random(),
+        SelectionStrategy::TierPolicy { policy } if policy.is_vanilla() => random(),
+        SelectionStrategy::TierPolicy { policy } => {
+            Box::new(StaticTierSelector::new(profile().0, policy.clone(), seed))
+        }
+        SelectionStrategy::Adaptive { config } => {
+            let tiers = profile().0;
+            let config =
+                config.unwrap_or_else(|| AdaptiveConfig::for_run(rounds, tiers.num_tiers()));
+            Box::new(AdaptiveTierSelector::new(tiers, config, seed))
+        }
+        SelectionStrategy::Deadline { deadline_sec } => {
+            Box::new(DeadlineSelector::new(profile().1, *deadline_sec, seed))
         }
     }
 }
@@ -1204,44 +1174,6 @@ mod tests {
         );
         runner.lockstep();
         assert_eq!(runner.spec().backend, ExecBackend::Lockstep);
-    }
-
-    #[test]
-    fn async_aggregation_implies_event_driven() {
-        let cfg = tiny();
-        let mut runner = cfg.runner();
-        runner.async_aggregation(2);
-        assert_eq!(
-            runner.spec().aggregation,
-            Some(AggregationMode::Async { max_staleness: 2 })
-        );
-        assert_eq!(
-            runner.spec().backend,
-            ExecBackend::EventDriven { threads: 0 }
-        );
-        assert_eq!(runner.spec().display_label(), "async(2)");
-        // An explicitly chosen event-driven thread count is kept.
-        let mut runner = cfg.runner();
-        runner.event_driven(2).async_aggregation(1);
-        assert_eq!(
-            runner.spec().backend,
-            ExecBackend::EventDriven { threads: 2 }
-        );
-        assert_eq!(
-            runner.adaptive(None).spec().display_label(),
-            "adaptive+async(1)"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires the event-driven backend")]
-    fn async_on_lockstep_is_rejected() {
-        let cfg = tiny();
-        let mut runner = cfg.runner();
-        runner
-            .aggregation(AggregationMode::Async { max_staleness: 1 })
-            .lockstep();
-        let _ = runner.run();
     }
 
     #[test]

@@ -42,9 +42,9 @@ pub fn aggregate_fedavg(updates: &[ClientUpdate]) -> ParamVec {
 /// supplied up front (it is known from the round plan before any
 /// training finishes), each [`StreamingFold::fold`] is one `axpy` with
 /// the same coefficient, and floating-point addition at every
-/// coordinate happens in the same order. Executors that receive updates
-/// out of order must re-order them (see [`crate::exec::OrderedMerge`]) before
-/// folding.
+/// coordinate happens in the same order. A caller that receives
+/// updates out of order must re-order them before folding (the round
+/// loop's ordered merge does).
 #[derive(Debug)]
 pub struct StreamingFold {
     acc: ParamVec,
@@ -113,18 +113,6 @@ impl StreamingFold {
         let coeff = (f64::from(update.samples as f32) / self.total) as f32;
         self.acc.axpy(coeff, &update.params);
         self.folded += 1;
-    }
-
-    /// Updates folded so far.
-    #[must_use]
-    pub fn folded(&self) -> usize {
-        self.folded
-    }
-
-    /// Updates this fold was sized for.
-    #[must_use]
-    pub fn expected(&self) -> usize {
-        self.expected
     }
 
     /// Fold the next update from its encoded wire form, without

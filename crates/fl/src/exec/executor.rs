@@ -16,10 +16,19 @@
 //! captures an immutable snapshot of the round's aggregated model, so
 //! on a pool it runs concurrently with the *next* round's training
 //! ([`DeferredEvals`] patches the results into the reports afterwards).
+//!
+//! A task that panics on a worker is a result too
+//! ([`TaskResult::Panicked`]): the coordinating thread would otherwise
+//! wait forever for it. Its consumers re-raise the payload once every
+//! task they wait for has reported, lowest tag first — the panic a
+//! one-thread run, whose tasks run inline in submission order, raises.
 
 use crate::client::{self, ClientConfig};
 use crate::report::RoundReport;
 use crate::{ClientUpdate, Session};
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use tifl_data::FederatedDataset;
@@ -70,6 +79,15 @@ impl TrainContext {
     }
 }
 
+/// Which task a result belongs to.
+#[derive(Debug, Clone, Copy)]
+pub enum TaskTag {
+    /// A training task: the contributor's canonical slot in its round.
+    Train(u64),
+    /// A deferred evaluation: the index into the caller's report list.
+    Eval(usize),
+}
+
 /// One finished deferred evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct DeferredEval {
@@ -87,14 +105,21 @@ pub struct DeferredEval {
 pub enum TaskResult {
     /// One client finished local training.
     Update {
-        /// Caller-defined identity (the canonical slot in a synchronous
-        /// round, the dispatch sequence number in asynchronous mode).
+        /// The contributor's canonical slot in its round.
         tag: u64,
         /// The trained update.
         update: ClientUpdate,
     },
     /// One deferred global-model evaluation finished.
     Eval(DeferredEval),
+    /// The task panicked on a worker thread.
+    Panicked {
+        /// The task that died.
+        tag: TaskTag,
+        /// What `catch_unwind` caught, for `resume_unwind` on the
+        /// coordinating thread.
+        payload: Box<dyn Any + Send>,
+    },
 }
 
 /// Handle for submitting work from inside [`ClientExecutor::run`].
@@ -106,15 +131,19 @@ pub struct WorkQueue<'a, 'scope> {
 }
 
 impl<'scope> WorkQueue<'_, 'scope> {
-    fn submit(&self, task: impl FnOnce(&TrainContext) -> TaskResult + Send + 'scope) {
+    fn submit(&self, tag: TaskTag, task: impl FnOnce(&TrainContext) -> TaskResult + Send + 'scope) {
         let ctx = self.ctx;
-        // The receiver may already be gone when a run abandons
-        // still-in-flight work (asynchronous mode at its horizon).
+        // The receiver is already gone when the coordinating thread
+        // re-raised a panic with work still in flight.
         match self.scope {
             Some(scope) => {
                 let tx = self.tx.clone();
                 scope.spawn(move || {
-                    let _ = tx.send(task(ctx));
+                    // A task owns everything it mutates, so nothing
+                    // half-updated outlives its unwind.
+                    let result = catch_unwind(AssertUnwindSafe(|| task(ctx)))
+                        .unwrap_or_else(|payload| TaskResult::Panicked { tag, payload });
+                    let _ = tx.send(result);
                 });
             }
             None => {
@@ -127,7 +156,7 @@ impl<'scope> WorkQueue<'_, 'scope> {
     /// global snapshot; the result arrives as [`TaskResult::Update`]
     /// carrying `tag`.
     pub fn submit_train(&self, tag: u64, client: usize, round: u64, global: Arc<ParamVec>) {
-        self.submit(move |ctx| TaskResult::Update {
+        self.submit(TaskTag::Train(tag), move |ctx| TaskResult::Update {
             tag,
             update: ctx.train(client, round, &global),
         });
@@ -136,7 +165,7 @@ impl<'scope> WorkQueue<'_, 'scope> {
     /// Queue evaluation of a global-model snapshot; the result arrives
     /// as [`TaskResult::Eval`] carrying `report_index`.
     pub fn submit_eval(&self, report_index: usize, global: Arc<ParamVec>) {
-        self.submit(move |ctx| {
+        self.submit(TaskTag::Eval(report_index), move |ctx| {
             let clock = ctx.host_clock.as_deref();
             let start = clock.map_or(0.0, HostClock::now_sec);
             let result = ctx.evaluate(&global);
@@ -157,6 +186,8 @@ impl<'scope> WorkQueue<'_, 'scope> {
 pub struct DeferredEvals {
     submitted: usize,
     landed: Vec<DeferredEval>,
+    /// Evaluations that panicked where they ran, by report index.
+    dead: BTreeMap<usize, Box<dyn Any + Send>>,
 }
 
 impl DeferredEvals {
@@ -171,25 +202,37 @@ impl DeferredEvals {
         queue.submit_eval(report_index, global);
     }
 
-    /// Keep an evaluation that surfaced in the result stream.
-    pub fn land(&mut self, eval: DeferredEval) {
-        self.landed.push(eval);
+    /// Keep an evaluation's result, or its panic, as it surfaces in the
+    /// result stream. Training results are not this type's to keep:
+    /// every round drains its own before it ends.
+    pub fn land(&mut self, result: TaskResult) {
+        match result {
+            TaskResult::Eval(eval) => self.landed.push(eval),
+            TaskResult::Panicked {
+                tag: TaskTag::Eval(report_index),
+                payload,
+            } => drop(self.dead.insert(report_index, payload)),
+            TaskResult::Update { .. } | TaskResult::Panicked { .. } => {}
+        }
     }
 
-    /// Wait for the evaluations still outstanding (updates that surface
-    /// meanwhile belong to abandoned work and are dropped), then patch
-    /// every result into its report. Each patch closes one `Eval` host
-    /// span carrying the seconds the evaluation took where it ran.
+    /// Wait for the evaluations still outstanding, then patch every
+    /// result into its report. Each patch closes one `Eval` host span
+    /// carrying the seconds the evaluation took where it ran.
+    ///
+    /// # Panics
+    /// Re-raises the panic of the lowest-indexed evaluation that died.
     pub fn finish(
         mut self,
         results: &mpsc::Receiver<TaskResult>,
         session: &mut Session,
         reports: &mut [RoundReport],
     ) {
-        while self.landed.len() < self.submitted {
-            if let TaskResult::Eval(eval) = results.recv().expect("workers outlive the run") {
-                self.landed.push(eval);
-            }
+        while self.landed.len() + self.dead.len() < self.submitted {
+            self.land(results.recv().expect("the work queue holds a sender"));
+        }
+        if let Some((_, payload)) = self.dead.pop_first() {
+            resume_unwind(payload);
         }
         for eval in self.landed {
             let report = &mut reports[eval.report_index];
@@ -220,8 +263,8 @@ impl ClientExecutor {
     }
 
     /// The thread count in effect.
-    #[must_use]
-    pub fn threads(&self) -> usize {
+    #[cfg(test)]
+    fn threads(&self) -> usize {
         self.threads
     }
 
@@ -293,7 +336,7 @@ mod tests {
                 for _ in 0..4 {
                     match rx.recv().expect("4 updates") {
                         TaskResult::Update { tag, update } => got[tag as usize] = Some(update),
-                        TaskResult::Eval(_) => unreachable!("no evals submitted"),
+                        other => unreachable!("only training was submitted: {other:?}"),
                     }
                 }
                 got.into_iter()
@@ -317,7 +360,7 @@ mod tests {
                     assert_eq!(eval.report_index, 3);
                     eval.result
                 }
-                TaskResult::Update { .. } => unreachable!("no training submitted"),
+                other => unreachable!("only an evaluation was submitted: {other:?}"),
             }
         });
         assert_eq!(inline, deferred, "deferred evaluation must be bit-equal");
@@ -341,7 +384,7 @@ mod tests {
         let here = std::thread::current().id();
         let tags = ClientExecutor::new(1).run(&ctx, |queue, rx| {
             for tag in 0..5u64 {
-                queue.submit(move |_| {
+                queue.submit(TaskTag::Train(tag), move |_| {
                     assert_eq!(std::thread::current().id(), here, "no worker spawned");
                     let params = ParamVec::zeros(0);
                     TaskResult::Update {
@@ -358,10 +401,56 @@ mod tests {
             rx.try_iter()
                 .map(|r| match r {
                     TaskResult::Update { tag, .. } => tag,
-                    TaskResult::Eval(_) => unreachable!("no evals submitted"),
+                    other => unreachable!("only training was submitted: {other:?}"),
                 })
                 .collect::<Vec<_>>()
         });
         assert_eq!(tags, [0, 1, 2, 3, 4]);
+    }
+
+    /// The panic message of a three-round run whose global test set
+    /// carries a label the model has no class for, so every deferred
+    /// evaluation dies where it runs. Runs on a thread of its own: a
+    /// hang fails the test instead of stalling the suite.
+    fn eval_panic_message(threads: usize) -> String {
+        use crate::session::{AggregationMode, SessionConfig};
+        use tifl_sim::resource::profiles;
+        use tifl_sim::{Cluster, ClusterConfig};
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ctx = ctx();
+            let mut data = Arc::try_unwrap(ctx.data).expect("sole handle");
+            data.global_test.y[0] = data.classes;
+            let cluster = Cluster::new(&ClusterConfig::equal_groups(5, &profiles::MNIST, 5));
+            let config = SessionConfig {
+                model: ctx.model,
+                client: ctx.client,
+                clients_per_round: 2,
+                rounds: 3,
+                eval_every: 1,
+                tmax_sec: 1e9,
+                aggregation: AggregationMode::WaitAll,
+                comm: None,
+                seed: ctx.seed,
+            };
+            let mut session = Session::new(data, cluster, config);
+            let mut selector = crate::RandomSelector::new(4, 5);
+            let run = AssertUnwindSafe(|| session.run_rounds(&mut selector, 3, threads));
+            let _ = tx.send(catch_unwind(run).map(drop));
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run hung")
+            .expect_err("the evaluation must panic");
+        *payload.downcast::<String>().expect("a formatted message")
+    }
+
+    #[test]
+    fn a_panicking_evaluation_ends_the_run_with_its_message() {
+        let inline = eval_panic_message(1);
+        assert!(inline.contains("label 10 out of range"), "{inline}");
+        assert_eq!(eval_panic_message(2), inline);
+        assert_eq!(eval_panic_message(4), inline);
     }
 }

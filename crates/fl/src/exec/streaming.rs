@@ -1,7 +1,6 @@
 //! Re-serialising out-of-order completions.
 //!
-//! Parallel workers finish clients in wall-clock order, the virtual
-//! event queue delivers completions in virtual-time order — but FedAvg
+//! Parallel workers finish clients in wall-clock order — but FedAvg
 //! folds must happen in the *canonical aggregation order* of the round
 //! plan, or the floating-point sums change with the thread count
 //! (addition is commutative but not associative). [`OrderedMerge`] is
@@ -57,15 +56,9 @@ impl<T> OrderedMerge<T> {
     }
 
     /// Values buffered waiting for a straggling predecessor.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Next canonical slot to be released.
-    #[must_use]
-    pub fn released(&self) -> usize {
-        self.next
     }
 }
 

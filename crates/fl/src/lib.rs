@@ -6,9 +6,9 @@
 //! `K`; every selected [`client`] trains locally on its own data and
 //! returns updated weights; the aggregator averages them weighted by
 //! local training-set size. The [`session`] round loop drives this
-//! against the simulated testbed on the [`exec`] client executor, advancing the virtual clock by
-//! the round latency `max_i L_i` (Eq. 1) and recording a
-//! [`report::RoundReport`] per round.
+//! against the simulated testbed on the crate's client executor,
+//! advancing the virtual clock by the round latency `max_i L_i` (Eq. 1)
+//! and recording a [`report::RoundReport`] per round.
 //!
 //! TiFL itself (profiling, tiering, tier selection) lives in
 //! `tifl-core` and plugs in through the [`selector::ClientSelector`]
@@ -21,7 +21,7 @@
 pub mod aggregator;
 pub mod checkpoint;
 pub mod client;
-pub mod exec;
+pub(crate) mod exec;
 pub mod hierarchy;
 pub mod report;
 pub mod selector;

@@ -2,12 +2,13 @@
 
 use crate::aggregator::{ClientUpdate, StreamingFold};
 use crate::client::{self, ClientConfig};
-use crate::exec::{ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TrainContext};
+use crate::exec::{ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TaskTag, TrainContext};
 use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
 use crate::timeline::{schedule_plan_events, TimelineEvent};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tifl_comm::{CodecSpec, CommSpec, EncodeScratch, ErrorFeedback};
 use tifl_data::FederatedDataset;
@@ -35,19 +36,6 @@ pub enum AggregationMode {
     FirstK {
         /// Over-selection factor (Bonawitz et al. use 1.3).
         factor: f64,
-    },
-    /// Staleness-aware asynchronous aggregation (FedAsync-style): the
-    /// server keeps `|C|` clients in flight, folds each update into the
-    /// global model the moment it arrives (damped by its staleness), and
-    /// immediately dispatches a replacement. An update trained against a
-    /// global model more than `max_staleness` versions old is discarded.
-    ///
-    /// This mode is driven by the event-queue engine in
-    /// `tifl_core::exec`: the synchronous round loop has no notion of
-    /// overlapping rounds and panics on it.
-    Async {
-        /// Maximum tolerated model-version staleness.
-        max_staleness: u64,
     },
 }
 
@@ -319,8 +307,8 @@ impl Session {
     }
 
     /// Open a host-time phase (no-op stamp without a profiler). Public
-    /// so the asynchronous engine in `tifl_core::exec`, which drives
-    /// the session from outside, shares the same profiler.
+    /// so `tifl_core::runner`'s re-profiling passes, which run between
+    /// round segments, share the same profiler.
     #[must_use]
     pub fn host_begin(&self) -> f64 {
         self.host_prof.as_ref().map_or(0.0, HostProfiler::begin)
@@ -337,15 +325,15 @@ impl Session {
     /// Attribute host seconds measured off the coordinating thread (a
     /// deferred evaluation, timed where it ran) to `phase` (no-op
     /// without a profiler).
-    pub fn host_record(&mut self, phase: Phase, round: u64, dur_sec: f64) {
+    pub(crate) fn host_record(&mut self, phase: Phase, round: u64, dur_sec: f64) {
         if let Some(prof) = self.host_prof.as_mut() {
             prof.record(phase, round, dur_sec);
         }
     }
 
     /// Record a single event at virtual time `vt` (no-op without an
-    /// observer). Hook for emission sites outside the round loop: the
-    /// profiler pass and the asynchronous engine's arrival stream.
+    /// observer). Hook for the one emission site outside the round
+    /// loop: the runner's profiler passes.
     pub fn trace_event(&mut self, vt: f64, event: TraceEvent) {
         if let Some(obs) = self.observer.as_mut() {
             obs.record(vt, event);
@@ -437,8 +425,7 @@ impl Session {
     /// What a task needs to train or evaluate for this session off the
     /// coordinating thread: shared data, the training configuration,
     /// and the attached profiler's clock.
-    #[must_use]
-    pub fn train_context(&self) -> TrainContext {
+    pub(crate) fn train_context(&self) -> TrainContext {
         TrainContext {
             data: Arc::clone(&self.data),
             model: self.config.model,
@@ -578,9 +565,8 @@ impl Session {
     /// respect to training — see [`RoundPlan`].
     ///
     /// # Panics
-    /// Panics under [`AggregationMode::Async`] (which has no round
-    /// plans; use `tifl_core::exec::EventEngine`), on an over-selection factor
-    /// below 1, or if the selector returns no clients.
+    /// Panics on an over-selection factor below 1, or if the selector
+    /// returns no clients.
     pub fn plan_round(&self, selector: &mut dyn ClientSelector) -> RoundPlan {
         let round = self.round;
         let target = self.config.clients_per_round;
@@ -589,10 +575,6 @@ impl Session {
             AggregationMode::FirstK { factor } => {
                 assert!(factor >= 1.0, "over-selection factor must be >= 1");
                 ((target as f64 * factor).ceil() as usize).min(self.data.num_clients())
-            }
-            AggregationMode::Async { .. } => {
-                // tifl-lint: allow(panic-in-library) — documented precondition: the runner rejects Async on the lockstep backend before a session starts
-                panic!("Async aggregation requires the event-driven backend (ExecBackend::EventDriven)")
             }
         };
         let selected = selector.select(round, ask);
@@ -638,8 +620,6 @@ impl Session {
                 let latency = ok.last().map_or(self.config.tmax_sec, |&(_, l)| l);
                 (ok.into_iter().map(|(c, _)| c).collect(), latency)
             }
-            // tifl-lint: allow(panic-in-library) — invariant panic: Async mode already rejected at session entry
-            AggregationMode::Async { .. } => unreachable!("rejected above"),
         };
 
         // Hierarchical aggregation: the master/child combine cost rides
@@ -751,10 +731,10 @@ impl Session {
         }
     }
 
-    // -- low-level hooks for the asynchronous engine ----------------------
+    // -- low-level hooks for callers driving the phases themselves --------
 
-    /// Replace the global model (the asynchronous engine's per-update
-    /// fold commits through this).
+    /// Replace the global model (a caller folding outside
+    /// [`Session::run_rounds`] commits through this).
     ///
     /// # Panics
     /// Panics if the parameter count does not match the model.
@@ -780,71 +760,7 @@ impl Session {
         self.codec_scratch.take_zeroed(n)
     }
 
-    /// Return a dense buffer to the session's pool (an executor's
-    /// decoded arrival it has finished folding).
-    pub fn recycle_dense(&mut self, p: ParamVec) {
-        self.codec_scratch.recycle_dense(p);
-    }
-
-    /// Round-trip one client's update through its encoded wire form
-    /// against the current global model — the asynchronous engine's
-    /// server-side view of an arrival. Encodes with error-feedback
-    /// compensation and decodes into a pooled buffer (return it via
-    /// [`Session::recycle_dense`] after folding).
-    ///
-    /// # Panics
-    /// Panics if the update's parameter count does not match the model.
-    #[must_use]
-    pub fn roundtrip_through_codec(
-        &mut self,
-        codec: &CodecSpec,
-        update: &ClientUpdate,
-    ) -> ParamVec {
-        let t_enc = self.host_begin();
-        let enc = self.feedback.encode(
-            *codec,
-            update.client,
-            &update.params,
-            &self.global,
-            &mut self.codec_scratch,
-        );
-        let mut out = self.codec_scratch.take_empty();
-        enc.decode_into(&self.global, &mut out);
-        self.codec_scratch.recycle(enc);
-        self.host_end(Phase::Encode, self.round, t_enc);
-        out
-    }
-
-    /// FedAsync mix step, in place: `global = (1 − beta) · global +
-    /// beta · params`. Same scale-then-axpy operation order as mixing
-    /// on a copy, so the result is bit-for-bit identical — without the
-    /// per-arrival model clone.
-    ///
-    /// # Panics
-    /// Panics if the parameter count does not match the model.
-    pub fn mix_global(&mut self, beta: f32, params: &ParamVec) {
-        assert_eq!(params.len(), self.global.len(), "global model size");
-        self.global.scale(1.0 - beta);
-        self.global.axpy(beta, params);
-    }
-
-    /// Advance the virtual clock to an absolute time (asynchronous
-    /// aggregation events carry absolute arrival times rather than
-    /// per-round latencies).
-    ///
-    /// # Panics
-    /// Panics if `t` would move the clock backwards.
-    pub fn advance_time_to(&mut self, t: f64) {
-        self.clock.advance_to(t);
-    }
-
-    /// Count one completed aggregation step (the asynchronous analogue
-    /// of a round, so `rounds_done` and checkpoints stay meaningful).
-    pub fn mark_round_done(&mut self) {
-        self.round += 1;
-    }
-
-    // -- the synchronous round loop -----------------------------------------
+    // -- the round loop -----------------------------------------------------
 
     /// Open the streaming fold of a round over `contributors` (the
     /// plan's canonical aggregation order). The fold's total weight is
@@ -883,19 +799,23 @@ impl Session {
         );
     }
 
-    /// Execute `rounds` synchronous rounds on `threads` threads (0 = the
-    /// ambient rayon parallelism) and return their reports — the one
-    /// round loop behind [`Session::run`], [`Session::run_round`] and
-    /// every `tifl_core` execution backend.
+    /// Execute `rounds` rounds on `threads` threads (0 = the ambient
+    /// rayon parallelism) and return their reports — the one round loop
+    /// behind [`Session::run`], [`Session::run_round`] and every
+    /// `tifl_core` execution backend.
     ///
-    /// Contributors train on the [`ClientExecutor`], each update folds
-    /// the moment its canonical predecessor has ([`OrderedMerge`] into a
-    /// [`StreamingFold`]), and the global-test evaluation of a finished
-    /// round is deferred onto the executor so it overlaps the next
-    /// round's training. Each client's result depends only on
+    /// Contributors train on the crate's client executor, each update
+    /// folds the moment its canonical predecessor has (an ordered merge
+    /// into a [`StreamingFold`]), and the global-test evaluation of a
+    /// finished round is deferred onto the executor so it overlaps the
+    /// next round's training. Each client's result depends only on
     /// `(seed, client, round)` and folds happen in plan order, so the
     /// reports and weights are bit-for-bit the same for any `threads`;
     /// on one thread every task simply runs inline when submitted.
+    ///
+    /// # Panics
+    /// A panic inside a training or evaluation task ends the run on the
+    /// calling thread with that task's own message, at any `threads`.
     pub fn run_rounds(
         &mut self,
         selector: &mut dyn ClientSelector,
@@ -923,13 +843,29 @@ impl Session {
                     queue.submit_train(slot as u64, c, plan.round, Arc::clone(&global));
                 }
                 let mut merge = OrderedMerge::new();
-                while fold.folded() < fold.expected() {
-                    match results.recv().expect("workers outlive the round") {
+                // Count reports, not folds: a contributor that died on
+                // a worker reports its panic, and once all have
+                // reported the lowest slot's is re-raised here.
+                let mut dead = BTreeMap::new();
+                let mut reported = 0;
+                while reported < plan.contributors.len() {
+                    match results.recv().expect("the work queue holds a sender") {
                         TaskResult::Update { tag, update } => {
+                            reported += 1;
                             merge.push(tag as usize, update, |u| self.fold_update(&mut fold, &u));
                         }
-                        TaskResult::Eval(eval) => evals.land(eval),
+                        TaskResult::Panicked {
+                            tag: TaskTag::Train(slot),
+                            payload,
+                        } => {
+                            reported += 1;
+                            dead.insert(slot, payload);
+                        }
+                        eval => evals.land(eval),
                     }
+                }
+                if let Some((_, payload)) = dead.pop_first() {
+                    std::panic::resume_unwind(payload);
                 }
                 self.host_end(Phase::Train, plan.round, t_train);
 

@@ -165,17 +165,6 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Vec<ChromeEvent> {
                 // open from this round was cut off by ring rotation.
                 open_clients.retain(|&(r, _, _)| r != round);
             }
-            TraceEvent::AsyncArrival {
-                client, staleness, ..
-            } => out.push(instant(
-                format!("arrival c{client} s{staleness}"),
-                "async",
-                rec.vt,
-                u64::from(client) + 1,
-            )),
-            TraceEvent::AsyncTimeout => {
-                out.push(instant("async timeout".to_string(), "async", rec.vt, 0));
-            }
         }
     }
     out

@@ -27,9 +27,6 @@ struct Ids {
     evals: CounterId,
     bytes_up: CounterId,
     bytes_down: CounterId,
-    async_arrivals: CounterId,
-    async_stale: CounterId,
-    async_timeouts: CounterId,
     virtual_time_sec: GaugeId,
     round_latency_sec: HistId,
 }
@@ -63,9 +60,6 @@ impl RunObserver {
             evals: metrics.counter("evals"),
             bytes_up: metrics.counter("bytes_up"),
             bytes_down: metrics.counter("bytes_down"),
-            async_arrivals: metrics.counter("async_arrivals"),
-            async_stale: metrics.counter("async_stale"),
-            async_timeouts: metrics.counter("async_timeouts"),
             virtual_time_sec: metrics.gauge("virtual_time_sec"),
             round_latency_sec: metrics.histogram("round_latency_sec", &LATENCY_BUCKETS_SEC),
         };
@@ -123,13 +117,6 @@ impl TraceSink for RunObserver {
                 m.set(ids.virtual_time_sec, vt);
                 m.observe(ids.round_latency_sec, latency);
             }
-            TraceEvent::AsyncArrival { fresh, .. } => {
-                m.inc(ids.async_arrivals, 1);
-                if !fresh {
-                    m.inc(ids.async_stale, 1);
-                }
-            }
-            TraceEvent::AsyncTimeout => m.inc(ids.async_timeouts, 1),
         }
     }
 }

@@ -97,18 +97,6 @@ pub enum TraceEvent {
         /// Total downlink bytes this round.
         bytes_down: u64,
     },
-    /// Asynchronous mode: an update arrived with the given staleness;
-    /// `fresh` updates beat the staleness bound and were folded.
-    AsyncArrival {
-        /// Client identifier.
-        client: u32,
-        /// Rounds elapsed since the client's model snapshot.
-        staleness: u64,
-        /// Whether the update was folded (`true`) or discarded.
-        fresh: bool,
-    },
-    /// Asynchronous mode: the global timeout fired.
-    AsyncTimeout,
 }
 
 /// A recorded event: sequence number, virtual-time stamp, payload.

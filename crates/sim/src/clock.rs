@@ -37,19 +37,6 @@ impl VirtualClock {
         self.now += dt;
     }
 
-    /// Jump to an absolute time.
-    ///
-    /// # Panics
-    /// Panics if `t` would move the clock backwards.
-    pub fn advance_to(&mut self, t: f64) {
-        assert!(
-            t >= self.now,
-            "clock cannot move backwards ({t} < {})",
-            self.now
-        );
-        self.now = t;
-    }
-
     /// Reset to zero (new experiment).
     pub fn reset(&mut self) {
         self.now = 0.0;
@@ -67,14 +54,6 @@ mod tests {
         c.advance(1.5);
         c.advance(0.5);
         assert!((c.now() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move backwards")]
-    fn advance_to_rejects_past() {
-        let mut c = VirtualClock::new();
-        c.advance(5.0);
-        c.advance_to(1.0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! clients (Eq. 1) — computed on the [`clock::VirtualClock`], so 500
 //! simulated rounds take milliseconds of wall time.
 //!
-//! The event queue in [`event`] is a general discrete-event core used by
-//! the round engine and available for richer simulations (staggered
-//! arrivals, mid-round dropouts).
+//! The event queue in [`event`] is a general discrete-event core. No
+//! round loop uses it any more (rounds are planned in closed form); its
+//! last caller is `tifl-benchmark`'s `sim.events_per_s` probe — see the
+//! README's feature ledger.
 
 #![forbid(unsafe_code)]
 

@@ -33,6 +33,7 @@
 //! recompiling: `cargo run --release --bin tifl -- init --sweep
 //! my.json`, edit, `sweep my.json --workers 4 --out artifacts`.
 
+use std::path::Path;
 use std::process::ExitCode;
 use tifl::prelude::*;
 
@@ -97,13 +98,13 @@ fn main() -> ExitCode {
     })
 }
 
-/// Execute one command line. `Err` is an input file that could not be
-/// loaded, as `<path>: <cause>`.
+/// Execute one command line. `Err` is a file that could not be loaded
+/// or written, as `<path>: <cause>`.
 fn run(args: &[String]) -> Result<ExitCode, String> {
     Ok(match args {
         [cmd, path] if cmd == "init" => {
             let cfg = ExperimentConfig::cifar10_resource_het(42);
-            write_json(path, &cfg);
+            write_json(path, &cfg)?;
             println!("wrote template config to {path}");
             ExitCode::SUCCESS
         }
@@ -128,7 +129,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     ..SweepAxes::default()
                 },
             };
-            write_json(path, &manifest);
+            write_json(path, &manifest)?;
             println!(
                 "wrote template sweep manifest ({} runs) to {path}",
                 manifest.expand().len()
@@ -149,7 +150,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     ..RunSpec::default()
                 },
             };
-            write_json(path, &request);
+            write_json(path, &request)?;
             println!("wrote template run request to {path}");
             ExitCode::SUCCESS
         }
@@ -225,8 +226,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // The sweep store's serializer, so a single run's
                 // report and a sweep artifact's `report` field are the
                 // same JSON.
-                tifl::sweep::store::write_json(std::path::Path::new(&out), &report)
-                    .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+                tifl::sweep::store::write_json(Path::new(&out), &report).map_err(at(&out))?;
                 println!("wrote full report to {out}");
             }
             ExitCode::SUCCESS
@@ -273,7 +273,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             let manifest: SweepManifest = read_json(path)?;
-            let store = RunStore::open(&out).unwrap_or_else(|e| panic!("opening {out}: {e}"));
+            let store = RunStore::open(&out).map_err(at(&out))?;
             let scheduler = SweepScheduler::new(workers);
             let expanded = manifest.expand();
             let total = expanded.len();
@@ -290,10 +290,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 scheduler.workers(),
                 store.dir().display()
             );
-            let progress = progress_path.as_ref().map(|p| {
-                tifl::sweep::ProgressLog::create(std::path::Path::new(p))
-                    .unwrap_or_else(|e| panic!("opening progress log {p}: {e}"))
-            });
+            let progress = progress_path
+                .as_ref()
+                .map(|p| tifl::sweep::ProgressLog::create(Path::new(p)).map_err(at(p)))
+                .transpose()?;
             let sweep = scheduler.execute_logged(&runs, Some(&store), resume, progress.as_ref());
             if let Err(e) = store.write_summary(&sweep.summary(manifest.name.clone())) {
                 eprintln!("[tifl] warning: writing sweep summary failed: {e}");
@@ -422,8 +422,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     // byte-deterministic.
                     events.extend(tifl::obs::host_chrome_trace(&observed.host_spans));
                 }
-                tifl::sweep::store::write_json(std::path::Path::new(&out), &events)
-                    .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+                tifl::sweep::store::write_json(Path::new(&out), &events).map_err(at(&out))?;
                 println!(
                     "wrote {} Chrome trace events to {out} (chrome://tracing, Perfetto{})",
                     events.len(),
@@ -486,11 +485,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     _ => return usage(),
                 }
             }
-            if !std::path::Path::new(dir).is_dir() {
+            if !Path::new(dir).is_dir() {
                 eprintln!("[tifl] no store directory at {dir}");
                 return Ok(ExitCode::FAILURE);
             }
-            let store = RunStore::open(dir).unwrap_or_else(|e| panic!("opening {dir}: {e}"));
+            let store = RunStore::open(dir).map_err(at(dir))?;
             let report = tifl::sweep::audit_store(&store);
             match format.as_str() {
                 "human" => print!("{}", report.render_text()),
@@ -501,8 +500,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 _ => return usage(),
             }
             if let Some(out) = out {
-                tifl::sweep::store::write_json(std::path::Path::new(&out), &report)
-                    .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+                tifl::sweep::store::write_json(Path::new(&out), &report).map_err(at(&out))?;
                 eprintln!("[tifl] wrote audit report to {out}");
             }
             if deny && !report.is_clean() {
@@ -531,7 +529,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if inputs.is_empty() {
                 return usage();
             }
-            let store = RunStore::open(&out).unwrap_or_else(|e| panic!("opening {out}: {e}"));
+            let store = RunStore::open(&out).map_err(at(&out))?;
             let report = match tifl::sweep::merge_stores(&inputs, &store) {
                 Ok(report) => report,
                 Err(e) => {
@@ -564,7 +562,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     _ => return usage(),
                 }
             }
-            let store = RunStore::open(dir).unwrap_or_else(|e| panic!("opening {dir}: {e}"));
+            let store = RunStore::open(dir).map_err(at(dir))?;
             let rows = tifl::sweep::pivot_rows(&store, target);
             if rows.is_empty() {
                 eprintln!("[tifl] no run artifacts found in {dir}");
@@ -611,7 +609,12 @@ fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
     })
 }
 
-fn write_json<T: serde::Serialize>(path: &str, value: &T) {
+fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
     let json = serde_json::to_string_pretty(value).expect("serialisable");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, json).map_err(at(path))
+}
+
+/// An I/O failure on `path` the way `main` reports it: `<path>: <cause>`.
+fn at(path: &str) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("{path}: {e}")
 }

@@ -84,7 +84,7 @@ pub use tifl_tensor as tensor;
 pub mod prelude {
     pub use tifl_comm::{CodecSpec, CommSpec, EncodedUpdate, HierarchySpec, LinkModel};
     pub use tifl_core::baselines::DeadlineSelector;
-    pub use tifl_core::exec::{ClientExecutor, EventEngine, ExecBackend, OrderedMerge};
+    pub use tifl_core::exec::{EventEngine, ExecBackend};
     pub use tifl_core::experiment::{DataScenario, ExperimentConfig};
     pub use tifl_core::policy::Policy;
     pub use tifl_core::profiler::{Profiler, ProfilerConfig};

@@ -135,3 +135,26 @@ pub fn serial_reference(cfg: &ExperimentConfig, spec: &RunSpec) -> (TrainingRepo
         session.global_params().clone(),
     )
 }
+
+/// `run` on a thread of its own, so that a run which neither returns
+/// nor panics within two minutes fails the test instead of hanging the
+/// suite. `Err` is the payload `run` panicked with.
+pub fn within_two_minutes<T: Send + 'static>(
+    run: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::Result<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the run hung")
+}
+
+/// The message `run` panics with (see [`within_two_minutes`]).
+pub fn panic_message(run: impl FnOnce() + Send + 'static) -> String {
+    let payload = within_two_minutes(run).expect_err("the run must panic");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => (*payload.downcast::<&str>().expect("a string payload")).to_string(),
+    }
+}

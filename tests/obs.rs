@@ -212,41 +212,6 @@ fn reprofiling_runs_trace_one_pass_per_segment() {
     }
 }
 
-// -- async mode -------------------------------------------------------------
-
-#[test]
-fn async_trace_is_thread_invariant_and_reports_staleness() {
-    let cfg = tiny(90);
-    let run = |threads| {
-        cfg.runner()
-            .vanilla()
-            .event_driven(threads)
-            .async_aggregation(0)
-            .run_observed(CAP)
-    };
-    let a = run(1);
-    let b = run(4);
-    assert_eq!(a.records, b.records, "async trace must be thread invariant");
-    assert_eq!(a.report, b.report);
-    let arrivals: Vec<(u64, bool)> = a
-        .records
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::AsyncArrival {
-                staleness, fresh, ..
-            } => Some((staleness, fresh)),
-            _ => None,
-        })
-        .collect();
-    assert!(!arrivals.is_empty(), "async runs trace their arrivals");
-    // max_staleness = 0 forces discards, and the trace shows them.
-    assert!(
-        arrivals.iter().any(|&(s, fresh)| s > 0 && !fresh),
-        "a zero staleness bound must trace stale discards"
-    );
-    assert!(arrivals.iter().any(|&(_, fresh)| fresh));
-}
-
 // -- 4. artifact back-compat ------------------------------------------------
 
 #[test]
@@ -296,6 +261,27 @@ fn artifacts_without_metrics_still_load_and_validate() {
         .expect("a metrics-less artifact must still validate for resume");
     assert!(loaded.metrics.is_none());
     assert!(store.validates(key, &request));
+
+    // An artifact from before the asynchronous mode was deleted still
+    // lists its three always-zero counters: metrics are name-keyed, so
+    // it loads, validates and audits clean.
+    let metrics = artifact.metrics.as_mut().expect("set above");
+    for name in ["async_arrivals", "async_stale", "async_timeouts"] {
+        assert_eq!(metrics.counter(name), None, "{name} is gone from new runs");
+        metrics.counters.push(tifl::obs::CounterSnap {
+            name: name.to_string(),
+            value: 0,
+        });
+    }
+    store
+        .write(&artifact)
+        .expect("legacy-counter artifact writes");
+    let loaded = store
+        .load_valid(key, &request)
+        .expect("legacy counters must not invalidate an artifact");
+    assert_eq!(loaded.metrics, artifact.metrics);
+    let audit = audit_store(&store);
+    assert!(audit.is_clean(), "{}", audit.render_text());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

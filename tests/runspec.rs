@@ -171,66 +171,6 @@ fn event_driven_matches_lockstep_on_every_pinned_scenario() {
     }
 }
 
-#[test]
-fn async_aggregation_runs_only_on_the_engine() {
-    // The genuinely new scenario the engine opens: staleness-aware
-    // asynchronous aggregation. Deterministic for any thread count, and
-    // stale updates really are discarded under a tight bound.
-    let cfg = tiny(90);
-    let run = |threads| {
-        cfg.runner()
-            .vanilla()
-            .event_driven(threads)
-            .async_aggregation(0)
-            .run()
-    };
-    let a = run(1);
-    let b = run(4);
-    assert_eq!(a, b, "async must be thread-count invariant");
-    // Golden heads from the last two-loop commit (22c929f): the
-    // asynchronous engine shares the executor and the deferred-eval
-    // patching with the round loop, so it is pinned across commits too.
-    assert_eq!(
-        a.digest_chain().to_string(),
-        "23ae29a9131d906b418f3fd0a55d9644"
-    );
-    let compressed = cfg
-        .runner()
-        .vanilla()
-        .quantized_i8()
-        .event_driven(2)
-        .async_aggregation(2)
-        .run();
-    assert_eq!(
-        compressed.digest_chain().to_string(),
-        "c9d867ee22e107bc5dc3985c4897673b"
-    );
-    assert_eq!(a.rounds.len() as u64, cfg.rounds);
-    assert_eq!(a.policy, "async(0)");
-    // max_staleness = 0: of the |C| initial in-flight updates only the
-    // first is fresh; later arrivals trained on version 0 are stale.
-    assert!(
-        a.discarded_work_fraction() > 0.0,
-        "a zero staleness bound must discard something"
-    );
-    let mut long = tiny(90);
-    long.rounds = 60;
-    let relaxed = long
-        .runner()
-        .vanilla()
-        .event_driven(2)
-        .async_aggregation(1_000)
-        .run();
-    assert_eq!(
-        relaxed.discarded_work_fraction(),
-        0.0,
-        "an unreachable staleness bound discards nothing"
-    );
-    // Asynchronous aggregation still learns (60 single-update steps
-    // take this tiny model from ~0.15 to ~0.35).
-    assert!(relaxed.final_accuracy() > 0.3, "async training must learn");
-}
-
 // -- 2. newly composable scenarios ----------------------------------------
 
 #[test]
@@ -443,6 +383,24 @@ fn spec_cli_threads_override_is_result_invariant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `tifl <args>`, run in `dir`, must fail on `path`: exit code 1 and
+/// `[tifl] <path>: <cause>` on stderr, never a panic. Returns stderr.
+fn tifl_fails_on(dir: &std::path::Path, args: &[&str], path: &str) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .args(args)
+        .current_dir(dir) // a stray default store lands here
+        .output()
+        .expect("tifl binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "tifl {args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("[tifl] {path}: ")),
+        "tifl {args:?} must name the file: {stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "tifl {args:?}: {stderr}");
+    stderr
+}
+
 #[test]
 fn cli_reports_an_unloadable_input_file_without_panicking() {
     // Every file-reading command, handed a file that is missing, cut
@@ -483,19 +441,94 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
             if command == ["diff"] {
                 args.push(&report); // a good second operand
             }
-            let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
-                .args(&args)
-                .current_dir(&dir) // a stray default store lands here
-                .output()
-                .expect("tifl binary runs");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "tifl {args:?}: {stderr}");
-            assert!(
-                stderr.contains(&format!("[tifl] {bad}: ")),
-                "tifl {args:?} must name the file: {stderr}"
-            );
-            assert!(!stderr.contains("panicked at"), "tifl {args:?}: {stderr}");
+            tifl_fails_on(&dir, &args, bad);
         }
+    }
+
+    // A document naming the deleted `Async` aggregation mode is one
+    // more unloadable input: every entry point answers with a typed
+    // error naming the variant.
+    let swap = |json: &str, from: &str, to: &str| {
+        assert_eq!(json.matches(from).count(), 1, "`{from}` in {json}");
+        json.replace(from, to)
+    };
+    let null_mode = r#""aggregation": null"#;
+    let async_mode = r#""aggregation": {"Async": {"max_staleness": 2}}"#;
+    let async_request = swap(&request_json, null_mode, async_mode);
+    let manifest = SweepManifest {
+        name: None,
+        experiment: tiny(86),
+        rounds: Some(2),
+        axes: SweepAxes::default(),
+    };
+    let async_manifest = swap(
+        &serde_json::to_string_pretty(&manifest).unwrap(),
+        r#""aggregation": []"#,
+        r#""aggregation": [{"Async": {"max_staleness": 2}}]"#,
+    );
+    let unknown = "unknown variant `Async`";
+    for (command, text) in [
+        (&["run", "--spec"][..], &async_request),
+        (&["sweep"][..], &async_manifest),
+    ] {
+        let path = write("async.json", text);
+        let stderr = tifl_fails_on(&dir, &[command, &[path.as_str()]].concat(), &path);
+        assert!(stderr.contains(unknown), "tifl {command:?}: {stderr}");
+    }
+    // The same request inside a stored artifact.
+    let store = RunStore::open(dir.join("store")).expect("store opens");
+    let key = RunKey::of(&request);
+    let artifact = RunArtifact::new(key, request.clone(), request.run());
+    store.write(&artifact).expect("artifact writes");
+    let stored = std::fs::read_to_string(store.path_of(key)).expect("artifact readable");
+    std::fs::write(store.path_of(key), swap(&stored, null_mode, async_mode)).unwrap();
+    let err = store
+        .load_checked(key)
+        .expect_err("a removed variant must not load");
+    assert!(
+        matches!(&err.kind, StoreErrorKind::Unparseable(cause) if cause.contains(unknown)),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_reports_an_unwritable_output_path_without_panicking() {
+    // Every command handed an output path it cannot create — the parent
+    // is a regular file — exits 1 with `[tifl] <path>: <cause>`.
+    let dir = std::env::temp_dir().join(format!("tifl-badout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let blocker = file("blocker");
+    std::fs::write(&blocker, "a regular file").expect("write blocker");
+    let under = format!("{blocker}/out");
+    let tifl = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("tifl binary runs")
+    };
+    let (run, sweep) = (file("run.json"), file("sweep.json"));
+    assert!(tifl(&["init", "--spec", &run]).status.success());
+    assert!(tifl(&["init", "--sweep", &sweep]).status.success());
+    let request: RunRequest =
+        serde_json::from_str(&std::fs::read_to_string(&run).unwrap()).expect("the template parses");
+    let quick = RunRequest {
+        experiment: tiny(87),
+        rounds: Some(2),
+        ..request
+    };
+    std::fs::write(&run, serde_json::to_string(&quick).unwrap()).expect("rewrite the template");
+
+    for args in [
+        &["init", &under][..],
+        &["init", "--spec", &under],
+        &["init", "--sweep", &under],
+        &["run", "--spec", &run, "--out", &under],
+        &["sweep", &sweep, "--out", &under],
+    ] {
+        tifl_fails_on(&dir, args, &under);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

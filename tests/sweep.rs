@@ -14,6 +14,8 @@
 //!    of the manifest (order-stable) and `RunKey`s never collide
 //!    across distinct cells (proptested over the axes).
 
+mod common;
+
 use proptest::prelude::*;
 use tifl::prelude::*;
 
@@ -249,6 +251,35 @@ fn a_cell_that_dies_in_a_parallel_section_reports_its_own_panic() {
             "{workers} workers: {message}"
         );
     }
+}
+
+#[test]
+fn a_cell_whose_training_task_dies_on_a_pool_is_stored_as_failed() {
+    // A model with half the data's classes panics inside a training
+    // task; on two threads that task runs on a pool worker, where the
+    // round loop used to wait forever for its result. The sweep runs on
+    // a thread of its own so a hang fails the test instead.
+    let mut bad = small_resource_het(8, 3);
+    bad.model = ModelSpec::Mlp {
+        input: 64,
+        hidden: 16,
+        classes: 5,
+    };
+    let mut manifest = SweepManifest::new(bad);
+    manifest.axes.backend = vec![ExecBackend::EventDriven { threads: 2 }];
+    let mut runs = manifest.expand();
+    runs.append(&mut SweepManifest::new(small_resource_het(8, 3)).expand());
+    for (i, run) in runs.iter_mut().enumerate() {
+        run.index = i;
+    }
+
+    let sweep =
+        common::within_two_minutes(move || SweepScheduler::new(2).execute(&runs, None, false))
+            .expect("the scheduler contains a cell's panic");
+    assert!(sweep.outcomes[0].is_failed());
+    let message = &sweep.failures()[0].2;
+    assert!(message.contains("out of range for 5 classes"), "{message}");
+    assert_eq!((sweep.failed(), sweep.completed()), (1, 1));
 }
 
 #[test]
