@@ -139,7 +139,7 @@ pub enum CodecSpec {
     /// `(min, scale)` pair over the whole flattened update
     /// (1 byte/param + an 8-byte header). A single outlier weight
     /// widens the shared step for every parameter — acceptable for
-    /// the homogeneous MLP/CNN updates here; per-layer ranges would
+    /// the homogeneous MLP updates here; per-layer ranges would
     /// need layer boundaries, which `ParamVec` erases by design.
     QuantizeI8,
     /// Keep the `frac` largest-magnitude coordinates of the delta

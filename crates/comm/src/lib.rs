@@ -7,8 +7,8 @@
 //! wire a first-class concern, in two halves:
 //!
 //! * **Network model** ([`link`]) — [`LinkModel`] describes per-client
-//!   uplink/downlink bandwidth and RTT (uniform, lognormal-heterogeneous
-//!   or tiered, seeded like the resource heterogeneity in `tifl_sim`);
+//!   uplink/downlink bandwidth and RTT (the cluster's own scalars, or
+//!   bandwidth tiers like the CPU-share groups in `tifl_sim`);
 //!   materialised into a [`LinkAssignment`] it implements [`CommCost`],
 //!   the byte-count → transfer-seconds conversion every latency path
 //!   shares (round latency, straggler deadlines, tier profiling,
@@ -96,9 +96,11 @@ mod tests {
     fn spec_round_trips_through_json() {
         let spec = CommSpec {
             codec: CodecSpec::TopK { frac: 0.125 },
-            link: LinkModel::Uniform {
+            link: LinkModel::GroupScaled {
+                groups: 1,
                 up_bps: 1.0e5,
                 down_bps: 1.0e6,
+                decay: 1.0,
                 rtt_sec: 0.05,
             },
             hierarchy: Some(HierarchySpec {

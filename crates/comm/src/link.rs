@@ -1,10 +1,7 @@
 //! Link models and transfer-cost accounting.
 
-use rand::SeedableRng;
-use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
 use tifl_sim::LinkQuality;
-use tifl_tensor::split_seed;
 
 /// Converts payload byte-counts into transfer seconds — the one unit
 /// every communication cost in the system is expressed in (client
@@ -29,42 +26,19 @@ pub fn transfer_secs(bytes: u64, bps: f64) -> f64 {
     bytes as f64 / bps
 }
 
-/// How per-client links are generated. All variants are deterministic
-/// given a seed, like the CPU-share heterogeneity in
-/// `tifl_sim::resource`.
+/// How per-client links are generated: a deterministic function of the
+/// client index, like the CPU-share groups in `tifl_sim::resource`.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum LinkModel {
     /// Every device keeps its configured symmetric `bandwidth_bps` with
     /// zero RTT — bit-for-bit the legacy scalar model.
     #[default]
     ClusterDefault,
-    /// One identical directional link for every client.
-    Uniform {
-        /// Uplink bandwidth in bytes/s.
-        up_bps: f64,
-        /// Downlink bandwidth in bytes/s.
-        down_bps: f64,
-        /// Per-transfer RTT in seconds.
-        rtt_sec: f64,
-    },
-    /// Per-client lognormal heterogeneity around median bandwidths
-    /// (mean-preserving, like the latency jitter): client `c` draws one
-    /// multiplicative factor from `LogNormal(-sigma²/2, sigma)` seeded
-    /// by `(seed, c)` and applies it to both directions.
-    LogNormal {
-        /// Median uplink bandwidth in bytes/s.
-        median_up_bps: f64,
-        /// Median downlink bandwidth in bytes/s.
-        median_down_bps: f64,
-        /// Lognormal sigma (0 collapses to `Uniform`).
-        sigma: f64,
-        /// Per-transfer RTT in seconds.
-        rtt_sec: f64,
-    },
     /// Bandwidth tiers mirroring the paper's hardware groups: clients
     /// split into `groups` equal contiguous groups, group `g` gets
     /// `up_bps * decay^g` / `down_bps * decay^g` — the
     /// bandwidth-heterogeneous analogue of the CPU-share profiles.
+    /// `groups: 1, decay: 1.0` is one identical link for every client.
     GroupScaled {
         /// Number of equal-sized contiguous bandwidth groups.
         groups: usize,
@@ -82,67 +56,19 @@ pub enum LinkModel {
 impl LinkModel {
     /// Materialise one link per device. `device_bps` supplies each
     /// device's configured scalar bandwidth (used by
-    /// [`LinkModel::ClusterDefault`]); `seed` keys the heterogeneity
-    /// draws.
+    /// [`LinkModel::ClusterDefault`]).
     ///
     /// # Panics
-    /// Panics on non-positive bandwidths, a negative RTT or sigma, a
-    /// zero group count, or a decay outside (0, 1].
+    /// Panics on non-positive bandwidths, a negative RTT, a zero group
+    /// count, or a decay outside (0, 1].
     #[must_use]
-    pub fn materialize(&self, device_bps: &[f64], seed: u64) -> LinkAssignment {
+    pub fn materialize(&self, device_bps: &[f64]) -> LinkAssignment {
         let n = device_bps.len();
         let links = match *self {
             LinkModel::ClusterDefault => device_bps
                 .iter()
                 .map(|&bps| LinkQuality::symmetric(bps))
                 .collect(),
-            LinkModel::Uniform {
-                up_bps,
-                down_bps,
-                rtt_sec,
-            } => {
-                assert!(up_bps > 0.0 && down_bps > 0.0, "bandwidth must be positive");
-                assert!(rtt_sec >= 0.0, "rtt must be >= 0");
-                vec![
-                    LinkQuality {
-                        up_bps,
-                        down_bps,
-                        rtt_sec,
-                    };
-                    n
-                ]
-            }
-            LinkModel::LogNormal {
-                median_up_bps,
-                median_down_bps,
-                sigma,
-                rtt_sec,
-            } => {
-                assert!(
-                    median_up_bps > 0.0 && median_down_bps > 0.0,
-                    "bandwidth must be positive"
-                );
-                assert!(sigma >= 0.0, "sigma must be >= 0");
-                assert!(rtt_sec >= 0.0, "rtt must be >= 0");
-                (0..n)
-                    .map(|c| {
-                        let factor = if sigma > 0.0 {
-                            let dist = LogNormal::new(-sigma * sigma / 2.0, sigma)
-                                .expect("valid lognormal");
-                            let mut rng =
-                                rand::rngs::StdRng::seed_from_u64(split_seed(seed, c as u64));
-                            dist.sample(&mut rng)
-                        } else {
-                            1.0
-                        };
-                        LinkQuality {
-                            up_bps: median_up_bps * factor,
-                            down_bps: median_down_bps * factor,
-                            rtt_sec,
-                        }
-                    })
-                    .collect()
-            }
             LinkModel::GroupScaled {
                 groups,
                 up_bps,
@@ -212,7 +138,7 @@ mod tests {
 
     #[test]
     fn cluster_default_mirrors_device_bandwidths() {
-        let a = LinkModel::ClusterDefault.materialize(&[1.0e6, 2.0e6], 0);
+        let a = LinkModel::ClusterDefault.materialize(&[1.0e6, 2.0e6]);
         assert_eq!(a.links()[0], LinkQuality::symmetric(1.0e6));
         assert_eq!(a.links()[1], LinkQuality::symmetric(2.0e6));
         assert_eq!(a.uplink_secs(0, 1_000_000), 1.0);
@@ -222,43 +148,18 @@ mod tests {
 
     #[test]
     fn uniform_ignores_device_bandwidths() {
-        let m = LinkModel::Uniform {
+        let m = LinkModel::GroupScaled {
+            groups: 1,
             up_bps: 1.0e5,
             down_bps: 1.0e6,
+            decay: 1.0,
             rtt_sec: 0.1,
         };
-        let a = m.materialize(&[7.0, 9.0, 11.0], 3);
+        let a = m.materialize(&[7.0, 9.0, 11.0]);
         assert!(a
             .links()
             .iter()
             .all(|l| l.up_bps == 1.0e5 && l.down_bps == 1.0e6 && l.rtt_sec == 0.1));
-    }
-
-    #[test]
-    fn lognormal_is_seeded_heterogeneous_and_roughly_mean_preserving() {
-        let m = LinkModel::LogNormal {
-            median_up_bps: 1.0e6,
-            median_down_bps: 4.0e6,
-            sigma: 0.5,
-            rtt_sec: 0.0,
-        };
-        let a = m.materialize(&vec![0.0; 2000], 42);
-        let b = m.materialize(&vec![0.0; 2000], 42);
-        assert_eq!(a, b, "same seed, same links");
-        let c = m.materialize(&vec![0.0; 2000], 43);
-        assert_ne!(a, c, "different seed, different links");
-        let ups: Vec<f64> = a.links().iter().map(|l| l.up_bps).collect();
-        assert!(ups.windows(2).any(|w| w[0] != w[1]), "heterogeneous");
-        let mean = ups.iter().sum::<f64>() / ups.len() as f64;
-        assert!(
-            (mean / 1.0e6 - 1.0).abs() < 0.1,
-            "mean uplink drifted: {mean}"
-        );
-        // Asymmetry preserved per client.
-        assert!(a
-            .links()
-            .iter()
-            .all(|l| (l.down_bps / l.up_bps - 4.0).abs() < 1e-9));
     }
 
     #[test]
@@ -270,7 +171,7 @@ mod tests {
             decay: 0.5,
             rtt_sec: 0.0,
         };
-        let a = m.materialize(&[0.0; 10], 0);
+        let a = m.materialize(&[0.0; 10]);
         // 2 clients per group, halving per group: 3.2e6 ... 0.2e6.
         assert_eq!(a.links()[0].up_bps, 3.2e6);
         assert_eq!(a.links()[1].up_bps, 3.2e6);

@@ -15,7 +15,6 @@
 //! round depending on CPU share and data size). All training-time
 //! numbers are virtual seconds.
 
-use crate::policy::Policy;
 use crate::profiler::ProfilerConfig;
 use crate::runner::Experiment;
 use crate::tiering::TieringConfig;
@@ -404,6 +403,28 @@ impl ExperimentConfig {
         FederatedDataset::materialize(&gen, &part, 0.1, 50, self.data_seed())
     }
 
+    /// Whether the model can train on this config's data: it takes the
+    /// family's feature count and scores at least the family's classes.
+    /// `Err` names both sides. The `tifl` CLI asks when it loads a
+    /// document; a session built from a misfit config still panics.
+    ///
+    /// # Errors
+    /// The model's input width or class count does not fit the data.
+    pub fn model_fits_data(&self) -> Result<(), String> {
+        let data = SynthSpec::family(self.family);
+        let (input, classes) = (self.model.input_features(), self.model.classes());
+        if input == data.features() && classes >= data.classes {
+            return Ok(());
+        }
+        Err(format!(
+            "model takes {input} features and scores {classes} classes / data {:?} has {} \
+             features and {} classes",
+            self.family,
+            data.features(),
+            data.classes
+        ))
+    }
+
     /// Build the simulated testbed for this config.
     #[must_use]
     pub fn build_cluster(&self) -> Cluster {
@@ -423,13 +444,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn make_session(&self) -> Session {
         self.build_session(&SessionOverrides::default())
-    }
-
-    /// Eq. 6 estimate for a (non-vanilla) policy under this config's
-    /// profiled tiers.
-    #[must_use]
-    pub fn estimate_policy(&self, policy: &Policy) -> f64 {
-        self.runner().estimate(policy)
     }
 }
 
@@ -490,6 +504,7 @@ impl Experiment for ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Policy;
     use tifl_fl::RoundReport;
 
     #[test]
@@ -537,8 +552,9 @@ mod tests {
     fn estimate_tracks_measured_time() {
         let cfg = ExperimentConfig::tiny(5);
         let policy = Policy::uniform(5);
-        let est = cfg.estimate_policy(&policy);
-        let actual = cfg.runner().policy(&policy).run().total_time();
+        let mut runner = cfg.runner();
+        let est = runner.estimate(&policy);
+        let actual = runner.policy(&policy).run().total_time();
         let err = crate::estimator::mape(est, actual);
         assert!(err < 30.0, "MAPE {err}% (est {est}, actual {actual})");
     }

@@ -40,7 +40,7 @@ use crate::scheduler::{AdaptiveConfig, AdaptiveTierSelector, StaticTierSelector}
 use crate::tiering::{TierAssignment, TieringConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tifl_comm::{CodecSpec, CommSpec, HierarchySpec, LinkModel};
+use tifl_comm::{CodecSpec, CommSpec, HierarchySpec};
 use tifl_data::FederatedDataset;
 use tifl_fl::selector::{ClientSelector, RandomSelector};
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides, TaskPricing};
@@ -396,18 +396,13 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         &self.spec
     }
 
-    /// Replace the whole spec (e.g. one deserialized from JSON).
-    pub fn set_spec(&mut self, spec: RunSpec) -> &mut Self {
-        self.spec = spec;
-        self
-    }
-
     /// Reset the spec to [`RunSpec::default`] (vanilla selection,
     /// inherited aggregation, FedAvg, no re-profiling, derived label)
     /// while keeping the profiling cache — for runners composing many
     /// unrelated curves over one configuration.
     pub fn reset(&mut self) -> &mut Self {
-        self.set_spec(RunSpec::default())
+        self.spec = RunSpec::default();
+        self
     }
 
     // -- fluent spec builders ---------------------------------------------
@@ -440,40 +435,17 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         self
     }
 
-    /// Force an update-collection strategy (the default inherits the
-    /// experiment's configured mode).
-    pub fn aggregation(&mut self, mode: AggregationMode) -> &mut Self {
-        self.spec.aggregation = Some(mode);
-        self
-    }
-
     /// Bonawitz et al. over-selection: ask `ceil(|C| · factor)` clients,
     /// aggregate the first `|C|` responders.
     pub fn overselect(&mut self, factor: f64) -> &mut Self {
-        self.aggregation(AggregationMode::FirstK { factor })
-    }
-
-    /// Choose where the thread count comes from (results are
-    /// backend-invariant; see [`ExecBackend`]).
-    pub fn backend(&mut self, backend: ExecBackend) -> &mut Self {
-        self.spec.backend = backend;
+        self.spec.aggregation = Some(AggregationMode::FirstK { factor });
         self
     }
 
-    /// Execute on `threads` threads (0 = ambient).
+    /// Execute on `threads` threads (0 = ambient; results are
+    /// backend-invariant, see [`ExecBackend`]).
     pub fn event_driven(&mut self, threads: usize) -> &mut Self {
-        self.backend(ExecBackend::EventDriven { threads })
-    }
-
-    /// Execute at the ambient thread count (the default).
-    pub fn lockstep(&mut self) -> &mut Self {
-        self.backend(ExecBackend::Lockstep)
-    }
-
-    /// Train with the plain FedAvg objective (keeps the experiment's
-    /// configured proximal coefficient).
-    pub fn fedavg(&mut self) -> &mut Self {
-        self.spec.local = LocalTraining::FedAvg;
+        self.spec.backend = ExecBackend::EventDriven { threads };
         self
     }
 
@@ -491,41 +463,16 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
 
     // -- communication ----------------------------------------------------
 
-    /// Install a full communication spec (codec × link model ×
-    /// optional hierarchy).
-    pub fn comm(&mut self, spec: CommSpec) -> &mut Self {
-        self.spec.comm = Some(spec);
-        self
-    }
-
     /// Mutable access to the spec's comm axis, defaulting it in first.
     fn comm_mut(&mut self) -> &mut CommSpec {
         self.spec.comm.get_or_insert_with(CommSpec::default)
     }
 
-    /// Compress every client upload with the given codec (keeps the
-    /// spec's link model).
-    pub fn codec(&mut self, codec: CodecSpec) -> &mut Self {
-        self.comm_mut().codec = codec;
-        self
-    }
-
     /// Whole-update affine int8 upload compression (~4x fewer uplink
-    /// bytes, error bounded by one quantization step per weight).
+    /// bytes, error bounded by one quantization step per weight); keeps
+    /// the spec's link model.
     pub fn quantized_i8(&mut self) -> &mut Self {
-        self.codec(CodecSpec::QuantizeI8)
-    }
-
-    /// Magnitude top-k sparsification of the upload delta: keep the
-    /// `frac` largest-magnitude coordinates.
-    pub fn topk(&mut self, frac: f64) -> &mut Self {
-        self.codec(CodecSpec::TopK { frac })
-    }
-
-    /// Time transfers through the given link model (keeps the spec's
-    /// codec).
-    pub fn link(&mut self, link: LinkModel) -> &mut Self {
-        self.comm_mut().link = link;
+        self.comm_mut().codec = CodecSpec::QuantizeI8;
         self
     }
 
@@ -908,6 +855,7 @@ impl RunRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tifl_comm::LinkModel;
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::tiny(60)
@@ -1011,32 +959,28 @@ mod tests {
     fn comm_builders_compose_the_spec() {
         let cfg = tiny();
         let mut runner = cfg.runner();
-        runner
-            .quantized_i8()
-            .link(LinkModel::LogNormal {
-                median_up_bps: 1.0e5,
-                median_down_bps: 1.0e6,
-                sigma: 0.5,
-                rtt_sec: 0.02,
-            })
-            .hierarchical(100, 2.0e8);
+        // Installing the hierarchy first defaults the comm axis in;
+        // the codec builder then keeps it.
+        runner.hierarchical(100, 2.0e8).quantized_i8();
         let comm = runner.spec().comm.expect("comm spec installed");
         assert_eq!(comm.codec, CodecSpec::QuantizeI8);
-        assert!(matches!(comm.link, LinkModel::LogNormal { .. }));
+        assert_eq!(comm.link, LinkModel::ClusterDefault);
         assert_eq!(comm.hierarchy.map(|h| h.fan_out), Some(100));
         assert_eq!(runner.spec().display_label(), "vanilla+i8");
-        // Switching the codec keeps the link model.
-        runner.topk(0.1);
-        let comm = runner.spec().comm.expect("comm spec kept");
-        assert_eq!(comm.codec, CodecSpec::TopK { frac: 0.1 });
-        assert!(matches!(comm.link, LinkModel::LogNormal { .. }));
-        assert_eq!(runner.spec().display_label(), "vanilla+topk(0.1)");
-        // Lossless codecs never decorate the label.
-        runner.codec(CodecSpec::Identity);
-        assert_eq!(runner.spec().display_label(), "vanilla");
         // Composed decorations keep the legacy ordering.
-        runner.adaptive(None).fedprox(0.01).quantized_i8();
+        runner.adaptive(None).fedprox(0.01);
         assert_eq!(runner.spec().display_label(), "adaptive+fedprox(0.01)+i8");
+        // A sparsifying codec decorates with its fraction; lossless
+        // codecs never decorate the label.
+        let labelled = |codec| RunSpec {
+            comm: Some(CommSpec::with_codec(codec)),
+            ..RunSpec::default()
+        };
+        assert_eq!(
+            labelled(CodecSpec::TopK { frac: 0.1 }).display_label(),
+            "vanilla+topk(0.1)"
+        );
+        assert_eq!(labelled(CodecSpec::Identity).display_label(), "vanilla");
     }
 
     #[test]
@@ -1119,7 +1063,11 @@ mod tests {
         assert!(report.rounds.iter().all(|r| r.selected.len() == 3));
         assert!(report.rounds.iter().all(|r| r.aggregated.len() == 2));
         // Forcing WaitAll from the spec overrides the experiment.
-        let waitall = cfg.runner().aggregation(AggregationMode::WaitAll).run();
+        let spec = RunSpec {
+            aggregation: Some(AggregationMode::WaitAll),
+            ..RunSpec::default()
+        };
+        let waitall = Runner::with_spec(&cfg, spec).run();
         assert!(waitall.rounds.iter().all(|r| r.selected.len() == 2));
     }
 
@@ -1143,9 +1091,11 @@ mod tests {
             backend: ExecBackend::EventDriven { threads: 2 },
             comm: Some(CommSpec {
                 codec: CodecSpec::TopK { frac: 0.25 },
-                link: LinkModel::Uniform {
+                link: LinkModel::GroupScaled {
+                    groups: 1,
                     up_bps: 1.0e5,
                     down_bps: 1.0e6,
+                    decay: 1.0,
                     rtt_sec: 0.01,
                 },
                 hierarchy: None,
@@ -1172,8 +1122,6 @@ mod tests {
             "fedprox(0.1)",
             "the backend never decorates the label (results are backend-invariant)"
         );
-        runner.lockstep();
-        assert_eq!(runner.spec().backend, ExecBackend::Lockstep);
     }
 
     #[test]

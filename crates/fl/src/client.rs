@@ -17,13 +17,6 @@ pub enum OptimizerSpec {
         /// Learning rate.
         lr: f32,
     },
-    /// SGD with classical momentum.
-    SgdMomentum {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-    },
     /// RMSprop (`rho = 0.9`).
     RmsProp {
         /// Learning rate.
@@ -38,9 +31,6 @@ impl OptimizerSpec {
     pub fn build(&self, lr_factor: f32) -> Box<dyn Optimizer> {
         match *self {
             OptimizerSpec::Sgd { lr } => Box::new(Sgd::new(lr * lr_factor)),
-            OptimizerSpec::SgdMomentum { lr, momentum } => {
-                Box::new(Sgd::with_momentum(lr * lr_factor, momentum))
-            }
             OptimizerSpec::RmsProp { lr } => Box::new(RmsProp::new(lr * lr_factor)),
         }
     }
@@ -49,9 +39,7 @@ impl OptimizerSpec {
     #[must_use]
     pub fn base_lr(&self) -> f32 {
         match *self {
-            OptimizerSpec::Sgd { lr }
-            | OptimizerSpec::SgdMomentum { lr, .. }
-            | OptimizerSpec::RmsProp { lr } => lr,
+            OptimizerSpec::Sgd { lr } | OptimizerSpec::RmsProp { lr } => lr,
         }
     }
 }
@@ -140,10 +128,7 @@ pub fn local_train(
     seed: u64,
 ) -> ParamVec {
     assert!(!data.is_empty(), "client {client} has no training data");
-    // The model seed only seeds the dropout streams; derive it from
-    // (seed, client, round) so dropout noise differs across rounds.
-    let model_seed = split_seed(seed, split_seed(client as u64, round ^ 0xD80F));
-    let mut model = spec.build_with_params(global, model_seed);
+    let mut model = spec.build_with_params(global);
 
     let lr_factor = config.lr_round_decay.powi(round as i32);
     let mut opt = config.optimizer.build(lr_factor);
@@ -260,7 +245,7 @@ pub fn train_update(
 /// Build a model for evaluation with the given global weights.
 #[must_use]
 pub fn eval_model(spec: &ModelSpec, global: &ParamVec) -> Sequential {
-    spec.build_with_params(global, 0)
+    spec.build_with_params(global)
 }
 
 #[cfg(test)]

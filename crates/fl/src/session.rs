@@ -6,7 +6,7 @@ use crate::exec::{ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TaskT
 use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
-use crate::timeline::{schedule_plan_events, TimelineEvent};
+use crate::timeline::schedule_plan_events;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use tifl_nn::models::ModelSpec;
 use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent, TraceSink};
 use tifl_sim::latency::TrainingTask;
 use tifl_sim::{Cluster, VirtualClock};
-use tifl_tensor::{split_seed, ParamVec};
+use tifl_tensor::ParamVec;
 
 /// How a round collects client updates.
 ///
@@ -160,9 +160,7 @@ impl TaskPricing {
             let device_bps: Vec<f64> = (0..cluster.num_devices())
                 .map(|d| cluster.device(d).bandwidth_bps)
                 .collect();
-            let links = spec
-                .link
-                .materialize(&device_bps, split_seed(config.seed, 0xC033));
+            let links = spec.link.materialize(&device_bps);
             cluster.set_links(links.into_links());
             spec.codec.encoded_bytes(template.param_count())
         });
@@ -233,7 +231,7 @@ pub struct Session {
     /// path: one branch per round.
     observer: Option<RunObserver>,
     /// Reusable scratch for the canonical per-round trace schedule.
-    trace_scratch: Vec<(f64, u32, TimelineEvent)>,
+    trace_scratch: Vec<(f64, u32, TraceEvent)>,
     /// Optional host-time phase profiler (attached alongside the
     /// observer). Host time is operator-facing only: it never feeds
     /// the virtual clock, the reports, or any deterministic bytes.
@@ -367,26 +365,7 @@ impl Session {
             },
         );
         for &(t, _, event) in &self.trace_scratch {
-            let mapped = match event {
-                TimelineEvent::Dispatch { client } => TraceEvent::Dispatch {
-                    round: plan.round,
-                    client: client as u32,
-                },
-                TimelineEvent::Complete { client } => TraceEvent::Complete {
-                    round: plan.round,
-                    client: client as u32,
-                },
-                TimelineEvent::TimedOut { client } => TraceEvent::TimedOut {
-                    round: plan.round,
-                    client: client as u32,
-                },
-                TimelineEvent::Cancelled { client } => TraceEvent::Cancelled {
-                    round: plan.round,
-                    client: client as u32,
-                },
-                TimelineEvent::RoundEnd => continue,
-            };
-            observer.record(t0 + t, mapped);
+            observer.record(t0 + t, event);
         }
         for &c in &plan.contributors {
             observer.record(

@@ -1,8 +1,10 @@
 //! From-scratch neural-network substrate for the TiFL reproduction.
 //!
-//! The paper trains small Keras CNNs with TensorFlow; this crate provides
-//! the equivalent building blocks in pure Rust: composable [`layer`]s, a
-//! [`model::Sequential`] container, softmax cross-entropy [`loss`],
+//! The paper trains small Keras CNNs with TensorFlow on image datasets;
+//! this reproduction trains a dense + ReLU MLP on synthetic features
+//! (see [`models`]), built from pure-Rust blocks: dense and ReLU
+//! [`layer`]s, a [`model::Sequential`] container, softmax cross-entropy
+//! [`loss`],
 //! [`optim`] (SGD and RMSprop, the two optimisers used in §5), accuracy
 //! [`metrics`], and per-layer FLOP counting (used by the simulator's
 //! latency model).

@@ -143,7 +143,7 @@ impl Sequential {
         loss
     }
 
-    /// Evaluate mean loss and accuracy on a labelled set (no dropout).
+    /// Evaluate mean loss and accuracy on a labelled set.
     #[must_use]
     pub fn evaluate(&mut self, x: &Matrix, labels: &[usize]) -> EvalResult {
         assert_eq!(x.rows(), labels.len(), "evaluate: label count mismatch");

@@ -10,7 +10,7 @@ use tifl_tensor::{ops, ParamVec};
 
 /// A first-order optimiser over flat parameter vectors.
 ///
-/// Per-parameter state (momentum, squared-gradient mean) is one flat
+/// Per-parameter state (RMSprop's squared-gradient mean) is one flat
 /// vector indexed like the parameters; it starts at zero, grows on
 /// demand and is dropped by [`Optimizer::reset_state`].
 pub trait Optimizer: Send {
@@ -40,56 +40,24 @@ pub trait Optimizer: Send {
     fn reset_state(&mut self);
 }
 
-/// Plain stochastic gradient descent, optionally with momentum.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
 }
 
 impl Sgd {
-    /// SGD with learning rate `lr` and no momentum.
+    /// SGD with learning rate `lr`.
     #[must_use]
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
+        Self { lr }
     }
-
-    /// SGD with classical momentum.
-    #[must_use]
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-/// The `len` state entries at `offset`, zero-extending `state` to reach.
-fn state_block(state: &mut Vec<f32>, offset: usize, len: usize) -> &mut [f32] {
-    if state.len() < offset + len {
-        state.resize(offset + len, 0.0);
-    }
-    &mut state[offset..offset + len]
 }
 
 impl Optimizer for Sgd {
-    fn step_slice(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
+    fn step_slice(&mut self, _offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "Sgd::step length mismatch");
-        if self.momentum == 0.0 {
-            ops::axpy(-self.lr, grads, params);
-            return;
-        }
-        let velocity = state_block(&mut self.velocity, offset, params.len());
-        for ((v, p), &g) in velocity.iter_mut().zip(params.iter_mut()).zip(grads) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
+        ops::axpy(-self.lr, grads, params);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -100,9 +68,7 @@ impl Optimizer for Sgd {
         self.lr *= factor;
     }
 
-    fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
+    fn reset_state(&mut self) {}
 }
 
 /// RMSprop: adaptive per-parameter step sizes from a running mean of
@@ -132,6 +98,14 @@ impl RmsProp {
             cache: Vec::new(),
         }
     }
+}
+
+/// The `len` state entries at `offset`, zero-extending `state` to reach.
+fn state_block(state: &mut Vec<f32>, offset: usize, len: usize) -> &mut [f32] {
+    if state.len() < offset + len {
+        state.resize(offset + len, 0.0);
+    }
+    &mut state[offset..offset + len]
 }
 
 impl Optimizer for RmsProp {
@@ -170,16 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_accumulates() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        let mut p = ParamVec(vec![0.0]);
-        let g = ParamVec(vec![1.0]);
-        opt.step(&mut p, &g); // v=1, p=-0.1
-        opt.step(&mut p, &g); // v=1.9, p=-0.29
-        assert!((p.0[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
     fn rmsprop_normalises_gradient_scale() {
         // With very different gradient magnitudes, RMSprop steps should be
         // of comparable size after warm-up.
@@ -198,11 +162,8 @@ mod tests {
 
     #[test]
     fn stepping_every_block_is_one_step_on_the_whole_vector() {
-        let builds: [fn() -> Box<dyn Optimizer>; 3] = [
-            || Box::new(Sgd::new(0.1)),
-            || Box::new(Sgd::with_momentum(0.1, 0.9)),
-            || Box::new(RmsProp::new(0.01)),
-        ];
+        let builds: [fn() -> Box<dyn Optimizer>; 2] =
+            [|| Box::new(Sgd::new(0.1)), || Box::new(RmsProp::new(0.01))];
         for build in builds {
             let (mut whole, mut blocks) = (build(), build());
             let mut p = ParamVec((0..11).map(|i| i as f32 * 0.3 - 1.0).collect());

@@ -12,14 +12,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     uniform(rows, cols, -a, a, rng)
 }
 
-/// He/Kaiming uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / fan_in)`. Preferred in front of ReLU activations.
-#[must_use]
-pub fn he_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let a = (6.0 / rows as f32).sqrt();
-    uniform(rows, cols, -a, a, rng)
-}
-
 /// Uniform initialisation over `[lo, hi)`.
 #[must_use]
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut StdRng) -> Matrix {
@@ -40,14 +32,6 @@ mod tests {
         let mut rng = seed_rng(1);
         let m = xavier_uniform(100, 50, &mut rng);
         let a = (6.0 / 150.0f32).sqrt();
-        assert!(m.as_slice().iter().all(|&v| v >= -a && v < a));
-    }
-
-    #[test]
-    fn he_respects_bound() {
-        let mut rng = seed_rng(2);
-        let m = he_uniform(64, 32, &mut rng);
-        let a = (6.0 / 64.0f32).sqrt();
         assert!(m.as_slice().iter().all(|&v| v >= -a && v < a));
     }
 

@@ -161,7 +161,7 @@ thread_local! {
 /// `a * b^T`. Multiplies zeros in `a` through (module docs).
 ///
 /// Shape: `a (m x k) * b (n x k) -> (m x n)`. This is the input-gradient
-/// workhorse (`dX = dY * W^T`) and the convolution's forward GEMM.
+/// workhorse (`dX = dY * W^T`).
 /// `b^T` is packed once per call so the accumulation runs lane-parallel
 /// over `j`; each element still sums its products in `k` order, so the
 /// result is bit-for-bit [`matmul_transpose_b_scalar`]'s.

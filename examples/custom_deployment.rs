@@ -6,7 +6,7 @@
 //!
 //! The preset `ExperimentConfig`s cover the paper's setups; this example
 //! wires the pieces manually — a bespoke cluster (three hardware kinds,
-//! one flaky group), a CNN model, shard-partitioned data and a custom
+//! one flaky group), a wider MLP, shard-partitioned data and a custom
 //! static policy — and exercises dropout exclusion in the profiler.
 
 use tifl::core::profiler::{Profiler, ProfilerConfig};
@@ -53,13 +53,11 @@ fn main() {
     dropout.kill(&[11]);
     cluster.set_dropout(dropout);
 
-    // Model: the CNN variant (conv-conv-pool-dense, §5's architecture
-    // family) over the 8x8 synthetic images.
+    // Model: the MLP, twice the presets' hidden width.
     let session_cfg = SessionConfig {
-        model: ModelSpec::Cnn {
-            side: 8,
-            channels: (16, 32),
-            hidden: 128,
+        model: ModelSpec::Mlp {
+            input: 64,
+            hidden: 256,
             classes: 10,
         },
         client: ClientConfig::paper_synthetic(),

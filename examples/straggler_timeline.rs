@@ -1,4 +1,4 @@
-//! Visualising the straggler problem (Eq. 1) with round timelines.
+//! Visualising the straggler problem (Eq. 1) with round event schedules.
 //!
 //! ```sh
 //! cargo run --release --example straggler_timeline
@@ -10,49 +10,47 @@
 //! hierarchical master-child aggregation cost at fleet scale.
 
 use tifl::fl::hierarchy::AggregationTree;
-use tifl::fl::timeline::{RoundTimeline, TimelineEvent};
+use tifl::fl::timeline::schedule_plan_events;
 use tifl::prelude::*;
 
-fn print_trace(label: &str, timeline: &RoundTimeline) {
+fn print_trace(label: &str, plan: &RoundPlan, tmax: f64) {
     println!("\n-- {label} --");
-    for (t, e) in &timeline.events {
-        match e {
-            TimelineEvent::Dispatch { client } => {
-                println!("  t={t:>8.2}s  dispatch -> client {client}");
-            }
-            TimelineEvent::Complete { client } => {
-                println!("  t={t:>8.2}s  update   <- client {client}");
-            }
-            TimelineEvent::TimedOut { client } => {
-                println!("  t={t:>8.2}s  TIMEOUT     client {client}");
-            }
-            TimelineEvent::Cancelled { client } => {
-                println!("  t={t:>8.2}s  CANCELLED   client {client}");
-            }
-            TimelineEvent::RoundEnd => println!("  t={t:>8.2}s  round end"),
-        }
+    let mut events = Vec::new();
+    schedule_plan_events(plan, false, tmax, &mut events);
+    for &(t, _, e) in &events {
+        let (what, client) = match e {
+            TraceEvent::Dispatch { client, .. } => ("dispatch ->", client),
+            TraceEvent::Complete { client, .. } => ("update   <-", client),
+            TraceEvent::TimedOut { client, .. } => ("TIMEOUT    ", client),
+            TraceEvent::Cancelled { client, .. } => ("CANCELLED  ", client),
+            _ => continue,
+        };
+        println!("  t={t:>8.2}s  {what} client {client}");
     }
+    println!("  t={:>8.2}s  round end", plan.latency);
+    // The schedule is time-ordered: one dispatch per selected client at
+    // t = 0, then every client leaving the round.
+    let answered = &events[plan.selected.len()..];
     println!(
         "  aggregator idle between first and last update: {:.2}s",
-        timeline.straggler_wait()
+        answered.last().map_or(0.0, |e| e.0) - answered.first().map_or(0.0, |e| e.0)
     );
 }
 
-/// The wait-all round-0 timeline of `clients`: everyone responds (no
+/// The wait-all round-0 plan of `clients`: everyone responds (no
 /// dropouts are configured), the round lasts until the slowest (Eq. 1).
-fn round_of(session: &Session, clients: &[usize]) -> RoundTimeline {
+fn round_of(session: &Session, clients: &[usize]) -> RoundPlan {
     let responses: Vec<(usize, Option<f64>)> = clients
         .iter()
         .map(|&c| (c, session.cluster().response(c, 0, &session.task_for(c))))
         .collect();
-    let plan = RoundPlan {
+    RoundPlan {
         round: 0,
         selected: clients.to_vec(),
         contributors: clients.to_vec(),
         latency: responses.iter().filter_map(|&(_, l)| l).fold(0.0, f64::max),
         responses,
-    };
-    RoundTimeline::from_plan(&plan, false, session.config().tmax_sec)
+    }
 }
 
 fn main() {
@@ -61,18 +59,23 @@ fn main() {
     let (tiers, _) = cfg.profile_and_tier();
 
     // A vanilla round: one client from each hardware group.
-    let t_mixed = round_of(&session, &[0, 11, 22, 33, 44]);
-    print_trace("vanilla round (one client per hardware group)", &t_mixed);
+    let tmax = session.config().tmax_sec;
+    let mixed = round_of(&session, &[0, 11, 22, 33, 44]);
+    print_trace(
+        "vanilla round (one client per hardware group)",
+        &mixed,
+        tmax,
+    );
 
     // A TiFL round: five clients from the fastest tier.
-    let t_same = round_of(&session, &tiers.tiers[0].clients[..5]);
-    print_trace("TiFL round (five clients from tier 0)", &t_same);
+    let same = round_of(&session, &tiers.tiers[0].clients[..5]);
+    print_trace("TiFL round (five clients from tier 0)", &same, tmax);
 
     println!(
         "\nround latency: vanilla {:.1}s vs same-tier {:.1}s ({:.1}x)",
-        t_mixed.round_end(),
-        t_same.round_end(),
-        t_mixed.round_end() / t_same.round_end()
+        mixed.latency,
+        same.latency,
+        mixed.latency / same.latency
     );
 
     // Aggregation at fleet scale: the master-child tree of §3.1.

@@ -202,6 +202,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             let mut request: RunRequest = read_json(path)?;
+            check_fit(path, &request.experiment)?;
             if let Some(threads) = threads {
                 // Force the thread count: event-driven specs get their
                 // knob overridden; lockstep specs take the ambient
@@ -273,6 +274,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             let manifest: SweepManifest = read_json(path)?;
+            check_fit(path, &manifest.experiment)?;
             let store = RunStore::open(&out).map_err(at(&out))?;
             let scheduler = SweepScheduler::new(workers);
             let expanded = manifest.expand();
@@ -393,6 +395,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     None,
                 ),
             };
+            check_fit(path, &request.experiment)?;
             eprintln!(
                 "[tifl] tracing {} / {} ...",
                 request.experiment.name,
@@ -607,6 +610,14 @@ fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
         let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
         format!("{path}: not a {what}: {e}")
     })
+}
+
+/// Reject a loaded document whose model cannot train on its data, as
+/// `<path>: model … / data …`, before any session is built.
+fn check_fit(path: &str, experiment: &ExperimentConfig) -> Result<(), String> {
+    experiment
+        .model_fits_data()
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {

@@ -104,7 +104,6 @@ pub mod prelude {
     pub use tifl_fl::session::{
         AggregationMode, RoundPlan, Session, SessionConfig, SessionOverrides, TaskPricing,
     };
-    pub use tifl_fl::timeline::{RoundTimeline, TimelineEvent};
     pub use tifl_nn::models::ModelSpec;
     pub use tifl_obs::{
         chrome_trace, host_chrome_trace, DiffReport, DiffSide, Digest128, DigestChain, Divergence,

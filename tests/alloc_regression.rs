@@ -17,7 +17,7 @@ use tifl::comm::{CodecSpec, CommSpec};
 use tifl::core::experiment::ExperimentConfig;
 use tifl::core::runner::Experiment;
 use tifl::fl::session::{RoundPlan, Session, SessionOverrides};
-use tifl::fl::timeline::{schedule_plan_events, TimelineEvent};
+use tifl::fl::timeline::schedule_plan_events;
 use tifl::fl::ClientUpdate;
 use tifl::obs::{RunObserver, TraceEvent, TraceSink};
 use tifl::tensor::ParamVec;
@@ -101,9 +101,9 @@ fn steady_state_fold_encode_round_is_allocation_free() {
         latency: 3.0,
     };
     let mut observer = RunObserver::new(64);
-    let mut events: Vec<(f64, u32, TimelineEvent)> = Vec::new();
+    let mut events: Vec<(f64, u32, TraceEvent)> = Vec::new();
     let trace_round =
-        |observer: &mut RunObserver, events: &mut Vec<(f64, u32, TimelineEvent)>, t0: f64| {
+        |observer: &mut RunObserver, events: &mut Vec<(f64, u32, TraceEvent)>, t0: f64| {
             schedule_plan_events(&plan, false, 20.0, events);
             observer.record(
                 t0,
@@ -112,27 +112,8 @@ fn steady_state_fold_encode_round_is_allocation_free() {
                     selected: plan.selected.len() as u32,
                 },
             );
-            for &(t, _, ev) in events.iter() {
-                let mapped = match ev {
-                    TimelineEvent::Dispatch { client } => TraceEvent::Dispatch {
-                        round: plan.round,
-                        client: client as u32,
-                    },
-                    TimelineEvent::Complete { client } => TraceEvent::Complete {
-                        round: plan.round,
-                        client: client as u32,
-                    },
-                    TimelineEvent::TimedOut { client } => TraceEvent::TimedOut {
-                        round: plan.round,
-                        client: client as u32,
-                    },
-                    TimelineEvent::Cancelled { client } => TraceEvent::Cancelled {
-                        round: plan.round,
-                        client: client as u32,
-                    },
-                    TimelineEvent::RoundEnd => continue,
-                };
-                observer.record(t0 + t, mapped);
+            for &(t, _, event) in events.iter() {
+                observer.record(t0 + t, event);
             }
             for &client in &plan.contributors {
                 observer.record(

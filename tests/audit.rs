@@ -601,3 +601,69 @@ fn trace_cli_verifies_stored_metrics_on_artifacts() {
     assert!(err.contains("regenerated metrics match"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn trace_cli_host_flag_exports_the_virtual_and_the_host_lane() {
+    // `tifl trace --host`: one Chrome trace-event array, the virtual
+    // lane as pid 1 and the host lane as pid 2, the latter all spans
+    // under `host:` categories.
+    let dir = tmp_dir("trace-host");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let request = RunRequest {
+        experiment: ExperimentConfig::tiny(52),
+        rounds: Some(6),
+        seed: None,
+        clients_per_round: None,
+        spec: RunSpec::default(),
+    };
+    let (run, trace) = (dir.join("run.json"), dir.join("trace_host.json"));
+    std::fs::write(&run, serde_json::to_string(&request).unwrap()).expect("write request");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .args(["trace", run.to_str().unwrap(), "--host", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("tifl runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("virtual + host lanes"), "stdout: {stdout}");
+
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let serde::Value::Array(events) = serde_json::from_str(&text).expect("valid JSON") else {
+        panic!("a Chrome trace is a JSON array");
+    };
+    // (pid, ph, cat) of every event.
+    let rows: Vec<(String, String, String)> = events
+        .iter()
+        .map(|event| {
+            let serde::Value::Object(fields) = event else {
+                panic!("an event is an object: {event:?}");
+            };
+            let field = |name: &str| {
+                let (_, value) = fields.iter().find(|(k, _)| k == name).expect(name);
+                match value {
+                    serde::Value::String(s) => s.clone(),
+                    other => serde_json::to_string(other).expect("a scalar"),
+                }
+            };
+            (field("pid"), field("ph"), field("cat"))
+        })
+        .collect();
+    let mut pids: Vec<&str> = rows.iter().map(|(pid, ..)| pid.as_str()).collect();
+    pids.sort_unstable();
+    pids.dedup();
+    assert_eq!(pids, ["1", "2"], "virtual lane is pid 1, host lane pid 2");
+    let host: Vec<_> = rows.iter().filter(|(pid, ..)| pid == "2").collect();
+    assert!(
+        host.iter().all(|(_, ph, _)| ph == "X"),
+        "host lane is spans"
+    );
+    assert!(
+        host.iter().all(|(.., cat)| cat.starts_with("host:")),
+        "host categories: {host:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

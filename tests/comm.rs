@@ -64,16 +64,12 @@ fn identity_on_any_link_model_changes_timing_only_under_waitall() {
     // only moves the clock.
     let cfg = tiny(91);
     let links = [
-        LinkModel::Uniform {
+        LinkModel::GroupScaled {
+            groups: 1,
             up_bps: 2.0e4,
             down_bps: 2.0e5,
+            decay: 1.0,
             rtt_sec: 0.05,
-        },
-        LinkModel::LogNormal {
-            median_up_bps: 5.0e4,
-            median_down_bps: 5.0e5,
-            sigma: 0.8,
-            rtt_sec: 0.01,
         },
         LinkModel::GroupScaled {
             groups: 5,
@@ -308,9 +304,11 @@ fn compressed_uploads_speed_up_bandwidth_bound_rounds() {
             RunSpec {
                 comm: Some(CommSpec {
                     codec,
-                    link: LinkModel::Uniform {
+                    link: LinkModel::GroupScaled {
+                        groups: 1,
                         up_bps: 1.0e4,
                         down_bps: 1.0e7,
+                        decay: 1.0,
                         rtt_sec: 0.0,
                     },
                     hierarchy: None,

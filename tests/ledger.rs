@@ -1,23 +1,64 @@
 //! README's "Feature ledger" is executable: every consumed row names a
 //! file that exists and spells the row's symbol, every unconsumed row
 //! still names live code, and the set of unconsumed rows is the list
-//! below — shrink it deliberately; it cannot grow silently.
+//! below — shrink it deliberately; it cannot grow silently. Rows someone
+//! wrote are not enough (`ModelSpec::Logistic` never had one): every
+//! variant of the enums a `RunRequest` can spell, read from their
+//! source files, must appear in a row.
 
 use std::path::Path;
 
 /// The first code span of each "promote or delete next" row.
-const UNCONSUMED: [&str; 10] = [
-    "ModelSpec::Cnn",
+const UNCONSUMED: [&str; 8] = [
     "HierarchySpec",
-    "LinkModel::LogNormal",
-    "LinkModel::Uniform",
     "LinkModel::ClusterDefault",
-    "OptimizerSpec::SgdMomentum",
     "Cluster::set_dropout",
-    "RoundTimeline",
     "sim::EventQueue",
     "EventEngine",
+    "Sequential::forward",
+    "DataScenario::Shards",
+    "DriftModel::Sinusoidal",
 ];
+
+/// The enums a `RunRequest` document can spell, and where each is
+/// defined.
+const REQUEST_ENUMS: [(&str, &str); 10] = [
+    ("ModelSpec", "crates/nn/src/models.rs"),
+    ("OptimizerSpec", "crates/fl/src/client.rs"),
+    ("LinkModel", "crates/comm/src/link.rs"),
+    ("CodecSpec", "crates/comm/src/codec.rs"),
+    ("SelectionStrategy", "crates/core/src/runner.rs"),
+    ("AggregationMode", "crates/fl/src/session.rs"),
+    ("LocalTraining", "crates/core/src/runner.rs"),
+    ("DataScenario", "crates/core/src/experiment.rs"),
+    ("DriftModel", "crates/sim/src/drift.rs"),
+    ("ExecBackend", "crates/core/src/exec/mod.rs"),
+];
+
+/// The variant names of `pub enum <name>` in `source`: the identifiers
+/// that open a line one brace deep in its body.
+fn variants_of(name: &str, source: &str) -> Vec<String> {
+    let (_, body) = source
+        .split_once(&format!("pub enum {name} {{"))
+        .unwrap_or_else(|| panic!("`pub enum {name}` moved"));
+    let mut variants = Vec::new();
+    let mut depth = 1usize;
+    for line in body.lines().map(str::trim) {
+        if depth == 1 && line.starts_with(|c: char| c.is_ascii_uppercase()) {
+            let ident = line.split(|c: char| !c.is_ascii_alphanumeric()).next();
+            variants.push(ident.expect("split yields a first piece").to_owned());
+        }
+        if !line.starts_with("//") {
+            depth += line.matches(['{', '(']).count();
+            depth -= line.matches(['}', ')']).count();
+        }
+        if depth == 0 {
+            break;
+        }
+    }
+    assert!(!variants.is_empty(), "no variants read for {name}");
+    variants
+}
 
 /// True when a `.rs` file under `dir` (the frozen benchmark aside)
 /// contains `needle`.
@@ -84,4 +125,24 @@ fn every_ledger_row_has_a_live_consumer_or_is_listed_as_unconsumed() {
         }
     }
     assert_eq!(unconsumed, UNCONSUMED, "the unconsumed set changed");
+
+    for (name, file) in REQUEST_ENUMS {
+        let source = std::fs::read_to_string(root.join(file)).expect(file);
+        for variant in variants_of(name, &source) {
+            assert!(
+                ledger.contains(&format!("`{name}::{variant}`")),
+                "`{name}::{variant}` ({file}) has no ledger row: name its consumer, or list \
+                 it under \"Promote or delete next\""
+            );
+        }
+    }
+}
+
+#[test]
+fn variants_are_read_from_the_enum_body_alone() {
+    let source = "pub enum Other { X }\n/// Doc.\n#[derive(Debug)]\npub enum Shape {\n    \
+                  /// A {brace} in a comment.\n    #[default]\n    Unit,\n    Tuple(Inner),\n    \
+                  Struct {\n        /// Field doc.\n        Field: usize,\n    },\n}\n\
+                  impl Shape {\n    After,\n}\n";
+    assert_eq!(variants_of("Shape", source), ["Unit", "Tuple", "Struct"]);
 }

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{on_every_backend, pinned_scenarios, serial_reference, tiny};
+use common::{on_every_backend, pinned_scenarios, serial_reference, tiny, within_two_minutes};
 use tifl::obs::Digest128;
 use tifl::prelude::*;
 
@@ -418,7 +418,10 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
         rounds: Some(2),
         seed: None,
         clients_per_round: None,
-        spec: RunSpec::default(),
+        spec: RunSpec {
+            comm: Some(CommSpec::default()),
+            ..RunSpec::default()
+        },
     };
     let request_json = serde_json::to_string_pretty(&request).unwrap();
     let report_json = serde_json::to_string_pretty(&request.run()).unwrap();
@@ -445,50 +448,164 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
         }
     }
 
-    // A document naming the deleted `Async` aggregation mode is one
-    // more unloadable input: every entry point answers with a typed
-    // error naming the variant.
+    // A document naming a deleted variant is one more unloadable
+    // input: every entry point answers with a typed error naming the
+    // variant. Each row spells the variant where a request carries it
+    // and where a manifest does (the experiment, or an axis).
     let swap = |json: &str, from: &str, to: &str| {
         assert_eq!(json.matches(from).count(), 1, "`{from}` in {json}");
         json.replace(from, to)
     };
-    let null_mode = r#""aggregation": null"#;
-    let async_mode = r#""aggregation": {"Async": {"max_staleness": 2}}"#;
-    let async_request = swap(&request_json, null_mode, async_mode);
+    // One spelling in both documents / a request's value and a
+    // manifest axis's one-element list of it.
+    let same = |from: &str, to: &str| [(); 2].map(|()| (from.to_string(), to.to_string()));
+    let valued = |field: &str, unset: &str, value: &str| {
+        [
+            (
+                format!(r#""{field}": {unset}"#),
+                format!(r#""{field}": {value}"#),
+            ),
+            (
+                format!(r#""{field}": []"#),
+                format!(r#""{field}": [{value}]"#),
+            ),
+        ]
+    };
+    let removed = [
+        (
+            "Async",
+            valued("aggregation", "null", r#"{"Async": {"max_staleness": 2}}"#),
+        ),
+        ("Cnn", same(r#""Mlp": {"#, r#""Cnn": {"#)),
+        ("Logistic", same(r#""Mlp": {"#, r#""Logistic": {"#)),
+        (
+            "SgdMomentum",
+            same(r#""RmsProp": {"#, r#""SgdMomentum": {"momentum": 0.9,"#),
+        ),
+        (
+            "LogNormal",
+            valued(
+                "link",
+                r#""ClusterDefault""#,
+                r#"{"LogNormal": {"median_up_bps": 1e5, "median_down_bps": 1e6, "sigma": 0.5, "rtt_sec": 0.0}}"#,
+            ),
+        ),
+        (
+            "Uniform",
+            valued(
+                "link",
+                r#""ClusterDefault""#,
+                r#"{"Uniform": {"up_bps": 1e5, "down_bps": 1e6, "rtt_sec": 0.0}}"#,
+            ),
+        ),
+    ];
     let manifest = SweepManifest {
         name: None,
         experiment: tiny(86),
         rounds: Some(2),
         axes: SweepAxes::default(),
     };
-    let async_manifest = swap(
-        &serde_json::to_string_pretty(&manifest).unwrap(),
-        r#""aggregation": []"#,
-        r#""aggregation": [{"Async": {"max_staleness": 2}}]"#,
-    );
-    let unknown = "unknown variant `Async`";
-    for (command, text) in [
-        (&["run", "--spec"][..], &async_request),
-        (&["sweep"][..], &async_manifest),
-    ] {
-        let path = write("async.json", text);
-        let stderr = tifl_fails_on(&dir, &[command, &[path.as_str()]].concat(), &path);
-        assert!(stderr.contains(unknown), "tifl {command:?}: {stderr}");
-    }
+    let manifest_json = serde_json::to_string_pretty(&manifest).unwrap();
     // The same request inside a stored artifact.
     let store = RunStore::open(dir.join("store")).expect("store opens");
     let key = RunKey::of(&request);
     let artifact = RunArtifact::new(key, request.clone(), request.run());
     store.write(&artifact).expect("artifact writes");
     let stored = std::fs::read_to_string(store.path_of(key)).expect("artifact readable");
-    std::fs::write(store.path_of(key), swap(&stored, null_mode, async_mode)).unwrap();
-    let err = store
-        .load_checked(key)
-        .expect_err("a removed variant must not load");
-    assert!(
-        matches!(&err.kind, StoreErrorKind::Unparseable(cause) if cause.contains(unknown)),
-        "{err}"
-    );
+    for (variant, [in_request, in_manifest]) in removed {
+        let unknown = format!("unknown variant `{variant}`");
+        for (command, text) in [
+            (
+                &["run", "--spec"][..],
+                swap(&request_json, &in_request.0, &in_request.1),
+            ),
+            (
+                &["sweep"][..],
+                swap(&manifest_json, &in_manifest.0, &in_manifest.1),
+            ),
+        ] {
+            let path = write("removed.json", &text);
+            let stderr = tifl_fails_on(&dir, &[command, &[path.as_str()]].concat(), &path);
+            assert!(stderr.contains(&unknown), "tifl {command:?}: {stderr}");
+        }
+        std::fs::write(
+            store.path_of(key),
+            swap(&stored, &in_request.0, &in_request.1),
+        )
+        .unwrap();
+        let err = store
+            .load_checked(key)
+            .expect_err("a removed variant must not load");
+        assert!(
+            matches!(&err.kind, StoreErrorKind::Unparseable(cause) if cause.contains(&unknown)),
+            "{variant}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() {
+    // Too few classes or the wrong input width used to die inside a
+    // pool worker (`label 8 out of range for 5 classes`, exit 101).
+    // Every command that loads such a document now answers
+    // `[tifl] <path>: model … / data …` before it builds a session.
+    let dir = std::env::temp_dir().join(format!("tifl-misfit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let misfits = [
+        ModelSpec::Mlp {
+            input: 64,
+            hidden: 16,
+            classes: 5,
+        },
+        ModelSpec::Mlp {
+            input: 49,
+            hidden: 16,
+            classes: 10,
+        },
+    ];
+    for (i, model) in misfits.into_iter().enumerate() {
+        let mut experiment = tiny(88);
+        experiment.model = model;
+        let request = RunRequest {
+            experiment: experiment.clone(),
+            rounds: Some(2),
+            seed: None,
+            clients_per_round: None,
+            spec: RunSpec {
+                backend: ExecBackend::EventDriven { threads: 2 },
+                ..RunSpec::default()
+            },
+        };
+        let manifest = SweepManifest {
+            name: None,
+            experiment,
+            rounds: Some(2),
+            axes: SweepAxes::default(),
+        };
+        let file = |name: &str, json: String| {
+            let path = dir.join(format!("{name}{i}.json"));
+            std::fs::write(&path, json).expect("write fixture");
+            path.to_str().unwrap().to_string()
+        };
+        let run = file("run", serde_json::to_string(&request).unwrap());
+        let sweep = file("sweep", serde_json::to_string(&manifest).unwrap());
+        let dir = dir.clone();
+        within_two_minutes(move || {
+            for (args, path) in [
+                (&["run", "--spec", &run, "--threads", "2"][..], &run),
+                (&["sweep", &sweep, "--workers", "2"], &sweep),
+                (&["trace", &run], &run),
+            ] {
+                let stderr = tifl_fails_on(&dir, args, path);
+                assert!(
+                    stderr.contains(": model takes ") && stderr.contains(" / data Mnist has "),
+                    "tifl {args:?}: {stderr}"
+                );
+            }
+        })
+        .expect("every command fails cleanly");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -196,22 +196,14 @@ fn profile_goldens() -> Vec<(String, String, &'static str)> {
     let links = [
         (
             "uniform",
-            LinkModel::Uniform {
+            LinkModel::GroupScaled {
+                groups: 1,
                 up_bps: 2.0e4,
                 down_bps: 2.0e5,
+                decay: 1.0,
                 rtt_sec: 0.05,
             },
             "0fe12554eeddabf44f36078146ff3c17",
-        ),
-        (
-            "lognormal",
-            LinkModel::LogNormal {
-                median_up_bps: 5.0e4,
-                median_down_bps: 5.0e5,
-                sigma: 0.8,
-                rtt_sec: 0.01,
-            },
-            "d00ebbfab52003d9e49be1adc612ab2a",
         ),
         (
             "group-scaled",
@@ -245,9 +237,11 @@ fn profile_goldens() -> Vec<(String, String, &'static str)> {
     let mut wire_bound = tiny(95);
     wire_bound.latency.base_overhead_sec = 0.0;
     wire_bound.latency.flops_per_cpu_sec = 1.0e12;
-    let slow_uplink = LinkModel::Uniform {
+    let slow_uplink = LinkModel::GroupScaled {
+        groups: 1,
         up_bps: 1.0e4,
         down_bps: 1.0e7,
+        decay: 1.0,
         rtt_sec: 0.0,
     };
     for (i, (name, codec)) in codecs.into_iter().enumerate() {

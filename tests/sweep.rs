@@ -416,6 +416,78 @@ fn sweep_cli_executes_and_resumes_a_manifest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn sweep_cli_streams_progress_and_writes_worker_lanes_to_the_summary() {
+    // `tifl sweep --progress`: one JSONL event per line, opened by
+    // `sweep_started`, closed by `sweep_finished`, one `run_finished`
+    // per cell in between; the summary sidecar says where the host
+    // time went and which worker ran what.
+    let mut manifest = SweepManifest::new(small_resource_het(35, 3));
+    manifest.axes.seeds = vec![35, 36];
+    manifest.axes.selection = vec![
+        SelectionStrategy::Vanilla,
+        SelectionStrategy::TierPolicy {
+            policy: Policy::uniform(5),
+        },
+        SelectionStrategy::Adaptive { config: None },
+    ];
+    let dir = tmp_dir("cli-progress");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (manifest_path, arts, progress) = (
+        dir.join("sweep.json"),
+        dir.join("arts"),
+        dir.join("progress.jsonl"),
+    );
+    std::fs::write(&manifest_path, serde_json::to_string(&manifest).unwrap())
+        .expect("write manifest");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .arg("sweep")
+        .arg(&manifest_path)
+        .args(["--workers", "2", "--out"])
+        .arg(&arts)
+        .arg("--progress")
+        .arg(&progress)
+        .output()
+        .expect("tifl binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let events: Vec<ProgressEvent> = std::fs::read_to_string(&progress)
+        .expect("progress log written")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("one event per line"))
+        .collect();
+    assert_eq!(
+        events.first().map(|e| e.event.as_str()),
+        Some("sweep_started")
+    );
+    assert_eq!(
+        events.last().map(|e| e.event.as_str()),
+        Some("sweep_finished")
+    );
+    let finished: Vec<_> = events
+        .iter()
+        .filter(|e| e.event == "run_finished")
+        .collect();
+    assert_eq!(finished.len(), 6, "{events:?}");
+    assert!(finished
+        .iter()
+        .all(|e| e.worker.is_some() && e.phases.is_some()));
+
+    let store = RunStore::open(&arts).expect("store opens");
+    let sidecar = std::fs::read_to_string(store.summary_path()).expect("summary sidecar");
+    for field in ["\"host_phase_sec\"", "\"worker_lanes\""] {
+        assert!(sidecar.contains(field), "no {field} in {sidecar}");
+    }
+    let summary: SweepSummary = serde_json::from_str(&sidecar).expect("summary parses");
+    let lane_runs: usize = summary.worker_lanes.iter().map(|l| l.runs.len()).sum();
+    assert_eq!(lane_runs, 6, "every run is on one worker's lane");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // -- property tests ----------------------------------------------------------
 
 /// Build a manifest from proptest-drawn axis subsets. Drawn indices

@@ -17,19 +17,8 @@ use tifl::obs::Digest128;
 use tifl::prelude::*;
 use tifl::tensor::Matrix;
 
-const LOGISTIC: ModelSpec = ModelSpec::Logistic {
-    input: 64,
-    classes: 10,
-};
 const MLP: ModelSpec = ModelSpec::Mlp {
     input: 64,
-    hidden: 32,
-    classes: 10,
-};
-/// First layer `Conv2d`, two dropout layers.
-const CNN: ModelSpec = ModelSpec::Cnn {
-    side: 8,
-    channels: (4, 8),
     hidden: 32,
     classes: 10,
 };
@@ -59,42 +48,35 @@ fn train_batch_equals_the_reference_step_bitwise() {
     let data = data();
     let optimizers = [
         OptimizerSpec::Sgd { lr: 0.05 },
-        OptimizerSpec::SgdMomentum {
-            lr: 0.05,
-            momentum: 0.9,
-        },
         OptimizerSpec::RmsProp { lr: 0.01 },
     ];
-    for spec in [LOGISTIC, MLP, CNN] {
-        for optimizer in optimizers {
-            // Same seed: same weights, same dropout streams.
-            let (mut fast, mut slow) = (spec.build(9), spec.build(9));
-            let (mut fast_opt, mut slow_opt) = (optimizer.build(1.0), optimizer.build(1.0));
-            for step in 0..24 {
-                // Batches of 10, 7 and 1 rows at shifting offsets.
-                let rows = [10, 7, 1][step % 3];
-                let batch: Vec<usize> = (0..rows).map(|i| (step * 7 + i) % data.len()).collect();
-                let x = data.x.gather_rows(&batch);
-                let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
-                let got = fast.train_batch(x.clone(), &y, fast_opt.as_mut());
-                let want = reference_step(&mut slow, x, &y, slow_opt.as_mut());
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{spec:?} {optimizer:?} step {step}: loss"
-                );
-                assert_eq!(
-                    bits(fast.params().as_slice()),
-                    bits(slow.params().as_slice()),
-                    "{spec:?} {optimizer:?} step {step}: weights"
-                );
-            }
+    for optimizer in optimizers {
+        let (mut fast, mut slow) = (MLP.build(9), MLP.build(9));
+        let (mut fast_opt, mut slow_opt) = (optimizer.build(1.0), optimizer.build(1.0));
+        for step in 0..24 {
+            // Batches of 10, 7 and 1 rows at shifting offsets.
+            let rows = [10, 7, 1][step % 3];
+            let batch: Vec<usize> = (0..rows).map(|i| (step * 7 + i) % data.len()).collect();
+            let x = data.x.gather_rows(&batch);
+            let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
+            let got = fast.train_batch(x.clone(), &y, fast_opt.as_mut());
+            let want = reference_step(&mut slow, x, &y, slow_opt.as_mut());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{optimizer:?} step {step}: loss"
+            );
+            assert_eq!(
+                bits(fast.params().as_slice()),
+                bits(slow.params().as_slice()),
+                "{optimizer:?} step {step}: weights"
+            );
         }
     }
 }
 
 #[test]
-fn local_train_output_is_the_parents_with_fedprox_dp_and_dropout() {
+fn local_train_output_is_the_parents_with_fedprox_and_dp() {
     let data = data();
     let base = ClientConfig {
         local_epochs: 2,
@@ -107,7 +89,6 @@ fn local_train_output_is_the_parents_with_fedprox_dp_and_dropout() {
     let cases = [
         (
             "mlp fedprox",
-            MLP,
             ClientConfig {
                 proximal_mu: 0.25,
                 ..base
@@ -116,28 +97,13 @@ fn local_train_output_is_the_parents_with_fedprox_dp_and_dropout() {
         ),
         (
             "mlp dp",
-            MLP,
             ClientConfig { dp, ..base },
             "1bc340f4ca84198e8f274ed9dd6bdf0b",
         ),
-        (
-            "cnn fedprox+dp, sgd momentum",
-            CNN,
-            ClientConfig {
-                optimizer: OptimizerSpec::SgdMomentum {
-                    lr: 0.02,
-                    momentum: 0.9,
-                },
-                proximal_mu: 0.1,
-                dp,
-                ..base
-            },
-            "42e5ced480210a171dfb79bfc8359ad2",
-        ),
     ];
-    for (name, spec, config, golden) in cases {
-        let global = spec.build(1).params();
-        let updated = local_train(&spec, &global, &data, &config, 3, 7, 42);
+    for (name, config, golden) in cases {
+        let global = MLP.build(1).params();
+        let updated = local_train(&MLP, &global, &data, &config, 3, 7, 42);
         assert_eq!(Digest128::of_value(&updated).to_string(), golden, "{name}");
     }
 }
@@ -145,19 +111,17 @@ fn local_train_output_is_the_parents_with_fedprox_dp_and_dropout() {
 #[test]
 fn eval_model_from_weights_evaluates_like_build_then_set_params() {
     let data = data();
-    for spec in [LOGISTIC, MLP, CNN] {
-        let global = spec.build(3).params();
-        let mut reference = spec.build(0);
-        reference.set_params(&global);
-        let mut model = eval_model(&spec, &global);
-        assert_eq!(model.params(), global, "{spec:?}");
-        let (got, want) = (
-            model.evaluate(&data.x, &data.y),
-            reference.evaluate(&data.x, &data.y),
-        );
-        assert_eq!(got, want, "{spec:?}");
-        assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{spec:?}");
-    }
+    let global = MLP.build(3).params();
+    let mut reference = MLP.build(0);
+    reference.set_params(&global);
+    let mut model = eval_model(&MLP, &global);
+    assert_eq!(model.params(), global);
+    let (got, want) = (
+        model.evaluate(&data.x, &data.y),
+        reference.evaluate(&data.x, &data.y),
+    );
+    assert_eq!(got, want);
+    assert_eq!(got.loss.to_bits(), want.loss.to_bits());
 }
 
 /// `Relu` as it was written before its loops became selects: forward
