@@ -12,8 +12,9 @@
 //!
 //! Every training figure is a list of [`RunRequest`]s handed to the
 //! sweep scheduler (`run_all`), so its curves run in parallel across
-//! the host's cores, share one profiling pass per topology, and are
-//! the same requests `tifl run --spec` and `tifl sweep` execute.
+//! the host's cores, share one profiling pass per topology and one
+//! dataset per experiment, and are the same requests `tifl run --spec`
+//! and `tifl sweep` execute.
 //!
 //! All "time" columns are **virtual seconds** from the simulated
 //! testbed.
@@ -146,8 +147,9 @@ fn request(cfg: &ExperimentConfig, spec: RunSpec) -> RunRequest {
 }
 
 /// Execute `requests` on the sweep scheduler — in parallel across the
-/// host's cores, one profiling pass per topology — and return their
-/// reports in request order.
+/// host's cores, one profiling pass per topology, one dataset per
+/// experiment (both counted on stderr) — and return their reports in
+/// request order.
 fn run_all(requests: Vec<RunRequest>) -> Vec<TrainingReport> {
     let runs: Vec<KeyedRun> = requests
         .into_iter()
@@ -158,9 +160,15 @@ fn run_all(requests: Vec<RunRequest>) -> Vec<TrainingReport> {
             request,
         })
         .collect();
-    SweepScheduler::new(0)
-        .execute(&runs, None, false)
-        .into_reports()
+    let sweep = SweepScheduler::new(0).execute(&runs, None, false);
+    eprintln!(
+        "[paper] {} runs: {} profiling pass(es); {} dataset(s) built, {} shared",
+        runs.len(),
+        sweep.profiles_computed,
+        sweep.datasets_built,
+        sweep.dataset_cache_hits
+    );
+    sweep.into_reports()
 }
 
 /// Every spec over every config: one row of outcomes per config, in

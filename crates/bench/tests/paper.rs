@@ -120,3 +120,21 @@ fn an_unknown_id_lists_the_valid_ones() {
         .expect("paper binary runs");
     assert_eq!(status.code(), Some(2));
 }
+
+#[test]
+fn fig3_builds_one_dataset_per_column() {
+    // Two experiments (resource and data-quantity heterogeneity) × five
+    // policies: the scheduler's closing line on stderr counts one
+    // dataset per column, the other eight curves training on them.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["fig3", "--rounds", "8", "--seed", "7"])
+        .output()
+        .expect("paper binary runs");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let closing = stderr.lines().last().expect("a closing line");
+    assert_eq!(
+        closing,
+        "[paper] 10 runs: 2 profiling pass(es); 2 dataset(s) built, 8 shared"
+    );
+}

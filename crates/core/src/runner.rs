@@ -20,8 +20,9 @@
 //! ```
 //!
 //! A [`Runner`] binds specs to one experiment and caches the profiling
-//! outcome ([`TierAssignment`] + [`ProfileResult`]), so multi-curve
-//! figures profile once per configuration instead of once per curve.
+//! outcome ([`TierAssignment`] + [`ProfileResult`]) and the
+//! materialised dataset, so multi-curve figures profile and build their
+//! data once per configuration instead of once per curve.
 //! Anything implementing [`Experiment`] gets the full API;
 //! [`ExperimentConfig`] — every preset of the paper, LEAF/FEMNIST
 //! included — is the workspace's one implementor.
@@ -238,13 +239,18 @@ impl RunSpec {
 /// Profiling (§4.2) needs the testbed, what a round of the model costs
 /// ([`TaskPricing`]) and how many samples each client trains on — and
 /// nothing else: [`profile_and_tier_with`] never calls [`build_data`].
-/// Only [`build_session`] does, once per run.
+/// Only [`build_session`] does, once per call; sessions of one
+/// experiment read the same data and differ in their overrides alone,
+/// so whoever runs several ([`Runner`], the sweep scheduler) builds it
+/// once and hands each session the same `Arc` through
+/// [`build_session_on`].
 ///
 /// [`session_config`]: Experiment::session_config
 /// [`build_cluster`]: Experiment::build_cluster
 /// [`build_data`]: Experiment::build_data
 /// [`train_sizes`]: Experiment::train_sizes
 /// [`build_session`]: Experiment::build_session
+/// [`build_session_on`]: Experiment::build_session_on
 /// [`profile_and_tier_with`]: Experiment::profile_and_tier_with
 pub trait Experiment {
     /// Root seed; the selector stream (`0x5E1EC7`) derives from it.
@@ -270,13 +276,21 @@ pub trait Experiment {
     fn train_sizes(&self) -> Vec<usize>;
 
     /// Build a fresh training session with `overrides` applied to the
-    /// session configuration (deterministic per experiment).
+    /// session configuration (deterministic per experiment),
+    /// materialising a dataset of its own.
     fn build_session(&self, overrides: &SessionOverrides) -> Session {
-        Session::new(
-            self.build_data(),
-            self.build_cluster(),
-            self.session_config(overrides),
-        )
+        self.build_session_on(Arc::new(self.build_data()), overrides)
+    }
+
+    /// As [`Experiment::build_session`] over an already materialised
+    /// dataset, which must be this experiment's [`Experiment::build_data`]
+    /// (sessions only read it, so any number may share one `Arc`).
+    fn build_session_on(
+        &self,
+        data: Arc<FederatedDataset>,
+        overrides: &SessionOverrides,
+    ) -> Session {
+        Session::new(data, self.build_cluster(), self.session_config(overrides))
     }
 
     /// Run the profiler over all clients and tier them (§4.2) — the one
@@ -325,14 +339,15 @@ pub trait Experiment {
 }
 
 /// Executes [`RunSpec`]s against one [`Experiment`], caching the
-/// profiling outcome across runs.
+/// profiling outcome and the materialised dataset across runs.
 ///
 /// The builder methods mutate the runner's current spec and return
 /// `&mut Self`, so one-liners
 /// (`cfg.runner().policy(&p).reprofile_every(10).run()`) and reuse
 /// across curves
 /// (`let mut r = cfg.runner(); for p in &policies { r.policy(p).run(); }`)
-/// both work; the latter profiles once for the whole loop.
+/// both work; the latter profiles and builds its data once for the
+/// whole loop.
 pub struct Runner<'a, E: Experiment + ?Sized> {
     exp: &'a E,
     spec: RunSpec,
@@ -343,6 +358,11 @@ pub struct Runner<'a, E: Experiment + ?Sized> {
     /// the same measurement to many runners at once.
     profile: Option<(Option<CommSpec>, SharedProfile)>,
     profile_runs: usize,
+    /// The experiment's dataset, materialised by the first run (or
+    /// installed by a cross-run scheduler) and shared by every session
+    /// this runner builds — nothing in a spec changes the data.
+    data: Option<Arc<FederatedDataset>>,
+    data_builds: usize,
     /// Host clock for the observed-run phase profiler; `None` means a
     /// fresh [`RealClock`] per observed run. Tests (and the sweep
     /// scheduler) inject a shared clock here — a [`FrozenClock`] pins
@@ -368,6 +388,8 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
             spec,
             profile: None,
             profile_runs: 0,
+            data: None,
+            data_builds: 0,
             host_clock: None,
         }
     }
@@ -556,6 +578,41 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         self.profile_runs
     }
 
+    // -- dataset cache ----------------------------------------------------
+
+    /// The experiment's dataset, materialised on first use and shared
+    /// by every later run from this runner.
+    pub fn shared_data(&mut self) -> Arc<FederatedDataset> {
+        if self.data.is_none() {
+            self.data = Some(Arc::new(self.exp.build_data()));
+            self.data_builds += 1;
+        }
+        Arc::clone(self.data.as_ref().expect("materialised above"))
+    }
+
+    /// Install a dataset materialised elsewhere — the seam a cross-run
+    /// scheduler uses to build each experiment's data once per sweep.
+    /// It must be this experiment's [`Experiment::build_data`]; does
+    /// not count as a build ([`Runner::data_count`]).
+    pub fn install_data(&mut self, data: Arc<FederatedDataset>) -> &mut Self {
+        self.data = Some(data);
+        self
+    }
+
+    /// How many times this runner actually materialised the dataset —
+    /// the twin of [`Runner::profile_count`].
+    #[must_use]
+    pub fn data_count(&self) -> usize {
+        self.data_builds
+    }
+
+    /// A fresh session for the current spec over the shared dataset.
+    fn build_session(&mut self) -> Session {
+        let overrides = self.spec.session_overrides();
+        let data = self.shared_data();
+        self.exp.build_session_on(data, &overrides)
+    }
+
     /// Eq. 6 training-time estimate for a (non-vanilla) policy under
     /// this experiment's cached tiers.
     pub fn estimate(&mut self, policy: &Policy) -> f64 {
@@ -579,8 +636,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// callers can inspect the final global model (per-class accuracy,
     /// further evaluation, checkpointing).
     pub fn run_with_session(&mut self) -> (TrainingReport, Session) {
-        let overrides = self.spec.session_overrides();
-        let mut session = self.exp.build_session(&overrides);
+        let mut session = self.build_session();
         let report = self.execute(&mut session);
         (report, session)
     }
@@ -594,8 +650,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// trace itself is identical across execution backends and thread
     /// counts.
     pub fn run_observed(&mut self, ring_capacity: usize) -> ObservedRun {
-        let overrides = self.spec.session_overrides();
-        let mut session = self.exp.build_session(&overrides);
+        let mut session = self.build_session();
         session.attach_observer(RunObserver::new(ring_capacity));
         // The host profiler rides alongside the observer: its spans are
         // operator-facing wall-clock attribution, kept strictly outside
@@ -994,6 +1049,31 @@ mod tests {
         let _ = runner.adaptive(None).run();
         let _ = runner.estimate(&Policy::uniform(5));
         assert_eq!(runner.profile_count(), 1, "profile cache must be reused");
+    }
+
+    #[test]
+    fn runner_materialises_once_across_runs() {
+        let cfg = tiny();
+        let mut runner = cfg.runner();
+        assert_eq!(runner.data_count(), 0);
+        let first = runner.policy(&Policy::uniform(5)).run();
+        assert_eq!(runner.data_count(), 1);
+        let (_, session) = runner.policy(&Policy::fast(5)).run_with_session();
+        let _ = runner.adaptive(None).fedprox(0.01).run_observed(0);
+        assert_eq!(runner.data_count(), 1, "the dataset must be reused");
+        assert!(
+            std::ptr::eq(session.data(), runner.shared_data().as_ref()),
+            "sessions read the runner's dataset, not a copy"
+        );
+        // Sharing data shares nothing else: after two other curves
+        // trained on it, the first one comes out the same.
+        assert_eq!(runner.reset().policy(&Policy::uniform(5)).run(), first);
+
+        // An installed dataset is used as is and never counted.
+        let mut borrower = cfg.runner();
+        borrower.install_data(runner.shared_data());
+        assert_eq!(borrower.policy(&Policy::uniform(5)).run(), first);
+        assert_eq!(borrower.data_count(), 0);
     }
 
     #[test]

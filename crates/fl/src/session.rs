@@ -246,11 +246,20 @@ impl Session {
     /// makes — so a profile taken without a session prices every task
     /// exactly as this session's rounds will.
     ///
+    /// The dataset is read-only for the session's whole life, so runs
+    /// over one experiment can share a single `Arc` of it; a dataset
+    /// passed by value becomes an `Arc` of its own.
+    ///
     /// # Panics
     /// Panics if the cluster is smaller than the client count, or the
     /// model's input width does not match the data.
     #[must_use]
-    pub fn new(data: FederatedDataset, mut cluster: Cluster, config: SessionConfig) -> Self {
+    pub fn new(
+        data: impl Into<Arc<FederatedDataset>>,
+        mut cluster: Cluster,
+        config: SessionConfig,
+    ) -> Self {
+        let data = data.into();
         let (pricing, template) =
             TaskPricing::with_template(&config, &mut cluster, data.num_clients());
         assert_eq!(
@@ -260,7 +269,7 @@ impl Session {
         );
         Self {
             pricing,
-            data: Arc::new(data),
+            data,
             cluster,
             config,
             global: template.params(),

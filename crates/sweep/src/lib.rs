@@ -11,11 +11,13 @@
 //!   [`RunRequest`](tifl_core::runner::RunRequest)s (a [`RunKey`] is a
 //!   stable content hash of the fully resolved request);
 //! * [`scheduler`] — a [`SweepScheduler`] multiplexes whole runs over a
-//!   `std::thread` worker pool with per-run panic isolation and a
-//!   shared, mutex-guarded profile/tier cache keyed by
+//!   `std::thread` worker pool with per-run panic isolation and two
+//!   uses of one compute-once map: a profile/tier cache keyed by
 //!   (experiment × comm axis), so a 60-run sweep profiles each topology
-//!   once instead of 60 times. Results are bit-for-bit identical to a
-//!   serial loop for any worker count;
+//!   once instead of 60 times, and the experiment's materialised
+//!   dataset, which its cells share until the last has taken it.
+//!   Results are bit-for-bit identical to a serial loop for any worker
+//!   count;
 //! * [`store`] — a [`RunStore`] persists every completed run as a
 //!   deterministic JSON artifact named by its key; a re-invoked sweep
 //!   **resumes** by validating and skipping keys whose artifacts

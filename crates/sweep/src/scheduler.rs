@@ -1,15 +1,19 @@
 //! The sweep scheduler: whole runs multiplexed over a worker pool,
-//! with per-run panic isolation and a shared profile cache.
+//! with per-run panic isolation and the set-up its runs have in common
+//! done once.
 //!
 //! Every run is an independent pure function of its request, so the
 //! scheduler can hand runs to `std::thread` workers in any order and
 //! still produce results bit-for-bit identical to a serial loop — the
 //! worker count is an execution knob, never a result knob (pinned in
-//! `tests/sweep.rs`). The one piece of genuinely shared work, the
-//! profiling pass, goes through a [`ProfileCache`] keyed by
-//! (experiment × comm axis) — exactly the key `Runner`'s own per-config
-//! cache uses — so a sweep profiles each topology once, not once per
-//! run.
+//! `tests/sweep.rs`). Two pieces of work are genuinely shared, and both
+//! go through a [`OnceMap`]: the profiling pass, kept for the whole
+//! sweep in a [`ProfileCache`] keyed by (experiment × comm axis) —
+//! exactly the key `Runner`'s own per-config cache uses — so a sweep
+//! profiles each topology once, not once per run; and the materialised
+//! dataset, keyed by the resolved experiment ([`dataset_key`]) and kept
+//! only until the last run that needs it has taken it, so the cells of
+//! one experiment train on one `Arc<FederatedDataset>`.
 
 use crate::manifest::{KeyedRun, RunKey, SweepManifest};
 use crate::store::{
@@ -25,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use tifl_comm::CommSpec;
 use tifl_core::experiment::ExperimentConfig;
 use tifl_core::runner::{Experiment, RunRequest, Runner, SharedProfile};
+use tifl_data::FederatedDataset;
 use tifl_fl::session::SessionOverrides;
 use tifl_fl::TrainingReport;
 use tifl_obs::{Digest128, HostClock, MetricsSnapshot, Phase, PhaseTotals, RealClock};
@@ -38,72 +43,164 @@ pub fn profile_key(experiment: &ExperimentConfig, comm: Option<CommSpec>) -> u12
     Digest128::of_value(&(experiment, comm)).0
 }
 
-/// A mutex-guarded profile/tier cache shared by every worker of a
-/// sweep. Each key is computed exactly once: concurrent requesters of
-/// the same topology block on the key's slot until the first one
-/// finishes measuring.
-#[derive(Default)]
-pub struct ProfileCache {
-    slots: Mutex<HashMap<u128, Arc<Mutex<Option<SharedProfile>>>>>,
+/// The cross-run dataset key: a content hash of the resolved
+/// experiment, the one input `Experiment::build_data` reads — equal
+/// keys imply bit-identical datasets.
+#[must_use]
+pub fn dataset_key(request: &RunRequest) -> u128 {
+    Digest128::of_value(&request.experiment()).0
+}
+
+/// A mutex-guarded compute-once map shared by every worker of a sweep.
+/// Each key is computed exactly once: concurrent requesters of the
+/// same key block on its slot until the first one finishes.
+///
+/// An entry lives as long as the map unless the scheduler planned its
+/// takers: then it is dropped when the last of them has taken the
+/// value or given its claim back, so a value only a few adjacent runs
+/// need does not outlive them.
+pub struct OnceMap<V> {
+    entries: Mutex<HashMap<u128, Entry<V>>>,
     computed: AtomicUsize,
     hits: AtomicUsize,
 }
 
-impl ProfileCache {
-    /// An empty cache.
+struct Entry<V> {
+    slot: Arc<Mutex<Option<V>>>,
+    /// Planned takers still to come; an entry nobody planned for is
+    /// never released.
+    claims: usize,
+}
+
+impl<V> Default for Entry<V> {
+    fn default() -> Self {
+        Self {
+            slot: Arc::default(),
+            claims: 0,
+        }
+    }
+}
+
+impl<V> Default for OnceMap<V> {
+    fn default() -> Self {
+        Self {
+            entries: Mutex::default(),
+            computed: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// The profile/tier cache of a sweep: one §4.2 measurement per
+/// [`profile_key`], kept for the whole sweep.
+pub type ProfileCache = OnceMap<SharedProfile>;
+
+impl<V> OnceMap<V> {
+    /// An empty map.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// How many profiling passes actually ran — the sharing observable
+    /// How many values were actually computed — the sharing observable
     /// the tests and the sweep summary assert on.
     #[must_use]
     pub fn computed(&self) -> usize {
         self.computed.load(Ordering::SeqCst)
     }
 
-    /// How many requests were answered from the cache — the work the
+    /// How many requests were answered from the map — the work the
     /// sharing saved (`hits + computed == requests`).
     #[must_use]
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::SeqCst)
     }
 
-    /// The profile under `key`, computing it with `compute` on first
+    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<u128, Entry<V>>> {
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Plan one taker for each of `keys` (a key listed n times gets n).
+    /// Each must then arrive as one [`OnceMap::claim`].
+    fn plan(&self, keys: &[u128]) {
+        let mut entries = self.locked();
+        for &key in keys {
+            entries.entry(key).or_default().claims += 1;
+        }
+    }
+
+    /// One planned taker's handle on `key`: [`Claim::take`] it, or drop
+    /// it to give it back.
+    fn claim(&self, key: u128) -> Claim<'_, V> {
+        Claim { map: self, key }
+    }
+
+    /// One planned taker of `key` is done with the map; the entry goes
+    /// with the last. The value is freed outside the map lock.
+    fn release(&self, key: u128) {
+        let dead = {
+            let mut entries = self.locked();
+            match entries.get_mut(&key) {
+                Some(entry) if entry.claims > 1 => {
+                    entry.claims -= 1;
+                    None
+                }
+                _ => entries.remove(&key),
+            }
+        };
+        drop(dead);
+    }
+}
+
+impl<V: Clone> OnceMap<V> {
+    /// The value under `key`, computing it with `compute` on first
     /// use. `compute` runs outside the global map lock (only the
-    /// per-key slot is held), so distinct topologies profile in
-    /// parallel while duplicate requests wait instead of re-measuring.
+    /// per-key slot is held), so distinct keys compute in parallel
+    /// while duplicate requests wait instead of recomputing.
     ///
     /// A `compute` that panics leaves the slot empty, not wedged: the
     /// panic unwinds to this run's isolation boundary with its real
     /// message, and later requesters of the key recover the (poisoned
-    /// but still empty) slot and try the measurement themselves — so
-    /// every affected run reports the actual profiling error instead
-    /// of a lock-poisoning artifact.
-    pub fn get_or_compute(
-        &self,
-        key: u128,
-        compute: impl FnOnce() -> SharedProfile,
-    ) -> SharedProfile {
-        let slot = {
-            let mut slots = self
-                .slots
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            Arc::clone(slots.entry(key).or_default())
-        };
+    /// but still empty) slot and try the computation themselves — so
+    /// every affected run reports the actual error instead of a
+    /// lock-poisoning artifact.
+    pub fn get_or_compute(&self, key: u128, compute: impl FnOnce() -> V) -> V {
+        let slot = Arc::clone(&self.locked().entry(key).or_default().slot);
         let mut guard = slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(profile) = guard.as_ref() {
+        if let Some(value) = guard.as_ref() {
             self.hits.fetch_add(1, Ordering::SeqCst);
-            return Arc::clone(profile);
+            return value.clone();
         }
-        let profile = compute();
-        *guard = Some(Arc::clone(&profile));
+        let value = compute();
+        *guard = Some(value.clone());
         self.computed.fetch_add(1, Ordering::SeqCst);
-        profile
+        value
+    }
+}
+
+/// A planned taker's handle on one key of a [`OnceMap`]. However it
+/// ends — taken, dropped by a run that did not need the value, or
+/// unwound through by a panicking computation — the claim is returned,
+/// so the entry dies with its last user.
+struct Claim<'a, V> {
+    map: &'a OnceMap<V>,
+    key: u128,
+}
+
+impl<V: Clone> Claim<'_, V> {
+    /// The value, computed by the first claimant to ask.
+    fn take(self, compute: impl FnOnce() -> V) -> V {
+        self.map.get_or_compute(self.key, compute)
+    }
+}
+
+impl<V> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        self.map.release(self.key);
     }
 }
 
@@ -234,6 +331,11 @@ pub struct SweepReport {
     pub profiles_computed: usize,
     /// Profile requests answered from the shared cache.
     pub profile_cache_hits: usize,
+    /// Datasets actually materialised: one per distinct experiment
+    /// ([`dataset_key`]) among the runs that executed.
+    pub datasets_built: usize,
+    /// Runs that trained on a dataset another run had built.
+    pub dataset_cache_hits: usize,
     /// Per-worker utilization timelines (one lane per worker).
     pub worker_lanes: Vec<WorkerLane>,
     /// Total wall-clock seconds.
@@ -347,6 +449,8 @@ impl SweepReport {
             host_parallelism: host_parallelism(),
             profiles_computed: self.profiles_computed,
             profile_cache_hits: self.profile_cache_hits,
+            datasets_built: self.datasets_built,
+            dataset_cache_hits: self.dataset_cache_hits,
             resume_skips: self.skipped(),
             worker_busy_sec: self.worker_busy_sec(),
             host_phase_sec: self.host_phase_sec(),
@@ -587,6 +691,11 @@ impl SweepScheduler {
         let t0 = clock.now_sec();
         let total = runs.len();
         let cache = ProfileCache::new();
+        // Canonical order keeps the cells of one experiment adjacent,
+        // so about `workers + 1` datasets are alive at any time.
+        let datasets: OnceMap<Arc<FederatedDataset>> = OnceMap::new();
+        let data_keys: Vec<u128> = runs.iter().map(|run| dataset_key(&run.request)).collect();
+        datasets.plan(&data_keys);
         let next = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
@@ -608,6 +717,8 @@ impl SweepScheduler {
         std::thread::scope(|scope| {
             let slots = &slots;
             let cache = &cache;
+            let datasets = &datasets;
+            let data_keys = &data_keys;
             let next = &next;
             let finished = &finished;
             let share = &share;
@@ -624,8 +735,9 @@ impl SweepScheduler {
                         if let Some(log) = progress {
                             log.emit(&ProgressEvent::run("run_started", start_sec, total, w, run));
                         }
+                        let data = datasets.claim(data_keys[i]);
                         let outcome =
-                            share.install(|| execute_one(run, cache, store, resume, clock));
+                            share.install(|| execute_one(run, cache, data, store, resume, clock));
                         let end_sec = clock.now_sec() - t0;
                         let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
                         let tag = match &outcome {
@@ -704,6 +816,10 @@ impl SweepScheduler {
                 runs: slot.into_inner().expect("lane slot poisoned"),
             })
             .collect();
+        debug_assert!(
+            datasets.locked().is_empty(),
+            "every run returns its dataset claim"
+        );
         let wall_clock_sec = clock.now_sec() - t0;
         if let Some(log) = progress {
             let mut event = ProgressEvent::sweep("sweep_finished", wall_clock_sec, total, workers);
@@ -715,6 +831,8 @@ impl SweepScheduler {
             workers,
             profiles_computed: cache.computed(),
             profile_cache_hits: cache.hits(),
+            datasets_built: datasets.computed(),
+            dataset_cache_hits: datasets.hits(),
             worker_lanes,
             wall_clock_sec,
         }
@@ -726,9 +844,13 @@ fn threads_per_run(workers: usize) -> usize {
     (host_parallelism() / workers).max(1)
 }
 
+/// Execute (or resume past) one run. `data` is the run's claim on its
+/// experiment's dataset: a run that is skipped, or fails before it
+/// gets as far as its data, gives the claim back by dropping it.
 fn execute_one(
     run: &KeyedRun,
     cache: &ProfileCache,
+    data: Claim<'_, Arc<FederatedDataset>>,
     store: Option<&RunStore>,
     resume: bool,
     clock: &dyn HostClock,
@@ -740,7 +862,7 @@ fn execute_one(
     }
     let label = run.request.spec.display_label();
     let started = clock.now_sec();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(&run.request, cache))) {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(&run.request, cache, data))) {
         Ok((report, metrics, mut phases)) => {
             let mut artifact = RunArtifact::new(run.key, run.request.clone(), report);
             artifact.metrics = Some(metrics);
@@ -770,22 +892,25 @@ fn execute_one(
     }
 }
 
-/// Execute one request, sourcing the profiling pass from the shared
-/// cache. The report is bit-for-bit equivalent to `request.run()`: the
-/// cache hands the runner exactly the measurement it would have taken
-/// itself (re-profiling runs measure per segment inside the run and
-/// bypass the cache, like an unshared runner). Runs observed with a
-/// zero-capacity ring — the deterministic metrics snapshot rides into
-/// the artifact, no trace is stored — and the run's per-phase
-/// host-seconds come back alongside for the sweep's utilization lanes.
+/// Execute one request, sourcing the profiling pass and the dataset
+/// from the sweep's shared maps. The report is bit-for-bit equivalent
+/// to `request.run()`: the maps hand the runner exactly the measurement
+/// it would have taken and the data it would have built itself
+/// (re-profiling runs measure per segment inside the run and bypass the
+/// profile cache, like an unshared runner), and sessions only read
+/// their data. Runs observed with a zero-capacity ring — the
+/// deterministic metrics snapshot rides into the artifact, no trace is
+/// stored — and the run's per-phase host-seconds come back alongside
+/// for the sweep's utilization lanes.
 fn run_one(
     request: &RunRequest,
     cache: &ProfileCache,
+    data: Claim<'_, Arc<FederatedDataset>>,
 ) -> (TrainingReport, MetricsSnapshot, PhaseTotals) {
     let experiment = request.experiment();
     let spec = request.spec.clone();
     let wants_shared = spec.selection.needs_profile() && spec.reprofile_every.is_none();
-    let observed = if wants_shared {
+    let mut runner = if wants_shared {
         let comm = spec.profile_axis();
         let profile = cache.get_or_compute(profile_key(&experiment, comm), || {
             let overrides = SessionOverrides {
@@ -794,10 +919,12 @@ fn run_one(
             };
             Arc::new(experiment.profile_and_tier_with(&overrides))
         });
-        Runner::with_shared_profile(&experiment, spec, profile).run_observed(0)
+        Runner::with_shared_profile(&experiment, spec, profile)
     } else {
-        Runner::with_spec(&experiment, spec).run_observed(0)
+        Runner::with_spec(&experiment, spec)
     };
+    runner.install_data(data.take(|| Arc::new(experiment.build_data())));
+    let observed = runner.run_observed(0);
     (observed.report, observed.metrics, observed.host_phases)
 }
 
@@ -814,7 +941,7 @@ mod tests {
     use super::*;
     use crate::manifest::SweepManifest;
     use tifl_core::policy::Policy;
-    use tifl_core::runner::{RunSpec, SelectionStrategy};
+    use tifl_core::runner::{LocalTraining, RunSpec, SelectionStrategy};
 
     fn tiny_manifest(policies: &[Policy]) -> SweepManifest {
         let mut manifest = SweepManifest::new(ExperimentConfig::tiny(60));
@@ -856,6 +983,69 @@ mod tests {
     }
 
     #[test]
+    fn planned_entries_die_with_their_last_claimant() {
+        // `execute_logged`'s worker loop in miniature over four
+        // experiments × three cells in canonical order: every cell
+        // claims its dataset, then is resumed past or fails early
+        // (cells 1, 6, 11 drop the claim), or takes the data, trains
+        // and lets go. Claims that leaked would keep finished groups'
+        // datasets in the map and break the bound.
+        let mut manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5), Policy::slow(5)]);
+        manifest.axes.seeds = vec![1, 2, 3, 4];
+        let runs = manifest.expand();
+        let keys: Vec<u128> = runs.iter().map(|r| dataset_key(&r.request)).collect();
+        for workers in [1, 2, 4] {
+            let datasets: OnceMap<Arc<FederatedDataset>> = OnceMap::new();
+            datasets.plan(&keys);
+            let built: Mutex<Vec<std::sync::Weak<FederatedDataset>>> = Mutex::new(Vec::new());
+            let alive = || {
+                let built = built.lock().expect("no panic holds this lock");
+                built.iter().filter(|w| w.strong_count() > 0).count()
+            };
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        if i >= runs.len() {
+                            break;
+                        }
+                        let claim = datasets.claim(keys[i]);
+                        if i % 5 == 1 {
+                            continue;
+                        }
+                        let data = claim.take(|| {
+                            let data = Arc::new(runs[i].request.experiment().build_data());
+                            built
+                                .lock()
+                                .expect("no panic holds this lock")
+                                .push(Arc::downgrade(&data));
+                            data
+                        });
+                        assert!(alive() <= workers + 1, "{workers} workers: {}", alive());
+                        drop(data);
+                    });
+                }
+            });
+            assert_eq!(
+                alive(),
+                0,
+                "{workers} workers: a dataset outlived its users"
+            );
+            assert!(datasets.locked().is_empty(), "{workers} workers");
+            assert_eq!((datasets.computed(), datasets.hits()), (4, 5));
+        }
+    }
+
+    #[test]
+    fn an_unplanned_claim_is_a_group_of_one() {
+        let map: OnceMap<Arc<u8>> = OnceMap::new();
+        let value = map.claim(7).take(|| Arc::new(1));
+        assert_eq!(Arc::strong_count(&value), 1, "the map let go of it");
+        assert!(map.locked().is_empty());
+    }
+
+    #[test]
     fn profile_keys_separate_experiments_and_comm() {
         let a = ExperimentConfig::tiny(1);
         let b = ExperimentConfig::tiny(2);
@@ -877,6 +1067,49 @@ mod tests {
             report.profiles_computed, 1,
             "one topology must profile exactly once"
         );
+    }
+
+    #[test]
+    fn resumed_and_failing_cells_return_their_dataset_claims() {
+        // One experiment with no tiers to cut, four cells: the tiered
+        // ones die in the shared profiling pass, before they get as far
+        // as their data; of the vanilla pair one is resumed past and
+        // one builds and trains. The scheduler's closing assertion
+        // checks that none of the four kept its claim.
+        let mut manifest = tiny_manifest(&[Policy::uniform(5), Policy::vanilla(), Policy::fast(5)]);
+        manifest.experiment.tiering.num_tiers = 0;
+        manifest.axes.local = vec![LocalTraining::FedAvg, LocalTraining::FedProx { mu: 0.1 }];
+        let cells = manifest.expand();
+        let runs: Vec<KeyedRun> = [0, 2, 4, 3].map(|i| cells[i].clone()).into();
+        let labels: Vec<String> = runs
+            .iter()
+            .map(|r| r.request.spec.display_label())
+            .collect();
+        assert_eq!(labels, ["uniform", "vanilla", "fast", "fedprox(0.1)"]);
+        let dir = std::env::temp_dir().join(format!("tifl-claims-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).expect("store opens");
+        for workers in [1, 2, 4] {
+            let first = SweepScheduler::new(workers).execute(&runs[1..2], Some(&store), false);
+            assert_eq!((first.datasets_built, first.dataset_cache_hits), (1, 0));
+            let report = SweepScheduler::new(workers).execute(&runs, Some(&store), true);
+            assert_eq!(
+                (report.skipped(), report.failed(), report.completed()),
+                (1, 2, 1),
+                "{workers} workers"
+            );
+            for (_, _, message) in report.failures() {
+                assert!(message.contains("need at least one tier"), "{message}");
+            }
+            assert_eq!(
+                (report.datasets_built, report.dataset_cache_hits),
+                (1, 0),
+                "{workers} workers: only the last cell reaches its data"
+            );
+            std::fs::remove_dir_all(&dir).expect("the store is removable");
+            std::fs::create_dir_all(&dir).expect("and comes back");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -257,6 +257,14 @@ pub struct SweepSummary {
     /// for. Defaults for sidecars written before this field existed.
     #[serde(default)]
     pub profile_cache_hits: usize,
+    /// Datasets actually materialised: one per distinct experiment
+    /// among the runs that executed, not one per run. Defaults, like
+    /// the hits below, for sidecars written before dataset sharing.
+    #[serde(default)]
+    pub datasets_built: usize,
+    /// Runs that trained on a dataset another run had built.
+    #[serde(default)]
+    pub dataset_cache_hits: usize,
     /// Runs skipped by resume (a valid artifact already existed).
     #[serde(default)]
     pub resume_skips: usize,
@@ -593,6 +601,14 @@ mod tests {
             .expect("writes");
         assert!(store.validates(key, &baked));
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_summary_written_before_dataset_sharing_still_loads() {
+        let old = r#"{"name": null, "workers": 1, "host_parallelism": 2,
+                      "profiles_computed": 1, "wall_clock_sec": 0.5, "runs": []}"#;
+        let summary: SweepSummary = serde_json::from_str(old).expect("old sidecars parse");
+        assert_eq!((summary.datasets_built, summary.dataset_cache_hits), (0, 0));
     }
 
     #[test]

@@ -326,11 +326,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             println!(
-                "sweep: {} completed, {} skipped, {} failed; {} profiling pass(es); {:.1}s",
+                "sweep: {} completed, {} skipped, {} failed; {} profiling pass(es); \
+                 {} dataset(s) built, {} shared; {:.1}s",
                 sweep.completed(),
                 sweep.skipped(),
                 sweep.failed(),
                 sweep.profiles_computed,
+                sweep.datasets_built,
+                sweep.dataset_cache_hits,
                 sweep.wall_clock_sec
             );
             let phases = sweep.host_phase_sec();

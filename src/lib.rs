@@ -22,10 +22,11 @@
 //!   adaptive tier schedulers, training-time estimator, privacy
 //!   accounting, and the composable `RunSpec`/`Runner` execution API;
 //! * [`sweep`] — multi-run orchestration: declarative sweep manifests,
-//!   a worker-pool scheduler with a shared profile cache, a resumable
-//!   keyed artifact store, store-backed pivot reporting (`tifl
-//!   report`), store auditing (`tifl audit`), and verified shard-store
-//!   merging (`tifl merge` / `tifl sweep --shard`).
+//!   a worker-pool scheduler that profiles each topology and builds
+//!   each experiment's dataset once, a resumable keyed artifact store,
+//!   store-backed pivot reporting (`tifl report`), store auditing
+//!   (`tifl audit`), and verified shard-store merging (`tifl merge` /
+//!   `tifl sweep --shard`).
 //!
 //! ## Quickstart
 //!

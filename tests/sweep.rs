@@ -96,6 +96,78 @@ fn sweep_shares_one_profile_per_topology() {
 }
 
 #[test]
+fn sweep_builds_one_dataset_per_experiment() {
+    // One experiment: the first of the six cells to arrive builds, the
+    // other five train on its dataset.
+    let mut manifest = backend_matrix();
+    let sweep = SweepScheduler::new(4).run(&manifest, None, false);
+    assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (1, 5));
+
+    // The seed and the pool size both change the data; nothing else
+    // on the axes does.
+    manifest.axes.seeds = vec![42, 43];
+    let sweep = SweepScheduler::new(4).run(&manifest, None, false);
+    assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (2, 10));
+    manifest.axes.clients = vec![10, 15, 20];
+    manifest.axes.seeds = vec![42];
+    let sweep = SweepScheduler::new(2).run(&manifest, None, false);
+    assert_eq!(sweep.failed(), 0);
+    assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (3, 15));
+    let summary = sweep.summary(None);
+    assert_eq!(
+        (summary.datasets_built, summary.dataset_cache_hits),
+        (3, 15)
+    );
+}
+
+#[test]
+fn cells_of_one_experiment_share_their_data_and_nothing_else() {
+    // Two cells of one experiment on two workers, one lossless and one
+    // sparsifying with error feedback: each session keeps residuals,
+    // scratch and a clock of its own, so over one shared dataset both
+    // still equal their unshared `RunRequest::run`.
+    let mut manifest = SweepManifest::new(small_resource_het(42, 6));
+    manifest.axes.codec = vec![CodecSpec::Identity, CodecSpec::TopK { frac: 0.1 }];
+    let runs = manifest.expand();
+    let serial: Vec<TrainingReport> = runs.iter().map(|r| r.request.run()).collect();
+    assert_ne!(serial[0].rounds, serial[1].rounds, "the codecs must differ");
+    let sweep = SweepScheduler::new(2).execute(&runs, None, false);
+    assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (1, 1));
+    assert_eq!(sweep.into_reports(), serial);
+}
+
+#[test]
+fn a_dataset_that_cannot_be_built_fails_its_cells_and_no_others() {
+    // Materialisation rejects a client with no samples. Every cell of
+    // that experiment must try the build itself and store its message
+    // — the first one's panic leaves the shared slot empty, not wedged
+    // — while the experiment scheduled after it completes.
+    let mut bad = backend_matrix();
+    bad.experiment.data = DataScenario::Iid { per_client: 0 };
+    let mut runs = bad.expand();
+    runs.append(&mut backend_matrix().expand());
+    for (i, run) in runs.iter_mut().enumerate() {
+        run.index = i;
+    }
+    for workers in [1, 2, 4] {
+        let runs = runs.clone();
+        let sweep = common::within_two_minutes(move || {
+            SweepScheduler::new(workers).execute(&runs, None, false)
+        })
+        .expect("the scheduler contains a failing build");
+        assert_eq!((sweep.failed(), sweep.completed()), (6, 6), "{workers}");
+        for (outcome, failure) in sweep.outcomes.iter().zip(sweep.failures()) {
+            assert!(outcome.is_failed(), "{workers}: {}", outcome.label());
+            assert!(
+                failure.2.contains("has no samples"),
+                "{workers}: {failure:?}"
+            );
+        }
+        assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (1, 5));
+    }
+}
+
+#[test]
 fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     let mut full = SweepManifest::new(small_resource_het(7, 3));
     full.axes.seeds = vec![7, 8];
