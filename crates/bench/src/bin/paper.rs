@@ -1,6 +1,12 @@
 //! `paper <id> [--rounds N] [--seed S] [--json PATH]` — print one of the
 //! paper's figures or tables (see `tifl_bench`).
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the paper driver owns its process's stdio"
+)]
+
 use std::io::ErrorKind;
 use std::process::ExitCode;
 

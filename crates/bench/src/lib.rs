@@ -19,7 +19,11 @@
 //! All "time" columns are **virtual seconds** from the simulated
 //! testbed.
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the paper driver reports progress on its process's stderr"
+)]
 
 mod figures;
 

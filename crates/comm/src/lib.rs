@@ -25,8 +25,6 @@
 //! `RunSpec`/`SessionConfig`, so any scenario in the evaluation matrix
 //! can become bandwidth-aware and compressed declaratively.
 
-#![forbid(unsafe_code)]
-
 pub mod codec;
 pub mod feedback;
 pub mod link;

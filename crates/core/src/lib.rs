@@ -23,8 +23,6 @@
 //!   count the one round loop in `tifl_fl` runs on (never changes a
 //!   result).
 
-#![forbid(unsafe_code)]
-
 pub mod analysis;
 pub mod baselines;
 pub mod estimator;

@@ -98,7 +98,10 @@ impl Policy {
             1 => 0.1,
             2 => 0.05,
             3 => 0.0,
-            // tifl-lint: allow(panic-in-library) — documented precondition: callers pass a validated level 1..=3
+            #[expect(
+                clippy::panic,
+                reason = "documented precondition: callers pass a validated level 1..=3"
+            )]
             _ => panic!("fast level must be 1..=3, got {level}"),
         };
         let other = (1.0 - slow_p) / 4.0;

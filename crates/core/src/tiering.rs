@@ -120,7 +120,6 @@ impl TierAssignment {
         let tiers = groups
             .into_iter()
             .map(|g| {
-                // tifl-lint: allow(float-reduce-order) — fixed-order fold: slice iteration order is deterministic and the group is pre-sorted
                 let avg = g.iter().map(|&(_, l)| l).sum::<f64>() / g.len() as f64;
                 Tier {
                     clients: g.into_iter().map(|(i, _)| i).collect(),

@@ -13,8 +13,6 @@
 //! (Zhao et al.), and the 10/15/20/25/30 % quantity-skew split;
 //! [`femnist`] plans LEAF's per-writer FEMNIST split (§5.2.6).
 
-#![forbid(unsafe_code)]
-
 pub mod dataset;
 pub mod federated;
 pub mod femnist;

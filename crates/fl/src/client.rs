@@ -190,7 +190,6 @@ fn apply_dp_noise(params: &mut ParamVec, global: &ParamVec, dp: DpNoiseConfig, s
         .as_slice()
         .iter()
         .map(|&v| f64::from(v) * f64::from(v))
-        // tifl-lint: allow(float-reduce-order) — fixed-order fold: sequential slice iteration in f64, same order on every run
         .sum::<f64>()
         .sqrt();
     if norm > f64::from(dp.clip) {

@@ -336,7 +336,7 @@ mod tests {
                 for _ in 0..4 {
                     match rx.recv().expect("4 updates") {
                         TaskResult::Update { tag, update } => got[tag as usize] = Some(update),
-                        other => unreachable!("only training was submitted: {other:?}"),
+                        other => panic!("only training was submitted: {other:?}"),
                     }
                 }
                 got.into_iter()
@@ -360,7 +360,7 @@ mod tests {
                     assert_eq!(eval.report_index, 3);
                     eval.result
                 }
-                other => unreachable!("only an evaluation was submitted: {other:?}"),
+                other => panic!("only an evaluation was submitted: {other:?}"),
             }
         });
         assert_eq!(inline, deferred, "deferred evaluation must be bit-equal");
@@ -401,7 +401,7 @@ mod tests {
             rx.try_iter()
                 .map(|r| match r {
                     TaskResult::Update { tag, .. } => tag,
-                    other => unreachable!("only training was submitted: {other:?}"),
+                    other => panic!("only training was submitted: {other:?}"),
                 })
                 .collect::<Vec<_>>()
         });

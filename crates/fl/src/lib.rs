@@ -16,8 +16,6 @@
 //! "simply regulates client selection without intervening the
 //! underlying training process" (§4.1).
 
-#![forbid(unsafe_code)]
-
 pub mod aggregator;
 pub mod checkpoint;
 pub mod client;

@@ -325,7 +325,6 @@ impl TrainingReport {
         if self.rounds.is_empty() {
             return 0.0;
         }
-        // tifl-lint: allow(float-reduce-order) — fixed-order fold: rounds are appended in round order and iterated sequentially
         self.rounds.iter().map(|r| r.latency).sum::<f64>() / self.rounds.len() as f64
     }
 }

@@ -12,8 +12,6 @@
 //! Models flatten to [`tifl_tensor::ParamVec`] so the FL layer can
 //! aggregate them without knowing their structure.
 
-#![forbid(unsafe_code)]
-
 pub mod layer;
 pub mod loss;
 pub mod metrics;

@@ -57,8 +57,6 @@
 //! surface. With a [`FrozenClock`] the span *structure* (which phases,
 //! which rounds, in what order) is itself pinned.
 
-#![forbid(unsafe_code)]
-
 pub mod chrome;
 pub mod diff;
 pub mod digest;

@@ -92,8 +92,8 @@ impl Phase {
 /// A monotonic host clock, in seconds from an arbitrary epoch.
 ///
 /// This trait is the only lawful wall-clock surface in the workspace:
-/// the `wall-clock-in-core` lint bans raw `Instant::now()` everywhere
-/// outside `bench`, and the single waiver lives on [`RealClock`].
+/// `clippy.toml` disallows raw `Instant::now()` everywhere, and the
+/// single `#[expect]` lives on [`RealClock::new`].
 /// Code that needs host time takes an injected `Arc<dyn HostClock>`,
 /// which tests replace with a [`FrozenClock`] to pin structure.
 pub trait HostClock: Send + Sync {
@@ -111,9 +111,12 @@ pub struct RealClock {
 impl RealClock {
     /// A clock whose epoch is "now".
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned wall-clock read; every other host-time consumer goes through HostClock"
+    )]
     pub fn new() -> Self {
         Self {
-            // tifl-lint: allow(wall-clock-in-core) — the one sanctioned wall-clock read; every other host-time consumer goes through HostClock
             origin: Instant::now(),
         }
     }

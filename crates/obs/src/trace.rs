@@ -2,8 +2,8 @@
 //!
 //! A trace is a sequence of [`TraceRecord`]s: a monotone sequence
 //! number, a **virtual-time** stamp, and a scalar-only [`TraceEvent`]
-//! payload. Virtual time is the only clock core code may touch (the
-//! `wall-clock-in-core` lint enforces this); wall-clock measurements
+//! payload. Virtual time is the only clock core code may touch
+//! (`clippy.toml` disallows `Instant::now`); wall-clock measurements
 //! stay outside the traced stream, in the sweep scheduler's sidecar
 //! summary.
 //!

@@ -15,8 +15,6 @@
 //! last caller is `tifl-benchmark`'s `sim.events_per_s` probe — see the
 //! README's feature ledger.
 
-#![forbid(unsafe_code)]
-
 pub mod clock;
 pub mod cluster;
 pub mod drift;

@@ -217,7 +217,7 @@ impl SweepManifest {
         let backends = non_empty(&self.axes.backend, ExecBackend::default());
 
         let mut runs: Vec<KeyedRun> = Vec::with_capacity(self.axes.cells());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &num_clients in &clients {
             let mut experiment = self.experiment.clone();
             experiment.num_clients = num_clients;

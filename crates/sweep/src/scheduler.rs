@@ -20,7 +20,7 @@ use crate::store::{
     host_parallelism, LaneSpan, RunArtifact, RunStore, RunSummaryLine, SweepSummary, WorkerLane,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -60,7 +60,7 @@ pub fn dataset_key(request: &RunRequest) -> u128 {
 /// value or given its claim back, so a value only a few adjacent runs
 /// need does not outlive them.
 pub struct OnceMap<V> {
-    entries: Mutex<HashMap<u128, Entry<V>>>,
+    entries: Mutex<BTreeMap<u128, Entry<V>>>,
     computed: AtomicUsize,
     hits: AtomicUsize,
 }
@@ -116,7 +116,7 @@ impl<V> OnceMap<V> {
         self.hits.load(Ordering::SeqCst)
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<u128, Entry<V>>> {
+    fn locked(&self) -> std::sync::MutexGuard<'_, BTreeMap<u128, Entry<V>>> {
         self.entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -410,7 +410,10 @@ impl SweepReport {
                 RunOutcome::Completed { artifact, .. } | RunOutcome::Skipped { artifact } => {
                     artifact.report
                 }
-                // tifl-lint: allow(panic-in-library) — invariant panic: the assert! above guarantees no Failed outcome reaches this map
+                #[expect(
+                    clippy::unreachable,
+                    reason = "invariant panic: the assert! above guarantees no Failed outcome reaches this map"
+                )]
                 RunOutcome::Failed { .. } => unreachable!("asserted above"),
             })
             .collect()
@@ -658,8 +661,13 @@ impl SweepScheduler {
         let report = self.execute_logged(&runs, store, resume, progress);
         if let Some(store) = store {
             if let Err(e) = store.write_summary(&report.summary(manifest.name.clone())) {
-                // tifl-lint: allow(print-in-library) — operator-facing warning: a lost sidecar must be visible even though the sweep result stands
-                eprintln!("[sweep] warning: writing sweep summary failed: {e}");
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator-facing warning: a lost sidecar must be visible even though the sweep result stands"
+                )]
+                {
+                    eprintln!("[sweep] warning: writing sweep summary failed: {e}");
+                }
             }
         }
         report
@@ -679,7 +687,10 @@ impl SweepScheduler {
 
     /// [`SweepScheduler::execute`] with an optional JSONL progress
     /// stream.
-    #[allow(clippy::too_many_lines)]
+    #[allow(
+        clippy::too_many_lines,
+        reason = "one worker loop; its steps share the scoped borrows above"
+    )]
     pub fn execute_logged(
         &self,
         runs: &[KeyedRun],
@@ -747,12 +758,17 @@ impl SweepScheduler {
                             RunOutcome::Skipped { .. } => "skipped (artifact exists)".into(),
                             RunOutcome::Failed { message, .. } => format!("FAILED: {message}"),
                         };
-                        // tifl-lint: allow(print-in-library) — operator-facing progress line for long sweeps; stderr only, never part of results
-                        eprintln!(
-                            "[sweep] {done}/{total} {} ({}): {tag}",
-                            outcome.label(),
-                            run.key,
-                        );
+                        #[expect(
+                            clippy::print_stderr,
+                            reason = "operator-facing progress line for long sweeps; stderr only, never part of results"
+                        )]
+                        {
+                            eprintln!(
+                                "[sweep] {done}/{total} {} ({}): {tag}",
+                                outcome.label(),
+                                run.key,
+                            );
+                        }
                         if let Some(log) = progress {
                             let name = if outcome.is_failed() {
                                 "run_panicked"
@@ -958,7 +974,7 @@ mod tests {
         let exp = ExperimentConfig::tiny(60);
         let mk = || Arc::new(exp.profile_and_tier());
         let a = cache.get_or_compute(1, mk);
-        let b = cache.get_or_compute(1, || unreachable!("key 1 already cached"));
+        let b = cache.get_or_compute(1, || panic!("key 1 already cached"));
         assert!(Arc::ptr_eq(&a, &b));
         let _ = cache.get_or_compute(2, mk);
         assert_eq!(cache.computed(), 2);
@@ -978,7 +994,7 @@ mod tests {
         let exp = ExperimentConfig::tiny(60);
         let profile = cache.get_or_compute(1, || Arc::new(exp.profile_and_tier()));
         assert_eq!(cache.computed(), 1);
-        let again = cache.get_or_compute(1, || unreachable!("cached after recovery"));
+        let again = cache.get_or_compute(1, || panic!("cached after recovery"));
         assert!(Arc::ptr_eq(&profile, &again));
     }
 

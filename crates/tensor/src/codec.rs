@@ -156,9 +156,14 @@ pub fn quantize_i8_into(xs: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
 /// truncation instead of the saturating cast's per-lane NaN/overflow
 /// fixups (which cost more than the quantize arithmetic itself).
 #[inline]
-// Not `clamp`: it propagates NaN, and the whole point of the max/min
-// chain is that NaN falls out as 0.0 before the unchecked cast.
-#[allow(clippy::manual_clamp)]
+#[allow(
+    clippy::manual_clamp,
+    reason = "`clamp` propagates NaN; the max/min chain drops it to 0.0 before the unchecked cast"
+)]
+#[expect(
+    unsafe_code,
+    reason = "the saturating cast's NaN/overflow fixups cost more than the quantize arithmetic"
+)]
 fn quantize_one(x: f32, lo: f32, inv_scale: f32) -> i8 {
     let t = ((x - lo) * inv_scale + 0.5).max(0.0).min(255.0);
     // SAFETY: `max`/`min` against finite constants return a finite

@@ -11,7 +11,7 @@
 //!
 //! This is the only workspace crate allowed to contain `unsafe` (the
 //! unchecked float-to-int conversion of [`codec`]'s quantizer); every
-//! block carries a `// SAFETY:` contract, enforced by `tifl-lint`.
+//! block carries a `// SAFETY:` contract.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

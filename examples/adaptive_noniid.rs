@@ -10,6 +10,12 @@
 //! selection probability toward lagging tiers, recovering accuracy while
 //! keeping most of the tiered speedup.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::core::scheduler::AdaptiveConfig;
 use tifl::prelude::*;
 

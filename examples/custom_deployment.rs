@@ -9,6 +9,12 @@
 //! one flaky group), a wider MLP, shard-partitioned data and a custom
 //! static policy — and exercises dropout exclusion in the profiler.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::core::profiler::{Profiler, ProfilerConfig};
 use tifl::core::scheduler::StaticTierSelector;
 use tifl::data::partition;

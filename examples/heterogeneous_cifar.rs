@@ -7,6 +7,12 @@
 //! cargo run --release --example heterogeneous_cifar
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::core::estimator;
 use tifl::prelude::*;
 

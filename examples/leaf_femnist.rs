@@ -9,6 +9,12 @@
 //! random — the paper's LEAF extension — and compares vanilla, uniform
 //! and adaptive selection.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::prelude::*;
 
 fn main() {
@@ -24,13 +30,13 @@ fn main() {
         "{} writers, {} total samples (min {} / median {} / max {})",
         fed.num_clients(),
         sizes.iter().sum::<usize>(),
-        sizes.iter().min().unwrap(),
+        sizes.iter().min().expect("a federation has writers"),
         {
             let mut s = sizes.clone();
             s.sort_unstable();
             s[s.len() / 2]
         },
-        sizes.iter().max().unwrap(),
+        sizes.iter().max().expect("a federation has writers"),
     );
 
     let mut runner = exp.runner();

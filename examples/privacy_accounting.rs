@@ -11,6 +11,12 @@
 //! Tiered selection changes q per tier — `q_max` governs the overall
 //! guarantee.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::core::privacy::{compare, DpGuarantee};
 use tifl::prelude::*;
 

@@ -10,6 +10,12 @@
 //! 3. train with vanilla random selection and with TiFL's uniform tier
 //!    policy, and compare training time and accuracy.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::prelude::*;
 
 fn main() {

@@ -9,6 +9,12 @@
 //! idle window is the entire case for tiering. Also shows the
 //! hierarchical master-child aggregation cost at fleet scale.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports to its terminal"
+)]
+
 use tifl::fl::hierarchy::AggregationTree;
 use tifl::fl::timeline::schedule_plan_events;
 use tifl::prelude::*;

@@ -21,7 +21,6 @@
 //! tifl audit artifacts/ --deny         # re-verify every artifact in a store
 //! tifl merge half-a half-b --out all   # union shard stores, byte-compared
 //! tifl report artifacts/ --target 0.5  # pivot a store into a table
-//! tifl lint --deny                     # determinism static analysis
 //! ```
 //!
 //! Configs are JSON-serialised `ExperimentConfig`s; run requests are
@@ -32,6 +31,12 @@
 //! communication model × seeds × scale — is scriptable without
 //! recompiling: `cargo run --release --bin tifl -- init --sweep
 //! my.json`, edit, `sweep my.json --workers 4 --out artifacts`.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the CLI owns its process's stdio"
+)]
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -51,8 +56,7 @@ fn usage() -> Result<ExitCode, String> {
          tifl diff <a.json> <b.json> [--format human|json]\n  \
          tifl audit <store-dir> [--deny] [--format human|json] [--out <audit.json>]\n  \
          tifl merge <store-dir>... --out <dir> [--deny]\n  \
-         tifl report <store-dir> [--format human|json] [--target ACC]\n  \
-         tifl lint [--deny] [--format human|json] [path]"
+         tifl report <store-dir> [--format human|json] [--target ACC]"
     );
     Ok(ExitCode::FAILURE)
 }
@@ -586,7 +590,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             ExitCode::SUCCESS
         }
-        [cmd, rest @ ..] if cmd == "lint" => ExitCode::from(tifl::lint::cli::run(rest)),
         [cmd, path, policy] if cmd == "run" => {
             let cfg: ExperimentConfig = read_json(path)?;
             let mut runner = cfg.runner();

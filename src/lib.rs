@@ -61,20 +61,15 @@
 //!
 //! ## Static analysis
 //!
-//! The workspace ships its own determinism linter, [`lint`]
-//! (`tifl lint --deny`): seven token-level rules guarding the
-//! bit-for-bit invariants (no `HashMap` iteration in critical crates,
-//! no wall-clock or OS entropy in simulated code, no unannotated
-//! panics/`unsafe`/float reductions, no bare prints in library code).
-//! See `crates/lint/RULES.md`.
-
-#![forbid(unsafe_code)]
+//! The bit-for-bit invariants are guarded by stock rustc and clippy
+//! lints, configured once in the root `Cargo.toml`'s `[workspace.lints]`
+//! and `clippy.toml`: no `HashMap`/`HashSet`, no wall-clock reads, no
+//! `unsafe`, no bare `unwrap`/`panic!` or prints in library code.
 
 pub use tifl_comm as comm;
 pub use tifl_core as core;
 pub use tifl_data as data;
 pub use tifl_fl as fl;
-pub use tifl_lint as lint;
 pub use tifl_nn as nn;
 pub use tifl_obs as obs;
 pub use tifl_sim as sim;

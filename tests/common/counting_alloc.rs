@@ -20,6 +20,13 @@ fn count(bytes: usize) {
     }
 }
 
+#[allow(
+    unsafe_code,
+    reason = "a global allocator is an unsafe impl; this one only counts calls into `System`"
+)]
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting beside it
+// touches only atomics and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());

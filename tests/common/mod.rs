@@ -2,7 +2,10 @@
 //! golden digest-chain heads, and the serial reference every thread
 //! count is compared against.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite that includes this module uses only some of it"
+)]
 
 use tifl::prelude::*;
 use tifl::tensor::{split_seed, ParamVec};
@@ -114,6 +117,7 @@ pub fn serial_reference(cfg: &ExperimentConfig, spec: &RunSpec) -> (TrainingRepo
                 config.unwrap_or_else(|| AdaptiveConfig::for_run(cfg.rounds, tiers.num_tiers()));
             Box::new(AdaptiveTierSelector::new(tiers, config, seed))
         }
+        #[expect(clippy::panic, reason = "a test helper: the calling test fails")]
         other => panic!("no serial reference for {other:?}"),
     };
     let mut session = cfg.build_session(&spec.session_overrides());

@@ -4,7 +4,8 @@
 //! below — shrink it deliberately; it cannot grow silently. Rows someone
 //! wrote are not enough (`ModelSpec::Logistic` never had one): every
 //! variant of the enums a `RunRequest` can spell, read from their
-//! source files, must appear in a row.
+//! source files, must appear in a row. The lint configuration is a
+//! ledger too: every first-party crate opts into it.
 
 use std::path::Path;
 
@@ -37,6 +38,7 @@ const REQUEST_ENUMS: [(&str, &str); 10] = [
 
 /// The variant names of `pub enum <name>` in `source`: the identifiers
 /// that open a line one brace deep in its body.
+#[expect(clippy::panic, reason = "a test helper: the calling test fails")]
 fn variants_of(name: &str, source: &str) -> Vec<String> {
     let (_, body) = source
         .split_once(&format!("pub enum {name} {{"))
@@ -145,4 +147,40 @@ fn variants_are_read_from_the_enum_body_alone() {
                   Struct {\n        /// Field doc.\n        Field: usize,\n    },\n}\n\
                   impl Shape {\n    After,\n}\n";
     assert_eq!(variants_of("Shape", source), ["Unit", "Tuple", "Struct"]);
+}
+
+/// The test suite does not run clippy, so this keeps its configuration
+/// attached: every first-party manifest but the frozen benchmark's opts
+/// into `[workspace.lints]`, and `clippy.toml` still bans the four
+/// nondeterministic paths.
+#[test]
+fn every_first_party_crate_opts_into_the_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = entry.expect("a directory entry").path();
+        if !dir.ends_with("benchmark") {
+            manifests.push(dir.join("Cargo.toml"));
+        }
+    }
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).expect("a crate manifest");
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not opt into [workspace.lints]",
+            manifest.display()
+        );
+    }
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for banned in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+    ] {
+        assert!(
+            clippy.contains(&format!("path = \"{banned}\"")),
+            "clippy.toml no longer bans {banned}"
+        );
+    }
 }
