@@ -94,31 +94,6 @@ impl Dataset {
         let tail: Vec<usize> = (n..self.len()).collect();
         (self.subset(&head), self.subset(&tail))
     }
-
-    /// Concatenate datasets with identical feature width and class space.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or shapes/classes disagree.
-    #[must_use]
-    pub fn concat(parts: &[&Dataset]) -> Dataset {
-        assert!(!parts.is_empty(), "concat of zero datasets");
-        let features = parts[0].features();
-        let classes = parts[0].classes;
-        let total: usize = parts.iter().map(|d| d.len()).sum();
-        let mut x = Matrix::zeros(total, features);
-        let mut y = Vec::with_capacity(total);
-        let mut row = 0;
-        for d in parts {
-            assert_eq!(d.features(), features, "concat feature mismatch");
-            assert_eq!(d.classes, classes, "concat class-space mismatch");
-            for i in 0..d.len() {
-                x.row_mut(row).copy_from_slice(d.x.row(i));
-                y.push(d.y[i]);
-                row += 1;
-            }
-        }
-        Dataset { x, y, classes }
-    }
 }
 
 #[cfg(test)]
@@ -166,14 +141,6 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 3);
         assert_eq!(b.y, vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn concat_round_trips_split() {
-        let d = tiny();
-        let (a, b) = d.split_at(2);
-        let c = Dataset::concat(&[&a, &b]);
-        assert_eq!(c, d);
     }
 
     // -- FEMNIST writers: each client's `Dataset` as the generator

@@ -150,17 +150,6 @@ impl FederatedDataset {
     pub fn train_sizes(&self) -> Vec<usize> {
         self.clients.iter().map(|c| c.train.len()).collect()
     }
-
-    /// Union of the holdout sets of the given clients (a tier's
-    /// `TestData_t`).
-    ///
-    /// # Panics
-    /// Panics if `client_ids` is empty.
-    #[must_use]
-    pub fn tier_test_set(&self, client_ids: &[usize]) -> Dataset {
-        let parts: Vec<&Dataset> = client_ids.iter().map(|&c| &self.clients[c].test).collect();
-        Dataset::concat(&parts)
-    }
 }
 
 #[cfg(test)]
@@ -214,13 +203,6 @@ mod tests {
     fn global_test_is_balanced() {
         let fed = build(2);
         assert!(fed.global_test.class_counts().iter().all(|&c| c == 10));
-    }
-
-    #[test]
-    fn tier_test_set_unions_holdouts() {
-        let fed = build(3);
-        let t = fed.tier_test_set(&[0, 1, 2]);
-        assert_eq!(t.len(), 30);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
 use crate::timeline::schedule_plan_events;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +18,12 @@ use tifl_nn::models::ModelSpec;
 use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent, TraceSink};
 use tifl_sim::latency::TrainingTask;
 use tifl_sim::{Cluster, VirtualClock};
-use tifl_tensor::ParamVec;
+use tifl_tensor::{ops, Matrix, ParamVec};
+
+/// Holdout rows one task of [`Session::evaluate_groups`] gathers and
+/// infers: enough that its GEMMs run at full speed, few enough that a
+/// monitored round splits into a task list every thread can share.
+const EVAL_CHUNK_ROWS: usize = 250;
 
 /// How a round collects client updates.
 ///
@@ -485,21 +491,78 @@ impl Session {
     /// fast-tier policies starve the classes held by slower tiers.
     #[must_use]
     pub fn evaluate_global_per_class(&self) -> Vec<Option<f64>> {
-        let mut model = client::eval_model(&self.config.model, &self.global);
-        let logits = model.forward(self.data.global_test.x.clone(), false);
+        let model = client::eval_model(&self.config.model, &self.global);
+        let logits = model.infer(&self.data.global_test.x);
         tifl_nn::metrics::per_class_accuracy(&logits, &self.data.global_test.y, self.data.classes)
     }
 
-    /// Evaluate the global model on the union of the given clients'
-    /// holdout sets (a tier's `TestData_t`, Algorithm 2 lines 22-24).
+    /// Accuracy of the global model on the union of each group's holdout
+    /// sets (a tier's `TestData_t`, Algorithm 2 lines 22-24), in group
+    /// order; a group without holdout rows scores 0.
+    ///
+    /// One pass serves every group. The groups' clients are cut, in
+    /// order, into chunks of about 250 holdout rows (`EVAL_CHUNK_ROWS`);
+    /// each chunk gathers its rows into a matrix of its own, runs them
+    /// through one shared inference model, and counts the correct
+    /// predictions of every group it holds. Chunks run in parallel at
+    /// the ambient thread count. A row's logits do not depend on the
+    /// rows beside it and the counts are integers, so every accuracy is
+    /// the one a single pass over the group's concatenated holdouts
+    /// gives, at any thread count.
     #[must_use]
-    pub fn evaluate_group(&self, clients: &[usize]) -> f64 {
-        if clients.is_empty() {
-            return 0.0;
+    pub fn evaluate_groups(&self, groups: &[Vec<usize>]) -> Vec<f64> {
+        let holdout = |c: usize| &self.data.clients[c].test;
+        // `(group, client)` pairs, cut into chunks.
+        let mut chunks: Vec<Vec<(usize, usize)>> = Vec::new();
+        let (mut chunk, mut rows) = (Vec::new(), 0);
+        for (g, clients) in groups.iter().enumerate() {
+            for &c in clients {
+                chunk.push((g, c));
+                rows += holdout(c).len();
+                if rows >= EVAL_CHUNK_ROWS {
+                    chunks.push(std::mem::take(&mut chunk));
+                    rows = 0;
+                }
+            }
         }
-        let test = self.data.tier_test_set(clients);
-        let mut model = client::eval_model(&self.config.model, &self.global);
-        model.evaluate(&test.x, &test.y).accuracy
+        if !chunk.is_empty() {
+            chunks.push(chunk);
+        }
+        let model = client::eval_model(&self.config.model, &self.global);
+        let features = self.config.model.input_features();
+        let counts: Vec<Vec<usize>> = chunks
+            .par_iter()
+            .map(|chunk| {
+                let rows = chunk.iter().map(|&(_, c)| holdout(c).len()).sum();
+                let mut x = Vec::with_capacity(rows * features);
+                for &(_, c) in chunk {
+                    x.extend_from_slice(holdout(c).x.as_slice());
+                }
+                let logits = model.infer(&Matrix::from_vec(rows, features, x));
+                let mut correct = vec![0; groups.len()];
+                let mut row = 0;
+                for &(g, c) in chunk {
+                    for &label in &holdout(c).y {
+                        correct[g] += usize::from(ops::argmax(logits.row(row)) == label);
+                        row += 1;
+                    }
+                }
+                correct
+            })
+            .collect();
+        groups
+            .iter()
+            .enumerate()
+            .map(|(g, clients)| {
+                let correct: usize = counts.iter().map(|chunk| chunk[g]).sum();
+                let rows: usize = clients.iter().map(|&c| holdout(c).len()).sum();
+                if rows == 0 {
+                    0.0
+                } else {
+                    correct as f64 / rows as f64
+                }
+            })
+            .collect()
     }
 
     /// Snapshot the session for checkpointing (no selector state; use
@@ -660,7 +723,8 @@ impl Session {
     /// evaluates the round's (immutable) global snapshot concurrently
     /// with later rounds and patches the report afterwards. Monitored-group
     /// evaluation is never deferred: the selector may need it before
-    /// the next selection. It is a `Phase::Eval` host span of its own.
+    /// the next selection. It is one [`Session::evaluate_groups`] pass
+    /// at the ambient thread count, and one `Phase::Eval` host span.
     pub fn finish_round(
         &mut self,
         plan: RoundPlan,
@@ -697,7 +761,7 @@ impl Session {
         // Feed monitored-group accuracies back to the selector.
         if let Some(groups) = selector.monitored_groups(round) {
             let t_eval = self.host_begin();
-            let accs: Vec<f64> = groups.iter().map(|g| self.evaluate_group(g)).collect();
+            let accs = self.evaluate_groups(&groups);
             self.host_end(Phase::Eval, round, t_eval);
             selector.observe(round, &accs);
         }
@@ -1135,11 +1199,13 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_group_uses_holdouts() {
+    fn evaluate_groups_uses_holdouts() {
         let s = small_session(1, 5);
-        let acc = s.evaluate_group(&[0, 1, 2]);
-        assert!((0.0..=1.0).contains(&acc));
-        assert_eq!(s.evaluate_group(&[]), 0.0);
+        let accs = s.evaluate_groups(&[vec![0, 1, 2], vec![]]);
+        assert_eq!(accs.len(), 2);
+        assert!((0.0..=1.0).contains(&accs[0]));
+        assert_eq!(accs[1], 0.0);
+        assert!(s.evaluate_groups(&[]).is_empty());
     }
 
     #[test]

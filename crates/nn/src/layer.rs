@@ -2,9 +2,11 @@
 //!
 //! Each layer owns its parameters and the activation cache needed for the
 //! backward pass. Layers communicate through row-major matrices whose
-//! rows are samples.
+//! rows are samples. Inference ([`Layer::infer`]) reads the parameters
+//! only, so one model can serve many threads at once.
 
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 use tifl_tensor::{init, ops, Matrix};
 
 /// A differentiable layer.
@@ -12,13 +14,19 @@ use tifl_tensor::{init, ops, Matrix};
 /// The contract is the classic two-pass protocol: `forward` must be
 /// called before `backward`, and `backward` consumes the cache written by
 /// the most recent `forward`.
-pub trait Layer: Send {
+pub trait Layer: Send + Sync {
     /// Human-readable layer name (diagnostics only).
     fn name(&self) -> &'static str;
 
     /// Forward pass. No layer reads `train` (the model family has no
     /// stochastic layer); the frozen benchmark passes it.
     fn forward(&mut self, x: Matrix, train: bool) -> Matrix;
+
+    /// Inference pass: bit-for-bit the output of [`Layer::forward`],
+    /// with nothing kept for a backward pass. A layer that maps into a
+    /// fresh buffer only reads `x`; one that works in place takes it
+    /// over, and copies it only if it is borrowed.
+    fn infer(&self, x: Cow<'_, Matrix>) -> Matrix;
 
     /// Backward pass: receives `dL/d(output)`, returns `dL/d(input)` and
     /// records parameter gradients internally.
@@ -99,6 +107,13 @@ impl Dense {
         }
     }
 
+    /// `x W + b`.
+    fn affine(&self, x: &Matrix) -> Matrix {
+        let mut y = ops::matmul(x, &self.w);
+        ops::add_bias(&mut y, &self.b);
+        y
+    }
+
     /// `dW = X^T dY` and `db = column sums of dY`, into the layer's own
     /// gradient buffers.
     fn record_grads(&mut self, grad: &Matrix) {
@@ -129,10 +144,13 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
-        let mut y = ops::matmul(&x, &self.w);
-        ops::add_bias(&mut y, &self.b);
+        let y = self.affine(&x);
         self.cache_x = Some(x);
         y
+    }
+
+    fn infer(&self, x: Cow<'_, Matrix>) -> Matrix {
+        self.affine(&x)
     }
 
     fn backward(&mut self, grad: Matrix) -> Matrix {
@@ -212,6 +230,14 @@ impl Layer for Relu {
         for (v, keep) in x.as_mut_slice().iter_mut().zip(&mut self.mask) {
             *keep = *v > 0.0;
             *v = if *keep { *v } else { 0.0 };
+        }
+        x
+    }
+
+    fn infer(&self, x: Cow<'_, Matrix>) -> Matrix {
+        let mut x = x.into_owned();
+        for v in x.as_mut_slice() {
+            *v = if *v > 0.0 { *v } else { 0.0 };
         }
         x
     }
@@ -308,6 +334,20 @@ mod tests {
                 assert!((fd - dx[(r, c)]).abs() < 1e-2);
             }
         }
+    }
+
+    #[test]
+    fn infer_equals_forward() {
+        let mut dense = Dense::new(3, 4, &mut seed_rng(4));
+        let mut relu = Relu::new(4);
+        let x = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.3, -0.7]);
+        let h = dense.infer(Cow::Borrowed(&x));
+        assert_eq!(h, dense.forward(x, false));
+        assert_eq!(
+            relu.infer(Cow::Borrowed(&h)),
+            relu.infer(Cow::Owned(h.clone()))
+        );
+        assert_eq!(relu.infer(Cow::Borrowed(&h)), relu.forward(h, false));
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod models;
 pub mod optim;
 
 pub use layer::Layer;
-pub use loss::softmax_cross_entropy;
+pub use loss::{softmax_cross_entropy, softmax_cross_entropy_loss};
 pub use model::Sequential;
 pub use optim::{Optimizer, RmsProp, Sgd};

@@ -22,21 +22,9 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     let inv_batch = 1.0 / batch as f32;
 
     for (i, &label) in labels.iter().enumerate() {
-        assert!(
-            label < classes,
-            "label {label} out of range for {classes} classes"
-        );
-        let row = logits.row(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         let grow = grad.row_mut(i);
-        for (g, &z) in grow.iter_mut().zip(row) {
-            let e = (z - max).exp();
-            *g = e;
-            sum += e;
-        }
-        let log_sum = sum.ln();
-        total_loss += f64::from(log_sum - (row[label] - max));
+        let (loss, sum) = row_loss(logits.row(i), label, |j, e| grow[j] = e);
+        total_loss += f64::from(loss);
         for g in grow.iter_mut() {
             *g = *g / sum * inv_batch;
         }
@@ -44,6 +32,43 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     }
 
     ((total_loss / batch as f64) as f32, grad)
+}
+
+/// The mean loss of [`softmax_cross_entropy`] without its gradient: the
+/// same per-row terms summed in the same order, so bit-for-bit its
+/// `.0`, and nothing allocated.
+///
+/// # Panics
+/// Panics if `labels.len() != logits.rows()` or a label is out of range.
+#[must_use]
+pub fn softmax_cross_entropy_loss(logits: &Matrix, labels: &[usize]) -> f32 {
+    let batch = logits.rows();
+    assert_eq!(labels.len(), batch, "label count must match batch size");
+    assert!(batch > 0, "empty batch");
+    let total_loss = labels.iter().enumerate().fold(0.0f64, |acc, (i, &label)| {
+        acc + f64::from(row_loss(logits.row(i), label, |_, _| {}).0)
+    });
+    (total_loss / batch as f64) as f32
+}
+
+/// One row's loss term `ln Σ exp(z - max) - (z_label - max)` and its
+/// exp-sum, both in f32; `exp` sees every `exp(z - max)` in column
+/// order.
+#[inline]
+fn row_loss(row: &[f32], label: usize, mut exp: impl FnMut(usize, f32)) -> (f32, f32) {
+    let classes = row.len();
+    assert!(
+        label < classes,
+        "label {label} out of range for {classes} classes"
+    );
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (j, &z) in row.iter().enumerate() {
+        let e = (z - max).exp();
+        exp(j, e);
+        sum += e;
+    }
+    (sum.ln() - (row[label] - max), sum)
 }
 
 /// Softmax probabilities (row-wise), for inspection / calibration tests.
@@ -166,5 +191,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn label_out_of_range_panics() {
         let _ = softmax_cross_entropy(&Matrix::zeros(1, 3), &[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "label 3 out of range for 3 classes")]
+    fn loss_without_gradient_checks_labels_too() {
+        let _ = softmax_cross_entropy_loss(&Matrix::zeros(1, 3), &[3]);
     }
 }

@@ -16,8 +16,11 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
     if labels.is_empty() {
         return 0.0;
     }
-    let preds = ops::row_argmax(logits);
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+    let correct = labels
+        .iter()
+        .enumerate()
+        .filter(|&(i, &label)| ops::argmax(logits.row(i)) == label)
+        .count();
     correct as f64 / labels.len() as f64
 }
 

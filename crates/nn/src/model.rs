@@ -1,9 +1,11 @@
 //! Sequential model container.
 
 use crate::layer::Layer;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_loss};
+use crate::metrics;
 use crate::optim::Optimizer;
-use tifl_tensor::{ops, Matrix, ParamVec};
+use std::borrow::Cow;
+use tifl_tensor::{Matrix, ParamVec};
 
 /// A stack of layers trained with softmax cross-entropy.
 ///
@@ -54,6 +56,18 @@ impl Sequential {
         self.layers
             .iter_mut()
             .fold(x, |acc, layer| layer.forward(acc, train))
+    }
+
+    /// Inference: the logits `forward` returns, bit for bit, through
+    /// every layer's [`Layer::infer`]. Nothing is cached, nothing is
+    /// masked, and `x` is only read (the first layer borrows it), so one
+    /// model serves any number of threads.
+    #[must_use]
+    pub fn infer(&self, x: &Matrix) -> Matrix {
+        self.layers
+            .iter()
+            .fold(Cow::Borrowed(x), |acc, layer| Cow::Owned(layer.infer(acc)))
+            .into_owned()
     }
 
     /// Backward pass through all layers (call after `forward`).
@@ -143,7 +157,10 @@ impl Sequential {
         loss
     }
 
-    /// Evaluate mean loss and accuracy on a labelled set.
+    /// Evaluate mean loss and accuracy on a labelled set: one
+    /// [`Sequential::infer`], the loss without its gradient, and a count
+    /// of correct rows. Nothing here mutates; `&mut self` is the
+    /// signature the frozen benchmark calls.
     #[must_use]
     pub fn evaluate(&mut self, x: &Matrix, labels: &[usize]) -> EvalResult {
         assert_eq!(x.rows(), labels.len(), "evaluate: label count mismatch");
@@ -154,13 +171,10 @@ impl Sequential {
                 samples: 0,
             };
         }
-        let logits = self.forward(x.clone(), false);
-        let (loss, _) = softmax_cross_entropy(&logits, labels);
-        let preds = ops::row_argmax(&logits);
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+        let logits = self.infer(x);
         EvalResult {
-            loss,
-            accuracy: correct as f64 / labels.len() as f64,
+            loss: softmax_cross_entropy_loss(&logits, labels),
+            accuracy: metrics::accuracy(&logits, labels),
             samples: labels.len(),
         }
     }
@@ -240,6 +254,15 @@ mod tests {
         assert!(last < first * 0.5, "loss {first} -> {last} did not halve");
         let eval = m.evaluate(&x, &y);
         assert!(eval.accuracy > 0.9, "accuracy {}", eval.accuracy);
+    }
+
+    #[test]
+    fn infer_returns_the_forward_logits_bitwise() {
+        let mut m = tiny_mlp(8);
+        let (x, _) = toy_data(33, 9);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let inferred = m.infer(&x);
+        assert_eq!(bits(&inferred), bits(&m.forward(x, false)));
     }
 
     #[test]

@@ -372,20 +372,21 @@ pub fn col_sum(m: &Matrix) -> Vec<f32> {
     out
 }
 
-/// Row-wise argmax of each row of `m` (predicted class per sample).
+/// Index of the largest element of `row` (the predicted class; `0` when
+/// `row` is empty). Of equal elements, and of two that do not compare
+/// (NaN), the later wins, as in `Iterator::max_by`.
+#[must_use]
+pub fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
+}
+
+/// Row-wise [`argmax`] of `m` (predicted class per sample).
 #[must_use]
 pub fn row_argmax(m: &Matrix) -> Vec<usize> {
-    let n = m.cols();
-    m.as_slice()
-        .chunks(n)
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
+    m.as_slice().chunks(m.cols()).map(argmax).collect()
 }
 
 #[cfg(test)]
