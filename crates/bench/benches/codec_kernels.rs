@@ -162,7 +162,13 @@ fn bench_round(c: &mut Criterion) {
                 let acc = scratch.take_zeroed(N);
                 let mut fold = StreamingFold::with_acc(acc, &weights);
                 for u in &updates {
-                    fold.fold_compensated(&spec, u, &global, &mut feedback, &mut scratch);
+                    if spec == CodecSpec::Identity {
+                        fold.fold(u);
+                    } else {
+                        let enc = feedback.encode(spec, u.client, &u.params, &global, &mut scratch);
+                        fold.fold_encoded(&enc, u.samples);
+                        scratch.recycle(enc);
+                    }
                 }
                 let next = fold.finish_against(&global).expect("non-empty");
                 let old = std::mem::replace(&mut global, next);

@@ -10,11 +10,16 @@
 //! client *wants* to send next round, so every coordinate's error is
 //! eventually flushed instead of dropped.
 //!
-//! The residual state lives with the simulation session (it is
-//! client-side state in a real deployment), is keyed by client id, and
-//! is updated in the round plan's canonical fold order — so runs stay
-//! bit-for-bit equivalent at every thread count with EF active. The lossless `Identity` codec bypasses EF
-//! entirely, preserving every historical bit-for-bit pin.
+//! The residual state is client-side: in a deployment each client
+//! keeps its own. The simulation session holds it keyed by client id
+//! and lends a contributor's residual to that client's training task
+//! ([`ErrorFeedback::lend`]); the task encodes its upload against it
+//! ([`encode_compensated`]) and the residual comes back with the upload
+//! ([`ErrorFeedback::give_back`]). A client trains at most once per
+//! round and an encode depends only on (params, base, residual), so
+//! runs stay bit-for-bit equivalent at every thread count with EF
+//! active. The lossless `Identity` codec bypasses EF entirely,
+//! preserving every historical bit-for-bit pin.
 
 use std::collections::BTreeMap;
 
@@ -27,7 +32,8 @@ use crate::codec::{CodecSpec, EncodeScratch, EncodedUpdate};
 /// [`ErrorFeedback::encode`] is a drop-in replacement for
 /// [`CodecSpec::encode_with`] on the aggregation path: it compensates
 /// the update with the client's residual before encoding, then stores
-/// what the codec still failed to represent.
+/// what the codec still failed to represent. A caller that encodes
+/// elsewhere lends the residual out and takes it back instead.
 #[derive(Debug, Default)]
 pub struct ErrorFeedback {
     residuals: BTreeMap<usize, Vec<f32>>,
@@ -53,19 +59,33 @@ impl ErrorFeedback {
         self.residuals.clear();
     }
 
+    /// Lend `client`'s residual out for an encode elsewhere
+    /// ([`encode_compensated`]); hand it back with
+    /// [`ErrorFeedback::give_back`]. A client without one — or whose
+    /// residual is still out — gets a fresh zero vector of `len`
+    /// (allocated here, by the lender). A known client's slot keeps its
+    /// map entry, so at steady state lending and giving back allocate
+    /// nothing.
+    #[must_use]
+    pub fn lend(&mut self, client: usize, len: usize) -> Vec<f32> {
+        match self.residuals.get_mut(&client) {
+            Some(e) if !e.is_empty() => std::mem::take(e),
+            _ => vec![0.0; len],
+        }
+    }
+
+    /// Take back a residual lent by [`ErrorFeedback::lend`], updated by
+    /// the encode it served.
+    pub fn give_back(&mut self, client: usize, residual: Vec<f32>) {
+        match self.residuals.get_mut(&client) {
+            Some(e) => *e = residual,
+            None => drop(self.residuals.insert(client, residual)),
+        }
+    }
+
     /// Encode `client`'s trained `params` against `base` with residual
-    /// compensation.
-    ///
-    /// * `Identity` — lossless, no residual involved; identical to
-    ///   [`CodecSpec::encode_with`].
-    /// * `QuantizeI8` — quantizes `params + e`, then stores the new
-    ///   quantization error as `e` (bounded by one step per element).
-    /// * `TopK` — sparsifies the compensated delta
-    ///   `(params − base) + e`, then stores the unsent coordinates of
-    ///   that delta as `e`.
-    ///
-    /// Wire size is unchanged: compensation alters which bits ship, not
-    /// how many.
+    /// compensation ([`encode_compensated`] over the client's stored
+    /// residual, created as zeros on its first lossy encode).
     ///
     /// # Panics
     /// Panics if `params` and `base` differ in length, or if a client's
@@ -79,74 +99,112 @@ impl ErrorFeedback {
         base: &ParamVec,
         scratch: &mut EncodeScratch,
     ) -> EncodedUpdate {
-        assert_eq!(params.len(), base.len(), "codec base length mismatch");
-        let enc = match codec {
-            CodecSpec::Identity => codec.encode_with(params, base, scratch),
-            CodecSpec::QuantizeI8 => {
-                let e = self
-                    .residuals
-                    .entry(client)
-                    .or_insert_with(|| vec![0.0; params.len()]);
-                assert_eq!(e.len(), params.len(), "error-feedback length mismatch");
-                // Two fused passes: compensate + range in one, quantize +
-                // residual in the other (both bit-for-bit the separate
-                // loops they replace).
-                let (lo, hi) = kernels::add_into_minmax(params.as_slice(), e, &mut scratch.delta);
-                let mut codes = scratch.take_codes();
-                let (min, scale) =
-                    kernels::quantize_i8_residual_into(&scratch.delta, lo, hi, &mut codes, e);
-                EncodedUpdate::QuantI8 {
-                    len: params.len(),
-                    min,
-                    scale,
-                    codes,
-                }
-            }
-            CodecSpec::TopK { frac } => {
-                let e = self
-                    .residuals
-                    .entry(client)
-                    .or_insert_with(|| vec![0.0; params.len()]);
-                assert_eq!(e.len(), params.len(), "error-feedback length mismatch");
-                scratch.delta.clear();
-                scratch.delta.extend(
-                    params
-                        .as_slice()
-                        .iter()
-                        .zip(base.as_slice())
-                        .zip(e.iter())
-                        .map(|((&p, &b), &r)| (p - b) + r),
-                );
-                let k = CodecSpec::top_k_of(frac, scratch.delta.len());
-                let mut values = scratch.take_vals();
-                kernels::top_k_by_magnitude_into(
-                    &scratch.delta,
-                    k,
-                    &mut scratch.order,
-                    &mut scratch.indices,
-                    &mut values,
-                );
-                // The residual is the compensated delta with the shipped
-                // coordinates zeroed — take it by swapping buffers (the
-                // values were already gathered) instead of copying n
-                // floats; the old residual becomes next round's delta
-                // scratch.
-                std::mem::swap(e, &mut scratch.delta);
-                for &i in &scratch.indices {
-                    e[i as usize] = 0.0;
-                }
-                let mut idx_delta = scratch.take_idx();
-                kernels::delta_encode_indices_into(&scratch.indices, &mut idx_delta);
-                EncodedUpdate::SparseDelta {
-                    len: scratch.delta.len(),
-                    idx_delta,
-                    values,
-                }
-            }
-        };
-        debug_assert_eq!(enc.wire_bytes(), codec.encoded_bytes(params.len()));
-        enc
+        if codec == CodecSpec::Identity {
+            return codec.encode_with(params, base, scratch);
+        }
+        let e = self
+            .residuals
+            .entry(client)
+            .or_insert_with(|| vec![0.0; params.len()]);
+        encode_compensated(codec, e, params, base, scratch)
     }
+}
+
+/// Encode trained `params` against `base` (the global model they were
+/// trained from), compensated by the client's error-feedback
+/// `residual`, and leave in `residual` what the codec still failed to
+/// represent.
+///
+/// * `Identity` — lossless, `residual` untouched; identical to
+///   [`CodecSpec::encode_with`].
+/// * `QuantizeI8` — quantizes `params + e`, then stores the new
+///   quantization error as `e` (bounded by one step per element).
+/// * `TopK` — sparsifies the compensated delta `(params − base) + e`,
+///   then stores the unsent coordinates of that delta as `e`.
+///
+/// Wire size is unchanged: compensation alters which bits ship, not
+/// how many. The payload's buffers come from `scratch`.
+///
+/// # Panics
+/// Panics if `params` and `base` differ in length, or if a lossy
+/// codec's `residual` is not `params`' length.
+#[must_use]
+pub fn encode_compensated(
+    codec: CodecSpec,
+    residual: &mut Vec<f32>,
+    params: &ParamVec,
+    base: &ParamVec,
+    scratch: &mut EncodeScratch,
+) -> EncodedUpdate {
+    assert_eq!(params.len(), base.len(), "codec base length mismatch");
+    if codec != CodecSpec::Identity {
+        assert_eq!(
+            residual.len(),
+            params.len(),
+            "error-feedback length mismatch"
+        );
+    }
+    let e = residual;
+    let enc = match codec {
+        CodecSpec::Identity => codec.encode_with(params, base, scratch),
+        CodecSpec::QuantizeI8 => {
+            // Two fused passes: compensate + range in one, quantize +
+            // residual in the other (both bit-for-bit the separate
+            // loops they replace).
+            let (lo, hi) = kernels::add_into_minmax(params.as_slice(), e, &mut scratch.delta);
+            let mut codes = scratch.take_codes();
+            // The kernel appends block by block; sized up front, a
+            // buffer from a cold pool (a worker's payload always comes
+            // from one) costs one allocation instead of a growth chain.
+            codes.reserve_exact(params.len());
+            let (min, scale) =
+                kernels::quantize_i8_residual_into(&scratch.delta, lo, hi, &mut codes, e);
+            EncodedUpdate::QuantI8 {
+                len: params.len(),
+                min,
+                scale,
+                codes,
+            }
+        }
+        CodecSpec::TopK { frac } => {
+            scratch.delta.clear();
+            scratch.delta.extend(
+                params
+                    .as_slice()
+                    .iter()
+                    .zip(base.as_slice())
+                    .zip(e.iter())
+                    .map(|((&p, &b), &r)| (p - b) + r),
+            );
+            let k = CodecSpec::top_k_of(frac, scratch.delta.len());
+            let mut values = scratch.take_vals();
+            kernels::top_k_by_magnitude_into(
+                &scratch.delta,
+                k,
+                &mut scratch.order,
+                &mut scratch.indices,
+                &mut values,
+            );
+            // The residual is the compensated delta with the shipped
+            // coordinates zeroed — take it by swapping buffers (the
+            // values were already gathered) instead of copying n
+            // floats; the old residual becomes next round's delta
+            // scratch.
+            std::mem::swap(e, &mut scratch.delta);
+            for &i in &scratch.indices {
+                e[i as usize] = 0.0;
+            }
+            let mut idx_delta = scratch.take_idx();
+            kernels::delta_encode_indices_into(&scratch.indices, &mut idx_delta);
+            EncodedUpdate::SparseDelta {
+                len: scratch.delta.len(),
+                idx_delta,
+                values,
+            }
+        }
+    };
+    debug_assert_eq!(enc.wire_bytes(), codec.encoded_bytes(params.len()));
+    enc
 }
 
 #[cfg(test)]
@@ -250,5 +308,37 @@ mod tests {
         assert_eq!(ef.tracked_clients(), 2);
         ef.reset();
         assert_eq!(ef.tracked_clients(), 0);
+    }
+
+    #[test]
+    fn a_lent_residual_encodes_as_the_stored_one() {
+        // Two rounds through `encode`, and the same two rounds with the
+        // residual lent out, encoded elsewhere and given back, must ship
+        // identical payloads and leave identical residuals.
+        for spec in [CodecSpec::QuantizeI8, CodecSpec::TopK { frac: 0.1 }] {
+            let (mut stored, mut lent) = (ErrorFeedback::new(), ErrorFeedback::new());
+            let (mut a, mut b) = (EncodeScratch::new(), EncodeScratch::new());
+            let base = params(120, 8);
+            for round in 0..2 {
+                let p = params(120, 9 + round);
+                let want = stored.encode(spec, 4, &p, &base, &mut a);
+                let mut residual = lent.lend(4, p.len());
+                let got = encode_compensated(spec, &mut residual, &p, &base, &mut b);
+                lent.give_back(4, residual);
+                assert_eq!(got, want, "{spec:?} round {round}");
+                assert_eq!(lent.residuals, stored.residuals, "{spec:?} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_residual_still_out_is_lent_as_zeros() {
+        let mut ef = ErrorFeedback::new();
+        ef.give_back(2, vec![1.0; 8]);
+        assert_eq!(ef.lend(2, 8), vec![1.0; 8]);
+        // Never given back (its task died): the next loan starts clean.
+        assert_eq!(ef.lend(2, 8), vec![0.0; 8]);
+        assert_eq!(ef.lend(3, 8), vec![0.0; 8], "an unknown client");
+        assert_eq!(ef.tracked_clients(), 1);
     }
 }

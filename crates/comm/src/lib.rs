@@ -30,7 +30,7 @@ pub mod feedback;
 pub mod link;
 
 pub use codec::{CodecSpec, EncodeScratch, EncodedUpdate};
-pub use feedback::ErrorFeedback;
+pub use feedback::{encode_compensated, ErrorFeedback};
 pub use link::{CommCost, LinkAssignment, LinkModel};
 
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,6 @@
 //! FedAvg aggregation (Algorithm 1, line 8).
 
-use tifl_comm::{CodecSpec, EncodeScratch, EncodedUpdate, ErrorFeedback};
+use tifl_comm::EncodedUpdate;
 use tifl_tensor::ParamVec;
 
 /// One client's contribution to a round: updated weights plus the local
@@ -141,33 +141,6 @@ impl StreamingFold {
             self.base_coeff += coeff;
         }
         self.folded += 1;
-    }
-
-    /// Encode-and-fold one client contribution on the zero-allocation
-    /// path: the update is encoded with error-feedback compensation
-    /// (lossy codecs carry the client's residual; `Identity` folds the
-    /// raw weights directly, bit-for-bit [`StreamingFold::fold`]), the
-    /// payload folds via [`StreamingFold::fold_encoded`], and its
-    /// buffers return to `scratch` immediately.
-    ///
-    /// # Panics
-    /// Panics past the expected count or on a length mismatch.
-    pub fn fold_compensated(
-        &mut self,
-        codec: &CodecSpec,
-        update: &ClientUpdate,
-        base: &ParamVec,
-        feedback: &mut ErrorFeedback,
-        scratch: &mut EncodeScratch,
-    ) {
-        if matches!(codec, CodecSpec::Identity) {
-            // Lossless: skip the wire-format copy entirely.
-            self.fold(update);
-            return;
-        }
-        let enc = feedback.encode(*codec, update.client, &update.params, base, scratch);
-        self.fold_encoded(&enc, update.samples);
-        scratch.recycle(enc);
     }
 
     /// The aggregated model, or `None` when the fold expected no updates

@@ -1,7 +1,10 @@
-//! Client-side local training (Algorithm 1, `TrainClient`).
+//! Client-side local training (Algorithm 1, `TrainClient`), and the
+//! encode of a lossy upload.
 
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use tifl_comm::{encode_compensated, CodecSpec, EncodeScratch, EncodedUpdate};
 use tifl_data::Dataset;
 use tifl_nn::models::ModelSpec;
 use tifl_nn::optim::{Optimizer, RmsProp, Sgd};
@@ -239,6 +242,35 @@ pub fn train_update(
         ),
         samples: data.clients[client].train.len(),
     }
+}
+
+thread_local! {
+    /// The encode workspace of [`encode_upload`], kept per thread so a
+    /// worker's steady-state encode allocates only the payload it ships.
+    static ENCODE_SCRATCH: Cell<EncodeScratch> = Cell::new(EncodeScratch::new());
+}
+
+/// Encode a client's trained `params` for upload against `base`, the
+/// global model it trained from, compensated by its error-feedback
+/// `residual` ([`encode_compensated`]) — the client-side half of a
+/// lossy round. Runs on this thread's encode workspace: once warm it
+/// allocates only the payload's own buffers, which leave with it.
+///
+/// # Panics
+/// As [`encode_compensated`].
+#[must_use]
+pub fn encode_upload(
+    codec: CodecSpec,
+    params: &ParamVec,
+    base: &ParamVec,
+    residual: &mut Vec<f32>,
+) -> EncodedUpdate {
+    // Taken, not borrowed: a panic mid-encode loses only this
+    // workspace, and the next encode on this thread grows a new one.
+    let mut scratch = ENCODE_SCRATCH.take();
+    let payload = encode_compensated(codec, residual, params, base, &mut scratch);
+    ENCODE_SCRATCH.set(scratch);
+    payload
 }
 
 /// Build a model for evaluation with the given global weights.

@@ -1,5 +1,5 @@
-//! The client executor: the one place client training and deferred
-//! evaluation tasks run.
+//! The client executor: the one place client training (with the encode
+//! of its upload) and deferred evaluation tasks run.
 //!
 //! Training a selected client is a pure function of
 //! `(seed, client, round, global)` — see [`crate::client::local_train`] —
@@ -11,6 +11,14 @@
 //! the coordinating thread over a channel, and determinism for any
 //! thread count is restored downstream by the ordered merge
 //! ([`crate::exec::OrderedMerge`]).
+//!
+//! Under a lossy codec a training task also encodes its upload, the
+//! way a deployed client compresses before it sends: it trains, encodes
+//! against the global snapshot it trained from with the residual the
+//! coordinator lent it, and hands back the payload and the residual —
+//! the dense weights never leave the worker. The encode is a pure
+//! function of (params, base, residual) and a client trains at most
+//! once per round, so this moves no bit either.
 //!
 //! Global-model evaluation rides the same executor: an evaluation task
 //! captures an immutable snapshot of the round's aggregated model, so
@@ -31,6 +39,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
+use tifl_comm::{CodecSpec, EncodedUpdate};
 use tifl_data::FederatedDataset;
 use tifl_nn::model::EvalResult;
 use tifl_nn::models::ModelSpec;
@@ -50,8 +59,10 @@ pub struct TrainContext {
     pub client: ClientConfig,
     /// The session's root seed (per-client streams derive from it).
     pub seed: u64,
-    /// The attached host profiler's clock, so a deferred evaluation is
-    /// timed where it runs (`None` without a profiler).
+    /// The upload codec (`Identity` when the session has no comm spec).
+    pub codec: CodecSpec,
+    /// The attached host profiler's clock, so a deferred evaluation or
+    /// an encode is timed where it runs (`None` without a profiler).
     pub host_clock: Option<Arc<dyn HostClock>>,
 }
 
@@ -88,6 +99,28 @@ pub enum TaskTag {
     Eval(usize),
 }
 
+/// What a training task hands the coordinator.
+#[derive(Debug)]
+pub enum Upload {
+    /// The trained weights, folded as they are (the `Identity` codec).
+    Dense(ClientUpdate),
+    /// A lossy upload, encoded where the client trained.
+    Encoded {
+        /// The client that trained.
+        client: usize,
+        /// Its aggregation weight `s_c`.
+        samples: usize,
+        /// The wire payload.
+        payload: EncodedUpdate,
+        /// The client's error-feedback residual, updated by the encode,
+        /// on its way back to the lender.
+        residual: Vec<f32>,
+        /// Host seconds the encode took where it ran (0 without a
+        /// profiler clock).
+        host_sec: f64,
+    },
+}
+
 /// One finished deferred evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct DeferredEval {
@@ -103,12 +136,13 @@ pub struct DeferredEval {
 /// A finished task, streamed back to the coordinating thread.
 #[derive(Debug)]
 pub enum TaskResult {
-    /// One client finished local training.
+    /// One client finished local training (and, under a lossy codec,
+    /// the encode of its upload).
     Update {
         /// The contributor's canonical slot in its round.
         tag: u64,
-        /// The trained update.
-        update: ClientUpdate,
+        /// What the client uploads.
+        upload: Upload,
     },
     /// One deferred global-model evaluation finished.
     Eval(DeferredEval),
@@ -154,11 +188,36 @@ impl<'scope> WorkQueue<'_, 'scope> {
 
     /// Queue local training of `client` for `round` against the given
     /// global snapshot; the result arrives as [`TaskResult::Update`]
-    /// carrying `tag`.
-    pub fn submit_train(&self, tag: u64, client: usize, round: u64, global: Arc<ParamVec>) {
-        self.submit(TaskTag::Train(tag), move |ctx| TaskResult::Update {
-            tag,
-            update: ctx.train(client, round, &global),
+    /// carrying `tag`. With a lent error-feedback `residual` the task
+    /// also encodes the upload against that snapshot, timed on the
+    /// profiler's clock, and drops the dense weights
+    /// ([`Upload::Encoded`]); without one it uploads the weights
+    /// ([`Upload::Dense`]).
+    pub fn submit_train(
+        &self,
+        tag: u64,
+        client: usize,
+        round: u64,
+        global: Arc<ParamVec>,
+        residual: Option<Vec<f32>>,
+    ) {
+        self.submit(TaskTag::Train(tag), move |ctx| {
+            let update = ctx.train(client, round, &global);
+            let Some(mut residual) = residual else {
+                let upload = Upload::Dense(update);
+                return TaskResult::Update { tag, upload };
+            };
+            let clock = ctx.host_clock.as_deref();
+            let start = clock.map_or(0.0, HostClock::now_sec);
+            let payload = client::encode_upload(ctx.codec, &update.params, &global, &mut residual);
+            let upload = Upload::Encoded {
+                client,
+                samples: update.samples,
+                payload,
+                residual,
+                host_sec: clock.map_or(0.0, HostClock::now_sec) - start,
+            };
+            TaskResult::Update { tag, upload }
         });
     }
 
@@ -318,6 +377,7 @@ mod tests {
             },
             client: ClientConfig::paper_synthetic(),
             seed: 5,
+            codec: CodecSpec::Identity,
             host_clock: None,
         }
     }
@@ -330,17 +390,20 @@ mod tests {
             let exec = ClientExecutor::new(threads);
             exec.run(&ctx, |queue, rx| {
                 for c in 0..4u64 {
-                    queue.submit_train(c, c as usize, 0, Arc::clone(&global));
+                    queue.submit_train(c, c as usize, 0, Arc::clone(&global), None);
                 }
-                let mut got: Vec<Option<ClientUpdate>> = vec![None, None, None, None];
+                let mut got: Vec<Option<ParamVec>> = vec![None, None, None, None];
                 for _ in 0..4 {
                     match rx.recv().expect("4 updates") {
-                        TaskResult::Update { tag, update } => got[tag as usize] = Some(update),
-                        other => panic!("only training was submitted: {other:?}"),
+                        TaskResult::Update {
+                            tag,
+                            upload: Upload::Dense(update),
+                        } => got[tag as usize] = Some(update.params),
+                        other => panic!("only dense training was submitted: {other:?}"),
                     }
                 }
                 got.into_iter()
-                    .map(|u| u.expect("all tags seen").params)
+                    .map(|p| p.expect("all tags seen"))
                     .collect::<Vec<_>>()
             })
         };
@@ -389,11 +452,11 @@ mod tests {
                     let params = ParamVec::zeros(0);
                     TaskResult::Update {
                         tag,
-                        update: ClientUpdate {
+                        upload: Upload::Dense(ClientUpdate {
                             client: 0,
                             params,
                             samples: 0,
-                        },
+                        }),
                     }
                 });
             }

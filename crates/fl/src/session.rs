@@ -2,7 +2,9 @@
 
 use crate::aggregator::{ClientUpdate, StreamingFold};
 use crate::client::{self, ClientConfig};
-use crate::exec::{ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TaskTag, TrainContext};
+use crate::exec::{
+    ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TaskTag, TrainContext, Upload,
+};
 use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
@@ -225,10 +227,12 @@ pub struct Session {
     clock: VirtualClock,
     pricing: TaskPricing,
     round: u64,
-    /// Reusable encode/fold buffers: at steady state a round's
-    /// aggregation path allocates nothing.
+    /// Reusable fold buffers (and encode buffers for a caller that
+    /// encodes on this thread): at steady state a round's aggregation
+    /// path allocates nothing.
     codec_scratch: EncodeScratch,
-    /// Per-client error-feedback residuals for lossy codecs.
+    /// Per-client error-feedback residuals for lossy codecs, lent to
+    /// each contributor's training task and returned with its upload.
     feedback: ErrorFeedback,
     /// Reusable per-round aggregation-weight buffer.
     fold_weights: Vec<f32>,
@@ -336,8 +340,8 @@ impl Session {
     }
 
     /// Attribute host seconds measured off the coordinating thread (a
-    /// deferred evaluation, timed where it ran) to `phase` (no-op
-    /// without a profiler).
+    /// deferred evaluation or a round's encodes, timed where they ran)
+    /// to `phase` (no-op without a profiler).
     pub(crate) fn host_record(&mut self, phase: Phase, round: u64, dur_sec: f64) {
         if let Some(prof) = self.host_prof.as_mut() {
             prof.record(phase, round, dur_sec);
@@ -416,15 +420,20 @@ impl Session {
         &self.data
     }
 
-    /// What a task needs to train or evaluate for this session off the
-    /// coordinating thread: shared data, the training configuration,
-    /// and the attached profiler's clock.
+    /// What a task needs to train, encode or evaluate for this session
+    /// off the coordinating thread: shared data, the training
+    /// configuration, the upload codec, and the attached profiler's
+    /// clock.
     pub(crate) fn train_context(&self) -> TrainContext {
         TrainContext {
             data: Arc::clone(&self.data),
             model: self.config.model,
             client: self.config.client,
             seed: self.config.seed,
+            codec: self
+                .config
+                .comm
+                .map_or(CodecSpec::Identity, |spec| spec.codec),
             host_clock: self.host_prof.as_ref().map(HostProfiler::clock),
         }
     }
@@ -797,8 +806,10 @@ impl Session {
     }
 
     /// Disjoint borrows of the error-feedback state and the encode
-    /// scratch arena, for callers that encode updates outside
-    /// [`Session::fold_update`] while reading the global model.
+    /// scratch arena, for callers that drive the phases themselves:
+    /// encoding on this thread with [`ErrorFeedback::encode`], or
+    /// lending residuals out and taking them back as
+    /// [`Session::run_rounds`] does.
     pub fn codec_state_mut(&mut self) -> (&mut ErrorFeedback, &mut EncodeScratch) {
         (&mut self.feedback, &mut self.codec_scratch)
     }
@@ -830,40 +841,28 @@ impl Session {
         StreamingFold::with_acc(acc, &self.fold_weights)
     }
 
-    /// Fold the next update (in canonical order) the way the server
-    /// receives it: with a lossy codec active it is encoded with
-    /// error-feedback compensation and folded from its wire form; with
-    /// none (or Identity, bitwise the same) the weights fold directly.
-    /// Runs on the session's scratch buffers — at steady state this
-    /// allocates nothing. Resolve the fold with
-    /// `fold.finish_against(session.global_params())`.
-    pub fn fold_update(&mut self, fold: &mut StreamingFold, update: &ClientUpdate) {
-        let codec = self
-            .config
-            .comm
-            .map_or(CodecSpec::Identity, |spec| spec.codec);
-        fold.fold_compensated(
-            &codec,
-            update,
-            &self.global,
-            &mut self.feedback,
-            &mut self.codec_scratch,
-        );
-    }
-
     /// Execute `rounds` rounds on `threads` threads (0 = the ambient
     /// rayon parallelism) and return their reports — the one round loop
     /// behind [`Session::run`], [`Session::run_round`] and every
     /// `tifl_core` execution backend.
     ///
-    /// Contributors train on the crate's client executor, each update
+    /// Contributors train on the crate's client executor, each upload
     /// folds the moment its canonical predecessor has (an ordered merge
     /// into a [`StreamingFold`]), and the global-test evaluation of a
     /// finished round is deferred onto the executor so it overlaps the
-    /// next round's training. Each client's result depends only on
-    /// `(seed, client, round)` and folds happen in plan order, so the
+    /// next round's training. Under a lossy codec each contributor's
+    /// error-feedback residual is lent to its task, which encodes the
+    /// upload where it trained; the coordinator only folds the payload
+    /// and takes the residual back. Each client's result depends only
+    /// on `(seed, client, round)` and its residual, a client trains at
+    /// most once per round, and folds happen in plan order, so the
     /// reports and weights are bit-for-bit the same for any `threads`;
     /// on one thread every task simply runs inline when submitted.
+    ///
+    /// Host attribution per round: `Plan`; `Train` from dispatch to the
+    /// last fold; under a lossy codec one `Encode` span carrying the
+    /// seconds the round's encodes took on the workers (they overlap
+    /// `Train`); `Fold` for the final resolve.
     ///
     /// # Panics
     /// A panic inside a training or evaluation task ends the run on the
@@ -875,6 +874,7 @@ impl Session {
         threads: usize,
     ) -> Vec<RoundReport> {
         let ctx = self.train_context();
+        let lossy = ctx.codec != CodecSpec::Identity;
         ClientExecutor::new(threads).run(&ctx, |queue, results| {
             let mut reports: Vec<RoundReport> = Vec::with_capacity(rounds as usize);
             let mut evals = DeferredEvals::default();
@@ -886,15 +886,14 @@ impl Session {
                 let plan = self.plan_round(selector);
                 self.host_end(Phase::Plan, plan.round, t_plan);
 
-                // Host attribution: the Train span covers dispatch
-                // through the streamed drain (training and incremental
-                // folds overlap), the Fold span the final resolve.
                 let mut fold = self.begin_fold(&plan.contributors);
                 let t_train = self.host_begin();
                 for (slot, &c) in plan.contributors.iter().enumerate() {
-                    queue.submit_train(slot as u64, c, plan.round, Arc::clone(&global));
+                    let residual = lossy.then(|| self.feedback.lend(c, global.len()));
+                    queue.submit_train(slot as u64, c, plan.round, Arc::clone(&global), residual);
                 }
                 let mut merge = OrderedMerge::new();
+                let mut encode_sec = 0.0;
                 // Count reports, not folds: a contributor that died on
                 // a worker reports its panic, and once all have
                 // reported the lowest slot's is re-raised here.
@@ -902,9 +901,22 @@ impl Session {
                 let mut reported = 0;
                 while reported < plan.contributors.len() {
                     match results.recv().expect("the work queue holds a sender") {
-                        TaskResult::Update { tag, update } => {
+                        TaskResult::Update { tag, upload } => {
                             reported += 1;
-                            merge.push(tag as usize, update, |u| self.fold_update(&mut fold, &u));
+                            merge.push(tag as usize, upload, |upload| match upload {
+                                Upload::Dense(update) => fold.fold(&update),
+                                Upload::Encoded {
+                                    client,
+                                    samples,
+                                    payload,
+                                    residual,
+                                    host_sec,
+                                } => {
+                                    fold.fold_encoded(&payload, samples);
+                                    self.feedback.give_back(client, residual);
+                                    encode_sec += host_sec;
+                                }
+                            });
                         }
                         TaskResult::Panicked {
                             tag: TaskTag::Train(slot),
@@ -920,8 +932,11 @@ impl Session {
                     std::panic::resume_unwind(payload);
                 }
                 self.host_end(Phase::Train, plan.round, t_train);
-
                 let round = plan.round;
+                if lossy && !plan.contributors.is_empty() {
+                    self.host_record(Phase::Encode, round, encode_sec);
+                }
+
                 let t_fold = self.host_begin();
                 let new_global = fold.finish_against(&self.global);
                 self.host_end(Phase::Fold, round, t_fold);

@@ -41,7 +41,9 @@ pub enum Phase {
     /// Local client training (one batch span per round, coordinator
     /// side — parallel workers are not individually attributed).
     Train,
-    /// Codec encode of the global broadcast (downlink roundtrip).
+    /// Client-side codec encode of a round's lossy uploads: the seconds
+    /// every contributor's encode took on the worker that trained it,
+    /// summed into one span per round (they overlap `Train`).
     Encode,
     /// Decode-and-fold of contributor updates into the aggregate.
     Fold,
@@ -229,7 +231,7 @@ pub struct PhaseTotals {
     /// Host seconds training clients.
     #[serde(default)]
     pub train_sec: f64,
-    /// Host seconds encoding the global broadcast.
+    /// Host seconds encoding lossy client uploads.
     #[serde(default)]
     pub encode_sec: f64,
     /// Host seconds decoding and folding updates.

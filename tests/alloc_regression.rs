@@ -1,24 +1,31 @@
 //! Allocation-count regression gate for the per-round fold/encode hot
 //! path.
 //!
-//! The tentpole claim of the scratch-arena rework is that a steady-state
-//! aggregation round — encode every contributor with error-feedback
-//! compensation, fold the payloads, resolve the new global, recycle the
-//! old one — performs **zero heap allocations** once the pools have
-//! warmed up. This test pins that with a counting `#[global_allocator]`:
-//! it runs warm-up rounds to size every pool, then asserts the measured
-//! rounds allocate nothing.
+//! A steady-state lossy round has two halves, pinned separately with a
+//! counting `#[global_allocator]` once warm-up rounds have sized every
+//! pool:
+//!
+//! - the **coordinator** half — lend each contributor's error-feedback
+//!   residual, fold the payloads the workers made, take the residuals
+//!   back, resolve the new global and recycle the old one — performs
+//!   **zero** heap allocations;
+//! - the **worker** half — a compensated encode on the thread's own
+//!   encode workspace — allocates exactly the payload's buffers, which
+//!   leave with the upload: one for an int8 payload (its codes), two
+//!   for a top-k payload (its indices and values).
 //!
 //! It lives in its own integration-test binary on purpose: the counter
 //! is process-global, so no other test may run concurrently in this
 //! process (one `#[test]` here, single-threaded by construction).
 
-use tifl::comm::{CodecSpec, CommSpec};
+use tifl::comm::{CodecSpec, CommSpec, EncodedUpdate};
 use tifl::core::experiment::ExperimentConfig;
 use tifl::core::runner::Experiment;
+use tifl::fl::client::encode_upload;
 use tifl::fl::session::{RoundPlan, Session, SessionOverrides};
 use tifl::fl::timeline::schedule_plan_events;
 use tifl::fl::ClientUpdate;
+use tifl::nn::models::ModelSpec;
 use tifl::obs::{RunObserver, TraceEvent, TraceSink};
 use tifl::tensor::ParamVec;
 
@@ -30,31 +37,85 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     counting_alloc::allocations_in(f).0
 }
 
-/// One aggregation round through the very calls `Session::run_rounds`
-/// makes: pooled accumulator, per-contributor compensated encode +
-/// fold, deferred delta bases, old global recycled into the arena.
-fn round(session: &mut Session, contributors: &[usize], updates: &[ClientUpdate]) {
-    let mut fold = session.begin_fold(contributors);
-    for u in updates {
-        session.fold_update(&mut fold, u);
-    }
-    let new_global = fold
-        .finish_against(session.global_params())
-        .expect("non-empty round");
-    session.set_global_params(new_global);
+/// Buffers, sized once, that carry a round's residuals and payloads
+/// between its halves (the work queue's role in `Session::run_rounds`).
+struct InFlight {
+    residuals: Vec<Vec<f32>>,
+    payloads: Vec<EncodedUpdate>,
+}
+
+/// One aggregation round through the calls `Session::run_rounds` makes,
+/// returning the allocations of its `[coordinator, worker]` halves.
+/// Identity uploads fold as they are and encode nothing.
+fn round(
+    session: &mut Session,
+    codec: CodecSpec,
+    contributors: &[usize],
+    updates: &[ClientUpdate],
+    in_flight: &mut InFlight,
+) -> [usize; 2] {
+    let lossy = codec != CodecSpec::Identity;
+    let len = session.global_params().len();
+    let lend = allocations_in(|| {
+        if lossy {
+            let (feedback, _) = session.codec_state_mut();
+            in_flight
+                .residuals
+                .extend(updates.iter().map(|u| feedback.lend(u.client, len)));
+        }
+    });
+    let worker = allocations_in(|| {
+        let base = session.global_params();
+        for (u, residual) in updates.iter().zip(&mut in_flight.residuals) {
+            in_flight
+                .payloads
+                .push(encode_upload(codec, &u.params, base, residual));
+        }
+    });
+    let fold = allocations_in(|| {
+        let mut fold = session.begin_fold(contributors);
+        if lossy {
+            let sent = in_flight
+                .payloads
+                .drain(..)
+                .zip(in_flight.residuals.drain(..));
+            for (u, (payload, residual)) in updates.iter().zip(sent) {
+                fold.fold_encoded(&payload, u.samples);
+                session.codec_state_mut().0.give_back(u.client, residual);
+            }
+        } else {
+            for u in updates {
+                fold.fold(u);
+            }
+        }
+        let new_global = fold
+            .finish_against(session.global_params())
+            .expect("non-empty round");
+        session.set_global_params(new_global);
+    });
+    [lend + fold, worker]
 }
 
 #[test]
 fn steady_state_fold_encode_round_is_allocation_free() {
     const CLIENTS: usize = 6;
+    const ROUNDS: usize = 5;
     let contributors: Vec<usize> = (0..CLIENTS).collect();
 
-    for codec in [
-        CodecSpec::Identity,
-        CodecSpec::QuantizeI8,
-        CodecSpec::TopK { frac: 0.25 },
+    for (codec, payload_buffers) in [
+        (CodecSpec::Identity, 0),
+        (CodecSpec::QuantizeI8, 1),
+        (CodecSpec::TopK { frac: 0.25 }, 2),
     ] {
         let mut cfg = ExperimentConfig::tiny(3);
+        // 4 810 parameters: more than one of the codec kernels' fused
+        // blocks, so a payload filled block by block would show its
+        // growth as extra allocations.
+        cfg.model = ModelSpec::Mlp {
+            input: 64,
+            hidden: 64,
+            classes: 10,
+        };
         cfg.comm = Some(CommSpec::with_codec(codec));
         let mut session = cfg.build_session(&SessionOverrides::default());
         let params = session.global_params().len();
@@ -70,21 +131,34 @@ fn steady_state_fold_encode_round_is_allocation_free() {
                 samples: session.data().clients[c].train.len(),
             })
             .collect();
+        let mut in_flight = InFlight {
+            residuals: Vec::with_capacity(CLIENTS),
+            payloads: Vec::with_capacity(CLIENTS),
+        };
 
-        // Warm-up: grows every pool buffer, residual vector and the
-        // weights vec to steady-state capacity.
+        // Warm-up: grows every pool buffer, this thread's encode
+        // workspace, every residual and the weights vec to steady-state
+        // capacity.
         for _ in 0..3 {
-            round(&mut session, &contributors, &updates);
+            round(&mut session, codec, &contributors, &updates, &mut in_flight);
         }
 
-        let allocs = allocations_in(|| {
-            for _ in 0..5 {
-                round(&mut session, &contributors, &updates);
-            }
-        });
+        let mut allocs = [0; 2];
+        for _ in 0..ROUNDS {
+            let [coordinator, worker] =
+                round(&mut session, codec, &contributors, &updates, &mut in_flight);
+            allocs[0] += coordinator;
+            allocs[1] += worker;
+        }
         assert_eq!(
-            allocs, 0,
-            "{codec:?}: steady-state rounds allocated {allocs} times"
+            allocs[0], 0,
+            "{codec:?}: the coordinator's steady-state rounds allocated {} times",
+            allocs[0]
+        );
+        assert_eq!(
+            allocs[1],
+            ROUNDS * CLIENTS * payload_buffers,
+            "{codec:?}: a warm encode allocates its {payload_buffers} payload buffer(s) only"
         );
     }
 
@@ -174,6 +248,8 @@ fn steady_state_fold_encode_round_is_allocation_free() {
                 let t = prof.begin();
                 prof.end(phase, r, t);
             }
+            // An encode timed on a worker, recorded by the coordinator.
+            prof.record(Phase::Encode, r, 0.5);
         }
     });
     assert_eq!(

@@ -57,32 +57,46 @@ fn spec_for(scenario: u8) -> RunSpec {
 
 /// A training task that panics ends the run with its own message at
 /// every thread count — on a pool the round loop used to wait forever
-/// for the dead task's result.
+/// for the dead task's result. Under a lossy codec the task dies
+/// holding the residual it was lent, which must not change that.
 #[test]
 fn a_panicking_training_task_ends_the_run_with_its_message() {
-    let run = |threads: usize| {
-        panic_message(move || {
-            // Every client holds two classes and the model knows two:
-            // a contributor dies on the first label >= 2 it trains on,
-            // so the round's slots die with different messages.
-            let mut cfg = small_resource_het(7, 3);
-            cfg.clients_per_round = 4;
-            cfg.data = DataScenario::ClassLimit {
-                per_client: 30,
-                k: 2,
-            };
-            cfg.model = ModelSpec::Mlp {
-                input: 64,
-                hidden: 16,
-                classes: 2,
-            };
-            let _ = cfg.runner().event_driven(threads).run();
-        })
-    };
-    let inline = run(1);
-    assert!(inline.contains("label"), "a label-range panic: {inline}");
-    assert_eq!(run(2), inline);
-    assert_eq!(run(4), inline);
+    for codec in [
+        CodecSpec::Identity,
+        CodecSpec::QuantizeI8,
+        CodecSpec::TopK { frac: 0.1 },
+    ] {
+        let inline = training_panic_message(codec, 1);
+        assert!(
+            inline.contains("label"),
+            "{codec:?}: a label-range panic: {inline}"
+        );
+        assert_eq!(training_panic_message(codec, 2), inline, "{codec:?}");
+        assert_eq!(training_panic_message(codec, 4), inline, "{codec:?}");
+    }
+}
+
+/// The message a three-round run under `codec` on `threads` threads
+/// dies with when its contributors panic in training.
+fn training_panic_message(codec: CodecSpec, threads: usize) -> String {
+    panic_message(move || {
+        // Every client holds two classes and the model knows two:
+        // a contributor dies on the first label >= 2 it trains on,
+        // so the round's slots die with different messages.
+        let mut cfg = small_resource_het(7, 3);
+        cfg.clients_per_round = 4;
+        cfg.data = DataScenario::ClassLimit {
+            per_client: 30,
+            k: 2,
+        };
+        cfg.model = ModelSpec::Mlp {
+            input: 64,
+            hidden: 16,
+            classes: 2,
+        };
+        cfg.comm = Some(CommSpec::with_codec(codec));
+        let _ = cfg.runner().event_driven(threads).run();
+    })
 }
 
 proptest! {

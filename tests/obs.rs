@@ -422,6 +422,52 @@ fn monitored_tier_evaluation_is_one_eval_span_per_monitored_round() {
 }
 
 #[test]
+fn a_lossy_run_carries_one_encode_span_per_round() {
+    // Under a lossy codec every contributor encodes its upload where it
+    // trained; the coordinator records the round's summed encode
+    // seconds as one Encode span between Train and Fold, on every
+    // backend. Identity runs (the pins above) carry none.
+    let cfg = tiny(70);
+    let request = RunRequest {
+        experiment: cfg.clone(),
+        rounds: None,
+        seed: None,
+        clients_per_round: None,
+        spec: RunSpec {
+            comm: Some(CommSpec::with_codec(CodecSpec::TopK { frac: 0.1 })),
+            ..RunSpec::default()
+        },
+    };
+    let rounds = cfg.rounds;
+    for backend in [
+        ExecBackend::Lockstep,
+        ExecBackend::EventDriven { threads: 1 },
+        ExecBackend::EventDriven { threads: 4 },
+    ] {
+        let mut backend_request = request.clone();
+        backend_request.spec.backend = backend;
+        let frozen = backend_request.run_observed_with_clock(CAP, FrozenClock::shared());
+        let (seq, _) = span_shape(&frozen.host_spans);
+        let expected: SpanShape = (0..rounds)
+            .flat_map(|r| {
+                [Phase::Plan, Phase::Train, Phase::Encode, Phase::Fold].map(|phase| (phase, r))
+            })
+            .collect();
+        assert_eq!(seq, expected, "{backend:?}");
+        for s in &frozen.host_spans {
+            assert!(s.end > s.start, "{backend:?}: every span is well-formed");
+        }
+
+        let real = backend_request.run_observed(CAP);
+        assert_eq!(real.report, frozen.report, "{backend:?}");
+        assert!(
+            real.host_phases.encode_sec > 0.0,
+            "{backend:?}: a top-k run spends host time encoding"
+        );
+    }
+}
+
+#[test]
 fn profiling_never_touches_the_deterministic_surface() {
     let cfg = tiny(70);
     let spec = RunSpec {
