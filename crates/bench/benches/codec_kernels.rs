@@ -20,16 +20,19 @@
 //! no dataset.
 //!
 //! The `calibration/axpy_scalar` entry is a host-speed probe: the perf
-//! gate divides every time by it before comparing against the
-//! checked-in `BENCH_codec_kernels.json`, so the gate measures
-//! *relative* kernel cost and survives CI runners of different speeds.
+//! gate (`tifl_bench::timing`) divides every time by it before
+//! comparing against the checked-in `BENCH_codec_kernels.json`, so the
+//! gate measures *relative* kernel cost and survives CI runners of
+//! different speeds.
 //! Regenerate the baseline with:
 //!
 //! ```text
 //! cargo bench --bench codec_kernels -- --save-baseline "$PWD/BENCH_codec_kernels.json"
 //! ```
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+use std::process::ExitCode;
+use tifl_bench::timing::{self, Timing};
 use tifl_comm::{CodecSpec, EncodeScratch, ErrorFeedback};
 use tifl_core::experiment::{DataScenario, ExperimentConfig};
 use tifl_core::runner::Experiment;
@@ -50,95 +53,85 @@ fn dense(seed: usize) -> Vec<f32> {
         .collect()
 }
 
-fn bench_kernels(c: &mut Criterion) {
+fn bench_kernels(t: &mut Timing) {
     let x = dense(1);
     let mut out = dense(2);
 
     // Host-speed probe: always the scalar reference, never gated.
-    c.bench_function("calibration/axpy_scalar", |b| {
-        b.iter(|| ops::axpy_scalar(black_box(0.25), black_box(&x), black_box(&mut out)));
+    t.bench("calibration/axpy_scalar", || {
+        ops::axpy_scalar(black_box(0.25), black_box(&x), black_box(&mut out))
     });
 
-    c.bench_function("hot/axpy", |b| {
-        b.iter(|| ops::axpy(black_box(0.25), black_box(&x), black_box(&mut out)));
+    t.bench("hot/axpy", || {
+        ops::axpy(black_box(0.25), black_box(&x), black_box(&mut out))
     });
-    c.bench_function("hot/scale", |b| {
-        b.iter(|| ops::scale(black_box(0.999), black_box(&mut out)));
+    t.bench("hot/scale", || {
+        ops::scale(black_box(0.999), black_box(&mut out))
     });
 
     let (min, scale, codes) = codec::quantize_i8(&x);
-    c.bench_function("hot/dequantize_i8_axpy", |b| {
-        b.iter(|| {
-            codec::dequantize_i8_axpy(
-                black_box(0.25),
-                black_box(min),
-                black_box(scale),
-                black_box(&codes),
-                black_box(&mut out),
-            );
-        });
+    t.bench("hot/dequantize_i8_axpy", || {
+        codec::dequantize_i8_axpy(
+            black_box(0.25),
+            black_box(min),
+            black_box(scale),
+            black_box(&codes),
+            black_box(&mut out),
+        );
     });
 
     let picked = codec::top_k_by_magnitude(&x, N / 10);
     let indices: Vec<u32> = picked.iter().map(|&(i, _)| i).collect();
     let values: Vec<f32> = picked.iter().map(|&(_, v)| v).collect();
     let idx_delta = codec::delta_encode_indices(&indices);
-    c.bench_function("hot/axpy_sparse", |b| {
-        b.iter(|| {
-            codec::axpy_sparse(
-                black_box(0.25),
-                black_box(&idx_delta),
-                black_box(&values),
-                black_box(&mut out),
-            );
-        });
+    t.bench("hot/axpy_sparse", || {
+        codec::axpy_sparse(
+            black_box(0.25),
+            black_box(&idx_delta),
+            black_box(&values),
+            black_box(&mut out),
+        );
     });
 
-    c.bench_function("hot/minmax", |b| {
-        b.iter(|| codec::minmax(black_box(&x)));
-    });
+    t.bench("hot/minmax", || codec::minmax(black_box(&x)));
 
     let mut code_buf: Vec<i8> = Vec::new();
-    c.bench_function("hot/quantize_i8_into", |b| {
-        b.iter(|| codec::quantize_i8_into(black_box(&x), black_box(&mut code_buf)));
+    t.bench("hot/quantize_i8_into", || {
+        codec::quantize_i8_into(black_box(&x), black_box(&mut code_buf))
     });
 
     let y = dense(9);
     let mut delta: Vec<f32> = Vec::new();
     let mut residual = vec![0.0f32; N];
-    c.bench_function("hot/add_into_minmax", |b| {
-        b.iter(|| codec::add_into_minmax(black_box(&x), black_box(&y), black_box(&mut delta)));
+    t.bench("hot/add_into_minmax", || {
+        codec::add_into_minmax(black_box(&x), black_box(&y), black_box(&mut delta))
     });
     let (lo, hi) = codec::minmax(&x);
-    c.bench_function("hot/quantize_i8_residual_into", |b| {
-        b.iter(|| {
-            codec::quantize_i8_residual_into(
-                black_box(&x),
-                black_box(lo),
-                black_box(hi),
-                black_box(&mut code_buf),
-                black_box(&mut residual),
-            );
-        });
+    t.bench("hot/quantize_i8_residual_into", || {
+        codec::quantize_i8_residual_into(
+            black_box(&x),
+            black_box(lo),
+            black_box(hi),
+            black_box(&mut code_buf),
+            black_box(&mut residual),
+        );
     });
 
     let (mut order, mut idx, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-    c.bench_function("hot/top_k_into", |b| {
-        b.iter(|| {
-            codec::top_k_by_magnitude_into(
-                black_box(&x),
-                black_box(N / 10),
-                black_box(&mut order),
-                black_box(&mut idx),
-                black_box(&mut vals),
-            );
-        });
+    t.bench("hot/top_k_into", || {
+        codec::top_k_by_magnitude_into(
+            black_box(&x),
+            black_box(N / 10),
+            black_box(&mut order),
+            black_box(&mut idx),
+            black_box(&mut vals),
+        );
     });
 }
 
 /// One full steady-state aggregation round per codec: compensated
 /// encode + streaming fold + global swap, all on pooled buffers.
-fn bench_round(c: &mut Criterion) {
+fn bench_round(t: &mut Timing) {
     let clients = 5usize;
     let updates: Vec<ClientUpdate> = (0..clients)
         .map(|cl| ClientUpdate {
@@ -157,23 +150,21 @@ fn bench_round(c: &mut Criterion) {
         let mut global = ParamVec::zeros(N);
         let mut feedback = ErrorFeedback::new();
         let mut scratch = EncodeScratch::new();
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let acc = scratch.take_zeroed(N);
-                let mut fold = StreamingFold::with_acc(acc, &weights);
-                for u in &updates {
-                    if spec == CodecSpec::Identity {
-                        fold.fold(u);
-                    } else {
-                        let enc = feedback.encode(spec, u.client, &u.params, &global, &mut scratch);
-                        fold.fold_encoded(&enc, u.samples);
-                        scratch.recycle(enc);
-                    }
+        t.bench(label, || {
+            let acc = scratch.take_zeroed(N);
+            let mut fold = StreamingFold::with_acc(acc, &weights);
+            for u in &updates {
+                if spec == CodecSpec::Identity {
+                    fold.fold(u);
+                } else {
+                    let enc = feedback.encode(spec, u.client, &u.params, &global, &mut scratch);
+                    fold.fold_encoded(&enc, u.samples);
+                    scratch.recycle(enc);
                 }
-                let next = fold.finish_against(&global).expect("non-empty");
-                let old = std::mem::replace(&mut global, next);
-                scratch.recycle_dense(old);
-            });
+            }
+            let next = fold.finish_against(&global).expect("non-empty");
+            let old = std::mem::replace(&mut global, next);
+            scratch.recycle_dense(old);
         });
     }
 }
@@ -205,7 +196,7 @@ fn pre_activation_pool() -> Vec<Matrix> {
 /// RMSprop), its three GEMMs on dense operands — forward `X W`, weight
 /// gradient `X^T dY`, input gradient `dY W^T` — and its two kernels
 /// that see post-ReLU sparsity.
-fn bench_train_step(c: &mut Criterion) {
+fn bench_train_step(t: &mut Timing) {
     let wave = |rows: usize, cols: usize, f: f32| {
         Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * f).sin())
     };
@@ -214,26 +205,22 @@ fn bench_train_step(c: &mut Criterion) {
         wave(64, 128, 0.011),
         wave(10, 128, 0.23),
     );
-    c.bench_function("hot/matmul", |b| {
-        b.iter(|| ops::matmul(black_box(&x), black_box(&w)));
+    t.bench("hot/matmul", || ops::matmul(black_box(&x), black_box(&w)));
+    t.bench("hot/matmul_transpose_a", || {
+        ops::matmul_transpose_a(black_box(&x), black_box(&dy))
     });
-    c.bench_function("hot/matmul_transpose_a", |b| {
-        b.iter(|| ops::matmul_transpose_a(black_box(&x), black_box(&dy)));
-    });
-    c.bench_function("hot/matmul_transpose_b", |b| {
-        b.iter(|| ops::matmul_transpose_b(black_box(&dy), black_box(&w)));
+    t.bench("hot/matmul_transpose_b", || {
+        ops::matmul_transpose_b(black_box(&dy), black_box(&w))
     });
 
     let pre_activations = pre_activation_pool();
     let mut relu = Relu::new(128);
     let mut at = 0;
     // Includes the clone that hands `forward` its input by value.
-    c.bench_function("hot/relu_fwd_bwd_1280", |b| {
-        b.iter(|| {
-            at = (at + 1) % POOL;
-            let y = relu.forward(black_box(pre_activations[at].clone()), true);
-            relu.backward(y)
-        });
+    t.bench("hot/relu_fwd_bwd_1280", || {
+        at = (at + 1) % POOL;
+        let y = relu.forward(black_box(pre_activations[at].clone()), true);
+        relu.backward(y)
     });
 
     // The output layer's forward GEMM: 10x128 activations, half of
@@ -244,11 +231,9 @@ fn bench_train_step(c: &mut Criterion) {
         .collect();
     let w_out = wave(128, 10, 0.017);
     let mut at = 0;
-    c.bench_function("hot/matmul_sparse_a", |b| {
-        b.iter(|| {
-            at = (at + 1) % POOL;
-            ops::matmul(black_box(&activations[at]), black_box(&w_out))
-        });
+    t.bench("hot/matmul_sparse_a", || {
+        at = (at + 1) % POOL;
+        ops::matmul(black_box(&activations[at]), black_box(&w_out))
     });
 
     let mut model = ModelSpec::Mlp {
@@ -274,18 +259,16 @@ fn bench_train_step(c: &mut Criterion) {
     // property of the loop, not of the step.
     let mut opt = RmsProp::new(0.0);
     let mut at = 0;
-    c.bench_function("step/train_batch_mlp_64_128_10", |b| {
-        b.iter(|| {
-            at = (at + 1) % batches.len();
-            let (x, y) = &batches[at];
-            model.train_batch(black_box(x.clone()), black_box(y), &mut opt)
-        });
+    t.bench("step/train_batch_mlp_64_128_10", || {
+        at = (at + 1) % batches.len();
+        let (x, y) = &batches[at];
+        model.train_batch(black_box(x.clone()), black_box(y), &mut opt)
     });
 }
 
 /// What a run pays before its first round, at `tifl-benchmark`'s IID
 /// 100-samples-a-client shape.
-fn bench_setup(c: &mut Criterion) {
+fn bench_setup(t: &mut Timing) {
     let mut cfg = ExperimentConfig::cifar10_resource_het(42);
     cfg.data = DataScenario::Iid { per_client: 100 };
 
@@ -294,21 +277,21 @@ fn bench_setup(c: &mut Criterion) {
         .num_threads(1)
         .build()
         .expect("thread pool builds");
-    c.bench_function("setup/materialize_iid_500x100", |b| {
-        b.iter(|| one_thread.install(|| black_box(&cfg).build_data()));
+    t.bench("setup/materialize_iid_500x100", || {
+        one_thread.install(|| black_box(&cfg).build_data())
     });
 
     cfg.num_clients = 5000;
-    c.bench_function("setup/profile_and_tier_5000", |b| {
-        b.iter(|| black_box(&cfg).profile_and_tier());
+    t.bench("setup/profile_and_tier_5000", || {
+        black_box(&cfg).profile_and_tier()
     });
 }
 
-criterion_group!(
-    benches,
-    bench_kernels,
-    bench_round,
-    bench_train_step,
-    bench_setup
-);
-criterion_main!(benches);
+fn main() -> ExitCode {
+    timing::run(std::env::args(), |t| {
+        bench_kernels(t);
+        bench_round(t);
+        bench_train_step(t);
+        bench_setup(t);
+    })
+}

@@ -22,10 +22,11 @@
 #![allow(
     clippy::print_stdout,
     clippy::print_stderr,
-    reason = "the paper driver reports progress on its process's stderr"
+    reason = "the paper driver and the perf gate report on their process's stdio"
 )]
 
 mod figures;
+pub mod timing;
 
 pub use figures::FIGURES;
 

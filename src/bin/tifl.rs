@@ -42,7 +42,11 @@ use std::path::Path;
 use std::process::ExitCode;
 use tifl::prelude::*;
 
-/// Print the usage text; the command line was malformed (exit 1).
+/// A malformed command line's exit code; exit 1 means a file could not
+/// be loaded or written, a run failed, or a check found a problem.
+const USAGE_ERROR: u8 = 2;
+
+/// Print the usage text; the command line was malformed.
 fn usage() -> Result<ExitCode, String> {
     eprintln!(
         "usage:\n  tifl init <config.json>\n  tifl init --spec <run.json>\n  \
@@ -58,7 +62,7 @@ fn usage() -> Result<ExitCode, String> {
          tifl merge <store-dir>... --out <dir> [--deny]\n  \
          tifl report <store-dir> [--format human|json] [--target ACC]"
     );
-    Ok(ExitCode::FAILURE)
+    Ok(ExitCode::from(USAGE_ERROR))
 }
 
 fn policy_by_name(name: &str, m: usize) -> Option<Policy> {
@@ -270,7 +274,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         let Some((i, n)) = parsed else { return usage() };
                         if n == 0 || i >= n {
                             eprintln!("[tifl] bad --shard {i}/{n}: index must be < count");
-                            return Ok(ExitCode::FAILURE);
+                            return Ok(ExitCode::from(USAGE_ERROR));
                         }
                         shard = Some((i, n));
                     }
@@ -571,6 +575,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     }
                     _ => return usage(),
                 }
+            }
+            if !Path::new(dir).is_dir() {
+                eprintln!("[tifl] no store directory at {dir}");
+                return Ok(ExitCode::FAILURE);
             }
             let store = RunStore::open(dir).map_err(at(dir))?;
             let rows = tifl::sweep::pivot_rows(&store, target);

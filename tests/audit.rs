@@ -329,6 +329,69 @@ fn audit_flags_leftover_tmp_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_nesting_bomb_in_a_store_is_unparseable_and_audit_names_its_key() {
+    // 200 KB of `[` filed as an artifact: a parser that recursed without
+    // a bound overflowed its stack here and aborted the process.
+    let dir = tmp_dir("bomb");
+    let store = RunStore::open(&dir).expect("store opens");
+    let key = RunKey::parse("0123456789abcdef0123456789abcdef").expect("a key");
+    std::fs::write(store.path_of(key), "[".repeat(200_000)).expect("write");
+
+    let unparseable = |result: Result<RunArtifact, StoreError>| {
+        let err = result.expect_err("a bomb is no artifact");
+        assert!(
+            matches!(&err.kind, StoreErrorKind::Unparseable(cause) if cause.contains("nesting deeper than 128")),
+            "{err}"
+        );
+    };
+    unparseable(store.load_checked(key));
+    // `sweep --resume` loads artifacts on its workers' smaller stacks.
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn_scoped(s, || unparseable(store.load_checked(key)))
+            .expect("thread spawns")
+            .join()
+            .expect("no panic");
+    });
+
+    let tifl = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(args)
+            .output()
+            .expect("tifl runs")
+    };
+    let out = tifl(&["audit", dir.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains(&key.to_string()), "must name the key: {text}");
+    let out = tifl(&["report", dir.to_str().unwrap()]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn report_cli_does_not_create_a_missing_store() {
+    let dir = tmp_dir("report-missing");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .args(["report", dir.to_str().unwrap()])
+        .output()
+        .expect("tifl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("[tifl] no store directory at {}", dir.display())),
+        "{stderr}"
+    );
+    assert!(!dir.exists(), "report created {}", dir.display());
+}
+
 // -- shard + merge -----------------------------------------------------------
 
 #[test]

@@ -5,8 +5,10 @@
 //! wrote are not enough (`ModelSpec::Logistic` never had one): every
 //! variant of the enums a `RunRequest` can spell, read from their
 //! source files, must appear in a row. The lint configuration is a
-//! ledger too: every first-party crate opts into it.
+//! ledger too: every first-party crate opts into it. So is `vendor/`:
+//! every shim stands in for a crate first-party code depends on.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// The first code span of each "promote or delete next" row.
@@ -181,6 +183,74 @@ fn every_first_party_crate_opts_into_the_workspace_lints() {
         assert!(
             clippy.contains(&format!("path = \"{banned}\"")),
             "clippy.toml no longer bans {banned}"
+        );
+    }
+}
+
+/// The package names `manifest` depends on: the keys of its
+/// `[*dependencies]` tables, the workspace's declaration table aside.
+fn dependencies_of(manifest: &str) -> Vec<String> {
+    let mut deps = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_table = line.ends_with("dependencies]") && line != "[workspace.dependencies]";
+        } else if in_table && !line.is_empty() && !line.starts_with('#') {
+            let name = line
+                .split(['=', '.'])
+                .next()
+                .expect("split yields a first piece");
+            deps.push(name.trim().to_owned());
+        }
+    }
+    deps
+}
+
+/// A feature only its own tests reach is code nobody uses; a shim only
+/// the workspace table names is the same. Every `vendor/*` package must
+/// be a dependency of the root or a `crates/*` manifest, or of a shim
+/// that itself passes (`serde_derive` through `serde`).
+#[test]
+fn every_vendored_shim_has_a_first_party_dependent() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| std::fs::read_to_string(path).expect("a manifest");
+    let mut used: BTreeSet<String> = dependencies_of(&read(&root.join("Cargo.toml")))
+        .into_iter()
+        .collect();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = entry.expect("a directory entry").path();
+        used.extend(dependencies_of(&read(&dir.join("Cargo.toml"))));
+    }
+    let mut shims = Vec::new();
+    for entry in std::fs::read_dir(root.join("vendor")).expect("vendor/") {
+        let dir = entry.expect("a directory entry").path();
+        if dir.is_dir() {
+            let manifest = read(&dir.join("Cargo.toml"));
+            let name = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = "))
+                .expect("a package name")
+                .trim_matches('"')
+                .to_owned();
+            shims.push((name, dependencies_of(&manifest)));
+        }
+    }
+    loop {
+        let reached: Vec<String> = shims
+            .iter()
+            .filter(|(name, _)| used.contains(name))
+            .flat_map(|(_, deps)| deps.clone())
+            .collect();
+        let known = used.len();
+        used.extend(reached);
+        if used.len() == known {
+            break;
+        }
+    }
+    for (name, _) in &shims {
+        assert!(
+            used.contains(name),
+            "vendor/ holds `{name}`, which no first-party crate depends on: delete the shim"
         );
     }
 }

@@ -168,3 +168,41 @@ proptest! {
         }
     }
 }
+
+/// JSON's punctuation, escapes, literals, numbers and multi-byte text:
+/// pieces the shim parser's every branch reads.
+const JSON_PIECES: [&str; 24] = [
+    "[", "]", "{", "}", ":", ",", "\"", "\\", "\\u00e9", "\\ud834", "null", "tru", "false", "-",
+    "0", "17", "1e308", "1e999", "-2.5E-3", ".", " ", "é", "𝄞", "\u{1}",
+];
+
+proptest! {
+    /// The vendored `serde_json` answers any text with `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn serde_json_parses_arbitrary_text_without_panicking(
+        pieces in prop::collection::vec(0..JSON_PIECES.len(), 0..300),
+    ) {
+        let text: String = pieces.iter().map(|&i| JSON_PIECES[i]).collect();
+        let _ = serde_json::from_str::<serde::Value>(&text);
+        let _ = serde_json::from_str::<RunRequest>(&text);
+    }
+
+    /// Every finite float survives `to_string` → `from_str` bit for bit:
+    /// artifact bytes and `RunKey`s rest on it.
+    #[test]
+    fn serde_json_round_trips_finite_floats_exactly(
+        bits32 in 0u32..=u32::MAX,
+        bits64 in 0u64..=u64::MAX,
+    ) {
+        let (x, y) = (f32::from_bits(bits32), f64::from_bits(bits64));
+        if x.is_finite() {
+            let back: f32 = serde_json::from_str(&serde_json::to_string(&x).unwrap()).unwrap();
+            prop_assert_eq!(back.to_bits(), x.to_bits(), "{}", x);
+        }
+        if y.is_finite() {
+            let back: f64 = serde_json::from_str(&serde_json::to_string(&y).unwrap()).unwrap();
+            prop_assert_eq!(back.to_bits(), y.to_bits(), "{}", y);
+        }
+    }
+}

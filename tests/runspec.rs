@@ -545,6 +545,50 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
 }
 
 #[test]
+fn cli_rejects_a_nesting_bomb_with_a_typed_error() {
+    // 200 KB of `[`: a parser that recursed without a bound overflowed
+    // its stack here and aborted the process (exit 134).
+    let dir = std::env::temp_dir().join(format!("tifl-bomb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("bomb.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write fixture");
+    let path = path.to_str().unwrap();
+    let stderr = tifl_fails_on(&dir, &["run", "--spec", path], path);
+    assert!(
+        stderr.contains(&format!(
+            "[tifl] {path}: not a RunRequest: nesting deeper than 128"
+        )),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_usage_errors_exit_2() {
+    // Exit 1 is kept for a file that failed to load or write, a failed
+    // run, or a check that found a problem.
+    let dir = std::env::temp_dir().join(format!("tifl-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let malformed: [&[&str]; 5] = [
+        &[],
+        &["frobnicate"],
+        &["sweep", "m.json", "--workers", "abc"],
+        &["report", "d", "--target", "abc"],
+        &["sweep", "m.json", "--shard", "3/2"],
+    ];
+    for args in malformed {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("tifl binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "tifl {args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() {
     // Too few classes or the wrong input width used to die inside a
     // pool worker (`label 8 out of range for 5 classes`, exit 101).
