@@ -32,7 +32,10 @@
 //!   comparison of overlapping keys (`tifl merge`), pairing with
 //!   [`shard_runs`] for cross-host `--shard i/n` splits.
 //!
-//! The fluent entry point is [`SweepBuilder`]:
+//! The one entry point is [`SweepBuilder`]: it expands, shards,
+//! executes and writes the store's summary sidecar (the only place it
+//! is written). [`SweepScheduler::execute`] runs an explicit run list
+//! underneath it.
 //!
 //! ```no_run
 //! use tifl_core::experiment::ExperimentConfig;
@@ -71,6 +74,7 @@ pub use store::{
 };
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use tifl_comm::{CodecSpec, LinkModel};
 use tifl_core::exec::ExecBackend;
 use tifl_core::experiment::ExperimentConfig;
@@ -89,19 +93,14 @@ pub struct SweepBuilder {
     out: Option<PathBuf>,
     resume: bool,
     shard: Option<(usize, usize)>,
+    progress: Option<Arc<ProgressLog>>,
 }
 
 impl SweepBuilder {
     /// A sweep over `experiment` with no axes yet (a single cell).
     #[must_use]
     pub fn new(experiment: ExperimentConfig) -> Self {
-        Self {
-            manifest: SweepManifest::new(experiment),
-            workers: 0,
-            out: None,
-            resume: false,
-            shard: None,
-        }
+        Self::from_manifest(SweepManifest::new(experiment))
     }
 
     /// Start from an existing manifest (e.g. one parsed from JSON).
@@ -113,6 +112,7 @@ impl SweepBuilder {
             out: None,
             resume: false,
             shard: None,
+            progress: None,
         }
     }
 
@@ -228,18 +228,30 @@ impl SweepBuilder {
         self
     }
 
+    /// Stream the sweep's progress events to `log` (`tifl sweep
+    /// --progress`).
+    pub fn progress(&mut self, log: ProgressLog) -> &mut Self {
+        self.progress = Some(Arc::new(log));
+        self
+    }
+
     /// The manifest built so far.
     #[must_use]
     pub fn manifest(&self) -> &SweepManifest {
         &self.manifest
     }
 
-    /// Expand and execute.
+    /// Expand, keep this shard's slice, and execute. With an artifact
+    /// directory, the sweep summary sidecar is rewritten at the end.
     ///
     /// # Panics
     /// Panics if the artifact directory cannot be created (a sweep that
     /// silently drops its persistence would un-resume itself).
     pub fn run(&self) -> SweepReport {
+        let mut runs = self.manifest.expand();
+        if let Some((index, count)) = self.shard {
+            runs = shard_runs(&runs, index, count);
+        }
         #[expect(
             clippy::panic,
             reason = "an unopenable artifact store is unrecoverable for a sweep; aborting with the path is the right surface"
@@ -248,27 +260,23 @@ impl SweepBuilder {
             RunStore::open(dir)
                 .unwrap_or_else(|e| panic!("opening run store {}: {e}", dir.display()))
         });
-        let scheduler = SweepScheduler::new(self.workers);
-        match self.shard {
-            None => scheduler.run(&self.manifest, store.as_ref(), self.resume),
-            Some((index, count)) => {
-                let runs = shard_runs(&self.manifest.expand(), index, count);
-                let report = scheduler.execute(&runs, store.as_ref(), self.resume);
-                if let Some(store) = &store {
-                    if let Err(e) = store.write_summary(&report.summary(self.manifest.name.clone()))
-                    {
-                        #[expect(
-                            clippy::print_stderr,
-                            reason = "operator-facing warning: a lost sidecar must be visible even though the sweep result stands"
-                        )]
-                        {
-                            eprintln!("[sweep] warning: writing sweep summary failed: {e}");
-                        }
-                    }
+        let mut scheduler = SweepScheduler::new(self.workers);
+        if let Some(log) = &self.progress {
+            scheduler = scheduler.with_progress(Arc::clone(log));
+        }
+        let report = scheduler.execute(&runs, store.as_ref(), self.resume);
+        if let Some(store) = &store {
+            if let Err(e) = store.write_summary(&report.summary(self.manifest.name.clone())) {
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator-facing warning: a lost sidecar must be visible even though the sweep result stands"
+                )]
+                {
+                    eprintln!("[sweep] warning: writing sweep summary failed: {e}");
                 }
-                report
             }
         }
+        report
     }
 }
 

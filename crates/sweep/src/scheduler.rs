@@ -15,7 +15,7 @@
 //! only until the last run that needs it has taken it, so the cells of
 //! one experiment train on one `Arc<FederatedDataset>`.
 
-use crate::manifest::{KeyedRun, RunKey, SweepManifest};
+use crate::manifest::{KeyedRun, RunKey};
 use crate::store::{
     host_parallelism, LaneSpan, RunArtifact, RunStore, RunSummaryLine, SweepSummary, WorkerLane,
 };
@@ -284,36 +284,34 @@ impl RunOutcome {
         }
     }
 
-    fn summary_line(&self) -> RunSummaryLine {
+    /// `completed`, `skipped` or `failed`.
+    #[must_use]
+    pub fn status(&self) -> &'static str {
         match self {
-            RunOutcome::Completed {
-                artifact,
-                wall_clock_sec,
-                ..
-            } => RunSummaryLine {
-                key: artifact.key,
-                status: "completed".into(),
-                wall_clock_sec: *wall_clock_sec,
-                summary: Some(artifact.report.summary()),
-                error: None,
-            },
-            RunOutcome::Skipped { artifact } => RunSummaryLine {
-                key: artifact.key,
-                status: "skipped".into(),
-                wall_clock_sec: 0.0,
-                summary: Some(artifact.report.summary()),
-                error: None,
-            },
-            RunOutcome::Failed {
-                key,
-                label: _,
-                message,
-            } => RunSummaryLine {
-                key: *key,
-                status: "failed".into(),
-                wall_clock_sec: 0.0,
-                summary: None,
-                error: Some(message.clone()),
+            RunOutcome::Completed { .. } => "completed",
+            RunOutcome::Skipped { .. } => "skipped",
+            RunOutcome::Failed { .. } => "failed",
+        }
+    }
+
+    /// Wall-clock seconds spent on the run (zero unless completed).
+    #[must_use]
+    pub fn wall_clock_sec(&self) -> f64 {
+        match self {
+            RunOutcome::Completed { wall_clock_sec, .. } => *wall_clock_sec,
+            _ => 0.0,
+        }
+    }
+
+    fn summary_line(&self) -> RunSummaryLine {
+        RunSummaryLine {
+            key: self.key(),
+            status: self.status().into(),
+            wall_clock_sec: self.wall_clock_sec(),
+            summary: self.report().map(TrainingReport::summary),
+            error: match self {
+                RunOutcome::Failed { message, .. } => Some(message.clone()),
+                _ => None,
             },
         }
     }
@@ -423,13 +421,7 @@ impl SweepReport {
     /// pool was, for the occupancy ratio in the summary sidecar.
     #[must_use]
     pub fn worker_busy_sec(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .map(|o| match o {
-                RunOutcome::Completed { wall_clock_sec, .. } => *wall_clock_sec,
-                _ => 0.0,
-            })
-            .sum()
+        self.outcomes.iter().map(RunOutcome::wall_clock_sec).sum()
     }
 
     /// Per-phase host-seconds merged over every completed run — where
@@ -467,7 +459,7 @@ impl SweepReport {
 /// One line of the `--progress` JSONL event stream. Every event
 /// carries the same field set (inapplicable ones are `null`), so
 /// consumers parse each line with one schema and dispatch on `event`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProgressEvent {
     /// `sweep_started` / `run_started` / `run_finished` /
     /// `run_panicked` / `sweep_finished`.
@@ -508,16 +500,7 @@ impl ProgressEvent {
             at_sec,
             total,
             workers: Some(workers),
-            worker: None,
-            index: None,
-            key: None,
-            label: None,
-            status: None,
-            wall_clock_sec: None,
-            phases: None,
-            done: None,
-            eta_sec: None,
-            message: None,
+            ..Self::default()
         }
     }
 
@@ -526,17 +509,11 @@ impl ProgressEvent {
             event: event.to_string(),
             at_sec,
             total,
-            workers: None,
             worker: Some(worker),
             index: Some(run.index),
             key: Some(run.key.to_string()),
             label: Some(run.request.spec.display_label()),
-            status: None,
-            wall_clock_sec: None,
-            phases: None,
-            done: None,
-            eta_sec: None,
-            message: None,
+            ..Self::default()
         }
     }
 }
@@ -596,6 +573,7 @@ impl ProgressLog {
 pub struct SweepScheduler {
     workers: usize,
     clock: Arc<dyn HostClock>,
+    progress: Option<Arc<ProgressLog>>,
 }
 
 impl std::fmt::Debug for SweepScheduler {
@@ -618,6 +596,7 @@ impl SweepScheduler {
         Self {
             workers,
             clock: RealClock::shared(),
+            progress: None,
         }
     }
 
@@ -635,70 +614,31 @@ impl SweepScheduler {
         self.workers
     }
 
-    /// Expand `manifest` and execute it. With a store attached, every
+    /// Stream [`ProgressEvent`]s to `log` (the `tifl sweep --progress`
+    /// JSONL event log).
+    #[must_use]
+    pub fn with_progress(mut self, log: Arc<ProgressLog>) -> Self {
+        self.progress = Some(log);
+        self
+    }
+
+    /// Execute an explicit run list. With a store attached, every
     /// completed run is persisted under its key and (when `resume` is
-    /// set) runs whose valid artifacts already exist are skipped; the
-    /// sweep summary sidecar is rewritten at the end.
-    pub fn run(
-        &self,
-        manifest: &SweepManifest,
-        store: Option<&RunStore>,
-        resume: bool,
-    ) -> SweepReport {
-        self.run_logged(manifest, store, resume, None)
-    }
-
-    /// [`SweepScheduler::run`] with an optional JSONL progress stream
-    /// (the `tifl sweep --progress` path).
-    pub fn run_logged(
-        &self,
-        manifest: &SweepManifest,
-        store: Option<&RunStore>,
-        resume: bool,
-        progress: Option<&ProgressLog>,
-    ) -> SweepReport {
-        let runs = manifest.expand();
-        let report = self.execute_logged(&runs, store, resume, progress);
-        if let Some(store) = store {
-            if let Err(e) = store.write_summary(&report.summary(manifest.name.clone())) {
-                #[expect(
-                    clippy::print_stderr,
-                    reason = "operator-facing warning: a lost sidecar must be visible even though the sweep result stands"
-                )]
-                {
-                    eprintln!("[sweep] warning: writing sweep summary failed: {e}");
-                }
-            }
-        }
-        report
-    }
-
-    /// Execute an explicit run list (the seam `run` and the tests
-    /// share). Outcomes come back in input order regardless of which
-    /// worker finished which run when.
+    /// set) runs whose valid artifacts already exist are skipped.
+    /// Outcomes come back in input order regardless of which worker
+    /// finished which run when.
+    #[allow(
+        clippy::too_many_lines,
+        reason = "one worker loop; its steps share the scoped borrows above"
+    )]
     pub fn execute(
         &self,
         runs: &[KeyedRun],
         store: Option<&RunStore>,
         resume: bool,
     ) -> SweepReport {
-        self.execute_logged(runs, store, resume, None)
-    }
-
-    /// [`SweepScheduler::execute`] with an optional JSONL progress
-    /// stream.
-    #[allow(
-        clippy::too_many_lines,
-        reason = "one worker loop; its steps share the scoped borrows above"
-    )]
-    pub fn execute_logged(
-        &self,
-        runs: &[KeyedRun],
-        store: Option<&RunStore>,
-        resume: bool,
-        progress: Option<&ProgressLog>,
-    ) -> SweepReport {
         let clock = self.clock.as_ref();
+        let progress = self.progress.as_deref();
         let t0 = clock.now_sec();
         let total = runs.len();
         let cache = ProfileCache::new();
@@ -725,94 +665,83 @@ impl SweepScheduler {
             log.emit(&ProgressEvent::sweep("sweep_started", 0.0, total, workers));
         }
 
-        std::thread::scope(|scope| {
-            let slots = &slots;
-            let cache = &cache;
-            let datasets = &datasets;
-            let data_keys = &data_keys;
-            let next = &next;
-            let finished = &finished;
-            let share = &share;
-            for (w, lane_slot) in lane_slots.iter().enumerate() {
-                scope.spawn(move || {
-                    let mut lane: Vec<LaneSpan> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= total {
-                            break;
-                        }
-                        let run = &runs[i];
-                        let start_sec = clock.now_sec() - t0;
-                        if let Some(log) = progress {
-                            log.emit(&ProgressEvent::run("run_started", start_sec, total, w, run));
-                        }
-                        let data = datasets.claim(data_keys[i]);
-                        let outcome =
-                            share.install(|| execute_one(run, cache, data, store, resume, clock));
-                        let end_sec = clock.now_sec() - t0;
-                        let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
-                        let tag = match &outcome {
-                            RunOutcome::Completed { wall_clock_sec, .. } => {
-                                format!("done in {wall_clock_sec:.1}s")
-                            }
-                            RunOutcome::Skipped { .. } => "skipped (artifact exists)".into(),
-                            RunOutcome::Failed { message, .. } => format!("FAILED: {message}"),
-                        };
-                        #[expect(
-                            clippy::print_stderr,
-                            reason = "operator-facing progress line for long sweeps; stderr only, never part of results"
-                        )]
-                        {
-                            eprintln!(
-                                "[sweep] {done}/{total} {} ({}): {tag}",
-                                outcome.label(),
-                                run.key,
-                            );
-                        }
-                        if let Some(log) = progress {
-                            let name = if outcome.is_failed() {
-                                "run_panicked"
-                            } else {
-                                "run_finished"
-                            };
-                            let mut event = ProgressEvent::run(name, end_sec, total, w, run);
-                            event.status = Some(
-                                match &outcome {
-                                    RunOutcome::Completed { .. } => "completed",
-                                    RunOutcome::Skipped { .. } => "skipped",
-                                    RunOutcome::Failed { .. } => "failed",
-                                }
-                                .to_string(),
-                            );
-                            event.wall_clock_sec = Some(end_sec - start_sec);
-                            event.done = Some(done);
-                            if let RunOutcome::Completed { phases, .. } = &outcome {
-                                event.phases = Some(*phases);
-                            }
-                            if let RunOutcome::Failed { message, .. } = &outcome {
-                                event.message = Some(message.clone());
-                            }
-                            // ETA from the completed-run rate so far:
-                            // runs-per-second over the elapsed window,
-                            // extrapolated to the remainder.
-                            if end_sec > 0.0 && done < total {
-                                let rate = done as f64 / end_sec;
-                                event.eta_sec = Some((total - done) as f64 / rate);
-                            }
-                            log.emit(&event);
-                        }
-                        lane.push(LaneSpan {
-                            index: run.index,
-                            key: run.key,
-                            label: outcome.label().to_string(),
-                            start_sec,
-                            end_sec,
-                            phases: outcome.phases(),
-                        });
-                        *slots[i].lock().expect("outcome slot poisoned") = Some(outcome);
+        // One worker: it takes the next run until none is left, then
+        // files its lane. It only borrows, so every thread gets a copy.
+        let worker = |w: usize, lane_slot: &Mutex<Vec<LaneSpan>>| {
+            let mut lane: Vec<LaneSpan> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                if i >= total {
+                    break;
+                }
+                let run = &runs[i];
+                let start_sec = clock.now_sec() - t0;
+                if let Some(log) = progress {
+                    log.emit(&ProgressEvent::run("run_started", start_sec, total, w, run));
+                }
+                let data = datasets.claim(data_keys[i]);
+                let outcome =
+                    share.install(|| execute_one(run, &cache, data, store, resume, clock));
+                let end_sec = clock.now_sec() - t0;
+                let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
+                let tag = match &outcome {
+                    RunOutcome::Completed { wall_clock_sec, .. } => {
+                        format!("done in {wall_clock_sec:.1}s")
                     }
-                    *lane_slot.lock().expect("lane slot poisoned") = lane;
+                    RunOutcome::Skipped { .. } => "skipped (artifact exists)".into(),
+                    RunOutcome::Failed { message, .. } => format!("FAILED: {message}"),
+                };
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator-facing progress line for long sweeps; stderr only, never part of results"
+                )]
+                {
+                    eprintln!(
+                        "[sweep] {done}/{total} {} ({}): {tag}",
+                        outcome.label(),
+                        run.key,
+                    );
+                }
+                if let Some(log) = progress {
+                    let name = if outcome.is_failed() {
+                        "run_panicked"
+                    } else {
+                        "run_finished"
+                    };
+                    let mut event = ProgressEvent::run(name, end_sec, total, w, run);
+                    event.status = Some(outcome.status().to_string());
+                    event.wall_clock_sec = Some(end_sec - start_sec);
+                    event.done = Some(done);
+                    if let RunOutcome::Completed { phases, .. } = &outcome {
+                        event.phases = Some(*phases);
+                    }
+                    if let RunOutcome::Failed { message, .. } = &outcome {
+                        event.message = Some(message.clone());
+                    }
+                    // ETA from the completed-run rate so far:
+                    // runs-per-second over the elapsed window,
+                    // extrapolated to the remainder.
+                    if end_sec > 0.0 && done < total {
+                        let rate = done as f64 / end_sec;
+                        event.eta_sec = Some((total - done) as f64 / rate);
+                    }
+                    log.emit(&event);
+                }
+                lane.push(LaneSpan {
+                    index: run.index,
+                    key: run.key,
+                    label: outcome.label().to_string(),
+                    start_sec,
+                    end_sec,
+                    phases: outcome.phases(),
                 });
+                *slots[i].lock().expect("outcome slot poisoned") = Some(outcome);
+            }
+            *lane_slot.lock().expect("lane slot poisoned") = lane;
+        };
+        std::thread::scope(|scope| {
+            for (w, lane_slot) in lane_slots.iter().enumerate() {
+                scope.spawn(move || worker(w, lane_slot));
             }
         });
 
@@ -1000,7 +929,7 @@ mod tests {
 
     #[test]
     fn planned_entries_die_with_their_last_claimant() {
-        // `execute_logged`'s worker loop in miniature over four
+        // `execute`'s worker loop in miniature over four
         // experiments × three cells in canonical order: every cell
         // claims its dataset, then is resumed past or fails early
         // (cells 1, 6, 11 drop the claim), or takes the data, trains
@@ -1076,7 +1005,7 @@ mod tests {
     #[test]
     fn sweep_shares_one_profile_across_tiered_runs() {
         let manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5), Policy::slow(5)]);
-        let report = SweepScheduler::new(2).run(&manifest, None, false);
+        let report = SweepScheduler::new(2).execute(&manifest.expand(), None, false);
         assert_eq!(report.completed(), 3);
         assert_eq!(report.failed(), 0);
         assert_eq!(
@@ -1131,7 +1060,7 @@ mod tests {
     #[test]
     fn vanilla_sweeps_never_profile() {
         let manifest = SweepManifest::new(ExperimentConfig::tiny(61));
-        let report = SweepScheduler::new(1).run(&manifest, None, false);
+        let report = SweepScheduler::new(1).execute(&manifest.expand(), None, false);
         assert_eq!(report.completed(), 1);
         assert_eq!(report.profiles_computed, 0);
     }
@@ -1185,7 +1114,7 @@ mod tests {
     #[test]
     fn completed_runs_carry_phase_totals_and_lanes() {
         let manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5)]);
-        let report = SweepScheduler::new(2).run(&manifest, None, false);
+        let report = SweepScheduler::new(2).execute(&manifest.expand(), None, false);
         assert_eq!(report.completed(), 2);
         for outcome in &report.outcomes {
             let phases = outcome.phases();
@@ -1213,7 +1142,7 @@ mod tests {
         let manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5)]);
         let report = SweepScheduler::new(1)
             .with_clock(FrozenClock::shared())
-            .run(&manifest, None, false);
+            .execute(&manifest.expand(), None, false);
         assert_eq!(report.completed(), 2);
         assert_eq!(report.worker_lanes.len(), 1);
         let lane = &report.worker_lanes[0];
@@ -1229,10 +1158,8 @@ mod tests {
 
     #[test]
     fn progress_log_streams_parseable_events() {
-        use std::sync::Arc as StdArc;
-
         #[derive(Clone, Default)]
-        struct SharedBuf(StdArc<Mutex<Vec<u8>>>);
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
         impl Write for SharedBuf {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
                 self.0.lock().expect("buf").extend_from_slice(buf);
@@ -1247,7 +1174,9 @@ mod tests {
         let log = ProgressLog::to_writer(Box::new(buf.clone()));
         let manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5)]);
         let runs = manifest.expand();
-        let report = SweepScheduler::new(2).execute_logged(&runs, None, false, Some(&log));
+        let report = SweepScheduler::new(2)
+            .with_progress(Arc::new(log))
+            .execute(&runs, None, false);
         assert_eq!(report.completed(), 2);
 
         let bytes = buf.0.lock().expect("buf").clone();
@@ -1293,7 +1222,9 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("progress.jsonl");
         let log = ProgressLog::create(&path).expect("log opens");
-        let report = SweepScheduler::new(1).execute_logged(&runs, None, false, Some(&log));
+        let report = SweepScheduler::new(1)
+            .with_progress(Arc::new(log))
+            .execute(&runs, None, false);
         assert_eq!(report.failed(), 1);
         let text = std::fs::read_to_string(&path).expect("log readable");
         let events: Vec<ProgressEvent> = text

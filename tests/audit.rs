@@ -392,6 +392,34 @@ fn report_cli_does_not_create_a_missing_store() {
     assert!(!dir.exists(), "report created {}", dir.display());
 }
 
+#[test]
+fn merge_cli_creates_nothing_when_an_input_is_missing() {
+    let (present, missing, out) = (
+        tmp_dir("merge-present"),
+        tmp_dir("merge-missing"),
+        tmp_dir("merge-out"),
+    );
+    std::fs::create_dir_all(&present).expect("temp dir");
+    let out_cmd = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .arg("merge")
+        .args([&present, &missing])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("tifl runs");
+    let stderr = String::from_utf8_lossy(&out_cmd.stderr);
+    assert_eq!(out_cmd.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "[tifl] no store directory at {}",
+            missing.display()
+        )),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "merge created {}", out.display());
+    let _ = std::fs::remove_dir_all(&present);
+}
+
 // -- shard + merge -----------------------------------------------------------
 
 #[test]

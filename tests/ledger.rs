@@ -254,3 +254,40 @@ fn every_vendored_shim_has_a_first_party_dependent() {
         );
     }
 }
+
+/// The command names of `tifl help` and of README's "The `tifl` CLI"
+/// table must be the same set: a command without a row, or a row
+/// naming a command that is gone, fails.
+#[test]
+fn every_cli_command_has_a_readme_row() {
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .arg("help")
+        .output()
+        .expect("tifl binary runs");
+    let help = String::from_utf8(help.stdout).expect("utf-8 help");
+    let listed: BTreeSet<&str> = help
+        .lines()
+        .filter_map(|line| line.strip_prefix("  tifl ")?.split_whitespace().next())
+        .collect();
+    assert!(listed.len() >= 10, "{help}");
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let (_, section) = readme
+        .split_once("## The `tifl` CLI")
+        .expect("README has a CLI section");
+    let table = section.split("\n## ").next().unwrap_or_default();
+    let rows: BTreeSet<&str> = table
+        .lines()
+        .filter_map(|line| line.strip_prefix("| "))
+        .flat_map(|row| {
+            row.split(" | ")
+                .next()
+                .unwrap_or_default()
+                .split("`tifl ")
+                .skip(1)
+        })
+        .filter_map(|usage| usage.split([' ', '`']).next())
+        .collect();
+    assert_eq!(listed, rows, "`tifl help` vs README's CLI table");
+}

@@ -426,27 +426,131 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
     let request_json = serde_json::to_string_pretty(&request).unwrap();
     let report_json = serde_json::to_string_pretty(&request.run()).unwrap();
     let missing = dir.join("missing.json").to_str().unwrap().to_string();
-    let truncated = write("truncated.json", &request_json[..request_json.len() / 2]);
     let report = write("report.json", &report_json);
     let a_request = write("request.json", &request_json);
 
-    // (command prefix, the operand that is the wrong document for it)
-    let commands: [(&[&str], &str); 4] = [
-        (&["run", "--spec"], &report),
-        (&["sweep"], &report),
-        (&["profile"], &report),
-        (&["diff"], &a_request),
-    ];
-    for (command, wrong_shape) in commands {
-        for bad in [missing.as_str(), truncated.as_str(), wrong_shape] {
-            let mut args = command.to_vec();
-            args.push(bad);
-            if command == ["diff"] {
-                args.push(&report); // a good second operand
+    let config = write(
+        "config.json",
+        &serde_json::to_string(&request.experiment).unwrap(),
+    );
+    let sweep = write(
+        "sweep.json",
+        &serde_json::to_string(&SweepManifest::new(tiny(86))).unwrap(),
+    );
+    let good_store = RunStore::open(dir.join("good-store")).expect("store opens");
+    good_store
+        .write(&RunArtifact::new(
+            RunKey::of(&request),
+            request.clone(),
+            request.run(),
+        ))
+        .expect("artifact writes");
+    let good_store = good_store.dir().to_str().unwrap().to_string();
+
+    // Every command `tifl help` lists, walked from its usage line: a
+    // missing operand and an unknown flag are usage errors; a document
+    // operand that is missing, cut off or the wrong document, and a
+    // store operand that does not exist, fail on exit 1 naming it.
+    let tifl = |args: &[String]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(args)
+            .current_dir(&dir) // a stray default store lands here
+            .output()
+            .expect("tifl binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked at"), "tifl {args:?}: {stderr}");
+        (out.status.code(), out.stdout.is_empty(), stderr)
+    };
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .arg("help")
+        .output()
+        .expect("tifl binary runs");
+    let help = String::from_utf8(help.stdout).expect("utf-8 help");
+    let usages: Vec<&str> = help
+        .lines()
+        .filter_map(|l| l.strip_prefix("  tifl "))
+        .collect();
+    assert!(usages.len() >= 10, "{help}");
+    for (n, usage) in usages.iter().enumerate() {
+        // Its own words, then operands and required flags up to the
+        // first optional flag, each operand filled with a good input.
+        let tokens: Vec<&str> = usage.split_whitespace().collect();
+        let own = tokens
+            .iter()
+            .take_while(|t| !t.starts_with(['<', '[']))
+            .count();
+        let mut args: Vec<String> = tokens[..own].iter().map(|t| t.to_string()).collect();
+        let (mut operands, mut rest) = (Vec::new(), tokens[own..].iter());
+        while let Some(token) = rest.next().filter(|t| !t.starts_with('[')) {
+            if token.starts_with("--") {
+                let out = dir.join(format!("out-{n}"));
+                args.extend([token.to_string(), out.to_str().unwrap().to_string()]);
+                rest.next();
+                continue;
             }
-            tifl_fails_on(&dir, &args, bad);
+            let good = match token.trim_end_matches("...") {
+                // `init` writes its operand.
+                _ if args[0] == "init" => {
+                    dir.join(format!("init-{n}.json")).to_str().unwrap().into()
+                }
+                "<config.json>" => config.clone(),
+                "<run.json>" | "<run-or-artifact.json>" => a_request.clone(),
+                "<sweep.json>" => sweep.clone(),
+                "<a.json>" | "<b.json>" => report.clone(),
+                "<store-dir>" => good_store.clone(),
+                words if words.contains('|') => words[1..words.find('|').unwrap()].to_string(),
+                other => panic!("no fixture for {other} in `tifl {usage}`: add one"),
+            };
+            operands.push((args.len(), *token, good.clone()));
+            args.push(good.clone());
+        }
+        let expect_usage_error = |args: &[String]| {
+            let (code, quiet, stderr) = tifl(args);
+            assert_eq!(code, Some(2), "tifl {args:?}: {stderr}");
+            assert!(
+                quiet && stderr.contains("usage: tifl "),
+                "tifl {args:?}: {stderr}"
+            );
+        };
+        expect_usage_error(&[args.clone(), vec!["--bogus".into()]].concat());
+        if let Some(&(last, ..)) = operands.last() {
+            let mut short = args.clone();
+            short.remove(last);
+            expect_usage_error(&short);
+        }
+        for (at, placeholder, good) in operands {
+            let bad_inputs = if args[0] == "init" {
+                let (code, _, stderr) = tifl(&args);
+                assert_eq!(code, Some(0), "tifl {args:?}: {stderr}");
+                assert!(std::path::Path::new(&good).exists());
+                vec![]
+            } else if placeholder.starts_with("<store-dir>") {
+                vec![dir.join("no-store").to_str().unwrap().to_string()]
+            } else if placeholder.ends_with(".json>") {
+                let text = std::fs::read_to_string(&good).unwrap();
+                let wrong = if good == report { &a_request } else { &report };
+                let cut = write(&format!("cut-{n}-{at}.json"), &text[..text.len() / 2]);
+                vec![missing.clone(), cut, wrong.clone()]
+            } else {
+                vec![]
+            };
+            for bad in bad_inputs {
+                let mut line = args.clone();
+                line[at] = bad.clone();
+                let (code, quiet, stderr) = tifl(&line);
+                assert_eq!(code, Some(1), "tifl {line:?}: {stderr}");
+                assert!(quiet && stderr.contains(&bad), "tifl {line:?}: {stderr}");
+                if placeholder.ends_with(".json>") {
+                    assert!(stderr.contains(&format!("[tifl] {bad}: ")), "{stderr}");
+                }
+                for created in ["no-store", "sweep-artifacts", &format!("out-{n}")] {
+                    assert!(!dir.join(created).exists(), "tifl {line:?} made {created}");
+                }
+            }
         }
     }
+    let shard = ["sweep", &sweep, "--shard", "3/2"].map(String::from);
+    assert_eq!(tifl(&shard).0, Some(2));
 
     // A document naming a deleted variant is one more unloadable
     // input: every entry point answers with a typed error naming the
@@ -569,21 +673,47 @@ fn cli_usage_errors_exit_2() {
     // run, or a check that found a problem.
     let dir = std::env::temp_dir().join(format!("tifl-usage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let malformed: [&[&str]; 5] = [
+    std::fs::create_dir_all(dir.join("store")).expect("store dir");
+    let malformed: [&[&str]; 10] = [
         &[],
         &["frobnicate"],
         &["sweep", "m.json", "--workers", "abc"],
         &["report", "d", "--target", "abc"],
         &["sweep", "m.json", "--shard", "3/2"],
+        // A malformed flag is caught before any file is read.
+        &["diff", "missing.json", "b.json", "--format", "xml"],
+        &["audit", "store", "--format", "xml", "--out", "a.json"],
+        &["run", "--spec", "r.json", "--threads"],
+        &["trace", "r.json", "--bogus"],
+        &["merge", "a", "--deny"],
     ];
-    for args in malformed {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+    let tifl = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
             .args(args)
             .current_dir(&dir)
             .output()
-            .expect("tifl binary runs");
+            .expect("tifl binary runs")
+    };
+    for args in malformed {
+        let out = tifl(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "tifl {args:?}: {stderr}");
+    }
+    assert!(!dir.join("a.json").exists(), "audit wrote its report");
+
+    // Help is not an error: every command, on stdout.
+    let help = tifl(&["help"]);
+    assert_eq!(help.status.code(), Some(0));
+    assert_eq!(tifl(&["--help"]).stdout, help.stdout);
+    let help = String::from_utf8(help.stdout).expect("utf-8 help");
+    for command in [
+        "init", "profile", "estimate", "run", "sweep", "trace", "diff", "audit", "merge", "report",
+        "help",
+    ] {
+        assert!(
+            help.contains(&format!("  tifl {command}")),
+            "{command}: {help}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -592,7 +722,8 @@ fn cli_usage_errors_exit_2() {
 fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() {
     // Too few classes or the wrong input width used to die inside a
     // pool worker (`label 8 out of range for 5 classes`, exit 101).
-    // Every command that loads such a document now answers
+    // Every command that loads such a document — a run request, a
+    // sweep manifest or a bare config — now answers
     // `[tifl] <path>: model … / data …` before it builds a session.
     let dir = std::env::temp_dir().join(format!("tifl-misfit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -634,19 +765,45 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
         };
         let run = file("run", serde_json::to_string(&request).unwrap());
         let sweep = file("sweep", serde_json::to_string(&manifest).unwrap());
+        let config = file(
+            "config",
+            serde_json::to_string(&manifest.experiment).unwrap(),
+        );
+        // An artifact records the misfit request beside a report of a
+        // run that fits: `trace` re-runs the request, `diff` only reads
+        // the report.
+        let fitting = RunRequest {
+            experiment: tiny(88),
+            ..request.clone()
+        };
+        let artifact = RunArtifact::new(RunKey::of(&request), request, fitting.run());
+        let artifact = file("artifact", serde_json::to_string(&artifact).unwrap());
         let dir = dir.clone();
         within_two_minutes(move || {
             for (args, path) in [
                 (&["run", "--spec", &run, "--threads", "2"][..], &run),
                 (&["sweep", &sweep, "--workers", "2"], &sweep),
                 (&["trace", &run], &run),
+                (&["trace", &artifact], &artifact),
+                (&["run", &config, "uniform"], &config),
+                (&["profile", &config], &config),
+                (&["estimate", &config], &config),
             ] {
                 let stderr = tifl_fails_on(&dir, args, path);
                 assert!(
                     stderr.contains(": model takes ") && stderr.contains(" / data Mnist has "),
                     "tifl {args:?}: {stderr}"
                 );
+                assert!(
+                    !stderr.contains("nor an artifact") || path == &run,
+                    "{stderr}"
+                );
             }
+            let diff = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+                .args(["diff", &artifact, &artifact])
+                .output()
+                .expect("tifl binary runs");
+            assert_eq!(diff.status.code(), Some(0), "{diff:?}");
         })
         .expect("every command fails cleanly");
     }

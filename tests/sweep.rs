@@ -76,7 +76,7 @@ fn sweep_equals_serial_request_loop_bit_for_bit() {
     let serial: Vec<TrainingReport> = runs.iter().map(|r| r.request.run()).collect();
 
     for workers in [1, 4] {
-        let sweep = SweepScheduler::new(workers).run(&manifest, None, false);
+        let sweep = SweepScheduler::new(workers).execute(&runs, None, false);
         assert_eq!(sweep.failed(), 0, "workers={workers}");
         let reports = sweep.into_reports();
         assert_eq!(
@@ -89,7 +89,7 @@ fn sweep_equals_serial_request_loop_bit_for_bit() {
 #[test]
 fn sweep_shares_one_profile_per_topology() {
     let manifest = backend_matrix();
-    let sweep = SweepScheduler::new(4).run(&manifest, None, false);
+    let sweep = SweepScheduler::new(4).execute(&manifest.expand(), None, false);
     // One experiment, one comm axis: the four tiered/adaptive cells
     // (2 selections × 2 backends) share a single profiling pass.
     assert_eq!(sweep.profiles_computed, 1);
@@ -100,17 +100,17 @@ fn sweep_builds_one_dataset_per_experiment() {
     // One experiment: the first of the six cells to arrive builds, the
     // other five train on its dataset.
     let mut manifest = backend_matrix();
-    let sweep = SweepScheduler::new(4).run(&manifest, None, false);
+    let sweep = SweepScheduler::new(4).execute(&manifest.expand(), None, false);
     assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (1, 5));
 
     // The seed and the pool size both change the data; nothing else
     // on the axes does.
     manifest.axes.seeds = vec![42, 43];
-    let sweep = SweepScheduler::new(4).run(&manifest, None, false);
+    let sweep = SweepScheduler::new(4).execute(&manifest.expand(), None, false);
     assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (2, 10));
     manifest.axes.clients = vec![10, 15, 20];
     manifest.axes.seeds = vec![42];
-    let sweep = SweepScheduler::new(2).run(&manifest, None, false);
+    let sweep = SweepScheduler::new(2).execute(&manifest.expand(), None, false);
     assert_eq!(sweep.failed(), 0);
     assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (3, 15));
     let summary = sweep.summary(None);
@@ -186,7 +186,7 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     // Reference: the uninterrupted sweep.
     let clean_dir = tmp_dir("clean");
     let clean_store = RunStore::open(&clean_dir).expect("store opens");
-    let clean = SweepScheduler::new(2).run(&full, Some(&clean_store), false);
+    let clean = SweepScheduler::new(2).execute(&full.expand(), Some(&clean_store), false);
     assert_eq!(clean.completed(), 6);
     assert_eq!(clean.profiles_computed, 2, "one profile per seed");
 
@@ -196,7 +196,7 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     prefix.axes.seeds = vec![7];
     let resumed_dir = tmp_dir("resumed");
     let resumed_store = RunStore::open(&resumed_dir).expect("store opens");
-    let partial = SweepScheduler::new(2).run(&prefix, Some(&resumed_store), false);
+    let partial = SweepScheduler::new(2).execute(&prefix.expand(), Some(&resumed_store), false);
     assert_eq!(partial.completed(), 3);
     assert_eq!(partial.profiles_computed, 1);
     let pre_existing: Vec<(std::path::PathBuf, std::time::SystemTime)> = resumed_store
@@ -211,7 +211,7 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     assert_eq!(pre_existing.len(), 3);
 
     // Resume the full manifest over the half-filled store.
-    let resumed = SweepScheduler::new(2).run(&full, Some(&resumed_store), true);
+    let resumed = SweepScheduler::new(2).execute(&full.expand(), Some(&resumed_store), true);
     assert_eq!(resumed.skipped(), 3, "completed run keys must be skipped");
     assert_eq!(resumed.completed(), 3);
     assert_eq!(
@@ -252,14 +252,14 @@ fn resume_reruns_cells_whose_artifacts_do_not_validate() {
     manifest.axes.seeds = vec![1, 2];
     let dir = tmp_dir("invalid");
     let store = RunStore::open(&dir).expect("store opens");
-    let first = SweepScheduler::new(1).run(&manifest, Some(&store), false);
+    let first = SweepScheduler::new(1).execute(&manifest.expand(), Some(&store), false);
     assert_eq!(first.completed(), 2);
 
     // Corrupt one artifact; a manifest edit changes the other cell's
     // key entirely (so its old artifact is simply unreferenced).
     let keys = store.keys();
     std::fs::write(store.path_of(keys[0]), "not json").expect("corrupt");
-    let resumed = SweepScheduler::new(1).run(&manifest, Some(&store), true);
+    let resumed = SweepScheduler::new(1).execute(&manifest.expand(), Some(&store), true);
     assert_eq!(resumed.completed(), 1, "corrupt artifact must re-run");
     assert_eq!(resumed.skipped(), 1);
     for run in manifest.expand() {
