@@ -404,21 +404,27 @@ impl ExperimentConfig {
     }
 
     /// Whether the model can train on this config's data: it takes the
-    /// family's feature count and scores at least the family's classes.
-    /// `Err` names both sides. The `tifl` CLI asks when it loads a
-    /// document; a session built from a misfit config still panics.
+    /// family's feature count, its hidden layer has at least one unit,
+    /// and it scores at least the family's classes. `Err` names both
+    /// sides. The `tifl` CLI asks when it loads a document; a session
+    /// built from a misfit config still panics.
     ///
     /// # Errors
-    /// The model's input width or class count does not fit the data.
+    /// The model's input width or class count does not fit the data,
+    /// or its hidden layer is empty.
     pub fn model_fits_data(&self) -> Result<(), String> {
         let data = SynthSpec::family(self.family);
-        let (input, classes) = (self.model.input_features(), self.model.classes());
-        if input == data.features() && classes >= data.classes {
+        let (input, hidden, classes) = (
+            self.model.input_features(),
+            self.model.hidden(),
+            self.model.classes(),
+        );
+        if input == data.features() && hidden > 0 && classes >= data.classes {
             return Ok(());
         }
         Err(format!(
-            "model takes {input} features and scores {classes} classes / data {:?} has {} \
-             features and {} classes",
+            "model takes {input} features into {hidden} hidden units and scores {classes} \
+             classes / data {:?} has {} features and {} classes",
             self.family,
             data.features(),
             data.classes

@@ -45,6 +45,13 @@ impl ModelSpec {
         input
     }
 
+    /// Width of the hidden layer.
+    #[must_use]
+    pub fn hidden(&self) -> usize {
+        let ModelSpec::Mlp { hidden, .. } = *self;
+        hidden
+    }
+
     /// Number of output classes.
     #[must_use]
     pub fn classes(&self) -> usize {

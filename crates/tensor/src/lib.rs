@@ -9,9 +9,12 @@
 //! Everything is deterministic given a seed: there is no global RNG and
 //! no use of system entropy anywhere in the workspace.
 //!
-//! This is the only workspace crate allowed to contain `unsafe` (the
-//! unchecked float-to-int conversion of [`codec`]'s quantizer); every
-//! block carries a `// SAFETY:` contract.
+//! This is the only workspace crate allowed to contain `unsafe`: the
+//! unchecked float-to-int conversion of [`codec`]'s quantizer, and the
+//! calls into the AVX2 copies of [`ops`]' train-step kernels, made only
+//! after the CPU reported AVX2. Every block carries a `// SAFETY:`
+//! contract. Elsewhere the workspace's `unsafe_code = "deny"` rejects
+//! `unsafe`, and its `tests/ledger.rs` fails on a waiver of that lint.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -27,6 +27,23 @@
 //! on about every other element, and a misprediction costs more than
 //! the ten-column row of multiply-adds it skips: the output layer's
 //! GEMMs ran at two to three times their dense cost with it.
+//!
+//! # Two compiled copies of the train-step kernels
+//! Two loops hold most of a client's training time: the GEMM row
+//! kernel behind [`matmul`] and [`matmul_transpose_b`], and the rank-1
+//! updates of [`matmul_transpose_a_into`]. Each body is written once,
+//! as plain `#[inline(always)]` code, and on x86-64 a
+//! `#[target_feature(enable = "avx2")]` wrapper compiles it a second
+//! time, so the loop vectoriser uses 8 lanes instead of the baseline's
+//! 4. Each kernel call asks [`KernelCopy::detect`] which copy to run:
+//! AVX2 when `is_x86_feature_detected!("avx2")` says the CPU has it,
+//! the portable copy otherwise and on every other target.
+//!
+//! The copies cannot differ in a bit. Every lane does the IEEE `mul`
+//! and `add` the scalar expression names, in the same `k` order; only
+//! `avx2` is enabled, not `fma`, so no `a * b + c` can become one
+//! rounding. `tests/kernels.rs` runs both copies against the naive
+//! references.
 
 use crate::Matrix;
 use rayon::prelude::*;
@@ -35,10 +52,76 @@ use std::cell::Cell;
 /// Problems smaller than this many multiply-adds run sequentially.
 const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
+/// Which compiled copy of the train-step kernels runs (module docs).
+/// The public kernels run [`KernelCopy::detect`]; the hidden `*_with`
+/// entry points take a copy, so tests can run both on an AVX2 host.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct KernelCopy {
+    /// Set only by [`KernelCopy::avx2`], after the CPU reported AVX2.
+    avx2: bool,
+}
+
+impl KernelCopy {
+    /// The copy every target compiles, in baseline instructions.
+    pub const PORTABLE: Self = Self { avx2: false };
+
+    /// The AVX2 copy, if this CPU has AVX2; `None` on other CPUs and
+    /// targets.
+    #[must_use]
+    pub fn avx2() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Self { avx2: true });
+        }
+        None
+    }
+
+    /// The copy the public kernels run: AVX2 when the CPU has it.
+    #[must_use]
+    pub fn detect() -> Self {
+        Self::avx2().unwrap_or(Self::PORTABLE)
+    }
+}
+
+/// Make the kernel function `$kernel` a [`KernelCopy`] method that runs
+/// it in that copy: on x86-64 through a nested wrapper that compiles
+/// `$kernel` again with AVX2 and nothing else (module docs). `$kernel`
+/// must be `#[inline(always)]`, and so must every helper it calls: code
+/// not inlined into the wrapper compiles for the baseline only.
+macro_rules! two_copies {
+    ($kernel:ident $(<const $c:ident: bool>)? ($($arg:ident: $ty:ty),*)) => {
+        impl KernelCopy {
+            fn $kernel$(<const $c: bool>)?(self, $($arg: $ty),*) {
+                #[cfg(target_arch = "x86_64")]
+                #[target_feature(enable = "avx2")]
+                fn avx2$(<const $c: bool>)?($($arg: $ty),*) {
+                    $kernel$(::<$c>)?($($arg),*);
+                }
+                if self.avx2 {
+                    #[cfg(target_arch = "x86_64")]
+                    #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
+                    // SAFETY: `self.avx2` is set only by `KernelCopy::avx2`,
+                    // after `is_x86_feature_detected!("avx2")` returned true.
+                    return unsafe { avx2$(::<$c>)?($($arg),*) };
+                }
+                $kernel$(::<$c>)?($($arg),*);
+            }
+        }
+    };
+}
+
+two_copies!(gemm_row<const SKIP_ZEROS: bool>(a_row: &[f32], b: &[f32], out_row: &mut [f32]));
+two_copies!(rank1_updates(a: &Matrix, b: &Matrix, out: &mut [f32]));
+
 /// Run `kernel` on every `(index, row)` of `out`; rows run in parallel
-/// once the GEMM has [`PAR_THRESHOLD`] multiply-adds.
+/// once the GEMM has [`PAR_THRESHOLD`] multiply-adds. An `m x 0` output
+/// has nothing to compute.
 fn for_each_row(out: &mut Matrix, k: usize, kernel: impl Fn((usize, &mut [f32])) + Sync) {
     let n = out.cols();
+    if n == 0 {
+        return;
+    }
     if out.len() * k >= PAR_THRESHOLD {
         out.as_mut_slice()
             .par_chunks_mut(n)
@@ -60,7 +143,7 @@ pub const ZERO_SKIP_STRIP: usize = 64;
 /// as non-zero), ascending, compacted into `idx`: a store and an add
 /// per element, no branch on its value. `strip` holds at most
 /// [`ZERO_SKIP_STRIP`] elements.
-#[inline]
+#[inline(always)]
 fn nonzero_positions<'a>(strip: &[f32], idx: &'a mut [usize; ZERO_SKIP_STRIP]) -> &'a [usize] {
     let mut count = 0;
     for (i, &v) in strip.iter().enumerate() {
@@ -71,7 +154,7 @@ fn nonzero_positions<'a>(strip: &[f32], idx: &'a mut [usize; ZERO_SKIP_STRIP]) -
 }
 
 /// `out_row[j] += a_v * b_row[j]`: the inner loop of every GEMM form.
-#[inline]
+#[inline(always)]
 fn add_scaled_row(out_row: &mut [f32], a_v: f32, b_row: &[f32]) {
     for (o, &b_v) in out_row.iter_mut().zip(b_row) {
         *o += a_v * b_v;
@@ -83,6 +166,7 @@ fn add_scaled_row(out_row: &mut [f32], a_v: f32, b_row: &[f32]) {
 /// loop. A function of its own, not the body of [`gemm_rows`]' closure:
 /// there `out_row` and `b` are captures, and the inner loop re-checks
 /// them for overlap at every position.
+#[inline(always)]
 fn gemm_row<const SKIP_ZEROS: bool>(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
     let n = out_row.len();
     if SKIP_ZEROS {
@@ -101,10 +185,10 @@ fn gemm_row<const SKIP_ZEROS: bool>(a_row: &[f32], b: &[f32], out_row: &mut [f32
 }
 
 /// `out (m x n) += a (m x k) * b (k x n, row-major)`, one output row at
-/// a time.
-fn gemm_rows<const SKIP_ZEROS: bool>(a: &Matrix, b: &[f32], out: &mut Matrix) {
+/// a time, in `copy`.
+fn gemm_rows<const SKIP_ZEROS: bool>(copy: KernelCopy, a: &Matrix, b: &[f32], out: &mut Matrix) {
     for_each_row(out, a.cols(), |(row_idx, out_row)| {
-        gemm_row::<SKIP_ZEROS>(a.row(row_idx), b, out_row);
+        copy.gemm_row::<SKIP_ZEROS>(a.row(row_idx), b, out_row);
     });
 }
 
@@ -114,11 +198,18 @@ fn gemm_rows<const SKIP_ZEROS: bool>(a: &Matrix, b: &[f32], out: &mut Matrix) {
 /// Panics if the inner dimensions disagree.
 #[must_use]
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_with(KernelCopy::detect(), a, b)
+}
+
+/// [`matmul`] in the compiled copy `copy`.
+#[doc(hidden)]
+#[must_use]
+pub fn matmul_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     let mut out = Matrix::zeros(m, n);
-    gemm_rows::<true>(a, b.as_slice(), &mut out);
+    gemm_rows::<true>(copy, a, b.as_slice(), &mut out);
     out
 }
 
@@ -170,6 +261,13 @@ thread_local! {
 /// Panics if the inner dimensions disagree.
 #[must_use]
 pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_transpose_b_with(KernelCopy::detect(), a, b)
+}
+
+/// [`matmul_transpose_b`] in the compiled copy `copy`.
+#[doc(hidden)]
+#[must_use]
+pub fn matmul_transpose_b_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
     assert_eq!(
@@ -182,7 +280,7 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     bt.resize(k * n, 0.0);
     pack_transposed(b, &mut bt);
     let mut out = Matrix::zeros(m, n);
-    gemm_rows::<false>(a, &bt, &mut out);
+    gemm_rows::<false>(copy, a, &bt, &mut out);
     PACKED_BT.set(bt);
     out
 }
@@ -220,6 +318,12 @@ fn pack_transposed(b: &Matrix, bt: &mut [f32]) {
 /// # Panics
 /// Panics if the inner dimensions disagree or `out` is not `m x n`.
 pub fn matmul_transpose_a_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_transpose_a_into_with(KernelCopy::detect(), a, b, out);
+}
+
+/// [`matmul_transpose_a_into`] in the compiled copy `copy`.
+#[doc(hidden)]
+pub fn matmul_transpose_a_into_with(copy: KernelCopy, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (k, m) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(
@@ -229,9 +333,17 @@ pub fn matmul_transpose_a_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "matmul_transpose_a output shape");
     let out = out.as_mut_slice();
     out.fill(0.0);
-    // Accumulate rank-1 updates; sequential over k keeps this deterministic.
+    copy.rank1_updates(a, b, out);
+}
+
+/// `out (m x n) += a^T * b` for `a (k x m)`, `b (k x n)`: one rank-1
+/// update per row of `a`, in `k` order (which keeps it deterministic),
+/// skipping zeros in `a`.
+#[inline(always)]
+fn rank1_updates(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+    let n = b.cols();
     let mut idx = [0; ZERO_SKIP_STRIP];
-    for ki in 0..k {
+    for ki in 0..a.rows() {
         let b_row = b.row(ki);
         for (strip_idx, a_strip) in a.row(ki).chunks(ZERO_SKIP_STRIP).enumerate() {
             for &at in nonzero_positions(a_strip, &mut idx) {

@@ -4,14 +4,35 @@
 //! codec kernels, the GEMMs' zero-skip asymmetry, and the zero skip
 //! itself over sparsity patterns around its compaction strip.
 //!
+//! The GEMM kernels behind the three forms are compiled twice, a
+//! portable copy and on x86-64 an AVX2 one, and each call runs the copy
+//! the CPU supports. Every test of them here runs each copy this CPU
+//! can execute, through the hidden `*_with` entry points, so the
+//! portable copy is pinned on an AVX2 host too.
+//!
 //! Equality is asserted on raw bit patterns, never on approximate
 //! values: the aggregation pipeline's two execution backends are pinned
 //! bit-for-bit equal, so any kernel that reassociates or fuses floats
 //! is a correctness bug here, not a tolerance question.
 
 use proptest::prelude::*;
+use std::sync::Once;
 use tifl::comm::{CodecSpec, EncodeScratch};
+use tifl::tensor::ops::KernelCopy;
 use tifl::tensor::{codec, ops, Matrix, ParamVec};
+
+/// Every compiled copy of the train-step kernels this CPU can run: the
+/// portable one, and the AVX2 one when the CPU has AVX2. Without AVX2
+/// the wide half is reported as skipped, once, instead of failing.
+#[expect(clippy::print_stderr, reason = "a test helper's skip notice")]
+fn copies() -> Vec<KernelCopy> {
+    static SKIPPED: Once = Once::new();
+    let wide = KernelCopy::avx2();
+    if wide.is_none() {
+        SKIPPED.call_once(|| eprintln!("kernels: no AVX2 on this CPU; its copy is skipped"));
+    }
+    std::iter::once(KernelCopy::PORTABLE).chain(wide).collect()
+}
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -62,9 +83,17 @@ fn gemm_reference(
     })
 }
 
-/// All three GEMM forms at `m x k x n` against [`gemm_reference`], and
-/// the packed `A·Bᵀ` against its scalar reference kernel. `a` and `b`
-/// are flat operand data, reshaped per form.
+/// `a^T * b` in `copy`, as a fresh matrix.
+fn matmul_transpose_a_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    ops::matmul_transpose_a_into_with(copy, a, b, &mut out);
+    out
+}
+
+/// All three GEMM forms at `m x k x n`, in every copy, against
+/// [`gemm_reference`], and the packed `A·Bᵀ` against its scalar
+/// reference kernel. `a` and `b` are flat operand data, reshaped per
+/// form.
 fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b: &[f32]) {
     let (m, k, n) = shape;
     let (a, b) = (a[..m * k].to_vec(), b[..k * n].to_vec());
@@ -74,33 +103,40 @@ fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b:
         Matrix::from_vec(k, n, b.clone()),
     );
     let want = gemm_reference(shape, |i, p| x[(i, p)], |p, j| w[(p, j)], true);
-    assert_eq!(
-        gemm_bits(&ops::matmul(&x, &w)),
-        gemm_bits(&want),
-        "matmul {shape:?}"
-    );
+    for copy in copies() {
+        assert_eq!(
+            gemm_bits(&ops::matmul_with(copy, &x, &w)),
+            gemm_bits(&want),
+            "matmul {shape:?} {copy:?}"
+        );
+    }
 
     let xt = Matrix::from_vec(k, m, a.clone());
     let want = gemm_reference(shape, |i, p| xt[(p, i)], |p, j| w[(p, j)], true);
-    assert_eq!(
-        gemm_bits(&ops::matmul_transpose_a(&xt, &w)),
-        gemm_bits(&want),
-        "matmul_transpose_a {shape:?}"
-    );
+    for copy in copies() {
+        assert_eq!(
+            gemm_bits(&matmul_transpose_a_with(copy, &xt, &w)),
+            gemm_bits(&want),
+            "matmul_transpose_a {shape:?} {copy:?}"
+        );
+    }
 
     let wt = Matrix::from_vec(n, k, b);
     let want = gemm_reference(shape, |i, p| x[(i, p)], |p, j| wt[(j, p)], false);
-    let got = ops::matmul_transpose_b(&x, &wt);
-    assert_eq!(
-        gemm_bits(&got),
-        gemm_bits(&want),
-        "matmul_transpose_b {shape:?}"
-    );
-    assert_eq!(
-        gemm_bits(&got),
-        gemm_bits(&ops::matmul_transpose_b_scalar(&x, &wt)),
-        "matmul_transpose_b vs scalar kernel {shape:?}"
-    );
+    let scalar = ops::matmul_transpose_b_scalar(&x, &wt);
+    for copy in copies() {
+        let got = ops::matmul_transpose_b_with(copy, &x, &wt);
+        assert_eq!(
+            gemm_bits(&got),
+            gemm_bits(&want),
+            "matmul_transpose_b {shape:?} {copy:?}"
+        );
+        assert_eq!(
+            gemm_bits(&got),
+            gemm_bits(&scalar),
+            "matmul_transpose_b vs scalar kernel {shape:?} {copy:?}"
+        );
+    }
 }
 
 /// The training shape of the default MLP and one above the GEMMs'
@@ -130,13 +166,21 @@ fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
 fn zero_times_infinity_is_skipped_by_two_gemm_forms_and_not_the_third() {
     let zero_one = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
     let inf_two = Matrix::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
-    assert_eq!(ops::matmul(&zero_one, &inf_two).as_slice(), &[2.0]);
     // a^T b with a = [0 1]^T (2x1), b = [inf 2]^T (2x1).
     let a = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
-    assert_eq!(ops::matmul_transpose_a(&a, &inf_two).as_slice(), &[2.0]);
     // a b^T with b = [inf 2] (1x2): 0 * inf is multiplied through.
     let b = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
-    assert!(ops::matmul_transpose_b(&zero_one, &b).as_slice()[0].is_nan());
+    for copy in copies() {
+        assert_eq!(
+            ops::matmul_with(copy, &zero_one, &inf_two).as_slice(),
+            &[2.0]
+        );
+        assert_eq!(
+            matmul_transpose_a_with(copy, &a, &inf_two).as_slice(),
+            &[2.0]
+        );
+        assert!(ops::matmul_transpose_b_with(copy, &zero_one, &b).as_slice()[0].is_nan());
+    }
     assert!(ops::matmul_transpose_b_scalar(&zero_one, &b).as_slice()[0].is_nan());
 }
 
@@ -196,13 +240,15 @@ fn zeros_in_a_hide_non_finite_b_at_every_strip_position() {
                 Matrix::from_vec(1, len, a.clone()),
                 Matrix::from_vec(1, n, poison.to_vec()),
             );
-            let got = ops::matmul_transpose_a(&a_row, &g);
-            for (i, row) in got.as_slice().chunks(n).enumerate() {
-                assert_eq!(
-                    row.iter().all(|v| v.to_bits() == 0),
-                    a[i] == 0.0,
-                    "matmul_transpose_a len {len} hole {hole} row {i}"
-                );
+            for copy in copies() {
+                let got = matmul_transpose_a_with(copy, &a_row, &g);
+                for (i, row) in got.as_slice().chunks(n).enumerate() {
+                    assert_eq!(
+                        row.iter().all(|v| v.to_bits() == 0),
+                        a[i] == 0.0,
+                        "matmul_transpose_a len {len} hole {hole} row {i} {copy:?}"
+                    );
+                }
             }
         }
     }
@@ -229,16 +275,19 @@ proptest! {
     }
 
     /// Every GEMM form is its naive `k`-ordered reference on awkward
-    /// shapes, with NaN/±inf/−0.0 in both operands and zeros in `a`.
+    /// shapes, with NaN/±inf/−0.0 in both operands and zeros in `a`;
+    /// a zero-size dimension gives an empty or all-zero result. `n`
+    /// reaches 40, so the AVX2 copy of the row kernel meets its
+    /// unrolled 32-column body and every 8-lane remainder after it.
     #[test]
     fn gemm_forms_match_reference_bitwise(
-        m in 1usize..=33,
-        k in 1usize..=33,
-        n in 1usize..=33,
-        a in prop::collection::vec(-4.0f32..4.0, 33 * 33),
-        b in prop::collection::vec(-4.0f32..4.0, 33 * 33),
-        tags_a in prop::collection::vec(0u8..12, 33 * 33),
-        tags_b in prop::collection::vec(0u8..40, 33 * 33),
+        m in 0usize..=33,
+        k in 0usize..=33,
+        n in 0usize..=40,
+        a in prop::collection::vec(-4.0f32..4.0, 33 * 40),
+        b in prop::collection::vec(-4.0f32..4.0, 33 * 40),
+        tags_a in prop::collection::vec(0u8..12, 33 * 40),
+        tags_b in prop::collection::vec(0u8..40, 33 * 40),
     ) {
         let (mut a, mut b) = (a, b);
         assert_gemm_forms_match_reference((m, k, n), &a, &b);

@@ -6,10 +6,11 @@
 //! variant of the enums a `RunRequest` can spell, read from their
 //! source files, must appear in a row. The lint configuration is a
 //! ledger too: every first-party crate opts into it. So is `vendor/`:
-//! every shim stands in for a crate first-party code depends on.
+//! every shim stands in for a crate first-party code depends on. And
+//! `unsafe` stays in `tifl-tensor`, where its crate doc says it is.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The first code span of each "promote or delete next" row.
 const UNCONSUMED: [&str; 8] = [
@@ -64,20 +65,27 @@ fn variants_of(name: &str, source: &str) -> Vec<String> {
     variants
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("a source directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
 /// True when a `.rs` file under `dir` (the frozen benchmark aside)
 /// contains `needle`.
 fn defined_under(dir: &Path, needle: &str) -> bool {
-    std::fs::read_dir(dir)
-        .expect("a source directory")
-        .any(|entry| {
-            let path = entry.expect("a directory entry").path();
-            if path.is_dir() {
-                !path.ends_with("benchmark") && defined_under(&path, needle)
-            } else {
-                path.extension().is_some_and(|e| e == "rs")
-                    && std::fs::read_to_string(&path).is_ok_and(|text| text.contains(needle))
-            }
-        })
+    rust_files(dir).iter().any(|path| {
+        !path.components().any(|c| c.as_os_str() == "benchmark")
+            && std::fs::read_to_string(path).is_ok_and(|text| text.contains(needle))
+    })
 }
 
 #[test]
@@ -185,6 +193,45 @@ fn every_first_party_crate_opts_into_the_workspace_lints() {
             "clippy.toml no longer bans {banned}"
         );
     }
+}
+
+/// `tifl-tensor` is the one crate that holds `unsafe`: its crate doc
+/// and README's "Static analysis" row say so. The workspace's
+/// `unsafe_code = "deny"`, which every crate opts into (the test
+/// above), already rejects an `unsafe` block, fn or impl at compile
+/// time; what it allows is a crate waiving the lint. So no first-party
+/// `.rs` file outside `crates/tensor/src` may name `unsafe_code`, bar
+/// the test suite's counting allocator (a `GlobalAlloc` impl is
+/// `unsafe` by definition). This file names the lint, so it is not
+/// searched.
+#[test]
+fn unsafe_code_stays_in_tifl_tensor() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let allowed = [
+        root.join("crates/tensor/src"),
+        root.join("tests/common/counting_alloc.rs"),
+        root.join(file!()),
+    ];
+    let mut found = Vec::new();
+    for dir in ["src", "crates", "tests", "examples"] {
+        for path in rust_files(&root.join(dir)) {
+            if allowed.iter().any(|a| path.starts_with(a)) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("a source file");
+            for (at, line) in text.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or_default();
+                if code.contains("unsafe_code") {
+                    found.push(format!("{}:{}: {}", path.display(), at + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "an `unsafe_code` waiver outside tifl-tensor:\n{}",
+        found.join("\n")
+    );
 }
 
 /// The package names `manifest` depends on: the keys of its

@@ -720,8 +720,9 @@ fn cli_usage_errors_exit_2() {
 
 #[test]
 fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() {
-    // Too few classes or the wrong input width used to die inside a
-    // pool worker (`label 8 out of range for 5 classes`, exit 101).
+    // Too few classes, the wrong input width or an empty hidden layer
+    // used to die inside a pool worker (`label 8 out of range for 5
+    // classes`, `chunk size must be non-zero`; exit 101).
     // Every command that loads such a document — a run request, a
     // sweep manifest or a bare config — now answers
     // `[tifl] <path>: model … / data …` before it builds a session.
@@ -736,6 +737,11 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
         ModelSpec::Mlp {
             input: 49,
             hidden: 16,
+            classes: 10,
+        },
+        ModelSpec::Mlp {
+            input: 64,
+            hidden: 0,
             classes: 10,
         },
     ];
