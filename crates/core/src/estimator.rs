@@ -37,13 +37,10 @@ pub fn estimate_for_policy(assignment: &TierAssignment, policy: &Policy, rounds:
 }
 
 /// Mean absolute percentage error (Eq. 7):
-/// `|est - actual| / actual * 100`.
-///
-/// # Panics
-/// Panics if `actual` is zero.
+/// `|est - actual| / actual * 100` — NaN when both are zero (a
+/// zero-round run), infinite when only `actual` is.
 #[must_use]
 pub fn mape(estimated: f64, actual: f64) -> f64 {
-    assert!(actual != 0.0, "MAPE undefined for zero actual value");
     (estimated - actual).abs() / actual * 100.0
 }
 
@@ -112,5 +109,6 @@ mod tests {
         assert!((mape(46_242.0, 44_977.0) - 2.812_66).abs() < 1e-3);
         assert_eq!(mape(100.0, 100.0), 0.0);
         assert!((mape(90.0, 100.0) - 10.0).abs() < 1e-12);
+        assert!(mape(0.0, 0.0).is_nan(), "a zero-round run has no error");
     }
 }

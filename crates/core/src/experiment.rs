@@ -1,7 +1,7 @@
 //! Ready-made experiment configurations reproducing the setups of §5.1.
 //!
 //! An [`ExperimentConfig`] bundles dataset family, partition scenario,
-//! hardware profile, model and hyper-parameters; the `paper` driver and
+//! hardware profile, model and hyper-parameters; `tifl paper <id>` and
 //! the examples build one, then compose runs through the
 //! [`crate::runner::Runner`] it hands out via
 //! [`crate::runner::Experiment::runner`]
@@ -49,12 +49,6 @@ pub enum DataScenario {
         /// Classes per client.
         k: usize,
     },
-    /// Shard-based sort-by-label split with 2 shards per client
-    /// (McMahan et al., used for MNIST / FMNIST).
-    Shards {
-        /// Total samples across clients.
-        total: usize,
-    },
     /// Quantity skew: groups own 10/15/20/25/30 % of `total`, IID
     /// content.
     QuantitySkew {
@@ -88,9 +82,6 @@ impl DataScenario {
             }
             DataScenario::ClassLimit { per_client, k } => {
                 partition::class_limit(clients, per_client, classes, k, &mut rng)
-            }
-            DataScenario::Shards { total } => {
-                partition::shards(clients, total, classes, clients * 2, 2, &mut rng)
             }
             DataScenario::QuantitySkew { total } => partition::quantity_skew(
                 clients,

@@ -59,56 +59,6 @@ pub fn iid(clients: usize, per_client: usize, classes: usize, rng: &mut StdRng) 
     Partition { labels, classes }
 }
 
-/// Shard-based non-IID split of McMahan et al. (used for MNIST/FMNIST in
-/// §5.1): sort `total` samples by label, cut into `shards` equal shards,
-/// give each client `shards_per_client` shards. With 2 shards per client
-/// most clients hold samples from at most two classes.
-///
-/// # Panics
-/// Panics unless `shards == clients * shards_per_client` and shards
-/// divide the total evenly.
-#[must_use]
-pub fn shards(
-    clients: usize,
-    total: usize,
-    classes: usize,
-    shards: usize,
-    shards_per_client: usize,
-    rng: &mut StdRng,
-) -> Partition {
-    assert_eq!(
-        shards,
-        clients * shards_per_client,
-        "shards must equal clients * shards_per_client"
-    );
-    assert_eq!(
-        total % shards,
-        0,
-        "total samples must divide evenly into shards"
-    );
-    let shard_size = total / shards;
-
-    // Balanced label pool sorted by value (the "sort by label" step).
-    let mut pool: Vec<usize> = (0..total).map(|i| i * classes / total).collect();
-    pool.sort_unstable();
-
-    let mut shard_ids: Vec<usize> = (0..shards).collect();
-    shard_ids.shuffle(rng);
-
-    let labels = (0..clients)
-        .map(|c| {
-            let mut mine = Vec::with_capacity(shards_per_client * shard_size);
-            for s in 0..shards_per_client {
-                let shard = shard_ids[c * shards_per_client + s];
-                mine.extend_from_slice(&pool[shard * shard_size..(shard + 1) * shard_size]);
-            }
-            mine.shuffle(rng);
-            mine
-        })
-        .collect();
-    Partition { labels, classes }
-}
-
 /// Class-limited non-IID(k) of Zhao et al. (used for CIFAR-10 in §3.3 and
 /// §5.1): every client holds an equal number of samples drawn from
 /// exactly `k` classes (chosen per client), `per_client / k` samples per
@@ -248,35 +198,6 @@ mod tests {
         for c in 0..4 {
             assert_eq!(p.distinct_classes(c), 10, "client {c} missing classes");
         }
-    }
-
-    #[test]
-    fn shards_two_per_client_limits_classes() {
-        // 50 clients, 100 shards, 10k samples: the §5.1 MNIST setting.
-        let p = shards(50, 10_000, 10, 100, 2, &mut seed_rng(2));
-        assert_eq!(p.total_samples(), 10_000);
-        for c in 0..50 {
-            let k = p.distinct_classes(c);
-            assert!(k <= 3, "client {c} has {k} classes (2 shards can span <=3)");
-        }
-    }
-
-    #[test]
-    fn shards_conserves_class_totals() {
-        let p = shards(10, 1000, 10, 20, 2, &mut seed_rng(3));
-        let mut counts = vec![0usize; 10];
-        for mine in &p.labels {
-            for &l in mine {
-                counts[l] += 1;
-            }
-        }
-        assert!(counts.iter().all(|&c| c == 100), "counts {counts:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must equal")]
-    fn shards_rejects_inconsistent_counts() {
-        let _ = shards(10, 1000, 10, 15, 2, &mut seed_rng(4));
     }
 
     #[test]

@@ -127,27 +127,24 @@ pub struct ReportSummary {
 }
 
 impl TrainingReport {
-    /// The run's [`ReportSummary`] (total time is 0 for an empty run,
-    /// unlike the panicking [`TrainingReport::total_time`]).
+    /// The run's [`ReportSummary`].
     #[must_use]
     pub fn summary(&self) -> ReportSummary {
         ReportSummary {
             policy: self.policy.clone(),
             rounds: self.rounds.len() as u64,
-            total_time: self.rounds.last().map_or(0.0, |r| r.time),
+            total_time: self.total_time(),
             final_accuracy: self.final_accuracy(),
             best_accuracy: self.best_accuracy(),
             bytes_up: self.total_bytes_up(),
             bytes_down: self.total_bytes_down(),
         }
     }
-    /// Total virtual training time (end of last round), in seconds.
-    ///
-    /// # Panics
-    /// Panics on an empty report.
+    /// Total virtual training time (end of last round), in seconds;
+    /// 0 for an empty report.
     #[must_use]
     pub fn total_time(&self) -> f64 {
-        self.rounds.last().expect("empty report").time
+        self.rounds.last().map_or(0.0, |r| r.time)
     }
 
     /// Last measured global accuracy.

@@ -3,7 +3,7 @@
 //! The paper trains small Keras CNNs on image datasets (§5). This
 //! reproduction has no images: every dataset is synthetic 64-feature
 //! vectors, so the one model family is a two-layer dense + ReLU MLP
-//! sized to them — the stand-in every preset, `paper <id>` and
+//! sized to them — the stand-in every preset, `tifl paper <id>` and
 //! benchmark workload trains, and the one the latency calibration and
 //! learning rates in `tifl_core::experiment` are tuned to. README's
 //! feature ledger records the measurement behind that choice.

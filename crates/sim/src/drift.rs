@@ -30,17 +30,6 @@ pub enum DriftModel {
         /// Per-device multiplicative factors (cycled by device id).
         factors: Vec<f64>,
     },
-    /// Smooth periodic load: share is scaled by
-    /// `1 + amplitude * sin(2π (round/period + d/devices))`, modelling
-    /// diurnal background load with per-device phase offsets.
-    Sinusoidal {
-        /// Period in rounds.
-        period: f64,
-        /// Amplitude in `(0, 1)`.
-        amplitude: f64,
-        /// Number of devices (for phase spreading).
-        devices: usize,
-    },
 }
 
 impl DriftModel {
@@ -60,17 +49,6 @@ impl DriftModel {
                 } else {
                     1.0
                 }
-            }
-            DriftModel::Sinusoidal {
-                period,
-                amplitude,
-                devices,
-            } => {
-                assert!(*period > 0.0, "period must be positive");
-                assert!((0.0..1.0).contains(amplitude), "amplitude must be in [0,1)");
-                let phase = d as f64 / (*devices).max(1) as f64;
-                1.0 + amplitude
-                    * (2.0 * std::f64::consts::PI * (round as f64 / period + phase)).sin()
             }
         }
     }
@@ -109,34 +87,5 @@ mod tests {
         // regime; one issued at 200 sees the new regime.
         assert_eq!(d.cpu_scale(0, 50 | PROFILING_ROUND_FLAG), 1.0);
         assert_eq!(d.cpu_scale(0, 200 | PROFILING_ROUND_FLAG), 0.5);
-    }
-
-    #[test]
-    fn sinusoidal_stays_positive_and_periodic() {
-        let d = DriftModel::Sinusoidal {
-            period: 50.0,
-            amplitude: 0.3,
-            devices: 10,
-        };
-        for r in 0..200 {
-            let s = d.cpu_scale(3, r);
-            assert!(
-                s > 0.0 && (0.69..=1.31).contains(&s),
-                "scale {s} at round {r}"
-            );
-        }
-        let a = d.cpu_scale(3, 7);
-        let b = d.cpu_scale(3, 57);
-        assert!((a - b).abs() < 1e-9, "period 50 should repeat");
-    }
-
-    #[test]
-    fn devices_have_distinct_phases() {
-        let d = DriftModel::Sinusoidal {
-            period: 50.0,
-            amplitude: 0.3,
-            devices: 10,
-        };
-        assert_ne!(d.cpu_scale(0, 10), d.cpu_scale(5, 10));
     }
 }

@@ -309,7 +309,7 @@ mod tests {
         let mut builder = SweepBuilder::new(ExperimentConfig::tiny(62));
         let sweep = builder.rounds(3).workers(1).run();
         assert_eq!(sweep.completed(), 1);
-        let reports = sweep.into_reports();
+        let reports = sweep.into_reports().expect("the run completes");
         assert_eq!(reports[0].rounds.len(), 3);
         assert_eq!(reports[0].policy, "vanilla");
     }

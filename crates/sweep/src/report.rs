@@ -22,7 +22,7 @@ pub fn pivot_rows(store: &RunStore, target: Option<f64>) -> Vec<PivotRow> {
     let mut rows: Vec<PivotRow> = store
         .keys()
         .into_iter()
-        .filter_map(|key| store.load(key))
+        .filter_map(|key| store.load_checked(key).ok())
         .map(|artifact| {
             let report = &artifact.report;
             PivotRow {

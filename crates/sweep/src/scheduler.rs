@@ -392,29 +392,29 @@ impl SweepReport {
 
     /// All reports, in manifest order, consuming the sweep.
     ///
-    /// # Panics
-    /// Panics if any run failed, naming every failure — the behaviour
-    /// the paper figures want (a partially plotted figure is a bug).
-    #[must_use]
-    pub fn into_reports(self) -> Vec<TrainingReport> {
-        assert!(
-            self.failed() == 0,
-            "sweep had failures: {:?}",
-            self.failures()
-        );
-        self.outcomes
+    /// # Errors
+    /// If any run failed: one line naming every failed run's label,
+    /// key and message — a partially plotted figure is no figure.
+    pub fn into_reports(self) -> Result<Vec<TrainingReport>, String> {
+        let failures: Vec<String> = self
+            .failures()
             .into_iter()
-            .map(|o| match o {
-                RunOutcome::Completed { artifact, .. } | RunOutcome::Skipped { artifact } => {
-                    artifact.report
-                }
-                #[expect(
-                    clippy::unreachable,
-                    reason = "invariant panic: the assert! above guarantees no Failed outcome reaches this map"
-                )]
-                RunOutcome::Failed { .. } => unreachable!("asserted above"),
-            })
-            .collect()
+            .map(|(key, label, message)| format!("{label} ({key}): {message}"))
+            .collect();
+        if !failures.is_empty() {
+            return Err(format!(
+                "{} run(s) failed: {}",
+                failures.len(),
+                failures.join("; ")
+            ));
+        }
+        let reports = self.outcomes.into_iter().filter_map(|o| match o {
+            RunOutcome::Completed { artifact, .. } | RunOutcome::Skipped { artifact } => {
+                Some(artifact.report)
+            }
+            RunOutcome::Failed { .. } => None,
+        });
+        Ok(reports.collect())
     }
 
     /// Summed per-run wall-clock over completed runs — how busy the
@@ -801,7 +801,7 @@ fn execute_one(
     clock: &dyn HostClock,
 ) -> RunOutcome {
     if resume {
-        if let Some(artifact) = store.and_then(|s| s.load_valid(run.key, &run.request)) {
+        if let Some(artifact) = store.and_then(|s| s.validate_checked(run.key, &run.request).ok()) {
             return RunOutcome::Skipped { artifact };
         }
     }

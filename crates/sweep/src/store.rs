@@ -336,12 +336,6 @@ impl RunStore {
         Ok(path)
     }
 
-    /// Load the artifact of `key`, if present and parseable.
-    #[must_use]
-    pub fn load(&self, key: RunKey) -> Option<RunArtifact> {
-        self.load_checked(key).ok()
-    }
-
     /// Load the artifact of `key` with integrity checks and full error
     /// context (path + key + what disagreed): the file must exist,
     /// read, parse, claim the key it is filed under, and — when it
@@ -384,22 +378,15 @@ impl RunStore {
     }
 
     /// Load the artifact of `key` only if it validates against
-    /// `request`: the stored key matches the file's claim, the stored
-    /// request *resolves to the same key* as the one being scheduled
-    /// (the [`RunKey`] equivalence — a seed passed as an override and
-    /// the same seed baked into the experiment are the same run, so
+    /// `request` — the resume predicate: every
+    /// [`RunStore::load_checked`] check, plus the stored request
+    /// *resolving to the same key* as the one being scheduled (the
+    /// [`RunKey`] equivalence — a seed passed as an override and the
+    /// same seed baked into the experiment are the same run, so
     /// artifacts stay shareable across manifest layouts), and the
-    /// report spans the resolved round count. Anything else (missing,
-    /// corrupt, stale manifest edit, truncated run) returns `None` and
-    /// the run re-executes.
-    #[must_use]
-    pub fn load_valid(&self, key: RunKey, request: &RunRequest) -> Option<RunArtifact> {
-        self.validate_checked(key, request).ok()
-    }
-
-    /// [`RunStore::load_valid`] with full error context: every
-    /// [`RunStore::load_checked`] check, plus request-key equivalence
-    /// and the resolved round count.
+    /// report spanning the resolved round count. Anything else
+    /// (missing, corrupt, stale manifest edit, truncated run) is an
+    /// error, and a resumed run re-executes.
     ///
     /// # Errors
     /// A [`StoreError`] naming the artifact path, the key, and the
@@ -429,13 +416,6 @@ impl RunStore {
             }));
         }
         Ok(artifact)
-    }
-
-    /// Whether a valid artifact for (`key`, `request`) already exists —
-    /// the resume predicate.
-    #[must_use]
-    pub fn validates(&self, key: RunKey, request: &RunRequest) -> bool {
-        self.load_valid(key, request).is_some()
     }
 
     /// Keys of every artifact in the store (sorted; summary and foreign
@@ -535,8 +515,8 @@ mod tests {
         let artifact = RunArtifact::new(key, request.clone(), report(3));
         let path = store.write(&artifact).expect("writes");
         assert_eq!(path, store.path_of(key));
-        assert_eq!(store.load(key), Some(artifact.clone()));
-        assert!(store.validates(key, &request));
+        assert_eq!(store.load_checked(key).ok(), Some(artifact.clone()));
+        assert!(store.validate_checked(key, &request).is_ok());
         assert_eq!(store.keys(), vec![key]);
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -548,23 +528,23 @@ mod tests {
         let key = RunKey::of(&request);
 
         // Missing.
-        assert!(!store.validates(key, &request));
+        assert!(store.validate_checked(key, &request).is_err());
         // Corrupt (truncated JSON).
         std::fs::write(store.path_of(key), "{\"key\": \"tru").expect("write");
-        assert!(!store.validates(key, &request));
+        assert!(store.validate_checked(key, &request).is_err());
         // Valid bytes but a different request (e.g. edited manifest).
         let other = self::request(3, 3);
         let artifact = RunArtifact::new(key, other, report(3));
         store.write(&artifact).expect("writes");
-        assert!(!store.validates(key, &request));
+        assert!(store.validate_checked(key, &request).is_err());
         // Truncated run (too few rounds for the resolved horizon).
         let short = RunArtifact::new(key, request.clone(), report(2));
         store.write(&short).expect("writes");
-        assert!(!store.validates(key, &request));
+        assert!(store.validate_checked(key, &request).is_err());
         // The real thing.
         let good = RunArtifact::new(key, request.clone(), report(3));
         store.write(&good).expect("writes");
-        assert!(store.validates(key, &request));
+        assert!(store.validate_checked(key, &request).is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -599,7 +579,7 @@ mod tests {
         store
             .write(&RunArtifact::new(key, via_override, report(3)))
             .expect("writes");
-        assert!(store.validates(key, &baked));
+        assert!(store.validate_checked(key, &baked).is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

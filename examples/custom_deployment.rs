@@ -6,7 +6,7 @@
 //!
 //! The preset `ExperimentConfig`s cover the paper's setups; this example
 //! wires the pieces manually — a bespoke cluster (three hardware kinds,
-//! one flaky group), a wider MLP, shard-partitioned data and a custom
+//! one flaky group), a wider MLP, class-limited non-IID data and a custom
 //! static policy — and exercises dropout exclusion in the profiler.
 
 #![allow(
@@ -26,10 +26,10 @@ use tifl::tensor::seed_rng;
 fn main() {
     let seed = 5;
 
-    // Data: 12 clients, shard-based non-IID (2 shards each).
+    // Data: 12 clients, non-IID(2) (200 samples from 2 classes each).
     let spec = SynthSpec::family(SynthFamily::FashionMnist);
     let gen = Generator::new(spec, seed);
-    let part = partition::shards(12, 2_400, 10, 24, 2, &mut seed_rng(seed));
+    let part = partition::class_limit(12, 200, 10, 2, &mut seed_rng(seed));
     let fed = FederatedDataset::materialize(&gen, &part, 0.1, 20, seed);
 
     // Testbed: three hardware kinds + one permanently dead device.

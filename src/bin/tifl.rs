@@ -4,13 +4,19 @@
 //! are also what the parser checks a command line against before the
 //! handler reads any file. Configs, run requests and sweep manifests
 //! are the JSON forms of `ExperimentConfig`, `RunRequest` and
-//! `SweepManifest`.
+//! `SweepManifest`; `tifl paper <id>` prints one of the paper's figures
+//! or tables (the `paper` module).
 
 #![allow(
     clippy::print_stdout,
     clippy::print_stderr,
     reason = "the CLI owns its process's stdio"
 )]
+
+// Beside this file, not in it: a file directly under `src/bin/` would
+// be a binary of its own.
+#[path = "tifl/paper.rs"]
+mod paper;
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -96,6 +102,13 @@ const COMMANDS: &[Command] = &[
         usage: "report <store-dir> [--format human|json] [--target ACC]",
         summary: "pivot a store into a policy table without re-running",
         handler: report,
+    },
+    Command {
+        usage: "paper <fig1a|fig1b|straggler_prob|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|\
+                privacy|dp_training|ablation_tiers|baselines|class_bias|reprofiling|time_to_acc> \
+                [--rounds N] [--seed N] [--json <series.json>]",
+        summary: "print one of the paper's figures or tables (§3–§5 and extensions)",
+        handler: paper::paper,
     },
     Command {
         usage: "help",
@@ -739,6 +752,14 @@ mod tests {
         for name in operands[1].trim_matches(['<', '>']).split('|') {
             assert!(policy_by_name(name, 5).is_some(), "{name}");
         }
+    }
+
+    #[test]
+    fn the_paper_row_names_every_figure_in_order() {
+        let row = COMMANDS.iter().find(|c| c.usage.starts_with("paper "));
+        let (operands, _) = row.expect("a `paper` row").syntax();
+        let ids: Vec<&str> = operands[0].trim_matches(['<', '>']).split('|').collect();
+        assert_eq!(ids, paper::FIGURES.map(|(id, _)| id));
     }
 
     #[test]

@@ -1,32 +1,45 @@
-//! The figures and tables, one function per id.
+//! `tifl paper <id>`: every table and figure of the paper's
+//! evaluation, by id.
 //!
-//! A training figure builds its configs and [`RunSpec`]s, runs them
-//! through `grid` / `run_all`, then prints; a number that needs a
-//! profile (Eq. 6 estimates, the FedCS deadline, the tier spread) comes
-//! from `cfg.runner().tiers()`, which builds no data.
+//! `--rounds N` overrides a figure's number of global rounds
+//! (paper-scale defaults can take minutes; `--rounds 100` gives quick
+//! shape checks), `--seed N` its root seed (default 42), and
+//! `--json <series.json>` also writes the raw series the tables print.
+//!
+//! Every training figure is a list of [`RunRequest`]s handed to the
+//! sweep scheduler (`run_all`), so its curves run in parallel across
+//! the host's cores, share one profiling pass per topology and one
+//! dataset per experiment, and are the same requests `tifl run --spec`
+//! and `tifl sweep` execute. A number that needs a profile (Eq. 6
+//! estimates, the FedCS deadline, the tier spread) comes from
+//! `cfg.runner().tiers()`, which builds no data.
+//!
+//! All "time" columns are **virtual seconds** from the simulated
+//! testbed.
 
-use crate::{
-    accuracy_cell, fx, grid, header, print_accuracy_over_rounds, print_accuracy_over_time,
-    print_summary, print_time_bars, request, row, run_all, Figure, HarnessArgs, PolicyOutcome,
-};
+use super::{save, Args};
+use serde::Serialize;
+use std::error::Error;
 use std::io::{self, Write};
-use tifl_core::analysis::{
+use std::process::ExitCode;
+use tifl::core::analysis::{
     prob_hit_stragglers, prob_hit_stragglers_lower_bound, prob_hit_stragglers_monte_carlo,
 };
-use tifl_core::estimator::mape;
-use tifl_core::experiment::{DataScenario, ExperimentConfig};
-use tifl_core::policy::Policy;
-use tifl_core::privacy::{compare, DpGuarantee};
-use tifl_core::runner::{Experiment, LocalTraining, RunSpec, SelectionStrategy};
-use tifl_data::synth::SynthFamily;
-use tifl_fl::client::DpNoiseConfig;
-use tifl_fl::session::AggregationMode;
-use tifl_sim::latency::{LatencyModel, TrainingTask};
-use tifl_sim::DriftModel;
-use tifl_tensor::seed_rng;
+use tifl::core::estimator::mape;
+use tifl::core::privacy::{compare, DpGuarantee};
+use tifl::prelude::*;
+use tifl::sim::latency::TrainingTask;
+use tifl::tensor::seed_rng;
 
-/// Every id `paper` accepts, in the paper's order, then the extensions.
-pub const FIGURES: [(&str, Figure); 18] = [
+/// A figure: prints its tables and writes its series to `--json`.
+type Figure = fn(&Args<'_>, &mut dyn Write) -> Drawn;
+
+/// What a figure returns: an error names a failed write or run.
+type Drawn = Result<(), Box<dyn Error>>;
+
+/// Every id `tifl paper` accepts, in the paper's order, then the
+/// extensions.
+pub(super) const FIGURES: [(&str, Figure); 18] = [
     ("fig1a", fig1a),
     ("fig1b", fig1b),
     ("straggler_prob", straggler_prob),
@@ -47,7 +60,239 @@ pub const FIGURES: [(&str, Figure); 18] = [
     ("time_to_acc", time_to_acc),
 ];
 
-// -- building blocks -----------------------------------------------------------
+/// `paper <id>`: print the figure the parser checked `id` names.
+pub(super) fn paper(args: &Args<'_>) -> Result<ExitCode, String> {
+    let id = args.operands[0];
+    let (_, figure) = FIGURES
+        .iter()
+        .find(|(name, _)| *name == id)
+        .expect("the parser checked the id");
+    figure(args, &mut io::stdout().lock()).map_err(|e| e.to_string())?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The flags every figure reads.
+impl Args<'_> {
+    /// The root seed (default 42).
+    fn seed(&self) -> u64 {
+        self.get("--seed").unwrap_or(42)
+    }
+
+    /// The round-count override.
+    fn rounds(&self) -> Option<u64> {
+        self.get("--rounds")
+    }
+
+    /// A preset at this seed, its horizon cut to `--rounds` if given.
+    fn preset(&self, preset: impl Fn(u64) -> ExperimentConfig) -> ExperimentConfig {
+        let mut cfg = preset(self.seed());
+        cfg.rounds = self.rounds().unwrap_or(cfg.rounds);
+        cfg
+    }
+
+    /// The resource-heterogeneous CIFAR-10 setup at the figure's own
+    /// default horizon — the base of most extension tables.
+    fn resource_het(&self, rounds: u64) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::cifar10_resource_het(self.seed());
+        cfg.rounds = self.rounds().unwrap_or(rounds);
+        cfg
+    }
+
+    /// Write `series` to the `--json` path, if given.
+    fn dump(&self, series: &impl Serialize) -> Drawn {
+        if let Some(path) = self.value("--json") {
+            save(path, series)?;
+            eprintln!("wrote raw series to {path}");
+        }
+        Ok(())
+    }
+}
+
+/// `spec` over `cfg` as a self-contained request.
+fn request(cfg: &ExperimentConfig, spec: RunSpec) -> RunRequest {
+    RunRequest {
+        experiment: cfg.clone(),
+        rounds: None,
+        seed: None,
+        clients_per_round: None,
+        spec,
+    }
+}
+
+/// Execute `requests` on the sweep scheduler — in parallel across the
+/// host's cores, one profiling pass per topology, one dataset per
+/// experiment (both counted on stderr) — and return their reports in
+/// request order, or name every run that failed.
+fn run_all(requests: Vec<RunRequest>) -> Result<Vec<TrainingReport>, String> {
+    let runs: Vec<KeyedRun> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(index, request)| KeyedRun {
+            index,
+            key: RunKey::of(&request),
+            request,
+        })
+        .collect();
+    let sweep = SweepScheduler::new(0).execute(&runs, None, false);
+    eprintln!(
+        "[paper] {} runs: {} profiling pass(es); {} dataset(s) built, {} shared",
+        runs.len(),
+        sweep.profiles_computed,
+        sweep.datasets_built,
+        sweep.dataset_cache_hits
+    );
+    sweep.into_reports()
+}
+
+/// Every spec over every config: one row of outcomes per config, in
+/// spec order.
+fn grid(cfgs: &[ExperimentConfig], specs: &[RunSpec]) -> Result<Vec<Vec<PolicyOutcome>>, String> {
+    let requests = cfgs
+        .iter()
+        .flat_map(|cfg| specs.iter().map(|spec| request(cfg, spec.clone())))
+        .collect();
+    let reports = run_all(requests)?;
+    let rows = reports.chunks(specs.len());
+    Ok(rows
+        .map(|row| row.iter().map(PolicyOutcome::from).collect())
+        .collect())
+}
+
+/// A labelled experiment outcome used by the tabular printers.
+#[derive(Debug, Clone, Serialize)]
+struct PolicyOutcome {
+    /// Policy name.
+    policy: String,
+    /// Total virtual training time (seconds).
+    total_time: f64,
+    /// Final global accuracy.
+    final_accuracy: f64,
+    /// Best global accuracy seen.
+    best_accuracy: f64,
+    /// `(round, accuracy)` curve.
+    accuracy_over_rounds: Vec<(u64, f64)>,
+    /// `(virtual time, accuracy)` curve.
+    accuracy_over_time: Vec<(f64, f64)>,
+}
+
+impl From<&TrainingReport> for PolicyOutcome {
+    fn from(r: &TrainingReport) -> Self {
+        Self {
+            policy: r.policy.clone(),
+            total_time: r.total_time(),
+            final_accuracy: r.final_accuracy(),
+            best_accuracy: r.best_accuracy(),
+            accuracy_over_rounds: r.accuracy_over_rounds(),
+            accuracy_over_time: r.accuracy_over_time(),
+        }
+    }
+}
+
+/// Print a figure/table header.
+fn header(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
+    writeln!(out, "\n== {id} — {caption} ==")
+}
+
+/// Print one table row: `label`, then `cells`, each padded to its
+/// entry of `widths` and separated by single spaces. A positive width
+/// right-aligns, a negative one left-aligns; the last width repeats
+/// for any further cells.
+fn row<C: AsRef<str>>(
+    out: &mut dyn Write,
+    widths: &[i32],
+    label: impl std::fmt::Display,
+    cells: impl IntoIterator<Item = C>,
+) -> io::Result<()> {
+    let pad = |width: i32, cell: &str| match width.unsigned_abs() as usize {
+        n if width < 0 => format!("{cell:<n$}"),
+        n => format!("{cell:>n$}"),
+    };
+    let mut line = pad(widths[0], &label.to_string());
+    for (cell, i) in cells.into_iter().zip(1..) {
+        line.push(' ');
+        line += &pad(widths[i.min(widths.len() - 1)], cell.as_ref());
+    }
+    writeln!(out, "{line}")
+}
+
+/// `x` to `precision` decimals — a numeric table cell.
+fn fx(x: f64, precision: usize) -> String {
+    format!("{x:.precision$}")
+}
+
+/// An accuracy cell of a curve table (`-` where the curve has no point).
+fn accuracy_cell(accuracy: Option<f64>) -> String {
+    accuracy.map_or("-".into(), |a| fx(a, 3))
+}
+
+/// Print the training-time bar chart (Figs. 3a/b, 5a/b, 6a/b, 9a): one
+/// row per policy with total virtual training time.
+fn print_time_bars(out: &mut dyn Write, outcomes: &[PolicyOutcome]) -> io::Result<()> {
+    row(out, &[-10, 16], "policy", ["train time [s]"])?;
+    for o in outcomes {
+        row(out, &[-10, 16], &o.policy, [fx(o.total_time, 0)])?;
+    }
+    Ok(())
+}
+
+/// Print accuracy-over-rounds curves side by side, sampled every
+/// `stride` evaluation points (Figs. 3c/d, 4, 5c/d, 8, 9b).
+fn print_accuracy_over_rounds(
+    out: &mut dyn Write,
+    outcomes: &[PolicyOutcome],
+    stride: usize,
+) -> io::Result<()> {
+    let names = outcomes.iter().map(|o| truncate(&o.policy, 9));
+    row(out, &[7, 9], "round", names)?;
+    let curves = || outcomes.iter().map(|o| &o.accuracy_over_rounds);
+    let longest = curves().map(Vec::len).max().unwrap_or(0);
+    for i in (0..longest).step_by(stride.max(1)) {
+        let Some(round) = curves().find_map(|c| c.get(i).map(|&(r, _)| r)) else {
+            continue;
+        };
+        let point = |c: &Vec<(u64, f64)>| accuracy_cell(c.get(i).map(|&(_, a)| a));
+        row(out, &[7, 9], round, curves().map(point))?;
+    }
+    Ok(())
+}
+
+/// Print accuracy-over-virtual-time curves (Figs. 3e/f, 6e/f): for a set
+/// of common time checkpoints, the accuracy each policy had reached.
+fn print_accuracy_over_time(
+    out: &mut dyn Write,
+    outcomes: &[PolicyOutcome],
+    checkpoints: usize,
+) -> io::Result<()> {
+    let t_max = outcomes.iter().map(|o| o.total_time).fold(0.0f64, f64::max);
+    let names = outcomes.iter().map(|o| truncate(&o.policy, 9));
+    row(out, &[12, 9], "time [s]", names)?;
+    for i in 1..=checkpoints {
+        let t = t_max * i as f64 / checkpoints as f64;
+        let reached = |o: &PolicyOutcome| {
+            let so_far = o.accuracy_over_time.iter().take_while(|&&(tt, _)| tt <= t);
+            accuracy_cell(so_far.map(|&(_, a)| a).last())
+        };
+        row(out, &[12, 9], fx(t, 0), outcomes.iter().map(reached))?;
+    }
+    Ok(())
+}
+
+/// Print a summary row per policy: time, final and best accuracy.
+fn print_summary(out: &mut dyn Write, outcomes: &[PolicyOutcome]) -> io::Result<()> {
+    const W: [i32; 4] = [-10, 14, 11, 11];
+    row(out, &W, "policy", ["time [s]", "final acc", "best acc"])?;
+    for o in outcomes {
+        let (last, best) = (fx(o.final_accuracy, 3), fx(o.best_accuracy, 3));
+        row(out, &W, &o.policy, [fx(o.total_time, 0), last, best])?;
+    }
+    Ok(())
+}
+
+fn truncate(s: &str, n: usize) -> &str {
+    &s[..s.len().min(n)]
+}
+
+// -- building blocks ---------------------------------------------------------
 
 /// Static tier selection under `policy` (vanilla degrades to Algorithm 1).
 fn tier(policy: &Policy) -> RunSpec {
@@ -63,7 +308,7 @@ fn tiers(policies: &[Policy]) -> Vec<RunSpec> {
 }
 
 /// Adaptive tier selection (Algorithm 2), reported as "TiFL".
-fn tifl() -> RunSpec {
+fn adaptive() -> RunSpec {
     RunSpec {
         selection: SelectionStrategy::Adaptive { config: None },
         label: Some("TiFL".into()),
@@ -73,20 +318,24 @@ fn tifl() -> RunSpec {
 
 /// vanilla / uniform / TiFL — the §5.2.5 comparison.
 fn adaptive_comparison() -> Vec<RunSpec> {
-    vec![tier(&Policy::vanilla()), tier(&Policy::uniform(5)), tifl()]
+    vec![
+        tier(&Policy::vanilla()),
+        tier(&Policy::uniform(5)),
+        adaptive(),
+    ]
 }
 
 /// The five Table 1 policies of the CIFAR-10 figures, then TiFL.
 fn policies_and_tifl() -> Vec<RunSpec> {
     let mut specs = tiers(&Policy::cifar_set(5));
-    specs.push(tifl());
+    specs.push(adaptive());
     specs
 }
 
 /// One panel of outcomes per policy over the class-skew ladder of
 /// Figs. 1(b) and 4 — IID and non-IID(10/5/2) on homogeneous 2-CPU
 /// clients — every curve labelled by its level.
-fn skew_panels(a: &HarnessArgs, policies: &[Policy]) -> Vec<Vec<PolicyOutcome>> {
+fn skew_panels(a: &Args<'_>, policies: &[Policy]) -> Result<Vec<Vec<PolicyOutcome>>, String> {
     let level = |k| a.preset(|seed| ExperimentConfig::cifar10_noniid(k, seed));
     let mut iid = level(10);
     iid.data = DataScenario::Iid { per_client: 400 };
@@ -105,10 +354,11 @@ fn skew_panels(a: &HarnessArgs, policies: &[Policy]) -> Vec<Vec<PolicyOutcome>> 
         let levels = levels.iter();
         levels.map(move |(label, cfg)| request(cfg, labelled(p, label)))
     });
-    run_all(requests.collect())
-        .chunks(levels.len())
+    let reports = run_all(requests.collect())?;
+    let panels = reports.chunks(levels.len());
+    Ok(panels
         .map(|panel| panel.iter().map(PolicyOutcome::from).collect())
-        .collect()
+        .collect())
 }
 
 /// An accuracy-over-rounds panel, then each curve's final (and
@@ -177,7 +427,7 @@ fn print_two_columns(
 /// Fig. 1(a): average training time per round vs CPU share and data
 /// size (§3.3), on the CIFAR-10 experiment's model cost. Latency grows
 /// near-linearly with data size and shrinks as the CPU share grows.
-fn fig1a(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig1a(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfg = ExperimentConfig::cifar10_resource_het(a.seed());
     let model = cfg.model.build(a.seed());
     let latency = LatencyModel::new(cfg.latency);
@@ -212,12 +462,12 @@ fn fig1a(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "scaling with CPU (500 points): 4 -> 1/5 CPUs = {with_cpu:.1}x slower"
     )?;
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 /// Fig. 1(b): vanilla-FL accuracy under varying class skew (§3.3).
-fn fig1b(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
-    let outcomes = skew_panels(a, &[Policy::vanilla()]).remove(0);
+fn fig1b(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
+    let outcomes = skew_panels(a, &[Policy::vanilla()])?.remove(0);
     let caption = "vanilla-FL accuracy under class-distribution skew";
     print_curves(out, ("Fig. 1(b)", caption), &outcomes, (5, 12, true))?;
     let drop = (outcomes[0].best_accuracy - outcomes[3].best_accuracy) * 100.0;
@@ -225,12 +475,12 @@ fn fig1b(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\naccuracy drop IID -> non-IID(2): {drop:.1} percentage points"
     )?;
-    a.maybe_dump_json(&outcomes)
+    a.dump(&outcomes)
 }
 
 /// §3.2 straggler-selection probability (Eqs. 2–5): closed form, the
 /// Eq. 5 lower bound, and a Monte-Carlo check.
-fn straggler_prob(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn straggler_prob(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     const W: [i32; 4] = [8, 8, 6, 12];
     let mut rng = seed_rng(a.seed());
     let caption = "probability that vanilla selection hits the slowest level";
@@ -263,7 +513,7 @@ fn straggler_prob(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nAs |K| and |C| grow, Pr_s -> 1: vanilla FL almost always pays the\nstraggler penalty (the paper's motivation for tiering)."
     )?;
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 // -- §5.2: the evaluation ---------------------------------------------------
@@ -271,7 +521,7 @@ fn straggler_prob(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
 /// Tables 1 and 2 (§5.2.1): the policy configurations, then estimated
 /// (Eq. 6 over the profiled tier latencies) vs actual training time and
 /// MAPE for slow / uniform / random / fast.
-fn table2(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn table2(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfg = a.resource_het(500);
     let mut runner = cfg.runner();
     let (assignment, profile) = runner.profile().clone();
@@ -311,7 +561,7 @@ fn table2(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         Policy::random5(5),
         Policy::fast(5),
     ];
-    let actuals = grid(std::slice::from_ref(&cfg), &tiers(&policies)).remove(0);
+    let actuals = grid(std::slice::from_ref(&cfg), &tiers(&policies))?.remove(0);
     let mut rows = Vec::new();
     for (policy, actual) in policies.iter().zip(&actuals) {
         let (est, actual) = (runner.estimate(policy), actual.total_time);
@@ -320,29 +570,29 @@ fn table2(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         row(out, &W, &policy.name, cells)?;
         rows.push((policy.name.clone(), est, actual, err));
     }
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 /// Fig. 3: the CIFAR-10 policy comparison (vanilla / slow / uniform /
 /// random / fast) under resource heterogeneity (column 1) and
 /// data-quantity heterogeneity (column 2) — §5.2.2, §5.2.3.
-fn fig3(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig3(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfgs = [
         a.preset(ExperimentConfig::cifar10_resource_het),
         a.preset(ExperimentConfig::cifar10_quantity_het),
     ];
-    let columns = grid(&cfgs, &tiers(&Policy::cifar_set(5)));
+    let columns = grid(&cfgs, &tiers(&Policy::cifar_set(5)))?;
     let names = ["resource heterogeneity", "data-quantity heterogeneity"];
     print_two_columns(out, "Fig. 3", names, &columns, true)?;
-    a.maybe_dump_json(&columns)
+    a.dump(&columns)
 }
 
 /// Fig. 4: accuracy over rounds for every static policy under the
 /// class-skew ladder with fixed resources — §5.2.3. One panel per
 /// policy; each panel holds four curves.
-fn fig4(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig4(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let policies = Policy::cifar_set(5);
-    let panels = skew_panels(a, &policies);
+    let panels = skew_panels(a, &policies)?;
     let mut all = Vec::new();
     for ((policy, outcomes), letter) in policies.iter().zip(panels).zip('a'..) {
         let id = format!("Fig. 4({letter})");
@@ -350,39 +600,39 @@ fn fig4(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         print_curves(out, (&id, &caption), &outcomes, (8, 12, false))?;
         all.push((policy.name.clone(), outcomes));
     }
-    a.maybe_dump_json(&all)
+    a.dump(&all)
 }
 
 /// Fig. 5: MNIST (column 1) and Fashion-MNIST (column 2) with resource
 /// plus data heterogeneity, policies vanilla / uniform / fast1 / fast2 /
 /// fast3 — §5.2.4.
-fn fig5(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig5(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfgs = [SynthFamily::Mnist, SynthFamily::FashionMnist]
         .map(|family| a.preset(|seed| ExperimentConfig::mnist_like_combined(family, seed)));
-    let columns = grid(&cfgs, &tiers(&Policy::mnist_set(5)));
+    let columns = grid(&cfgs, &tiers(&Policy::mnist_set(5)))?;
     print_two_columns(out, "Fig. 5", ["MNIST", "FMNIST"], &columns, false)?;
-    a.maybe_dump_json(&columns)
+    a.dump(&columns)
 }
 
 /// Fig. 6: CIFAR-10 with resource + non-IID heterogeneity (column 1)
 /// and resource + data-quantity + non-IID heterogeneity (column 2) —
 /// §5.2.4.
-fn fig6(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig6(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfgs = [
         a.preset(|seed| ExperimentConfig::cifar10_resource_noniid(5, seed)),
         a.preset(|seed| ExperimentConfig::cifar10_combine(5, seed)),
     ];
-    let columns = grid(&cfgs, &tiers(&Policy::cifar_set(5)));
+    let columns = grid(&cfgs, &tiers(&Policy::cifar_set(5)))?;
     let names = ["resource + non-IID(5)", "resource + quantity + non-IID(5)"];
     print_two_columns(out, "Fig. 6", names, &columns, true)?;
-    a.maybe_dump_json(&columns)
+    a.dump(&columns)
 }
 
 /// Fig. 7: adaptive (TiFL) vs vanilla vs uniform under resource +
 /// non-IID(5) ("Class"), resource + quantity ("Amount") and all three
 /// ("Combine") — §5.2.5. Panel (a): total training time; panel (b):
 /// final accuracy.
-fn fig7(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig7(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let mut amount = a.preset(ExperimentConfig::cifar10_resource_het);
     amount.data = DataScenario::QuantitySkew { total: 20_000 };
     amount.name = "cifar10/resource+quantity".into();
@@ -394,7 +644,7 @@ fn fig7(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
     let scenarios = ["Class", "Amount", "Combine"].map(String::from);
     let results: Vec<(String, Vec<PolicyOutcome>)> = scenarios
         .into_iter()
-        .zip(grid(&cfgs, &adaptive_comparison()))
+        .zip(grid(&cfgs, &adaptive_comparison())?)
         .collect();
 
     type Cell = fn(&PolicyOutcome) -> String;
@@ -413,15 +663,15 @@ fn fig7(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
             row(out, &[-10, 10], label, outcomes.iter().map(cell))?;
         }
     }
-    a.maybe_dump_json(&results)
+    a.dump(&results)
 }
 
 /// Fig. 8: adaptive vs vanilla vs uniform accuracy over rounds under
 /// 2 / 5 / 10-class non-IID skew with fixed resources — §5.2.5.
-fn fig8(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig8(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let ks = [2usize, 5, 10];
     let cfgs = ks.map(|k| a.preset(|seed| ExperimentConfig::cifar10_noniid(k, seed)));
-    let panels = grid(&cfgs, &adaptive_comparison());
+    let panels = grid(&cfgs, &adaptive_comparison())?;
     let mut all = Vec::new();
     for ((k, outcomes), letter) in ks.into_iter().zip(panels).zip('a'..) {
         let id = format!("Fig. 8({letter})");
@@ -429,16 +679,16 @@ fn fig8(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         print_curves(out, (&id, &caption), &outcomes, (8, 10, true))?;
         all.push((k, outcomes));
     }
-    a.maybe_dump_json(&all)
+    a.dump(&all)
 }
 
 /// Fig. 9: LEAF/FEMNIST with its default data heterogeneity plus
 /// resource heterogeneity — all static policies and adaptive — §5.2.6.
 /// Paper scale is 182 clients x 2000 rounds; `--rounds 300` gives a
 /// quick shape check.
-fn fig9(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn fig9(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfg = a.preset(ExperimentConfig::leaf_femnist);
-    let outcomes = grid(&[cfg], &policies_and_tifl()).remove(0);
+    let outcomes = grid(&[cfg], &policies_and_tifl())?.remove(0);
     let caption = "training time for 2000 rounds, LEAF/FEMNIST";
     header(out, "Fig. 9(a)", caption)?;
     print_time_bars(out, &outcomes)?;
@@ -448,14 +698,14 @@ fn fig9(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
     print_summary(out, &outcomes)?;
     let speedup = outcomes[0].total_time / outcomes[5].total_time;
     writeln!(out, "\nadaptive speedup over vanilla: {speedup:.1}x")?;
-    a.maybe_dump_json(&outcomes)
+    a.dump(&outcomes)
 }
 
 // -- §4.6: privacy ------------------------------------------------------------
 
 /// §4.6 privacy-amplification accounting: vanilla `q` vs tiered `q_max`
 /// for every static policy.
-fn privacy(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn privacy(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     const W: [i32; 5] = [-10, 10, 12, 14, 14];
     let base = DpGuarantee::new(1.0, 1e-5);
     let (k, c, tier_sizes) = (50, 5, [10usize; 5]);
@@ -481,13 +731,13 @@ fn privacy(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nuniform tiering matches vanilla exactly (q_max = |C|/|K|); policies\nthat concentrate on one tier raise q_max and so weaken (but never\ninvalidate) the amplified guarantee — §4.6's compatibility claim."
     )?;
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 /// §4.6 in practice: end-to-end training with client-level DP updates
 /// (clip + Gaussian noise), vanilla vs uniform tier selection across
 /// noise levels — the accuracy cost of the mechanism itself.
-fn dp_training(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn dp_training(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     const W: [i32; 4] = [-18, 10, 18, 18];
     let noise = [0.0f32, 0.01, 0.05, 0.2];
     let cfgs = noise.map(|noise_multiplier| {
@@ -506,7 +756,7 @@ fn dp_training(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
     let titles = ["policy", "final accuracy", "time [s]"];
     row(out, &W, "noise multiplier", titles)?;
     let mut rows = Vec::new();
-    for (z, outcomes) in noise.into_iter().zip(grid(&cfgs, &specs)) {
+    for (z, outcomes) in noise.into_iter().zip(grid(&cfgs, &specs)?) {
         for o in outcomes {
             let (acc, time) = (fx(o.final_accuracy, 3), fx(o.total_time, 0));
             row(out, &W, z, [&o.policy, &acc, &time])?;
@@ -517,7 +767,7 @@ fn dp_training(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpected shape: accuracy degrades smoothly with the noise multiplier\nand tiered selection tracks vanilla at every level — tiering is\ncompatible with client-level DP (§4.6)."
     )?;
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 // -- extensions: ablations, baselines, diagnostics ------------------------------
@@ -525,7 +775,7 @@ fn dp_training(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
 /// Ablation: the number of tiers `m` (the paper fixes m = 5), swept
 /// over {2, 3, 5, 10} under the uniform policy on the
 /// resource-heterogeneous CIFAR-10 setup.
-fn ablation_tiers(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_tiers(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let ms = [2usize, 3, 5, 10];
     let cfgs = ms.map(|m| {
         let mut cfg = a.resource_het(200);
@@ -533,7 +783,7 @@ fn ablation_tiers(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         cfg
     });
     let uniform = |(cfg, m)| request(cfg, tier(&Policy::uniform(m)));
-    let reports = run_all(cfgs.iter().zip(ms).map(uniform).collect());
+    let reports = run_all(cfgs.iter().zip(ms).map(uniform).collect())?;
 
     header(out, "ablation", "tier count m under the uniform policy")?;
     let titles = ["time [s]", "final acc", "profiled tier spread"];
@@ -551,17 +801,17 @@ fn ablation_tiers(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\n(the straggler mitigation already saturates by m = 5, the paper's choice)"
     )?;
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 /// Baseline comparison (§2 related work) under resource + non-IID(5):
 /// vanilla; Bonawitz et al. over-selection (ask 130 %, drop
 /// stragglers); FedCS deadline-filtered selection; FedProx; and
 /// tier-based selection, static (uniform) and adaptive (TiFL).
-fn baselines(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn baselines(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     const W: [i32; 5] = [-16, 12, 11, 10, 15];
     let mut cfg = ExperimentConfig::cifar10_resource_noniid(5, a.seed());
-    cfg.rounds = a.rounds.unwrap_or(300);
+    cfg.rounds = a.rounds().unwrap_or(300);
     // FedCS deadline: median profiled latency, so roughly the fastest
     // half of the fleet qualifies.
     let lats = cfg.runner().tiers().tier_latencies();
@@ -581,9 +831,9 @@ fn baselines(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
             ..RunSpec::default()
         },
         tier(&Policy::uniform(5)),
-        tifl(),
+        adaptive(),
     ];
-    let runs = run_all(specs.into_iter().map(|s| request(&cfg, s)).collect());
+    let runs = run_all(specs.into_iter().map(|s| request(&cfg, s)).collect())?;
 
     let caption = format!("{} ({} rounds, virtual seconds)", cfg.name, cfg.rounds);
     header(out, "baselines", &caption)?;
@@ -602,7 +852,7 @@ fn baselines(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nTiFL's claim (§2): deadline/over-selection baselines speed rounds up\nbut waste client work or exclude slow clients' data entirely; tiering\nkeeps every tier reachable while avoiding mixed-speed rounds."
     )?;
-    a.maybe_dump_json(&series)
+    a.dump(&series)
 }
 
 /// Per-class bias: *why* aggressive fast-tier policies lose accuracy
@@ -610,9 +860,9 @@ fn baselines(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
 /// skew, the classes held mostly by slow tiers are starved when only
 /// the fast tier trains. Needs each run's final model, so it runs on
 /// the runner, not the scheduler.
-fn class_bias(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn class_bias(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let mut cfg = ExperimentConfig::cifar10_combine(2, a.seed());
-    cfg.rounds = a.rounds.unwrap_or(300);
+    cfg.rounds = a.rounds().unwrap_or(300);
     let mut runner = cfg.runner();
     let mut rows: Vec<(String, Vec<Option<f64>>, f64)> = Vec::new();
     for policy in [Policy::vanilla(), Policy::fast(5), Policy::uniform(5)] {
@@ -643,14 +893,14 @@ fn class_bias(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
     for (name, _, spread) in &rows {
         writeln!(out, "  {name:<10} {spread:.3}")?;
     }
-    a.maybe_dump_json(&rows)
+    a.dump(&rows)
 }
 
 /// §4.2 extension: periodic re-profiling under drifting device
 /// performance. The fastest hardware group slows 20x at mid-run; the
 /// `fast` policy with stale tiers against the same policy re-profiled
 /// every `rounds / 8`, plus vanilla for reference.
-fn reprofiling(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn reprofiling(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let mut cfg = a.resource_het(200);
     let rounds = cfg.rounds;
     // Devices of the fastest group (ids 0..10) slow down 20x halfway.
@@ -663,7 +913,7 @@ fn reprofiling(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         reprofile_every: Some(rounds / 8),
         ..fast.clone()
     };
-    let runs = grid(&[cfg], &[RunSpec::default(), fast, reprofiled]).remove(0);
+    let runs = grid(&[cfg], &[RunSpec::default(), fast, reprofiled])?.remove(0);
 
     let caption = format!("regime switch at round {at_round} (fast group slows 20x)");
     header(out, "re-profiling", &caption)?;
@@ -679,19 +929,19 @@ fn reprofiling(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nstale tiers keep selecting the slowed devices after the switch;\nperiodic re-profiling re-tiers and recovers the speedup — the paper's\nrationale for running the profiler periodically (§4.2)."
     )?;
-    a.maybe_dump_json(&series)
+    a.dump(&series)
 }
 
 /// Time-to-accuracy: the fixed-budget reading of Figs. 3(e)/6(f). For
 /// each policy, the first virtual time at which the global model
 /// reaches each accuracy target ("within the same time budget, more
 /// iterations can be done", §5.2.4).
-fn time_to_acc(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
+fn time_to_acc(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let mut cfg = a.resource_het(300);
     cfg.eval_every = 2;
     let targets = [0.5f64, 0.6, 0.7, 0.75, 0.8];
     let specs = policies_and_tifl();
-    let runs = run_all(specs.into_iter().map(|s| request(&cfg, s)).collect());
+    let runs = run_all(specs.into_iter().map(|s| request(&cfg, s)).collect())?;
 
     let caption = format!("{} — first virtual time [s] reaching each target", cfg.name);
     header(out, "time to accuracy", &caption)?;
@@ -706,5 +956,67 @@ fn time_to_acc(a: &HarnessArgs, out: &mut dyn Write) -> io::Result<()> {
     }
     let rounds = cfg.rounds;
     writeln!(out, "\n('-' = target not reached within {rounds} rounds)")?;
-    a.maybe_dump_json(&series)
+    a.dump(&series)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(name: &str) -> PolicyOutcome {
+        let report = TrainingReport {
+            policy: name.into(),
+            rounds: vec![
+                RoundReport {
+                    round: 0,
+                    time: 1.0,
+                    latency: 1.0,
+                    selected: vec![0],
+                    aggregated: Vec::new(),
+                    accuracy: Some(0.5),
+                    loss: Some(1.0),
+                    bytes_down: 0,
+                    bytes_up: 0,
+                },
+                RoundReport {
+                    round: 1,
+                    time: 2.0,
+                    latency: 1.0,
+                    selected: vec![1],
+                    aggregated: Vec::new(),
+                    accuracy: Some(0.8),
+                    loss: Some(0.5),
+                    bytes_down: 0,
+                    bytes_up: 0,
+                },
+            ],
+        };
+        PolicyOutcome::from(&report)
+    }
+
+    #[test]
+    fn outcome_extracts_series() {
+        let o = outcome("x");
+        assert_eq!(o.total_time, 2.0);
+        assert_eq!(o.final_accuracy, 0.8);
+        assert_eq!(o.accuracy_over_rounds.len(), 2);
+    }
+
+    #[test]
+    fn printers_do_not_panic() {
+        let os = vec![outcome("vanilla"), outcome("uniform")];
+        let mut out = Vec::new();
+        print_time_bars(&mut out, &os).unwrap();
+        print_accuracy_over_rounds(&mut out, &os, 1).unwrap();
+        print_accuracy_over_time(&mut out, &os, 4).unwrap();
+        print_summary(&mut out, &os).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("train time [s]") && text.contains("0.800"));
+    }
+
+    #[test]
+    fn truncate_respects_char_boundaries() {
+        assert_eq!(truncate("abcdef", 3), "abc");
+        assert_eq!(truncate("ab", 9), "ab");
+    }
 }

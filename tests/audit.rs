@@ -158,7 +158,7 @@ fn chains_separate_cells_and_ignore_backends() {
     assert_eq!(runs.len(), 6);
     let sweep = SweepScheduler::new(2).execute(&runs, None, false);
     assert_eq!(sweep.failed(), 0);
-    let reports = sweep.into_reports();
+    let reports = sweep.into_reports().expect("no run fails");
 
     let heads: Vec<Digest128> = reports.iter().map(TrainingReport::digest_chain).collect();
     let distinct: std::collections::BTreeSet<Digest128> = heads.iter().copied().collect();
@@ -590,7 +590,7 @@ fn predigest_artifacts_load_validate_audit_and_diff() {
     assert_eq!(builder.run().completed(), 1);
     let store = RunStore::open(&dir).expect("store opens");
     let key = store.keys()[0];
-    let request = store.load(key).expect("loads").request;
+    let request = store.load_checked(key).expect("loads").request;
 
     let text = std::fs::read_to_string(store.path_of(key)).expect("read");
     let mut value: serde::Value = serde_json::from_str(&text).expect("parses");
@@ -601,10 +601,13 @@ fn predigest_artifacts_load_validate_audit_and_diff() {
     )
     .expect("rewrite");
 
-    let artifact = store.load(key).expect("pre-digest artifact loads");
+    let artifact = store.load_checked(key).expect("pre-digest artifact loads");
     assert_eq!(artifact.digest, None);
     assert_eq!(artifact.metrics, None);
-    assert!(store.validates(key, &request), "resume still validates");
+    assert!(
+        store.validate_checked(key, &request).is_ok(),
+        "resume still validates"
+    );
     let audit = audit_store(&store);
     assert!(
         audit.is_clean(),

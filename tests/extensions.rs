@@ -97,28 +97,6 @@ fn dp_updates_compose_with_tiering() {
 }
 
 #[test]
-fn sinusoidal_drift_changes_latencies_over_time() {
-    let mut cfg = ExperimentConfig::tiny(46);
-    cfg.latency.jitter_sigma = 0.0;
-    cfg.latency.base_overhead_sec = 0.0;
-    cfg.drift = DriftModel::Sinusoidal {
-        period: 10.0,
-        amplitude: 0.5,
-        devices: 10,
-    };
-    let session = cfg.make_session();
-    let task = session.task_for(0);
-    // Device 0 has phase 0: round 0 sits at the sine's zero crossing
-    // (scale 1.0) while round 2 sits near the crest (scale ~1.48).
-    let l0 = session.cluster().response(0, 0, &task).unwrap();
-    let l2 = session.cluster().response(0, 2, &task).unwrap();
-    assert!(
-        (l0 - l2).abs() / l0 > 0.12,
-        "quarter-period apart should differ: {l0} vs {l2}"
-    );
-}
-
-#[test]
 fn experiment_config_json_round_trip() {
     let mut cfg = ExperimentConfig::cifar10_combine(5, 7);
     cfg.aggregation = AggregationMode::FirstK { factor: 1.3 };

@@ -13,15 +13,13 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The first code span of each "promote or delete next" row.
-const UNCONSUMED: [&str; 8] = [
+const UNCONSUMED: [&str; 6] = [
     "HierarchySpec",
     "LinkModel::ClusterDefault",
     "Cluster::set_dropout",
     "sim::EventQueue",
     "EventEngine",
     "Sequential::forward",
-    "DataScenario::Shards",
-    "DriftModel::Sinusoidal",
 ];
 
 /// The enums a `RunRequest` document can spell, and where each is

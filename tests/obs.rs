@@ -233,7 +233,7 @@ fn artifacts_without_metrics_still_load_and_validate() {
     store.write(&artifact).expect("artifact writes");
     assert!(
         store
-            .load(key)
+            .load_checked(key)
             .expect("fresh artifact loads")
             .metrics
             .is_some(),
@@ -257,10 +257,10 @@ fn artifacts_without_metrics_still_load_and_validate() {
     .expect("stripped artifact writes");
 
     let loaded = store
-        .load_valid(key, &request)
+        .validate_checked(key, &request)
         .expect("a metrics-less artifact must still validate for resume");
     assert!(loaded.metrics.is_none());
-    assert!(store.validates(key, &request));
+    assert!(store.validate_checked(key, &request).is_ok());
 
     // An artifact from before the asynchronous mode was deleted still
     // lists its three always-zero counters: metrics are name-keyed, so
@@ -277,7 +277,7 @@ fn artifacts_without_metrics_still_load_and_validate() {
         .write(&artifact)
         .expect("legacy-counter artifact writes");
     let loaded = store
-        .load_valid(key, &request)
+        .validate_checked(key, &request)
         .expect("legacy counters must not invalidate an artifact");
     assert_eq!(loaded.metrics, artifact.metrics);
     let audit = audit_store(&store);

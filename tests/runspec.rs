@@ -383,6 +383,35 @@ fn spec_cli_threads_override_is_result_invariant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn cli_runs_a_zero_round_config_to_an_empty_report() {
+    // No rounds is a valid horizon: the report is empty, its time and
+    // accuracies are zero, and the run exits 0 under every kind of
+    // selection.
+    let mut cfg = tiny(87);
+    cfg.rounds = 0;
+    let dir = std::env::temp_dir().join(format!("tifl-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("config.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&cfg).unwrap()).expect("write config");
+    for policy in ["vanilla", "uniform", "fast", "adaptive"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(["run", path.to_str().unwrap(), policy])
+            .output()
+            .expect("tifl binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{policy}: {stderr}");
+        assert!(
+            stdout.starts_with(&format!(
+                "{policy}: 0 rounds, 0 virtual s, final accuracy 0.000 (best 0.000)\n"
+            )),
+            "{policy}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `tifl <args>`, run in `dir`, must fail on `path`: exit code 1 and
 /// `[tifl] <path>: <cause>` on stderr, never a panic. Returns stderr.
 fn tifl_fails_on(dir: &std::path::Path, args: &[&str], path: &str) -> String {
@@ -602,6 +631,14 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
                 r#"{"Uniform": {"up_bps": 1e5, "down_bps": 1e6, "rtt_sec": 0.0}}"#,
             ),
         ),
+        ("Shards", same(r#""Iid": {"#, r#""Shards": {"total": 600,"#)),
+        (
+            "Sinusoidal",
+            same(
+                r#""drift": "None""#,
+                r#""drift": {"Sinusoidal": {"period": 10.0, "amplitude": 0.5, "devices": 10}}"#,
+            ),
+        ),
     ];
     let manifest = SweepManifest {
         name: None,
@@ -708,7 +745,7 @@ fn cli_usage_errors_exit_2() {
     let help = String::from_utf8(help.stdout).expect("utf-8 help");
     for command in [
         "init", "profile", "estimate", "run", "sweep", "trace", "diff", "audit", "merge", "report",
-        "help",
+        "paper", "help",
     ] {
         assert!(
             help.contains(&format!("  tifl {command}")),

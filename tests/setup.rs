@@ -50,7 +50,6 @@ fn train_sizes_match_the_materialised_dataset() {
             per_client: 40,
             k: 2,
         },
-        DataScenario::Shards { total: 600 },
         DataScenario::QuantitySkew { total: 800 },
         DataScenario::QuantitySkewClassLimit { total: 800, k: 5 },
     ];
@@ -303,14 +302,6 @@ fn profile_goldens() -> Vec<(String, String, &'static str)> {
         &combine,
         comm(CodecSpec::QuantizeI8, group_scaled(0.5, 0.01)),
         "0598ad61619294eb992c4f33ce337a10",
-    );
-    let mut shards = ExperimentConfig::mnist_like_combined(SynthFamily::Mnist, 12);
-    shards.data = DataScenario::Shards { total: 3_000 };
-    pin(
-        "sizes/shards12",
-        &shards,
-        None,
-        "34d3cc9f6247d87645d552def949f555",
     );
     rows.push((
         "leaf/tiny77".to_string(),

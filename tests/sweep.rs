@@ -78,7 +78,7 @@ fn sweep_equals_serial_request_loop_bit_for_bit() {
     for workers in [1, 4] {
         let sweep = SweepScheduler::new(workers).execute(&runs, None, false);
         assert_eq!(sweep.failed(), 0, "workers={workers}");
-        let reports = sweep.into_reports();
+        let reports = sweep.into_reports().expect("no run fails");
         assert_eq!(
             reports, serial,
             "sweep(workers={workers}) diverged from the serial loop"
@@ -133,7 +133,7 @@ fn cells_of_one_experiment_share_their_data_and_nothing_else() {
     assert_ne!(serial[0].rounds, serial[1].rounds, "the codecs must differ");
     let sweep = SweepScheduler::new(2).execute(&runs, None, false);
     assert_eq!((sweep.datasets_built, sweep.dataset_cache_hits), (1, 1));
-    assert_eq!(sweep.into_reports(), serial);
+    assert_eq!(sweep.into_reports().expect("no run fails"), serial);
 }
 
 #[test]
@@ -240,7 +240,10 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     }
 
     // And the outcomes agree report-for-report with the clean sweep.
-    assert_eq!(resumed.into_reports(), clean.into_reports());
+    assert_eq!(
+        resumed.into_reports().expect("no run fails"),
+        clean.into_reports().expect("no run fails")
+    );
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&resumed_dir);
@@ -263,7 +266,7 @@ fn resume_reruns_cells_whose_artifacts_do_not_validate() {
     assert_eq!(resumed.completed(), 1, "corrupt artifact must re-run");
     assert_eq!(resumed.skipped(), 1);
     for run in manifest.expand() {
-        assert!(store.validates(run.key, &run.request));
+        assert!(store.validate_checked(run.key, &run.request).is_ok());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -365,7 +368,7 @@ fn sweep_builder_runs_comm_and_aggregation_axes() {
         .workers(2)
         .run();
     assert_eq!(sweep.failed(), 0);
-    let reports = sweep.into_reports();
+    let reports = sweep.into_reports().expect("no run fails");
     assert_eq!(reports.len(), 4);
     let labels: Vec<&str> = reports.iter().map(|r| r.policy.as_str()).collect();
     assert_eq!(
@@ -476,7 +479,7 @@ fn sweep_cli_executes_and_resumes_a_manifest() {
     let store = RunStore::open(&arts).expect("store opens");
     assert_eq!(store.keys().len(), 2);
     for run in manifest.expand() {
-        assert!(store.validates(run.key, &run.request));
+        assert!(store.validate_checked(run.key, &run.request).is_ok());
     }
     assert!(store.summary_path().exists(), "summary sidecar written");
 
