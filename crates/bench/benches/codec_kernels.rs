@@ -39,9 +39,8 @@ use tifl_core::runner::Experiment;
 use tifl_data::synth::Generator;
 use tifl_data::{SynthFamily, SynthSpec};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
-use tifl_nn::layer::Relu;
 use tifl_nn::models::ModelSpec;
-use tifl_nn::{Layer, RmsProp};
+use tifl_nn::{relu, relu_backward, RmsProp};
 use tifl_tensor::{codec, ops, split_seed, Matrix, ParamVec};
 
 /// One CIFAR-10-CNN-ish flattened model (order of the paper's models).
@@ -214,20 +213,27 @@ fn bench_train_step(t: &mut Timing) {
     });
 
     let pre_activations = pre_activation_pool();
-    let mut relu = Relu::new(128);
+    let mut grad = vec![0.0; 10 * 128];
     let mut at = 0;
-    // Includes the clone that hands `forward` its input by value.
+    // Includes the clone that stands for the GEMM output `relu` works
+    // in; the gradient is the activation, copied into `grad`.
     t.bench("hot/relu_fwd_bwd_1280", || {
         at = (at + 1) % POOL;
-        let y = relu.forward(black_box(pre_activations[at].clone()), true);
-        relu.backward(y)
+        let mut h = black_box(pre_activations[at].clone());
+        relu(h.as_mut_slice());
+        grad.copy_from_slice(h.as_slice());
+        relu_backward(h.as_slice(), &mut grad);
+        h
     });
 
     // The output layer's forward GEMM: 10x128 activations, half of
     // them zero, times 128x10 weights.
     let activations: Vec<Matrix> = pre_activations
         .into_iter()
-        .map(|m| relu.forward(m, false))
+        .map(|mut m| {
+            relu(m.as_mut_slice());
+            m
+        })
         .collect();
     let w_out = wave(128, 10, 0.017);
     let mut at = 0;

@@ -394,16 +394,30 @@ impl ExperimentConfig {
         FederatedDataset::materialize(&gen, &part, 0.1, 50, self.data_seed())
     }
 
-    /// Whether the model can train on this config's data: it takes the
-    /// family's feature count, its hidden layer has at least one unit,
-    /// and it scores at least the family's classes. `Err` names both
-    /// sides. The `tifl` CLI asks when it loads a document; a session
-    /// built from a misfit config still panics.
+    /// Whether this config's sizes fit each other. The population can
+    /// be sampled and tiered: `clients_per_round` and
+    /// `tiering.num_tiers` are each between 1 and `num_clients`. And the
+    /// model can train on the data: it takes the family's feature count,
+    /// its hidden layer has at least one unit, and it scores at least
+    /// the family's classes. `Err` names what is out of range. The
+    /// `tifl` CLI asks when it loads a document; a session built from a
+    /// config that fails still panics.
     ///
     /// # Errors
-    /// The model's input width or class count does not fit the data,
-    /// or its hidden layer is empty.
-    pub fn model_fits_data(&self) -> Result<(), String> {
+    /// A count is out of range, the model's input width or class count
+    /// does not fit the data, or its hidden layer is empty.
+    pub fn check_sizes(&self) -> Result<(), String> {
+        let n = self.num_clients;
+        for (field, value) in [
+            ("clients_per_round", self.clients_per_round),
+            ("tiering.num_tiers", self.tiering.num_tiers),
+        ] {
+            if !(1..=n).contains(&value) {
+                return Err(format!(
+                    "{field} {value} is outside 1..={n} (num_clients {n})"
+                ));
+            }
+        }
         let data = SynthSpec::family(self.family);
         let (input, hidden, classes) = (
             self.model.input_features(),

@@ -4,26 +4,21 @@
 //! groups; clients in the same group form a tier, and each tier records
 //! its average response latency for the scheduler and the estimator.
 //!
-//! Two split strategies are provided:
-//!
-//! * [`SplitStrategy::EqualCount`] (default) — sort by latency and cut
-//!   into `m` equal-population quantile groups. This guarantees every
-//!   tier has `~|K|/m` clients, satisfying the paper's requirement that
-//!   `n_j > |C|` for every tier.
-//! * [`SplitStrategy::EqualWidth`] — `m` equal-width latency bins
-//!   (the literal histogram reading); bins can be empty, in which case
-//!   they are dropped.
+//! The split, [`SplitStrategy::EqualCount`], sorts by latency and cuts
+//! into `m` equal-population quantile groups. This guarantees every
+//! tier has `~|K|/m` clients, satisfying the paper's requirement that
+//! `n_j > |C|` for every tier.
 
 use serde::{Deserialize, Serialize};
 
-/// How to split the latency histogram into tiers.
+/// How to split the latency histogram into tiers. One strategy is
+/// left; the field that names it stays in every serialised config, and
+/// so in every `RunKey`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SplitStrategy {
     /// Equal-population quantile split (default).
     #[default]
     EqualCount,
-    /// Equal-width latency bins; empty bins are dropped.
-    EqualWidth,
 }
 
 /// Tiering parameters.
@@ -85,44 +80,20 @@ impl TierAssignment {
         );
         live.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        let groups: Vec<Vec<(usize, f64)>> = match config.strategy {
-            SplitStrategy::EqualCount => {
-                let m = config.num_tiers;
-                let n = live.len();
-                // Distribute n clients over m tiers as evenly as possible
-                // (first `n % m` tiers get one extra).
-                let mut groups = Vec::with_capacity(m);
-                let base = n / m;
-                let extra = n % m;
-                let mut start = 0;
-                for t in 0..m {
-                    let size = base + usize::from(t < extra);
-                    groups.push(live[start..start + size].to_vec());
-                    start += size;
-                }
-                groups
-            }
-            SplitStrategy::EqualWidth => {
-                let lo = live.first().expect("non-empty").1;
-                let hi = live.last().expect("non-empty").1;
-                let m = config.num_tiers;
-                let width = ((hi - lo) / m as f64).max(f64::EPSILON);
-                let mut groups: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-                for &(i, l) in &live {
-                    let bin = (((l - lo) / width) as usize).min(m - 1);
-                    groups[bin].push((i, l));
-                }
-                groups.retain(|g| !g.is_empty());
-                groups
-            }
-        };
-
-        let tiers = groups
-            .into_iter()
-            .map(|g| {
+        // Equal-count split, the one strategy (this binding stops
+        // compiling if another is added): distribute n clients over m
+        // tiers as evenly as possible (the first `n % m` get one extra).
+        let SplitStrategy::EqualCount = config.strategy;
+        let (m, n) = (config.num_tiers, live.len());
+        let mut start = 0;
+        let tiers = (0..m)
+            .map(|t| {
+                let size = n / m + usize::from(t < n % m);
+                let g = &live[start..start + size];
+                start += size;
                 let avg = g.iter().map(|&(_, l)| l).sum::<f64>() / g.len() as f64;
                 Tier {
-                    clients: g.into_iter().map(|(i, _)| i).collect(),
+                    clients: g.iter().map(|&(i, _)| i).collect(),
                     avg_latency: avg,
                 }
             })
@@ -218,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_width_respects_gaps() {
-        // Two clusters of latencies: 1-2 and 99-100 with 5 requested bins
-        // -> only two non-empty bins survive.
-        let l = latencies(&[1.0, 1.5, 2.0, 99.0, 99.5, 100.0]);
-        let cfg = TieringConfig {
-            num_tiers: 5,
-            strategy: SplitStrategy::EqualWidth,
-        };
-        let a = TierAssignment::from_latencies(&l, &cfg);
-        assert_eq!(a.num_tiers(), 2);
-        assert_eq!(a.tiers[0].clients.len(), 3);
-        assert_eq!(a.tiers[1].clients.len(), 3);
-    }
-
-    #[test]
     fn tier_of_finds_every_client() {
         let l = latencies(&[3.0, 1.0, 2.0, 5.0, 4.0]);
         let cfg = TieringConfig {
@@ -270,35 +226,33 @@ mod tests {
     #[test]
     fn clients_land_in_the_latency_correct_tier() {
         // Paper invariant (§4.2): tier boundaries respect the latency
-        // order — under either split strategy, no client in tier i is
-        // slower than any client in tier i+1.
+        // order — no client in tier i is slower than any client in
+        // tier i+1.
         let vals = [
             37.0, 2.0, 55.0, 8.0, 90.0, 13.0, 71.0, 3.0, 28.0, 44.0, 61.0, 19.0,
         ];
         let l = latencies(&vals);
-        for strategy in [SplitStrategy::EqualCount, SplitStrategy::EqualWidth] {
-            let cfg = TieringConfig {
-                num_tiers: 4,
-                strategy,
-            };
-            let a = TierAssignment::from_latencies(&l, &cfg);
-            for (i, w) in a.tiers.windows(2).enumerate() {
-                let fast_max = w[0]
-                    .clients
-                    .iter()
-                    .map(|&c| vals[c])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let slow_min = w[1]
-                    .clients
-                    .iter()
-                    .map(|&c| vals[c])
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    fast_max <= slow_min,
-                    "{strategy:?}: tier {i} max {fast_max} exceeds tier {} min {slow_min}",
-                    i + 1
-                );
-            }
+        let cfg = TieringConfig {
+            num_tiers: 4,
+            ..Default::default()
+        };
+        let a = TierAssignment::from_latencies(&l, &cfg);
+        for (i, w) in a.tiers.windows(2).enumerate() {
+            let fast_max = w[0]
+                .clients
+                .iter()
+                .map(|&c| vals[c])
+                .fold(f64::NEG_INFINITY, f64::max);
+            let slow_min = w[1]
+                .clients
+                .iter()
+                .map(|&c| vals[c])
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                fast_max <= slow_min,
+                "tier {i} max {fast_max} exceeds tier {} min {slow_min}",
+                i + 1
+            );
         }
     }
 
@@ -312,27 +266,25 @@ mod tests {
         ]);
         l[4] = None;
         l[11] = None;
-        for strategy in [SplitStrategy::EqualCount, SplitStrategy::EqualWidth] {
-            let cfg = TieringConfig {
-                num_tiers: 5,
-                strategy,
-            };
-            let a = TierAssignment::from_latencies(&l, &cfg);
-            let mut seen = vec![0usize; l.len()];
-            for tier in &a.tiers {
-                for &c in &tier.clients {
-                    assert!(c < l.len(), "{strategy:?}: unknown client {c}");
-                    seen[c] += 1;
-                }
+        let cfg = TieringConfig {
+            num_tiers: 5,
+            ..Default::default()
+        };
+        let a = TierAssignment::from_latencies(&l, &cfg);
+        let mut seen = vec![0usize; l.len()];
+        for tier in &a.tiers {
+            for &c in &tier.clients {
+                assert!(c < l.len(), "unknown client {c}");
+                seen[c] += 1;
             }
-            for (c, lat) in l.iter().enumerate() {
-                assert_eq!(
-                    seen[c],
-                    usize::from(lat.is_some()),
-                    "{strategy:?}: client {c} appears {} times",
-                    seen[c]
-                );
-            }
+        }
+        for (c, lat) in l.iter().enumerate() {
+            assert_eq!(
+                seen[c],
+                usize::from(lat.is_some()),
+                "client {c} appears {} times",
+                seen[c]
+            );
         }
     }
 }

@@ -218,18 +218,6 @@ impl TrainingReport {
         counts
     }
 
-    /// How often each client actually contributed an aggregated update.
-    #[must_use]
-    pub fn contribution_counts(&self, num_clients: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; num_clients];
-        for r in &self.rounds {
-            for &c in &r.aggregated {
-                counts[c] += 1;
-            }
-        }
-        counts
-    }
-
     /// Fraction of selected trainings whose updates were discarded
     /// (non-zero only under over-selection or dropouts) — the wasted
     /// client work the paper criticises in §2.

@@ -62,12 +62,6 @@ impl RandomSelector {
             seed,
         }
     }
-
-    /// Select uniformly from an explicit pool (e.g. excluding dropouts).
-    #[must_use]
-    pub fn from_pool(pool: Vec<usize>, seed: u64) -> Self {
-        Self { pool, seed }
-    }
 }
 
 impl ClientSelector for RandomSelector {

@@ -17,7 +17,7 @@ use tifl_comm::{CodecSpec, CommSpec, EncodeScratch, ErrorFeedback};
 use tifl_data::FederatedDataset;
 use tifl_nn::model::{EvalResult, Sequential};
 use tifl_nn::models::ModelSpec;
-use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent, TraceSink};
+use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent};
 use tifl_sim::latency::TrainingTask;
 use tifl_sim::{Cluster, VirtualClock};
 use tifl_tensor::{ops, Matrix, ParamVec};

@@ -11,7 +11,6 @@
 //! A model is a function of `(spec, weights)` alone: the seed of
 //! [`ModelSpec::build`] draws the initial weights and nothing else.
 
-use crate::layer::{Dense, Relu};
 use crate::model::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +61,13 @@ impl ModelSpec {
     /// Instantiate the model with weights drawn from `seed`.
     #[must_use]
     pub fn build(&self, seed: u64) -> Sequential {
-        self.assemble(Some(&mut StdRng::seed_from_u64(seed)))
+        let mut rng = StdRng::seed_from_u64(seed);
+        Sequential::mlp(
+            self.input_features(),
+            self.hidden(),
+            self.classes(),
+            Some(&mut rng),
+        )
     }
 
     /// Instantiate the model holding `params` (the layout of
@@ -74,23 +79,9 @@ impl ModelSpec {
     /// Panics if `params` is not exactly the model's parameter count.
     #[must_use]
     pub fn build_with_params(&self, params: &ParamVec) -> Sequential {
-        let mut model = self.assemble(None);
+        let mut model = Sequential::mlp(self.input_features(), self.hidden(), self.classes(), None);
         model.set_params(params);
         model
-    }
-
-    /// The architecture: weights drawn from `init`, or all zero.
-    fn assemble(&self, mut init: Option<&mut StdRng>) -> Sequential {
-        let ModelSpec::Mlp {
-            input,
-            hidden,
-            classes,
-        } = *self;
-        Sequential::new(vec![
-            Box::new(Dense::init(input, hidden, init.as_deref_mut())),
-            Box::new(Relu::new(hidden)),
-            Box::new(Dense::init(hidden, classes, init)),
-        ])
     }
 }
 

@@ -15,11 +15,11 @@
 //! - [`diff`] — the [`DiffReport`] vocabulary behind `tifl diff`:
 //!   which round two runs first disagree on, and the field-level
 //!   deltas of that round.
-//! - [`trace`] — the [`TraceEvent`] vocabulary, the [`TraceSink`]
-//!   trait, and a preallocated ring-buffer recorder
-//!   ([`RingRecorder`]). Events are `Copy`, scalar-only payloads
-//!   stamped with **virtual time**; recording never allocates once the
-//!   ring exists, and a disabled sink costs one branch.
+//! - [`trace`] — the [`TraceEvent`] vocabulary and a preallocated
+//!   ring-buffer recorder ([`RingRecorder`]). Events are `Copy`,
+//!   scalar-only payloads stamped with **virtual time**; recording
+//!   never allocates once the ring exists, and a session with no
+//!   observer attached costs one branch.
 //! - [`observer`] — [`RunObserver`], the sink a `Runner` attaches to a
 //!   session: ring recorder + pre-registered metrics, folded from the
 //!   same event stream.
@@ -77,4 +77,4 @@ pub use observer::RunObserver;
 pub use pivot::{render_pivot, PivotRow};
 pub use prof::{FrozenClock, HostClock, HostProfiler, HostSpan, Phase, PhaseTotals, RealClock};
 pub use table::{render_rounds, round_rows, RoundRow};
-pub use trace::{NoopSink, RingRecorder, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{RingRecorder, TraceEvent, TraceRecord};

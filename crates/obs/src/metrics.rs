@@ -114,12 +114,6 @@ impl MetricsRegistry {
         h.sum += value;
     }
 
-    /// Current value of a counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Serialize the current state, in registration order.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {

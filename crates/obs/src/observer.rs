@@ -6,7 +6,7 @@
 //! path is allocation-free (ring write + counter bumps).
 
 use crate::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, MetricsSnapshot};
-use crate::trace::{RingRecorder, TraceEvent, TraceRecord, TraceSink};
+use crate::trace::{RingRecorder, TraceEvent, TraceRecord};
 
 /// Fixed bucket bounds (virtual seconds) for the round-latency
 /// histogram. Chosen to straddle the paper's CIFAR-10 round latencies
@@ -89,10 +89,10 @@ impl RunObserver {
         let snapshot = self.metrics.snapshot();
         (self.ring.into_records(), snapshot)
     }
-}
 
-impl TraceSink for RunObserver {
-    fn record(&mut self, vt: f64, event: TraceEvent) {
+    /// Record one event at virtual time `vt`: into the ring, and into
+    /// the metrics it moves.
+    pub fn record(&mut self, vt: f64, event: TraceEvent) {
         self.ring.record(vt, event);
         let m = &mut self.metrics;
         let ids = &self.ids;

@@ -1,4 +1,4 @@
-//! Trace events, the sink trait, and the preallocated ring recorder.
+//! Trace events and the preallocated ring recorder.
 //!
 //! A trace is a sequence of [`TraceRecord`]s: a monotone sequence
 //! number, a **virtual-time** stamp, and a scalar-only [`TraceEvent`]
@@ -113,25 +113,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Destination for trace events.
-///
-/// Implementations must not introduce nondeterminism: no wall-clock
-/// reads, no thread-dependent state. The engine emits events in a
-/// canonical order derived from the round plans, so a faithful sink
-/// observes the same stream on every backend.
-pub trait TraceSink {
-    /// Record one event at virtual time `vt`.
-    fn record(&mut self, vt: f64, event: TraceEvent);
-}
-
-/// A sink that drops everything: the explicit disabled path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _vt: f64, _event: TraceEvent) {}
-}
-
 /// Fixed-capacity ring recorder, preallocated at construction.
 ///
 /// Stores the **most recent** `capacity` records; older records are
@@ -209,10 +190,9 @@ impl RingRecorder {
         self.buf.rotate_left(self.head);
         self.buf
     }
-}
 
-impl TraceSink for RingRecorder {
-    fn record(&mut self, vt: f64, event: TraceEvent) {
+    /// Record one event at virtual time `vt`.
+    pub fn record(&mut self, vt: f64, event: TraceEvent) {
         let rec = TraceRecord {
             seq: self.next_seq,
             vt,

@@ -161,12 +161,6 @@ impl Cluster {
         self.devices[d]
     }
 
-    /// The latency model in use.
-    #[must_use]
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// Response latency of device `d` executing `task` in `round`, or
     /// `None` if the device does not respond this round.
     ///

@@ -27,4 +27,4 @@ pub mod rng;
 
 pub use matrix::Matrix;
 pub use param::ParamVec;
-pub use rng::{seed_rng, split_seed, SeedStream};
+pub use rng::{seed_rng, split_seed};

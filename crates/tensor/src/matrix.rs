@@ -141,12 +141,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Consume the matrix and return the backing buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

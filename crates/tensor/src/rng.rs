@@ -30,49 +30,6 @@ pub fn split_seed(parent: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A labelled stream of child seeds derived from one parent seed.
-///
-/// Successive calls to [`SeedStream::next_seed`] return decorrelated
-/// seeds; [`SeedStream::named`] derives a substream for a component.
-#[derive(Debug, Clone)]
-pub struct SeedStream {
-    parent: u64,
-    counter: u64,
-}
-
-impl SeedStream {
-    /// Start a stream rooted at `parent`.
-    #[must_use]
-    pub fn new(parent: u64) -> Self {
-        Self { parent, counter: 0 }
-    }
-
-    /// Next child seed in the stream.
-    pub fn next_seed(&mut self) -> u64 {
-        let s = split_seed(self.parent, self.counter);
-        self.counter += 1;
-        s
-    }
-
-    /// Next child RNG in the stream.
-    pub fn next_rng(&mut self) -> StdRng {
-        seed_rng(self.next_seed())
-    }
-
-    /// Derive an independent substream labelled by `stream`.
-    ///
-    /// Substreams with different labels never collide with each other or
-    /// with seeds produced by `next_seed` on the parent (the label space
-    /// is mixed through SplitMix64 twice).
-    #[must_use]
-    pub fn named(&self, stream: u64) -> SeedStream {
-        SeedStream::new(split_seed(
-            split_seed(self.parent, u64::MAX ^ stream),
-            stream,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,24 +48,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
-    }
-
-    #[test]
-    fn seed_stream_yields_distinct_seeds() {
-        let mut s = SeedStream::new(1);
-        let seeds: Vec<u64> = (0..100).map(|_| s.next_seed()).collect();
-        let mut dedup = seeds.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), seeds.len());
-    }
-
-    #[test]
-    fn named_substreams_are_independent() {
-        let root = SeedStream::new(99);
-        let mut a = root.named(0);
-        let mut b = root.named(1);
-        assert_ne!(a.next_seed(), b.next_seed());
     }
 
     #[test]

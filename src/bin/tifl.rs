@@ -541,7 +541,7 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
     let path = args.operands[0];
     let (request, stored_metrics) = match load::<RunArtifact>(path) {
         Ok(artifact) => {
-            fits(path, &artifact.request.experiment)?;
+            fits(path, &artifact.request.experiment())?;
             let Some(metrics) = artifact.metrics else {
                 eprintln!(
                     "[tifl] artifact has no metrics; re-run with run_observed \
@@ -669,27 +669,32 @@ fn print_formatted<T: Serialize>(args: &Args<'_>, value: &T, text: impl FnOnce()
 
 /// A JSON document a command loads.
 trait Document: Deserialize {
-    /// The experiment the document trains, checked when it is loaded.
-    fn experiment(&self) -> Option<&ExperimentConfig> {
-        None
+    /// The experiments the document trains, as they will run (a
+    /// request's overrides applied, a manifest expanded to its cells),
+    /// checked when it is loaded.
+    fn experiments(&self) -> Vec<ExperimentConfig> {
+        Vec::new()
     }
 }
 
 impl Document for ExperimentConfig {
-    fn experiment(&self) -> Option<&ExperimentConfig> {
-        Some(self)
+    fn experiments(&self) -> Vec<ExperimentConfig> {
+        vec![self.clone()]
     }
 }
 
 impl Document for RunRequest {
-    fn experiment(&self) -> Option<&ExperimentConfig> {
-        Some(&self.experiment)
+    fn experiments(&self) -> Vec<ExperimentConfig> {
+        vec![self.experiment()]
     }
 }
 
 impl Document for SweepManifest {
-    fn experiment(&self) -> Option<&ExperimentConfig> {
-        Some(&self.experiment)
+    fn experiments(&self) -> Vec<ExperimentConfig> {
+        self.expand()
+            .iter()
+            .map(|run| run.request.experiment())
+            .collect()
     }
 }
 
@@ -701,7 +706,7 @@ impl Document for TrainingReport {}
 
 /// Load `path` as a `T`. The error names the path, then the cause:
 /// unreadable, malformed or truncated JSON, a different document, or
-/// a model that does not fit its data (caught before any session is
+/// an experiment whose sizes do not fit (caught before any session is
 /// built).
 fn load<T: Document>(path: &str) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(at(path))?;
@@ -709,17 +714,15 @@ fn load<T: Document>(path: &str) -> Result<T, String> {
         let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
         format!("{path}: not a {what}: {e}")
     })?;
-    if let Some(experiment) = document.experiment() {
-        fits(path, experiment)?;
+    for experiment in document.experiments() {
+        fits(path, &experiment)?;
     }
     Ok(document)
 }
 
-/// The model of `path`'s experiment fits its data.
+/// The sizes of `path`'s experiment fit each other.
 fn fits(path: &str, experiment: &ExperimentConfig) -> Result<(), String> {
-    experiment
-        .model_fits_data()
-        .map_err(|e| format!("{path}: {e}"))
+    experiment.check_sizes().map_err(|e| format!("{path}: {e}"))
 }
 
 /// The store at `dir`, which must already exist: a command that reads

@@ -641,6 +641,7 @@ fn fig7(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
         amount,
         a.preset(|seed| ExperimentConfig::cifar10_combine(5, seed)),
     ];
+    let rounds = cfgs[0].rounds;
     let scenarios = ["Class", "Amount", "Combine"].map(String::from);
     let results: Vec<(String, Vec<PolicyOutcome>)> = scenarios
         .into_iter()
@@ -648,16 +649,20 @@ fn fig7(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
         .collect();
 
     type Cell = fn(&PolicyOutcome) -> String;
-    let panels: [(&str, &str, Cell); 2] = [
-        ("Fig. 7(a)", "training time for 500 rounds [s]", |o| {
-            fx(o.total_time, 0)
-        }),
-        ("Fig. 7(b)", "accuracy at 500 rounds [%]", |o| {
-            fx(o.final_accuracy * 100.0, 1)
-        }),
+    let panels: [(&str, String, Cell); 2] = [
+        (
+            "Fig. 7(a)",
+            format!("training time for {rounds} rounds [s]"),
+            |o| fx(o.total_time, 0),
+        ),
+        (
+            "Fig. 7(b)",
+            format!("accuracy at {rounds} rounds [%]"),
+            |o| fx(o.final_accuracy * 100.0, 1),
+        ),
     ];
     for (id, caption, cell) in panels {
-        header(out, id, caption)?;
+        header(out, id, &caption)?;
         row(out, &[-10, 10], "scenario", ["vanilla", "uniform", "TiFL"])?;
         for (label, outcomes) in &results {
             row(out, &[-10, 10], label, outcomes.iter().map(cell))?;
@@ -688,9 +693,9 @@ fn fig8(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
 /// quick shape check.
 fn fig9(a: &Args<'_>, out: &mut dyn Write) -> Drawn {
     let cfg = a.preset(ExperimentConfig::leaf_femnist);
+    let caption = format!("training time for {} rounds, LEAF/FEMNIST", cfg.rounds);
     let outcomes = grid(&[cfg], &policies_and_tifl())?.remove(0);
-    let caption = "training time for 2000 rounds, LEAF/FEMNIST";
-    header(out, "Fig. 9(a)", caption)?;
+    header(out, "Fig. 9(a)", &caption)?;
     print_time_bars(out, &outcomes)?;
     header(out, "Fig. 9(b)", "accuracy over rounds, LEAF/FEMNIST")?;
     print_accuracy_over_rounds(out, &outcomes, 5)?;

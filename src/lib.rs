@@ -105,7 +105,7 @@ pub mod prelude {
         chrome_trace, host_chrome_trace, DiffReport, DiffSide, Digest128, DigestChain, Divergence,
         FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, MetricsRegistry,
         MetricsSnapshot, Phase, PhaseTotals, RealClock, RingRecorder, RunObserver, TraceEvent,
-        TraceRecord, TraceSink,
+        TraceRecord,
     };
     pub use tifl_sim::cluster::{Cluster, ClusterConfig};
     pub use tifl_sim::drift::DriftModel;

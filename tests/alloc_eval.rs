@@ -1,6 +1,6 @@
 //! Allocation gate for evaluation, the twin of `alloc_train_step.rs`.
 //!
-//! `Sequential::evaluate` is inference: the first `Dense` reads the
+//! `Sequential::evaluate` is inference: the first dense layer reads the
 //! test matrix in place, ReLU works in place and keeps no mask, the
 //! loss computes no gradient and the correct rows are counted, not
 //! collected. So an evaluation allocates its two activations and

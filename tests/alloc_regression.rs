@@ -26,7 +26,7 @@ use tifl::fl::session::{RoundPlan, Session, SessionOverrides};
 use tifl::fl::timeline::schedule_plan_events;
 use tifl::fl::ClientUpdate;
 use tifl::nn::models::ModelSpec;
-use tifl::obs::{RunObserver, TraceEvent, TraceSink};
+use tifl::obs::{RunObserver, TraceEvent};
 use tifl::tensor::ParamVec;
 
 #[path = "common/counting_alloc.rs"]

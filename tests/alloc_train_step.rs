@@ -1,9 +1,9 @@
 //! Allocation gate for the client train step.
 //!
-//! `Sequential::train_batch` steps the layers' own parameter and
+//! `Sequential::train_batch` steps the model's own weight, bias and
 //! gradient buffers in place, so a mini-batch allocates activations and
 //! activation gradients — never a buffer the size of the model, and
-//! nothing per parameterised layer. Pinned
+//! nothing per dense layer. Pinned
 //! with the counting `#[global_allocator]` `alloc_regression.rs` uses;
 //! the counter is process-global, hence a binary of its own with one
 //! `#[test]`.
@@ -63,8 +63,9 @@ fn train_step_allocates_no_model_sized_buffer() {
         "allocation count depends on the model's width: {allocs} at 2048 hidden units, {} at 128",
         narrow.0
     );
-    // The two `Dense` outputs, `dlogits`, and the second layer's `dX`
-    // (ReLU works in place, the first layer computes no `dX`). Six
-    // while each `Dense` replaced its bias gradient with a fresh `Vec`.
+    // The two dense layers' outputs, `dlogits`, and the hidden
+    // activation's gradient (ReLU and its backward pass work in place
+    // and keep no mask, the first layer computes no `dX`). Six while
+    // each dense layer replaced its bias gradient with a fresh `Vec`.
     assert_eq!(allocs, 4, "allocations in one warm MLP step");
 }

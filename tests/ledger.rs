@@ -24,7 +24,7 @@ const UNCONSUMED: [&str; 6] = [
 
 /// The enums a `RunRequest` document can spell, and where each is
 /// defined.
-const REQUEST_ENUMS: [(&str, &str); 10] = [
+const REQUEST_ENUMS: [(&str, &str); 12] = [
     ("ModelSpec", "crates/nn/src/models.rs"),
     ("OptimizerSpec", "crates/fl/src/client.rs"),
     ("LinkModel", "crates/comm/src/link.rs"),
@@ -35,6 +35,8 @@ const REQUEST_ENUMS: [(&str, &str); 10] = [
     ("DataScenario", "crates/core/src/experiment.rs"),
     ("DriftModel", "crates/sim/src/drift.rs"),
     ("ExecBackend", "crates/core/src/exec/mod.rs"),
+    ("SplitStrategy", "crates/core/src/tiering.rs"),
+    ("SynthFamily", "crates/data/src/synth.rs"),
 ];
 
 /// The variant names of `pub enum <name>` in `source`: the identifiers

@@ -639,6 +639,10 @@ fn cli_reports_an_unloadable_input_file_without_panicking() {
                 r#""drift": {"Sinusoidal": {"period": 10.0, "amplitude": 0.5, "devices": 10}}"#,
             ),
         ),
+        (
+            "EqualWidth",
+            same(r#""strategy": "EqualCount""#, r#""strategy": "EqualWidth""#),
+        ),
     ];
     let manifest = SweepManifest {
         name: None,
@@ -759,37 +763,88 @@ fn cli_usage_errors_exit_2() {
 fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() {
     // Too few classes, the wrong input width or an empty hidden layer
     // used to die inside a pool worker (`label 8 out of range for 5
-    // classes`, `chunk size must be non-zero`; exit 101).
-    // Every command that loads such a document — a run request, a
-    // sweep manifest or a bare config — now answers
-    // `[tifl] <path>: model … / data …` before it builds a session.
+    // classes`, `chunk size must be non-zero`; exit 101), and so did a
+    // population that cannot be sampled or tiered (`clients_per_round`
+    // or `tiering.num_tiers` of 0 or above `num_clients`, no clients at
+    // all). Every command that loads such a document — a run request,
+    // a sweep manifest or a bare config — now answers `[tifl] <path>:
+    // <what is out of range>` before it builds a session. A request's
+    // own `clients_per_round` is checked as it overrides the experiment.
     let dir = std::env::temp_dir().join(format!("tifl-misfit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let misfits = [
-        ModelSpec::Mlp {
-            input: 64,
-            hidden: 16,
-            classes: 5,
-        },
-        ModelSpec::Mlp {
-            input: 49,
-            hidden: 16,
-            classes: 10,
-        },
-        ModelSpec::Mlp {
-            input: 64,
-            hidden: 0,
-            classes: 10,
-        },
-    ];
-    for (i, model) in misfits.into_iter().enumerate() {
+    let with = |edit: fn(&mut ExperimentConfig)| {
         let mut experiment = tiny(88);
-        experiment.model = model;
+        edit(&mut experiment);
+        experiment
+    };
+    let model = " / data Mnist has ";
+    let misfits: [(ExperimentConfig, Option<usize>, &str); 9] = [
+        (
+            with(|e| {
+                e.model = ModelSpec::Mlp {
+                    input: 64,
+                    hidden: 16,
+                    classes: 5,
+                }
+            }),
+            None,
+            model,
+        ),
+        (
+            with(|e| {
+                e.model = ModelSpec::Mlp {
+                    input: 49,
+                    hidden: 16,
+                    classes: 10,
+                }
+            }),
+            None,
+            model,
+        ),
+        (
+            with(|e| {
+                e.model = ModelSpec::Mlp {
+                    input: 64,
+                    hidden: 0,
+                    classes: 10,
+                }
+            }),
+            None,
+            model,
+        ),
+        (
+            with(|e| e.clients_per_round = 0),
+            None,
+            ": clients_per_round 0 is outside 1..=10",
+        ),
+        (
+            with(|e| e.clients_per_round = 11),
+            None,
+            ": clients_per_round 11 is outside 1..=10",
+        ),
+        (
+            with(|e| e.num_clients = 0),
+            None,
+            ": clients_per_round 2 is outside 1..=0",
+        ),
+        (
+            with(|e| e.tiering.num_tiers = 11),
+            None,
+            ": tiering.num_tiers 11 is outside 1..=10",
+        ),
+        (
+            with(|e| e.tiering.num_tiers = 0),
+            None,
+            ": tiering.num_tiers 0 is outside 1..=10",
+        ),
+        (tiny(88), Some(0), ": clients_per_round 0 is outside 1..=10"),
+    ];
+    for (i, (experiment, clients_per_round, cause)) in misfits.into_iter().enumerate() {
         let request = RunRequest {
             experiment: experiment.clone(),
             rounds: Some(2),
             seed: None,
-            clients_per_round: None,
+            clients_per_round,
             spec: RunSpec {
                 backend: ExecBackend::EventDriven { threads: 2 },
                 ..RunSpec::default()
@@ -817,26 +872,28 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
         // the report.
         let fitting = RunRequest {
             experiment: tiny(88),
+            clients_per_round: None,
             ..request.clone()
         };
         let artifact = RunArtifact::new(RunKey::of(&request), request, fitting.run());
         let artifact = file("artifact", serde_json::to_string(&artifact).unwrap());
         let dir = dir.clone();
         within_two_minutes(move || {
-            for (args, path) in [
+            let commands = [
                 (&["run", "--spec", &run, "--threads", "2"][..], &run),
-                (&["sweep", &sweep, "--workers", "2"], &sweep),
                 (&["trace", &run], &run),
                 (&["trace", &artifact], &artifact),
+                (&["sweep", &sweep, "--workers", "2"], &sweep),
                 (&["run", &config, "uniform"], &config),
                 (&["profile", &config], &config),
                 (&["estimate", &config], &config),
-            ] {
+            ];
+            // The sweep and the bare config do not carry a request's
+            // override.
+            let loaders = if clients_per_round.is_some() { 3 } else { 7 };
+            for &(args, path) in &commands[..loaders] {
                 let stderr = tifl_fails_on(&dir, args, path);
-                assert!(
-                    stderr.contains(": model takes ") && stderr.contains(" / data Mnist has "),
-                    "tifl {args:?}: {stderr}"
-                );
+                assert!(stderr.contains(cause), "tifl {args:?}: {stderr}");
                 assert!(
                     !stderr.contains("nor an artifact") || path == &run,
                     "{stderr}"

@@ -6,13 +6,12 @@
 //! global weights. None of that may change a bit: every step is held
 //! to a reference composed from `forward`, `backward`, `grads`,
 //! `params`, `Optimizer::step` and `set_params`, and `local_train` to
-//! digests captured at f97334c, before the step was touched. `Relu`,
-//! whose loops are selects so that they vectorise, is held to the
-//! branching loop it replaced.
+//! digests captured at f97334c, before the step was touched. `relu`
+//! and `relu_backward`, whose loops are selects so that they vectorise,
+//! are held to the branching loop they replaced.
 
 use tifl::fl::client::{eval_model, local_train, ClientConfig, DpNoiseConfig, OptimizerSpec};
-use tifl::nn::layer::Relu;
-use tifl::nn::{softmax_cross_entropy, Layer, Optimizer, Sequential};
+use tifl::nn::{relu, relu_backward, softmax_cross_entropy, Optimizer, Sequential};
 use tifl::obs::Digest128;
 use tifl::prelude::*;
 use tifl::tensor::Matrix;
@@ -124,8 +123,9 @@ fn eval_model_from_weights_evaluates_like_build_then_set_params() {
     assert_eq!(got.loss.to_bits(), want.loss.to_bits());
 }
 
-/// `Relu` as it was written before its loops became selects: forward
-/// output, keep-mask, and the gradient `backward` returns for `grad`.
+/// ReLU as it was written before its loops became selects: forward
+/// output, keep-mask, and the gradient the backward pass returns for
+/// `grad`.
 fn branching_relu(x: &[f32], grad: &[f32]) -> (Vec<f32>, Vec<bool>, Vec<f32>) {
     let mut y = x.to_vec();
     let mut mask = Vec::with_capacity(x.len());
@@ -175,18 +175,16 @@ fn relu_equals_the_branching_loop_bitwise_on_every_class_of_float() {
         let grad: Vec<f32> = (0..len).map(|i| pool[(i + shift) / n % n]).collect();
         let (want_y, want_mask, want_dx) = branching_relu(&x, &grad);
 
-        let mut relu = Relu::new(len);
-        let y = relu.forward(Matrix::from_vec(1, len, x), true);
-        assert_eq!(bits(y.as_slice()), bits(&want_y), "forward, shift {shift}");
-        let dx = relu.backward(Matrix::from_vec(1, len, grad));
-        assert_eq!(
-            bits(dx.as_slice()),
-            bits(&want_dx),
-            "backward, shift {shift}"
-        );
+        let mut y = x;
+        relu(&mut y);
+        assert_eq!(bits(&y), bits(&want_y), "forward, shift {shift}");
+        let mut dx = grad;
+        relu_backward(&y, &mut dx);
+        assert_eq!(bits(&dx), bits(&want_dx), "backward, shift {shift}");
         // The mask itself: a gradient of ones comes back as it.
-        let ones = relu.backward(Matrix::filled(1, len, 1.0));
-        let mask: Vec<bool> = ones.as_slice().iter().map(|&g| g == 1.0).collect();
+        let mut ones = vec![1.0; len];
+        relu_backward(&y, &mut ones);
+        let mask: Vec<bool> = ones.iter().map(|&g| g == 1.0).collect();
         assert_eq!(mask, want_mask, "mask, shift {shift}");
     }
 }
