@@ -283,8 +283,16 @@ fn bench_setup(t: &mut Timing) {
         .num_threads(1)
         .build()
         .expect("thread pool builds");
+    // Rows are built on first read, so the label reads them all: 500
+    // clients x (100 train + 10 holdout) rows on one thread.
     t.bench("setup/materialize_iid_500x100", || {
-        one_thread.install(|| black_box(&cfg).build_data())
+        one_thread.install(|| {
+            let data = black_box(&cfg).build_data();
+            for client in &data.clients {
+                black_box((&*client.train, &*client.test));
+            }
+            data
+        })
     });
 
     cfg.num_clients = 5000;

@@ -371,7 +371,8 @@ impl ExperimentConfig {
             .expect("FEMNIST writers are planned by build_femnist")
     }
 
-    /// Materialise the federated dataset for this config.
+    /// Plan the federated dataset for this config; client rows are
+    /// built on first touch ([`tifl_data::federated::Rows`]).
     ///
     /// # Panics
     /// Panics if the scenario is FEMNIST writers but the family is not

@@ -267,8 +267,10 @@ pub trait Experiment {
     fn session_config(&self, overrides: &SessionOverrides) -> SessionConfig;
     /// Build the simulated testbed (deterministic per experiment).
     fn build_cluster(&self) -> Cluster;
-    /// Materialise the federated dataset (deterministic per
-    /// experiment) — the expensive piece of set-up.
+    /// Plan the federated dataset (deterministic per experiment): the
+    /// label plans and the global test set. Each client's rows are
+    /// built on first touch, by whichever thread reads them
+    /// ([`tifl_data::federated::Rows`]).
     fn build_data(&self) -> FederatedDataset;
     /// Per-client training-set sizes, equal to
     /// `self.build_data().train_sizes()` but computed from the label
@@ -276,15 +278,16 @@ pub trait Experiment {
     fn train_sizes(&self) -> Vec<usize>;
 
     /// Build a fresh training session with `overrides` applied to the
-    /// session configuration (deterministic per experiment),
-    /// materialising a dataset of its own.
+    /// session configuration (deterministic per experiment), over a
+    /// dataset of its own.
     fn build_session(&self, overrides: &SessionOverrides) -> Session {
         self.build_session_on(Arc::new(self.build_data()), overrides)
     }
 
-    /// As [`Experiment::build_session`] over an already materialised
+    /// As [`Experiment::build_session`] over an already planned
     /// dataset, which must be this experiment's [`Experiment::build_data`]
-    /// (sessions only read it, so any number may share one `Arc`).
+    /// (sessions only read it, so any number may share one `Arc`, and
+    /// the rows one builds serve them all).
     fn build_session_on(
         &self,
         data: Arc<FederatedDataset>,
@@ -580,8 +583,10 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
 
     // -- dataset cache ----------------------------------------------------
 
-    /// The experiment's dataset, materialised on first use and shared
-    /// by every later run from this runner.
+    /// The experiment's dataset, planned on first use and shared by
+    /// every later run from this runner, with every client row any of
+    /// them has built (rows are built on first touch, by whichever
+    /// thread reads them).
     pub fn shared_data(&mut self) -> Arc<FederatedDataset> {
         if self.data.is_none() {
             self.data = Some(Arc::new(self.exp.build_data()));
@@ -871,6 +876,55 @@ impl RunRequest {
             exp.clients_per_round = c;
         }
         exp
+    }
+
+    /// Whether the request's sizes fit: the experiment's
+    /// ([`ExperimentConfig::check_sizes`]) and its selection's. A tier
+    /// policy or adaptive selection draws each round's clients from one
+    /// tier, so every tier it can draw must hold as many clients as a
+    /// round asks for (the paper's `n_j ≥ |C|`); vanilla draws the same
+    /// round from the whole pool. `Err` names what does not fit. The
+    /// `tifl` CLI asks before it trains; a run that fails still panics.
+    ///
+    /// # Errors
+    /// As [`ExperimentConfig::check_sizes`]; or the over-selection
+    /// factor is below 1; or a round asks a tier the selection can draw
+    /// for more clients than it holds.
+    pub fn check_sizes(&self) -> Result<(), String> {
+        let exp = self.experiment();
+        exp.check_sizes()?;
+        let aggregation = self.spec.aggregation.unwrap_or(exp.aggregation);
+        if let AggregationMode::FirstK { factor } = aggregation {
+            if factor.is_nan() || factor < 1.0 {
+                return Err(format!("over-selection factor {factor} is below 1"));
+            }
+        }
+        let sizes = exp.tiering.tier_sizes(exp.num_clients);
+        let (name, smallest) = match &self.spec.selection {
+            SelectionStrategy::TierPolicy { policy } if !policy.is_vanilla() => {
+                let drawn = policy.probs.iter().zip(&sizes).filter(|(&p, _)| p > 0.0);
+                (policy.name.as_str(), drawn.map(|(_, &n)| n).min())
+            }
+            SelectionStrategy::Adaptive { .. } => ("adaptive", sizes.iter().copied().min()),
+            _ => return Ok(()),
+        };
+        let Some(smallest) = smallest else {
+            return Ok(());
+        };
+        let asked = aggregation.ask(exp.clients_per_round, exp.num_clients);
+        if asked <= smallest {
+            return Ok(());
+        }
+        let over = if asked == exp.clients_per_round {
+            String::new()
+        } else {
+            format!(" ({asked} with over-selection)")
+        };
+        Err(format!(
+            "clients_per_round {}{over} exceeds the smallest tier ({smallest} clients) of \
+             policy {name}",
+            exp.clients_per_round
+        ))
     }
 
     /// Execute the request.

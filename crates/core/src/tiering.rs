@@ -30,6 +30,22 @@ pub struct TieringConfig {
     pub strategy: SplitStrategy,
 }
 
+impl TieringConfig {
+    /// How many of `clients` live clients each tier holds, fastest tier
+    /// first: the equal-count split gives every tier `clients / m`, and
+    /// the first `clients % m` tiers one more.
+    #[must_use]
+    pub fn tier_sizes(&self, clients: usize) -> Vec<usize> {
+        // The one strategy (this binding stops compiling if another is
+        // added).
+        let SplitStrategy::EqualCount = self.strategy;
+        let m = self.num_tiers;
+        (0..m)
+            .map(|t| clients / m + usize::from(t < clients % m))
+            .collect()
+    }
+}
+
 impl Default for TieringConfig {
     fn default() -> Self {
         Self {
@@ -80,15 +96,11 @@ impl TierAssignment {
         );
         live.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        // Equal-count split, the one strategy (this binding stops
-        // compiling if another is added): distribute n clients over m
-        // tiers as evenly as possible (the first `n % m` get one extra).
-        let SplitStrategy::EqualCount = config.strategy;
-        let (m, n) = (config.num_tiers, live.len());
         let mut start = 0;
-        let tiers = (0..m)
-            .map(|t| {
-                let size = n / m + usize::from(t < n % m);
+        let tiers = config
+            .tier_sizes(live.len())
+            .into_iter()
+            .map(|size| {
                 let g = &live[start..start + size];
                 start += size;
                 let avg = g.iter().map(|&(_, l)| l).sum::<f64>() / g.len() as f64;

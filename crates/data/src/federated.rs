@@ -4,19 +4,98 @@ use crate::dataset::Dataset;
 use crate::partition::Partition;
 use crate::synth::Generator;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use tifl_tensor::{seed_rng, split_seed};
 
-/// One client's local data.
+/// One client's rows, built the first time something reads them.
+///
+/// A `Rows` holds the recipe — the client's validated label plan, the
+/// `split_seed` stream and writer its features are drawn from, and the
+/// generator — plus a cell the rows land in. [`Rows::len`] answers from
+/// the plan and builds nothing; dereferencing to the [`Dataset`] builds
+/// the rows on the thread that asks. Two threads that ask at once wait
+/// on one build, and the rows are a pure function of the recipe, so
+/// they are the same bytes whoever builds them, and whenever.
+#[derive(Clone)]
+pub struct Rows {
+    labels: Vec<usize>,
+    stream: u64,
+    writer: u64,
+    gen: Arc<Generator>,
+    built: OnceLock<Dataset>,
+}
+
+impl Rows {
+    fn new(gen: &Arc<Generator>, labels: &[usize], writer: usize, stream: u64) -> Self {
+        Self {
+            labels: labels.to_vec(),
+            stream,
+            writer: writer as u64,
+            gen: Arc::clone(gen),
+            built: OnceLock::new(),
+        }
+    }
+
+    /// Number of samples, read from the label plan (builds nothing).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when the plan holds no samples (builds nothing).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Whether the rows have been built yet.
+    #[must_use]
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
+}
+
+impl Deref for Rows {
+    type Target = Dataset;
+
+    fn deref(&self) -> &Dataset {
+        self.built.get_or_init(|| {
+            let gen = &self.gen;
+            let style = (gen.spec().style_scale > 0.0).then(|| gen.draw_style(self.writer));
+            gen.generate_with_labels_and_style(&self.labels, style.as_deref(), self.stream)
+        })
+    }
+}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rows")
+            .field("len", &self.len())
+            .field("built", &self.is_built())
+            .finish()
+    }
+}
+
+impl PartialEq for Rows {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// One client's local data. Both sets are [`Rows`]: their sizes are
+/// known from the label plan, and their features are generated on
+/// first touch, by whichever thread reads them.
 #[derive(Debug, Clone)]
 pub struct ClientData {
     /// Local training samples (never leave the client).
-    pub train: Dataset,
+    pub train: Rows,
     /// Local held-out samples drawn from the *same* label distribution as
     /// the client's training data. The adaptive scheduler evaluates the
     /// global model on the union of these within a tier (`TestData_t` in
     /// Algorithm 2), so they must mirror each client's skew.
-    pub test: Dataset,
+    pub test: Rows,
 }
 
 /// A complete federated dataset: per-client data plus a balanced global
@@ -32,7 +111,7 @@ pub struct FederatedDataset {
 }
 
 impl FederatedDataset {
-    /// Materialise a federated dataset from a partition.
+    /// Plan a federated dataset from a partition.
     ///
     /// * `test_fraction` — size of each client's holdout relative to its
     ///   training set (labels resampled from the client's own empirical
@@ -79,15 +158,17 @@ impl FederatedDataset {
         )
     }
 
-    /// Generate the features of a label plan: client `c` trains on
+    /// A federated dataset over a label plan: client `c` trains on
     /// `train_labels[c]` and holds out `test_labels[c]`, plus a balanced
     /// global test set of `global_test_per_class` samples per class.
     ///
-    /// Clients generate in parallel at the ambient rayon thread count.
-    /// Each draws from its own `split_seed` streams of `seed`, so the
-    /// result is the same at every thread count; and the plan is checked
-    /// before any thread starts, so a bad one panics here, on the
-    /// caller's thread, naming its lowest offending client.
+    /// Only the global test set is generated here. Each client's sets
+    /// are [`Rows`], built on first touch by whichever thread reads them
+    /// — a training task on an executor worker, or an evaluation chunk —
+    /// from their own `split_seed` streams of `seed`, so the bytes do not
+    /// depend on which thread builds them, or when. The whole plan is
+    /// checked here, on the caller's thread, so a bad one panics naming
+    /// its lowest offending client.
     ///
     /// # Panics
     /// Panics if the two plans differ in length, a client has no
@@ -107,27 +188,20 @@ impl FederatedDataset {
             test_labels.len(),
             "one holdout plan per client"
         );
-        for (cid, (train, test)) in train_labels.iter().zip(test_labels).enumerate() {
-            assert!(!train.is_empty(), "client {cid} has no samples");
-            for &label in train.iter().chain(test) {
-                assert!(label < classes, "client {cid}: label {label} out of range");
-            }
-        }
-        let client_ids: Vec<usize> = (0..train_labels.len()).collect();
-        let clients = client_ids
-            .par_iter()
-            .map(|&cid| {
-                let style = (gen.spec().style_scale > 0.0).then(|| gen.draw_style(cid as u64));
-                let generate = |labels: &[usize], stream: u64| {
-                    gen.generate_with_labels_and_style(
-                        labels,
-                        style.as_deref(),
-                        split_seed(seed, stream),
-                    )
-                };
+        let shared = Arc::new(gen.clone());
+        let clients = train_labels
+            .iter()
+            .zip(test_labels)
+            .enumerate()
+            .map(|(cid, (train, test))| {
+                assert!(!train.is_empty(), "client {cid} has no samples");
+                for &label in train.iter().chain(test) {
+                    assert!(label < classes, "client {cid}: label {label} out of range");
+                }
+                let stream = 2 * cid as u64;
                 ClientData {
-                    train: generate(&train_labels[cid], 2 * cid as u64),
-                    test: generate(&test_labels[cid], 2 * cid as u64 + 1),
+                    train: Rows::new(&shared, train, cid, split_seed(seed, stream)),
+                    test: Rows::new(&shared, test, cid, split_seed(seed, stream + 1)),
                 }
             })
             .collect();
@@ -145,7 +219,8 @@ impl FederatedDataset {
         self.clients.len()
     }
 
-    /// Per-client training-set sizes (the FedAvg aggregation weights).
+    /// Per-client training-set sizes (the FedAvg aggregation weights),
+    /// read from the label plans: no rows are built.
     #[must_use]
     pub fn train_sizes(&self) -> Vec<usize> {
         self.clients.iter().map(|c| c.train.len()).collect()

@@ -80,8 +80,8 @@ pub fn femnist_train_sizes(writers: usize, config: &LeafDataConfig, seed: u64) -
 /// * a style offset added to every sample (feature skew);
 /// * labels drawn from the writer's class distribution.
 ///
-/// The label plans are drawn serially, writer by writer; the features
-/// generate in parallel ([`FederatedDataset::from_labels`]).
+/// The label plans are drawn serially, writer by writer; a writer's
+/// features are generated on first touch ([`FederatedDataset::from_labels`]).
 ///
 /// # Panics
 /// Panics if `writers == 0`, `test_fraction` is not in `[0, 1]`, or a

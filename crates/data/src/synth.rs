@@ -105,6 +105,7 @@ impl SynthSpec {
 /// generated from the same `(spec, seed)` share the same class geometry
 /// — independent draws from the same underlying distribution, exactly
 /// like a held-out test split.
+#[derive(Clone)]
 pub struct Generator {
     spec: SynthSpec,
     prototypes: Matrix,

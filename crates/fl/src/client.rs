@@ -216,7 +216,9 @@ fn apply_dp_noise(params: &mut ParamVec, global: &ParamVec, dp: DpNoiseConfig, s
 /// [`ClientUpdate`] (weights + the training-set size FedAvg weights
 /// by). The one canonical construction every executor task goes
 /// through — thread-count invariance rests on there being exactly one
-/// of these.
+/// of these. Training reads the client's
+/// [`Rows`](tifl_data::federated::Rows), so the task's thread builds
+/// them if no one has yet; the sample count comes from the label plan.
 ///
 /// [`ClientUpdate`]: crate::aggregator::ClientUpdate
 #[must_use]

@@ -47,6 +47,26 @@ pub enum AggregationMode {
     },
 }
 
+impl AggregationMode {
+    /// Clients a round asks the selector for out of a pool of `pool`:
+    /// `clients_per_round` under [`AggregationMode::WaitAll`],
+    /// `ceil(clients_per_round * factor)` (at most `pool`) under
+    /// [`AggregationMode::FirstK`].
+    ///
+    /// # Panics
+    /// Panics on an over-selection factor below 1.
+    #[must_use]
+    pub fn ask(self, clients_per_round: usize, pool: usize) -> usize {
+        match self {
+            AggregationMode::WaitAll => clients_per_round,
+            AggregationMode::FirstK { factor } => {
+                assert!(factor >= 1.0, "over-selection factor must be >= 1");
+                ((clients_per_round as f64 * factor).ceil() as usize).min(pool)
+            }
+        }
+    }
+}
+
 /// Round-engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
@@ -517,7 +537,9 @@ impl Session {
     /// the ambient thread count. A row's logits do not depend on the
     /// rows beside it and the counts are integers, so every accuracy is
     /// the one a single pass over the group's concatenated holdouts
-    /// gives, at any thread count.
+    /// gives, at any thread count. Chunks are cut from the holdouts'
+    /// planned sizes, so a holdout not built yet is built by the chunk
+    /// that gathers it, on that chunk's thread.
     #[must_use]
     pub fn evaluate_groups(&self, groups: &[Vec<usize>]) -> Vec<f64> {
         let holdout = |c: usize| &self.data.clients[c].test;
@@ -630,13 +652,7 @@ impl Session {
     pub fn plan_round(&self, selector: &mut dyn ClientSelector) -> RoundPlan {
         let round = self.round;
         let target = self.config.clients_per_round;
-        let ask = match self.config.aggregation {
-            AggregationMode::WaitAll => target,
-            AggregationMode::FirstK { factor } => {
-                assert!(factor >= 1.0, "over-selection factor must be >= 1");
-                ((target as f64 * factor).ceil() as usize).min(self.data.num_clients())
-            }
-        };
+        let ask = self.config.aggregation.ask(target, self.data.num_clients());
         let selected = selector.select(round, ask);
         assert!(!selected.is_empty(), "selector returned no clients");
 

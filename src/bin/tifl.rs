@@ -408,6 +408,7 @@ fn run_policy(args: &Args<'_>) -> Result<ExitCode, String> {
         clients_per_round: None,
         spec,
     };
+    fits(args.operands[0], &request)?;
     train(args, request)
 }
 
@@ -541,7 +542,7 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
     let path = args.operands[0];
     let (request, stored_metrics) = match load::<RunArtifact>(path) {
         Ok(artifact) => {
-            fits(path, &artifact.request.experiment())?;
+            fits(path, &artifact.request)?;
             let Some(metrics) = artifact.metrics else {
                 eprintln!(
                     "[tifl] artifact has no metrics; re-run with run_observed \
@@ -669,32 +670,31 @@ fn print_formatted<T: Serialize>(args: &Args<'_>, value: &T, text: impl FnOnce()
 
 /// A JSON document a command loads.
 trait Document: Deserialize {
-    /// The experiments the document trains, as they will run (a
-    /// request's overrides applied, a manifest expanded to its cells),
-    /// checked when it is loaded.
-    fn experiments(&self) -> Vec<ExperimentConfig> {
-        Vec::new()
+    /// Whether the sizes of what the document trains fit, as it will
+    /// run (a request's overrides applied and its selection known, a
+    /// manifest expanded to its cells); checked when it is loaded.
+    fn check_sizes(&self) -> Result<(), String> {
+        Ok(())
     }
 }
 
 impl Document for ExperimentConfig {
-    fn experiments(&self) -> Vec<ExperimentConfig> {
-        vec![self.clone()]
+    fn check_sizes(&self) -> Result<(), String> {
+        ExperimentConfig::check_sizes(self)
     }
 }
 
 impl Document for RunRequest {
-    fn experiments(&self) -> Vec<ExperimentConfig> {
-        vec![self.experiment()]
+    fn check_sizes(&self) -> Result<(), String> {
+        RunRequest::check_sizes(self)
     }
 }
 
 impl Document for SweepManifest {
-    fn experiments(&self) -> Vec<ExperimentConfig> {
+    fn check_sizes(&self) -> Result<(), String> {
         self.expand()
             .iter()
-            .map(|run| run.request.experiment())
-            .collect()
+            .try_for_each(|run| run.request.check_sizes())
     }
 }
 
@@ -706,23 +706,20 @@ impl Document for TrainingReport {}
 
 /// Load `path` as a `T`. The error names the path, then the cause:
 /// unreadable, malformed or truncated JSON, a different document, or
-/// an experiment whose sizes do not fit (caught before any session is
-/// built).
+/// sizes that do not fit (caught before any session is built).
 fn load<T: Document>(path: &str) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(at(path))?;
     let document: T = serde_json::from_str(&text).map_err(|e| {
         let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
         format!("{path}: not a {what}: {e}")
     })?;
-    for experiment in document.experiments() {
-        fits(path, &experiment)?;
-    }
+    fits(path, &document)?;
     Ok(document)
 }
 
-/// The sizes of `path`'s experiment fit each other.
-fn fits(path: &str, experiment: &ExperimentConfig) -> Result<(), String> {
-    experiment.check_sizes().map_err(|e| format!("{path}: {e}"))
+/// The sizes of what `path` trains fit each other.
+fn fits(path: &str, document: &impl Document) -> Result<(), String> {
+    document.check_sizes().map_err(|e| format!("{path}: {e}"))
 }
 
 /// The store at `dir`, which must already exist: a command that reads

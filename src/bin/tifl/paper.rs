@@ -122,8 +122,14 @@ fn request(cfg: &ExperimentConfig, spec: RunSpec) -> RunRequest {
 /// Execute `requests` on the sweep scheduler — in parallel across the
 /// host's cores, one profiling pass per topology, one dataset per
 /// experiment (both counted on stderr) — and return their reports in
-/// request order, or name every run that failed.
+/// request order, or name every run that failed. A request whose sizes
+/// do not fit fails them all before any runs.
 fn run_all(requests: Vec<RunRequest>) -> Result<Vec<TrainingReport>, String> {
+    for request in &requests {
+        request
+            .check_sizes()
+            .map_err(|e| format!("{}: {e}", request.spec.display_label()))?;
+    }
     let runs: Vec<KeyedRun> = requests
         .into_iter()
         .enumerate()

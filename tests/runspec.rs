@@ -770,6 +770,12 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
     // a sweep manifest or a bare config — now answers `[tifl] <path>:
     // <what is out of range>` before it builds a session. A request's
     // own `clients_per_round` is checked as it overrides the experiment.
+    // So is what only a run request knows: a round that asks a tier for
+    // more clients than it holds (vanilla runs 3 of 10 clients a round,
+    // but a tier policy over 5 tiers of 2 used to panic in
+    // `select_within_tier`), and an over-selection factor below 1 (it
+    // used to panic in `plan_round`). Every request and cell here
+    // selects by the fast policy, so the tier check runs too.
     let dir = std::env::temp_dir().join(format!("tifl-misfit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let with = |edit: fn(&mut ExperimentConfig)| {
@@ -778,7 +784,12 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
         experiment
     };
     let model = " / data Mnist has ";
-    let misfits: [(ExperimentConfig, Option<usize>, &str); 9] = [
+    let tier = ": clients_per_round 3 exceeds the smallest tier (2 clients) of policy ";
+    let factor = ": over-selection factor 0.5 is below 1";
+    let fast = SelectionStrategy::TierPolicy {
+        policy: Policy::fast(5),
+    };
+    let misfits: [(ExperimentConfig, Option<usize>, &str); 11] = [
         (
             with(|e| {
                 e.model = ModelSpec::Mlp {
@@ -838,6 +849,12 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
             ": tiering.num_tiers 0 is outside 1..=10",
         ),
         (tiny(88), Some(0), ": clients_per_round 0 is outside 1..=10"),
+        (with(|e| e.clients_per_round = 3), None, tier),
+        (
+            with(|e| e.aggregation = AggregationMode::FirstK { factor: 0.5 }),
+            None,
+            factor,
+        ),
     ];
     for (i, (experiment, clients_per_round, cause)) in misfits.into_iter().enumerate() {
         let request = RunRequest {
@@ -846,6 +863,7 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
             seed: None,
             clients_per_round,
             spec: RunSpec {
+                selection: fast.clone(),
                 backend: ExecBackend::EventDriven { threads: 2 },
                 ..RunSpec::default()
             },
@@ -854,7 +872,10 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
             name: None,
             experiment,
             rounds: Some(2),
-            axes: SweepAxes::default(),
+            axes: SweepAxes {
+                selection: vec![fast.clone()],
+                ..SweepAxes::default()
+            },
         };
         let file = |name: &str, json: String| {
             let path = dir.join(format!("{name}{i}.json"));
@@ -889,8 +910,12 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
                 (&["estimate", &config], &config),
             ];
             // The sweep and the bare config do not carry a request's
-            // override.
-            let loaders = if clients_per_round.is_some() { 3 } else { 7 };
+            // override, and `profile` and `estimate` select nothing.
+            let loaders = match clients_per_round {
+                Some(_) => 3,
+                None if [tier, factor].contains(&cause) => 5,
+                None => 7,
+            };
             for &(args, path) in &commands[..loaders] {
                 let stderr = tifl_fails_on(&dir, args, path);
                 assert!(stderr.contains(cause), "tifl {args:?}: {stderr}");

@@ -8,16 +8,22 @@
 //!    `Session` — on every scenario `tests/runspec.rs` and
 //!    `tests/comm.rs` run (a pricing site that drifted from
 //!    `Session::new` would move these);
-//! 3. materialisation is the same at every thread count and equal to
+//! 3. a client's rows, first touched by racing threads in a 2-, 4- or
+//!    8-thread pool, are the rows a single thread builds, and equal to
 //!    the content digests captured at 1f0fe8b;
 //! 4. a bad label plan panics on the caller's thread, naming its lowest
-//!    offending client, at every thread count.
+//!    offending client, at every thread count;
+//! 5. reads that only count rows build none, and a run builds the rows
+//!    it reads and no others.
 
 mod common;
 
 use common::{pinned_scenarios, tiny};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use tifl::data::partition::Partition;
 use tifl::prelude::*;
+use tifl::tensor::split_seed;
 
 /// Run `f` at an ambient parallelism of `threads`.
 fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -373,21 +379,68 @@ fn data_digest(data: &FederatedDataset) -> String {
     Digest128::of_bytes(&bytes).to_string()
 }
 
+/// Whether any client's training or holdout rows are built.
+fn any_built(data: &FederatedDataset) -> bool {
+    data.clients
+        .iter()
+        .any(|c| c.train.is_built() || c.test.is_built())
+}
+
+/// First-touch every client's `train` and `test` from `threads` threads
+/// of the ambient pool at once: all of them walk the sets in one
+/// scrambled order, meeting at a barrier before each, so every set is
+/// dereferenced by all the threads together. Each must see the one
+/// `Dataset` that a single build left behind.
+fn touch_racing(data: &FederatedDataset, threads: usize) {
+    let n = data.clients.len();
+    let mut order: Vec<(usize, bool)> = (0..n).flat_map(|c| [(c, false), (c, true)]).collect();
+    order.sort_by_key(|&(c, test)| split_seed(0x5C4A, (2 * c + usize::from(test)) as u64));
+    let rows = |(c, test): (usize, bool)| {
+        let client = &data.clients[c];
+        if test {
+            &client.test
+        } else {
+            &client.train
+        }
+    };
+    let barrier = std::sync::Barrier::new(threads);
+    let mut seen: Vec<Vec<usize>> = vec![Vec::new(); threads];
+    rayon::scope(|s| {
+        for seen in &mut seen {
+            let (order, barrier) = (&order, &barrier);
+            s.spawn(move || {
+                for &set in order {
+                    barrier.wait();
+                    let dataset: &Dataset = rows(set);
+                    seen.push(std::ptr::from_ref(dataset) as usize);
+                }
+            });
+        }
+    });
+    assert_eq!(seen[0].len(), order.len());
+    assert!(seen.iter().all(|s| *s == seen[0]), "one build per set");
+}
+
 fn assert_thread_count_invariant(what: &str, golden: &str, build: impl Fn() -> FederatedDataset) {
+    // One thread: the test thread builds every set as it digests it.
     let serial = on_threads(1, &build);
     assert_eq!(data_digest(&serial), golden, "{what}: content moved");
     for threads in [2, 4, 8] {
-        let parallel = on_threads(threads, &build);
-        assert_eq!(parallel.classes, serial.classes);
-        assert_eq!(parallel.global_test, serial.global_test, "{what}");
-        assert_eq!(parallel.clients.len(), serial.clients.len());
-        for (cid, (a, b)) in parallel.clients.iter().zip(&serial.clients).enumerate() {
-            assert_eq!(
-                a.train, b.train,
-                "{what}: client {cid} at {threads} threads"
-            );
-            assert_eq!(a.test, b.test, "{what}: client {cid} at {threads} threads");
-        }
+        let data = build();
+        assert!(!any_built(&data), "{what}: rows built before a read");
+        on_threads(threads, || touch_racing(&data, threads));
+        assert!(
+            data.clients
+                .iter()
+                .all(|c| c.train.is_built() && c.test.is_built()),
+            "{what}"
+        );
+        assert_eq!(data.classes, serial.classes);
+        assert_eq!(
+            data_digest(&data),
+            golden,
+            "{what}: first touched at {threads} threads"
+        );
     }
 }
 
@@ -488,4 +541,69 @@ fn bad_plans_name_the_lowest_offending_client_at_every_thread_count() {
             "{threads} threads"
         );
     }
+}
+
+// -- 5. rows are built where they are read -------------------------------------
+
+/// The clients whose `train` (or, with `test`, holdout) rows are built.
+fn built(data: &FederatedDataset, test: bool) -> BTreeSet<usize> {
+    let built = |c: &usize| {
+        let client = &data.clients[*c];
+        if test {
+            client.test.is_built()
+        } else {
+            client.train.is_built()
+        }
+    };
+    (0..data.clients.len()).filter(built).collect()
+}
+
+#[test]
+fn counting_reads_build_nothing_and_a_run_builds_what_it_reads() {
+    let mut cfg = wide(99);
+    cfg.data = DataScenario::QuantitySkew { total: 800 };
+    cfg.rounds = 6;
+    let overrides = SessionOverrides::default();
+    let data = Arc::new(cfg.build_data());
+    assert!(!any_built(&data), "build_data generated client rows");
+
+    // Sizes, task pricing, FedAvg weights and profiling read counts.
+    let sizes = data.train_sizes();
+    let mut session = cfg.build_session_on(Arc::clone(&data), &overrides);
+    let clients: Vec<usize> = (0..cfg.num_clients).collect();
+    for &c in &clients {
+        let _ = session.task_for(c);
+    }
+    drop(session.begin_fold(&clients));
+    let _ = cfg.profile_and_tier_with(&overrides);
+    assert!(!any_built(&data), "a counting read built rows");
+    assert_eq!(sizes, cfg.train_sizes());
+
+    // Evaluating groups builds their members' holdouts, and only those.
+    let _ = session.evaluate_groups(&[vec![3, 7], vec![], vec![11]]);
+    assert_eq!(built(&data, true), BTreeSet::from([3, 7, 11]));
+    assert!(built(&data, false).is_empty());
+
+    // A small adaptive run on two workers builds the training rows of
+    // the clients that trained, and the holdouts of the tiers it
+    // evaluated (every third round, all of them).
+    let mut runner = cfg.runner();
+    runner
+        .adaptive(Some(AdaptiveConfig {
+            interval: 3,
+            credits_per_tier: 4,
+            gamma: 2.0,
+        }))
+        .event_driven(2);
+    let (report, session) = runner.run_with_session();
+    let data = session.data();
+    let trained: BTreeSet<usize> = report
+        .rounds
+        .iter()
+        .flat_map(|r| r.aggregated.iter().copied())
+        .collect();
+    assert!(trained.len() < cfg.num_clients, "{trained:?}");
+    assert_eq!(built(data, false), trained);
+    let evaluated: BTreeSet<usize> = runner.tiers().groups().into_iter().flatten().collect();
+    assert_eq!(built(data, true), evaluated);
 }
