@@ -46,12 +46,6 @@ impl ErrorFeedback {
         Self::default()
     }
 
-    /// Number of clients holding a residual.
-    #[must_use]
-    pub fn tracked_clients(&self) -> usize {
-        self.residuals.len()
-    }
-
     /// Drop all residual state (used when a session restores a
     /// checkpoint: residuals are not part of the checkpoint, so a
     /// restored lossy run restarts with clean compensation).
@@ -227,7 +221,7 @@ mod tests {
         let base = params(50, 2);
         let enc = ef.encode(CodecSpec::Identity, 0, &p, &base, &mut scratch);
         assert_eq!(enc, CodecSpec::Identity.encode(&p, &base));
-        assert_eq!(ef.tracked_clients(), 0);
+        assert_eq!(ef.residuals.len(), 0);
     }
 
     #[test]
@@ -239,7 +233,7 @@ mod tests {
         let spec = CodecSpec::TopK { frac: 0.1 };
         let enc = ef.encode(spec, 7, &p, &base, &mut scratch);
         assert_eq!(enc, spec.encode(&p, &base), "zero residual must be a no-op");
-        assert_eq!(ef.tracked_clients(), 1);
+        assert_eq!(ef.residuals.len(), 1);
     }
 
     #[test]
@@ -305,9 +299,9 @@ mod tests {
         let p = params(40, 7);
         let enc = ef.encode(spec, 1, &p, &base, &mut scratch);
         assert_eq!(enc, spec.encode(&p, &base));
-        assert_eq!(ef.tracked_clients(), 2);
+        assert_eq!(ef.residuals.len(), 2);
         ef.reset();
-        assert_eq!(ef.tracked_clients(), 0);
+        assert_eq!(ef.residuals.len(), 0);
     }
 
     #[test]
@@ -339,6 +333,6 @@ mod tests {
         // Never given back (its task died): the next loan starts clean.
         assert_eq!(ef.lend(2, 8), vec![0.0; 8]);
         assert_eq!(ef.lend(3, 8), vec![0.0; 8], "an unknown client");
-        assert_eq!(ef.tracked_clients(), 1);
+        assert_eq!(ef.residuals.len(), 1);
     }
 }

@@ -73,13 +73,6 @@ pub fn prob_hit_stragglers_monte_carlo(
     f64::from(hits) / f64::from(trials)
 }
 
-/// Expected number of rounds (out of `rounds`) whose latency is bounded
-/// by the straggler level, under vanilla selection.
-#[must_use]
-pub fn expected_straggler_rounds(k: u64, slowest: u64, c: u64, rounds: u64) -> f64 {
-    prob_hit_stragglers(k, slowest, c) * rounds as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,13 +127,6 @@ mod tests {
         assert_eq!(prob_hit_stragglers(10, 1, 10), 1.0);
         // More selections than non-stragglers: must hit.
         assert_eq!(prob_hit_stragglers(10, 8, 5), 1.0);
-    }
-
-    #[test]
-    fn expected_rounds_scale() {
-        let e = expected_straggler_rounds(50, 10, 5, 500);
-        let p = prob_hit_stragglers(50, 10, 5);
-        assert!((e - 500.0 * p).abs() < 1e-9);
     }
 
     #[test]

@@ -84,30 +84,22 @@ impl Policy {
         Self::new("random", vec![0.7, 0.1, 0.1, 0.05, 0.05])
     }
 
-    /// `fast1`/`fast2`/`fast3` (Table 1, MNIST & FMNIST): progressively
+    /// `[fast1, fast2, fast3]` (Table 1, MNIST & FMNIST): progressively
     /// de-prioritise the slowest tier — its probability drops from 0.1
-    /// (`level = 1`) to 0.05 (`level = 2`) to 0 (`level = 3`), the
-    /// remainder split evenly over the other tiers.
+    /// (`fast1`) to 0.05 (`fast2`) to 0 (`fast3`), the remainder split
+    /// evenly over the other tiers.
     ///
     /// # Panics
-    /// Panics unless `m == 5` and `level` is 1..=3.
+    /// Panics unless `m == 5`.
     #[must_use]
-    pub fn fast_level(m: usize, level: u8) -> Self {
+    pub fn fast_levels(m: usize) -> [Self; 3] {
         assert_eq!(m, 5, "fast1..3 are defined for 5 tiers");
-        let slow_p = match level {
-            1 => 0.1,
-            2 => 0.05,
-            3 => 0.0,
-            #[expect(
-                clippy::panic,
-                reason = "documented precondition: callers pass a validated level 1..=3"
-            )]
-            _ => panic!("fast level must be 1..=3, got {level}"),
-        };
-        let other = (1.0 - slow_p) / 4.0;
-        let mut p = vec![other; 4];
-        p.push(slow_p);
-        Self::new(format!("fast{level}"), p)
+        [(1, 0.1), (2, 0.05), (3, 0.0)].map(|(level, slow_p)| {
+            let other = (1.0 - slow_p) / 4.0;
+            let mut p = vec![other; 4];
+            p.push(slow_p);
+            Self::new(format!("fast{level}"), p)
+        })
     }
 
     /// The CIFAR-10 / FEMNIST policy set of Table 1:
@@ -127,13 +119,8 @@ impl Policy {
     /// vanilla, uniform, fast1, fast2, fast3.
     #[must_use]
     pub fn mnist_set(m: usize) -> Vec<Policy> {
-        vec![
-            Policy::vanilla(),
-            Policy::uniform(m),
-            Policy::fast_level(m, 1),
-            Policy::fast_level(m, 2),
-            Policy::fast_level(m, 3),
-        ]
+        let [fast1, fast2, fast3] = Policy::fast_levels(m);
+        vec![Policy::vanilla(), Policy::uniform(m), fast1, fast2, fast3]
     }
 }
 
@@ -173,18 +160,13 @@ mod tests {
 
     #[test]
     fn fast_levels_match_table1() {
-        assert_eq!(
-            Policy::fast_level(5, 1).probs,
-            vec![0.225, 0.225, 0.225, 0.225, 0.1]
-        );
-        assert_eq!(
-            Policy::fast_level(5, 2).probs,
-            vec![0.2375, 0.2375, 0.2375, 0.2375, 0.05]
-        );
-        assert_eq!(
-            Policy::fast_level(5, 3).probs,
-            vec![0.25, 0.25, 0.25, 0.25, 0.0]
-        );
+        let [fast1, fast2, fast3] = Policy::fast_levels(5);
+        assert_eq!(fast1.name, "fast1");
+        assert_eq!(fast1.probs, vec![0.225, 0.225, 0.225, 0.225, 0.1]);
+        assert_eq!(fast2.name, "fast2");
+        assert_eq!(fast2.probs, vec![0.2375, 0.2375, 0.2375, 0.2375, 0.05]);
+        assert_eq!(fast3.name, "fast3");
+        assert_eq!(fast3.probs, vec![0.25, 0.25, 0.25, 0.25, 0.0]);
     }
 
     #[test]

@@ -44,16 +44,6 @@ pub struct ProfileResult {
 }
 
 impl ProfileResult {
-    /// Ids of clients that survived profiling (non-dropouts).
-    #[must_use]
-    pub fn live_clients(&self) -> Vec<usize> {
-        self.mean_latency
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.map(|_| i))
-            .collect()
-    }
-
     /// Ids of excluded dropouts.
     #[must_use]
     pub fn dropouts(&self) -> Vec<usize> {
@@ -207,7 +197,7 @@ mod tests {
         });
         let r = p.profile(&c, task);
         assert_eq!(r.dropouts(), vec![3, 17]);
-        assert_eq!(r.live_clients().len(), 18);
+        assert_eq!(r.mean_latency.iter().flatten().count(), 18);
     }
 
     #[test]

@@ -168,6 +168,20 @@ impl RunSpec {
         self.comm
     }
 
+    /// How many §4.2 profiling passes a run of `rounds` rounds takes:
+    /// none when the selection needs no profile, one up front, or one
+    /// per re-profiling segment (a zero interval, which no run
+    /// accepts, takes none).
+    #[must_use]
+    pub fn profile_passes(&self, rounds: u64) -> u64 {
+        match self.reprofile_every {
+            _ if !self.selection.needs_profile() => 0,
+            None => 1,
+            Some(0) => 0,
+            Some(every) => rounds.div_ceil(every),
+        }
+    }
+
     /// The session-level overrides this spec implies.
     #[must_use]
     pub fn session_overrides(&self) -> SessionOverrides {
@@ -647,8 +661,9 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     }
 
     /// As [`Runner::run`] but observed: the session carries a
-    /// [`RunObserver`] whose ring buffer holds up to `ring_capacity`
-    /// trace records (0 = collect metrics only, store no trace). The
+    /// [`RunObserver`] whose ring holds up to `ring_capacity` trace
+    /// records (0 attaches none: no trace is kept), and the metrics
+    /// are read off the report ([`TrainingReport::metrics`]). The
     /// report is bit-for-bit the one [`Runner::run`] produces —
     /// observation derives everything from the round plans and the
     /// virtual clock and feeds nothing back — and the virtual-time
@@ -656,7 +671,9 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// counts.
     pub fn run_observed(&mut self, ring_capacity: usize) -> ObservedRun {
         let mut session = self.build_session();
-        session.attach_observer(RunObserver::new(ring_capacity));
+        if ring_capacity > 0 {
+            session.attach_observer(RunObserver::new(ring_capacity));
+        }
         // The host profiler rides alongside the observer: its spans are
         // operator-facing wall-clock attribution, kept strictly outside
         // the deterministic surface. Ring capacity scales with the
@@ -692,14 +709,14 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         let host = session
             .take_host_profiler()
             .expect("host profiler attached above");
-        let (records, metrics) = session
+        let records = session
             .take_observer()
-            .expect("observer attached above")
-            .finish();
+            .map_or_else(Vec::new, RunObserver::into_records);
+        let passes = self.spec.profile_passes(self.exp.rounds());
         ObservedRun {
+            metrics: report.metrics(session.config(), passes),
             report,
             records,
-            metrics,
             host_phases: host.totals(),
             host_spans: host.spans(),
         }
@@ -810,8 +827,8 @@ fn build_selector(
 }
 
 /// The result of [`Runner::run_observed`]: the training report plus
-/// the virtual-time trace and the metrics snapshot collected alongside
-/// it. `report` is bit-for-bit what the unobserved run produces.
+/// the virtual-time trace collected alongside it and the metrics read
+/// off it. `report` is bit-for-bit what the unobserved run produces.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// The training report, identical to [`Runner::run`]'s.
@@ -819,8 +836,8 @@ pub struct ObservedRun {
     /// The virtual-time trace, oldest first (empty if the ring
     /// capacity was 0; earliest records dropped if it overflowed).
     pub records: Vec<TraceRecord>,
-    /// Counters, gauges and histograms folded from the full event
-    /// stream (never dropped, regardless of ring capacity).
+    /// Counters, gauges and histograms read off `report`
+    /// ([`TrainingReport::metrics`]), whatever the ring capacity.
     pub metrics: MetricsSnapshot,
     /// Per-phase **host** seconds (wall-clock attribution). Best
     /// effort and machine-dependent; never serialized into run
@@ -968,6 +985,24 @@ mod tests {
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::tiny(60)
+    }
+
+    #[test]
+    fn profile_passes_count_the_segments() {
+        let tiered = RunSpec {
+            selection: SelectionStrategy::Adaptive { config: None },
+            ..RunSpec::default()
+        };
+        assert_eq!(RunSpec::default().profile_passes(10), 0);
+        assert_eq!(tiered.profile_passes(10), 1);
+        let every = |n| RunSpec {
+            reprofile_every: Some(n),
+            ..tiered.clone()
+        };
+        assert_eq!(every(3).profile_passes(10), 4);
+        assert_eq!(every(5).profile_passes(10), 2);
+        // A stored request with a zero interval must not panic the audit.
+        assert_eq!(every(0).profile_passes(10), 0);
     }
 
     #[test]

@@ -37,14 +37,6 @@ impl OptimizerSpec {
             OptimizerSpec::RmsProp { lr } => Box::new(RmsProp::new(lr * lr_factor)),
         }
     }
-
-    /// Base learning rate.
-    #[must_use]
-    pub fn base_lr(&self) -> f32 {
-        match *self {
-            OptimizerSpec::Sgd { lr } | OptimizerSpec::RmsProp { lr } => lr,
-        }
-    }
 }
 
 /// Local-training hyper-parameters shared by all clients.
@@ -460,6 +452,5 @@ mod tests {
         let s = OptimizerSpec::RmsProp { lr: 0.01 };
         let opt = s.build(0.5);
         assert!((opt.learning_rate() - 0.005).abs() < 1e-9);
-        assert!((s.base_lr() - 0.01).abs() < 1e-9);
     }
 }

@@ -134,6 +134,13 @@ impl SessionConfig {
         }
         self
     }
+
+    /// True when the global model is evaluated after `round` (every
+    /// `eval_every` rounds, plus always on the final configured round).
+    #[must_use]
+    pub fn is_eval_round(&self, round: u64) -> bool {
+        round.is_multiple_of(self.eval_every) || round + 1 == self.rounds
+    }
 }
 
 /// What a round costs a client apart from its sample count — local
@@ -256,9 +263,9 @@ pub struct Session {
     feedback: ErrorFeedback,
     /// Reusable per-round aggregation-weight buffer.
     fold_weights: Vec<f32>,
-    /// Optional tracing/metrics sink (attached by
-    /// `tifl_core::runner::Runner::run_observed`). `None` is the free
-    /// path: one branch per round.
+    /// Optional trace ring (attached by
+    /// `tifl_core::runner::Runner::run_observed` when it keeps a
+    /// trace). `None` is the free path: one branch per round.
     observer: Option<RunObserver>,
     /// Reusable scratch for the canonical per-round trace schedule.
     trace_scratch: Vec<(f64, u32, TraceEvent)>,
@@ -314,8 +321,8 @@ impl Session {
         }
     }
 
-    /// Attach a tracing/metrics observer. Every subsequent round emits
-    /// the canonical virtual-time event stream (see
+    /// Attach a trace observer. Every subsequent round emits the
+    /// canonical virtual-time event stream (see
     /// [`schedule_plan_events`]) into it; the stream derives from the
     /// round plans alone, so it is bit-for-bit identical across
     /// backends and thread counts.
@@ -323,7 +330,7 @@ impl Session {
         self.observer = Some(observer);
     }
 
-    /// Detach the observer (to harvest its trace and metrics).
+    /// Detach the observer (to harvest its trace).
     pub fn take_observer(&mut self) -> Option<RunObserver> {
         self.observer.take()
     }
@@ -731,11 +738,11 @@ impl Session {
         self.train_context().train(c, round, &self.global)
     }
 
-    /// True when the global model is evaluated after `round` (every
-    /// `eval_every` rounds, plus always on the final configured round).
+    /// True when the global model is evaluated after `round`
+    /// ([`SessionConfig::is_eval_round`]).
     #[must_use]
     pub fn is_eval_round(&self, round: u64) -> bool {
-        round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds
+        self.config.is_eval_round(round)
     }
 
     /// Commit a planned round: advance the clock by the plan's latency,

@@ -59,17 +59,6 @@ pub fn per_class_accuracy(logits: &Matrix, labels: &[usize], classes: usize) -> 
         .collect()
 }
 
-/// Confusion matrix: `m[(true, pred)]` counts.
-#[must_use]
-pub fn confusion_matrix(logits: &Matrix, labels: &[usize], classes: usize) -> Vec<Vec<usize>> {
-    let preds = ops::row_argmax(logits);
-    let mut m = vec![vec![0usize; classes]; classes];
-    for (&p, &l) in preds.iter().zip(labels) {
-        m[l][p.min(classes - 1)] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,16 +89,5 @@ mod tests {
         assert_eq!(pc[0], Some(1.0));
         assert_eq!(pc[1], Some(0.0));
         assert_eq!(pc[2], None);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_perfect() {
-        let logits = logits_for(&[0, 1, 2], 3);
-        let cm = confusion_matrix(&logits, &[0, 1, 2], 3);
-        for (i, row) in cm.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                assert_eq!(v, usize::from(i == j));
-            }
-        }
     }
 }

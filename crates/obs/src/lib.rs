@@ -15,18 +15,14 @@
 //! - [`diff`] — the [`DiffReport`] vocabulary behind `tifl diff`:
 //!   which round two runs first disagree on, and the field-level
 //!   deltas of that round.
-//! - [`trace`] — the [`TraceEvent`] vocabulary and a preallocated
-//!   ring-buffer recorder ([`RingRecorder`]). Events are `Copy`,
-//!   scalar-only payloads stamped with **virtual time**; recording
-//!   never allocates once the ring exists, and a session with no
-//!   observer attached costs one branch.
-//! - [`observer`] — [`RunObserver`], the sink a `Runner` attaches to a
-//!   session: ring recorder + pre-registered metrics, folded from the
-//!   same event stream.
-//! - [`metrics`] — a fixed-bucket [`MetricsRegistry`]
-//!   (counters/gauges/histograms behind index handles) whose
-//!   [`MetricsSnapshot`] serializes into run artifacts
-//!   byte-deterministically.
+//! - [`trace`] — the [`TraceEvent`] vocabulary and [`RunObserver`],
+//!   the preallocated ring a `Runner` attaches to a session. Events
+//!   are `Copy`, scalar-only payloads stamped with **virtual time**;
+//!   recording never allocates once the ring exists, and a session
+//!   with no observer attached costs one branch.
+//! - [`metrics`] — the [`MetricsSnapshot`] a run artifact stores
+//!   (counters, gauges, fixed-bucket histograms), read off the run's
+//!   report and serialized byte-deterministically.
 //! - [`chrome`] — export a trace as Chrome trace-event JSON, loadable
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //! - [`prof`] — the **host-time** phase profiler: a [`HostClock`]
@@ -36,7 +32,6 @@
 //!   fold, eval, store write). Host time is operator-facing only — it
 //!   never feeds simulated state, `RunKey` hashing, or deterministic
 //!   artifact bytes.
-//! - [`table`] — per-round text/JSON tables derived from a trace.
 //! - [`pivot`] — the row type and text renderer for `tifl report`'s
 //!   policy × scenario pivot (populated by `tifl-sweep` from a
 //!   `RunStore`).
@@ -61,20 +56,14 @@ pub mod chrome;
 pub mod diff;
 pub mod digest;
 pub mod metrics;
-pub mod observer;
 pub mod pivot;
 pub mod prof;
-pub mod table;
 pub mod trace;
 
 pub use chrome::{chrome_trace, host_chrome_trace, ChromeEvent};
 pub use diff::{first_divergence, DiffReport, DiffSide, Divergence, FieldDelta};
 pub use digest::{Digest128, DigestChain};
-pub use metrics::{
-    CounterId, CounterSnap, GaugeId, GaugeSnap, HistId, HistSnap, MetricsRegistry, MetricsSnapshot,
-};
-pub use observer::RunObserver;
+pub use metrics::{CounterSnap, GaugeSnap, HistSnap, MetricsSnapshot};
 pub use pivot::{render_pivot, PivotRow};
 pub use prof::{FrozenClock, HostClock, HostProfiler, HostSpan, Phase, PhaseTotals, RealClock};
-pub use table::{render_rounds, round_rows, RoundRow};
-pub use trace::{RingRecorder, TraceEvent, TraceRecord};
+pub use trace::{RunObserver, TraceEvent, TraceRecord};

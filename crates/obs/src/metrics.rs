@@ -1,153 +1,21 @@
-//! Fixed-bucket deterministic metrics: counters, gauges, histograms.
+//! A run's deterministic metrics: counters, gauges and fixed-bucket
+//! histograms, as stored in run artifacts.
 //!
-//! The registry is built once at setup time (names and histogram
-//! bucket bounds allocate there) and then driven through index
-//! handles ([`CounterId`], [`GaugeId`], [`HistId`]) — the hot-path
-//! operations `inc`/`set`/`observe` are plain array writes with no
-//! allocation and no hashing, so a metrics-enabled run passes the
-//! workspace allocation gate.
-//!
-//! Snapshots are deterministic by construction: metrics are reported
-//! in registration order (no hash-map iteration), histogram buckets
-//! are fixed at registration, and every recorded value derives from
-//! the virtual clock or the round plans. Two runs of the same spec
-//! produce byte-identical [`MetricsSnapshot`] JSON.
+//! A [`MetricsSnapshot`] is read off a finished run's report (see
+//! `tifl_fl::TrainingReport::metrics`), so every value derives from
+//! the virtual clock and the round plans. Metrics are listed in a fixed
+//! order (no hash-map iteration) and histogram buckets are fixed, so
+//! two runs of the same spec produce byte-identical snapshot JSON.
 
 use serde::{Deserialize, Serialize};
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
-
-#[derive(Debug, Clone)]
-struct Hist {
-    name: String,
-    /// Upper-inclusive bucket bounds, strictly increasing. A value
-    /// `v` lands in the first bucket with `v <= bound`; values above
-    /// the last bound land in the implicit overflow bucket, so
-    /// `counts.len() == bounds.len() + 1`.
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-/// Registry of counters, gauges and fixed-bucket histograms.
-///
-/// Register every metric up front, then drive the handles from the
-/// hot path. Registration order is snapshot order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    hists: Vec<Hist>,
-}
-
-impl MetricsRegistry {
-    /// Empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a counter (setup path; allocates the name).
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Register a gauge (setup path; allocates the name).
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Register a histogram with the given upper-inclusive bucket
-    /// bounds, which must be strictly increasing (setup path).
-    ///
-    /// # Panics
-    /// If `bounds` is not strictly increasing.
-    pub fn histogram(&mut self, name: &str, bounds: &[f64]) -> HistId {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        self.hists.push(Hist {
-            name: name.to_string(),
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-            sum: 0.0,
-        });
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Increment a counter by `by` (hot path; allocation-free).
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Set a gauge (hot path; allocation-free).
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].1 = value;
-    }
-
-    /// Record a histogram observation (hot path; a linear scan over
-    /// the fixed bounds, allocation-free).
-    pub fn observe(&mut self, id: HistId, value: f64) {
-        let h = &mut self.hists[id.0];
-        let bucket = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[bucket] += 1;
-        h.total += 1;
-        h.sum += value;
-    }
-
-    /// Serialize the current state, in registration order.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, value)| CounterSnap {
-                    name: name.clone(),
-                    value: *value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(name, value)| GaugeSnap {
-                    name: name.clone(),
-                    value: *value,
-                })
-                .collect(),
-            histograms: self
-                .hists
-                .iter()
-                .map(|h| HistSnap {
-                    name: h.name.clone(),
-                    bounds: h.bounds.clone(),
-                    counts: h.counts.clone(),
-                    total: h.total,
-                    sum: h.sum,
-                })
-                .collect(),
-        }
-    }
-}
+/// Fixed bucket bounds (virtual seconds) for the round-latency
+/// histogram. Chosen to straddle the paper's CIFAR-10 round latencies
+/// across tiers (§5.2: seconds for the fast tier, thousands for the
+/// slow one).
+pub const LATENCY_BUCKETS_SEC: [f64; 10] = [
+    1.0, 5.0, 20.0, 60.0, 180.0, 600.0, 1800.0, 3600.0, 10800.0, 43200.0,
+];
 
 /// A serialized counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -163,7 +31,7 @@ pub struct CounterSnap {
 pub struct GaugeSnap {
     /// Metric name.
     pub name: String,
-    /// Last value set.
+    /// The value.
     pub value: f64,
 }
 
@@ -182,18 +50,18 @@ pub struct HistSnap {
     pub sum: f64,
 }
 
-/// A point-in-time, deterministic serialization of a registry.
+/// A run's metrics, in a fixed order.
 ///
 /// Stored as the optional `metrics` section of sweep run artifacts;
 /// artifacts written before this section existed deserialize with
 /// `None` and still validate.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Counters, in registration order.
+    /// Counters.
     pub counters: Vec<CounterSnap>,
-    /// Gauges, in registration order.
+    /// Gauges.
     pub gauges: Vec<GaugeSnap>,
-    /// Histograms, in registration order.
+    /// Histograms.
     pub histograms: Vec<HistSnap>,
 }
 
@@ -240,15 +108,12 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{:<width$} {:>14.3}", g.name, g.value);
         }
         for h in &self.histograms {
-            let mean = if h.total > 0 {
-                h.sum / h.total as f64
-            } else {
-                0.0
-            };
             let _ = writeln!(
                 out,
-                "{:<width$} {:>14} obs, mean {mean:.3}",
-                h.name, h.total
+                "{:<width$} {:>14} obs, mean {:.3}",
+                h.name,
+                h.total,
+                h.mean()
             );
         }
         out
@@ -256,6 +121,36 @@ impl MetricsSnapshot {
 }
 
 impl HistSnap {
+    /// The histogram of `values` over the upper-inclusive `bounds`: a
+    /// value `v` lands in the first bucket with `v <= bound`, and values
+    /// above the last bound land in the overflow bucket, so `counts`
+    /// has `bounds.len() + 1` entries. `sum` adds the values in order.
+    ///
+    /// # Panics
+    /// If `bounds` is not strictly increasing.
+    #[must_use]
+    pub fn of(name: &str, bounds: &[f64], values: impl IntoIterator<Item = f64>) -> Self {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        let mut counts = vec![0; bounds.len() + 1];
+        let (mut total, mut sum) = (0, 0.0);
+        for value in values {
+            let bucket = bounds.iter().position(|&b| value <= b);
+            counts[bucket.unwrap_or(bounds.len())] += 1;
+            total += 1;
+            sum += value;
+        }
+        Self {
+            name: name.to_string(),
+            bounds: bounds.to_vec(),
+            counts,
+            total,
+            sum,
+        }
+    }
+
     /// Mean of all observations (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -273,55 +168,51 @@ mod tests {
 
     #[test]
     fn counters_gauges_and_histograms_accumulate() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("rounds");
-        let g = reg.gauge("virtual_time_sec");
-        let h = reg.histogram("latency", &[1.0, 10.0, 100.0]);
-        reg.inc(c, 3);
-        reg.set(g, 42.5);
-        reg.observe(h, 0.5);
-        reg.observe(h, 10.0); // upper-inclusive: lands in bucket 1
-        reg.observe(h, 1e6); // overflow bucket
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot {
+            counters: vec![CounterSnap {
+                name: "rounds".into(),
+                value: 3,
+            }],
+            gauges: vec![GaugeSnap {
+                name: "virtual_time_sec".into(),
+                value: 42.5,
+            }],
+            // Upper-inclusive: 1.0 and 10.0 land in their own bound's
+            // bucket; 1e6 in the overflow bucket.
+            histograms: vec![HistSnap::of(
+                "latency",
+                &[1.0, 10.0, 100.0],
+                [0.5, 1.0, 10.0, 1e6],
+            )],
+        };
         assert_eq!(snap.counter("rounds"), Some(3));
         assert_eq!(snap.gauge("virtual_time_sec"), Some(42.5));
+        assert_eq!(snap.counter("absent"), None);
         let hist = snap.histogram("latency").unwrap();
-        assert_eq!(hist.counts, vec![1, 1, 0, 1]);
-        assert_eq!(hist.total, 3);
-        assert!((hist.sum - 1_000_010.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hot_path_ops_do_not_grow_storage() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("a");
-        let h = reg.histogram("b", &[1.0, 2.0]);
-        let cp = reg.counters.as_ptr();
-        let hp = reg.hists[0].counts.as_ptr();
-        for i in 0..1000 {
-            reg.inc(c, 1);
-            reg.observe(h, i as f64);
-        }
-        assert_eq!(reg.counters.as_ptr(), cp);
-        assert_eq!(reg.hists[0].counts.as_ptr(), hp);
+        assert_eq!(hist.counts, vec![2, 1, 0, 1]);
+        assert_eq!(hist.total, 4);
+        assert!((hist.sum - 1_000_011.5).abs() < 1e-9);
+        assert!((hist.mean() - 250_002.875).abs() < 1e-9);
+        let empty = HistSnap::of("none", &LATENCY_BUCKETS_SEC, []);
+        assert_eq!(empty.counts, vec![0; LATENCY_BUCKETS_SEC.len() + 1]);
+        assert_eq!(empty.mean(), 0.0);
     }
 
     #[test]
     fn snapshots_are_byte_deterministic() {
-        let build = || {
-            let mut reg = MetricsRegistry::new();
-            let c = reg.counter("x");
-            let h = reg.histogram("y", &[0.5, 5.0]);
-            reg.inc(c, 7);
-            reg.observe(h, 3.25);
-            serde_json::to_string_pretty(&reg.snapshot()).unwrap()
+        let build = || MetricsSnapshot {
+            histograms: vec![HistSnap::of("y", &[0.5, 5.0], [3.25, 0.1, 7.0])],
+            ..MetricsSnapshot::default()
         };
-        assert_eq!(build(), build());
+        let json = serde_json::to_string_pretty(&build()).unwrap();
+        assert_eq!(json, serde_json::to_string_pretty(&build()).unwrap());
+        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, build(), "a stored snapshot reads back equal");
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_are_rejected() {
-        MetricsRegistry::new().histogram("bad", &[2.0, 1.0]);
+        let _ = HistSnap::of("bad", &[2.0, 1.0], []);
     }
 }

@@ -1,4 +1,5 @@
-//! Trace events and the preallocated ring recorder.
+//! Trace events and [`RunObserver`], the preallocated ring that
+//! records them.
 //!
 //! A trace is a sequence of [`TraceRecord`]s: a monotone sequence
 //! number, a **virtual-time** stamp, and a scalar-only [`TraceEvent`]
@@ -9,7 +10,7 @@
 //!
 //! The recording path is engineered for the workspace's allocation
 //! gate: [`TraceEvent`] is `Copy` with no heap payloads, and
-//! [`RingRecorder`] writes into a buffer preallocated at construction
+//! [`RunObserver`] writes into a buffer preallocated at construction
 //! — steady-state recording performs zero allocations (pinned by the
 //! root `tests/alloc_regression.rs`).
 
@@ -113,15 +114,15 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Fixed-capacity ring recorder, preallocated at construction.
+/// The trace sink a runner attaches to a session: a fixed-capacity
+/// ring, preallocated at construction.
 ///
 /// Stores the **most recent** `capacity` records; older records are
-/// overwritten and counted in [`RingRecorder::dropped`]. A capacity of
-/// zero disables storage entirely (every record is dropped) while
-/// still maintaining the sequence counter — the mode the sweep
-/// scheduler uses to collect metrics without buffering a trace.
+/// overwritten and counted in [`RunObserver::dropped`]. Record numbers
+/// keep counting across the overwrites, so a rotated ring still says
+/// how far into the run each record falls.
 #[derive(Debug, Clone)]
-pub struct RingRecorder {
+pub struct RunObserver {
     buf: Vec<TraceRecord>,
     cap: usize,
     /// Index of the oldest record once the ring has wrapped.
@@ -130,8 +131,8 @@ pub struct RingRecorder {
     dropped: u64,
 }
 
-impl RingRecorder {
-    /// Create a recorder holding at most `capacity` records. The
+impl RunObserver {
+    /// Create an observer holding at most `capacity` records. The
     /// buffer is allocated here, once; recording never reallocates.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -156,35 +157,14 @@ impl RingRecorder {
         self.buf.is_empty()
     }
 
-    /// The fixed capacity the ring was built with.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Records overwritten (or discarded, for a zero-capacity ring).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Total events ever recorded (held + dropped).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The held records in emission (`seq`) order. Allocates — export
-    /// path only, not for the hot loop.
-    #[must_use]
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Consume the ring, returning records in emission order.
+    /// Consume the observer, returning the held records in emission
+    /// (`seq`) order.
     #[must_use]
     pub fn into_records(mut self) -> Vec<TraceRecord> {
         self.buf.rotate_left(self.head);
@@ -224,36 +204,33 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_most_recent_records_in_seq_order() {
-        let mut ring = RingRecorder::new(3);
+        let mut ring = RunObserver::new(3);
         for i in 0..5 {
             ring.record(i as f64, ev(i));
         }
-        let recs = ring.records();
-        assert_eq!(recs.len(), 3);
+        assert_eq!(ring.dropped(), 2);
+        let recs = ring.into_records();
         assert_eq!(
             recs.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
-        assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.total(), 5);
-        assert_eq!(ring.into_records().last().unwrap().event, ev(4));
+        assert_eq!(recs.last().unwrap().event, ev(4));
     }
 
     #[test]
     fn zero_capacity_ring_counts_but_stores_nothing() {
-        let mut ring = RingRecorder::new(0);
+        let mut ring = RunObserver::new(0);
         for i in 0..4 {
             ring.record(i as f64, ev(i));
         }
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 4);
-        assert_eq!(ring.total(), 4);
-        assert!(ring.records().is_empty());
+        assert!(ring.into_records().is_empty());
     }
 
     #[test]
     fn recording_within_capacity_never_reallocates() {
-        let mut ring = RingRecorder::new(8);
+        let mut ring = RunObserver::new(8);
         let ptr = ring.buf.as_ptr();
         for i in 0..100 {
             ring.record(i as f64, ev(i));

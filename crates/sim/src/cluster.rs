@@ -181,14 +181,6 @@ impl Cluster {
         )
     }
 
-    /// Jitter-free latency of device `d` for `task` (profiling truth).
-    #[must_use]
-    pub fn nominal_response(&self, d: usize, task: &TrainingTask) -> f64 {
-        let dev = self.devices[d];
-        self.latency
-            .nominal_latency_link(task, dev.cpu_share, &self.link_of(d))
-    }
-
     /// Round latency (Eq. 1): max response latency over `selected`
     /// devices, with non-responding devices charged `tmax`.
     ///
@@ -274,8 +266,11 @@ mod tests {
     #[test]
     fn slower_group_has_higher_latency() {
         let c = cluster();
-        let fast = c.nominal_response(0, &task());
-        let slow = c.nominal_response(49, &task());
+        let nominal = |d: usize| {
+            c.latency
+                .nominal_latency_link(&task(), c.devices[d].cpu_share, &c.link_of(d))
+        };
+        let (fast, slow) = (nominal(0), nominal(49));
         assert!(slow > 10.0 * fast, "fast {fast}, slow {slow}");
     }
 

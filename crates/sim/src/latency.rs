@@ -153,18 +153,6 @@ impl LatencyModel {
         self.config.base_overhead_sec + compute + comm
     }
 
-    /// Latency with multiplicative jitter drawn from `rng`.
-    #[must_use]
-    pub fn sample_latency(
-        &self,
-        task: &TrainingTask,
-        cpu_share: f64,
-        bandwidth_bps: f64,
-        rng: &mut StdRng,
-    ) -> f64 {
-        self.sample_latency_link(task, cpu_share, &LinkQuality::symmetric(bandwidth_bps), rng)
-    }
-
     /// As [`LatencyModel::nominal_latency_link`] with multiplicative
     /// jitter drawn from `rng`.
     #[must_use]
@@ -298,9 +286,10 @@ mod tests {
     fn jitter_is_mean_preserving() {
         let m = model(0.2);
         let mut rng = StdRng::seed_from_u64(0);
+        let link = LinkQuality::symmetric(1e9);
         let n = 20_000;
         let mean: f64 = (0..n)
-            .map(|_| m.sample_latency(&task(100), 1.0, 1e9, &mut rng))
+            .map(|_| m.sample_latency_link(&task(100), 1.0, &link, &mut rng))
             .sum::<f64>()
             / f64::from(n);
         let nominal = m.nominal_latency(&task(100), 1.0, 1e9);
@@ -313,8 +302,9 @@ mod tests {
     #[test]
     fn jitter_deterministic_per_seed() {
         let m = model(0.3);
-        let a = m.sample_latency(&task(10), 1.0, 1e9, &mut StdRng::seed_from_u64(9));
-        let b = m.sample_latency(&task(10), 1.0, 1e9, &mut StdRng::seed_from_u64(9));
+        let link = LinkQuality::symmetric(1e9);
+        let a = m.sample_latency_link(&task(10), 1.0, &link, &mut StdRng::seed_from_u64(9));
+        let b = m.sample_latency_link(&task(10), 1.0, &link, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 

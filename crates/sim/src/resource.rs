@@ -12,17 +12,6 @@ pub struct DeviceResources {
     pub bandwidth_bps: f64,
 }
 
-impl DeviceResources {
-    /// Device with `cpu_share` CPUs and the default 1 MB/s link.
-    #[must_use]
-    pub fn with_cpus(cpu_share: f64) -> Self {
-        Self {
-            cpu_share,
-            bandwidth_bps: 1_000_000.0,
-        }
-    }
-}
-
 /// Directional link quality of one device: the communication-model
 /// refinement of the scalar [`DeviceResources::bandwidth_bps`].
 ///
@@ -93,12 +82,5 @@ mod tests {
     fn cifar_profile_spans_40x() {
         let p = profiles::CIFAR;
         assert!((p[0] / p[4] - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_cpus_sets_default_bandwidth() {
-        let d = DeviceResources::with_cpus(0.5);
-        assert_eq!(d.cpu_share, 0.5);
-        assert!(d.bandwidth_bps > 0.0);
     }
 }

@@ -843,10 +843,10 @@ fn execute_one(
 /// it would have taken and the data it would have built itself
 /// (re-profiling runs measure per segment inside the run and bypass the
 /// profile cache, like an unshared runner), and sessions only read
-/// their data. Runs observed with a zero-capacity ring — the
-/// deterministic metrics snapshot rides into the artifact, no trace is
-/// stored — and the run's per-phase host-seconds come back alongside
-/// for the sweep's utilization lanes.
+/// their data. Runs observed with no trace ring: the deterministic
+/// metrics snapshot, read off the report, rides into the artifact, and
+/// the run's per-phase host-seconds come back alongside for the
+/// sweep's utilization lanes.
 fn run_one(
     request: &RunRequest,
     cache: &ProfileCache,

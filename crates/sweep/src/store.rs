@@ -53,8 +53,9 @@ pub struct RunArtifact {
     pub request: RunRequest,
     /// The full training report.
     pub report: TrainingReport,
-    /// Deterministic run metrics (counters, gauges, histograms) folded
-    /// from the virtual-time trace. Optional so artifacts written
+    /// Deterministic run metrics (counters, gauges, histograms) read
+    /// off the report (`TrainingReport::metrics`); `tifl audit` checks
+    /// them against it. Optional so artifacts written
     /// before the observability layer existed still load and validate.
     #[serde(default)]
     pub metrics: Option<MetricsSnapshot>,

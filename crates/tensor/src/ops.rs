@@ -440,12 +440,6 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     x.iter().zip(y).map(|(&a, &b)| a * b).sum()
 }
 
-/// Squared L2 norm of a flat slice.
-#[must_use]
-pub fn norm_sq(x: &[f32]) -> f32 {
-    x.iter().map(|&v| v * v).sum()
-}
-
 /// Add a row-vector `bias` (len `n`) to every row of `m (rows x n)`.
 ///
 /// # Panics
@@ -577,7 +571,7 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(norm_sq(&[3.0, 4.0]), 25.0);
+        assert_eq!(dot(&[3.0, 4.0], &[3.0, 4.0]), 25.0, "a squared norm");
     }
 
     #[test]

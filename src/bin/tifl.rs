@@ -384,9 +384,9 @@ fn policy_by_name(name: &str, m: usize) -> Option<SelectionStrategy> {
         "uniform" => Policy::uniform(m),
         "random" => Policy::random5(m),
         "fast" => Policy::fast(m),
-        "fast1" => Policy::fast_level(m, 1),
-        "fast2" => Policy::fast_level(m, 2),
-        "fast3" => Policy::fast_level(m, 3),
+        level @ ("fast1" | "fast2" | "fast3") => Policy::fast_levels(m)
+            .into_iter()
+            .find(|p| p.name == level)?,
         _ => return None,
     };
     Some(SelectionStrategy::TierPolicy { policy })
@@ -571,8 +571,25 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
         request.spec.display_label()
     );
     let observed = request.run_observed(1 << 18);
-    let rows = tifl::obs::round_rows(&observed.records);
-    print!("{}", tifl::obs::render_rounds(&rows));
+    println!(
+        "{:>6} {:>12} {:>12} {:>9} {:>13} {:>12} {:>12}",
+        "round", "start [s]", "latency [s]", "selected", "contributors", "up [B]", "down [B]"
+    );
+    // A round starts when the previous one ended: the clock advances
+    // only by round latencies.
+    let mut start = 0.0;
+    for r in &observed.report.rounds {
+        println!(
+            "{:>6} {start:>12.1} {:>12.1} {:>9} {:>13} {:>12} {:>12}",
+            r.round,
+            r.latency,
+            r.selected.len(),
+            r.aggregated.len(),
+            r.bytes_up,
+            r.bytes_down
+        );
+        start = r.time;
+    }
     print!("{}", observed.metrics.render_text());
     if let Some(stored) = stored_metrics {
         if stored == observed.metrics {

@@ -14,9 +14,9 @@
 //!   transfer-cost accounting and update codecs (int8 quantization,
 //!   top-k sparsification);
 //! * [`fl`] — the FL substrate: clients, FedAvg aggregator, round engine;
-//! * [`obs`] — observability: virtual-time tracing (ring-buffer
-//!   recorder, Chrome trace-event export), a fixed-bucket metrics
-//!   registry whose snapshots ride in run artifacts, and a host-time
+//! * [`obs`] — observability: virtual-time tracing (a preallocated
+//!   ring, Chrome trace-event export), the metrics snapshot a run
+//!   artifact stores (read off the run's report), and a host-time
 //!   phase profiler behind a pluggable [`prelude::HostClock`];
 //! * [`core`] — the paper's contribution: profiler, tiering, static and
 //!   adaptive tier schedulers, training-time estimator, privacy
@@ -103,9 +103,8 @@ pub mod prelude {
     pub use tifl_nn::models::ModelSpec;
     pub use tifl_obs::{
         chrome_trace, host_chrome_trace, DiffReport, DiffSide, Digest128, DigestChain, Divergence,
-        FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, MetricsRegistry,
-        MetricsSnapshot, Phase, PhaseTotals, RealClock, RingRecorder, RunObserver, TraceEvent,
-        TraceRecord,
+        FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase,
+        PhaseTotals, RealClock, RunObserver, TraceEvent, TraceRecord,
     };
     pub use tifl_sim::cluster::{Cluster, ClusterConfig};
     pub use tifl_sim::drift::DriftModel;

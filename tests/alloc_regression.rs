@@ -164,7 +164,7 @@ fn steady_state_fold_encode_round_is_allocation_free() {
 
     // Tracing-enabled variant: with an active RunObserver (warm,
     // bounded ring) recording every event, the per-round trace
-    // derivation plus the metrics folds must also be allocation-free —
+    // derivation must also be allocation-free —
     // observability enabled may not re-introduce hot-path allocation.
     // Same process, same test fn: the counting allocator is global.
     let plan = RoundPlan {
@@ -227,8 +227,8 @@ fn steady_state_fold_encode_round_is_allocation_free() {
         allocs, 0,
         "tracing-enabled rounds allocated {allocs} times with an active ring sink"
     );
-    assert_eq!(observer.ring().len(), 64, "ring stayed at capacity");
-    assert!(observer.ring().dropped() > 0, "wrap path was exercised");
+    assert_eq!(observer.len(), 64, "ring stayed at capacity");
+    assert!(observer.dropped() > 0, "wrap path was exercised");
 
     // Profiler-attached variant: the host-time phase profiler's hot
     // path (clock read on begin, span push + totals update on end)

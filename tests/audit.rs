@@ -254,6 +254,57 @@ fn flip_one_byte(path: &std::path::Path) {
 }
 
 #[test]
+fn audit_cli_flags_metrics_that_disagree_with_the_report() {
+    // The digest chain covers only the report, so an edited metrics
+    // section loads cleanly; the audit recomputes it from the report.
+    let dir = tmp_dir("audit-metrics");
+    let store_dir = dir.join("arts");
+    let mut builder = SweepBuilder::new(ExperimentConfig::tiny(12));
+    let sweep = builder.rounds(3).workers(1).out(&store_dir).run();
+    assert_eq!(sweep.completed(), 1);
+    let store = RunStore::open(&store_dir).expect("store opens");
+    let key = store.keys()[0];
+    let audit = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+            .args(["audit", store_dir.to_str().unwrap(), "--deny"])
+            .output()
+            .expect("tifl runs")
+    };
+    let out = audit();
+    assert!(
+        out.status.success(),
+        "an untouched store audits clean: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let mut artifact = store.load_checked(key).expect("artifact loads");
+    let metrics = artifact.metrics.as_mut().expect("a sweep stores metrics");
+    let folds = metrics
+        .counters
+        .iter_mut()
+        .find(|c| c.name == "folds")
+        .expect("a folds counter");
+    folds.value += 1;
+    let bytes = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
+    store
+        .write_bytes(key, bytes.as_bytes())
+        .expect("edited artifact writes");
+    let out = audit();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a metrics mismatch fails --deny"
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(&key.to_string()), "must name the key: {text}");
+    assert!(
+        text.contains("[metrics-mismatch]") && text.contains("folds: stored 7"),
+        "must name the finding and the metric: {text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn audit_cli_catches_one_byte_corruption_and_names_the_key() {
     // One real run into a store, via the library (cheap: tiny config).
     let dir = tmp_dir("audit-cli");

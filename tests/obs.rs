@@ -2,13 +2,14 @@
 //!
 //! 1. the traced event stream and the metrics snapshot are **bit for
 //!    bit** invariant across execution backends and thread counts —
-//!    observability reads the same canonical round plans the engine
+//!    the trace reads the same canonical round plans the engine
 //!    executes, so `Lockstep` and `EventDriven{1,4,8}` must produce
-//!    identical traces;
+//!    identical traces, and the metrics are read off the report;
 //! 2. observing a run never changes it: the report of
 //!    `run_observed` equals the report of `run`;
 //! 3. metrics snapshots are byte-deterministic (identical JSON) across
-//!    repeated runs;
+//!    repeated runs, their digests are pinned, and they agree with a
+//!    complete trace's own event counts;
 //! 4. pre-observability artifacts (no `metrics` field) still load and
 //!    validate against the store's resume predicate.
 
@@ -102,6 +103,148 @@ fn repeated_observed_runs_are_byte_identical() {
         serde_json::to_string(&b.metrics).expect("metrics serialize"),
         "metrics snapshots must serialize to identical bytes"
     );
+}
+
+/// The cases whose metrics bytes are pinned: the scenario matrix plus
+/// the shapes it lacks (timeouts, over-selection under a lossy codec, a
+/// hierarchy, re-profiling that does not divide the horizon).
+fn metrics_cases() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
+    let mut timeouts = tiny(81);
+    timeouts.profiler.tmax_sec = 0.5;
+    let mut wide = tiny(82);
+    wide.num_clients = 25;
+    wide.clients_per_round = 3;
+    let mut uneven = tiny(83);
+    uneven.rounds = 10;
+    let mut cases = scenarios();
+    cases.extend([
+        ("timeouts", timeouts, RunSpec::default()),
+        (
+            "adaptive+firstk+i8",
+            wide,
+            RunSpec {
+                selection: SelectionStrategy::Adaptive { config: None },
+                aggregation: Some(AggregationMode::FirstK { factor: 1.3 }),
+                comm: Some(CommSpec::with_codec(CodecSpec::QuantizeI8)),
+                ..RunSpec::default()
+            },
+        ),
+        (
+            "topk+hierarchy",
+            tiny(84),
+            RunSpec {
+                comm: Some(CommSpec {
+                    codec: CodecSpec::TopK { frac: 0.1 },
+                    hierarchy: Some(HierarchySpec {
+                        fan_out: 2,
+                        plane_bps: 1.0e6,
+                    }),
+                    ..CommSpec::default()
+                }),
+                ..RunSpec::default()
+            },
+        ),
+        (
+            "uniform+reprofile3",
+            uneven,
+            RunSpec {
+                selection: SelectionStrategy::TierPolicy {
+                    policy: Policy::uniform(5),
+                },
+                reprofile_every: Some(3),
+                ..RunSpec::default()
+            },
+        ),
+    ]);
+    cases
+}
+
+/// The `Digest128` of each case's metrics snapshot, as the run first
+/// stored it. A change to any of these is a change to artifact bytes.
+const METRICS_GOLDEN: [(&str, &str); 10] = [
+    ("uniform-policy", "32128dd3f2709ce2304bd9b69352027b"),
+    ("vanilla", "4fd2c5c9c68df82d7ae9f8043ab073c0"),
+    ("adaptive", "2b519ccbc505aa0ea4ba1ed53f45f237"),
+    ("overselect", "302e7c54196aa9a85a502b26c96805bb"),
+    ("fedprox", "d8ed8a0c940c31ad3ef4dc47ec683f40"),
+    ("uniform+reprofile", "eb3ec9c5693400b86173f03130e01109"),
+    ("timeouts", "123d2650ea7ab729d646711056ef5cc8"),
+    ("adaptive+firstk+i8", "5fad2c807c8281baee42644ccd4c69eb"),
+    ("topk+hierarchy", "a6289080f4cd84ca88457296fa7b7369"),
+    ("uniform+reprofile3", "9d76572d89c7724475e2e4e867699f31"),
+];
+
+/// The metrics a complete trace implies, counted off its events, must
+/// be the ones read off the report.
+fn assert_metrics_match_trace(name: &str, observed: &ObservedRun) {
+    let records = &observed.records;
+    let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count() as u64;
+    let ends = || {
+        records.iter().filter_map(|r| match r.event {
+            TraceEvent::RoundEnd {
+                bytes_up,
+                bytes_down,
+                ..
+            } => Some((r.vt, bytes_up, bytes_down)),
+            _ => None,
+        })
+    };
+    let traced = [
+        (
+            "profile_passes",
+            count(|e| matches!(e, TraceEvent::ProfilePass { .. })),
+        ),
+        (
+            "rounds",
+            count(|e| matches!(e, TraceEvent::RoundEnd { .. })),
+        ),
+        (
+            "dispatches",
+            count(|e| matches!(e, TraceEvent::Dispatch { .. })),
+        ),
+        (
+            "completes",
+            count(|e| matches!(e, TraceEvent::Complete { .. })),
+        ),
+        (
+            "timeouts",
+            count(|e| matches!(e, TraceEvent::TimedOut { .. })),
+        ),
+        (
+            "cancels",
+            count(|e| matches!(e, TraceEvent::Cancelled { .. })),
+        ),
+        ("folds", count(|e| matches!(e, TraceEvent::Fold { .. }))),
+        ("evals", count(|e| matches!(e, TraceEvent::Eval { .. }))),
+        ("bytes_up", ends().map(|(_, up, _)| up).sum()),
+        ("bytes_down", ends().map(|(_, _, down)| down).sum()),
+    ];
+    let metrics = &observed.metrics;
+    for (counter, value) in traced {
+        assert_eq!(metrics.counter(counter), Some(value), "{name}: {counter}");
+    }
+    let end = ends().next_back().map_or(0.0, |(vt, _, _)| vt);
+    assert_eq!(metrics.gauge("virtual_time_sec"), Some(end), "{name}");
+}
+
+#[test]
+fn metrics_bytes_are_pinned_on_every_backend() {
+    let cases = metrics_cases();
+    assert_eq!(cases.len(), METRICS_GOLDEN.len());
+    for ((name, cfg, spec), (golden_name, golden)) in cases.iter().zip(METRICS_GOLDEN) {
+        assert_eq!(*name, golden_name);
+        let traced = Runner::with_spec(cfg, spec.clone()).run_observed(CAP);
+        assert_metrics_match_trace(name, &traced);
+        for spec in common::on_every_backend(spec) {
+            let observed = Runner::with_spec(cfg, spec.clone()).run_observed(0);
+            assert_eq!(
+                Digest128::of_value(&observed.metrics).to_string(),
+                golden,
+                "{name} on {:?}: metrics bytes moved",
+                spec.backend
+            );
+        }
+    }
 }
 
 // -- structural sanity of the stream ---------------------------------------
