@@ -8,11 +8,11 @@
 //!
 //! * **Network model** ([`link`]) — [`LinkModel`] describes per-client
 //!   uplink/downlink bandwidth and RTT (the cluster's own scalars, or
-//!   bandwidth tiers like the CPU-share groups in `tifl_sim`);
-//!   materialised into a [`LinkAssignment`] it implements [`CommCost`],
-//!   the byte-count → transfer-seconds conversion every latency path
-//!   shares (round latency, straggler deadlines, tier profiling,
-//!   hierarchical aggregation planes).
+//!   bandwidth tiers like the CPU-share groups in `tifl_sim`),
+//!   materialised into one `tifl_sim::LinkQuality` per device; every
+//!   latency path (round latency, straggler deadlines, tier profiling,
+//!   hierarchical aggregation planes) prices bytes in the transfer
+//!   seconds of [`link::transfer_secs`].
 //! * **Update codecs** ([`codec`]) — [`CodecSpec`] names a compression
 //!   scheme over `ParamVec` updates ([`CodecSpec::Identity`],
 //!   [`CodecSpec::QuantizeI8`], [`CodecSpec::TopK`]); encoding yields an
@@ -31,15 +31,15 @@ pub mod link;
 
 pub use codec::{CodecSpec, EncodeScratch, EncodedUpdate};
 pub use feedback::{encode_compensated, ErrorFeedback};
-pub use link::{CommCost, LinkAssignment, LinkModel};
+pub use link::LinkModel;
 
 use serde::{Deserialize, Serialize};
 
 /// A hierarchical aggregation plane (master/child aggregators): client
 /// updates are absorbed by `ceil(|updates| / fan_out)` child
 /// aggregators in parallel, whose dense partial aggregates the master
-/// combines. Costs are in [`CommCost`] units — seconds per byte over
-/// `plane_bps` (see `tifl_fl::hierarchy::AggregationTree::with_plane`).
+/// combines. Costs are in transfer seconds ([`link::transfer_secs`])
+/// over `plane_bps` (see `tifl_fl::hierarchy::AggregationTree::with_plane`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HierarchySpec {
     /// Maximum client updates handled per child aggregator.

@@ -3,20 +3,9 @@
 use serde::{Deserialize, Serialize};
 use tifl_sim::LinkQuality;
 
-/// Converts payload byte-counts into transfer seconds — the one unit
-/// every communication cost in the system is expressed in (client
-/// uplinks, model downlinks, aggregation planes).
-pub trait CommCost {
-    /// Seconds for client `c` to upload `bytes`.
-    fn uplink_secs(&self, c: usize, bytes: u64) -> f64;
-    /// Seconds for client `c` to download `bytes`.
-    fn downlink_secs(&self, c: usize, bytes: u64) -> f64;
-    /// Fixed per-transfer round-trip cost of client `c`.
-    fn rtt_secs(&self, c: usize) -> f64;
-}
-
-/// Seconds to move `bytes` over a `bps` link — the scalar conversion
-/// behind every [`CommCost`] implementation.
+/// Seconds to move `bytes` over a `bps` link — transfer seconds are the
+/// one unit every communication cost in the system is expressed in
+/// (client uplinks, model downlinks, aggregation planes).
 ///
 /// # Panics
 /// Panics if `bps` is not positive.
@@ -62,9 +51,9 @@ impl LinkModel {
     /// Panics on non-positive bandwidths, a negative RTT, a zero group
     /// count, or a decay outside (0, 1].
     #[must_use]
-    pub fn materialize(&self, device_bps: &[f64]) -> LinkAssignment {
+    pub fn materialize(&self, device_bps: &[f64]) -> Vec<LinkQuality> {
         let n = device_bps.len();
-        let links = match *self {
+        match *self {
             LinkModel::ClusterDefault => device_bps
                 .iter()
                 .map(|&bps| LinkQuality::symmetric(bps))
@@ -93,42 +82,7 @@ impl LinkModel {
                     })
                     .collect()
             }
-        };
-        LinkAssignment { links }
-    }
-}
-
-/// The materialised per-client link table of one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkAssignment {
-    links: Vec<LinkQuality>,
-}
-
-impl LinkAssignment {
-    /// The per-client links, indexable by client id.
-    #[must_use]
-    pub fn links(&self) -> &[LinkQuality] {
-        &self.links
-    }
-
-    /// Consume into the raw link table (for `Cluster::set_links`).
-    #[must_use]
-    pub fn into_links(self) -> Vec<LinkQuality> {
-        self.links
-    }
-}
-
-impl CommCost for LinkAssignment {
-    fn uplink_secs(&self, c: usize, bytes: u64) -> f64 {
-        transfer_secs(bytes, self.links[c].up_bps)
-    }
-
-    fn downlink_secs(&self, c: usize, bytes: u64) -> f64 {
-        transfer_secs(bytes, self.links[c].down_bps)
-    }
-
-    fn rtt_secs(&self, c: usize) -> f64 {
-        self.links[c].rtt_sec
+        }
     }
 }
 
@@ -139,11 +93,13 @@ mod tests {
     #[test]
     fn cluster_default_mirrors_device_bandwidths() {
         let a = LinkModel::ClusterDefault.materialize(&[1.0e6, 2.0e6]);
-        assert_eq!(a.links()[0], LinkQuality::symmetric(1.0e6));
-        assert_eq!(a.links()[1], LinkQuality::symmetric(2.0e6));
-        assert_eq!(a.uplink_secs(0, 1_000_000), 1.0);
-        assert_eq!(a.downlink_secs(1, 1_000_000), 0.5);
-        assert_eq!(a.rtt_secs(0), 0.0);
+        assert_eq!(
+            a,
+            [LinkQuality::symmetric(1.0e6), LinkQuality::symmetric(2.0e6)]
+        );
+        assert_eq!(transfer_secs(1_000_000, a[0].up_bps), 1.0);
+        assert_eq!(transfer_secs(1_000_000, a[1].down_bps), 0.5);
+        assert_eq!(a[0].rtt_sec, 0.0);
     }
 
     #[test]
@@ -157,7 +113,6 @@ mod tests {
         };
         let a = m.materialize(&[7.0, 9.0, 11.0]);
         assert!(a
-            .links()
             .iter()
             .all(|l| l.up_bps == 1.0e5 && l.down_bps == 1.0e6 && l.rtt_sec == 0.1));
     }
@@ -173,10 +128,10 @@ mod tests {
         };
         let a = m.materialize(&[0.0; 10]);
         // 2 clients per group, halving per group: 3.2e6 ... 0.2e6.
-        assert_eq!(a.links()[0].up_bps, 3.2e6);
-        assert_eq!(a.links()[1].up_bps, 3.2e6);
-        assert_eq!(a.links()[2].up_bps, 1.6e6);
-        assert_eq!(a.links()[9].up_bps, 0.2e6);
+        assert_eq!(a[0].up_bps, 3.2e6);
+        assert_eq!(a[1].up_bps, 3.2e6);
+        assert_eq!(a[2].up_bps, 1.6e6);
+        assert_eq!(a[9].up_bps, 0.2e6);
     }
 
     #[test]

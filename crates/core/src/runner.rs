@@ -45,10 +45,10 @@ use tifl_comm::{CodecSpec, CommSpec, HierarchySpec};
 use tifl_data::FederatedDataset;
 use tifl_fl::selector::{ClientSelector, RandomSelector};
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides, TaskPricing};
+use tifl_fl::timeline::chrome_round;
 use tifl_fl::{RoundReport, TrainingReport};
 use tifl_obs::{
-    HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase, PhaseTotals, RealClock, RunObserver,
-    TraceEvent, TraceRecord,
+    ChromeEvent, HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase, PhaseTotals, RealClock,
 };
 use tifl_sim::Cluster;
 use tifl_tensor::split_seed;
@@ -660,25 +660,19 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         (report, session)
     }
 
-    /// As [`Runner::run`] but observed: the session carries a
-    /// [`RunObserver`] whose ring holds up to `ring_capacity` trace
-    /// records (0 attaches none: no trace is kept), and the metrics
-    /// are read off the report ([`TrainingReport::metrics`]). The
-    /// report is bit-for-bit the one [`Runner::run`] produces —
-    /// observation derives everything from the round plans and the
-    /// virtual clock and feeds nothing back — and the virtual-time
-    /// trace itself is identical across execution backends and thread
-    /// counts.
-    pub fn run_observed(&mut self, ring_capacity: usize) -> ObservedRun {
+    /// As [`Runner::run`] but observed: the session carries a host-time
+    /// phase profiler, and the metrics are read off the report
+    /// ([`TrainingReport::metrics`]). The report is bit-for-bit the one
+    /// [`Runner::run`] produces — host time feeds nothing back. The
+    /// run's virtual-time trace is [`Runner::virtual_trace`] of the
+    /// report.
+    pub fn run_observed(&mut self) -> ObservedRun {
         let mut session = self.build_session();
-        if ring_capacity > 0 {
-            session.attach_observer(RunObserver::new(ring_capacity));
-        }
-        // The host profiler rides alongside the observer: its spans are
-        // operator-facing wall-clock attribution, kept strictly outside
-        // the deterministic surface. Ring capacity scales with the
-        // horizon (a handful of spans per round) and is preallocated —
-        // steady-state rounds stay allocation-free with it attached.
+        // The host profiler's spans are operator-facing wall-clock
+        // attribution, kept strictly outside the deterministic surface.
+        // Ring capacity scales with the horizon (a handful of spans per
+        // round) and is preallocated — steady-state rounds stay
+        // allocation-free with it attached.
         let clock = self
             .host_clock
             .as_ref()
@@ -686,40 +680,65 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         let span_cap = (self.exp.rounds() as usize).saturating_mul(8).min(1 << 16) + 16;
         let mut prof = HostProfiler::with_clock(span_cap, clock);
         if self.spec.selection.needs_profile() && self.spec.reprofile_every.is_none() {
-            // The up-front §4.2 profiling pass, emitted at t = 0 so the
-            // trace records where the tiers came from. A shared-profile
-            // runner emits the same values: the measurement is the
-            // same, only who computed it differs (and its Profile span
-            // then costs only a cache lookup).
-            let clients = self.exp.num_clients() as u32;
+            // The up-front §4.2 profiling pass. A shared-profile runner
+            // only looks the measurement up.
             let t_prof = prof.begin();
-            let profile = self.shared_profile();
+            self.ensure_profile();
             prof.end(Phase::Profile, 0, t_prof);
-            session.trace_event(
-                0.0,
-                TraceEvent::ProfilePass {
-                    clients,
-                    dropouts: profile.1.dropouts().len() as u32,
-                    profiling_sec: profile.1.profiling_time,
-                },
-            );
         }
         session.attach_host_profiler(prof);
         let report = self.execute(&mut session);
         let host = session
             .take_host_profiler()
             .expect("host profiler attached above");
-        let records = session
-            .take_observer()
-            .map_or_else(Vec::new, RunObserver::into_records);
         let passes = self.spec.profile_passes(self.exp.rounds());
         ObservedRun {
             metrics: report.metrics(session.config(), passes),
             report,
-            records,
             host_phases: host.totals(),
             host_spans: host.spans(),
         }
+    }
+
+    /// The virtual-time Chrome lane of a run of the current spec that
+    /// produced `report`: every §4.2 profiling pass, then every round
+    /// laid out from its plan ([`chrome_round`]), which a session of the
+    /// spec rebuilds from the report ([`Session::replan`]). Trains
+    /// nothing; the events are the same for the same report on every
+    /// backend.
+    ///
+    /// The up-front pass sits at time 0 and is the cached profile; a
+    /// re-profiled run's passes are re-measured at the first round of
+    /// their segment and sit at its start.
+    pub fn virtual_trace(&mut self, report: &TrainingReport) -> Vec<ChromeEvent> {
+        let session = self.build_session();
+        let wire_bytes = session.upload_wire_bytes();
+        let clients = self.exp.num_clients();
+        let pass = |t0: f64, profile: &ProfileResult| {
+            let name = format!(
+                "profile {clients} clients ({} dropouts)",
+                profile.dropouts().len()
+            );
+            ChromeEvent::span(name, "profile", t0, t0 + profile.profiling_time, 0)
+        };
+        let mut out = Vec::new();
+        let reprofile_every = self.spec.reprofile_every;
+        if self.spec.selection.needs_profile() && reprofile_every.is_none() {
+            out.push(pass(0.0, &self.shared_profile().1));
+        }
+        let profiler = Profiler::new(self.exp.profiler_config());
+        let mut t0 = 0.0;
+        for round in &report.rounds {
+            if reprofile_every.is_some_and(|every| round.round.is_multiple_of(every)) {
+                let profile =
+                    profiler.profile_at(session.cluster(), |c| session.task_for(c), round.round);
+                out.push(pass(t0, &profile));
+            }
+            let plan = session.replan(round);
+            chrome_round(&plan, t0, session.config(), wire_bytes, &mut out);
+            t0 = round.time;
+        }
+        out
     }
 
     /// Drive the spec against an already-built session (the shared
@@ -772,15 +791,6 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
             let t_prof = session.host_begin();
             let profile = profiler.profile_at(session.cluster(), |c| session.task_for(c), done);
             session.host_end(Phase::Profile, done, t_prof);
-            let now = session.now();
-            session.trace_event(
-                now,
-                TraceEvent::ProfilePass {
-                    clients: clients as u32,
-                    dropouts: profile.dropouts().len() as u32,
-                    profiling_sec: profile.profiling_time,
-                },
-            );
             let seed = split_seed(self.exp.seed(), split_seed(0x5E1EC7, done));
             let mut selector =
                 build_selector(&self.spec.selection, clients, rounds_total, seed, || {
@@ -826,18 +836,15 @@ fn build_selector(
     }
 }
 
-/// The result of [`Runner::run_observed`]: the training report plus
-/// the virtual-time trace collected alongside it and the metrics read
-/// off it. `report` is bit-for-bit what the unobserved run produces.
+/// The result of [`Runner::run_observed`]: the training report, the
+/// metrics read off it and the run's host-time attribution. `report`
+/// is bit-for-bit what the unobserved run produces.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// The training report, identical to [`Runner::run`]'s.
     pub report: TrainingReport,
-    /// The virtual-time trace, oldest first (empty if the ring
-    /// capacity was 0; earliest records dropped if it overflowed).
-    pub records: Vec<TraceRecord>,
     /// Counters, gauges and histograms read off `report`
-    /// ([`TrainingReport::metrics`]), whatever the ring capacity.
+    /// ([`TrainingReport::metrics`]).
     pub metrics: MetricsSnapshot,
     /// Per-phase **host** seconds (wall-clock attribution). Best
     /// effort and machine-dependent; never serialized into run
@@ -952,29 +959,25 @@ impl RunRequest {
         runner.run()
     }
 
-    /// Execute the request observed: same report, plus the
-    /// virtual-time trace (up to `ring_capacity` records) and a
-    /// metrics snapshot. See [`Runner::run_observed`].
+    /// Execute the request observed: same report, plus a metrics
+    /// snapshot and host-time attribution. See [`Runner::run_observed`];
+    /// `_ring_capacity` is ignored, and is kept for the
+    /// `tifl-benchmark` crate.
     #[must_use]
-    pub fn run_observed(&self, ring_capacity: usize) -> ObservedRun {
+    pub fn run_observed(&self, _ring_capacity: usize) -> ObservedRun {
         let exp = self.experiment();
-        let mut runner = Runner::with_spec(&exp, self.spec.clone());
-        runner.run_observed(ring_capacity)
+        Runner::with_spec(&exp, self.spec.clone()).run_observed()
     }
 
     /// As [`RunRequest::run_observed`] with an explicit host clock for
     /// the phase profiler (tests inject a
     /// [`FrozenClock`](tifl_obs::FrozenClock) to pin span structure).
     #[must_use]
-    pub fn run_observed_with_clock(
-        &self,
-        ring_capacity: usize,
-        clock: Arc<dyn HostClock>,
-    ) -> ObservedRun {
+    pub fn run_observed_with_clock(&self, clock: Arc<dyn HostClock>) -> ObservedRun {
         let exp = self.experiment();
         let mut runner = Runner::with_spec(&exp, self.spec.clone());
         runner.host_clock(clock);
-        runner.run_observed(ring_capacity)
+        runner.run_observed()
     }
 }
 
@@ -1148,7 +1151,7 @@ mod tests {
         let first = runner.policy(&Policy::uniform(5)).run();
         assert_eq!(runner.data_count(), 1);
         let (_, session) = runner.policy(&Policy::fast(5)).run_with_session();
-        let _ = runner.adaptive(None).fedprox(0.01).run_observed(0);
+        let _ = runner.adaptive(None).fedprox(0.01).run_observed();
         assert_eq!(runner.data_count(), 1, "the dataset must be reused");
         assert!(
             std::ptr::eq(session.data(), runner.shared_data().as_ref()),

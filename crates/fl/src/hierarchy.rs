@@ -5,20 +5,15 @@
 //! box never has to absorb millions of updates. The paper's prototype
 //! simplifies to one aggregator but notes that "multiple layers of
 //! aggregator can be easily integrated into TiFL"; this module supplies
-//! that integration:
-//!
-//! * [`AggregationTree::aggregate`] — numerically faithful two-level
-//!   FedAvg: each child computes a sample-weighted partial mean, the
-//!   master combines partials weighted by their child's total samples.
-//!   The result equals flat FedAvg up to floating-point rounding (tested
-//!   to 1e-5) regardless of how updates are sharded.
-//! * [`AggregationTree::aggregation_latency`] — the simulated wall time
-//!   of the tree: children work in parallel (their costs take a max),
-//!   the master adds its own combine cost on top.
+//! that integration as a latency model. Rounds still fold flat
+//! (weighted means compose, so a two-level FedAvg is flat FedAvg up to
+//! rounding); what the tree changes is a round's time:
+//! [`AggregationTree::aggregation_latency`] is the simulated wall time
+//! of the tree — children work in parallel (their costs take a max),
+//! the master adds its own combine cost on top — and a run with a
+//! `tifl_comm::HierarchySpec` adds it to every round's latency.
 
-use crate::aggregator::ClientUpdate;
 use serde::{Deserialize, Serialize};
-use tifl_tensor::ParamVec;
 
 /// Shape and cost parameters of the aggregation hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,8 +38,8 @@ impl AggregationTree {
     /// A tree over an aggregation plane of `plane_bps` bytes/s: the
     /// absorb cost per node is exactly
     /// [`tifl_comm::link::transfer_secs`] over that bandwidth, so the
-    /// hierarchy's combine latency is expressed in the same
-    /// `CommCost` units as every client transfer (a
+    /// hierarchy's combine latency is expressed in the same transfer
+    /// seconds as every client transfer (a
     /// `tifl_comm::HierarchySpec` maps onto this constructor).
     ///
     /// # Panics
@@ -65,34 +60,6 @@ impl AggregationTree {
     #[must_use]
     pub fn num_children(&self, updates: usize) -> usize {
         updates.div_ceil(self.fan_out)
-    }
-
-    /// Two-level FedAvg over `updates`.
-    ///
-    /// Each chunk of `fan_out` updates is reduced to a partial
-    /// (sample-weighted) mean carrying its total sample count; the
-    /// master then takes the weighted mean of partials. Equivalent to
-    /// flat [`crate::aggregator::aggregate_fedavg`] because weighted
-    /// means compose: `mean(mean(A) w_A, mean(B) w_B) = mean(A ∪ B)`.
-    ///
-    /// # Panics
-    /// Panics if `updates` is empty.
-    #[must_use]
-    pub fn aggregate(&self, updates: &[ClientUpdate]) -> ParamVec {
-        assert!(!updates.is_empty(), "aggregate with no updates");
-        let partials: Vec<(ParamVec, f32)> = updates
-            .chunks(self.fan_out)
-            .map(|chunk| {
-                let total: usize = chunk.iter().map(|u| u.samples).sum();
-                let refs: Vec<(&ParamVec, f32)> = chunk
-                    .iter()
-                    .map(|u| (&u.params, u.samples as f32))
-                    .collect();
-                (ParamVec::weighted_mean_ref(&refs), total as f32)
-            })
-            .collect();
-        let refs: Vec<(&ParamVec, f32)> = partials.iter().map(|(p, w)| (p, *w)).collect();
-        ParamVec::weighted_mean_ref(&refs)
     }
 
     /// Simulated latency of aggregating `updates` updates of
@@ -138,46 +105,6 @@ impl AggregationTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregator::aggregate_fedavg;
-
-    fn updates(n: usize, dim: usize) -> Vec<ClientUpdate> {
-        (0..n)
-            .map(|c| ClientUpdate {
-                client: c,
-                params: ParamVec(
-                    (0..dim)
-                        .map(|i| ((c * 31 + i * 7) % 100) as f32 / 50.0 - 1.0)
-                        .collect(),
-                ),
-                samples: 50 + (c * 13) % 200,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn tree_matches_flat_fedavg() {
-        let ups = updates(37, 16);
-        let flat = aggregate_fedavg(&ups);
-        for fan_out in [1usize, 2, 5, 10, 37, 100] {
-            let tree = AggregationTree::with_fan_out(fan_out);
-            let hier = tree.aggregate(&ups);
-            for (a, b) in hier.as_slice().iter().zip(flat.as_slice()) {
-                assert!((a - b).abs() < 1e-5, "fan_out {fan_out}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_chunk_is_plain_fedavg() {
-        let ups = updates(5, 8);
-        let tree = AggregationTree::with_fan_out(10);
-        assert_eq!(tree.num_children(5), 1);
-        let hier = tree.aggregate(&ups);
-        let flat = aggregate_fedavg(&ups);
-        for (a, b) in hier.as_slice().iter().zip(flat.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
 
     #[test]
     fn child_count_rounds_up() {

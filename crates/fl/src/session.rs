@@ -8,7 +8,6 @@ use crate::exec::{
 use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
-use crate::timeline::schedule_plan_events;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -17,7 +16,7 @@ use tifl_comm::{CodecSpec, CommSpec, EncodeScratch, ErrorFeedback};
 use tifl_data::FederatedDataset;
 use tifl_nn::model::{EvalResult, Sequential};
 use tifl_nn::models::ModelSpec;
-use tifl_obs::{HostProfiler, Phase, RunObserver, TraceEvent};
+use tifl_obs::{HostProfiler, Phase, RunObserver};
 use tifl_sim::latency::TrainingTask;
 use tifl_sim::{Cluster, VirtualClock};
 use tifl_tensor::{ops, Matrix, ParamVec};
@@ -195,8 +194,7 @@ impl TaskPricing {
             let device_bps: Vec<f64> = (0..cluster.num_devices())
                 .map(|d| cluster.device(d).bandwidth_bps)
                 .collect();
-            let links = spec.link.materialize(&device_bps);
-            cluster.set_links(links.into_links());
+            cluster.set_links(spec.link.materialize(&device_bps));
             spec.codec.encoded_bytes(template.param_count())
         });
         let unit = TrainingTask {
@@ -263,15 +261,10 @@ pub struct Session {
     feedback: ErrorFeedback,
     /// Reusable per-round aggregation-weight buffer.
     fold_weights: Vec<f32>,
-    /// Optional trace ring (attached by
-    /// `tifl_core::runner::Runner::run_observed` when it keeps a
-    /// trace). `None` is the free path: one branch per round.
-    observer: Option<RunObserver>,
-    /// Reusable scratch for the canonical per-round trace schedule.
-    trace_scratch: Vec<(f64, u32, TraceEvent)>,
-    /// Optional host-time phase profiler (attached alongside the
-    /// observer). Host time is operator-facing only: it never feeds
-    /// the virtual clock, the reports, or any deterministic bytes.
+    /// Optional host-time phase profiler (attached by
+    /// `tifl_core::runner::Runner::run_observed`). Host time is
+    /// operator-facing only: it never feeds the virtual clock, the
+    /// reports, or any deterministic bytes.
     host_prof: Option<HostProfiler>,
 }
 
@@ -315,24 +308,19 @@ impl Session {
             codec_scratch: EncodeScratch::new(),
             feedback: ErrorFeedback::new(),
             fold_weights: Vec::new(),
-            observer: None,
-            trace_scratch: Vec::new(),
             host_prof: None,
         }
     }
 
-    /// Attach a trace observer. Every subsequent round emits the
-    /// canonical virtual-time event stream (see
-    /// [`schedule_plan_events`]) into it; the stream derives from the
-    /// round plans alone, so it is bit-for-bit identical across
-    /// backends and thread counts.
-    pub fn attach_observer(&mut self, observer: RunObserver) {
-        self.observer = Some(observer);
-    }
+    /// Does nothing: nothing is recorded while a session trains (a
+    /// finished run's trace is rebuilt from its report with
+    /// [`Session::replan`]). Kept for the `tifl-benchmark` crate.
+    pub fn attach_observer(&mut self, _observer: RunObserver) {}
 
-    /// Detach the observer (to harvest its trace).
+    /// Always `None` (see [`Session::attach_observer`]). Kept for the
+    /// `tifl-benchmark` crate.
     pub fn take_observer(&mut self) -> Option<RunObserver> {
-        self.observer.take()
+        None
     }
 
     /// Attach a host-time phase profiler. Subsequent rounds attribute
@@ -373,72 +361,6 @@ impl Session {
         if let Some(prof) = self.host_prof.as_mut() {
             prof.record(phase, round, dur_sec);
         }
-    }
-
-    /// Record a single event at virtual time `vt` (no-op without an
-    /// observer). Hook for the one emission site outside the round
-    /// loop: the runner's profiler passes.
-    pub fn trace_event(&mut self, vt: f64, event: TraceEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.record(vt, event);
-        }
-    }
-
-    /// Emit the canonical trace of a planned round, anchored at the
-    /// current virtual time (called from [`Session::finish_round`]
-    /// *before* the clock advances). Allocation-free at steady state:
-    /// the schedule builds in the session's reusable scratch and every
-    /// event is `Copy`.
-    fn trace_round(&mut self, plan: &RoundPlan) {
-        if self.observer.is_none() {
-            return;
-        }
-        let first_k = matches!(self.config.aggregation, AggregationMode::FirstK { .. });
-        let tmax = self.config.tmax_sec;
-        let eval = self.is_eval_round(plan.round);
-        let wire_bytes = self.upload_wire_bytes();
-        let bytes_down = self.download_wire_bytes() * plan.selected.len() as u64;
-        let t0 = self.clock.now();
-        schedule_plan_events(plan, first_k, tmax, &mut self.trace_scratch);
-        let Some(observer) = self.observer.as_mut() else {
-            return;
-        };
-        observer.record(
-            t0,
-            TraceEvent::RoundStart {
-                round: plan.round,
-                selected: plan.selected.len() as u32,
-            },
-        );
-        for &(t, _, event) in &self.trace_scratch {
-            observer.record(t0 + t, event);
-        }
-        for &c in &plan.contributors {
-            observer.record(
-                t0 + plan.latency,
-                TraceEvent::Fold {
-                    round: plan.round,
-                    client: c as u32,
-                    wire_bytes,
-                },
-            );
-        }
-        // Evaluation is traced whenever the round is an eval round,
-        // whether it runs inline or deferred — the *virtual* schedule
-        // is the same either way.
-        if eval {
-            observer.record(t0 + plan.latency, TraceEvent::Eval { round: plan.round });
-        }
-        observer.record(
-            t0 + plan.latency,
-            TraceEvent::RoundEnd {
-                round: plan.round,
-                latency: plan.latency,
-                contributors: plan.contributors.len() as u32,
-                bytes_up: wire_bytes * plan.contributors.len() as u64,
-                bytes_down,
-            },
-        );
     }
 
     /// The federated dataset.
@@ -662,19 +584,7 @@ impl Session {
         let ask = self.config.aggregation.ask(target, self.data.num_clients());
         let selected = selector.select(round, ask);
         assert!(!selected.is_empty(), "selector returned no clients");
-
-        // Observed response latency of every selected client this round
-        // (`None` = did not respond within Tmax).
-        let responses: Vec<(usize, Option<f64>)> = selected
-            .iter()
-            .map(|&c| {
-                let l = self
-                    .cluster
-                    .response(c, round, &self.task_for(c))
-                    .filter(|&l| l <= self.config.tmax_sec);
-                (c, l)
-            })
-            .collect();
+        let responses = self.responses(round, &selected);
 
         // Which updates count, and how long the round takes.
         let (contributors, latency) = match self.config.aggregation {
@@ -731,6 +641,37 @@ impl Session {
         }
     }
 
+    /// Observed response latency of every `selected` client in `round`,
+    /// in selection order (`None` = did not respond within Tmax).
+    fn responses(&self, round: u64, selected: &[usize]) -> Vec<(usize, Option<f64>)> {
+        selected
+            .iter()
+            .map(|&c| {
+                let l = self
+                    .cluster
+                    .response(c, round, &self.task_for(c))
+                    .filter(|&l| l <= self.config.tmax_sec);
+                (c, l)
+            })
+            .collect()
+    }
+
+    /// The plan a finished round ran: its selection, contributors and
+    /// latency from `report`, its responses resampled. A response is a
+    /// pure function of (seed, client, round, task), so on a session of
+    /// the same configuration this equals the plan
+    /// [`Session::plan_round`] made, whatever the session has trained.
+    #[must_use]
+    pub fn replan(&self, report: &RoundReport) -> RoundPlan {
+        RoundPlan {
+            round: report.round,
+            selected: report.selected.clone(),
+            responses: self.responses(report.round, &report.selected),
+            contributors: report.aggregated.clone(),
+            latency: report.latency,
+        }
+    }
+
     /// Train one contributing client of `round` against the current
     /// global model. Deterministic in `(seed, client, round)`.
     #[must_use]
@@ -764,7 +705,6 @@ impl Session {
         selector: &mut dyn ClientSelector,
         eval_inline: bool,
     ) -> RoundReport {
-        self.trace_round(&plan);
         let RoundPlan {
             round,
             selected,
@@ -1039,6 +979,37 @@ mod tests {
         let report = s.run(&mut sel);
         assert_eq!(report.rounds.len(), 5);
         assert!(report.rounds.iter().all(|r| r.selected.len() == 3));
+    }
+
+    #[test]
+    fn replan_rebuilds_every_round_of_a_first_k_run_with_timeouts() {
+        let build = |tmax_sec| {
+            let mut s = small_session(8, 3);
+            s.config.aggregation = AggregationMode::FirstK { factor: 2.0 };
+            s.config.tmax_sec = tmax_sec;
+            s
+        };
+        // A Tmax at the median response leaves about half the asked
+        // clients without a response.
+        let probe = build(1e9);
+        let mut latencies: Vec<f64> = (0..10)
+            .filter_map(|c| probe.cluster.response(c, 0, &probe.task_for(c)))
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        let tmax = latencies[latencies.len() / 2];
+
+        let mut trained = build(tmax);
+        let report = trained.run(&mut RandomSelector::new(10, 1));
+        let mut planner = build(tmax);
+        let mut sel = RandomSelector::new(10, 1);
+        let mut timeouts = 0;
+        for r in &report.rounds {
+            let plan = planner.plan_round(&mut sel);
+            timeouts += plan.responses.iter().filter(|(_, l)| l.is_none()).count();
+            assert_eq!(trained.replan(r), plan, "round {}", r.round);
+            let _ = planner.finish_round(plan, None, &mut sel, false);
+        }
+        assert!(timeouts > 0, "the run must time some clients out");
     }
 
     #[test]

@@ -869,7 +869,7 @@ fn run_one(
         Runner::with_spec(&experiment, spec)
     };
     runner.install_data(data.take(|| Arc::new(experiment.build_data())));
-    let observed = runner.run_observed(0);
+    let observed = runner.run_observed();
     (observed.report, observed.metrics, observed.host_phases)
 }
 

@@ -4,10 +4,11 @@
 //! cargo run --release --example straggler_timeline
 //! ```
 //!
-//! Lays one vanilla round and one same-tier round out as event traces
-//! and prints who finished when — the aggregator's
-//! idle window is the entire case for tiering. Also shows the
-//! hierarchical master-child aggregation cost at fleet scale.
+//! Lays one vanilla round and one same-tier round out as Chrome
+//! events (`chrome_round`, the layout `tifl trace --out` writes) and
+//! prints who finished when — the aggregator's idle window is the
+//! entire case for tiering. Also shows the hierarchical master-child
+//! aggregation cost at fleet scale.
 
 #![allow(
     clippy::print_stdout,
@@ -16,30 +17,32 @@
 )]
 
 use tifl::fl::hierarchy::AggregationTree;
-use tifl::fl::timeline::schedule_plan_events;
 use tifl::prelude::*;
 
-fn print_trace(label: &str, plan: &RoundPlan, tmax: f64) {
+fn print_trace(label: &str, plan: &RoundPlan, config: &SessionConfig) {
     println!("\n-- {label} --");
     let mut events = Vec::new();
-    schedule_plan_events(plan, false, tmax, &mut events);
-    for &(t, _, e) in &events {
-        let (what, client) = match e {
-            TraceEvent::Dispatch { client, .. } => ("dispatch ->", client),
-            TraceEvent::Complete { client, .. } => ("update   <-", client),
-            TraceEvent::TimedOut { client, .. } => ("TIMEOUT    ", client),
-            TraceEvent::Cancelled { client, .. } => ("CANCELLED  ", client),
-            _ => continue,
-        };
-        println!("  t={t:>8.2}s  {what} client {client}");
-    }
+    chrome_round(plan, 0.0, config, 0, &mut events);
+    // Client spans come first, sorted by the moment each client left
+    // the round; thread `client + 1` carries client `client`.
+    let ends: Vec<f64> = events
+        .iter()
+        .filter(|e| e.tid > 0)
+        .map(|e| {
+            let end = (e.ts + e.dur) / 1e6;
+            let what = match e.cat.as_str() {
+                "train" => "update   <-",
+                "timeout" => "TIMEOUT    ",
+                _ => "CANCELLED  ",
+            };
+            println!("  t={end:>8.2}s  {what} client {}", e.tid - 1);
+            end
+        })
+        .collect();
     println!("  t={:>8.2}s  round end", plan.latency);
-    // The schedule is time-ordered: one dispatch per selected client at
-    // t = 0, then every client leaving the round.
-    let answered = &events[plan.selected.len()..];
     println!(
         "  aggregator idle between first and last update: {:.2}s",
-        answered.last().map_or(0.0, |e| e.0) - answered.first().map_or(0.0, |e| e.0)
+        ends.last().map_or(0.0, |t| t - ends[0])
     );
 }
 
@@ -65,17 +68,17 @@ fn main() {
     let (tiers, _) = cfg.profile_and_tier();
 
     // A vanilla round: one client from each hardware group.
-    let tmax = session.config().tmax_sec;
+    let config = session.config();
     let mixed = round_of(&session, &[0, 11, 22, 33, 44]);
     print_trace(
         "vanilla round (one client per hardware group)",
         &mixed,
-        tmax,
+        config,
     );
 
     // A TiFL round: five clients from the fastest tier.
     let same = round_of(&session, &tiers.tiers[0].clients[..5]);
-    print_trace("TiFL round (five clients from tier 0)", &same, tmax);
+    print_trace("TiFL round (five clients from tier 0)", &same, config);
 
     println!(
         "\nround latency: vanilla {:.1}s vs same-tier {:.1}s ({:.1}x)",

@@ -570,7 +570,9 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
         request.experiment.name,
         request.spec.display_label()
     );
-    let observed = request.run_observed(1 << 18);
+    let exp = request.experiment();
+    let mut runner = Runner::with_spec(&exp, request.spec.clone());
+    let observed = runner.run_observed();
     println!(
         "{:>6} {:>12} {:>12} {:>9} {:>13} {:>12} {:>12}",
         "round", "start [s]", "latency [s]", "selected", "contributors", "up [B]", "down [B]"
@@ -604,7 +606,8 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
     }
     if let Some(out) = args.value("--out") {
         let host = args.has("--host");
-        let mut events = tifl::obs::chrome_trace(&observed.records);
+        // The virtual lane is laid out from the report's round plans.
+        let mut events = runner.virtual_trace(&observed.report);
         if host {
             // The host lane rides alongside as a second process (pid
             // 2): same viewer, two clocks. Host timings are best-effort

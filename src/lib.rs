@@ -14,10 +14,11 @@
 //!   transfer-cost accounting and update codecs (int8 quantization,
 //!   top-k sparsification);
 //! * [`fl`] — the FL substrate: clients, FedAvg aggregator, round engine;
-//! * [`obs`] — observability: virtual-time tracing (a preallocated
-//!   ring, Chrome trace-event export), the metrics snapshot a run
-//!   artifact stores (read off the run's report), and a host-time
-//!   phase profiler behind a pluggable [`prelude::HostClock`];
+//! * [`obs`] — observability: the Chrome trace-event vocabulary a
+//!   run's virtual-time lane is written in (laid out from the round
+//!   plans its report rebuilds, `Runner::virtual_trace`), the metrics
+//!   snapshot a run artifact stores (read off the run's report), and a
+//!   host-time phase profiler behind a pluggable [`prelude::HostClock`];
 //! * [`core`] — the paper's contribution: profiler, tiering, static and
 //!   adaptive tier schedulers, training-time estimator, privacy
 //!   accounting, and the composable `RunSpec`/`Runner` execution API;
@@ -100,11 +101,12 @@ pub mod prelude {
     pub use tifl_fl::session::{
         AggregationMode, RoundPlan, Session, SessionConfig, SessionOverrides, TaskPricing,
     };
+    pub use tifl_fl::timeline::chrome_round;
     pub use tifl_nn::models::ModelSpec;
     pub use tifl_obs::{
-        chrome_trace, host_chrome_trace, DiffReport, DiffSide, Digest128, DigestChain, Divergence,
+        host_chrome_trace, ChromeEvent, DiffReport, DiffSide, Digest128, DigestChain, Divergence,
         FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase,
-        PhaseTotals, RealClock, RunObserver, TraceEvent, TraceRecord,
+        PhaseTotals, RealClock,
     };
     pub use tifl_sim::cluster::{Cluster, ClusterConfig};
     pub use tifl_sim::drift::DriftModel;

@@ -22,11 +22,9 @@ use tifl::comm::{CodecSpec, CommSpec, EncodedUpdate};
 use tifl::core::experiment::ExperimentConfig;
 use tifl::core::runner::Experiment;
 use tifl::fl::client::encode_upload;
-use tifl::fl::session::{RoundPlan, Session, SessionOverrides};
-use tifl::fl::timeline::schedule_plan_events;
+use tifl::fl::session::{Session, SessionOverrides};
 use tifl::fl::ClientUpdate;
 use tifl::nn::models::ModelSpec;
-use tifl::obs::{RunObserver, TraceEvent};
 use tifl::tensor::ParamVec;
 
 #[path = "common/counting_alloc.rs"]
@@ -161,74 +159,6 @@ fn steady_state_fold_encode_round_is_allocation_free() {
             "{codec:?}: a warm encode allocates its {payload_buffers} payload buffer(s) only"
         );
     }
-
-    // Tracing-enabled variant: with an active RunObserver (warm,
-    // bounded ring) recording every event, the per-round trace
-    // derivation must also be allocation-free —
-    // observability enabled may not re-introduce hot-path allocation.
-    // Same process, same test fn: the counting allocator is global.
-    let plan = RoundPlan {
-        round: 7,
-        selected: vec![0, 1, 2, 3],
-        responses: vec![(0, Some(2.5)), (1, Some(1.0)), (2, None), (3, Some(3.0))],
-        contributors: vec![0, 1, 3],
-        latency: 3.0,
-    };
-    let mut observer = RunObserver::new(64);
-    let mut events: Vec<(f64, u32, TraceEvent)> = Vec::new();
-    let trace_round =
-        |observer: &mut RunObserver, events: &mut Vec<(f64, u32, TraceEvent)>, t0: f64| {
-            schedule_plan_events(&plan, false, 20.0, events);
-            observer.record(
-                t0,
-                TraceEvent::RoundStart {
-                    round: plan.round,
-                    selected: plan.selected.len() as u32,
-                },
-            );
-            for &(t, _, event) in events.iter() {
-                observer.record(t0 + t, event);
-            }
-            for &client in &plan.contributors {
-                observer.record(
-                    t0 + plan.latency,
-                    TraceEvent::Fold {
-                        round: plan.round,
-                        client: client as u32,
-                        wire_bytes: 1024,
-                    },
-                );
-            }
-            observer.record(t0 + plan.latency, TraceEvent::Eval { round: plan.round });
-            observer.record(
-                t0 + plan.latency,
-                TraceEvent::RoundEnd {
-                    round: plan.round,
-                    latency: plan.latency,
-                    contributors: plan.contributors.len() as u32,
-                    bytes_up: 3 * 1024,
-                    bytes_down: 4 * 1024,
-                },
-            );
-        };
-
-    // Warm-up sizes the scratch vec; the ring was preallocated in
-    // `RunObserver::new`. The measured rounds then overflow the
-    // 64-record ring many times over, so the wrap path is what's pinned.
-    for i in 0..3 {
-        trace_round(&mut observer, &mut events, i as f64 * 10.0);
-    }
-    let allocs = allocations_in(|| {
-        for i in 0..32 {
-            trace_round(&mut observer, &mut events, 100.0 + i as f64 * 10.0);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "tracing-enabled rounds allocated {allocs} times with an active ring sink"
-    );
-    assert_eq!(observer.len(), 64, "ring stayed at capacity");
-    assert!(observer.dropped() > 0, "wrap path was exercised");
 
     // Profiler-attached variant: the host-time phase profiler's hot
     // path (clock read on begin, span push + totals update on end)

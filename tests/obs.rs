@@ -1,15 +1,16 @@
 //! The observability contract:
 //!
-//! 1. the traced event stream and the metrics snapshot are **bit for
-//!    bit** invariant across execution backends and thread counts —
-//!    the trace reads the same canonical round plans the engine
-//!    executes, so `Lockstep` and `EventDriven{1,4,8}` must produce
-//!    identical traces, and the metrics are read off the report;
+//! 1. the virtual-time Chrome lane and the metrics snapshot are **bit
+//!    for bit** invariant across execution backends and thread counts —
+//!    both are read off the report (the lane from the round plans
+//!    `Runner::virtual_trace` rebuilds from it), so `Lockstep` and
+//!    `EventDriven{1,4,8}` must produce identical bytes, which are
+//!    pinned;
 //! 2. observing a run never changes it: the report of
 //!    `run_observed` equals the report of `run`;
 //! 3. metrics snapshots are byte-deterministic (identical JSON) across
-//!    repeated runs, their digests are pinned, and they agree with a
-//!    complete trace's own event counts;
+//!    repeated runs, their digests are pinned, and they agree with the
+//!    Chrome lane's own event counts;
 //! 4. pre-observability artifacts (no `metrics` field) still load and
 //!    validate against the store's resume predicate.
 
@@ -29,32 +30,53 @@ fn scenarios() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
         .collect()
 }
 
-/// Ring large enough that no tiny-scenario run ever wraps: record
-/// equality below is over the *complete* stream.
-const CAP: usize = 1 << 16;
+/// An observed run of `spec` and its virtual-time Chrome lane.
+fn traced(cfg: &ExperimentConfig, spec: &RunSpec) -> (ObservedRun, Vec<ChromeEvent>) {
+    let mut runner = Runner::with_spec(cfg, spec.clone());
+    let observed = runner.run_observed();
+    let events = runner.virtual_trace(&observed.report);
+    (observed, events)
+}
+
+/// The events of category `cat`.
+fn of<'a>(events: &'a [ChromeEvent], cat: &'a str) -> impl Iterator<Item = &'a ChromeEvent> {
+    events.iter().filter(move |e| e.cat == cat)
+}
+
+/// Where an event ends, in virtual seconds.
+fn end_sec(e: &ChromeEvent) -> f64 {
+    (e.ts + e.dur) / 1e6
+}
+
+/// The wire bytes a `fold c{c} r{r} ({bytes} B)` instant names.
+fn fold_bytes(e: &ChromeEvent) -> u64 {
+    let (_, tail) = e.name.rsplit_once('(').expect("a fold names its bytes");
+    tail.trim_end_matches(" B)")
+        .parse()
+        .expect("fold bytes parse")
+}
 
 // -- 1. backend & thread-count invariance ----------------------------------
 
 #[test]
 fn trace_and_metrics_are_backend_and_thread_invariant() {
     for (name, cfg, spec) in scenarios() {
-        let lockstep = Runner::with_spec(&cfg, spec.clone()).run_observed(CAP);
+        let (lockstep, lockstep_trace) = traced(&cfg, &spec);
         let lockstep_metrics = serde_json::to_string(&lockstep.metrics).expect("metrics serialize");
         assert!(
-            !lockstep.records.is_empty(),
-            "{name}: an observed run must produce a trace"
+            !lockstep_trace.is_empty(),
+            "{name}: a run must render a trace"
         );
         for threads in [1, 4, 8] {
-            let event = Runner::with_spec(
+            let (event, event_trace) = traced(
                 &cfg,
-                RunSpec {
+                &RunSpec {
                     backend: ExecBackend::EventDriven { threads },
                     ..spec.clone()
                 },
-            )
-            .run_observed(CAP);
+            );
             assert_eq!(
-                lockstep.records, event.records,
+                lockstep_trace, event_trace,
                 "{name}: EventDriven{{{threads}}} trace diverged from Lockstep"
             );
             assert_eq!(
@@ -76,10 +98,10 @@ fn trace_and_metrics_are_backend_and_thread_invariant() {
 fn observing_a_run_does_not_change_its_report() {
     for (name, cfg, spec) in scenarios() {
         let plain = Runner::with_spec(&cfg, spec.clone()).run();
-        let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
+        let observed = Runner::with_spec(&cfg, spec).run_observed();
         assert_eq!(
             plain, observed.report,
-            "{name}: attaching an observer changed the training report"
+            "{name}: observing a run changed its training report"
         );
     }
 }
@@ -95,9 +117,13 @@ fn repeated_observed_runs_are_byte_identical() {
         },
         ..RunSpec::default()
     };
-    let a = Runner::with_spec(&cfg, spec.clone()).run_observed(CAP);
-    let b = Runner::with_spec(&cfg, spec).run_observed(CAP);
-    assert_eq!(a.records, b.records, "trace must be run-to-run identical");
+    let (a, a_trace) = traced(&cfg, &spec);
+    let (b, b_trace) = traced(&cfg, &spec);
+    assert_eq!(
+        serde_json::to_string(&a_trace).expect("events serialize"),
+        serde_json::to_string(&b_trace).expect("events serialize"),
+        "the trace must be run-to-run byte-identical"
+    );
     assert_eq!(
         serde_json::to_string(&a.metrics).expect("metrics serialize"),
         serde_json::to_string(&b.metrics).expect("metrics serialize"),
@@ -174,57 +200,38 @@ const METRICS_GOLDEN: [(&str, &str); 10] = [
     ("uniform+reprofile3", "9d76572d89c7724475e2e4e867699f31"),
 ];
 
-/// The metrics a complete trace implies, counted off its events, must
-/// be the ones read off the report.
-fn assert_metrics_match_trace(name: &str, observed: &ObservedRun) {
-    let records = &observed.records;
-    let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count() as u64;
-    let ends = || {
-        records.iter().filter_map(|r| match r.event {
-            TraceEvent::RoundEnd {
-                bytes_up,
-                bytes_down,
-                ..
-            } => Some((r.vt, bytes_up, bytes_down)),
-            _ => None,
-        })
-    };
+/// The metrics a run's Chrome lane implies, counted off its events by
+/// category, must be the ones read off the report.
+fn assert_metrics_match_trace(name: &str, observed: &ObservedRun, events: &[ChromeEvent]) {
+    let count = |cat| of(events, cat).count() as u64;
     let traced = [
-        (
-            "profile_passes",
-            count(|e| matches!(e, TraceEvent::ProfilePass { .. })),
-        ),
-        (
-            "rounds",
-            count(|e| matches!(e, TraceEvent::RoundEnd { .. })),
-        ),
+        ("profile_passes", count("profile")),
+        ("rounds", count("round")),
         (
             "dispatches",
-            count(|e| matches!(e, TraceEvent::Dispatch { .. })),
+            events.iter().filter(|e| e.tid > 0).count() as u64,
         ),
-        (
-            "completes",
-            count(|e| matches!(e, TraceEvent::Complete { .. })),
-        ),
-        (
-            "timeouts",
-            count(|e| matches!(e, TraceEvent::TimedOut { .. })),
-        ),
-        (
-            "cancels",
-            count(|e| matches!(e, TraceEvent::Cancelled { .. })),
-        ),
-        ("folds", count(|e| matches!(e, TraceEvent::Fold { .. }))),
-        ("evals", count(|e| matches!(e, TraceEvent::Eval { .. }))),
-        ("bytes_up", ends().map(|(_, up, _)| up).sum()),
-        ("bytes_down", ends().map(|(_, _, down)| down).sum()),
+        ("completes", count("train")),
+        ("timeouts", count("timeout")),
+        ("cancels", count("cancelled")),
+        ("folds", count("fold")),
+        ("evals", count("eval")),
+        ("bytes_up", of(events, "fold").map(fold_bytes).sum()),
     ];
     let metrics = &observed.metrics;
     for (counter, value) in traced {
         assert_eq!(metrics.counter(counter), Some(value), "{name}: {counter}");
     }
-    let end = ends().next_back().map_or(0.0, |(vt, _, _)| vt);
-    assert_eq!(metrics.gauge("virtual_time_sec"), Some(end), "{name}");
+    // The last round span closes at the run's virtual end (up to the
+    // microsecond scaling of the Chrome timestamps).
+    let end = of(events, "round").last().map_or(0.0, end_sec);
+    let time = metrics
+        .gauge("virtual_time_sec")
+        .expect("virtual time gauge");
+    assert!(
+        (end - time).abs() <= 1e-9 * time.max(1.0),
+        "{name}: {end} vs {time}"
+    );
 }
 
 #[test]
@@ -233,10 +240,10 @@ fn metrics_bytes_are_pinned_on_every_backend() {
     assert_eq!(cases.len(), METRICS_GOLDEN.len());
     for ((name, cfg, spec), (golden_name, golden)) in cases.iter().zip(METRICS_GOLDEN) {
         assert_eq!(*name, golden_name);
-        let traced = Runner::with_spec(cfg, spec.clone()).run_observed(CAP);
-        assert_metrics_match_trace(name, &traced);
+        let (observed, events) = traced(cfg, spec);
+        assert_metrics_match_trace(name, &observed, &events);
         for spec in common::on_every_backend(spec) {
-            let observed = Runner::with_spec(cfg, spec.clone()).run_observed(0);
+            let observed = Runner::with_spec(cfg, spec.clone()).run_observed();
             assert_eq!(
                 Digest128::of_value(&observed.metrics).to_string(),
                 golden,
@@ -247,7 +254,48 @@ fn metrics_bytes_are_pinned_on_every_backend() {
     }
 }
 
-// -- structural sanity of the stream ---------------------------------------
+/// The `Digest128` of each case's virtual-lane Chrome events (the
+/// bytes `tifl trace --out` writes) and their count. They were taken
+/// from a trace recorded while the run trained, so they also pin that
+/// the lane laid out from the report is the trace that ran. A change to
+/// any of these is a change to the trace a run renders.
+const CHROME_GOLDEN: [(&str, &str, usize); 10] = [
+    ("uniform-policy", "27abc3eaa6ac9402abcbd2503ae9011f", 68),
+    ("vanilla", "08bc7c249e92cdf5b7c07e6d8617592e", 67),
+    ("adaptive", "275d8fa7ac2ed50ef6708c74c5c1aec3", 68),
+    ("overselect", "6f8e47312ee247d31b18ceab7f3c8f58", 79),
+    ("fedprox", "d43caa737d7910915ecbf534b6565d42", 67),
+    ("uniform+reprofile", "708bac143bc6b16177282517ff3a2a58", 93),
+    ("timeouts", "ae0781a919b91c848d670f1908a88cff", 65),
+    (
+        "adaptive+firstk+i8",
+        "71e03eecac0bd6a639bcf136117825a9",
+        104,
+    ),
+    ("topk+hierarchy", "f14f367ebf7ef3faf2a5b2e17e2022cb", 67),
+    ("uniform+reprofile3", "9aa2251e8b0013577c6d4552cd94a4f2", 60),
+];
+
+#[test]
+fn chrome_bytes_are_pinned_on_every_backend() {
+    let cases = metrics_cases();
+    assert_eq!(cases.len(), CHROME_GOLDEN.len());
+    for ((name, cfg, spec), (golden_name, golden, len)) in cases.iter().zip(CHROME_GOLDEN) {
+        assert_eq!(*name, golden_name);
+        for spec in common::on_every_backend(spec) {
+            let (_, events) = traced(cfg, &spec);
+            assert_eq!(events.len(), len, "{name} on {:?}", spec.backend);
+            assert_eq!(
+                Digest128::of_value(&events).to_string(),
+                golden,
+                "{name} on {:?}: Chrome bytes moved",
+                spec.backend
+            );
+        }
+    }
+}
+
+// -- structural sanity of the lane -----------------------------------------
 
 #[test]
 fn trace_structure_matches_the_run() {
@@ -258,77 +306,55 @@ fn trace_structure_matches_the_run() {
         },
         ..RunSpec::default()
     };
-    let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
-    let records = &observed.records;
-
-    // Sequence numbers are the emission order and time never rewinds.
-    for (i, r) in records.iter().enumerate() {
-        assert_eq!(r.seq, i as u64, "complete stream in emission order");
-    }
-    for w in records.windows(2) {
-        assert!(
-            w[1].vt >= w[0].vt,
-            "virtual time went backwards: {:?} -> {:?}",
-            w[0],
-            w[1]
-        );
-    }
-
-    let count = |f: &dyn Fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count();
-    let rounds = cfg.rounds as usize;
-    assert_eq!(
-        count(&|e| matches!(e, TraceEvent::RoundStart { .. })),
-        rounds
-    );
-    assert_eq!(count(&|e| matches!(e, TraceEvent::RoundEnd { .. })), rounds);
+    let (observed, events) = traced(&cfg, &spec);
+    let report = &observed.report;
 
     // A tiered run profiles exactly once, before everything else.
-    assert_eq!(count(&|e| matches!(e, TraceEvent::ProfilePass { .. })), 1);
-    assert!(
-        matches!(records[0].event, TraceEvent::ProfilePass { .. }),
+    assert_eq!(of(&events, "profile").count(), 1);
+    assert_eq!(
+        events[0].cat, "profile",
         "the shared profiling pass opens the trace"
     );
-    assert_eq!(records[0].vt, 0.0);
+    assert_eq!(events[0].ts, 0.0);
+
+    // One round span per round, each starting where the previous round
+    // ended, and every client span inside its round.
+    let rounds: Vec<&ChromeEvent> = of(&events, "round").collect();
+    assert_eq!(rounds.len(), report.rounds.len());
+    let mut start = 0.0;
+    for (span, round) in rounds.iter().zip(&report.rounds) {
+        assert_eq!(span.name, format!("round {}", round.round));
+        assert_eq!(span.ts, start * 1e6);
+        start = round.time;
+        let suffix = format!(" r{}", round.round);
+        let clients: Vec<&ChromeEvent> = events
+            .iter()
+            .filter(|e| e.tid > 0 && e.name.ends_with(&suffix))
+            .collect();
+        assert_eq!(clients.len(), round.selected.len());
+        for c in clients {
+            assert_eq!(c.ts, span.ts);
+            assert!(c.dur <= span.dur, "{} outlasts its round", c.name);
+        }
+    }
 
     // Evals fire on the session's eval cadence (plus the final round).
     let session = cfg.build_session(&SessionOverrides::default());
     let expected_evals = (0..cfg.rounds)
         .filter(|&r| session.is_eval_round(r))
         .count();
-    assert_eq!(
-        count(&|e| matches!(e, TraceEvent::Eval { .. })),
-        expected_evals
-    );
+    assert_eq!(of(&events, "eval").count(), expected_evals);
 
     // Every round's folds match its reported contributor count, and the
     // traced bytes reconcile with the report's communication totals.
-    let folds = count(&|e| matches!(e, TraceEvent::Fold { .. }));
-    let contributors: usize = observed
-        .report
-        .rounds
-        .iter()
-        .map(|r| r.aggregated.len())
-        .sum();
-    assert_eq!(folds, contributors);
-    let traced_up: u64 = records
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::RoundEnd { bytes_up, .. } => Some(bytes_up),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(traced_up, observed.report.total_bytes_up());
+    let contributors: usize = report.rounds.iter().map(|r| r.aggregated.len()).sum();
+    assert_eq!(of(&events, "fold").count(), contributors);
+    let traced_up: u64 = of(&events, "fold").map(fold_bytes).sum();
+    assert_eq!(traced_up, report.total_bytes_up());
 
     // A vanilla run never profiles.
-    let vanilla = Runner::with_spec(&tiny(70), RunSpec::default()).run_observed(CAP);
-    assert_eq!(
-        vanilla
-            .records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ProfilePass { .. }))
-            .count(),
-        0
-    );
+    let (_, vanilla) = traced(&tiny(70), &RunSpec::default());
+    assert_eq!(of(&vanilla, "profile").count(), 0);
 }
 
 #[test]
@@ -342,16 +368,23 @@ fn reprofiling_runs_trace_one_pass_per_segment() {
         reprofile_every: Some(4),
         ..RunSpec::default()
     };
-    let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
-    let passes: Vec<&TraceRecord> = observed
-        .records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ProfilePass { .. }))
+    let (observed, events) = traced(&cfg, &spec);
+    let passes: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].cat == "profile")
         .collect();
     assert_eq!(passes.len(), 4, "16 rounds / reprofile_every(4) = 4 passes");
-    assert_eq!(passes[0].vt, 0.0, "the first pass opens the run");
-    for w in passes.windows(2) {
-        assert!(w[1].vt > w[0].vt, "later passes happen mid-run");
+    assert_eq!(events[passes[0]].ts, 0.0, "the first pass opens the run");
+    // Each pass opens its segment: it sits where the segment's previous
+    // round ended, just before the segment's first client span.
+    for (k, &at) in passes.iter().enumerate() {
+        let start = k
+            .checked_sub(1)
+            .map_or(0.0, |_| observed.report.rounds[4 * k - 1].time);
+        assert_eq!(events[at].ts, start * 1e6, "pass {k}");
+        assert!(
+            events[at + 1].name.ends_with(&format!(" r{}", 4 * k)),
+            "pass {k}"
+        );
     }
 }
 
@@ -463,7 +496,7 @@ fn host_span_structure_is_pinned_across_backends() {
         clients_per_round: None,
         spec: spec.clone(),
     };
-    let lockstep = request.run_observed_with_clock(CAP, FrozenClock::shared());
+    let lockstep = request.run_observed_with_clock(FrozenClock::shared());
     let (base_seq, base_evals) = span_shape(&lockstep.host_spans);
 
     // The deterministic shape: one Profile pass, then Plan, Train,
@@ -494,7 +527,7 @@ fn host_span_structure_is_pinned_across_backends() {
             },
             ..request.clone()
         };
-        let event = event_request.run_observed_with_clock(CAP, FrozenClock::shared());
+        let event = event_request.run_observed_with_clock(FrozenClock::shared());
         let (seq, evals) = span_shape(&event.host_spans);
         assert_eq!(
             seq, base_seq,
@@ -550,13 +583,13 @@ fn monitored_tier_evaluation_is_one_eval_span_per_monitored_round() {
     }
     assert_eq!(expected.len(), 7 + 4);
 
-    let lockstep = request.run_observed_with_clock(CAP, FrozenClock::shared());
+    let lockstep = request.run_observed_with_clock(FrozenClock::shared());
     let (base_seq, base_evals) = span_shape(&lockstep.host_spans);
     assert_eq!(base_evals, expected, "Lockstep");
     for threads in [1, 4] {
         let mut event_request = request.clone();
         event_request.spec.backend = ExecBackend::EventDriven { threads };
-        let event = event_request.run_observed_with_clock(CAP, FrozenClock::shared());
+        let event = event_request.run_observed_with_clock(FrozenClock::shared());
         let (seq, evals) = span_shape(&event.host_spans);
         assert_eq!(evals, expected, "EventDriven{{{threads}}}");
         assert_eq!(seq, base_seq, "EventDriven{{{threads}}}");
@@ -589,7 +622,7 @@ fn a_lossy_run_carries_one_encode_span_per_round() {
     ] {
         let mut backend_request = request.clone();
         backend_request.spec.backend = backend;
-        let frozen = backend_request.run_observed_with_clock(CAP, FrozenClock::shared());
+        let frozen = backend_request.run_observed_with_clock(FrozenClock::shared());
         let (seq, _) = span_shape(&frozen.host_spans);
         let expected: SpanShape = (0..rounds)
             .flat_map(|r| {
@@ -601,7 +634,7 @@ fn a_lossy_run_carries_one_encode_span_per_round() {
             assert!(s.end > s.start, "{backend:?}: every span is well-formed");
         }
 
-        let real = backend_request.run_observed(CAP);
+        let real = backend_request.run_observed(0);
         assert_eq!(real.report, frozen.report, "{backend:?}");
         assert!(
             real.host_phases.encode_sec > 0.0,
@@ -620,18 +653,20 @@ fn profiling_never_touches_the_deterministic_surface() {
         ..RunSpec::default()
     };
     let request = RunRequest {
-        experiment: cfg,
+        experiment: cfg.clone(),
         rounds: None,
         seed: None,
         clients_per_round: None,
-        spec,
+        spec: spec.clone(),
     };
     // Swapping the host clock can never change the report, the trace,
     // the metrics bytes, or the run's content key.
-    let real = request.run_observed(CAP);
-    let frozen = request.run_observed_with_clock(CAP, FrozenClock::shared());
+    let (real, real_trace) = traced(&cfg, &spec);
+    let mut runner = Runner::with_spec(&cfg, spec);
+    runner.host_clock(FrozenClock::shared());
+    let frozen = runner.run_observed();
     assert_eq!(real.report, frozen.report);
-    assert_eq!(real.records, frozen.records);
+    assert_eq!(real_trace, runner.virtual_trace(&frozen.report));
     assert_eq!(
         serde_json::to_string(&real.metrics).expect("metrics serialize"),
         serde_json::to_string(&frozen.metrics).expect("metrics serialize"),
@@ -658,8 +693,7 @@ fn host_chrome_export_adds_a_second_process_lane() {
         },
         ..RunSpec::default()
     };
-    let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
-    let mut events = chrome_trace(&observed.records);
+    let (observed, mut events) = traced(&cfg, &spec);
     let virtual_count = events.len();
     events.extend(host_chrome_trace(&observed.host_spans));
     assert!(virtual_count > 0 && events.len() > virtual_count);
@@ -688,7 +722,7 @@ fn deferred_eval_spans_carry_the_evaluation_time() {
         backend: ExecBackend::EventDriven { threads: 4 },
         ..RunSpec::default()
     };
-    let observed = Runner::with_spec(&cfg, spec).run_observed(CAP);
+    let observed = Runner::with_spec(&cfg, spec).run_observed();
     let evals: Vec<f64> = observed
         .host_spans
         .iter()
@@ -754,10 +788,10 @@ fn spec_for(scenario: u8) -> RunSpec {
 }
 
 proptest! {
-    /// On randomly drawn configurations, the virtual-time event
-    /// sequence and the serialized metrics snapshot are identical
-    /// across `Lockstep` and any `EventDriven` thread count, and
-    /// across repeated runs.
+    /// On randomly drawn configurations, the virtual-time Chrome lane
+    /// and the serialized metrics snapshot are identical across
+    /// `Lockstep` and any `EventDriven` thread count, and across
+    /// repeated runs.
     #[test]
     fn observed_stream_is_invariant_on_random_configs(
         seed in 0u64..1_000,
@@ -768,17 +802,18 @@ proptest! {
         let cfg = small_resource_het(seed, rounds);
         let spec = spec_for(scenario);
 
-        let lockstep = Runner::with_spec(&cfg, spec.clone()).run_observed(CAP);
-        let event = Runner::with_spec(
+        let (lockstep, lockstep_trace) = traced(&cfg, &spec);
+        let (event, event_trace) = traced(
             &cfg,
-            RunSpec {
+            &RunSpec {
                 backend: ExecBackend::EventDriven { threads },
                 ..spec.clone()
             },
-        )
-        .run_observed(CAP);
+        );
+        let lockstep_bytes = serde_json::to_string(&lockstep_trace).expect("events serialize");
         prop_assert_eq!(
-            &lockstep.records, &event.records,
+            &lockstep_bytes,
+            &serde_json::to_string(&event_trace).expect("events serialize"),
             "trace diverged: scenario {} seed {} threads {}",
             scenario, seed, threads
         );
@@ -792,8 +827,11 @@ proptest! {
         );
 
         // Run-to-run: the repeat is byte-identical, not merely equal.
-        let again = Runner::with_spec(&cfg, spec).run_observed(CAP);
-        prop_assert_eq!(&lockstep.records, &again.records);
+        let (again, again_trace) = traced(&cfg, &spec);
+        prop_assert_eq!(
+            &lockstep_bytes,
+            &serde_json::to_string(&again_trace).expect("events serialize")
+        );
         prop_assert_eq!(
             &lockstep_metrics,
             &serde_json::to_string(&again.metrics).expect("metrics serialize")
