@@ -68,7 +68,8 @@ fn bench_kernels(t: &mut Timing) {
         ops::scale(black_box(0.999), black_box(&mut out))
     });
 
-    let (min, scale, codes) = codec::quantize_i8(&x);
+    let mut codes = Vec::new();
+    let (min, scale) = codec::quantize_i8_into(&x, &mut codes);
     t.bench("hot/dequantize_i8_axpy", || {
         codec::dequantize_i8_axpy(
             black_box(0.25),
@@ -79,10 +80,10 @@ fn bench_kernels(t: &mut Timing) {
         );
     });
 
-    let picked = codec::top_k_by_magnitude(&x, N / 10);
-    let indices: Vec<u32> = picked.iter().map(|&(i, _)| i).collect();
-    let values: Vec<f32> = picked.iter().map(|&(_, v)| v).collect();
-    let idx_delta = codec::delta_encode_indices(&indices);
+    let (mut order, mut indices, mut values, mut idx_delta) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    codec::top_k_by_magnitude_into(&x, N / 10, &mut order, &mut indices, &mut values);
+    codec::delta_encode_indices_into(&indices, &mut idx_delta);
     t.bench("hot/axpy_sparse", || {
         codec::axpy_sparse(
             black_box(0.25),

@@ -32,9 +32,9 @@ const POOL_CAP: usize = 8;
 /// the top-k selection order) plus the buffers that leave inside the
 /// returned [`EncodedUpdate`] (codes, indices, values). A scratch arena
 /// owns pools of both kinds so a steady-state round allocates nothing:
-/// [`CodecSpec::encode_with`] draws buffers out, and the caller hands
-/// them back with [`EncodeScratch::recycle`] once the payload has been
-/// folded.
+/// [`encode_compensated`](crate::encode_compensated) draws buffers out,
+/// and the caller hands them back with [`EncodeScratch::recycle`] once
+/// the payload has been folded.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
     /// Dense f32 workspace: the delta (or error-compensated update)
@@ -88,13 +88,6 @@ impl EncodeScratch {
         let mut b = self.take_dense();
         b.resize(len, 0.0);
         ParamVec(b)
-    }
-
-    /// Pooled empty vector (capacity reused) for targets that overwrite
-    /// their contents, e.g. `EncodedUpdate::decode_into`.
-    #[must_use]
-    pub fn take_empty(&mut self) -> ParamVec {
-        ParamVec(self.take_dense())
     }
 
     /// Return a dense vector's buffer to the pool (e.g. the previous
@@ -182,80 +175,6 @@ impl CodecSpec {
                 }
             }
         }
-    }
-
-    /// Encode `params` (a client's trained weights) against `base` (the
-    /// global model the client trained from; only [`CodecSpec::TopK`]
-    /// reads it). Allocates fresh payload buffers; the hot path uses
-    /// [`CodecSpec::encode_with`] instead.
-    ///
-    /// # Panics
-    /// Panics if `base` and `params` differ in length.
-    #[must_use]
-    pub fn encode(&self, params: &ParamVec, base: &ParamVec) -> EncodedUpdate {
-        self.encode_with(params, base, &mut EncodeScratch::new())
-    }
-
-    /// [`CodecSpec::encode`] drawing every buffer from a reusable
-    /// [`EncodeScratch`] arena: at steady state this allocates nothing.
-    /// The payload's buffers go back to the arena via
-    /// [`EncodeScratch::recycle`] after the fold.
-    ///
-    /// # Panics
-    /// Panics if `base` and `params` differ in length.
-    #[must_use]
-    pub fn encode_with(
-        &self,
-        params: &ParamVec,
-        base: &ParamVec,
-        scratch: &mut EncodeScratch,
-    ) -> EncodedUpdate {
-        assert_eq!(params.len(), base.len(), "codec base length mismatch");
-        let enc = match *self {
-            CodecSpec::Identity => {
-                let mut buf = scratch.take_dense();
-                buf.extend_from_slice(params.as_slice());
-                EncodedUpdate::Dense(ParamVec(buf))
-            }
-            CodecSpec::QuantizeI8 => {
-                let mut codes = scratch.take_codes();
-                let (min, scale) = kernels::quantize_i8_into(params.as_slice(), &mut codes);
-                EncodedUpdate::QuantI8 {
-                    len: params.len(),
-                    min,
-                    scale,
-                    codes,
-                }
-            }
-            CodecSpec::TopK { frac } => {
-                scratch.delta.clear();
-                scratch.delta.extend(
-                    params
-                        .as_slice()
-                        .iter()
-                        .zip(base.as_slice())
-                        .map(|(&p, &b)| p - b),
-                );
-                let k = Self::top_k_of(frac, scratch.delta.len());
-                let mut values = scratch.take_vals();
-                kernels::top_k_by_magnitude_into(
-                    &scratch.delta,
-                    k,
-                    &mut scratch.order,
-                    &mut scratch.indices,
-                    &mut values,
-                );
-                let mut idx_delta = scratch.take_idx();
-                kernels::delta_encode_indices_into(&scratch.indices, &mut idx_delta);
-                EncodedUpdate::SparseDelta {
-                    len: scratch.delta.len(),
-                    idx_delta,
-                    values,
-                }
-            }
-        };
-        debug_assert_eq!(enc.wire_bytes(), self.encoded_bytes(params.len()));
-        enc
     }
 
     /// Label decoration for run reports (`None` for the lossless
@@ -349,50 +268,12 @@ impl EncodedUpdate {
             } => kernels::axpy_sparse(coeff, idx_delta, values, &mut acc.0),
         }
     }
-
-    /// Materialise the decoded weights (`base` is read only by delta
-    /// payloads). Test/diagnostic path; the hot path folds via
-    /// [`EncodedUpdate::axpy_into`] or decodes into a pooled buffer via
-    /// [`EncodedUpdate::decode_into`].
-    ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    #[must_use]
-    pub fn decode(&self, base: &ParamVec) -> ParamVec {
-        let mut out = ParamVec::default();
-        self.decode_into(base, &mut out);
-        out
-    }
-
-    /// [`EncodedUpdate::decode`] into a caller-owned buffer (cleared and
-    /// resized first), bit-for-bit identical to the allocating form.
-    ///
-    /// # Panics
-    /// Panics if a delta payload's `base` differs in length.
-    pub fn decode_into(&self, base: &ParamVec, out: &mut ParamVec) {
-        match self {
-            EncodedUpdate::Dense(p) => {
-                out.0.clear();
-                out.0.extend_from_slice(p.as_slice());
-            }
-            EncodedUpdate::QuantI8 { len, .. } => {
-                out.0.clear();
-                out.0.resize(*len, 0.0);
-                self.axpy_into(1.0, out);
-            }
-            EncodedUpdate::SparseDelta { len, .. } => {
-                assert_eq!(base.len(), *len, "decode base length mismatch");
-                out.0.clear();
-                out.0.extend_from_slice(base.as_slice());
-                self.axpy_into(1.0, out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode_compensated;
 
     fn params(n: usize, seed: u64) -> ParamVec {
         ParamVec(
@@ -402,12 +283,32 @@ mod tests {
         )
     }
 
+    /// What a client's first upload of `p` ships: the compensated
+    /// encode with a zero residual, on a fresh scratch.
+    fn encode(spec: CodecSpec, p: &ParamVec, base: &ParamVec) -> EncodedUpdate {
+        let mut residual = vec![0.0; p.len()];
+        encode_compensated(spec, &mut residual, p, base, &mut EncodeScratch::new())
+    }
+
+    /// The weights `enc` reconstructs against `base`, through the fold's
+    /// own `axpy_into`.
+    fn decode(enc: &EncodedUpdate, base: &ParamVec) -> ParamVec {
+        let mut out = if enc.is_delta() {
+            base.clone()
+        } else {
+            ParamVec::zeros(base.len())
+        };
+        enc.axpy_into(1.0, &mut out);
+        out
+    }
+
     #[test]
     fn identity_round_trips_bit_for_bit() {
         let p = params(100, 1);
         let base = params(100, 2);
-        let enc = CodecSpec::Identity.encode(&p, &base);
-        assert_eq!(enc.decode(&base), p);
+        let enc = encode(CodecSpec::Identity, &p, &base);
+        assert_eq!(enc, EncodedUpdate::Dense(p.clone()));
+        assert_eq!(decode(&enc, &base), p);
         assert_eq!(enc.wire_bytes(), 400);
     }
 
@@ -415,12 +316,12 @@ mod tests {
     fn quantize_error_bounded_by_step() {
         let p = params(500, 3);
         let base = ParamVec::zeros(500);
-        let enc = CodecSpec::QuantizeI8.encode(&p, &base);
+        let enc = encode(CodecSpec::QuantizeI8, &p, &base);
         let EncodedUpdate::QuantI8 { scale, .. } = &enc else {
             panic!("wrong payload");
         };
         let step = *scale;
-        let decoded = enc.decode(&base);
+        let decoded = decode(&enc, &base);
         for (x, y) in p.as_slice().iter().zip(decoded.as_slice()) {
             assert!(
                 (x - y).abs() <= step,
@@ -435,9 +336,8 @@ mod tests {
     fn topk_preserves_top_fraction_exactly_and_base_elsewhere() {
         let p = params(200, 4);
         let base = params(200, 9);
-        let spec = CodecSpec::TopK { frac: 0.1 };
-        let enc = spec.encode(&p, &base);
-        let decoded = enc.decode(&base);
+        let enc = encode(CodecSpec::TopK { frac: 0.1 }, &p, &base);
+        let decoded = decode(&enc, &base);
         let mut deltas: Vec<(usize, f32)> = p
             .as_slice()
             .iter()
@@ -469,8 +369,7 @@ mod tests {
             CodecSpec::TopK { frac: 1.0 },
         ] {
             for n in [1usize, 7, 256] {
-                let p = params(n, 5);
-                let enc = spec.encode(&p, &ParamVec::zeros(n));
+                let enc = encode(spec, &params(n, 5), &ParamVec::zeros(n));
                 assert_eq!(
                     enc.wire_bytes(),
                     spec.encoded_bytes(n),
@@ -492,7 +391,7 @@ mod tests {
     fn dense_axpy_matches_param_axpy_bitwise() {
         // The Identity fold must be the exact historical axpy.
         let p = params(64, 6);
-        let enc = CodecSpec::Identity.encode(&p, &ParamVec::zeros(64));
+        let enc = EncodedUpdate::Dense(p.clone());
         let mut a = params(64, 7);
         let mut b = a.clone();
         a.axpy(0.375, &p);
@@ -517,55 +416,33 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_scratch_is_identical_to_allocating_encode() {
-        let p = params(257, 11);
-        let base = params(257, 12);
-        let mut scratch = EncodeScratch::new();
-        for spec in [
-            CodecSpec::Identity,
-            CodecSpec::QuantizeI8,
-            CodecSpec::TopK { frac: 0.1 },
-        ] {
-            // Round-trip twice so the second pass runs on recycled buffers.
-            for _ in 0..2 {
-                let enc = spec.encode_with(&p, &base, &mut scratch);
-                assert_eq!(enc, spec.encode(&p, &base), "{spec:?}");
-                scratch.recycle(enc);
-            }
-        }
-    }
-
-    #[test]
     fn scratch_reuses_recycled_buffers() {
         let p = params(100, 13);
         let base = ParamVec::zeros(100);
+        let mut residual = vec![0.0; 100];
         let mut scratch = EncodeScratch::new();
-        let enc = CodecSpec::QuantizeI8.encode_with(&p, &base, &mut scratch);
+        let enc = encode_compensated(
+            CodecSpec::QuantizeI8,
+            &mut residual,
+            &p,
+            &base,
+            &mut scratch,
+        );
         let EncodedUpdate::QuantI8 { ref codes, .. } = enc else {
             panic!("wrong payload");
         };
         let ptr = codes.as_ptr();
         scratch.recycle(enc);
-        let enc2 = CodecSpec::QuantizeI8.encode_with(&p, &base, &mut scratch);
+        let enc2 = encode_compensated(
+            CodecSpec::QuantizeI8,
+            &mut residual,
+            &p,
+            &base,
+            &mut scratch,
+        );
         let EncodedUpdate::QuantI8 { ref codes, .. } = enc2 else {
             panic!("wrong payload");
         };
         assert_eq!(codes.as_ptr(), ptr, "codes buffer must come from the pool");
-    }
-
-    #[test]
-    fn decode_into_matches_decode() {
-        let p = params(64, 14);
-        let base = params(64, 15);
-        let mut out = ParamVec::default();
-        for spec in [
-            CodecSpec::Identity,
-            CodecSpec::QuantizeI8,
-            CodecSpec::TopK { frac: 0.25 },
-        ] {
-            let enc = spec.encode(&p, &base);
-            enc.decode_into(&base, &mut out);
-            assert_eq!(out, enc.decode(&base), "{spec:?}");
-        }
     }
 }

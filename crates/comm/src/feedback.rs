@@ -29,11 +29,12 @@ use crate::codec::{CodecSpec, EncodeScratch, EncodedUpdate};
 
 /// Per-client error-feedback residuals for lossy codecs.
 ///
-/// [`ErrorFeedback::encode`] is a drop-in replacement for
-/// [`CodecSpec::encode_with`] on the aggregation path: it compensates
-/// the update with the client's residual before encoding, then stores
-/// what the codec still failed to represent. A caller that encodes
-/// elsewhere lends the residual out and takes it back instead.
+/// A round lends each contributor's residual to the task that encodes
+/// its upload ([`ErrorFeedback::lend`]) and takes it back with the
+/// payload ([`ErrorFeedback::give_back`]). A checkpoint carries the
+/// stored residuals ([`ErrorFeedback::residuals`],
+/// [`ErrorFeedback::install`]), so a restored lossy run compensates
+/// exactly as the run that never stopped.
 #[derive(Debug, Default)]
 pub struct ErrorFeedback {
     residuals: BTreeMap<usize, Vec<f32>>,
@@ -46,11 +47,15 @@ impl ErrorFeedback {
         Self::default()
     }
 
-    /// Drop all residual state (used when a session restores a
-    /// checkpoint: residuals are not part of the checkpoint, so a
-    /// restored lossy run restarts with clean compensation).
-    pub fn reset(&mut self) {
-        self.residuals.clear();
+    /// Every stored residual, by client (what a checkpoint saves).
+    #[must_use]
+    pub fn residuals(&self) -> &BTreeMap<usize, Vec<f32>> {
+        &self.residuals
+    }
+
+    /// Replace all residual state with `residuals` (a checkpoint's).
+    pub fn install(&mut self, residuals: BTreeMap<usize, Vec<f32>>) {
+        self.residuals = residuals;
     }
 
     /// Lend `client`'s residual out for an encode elsewhere
@@ -77,13 +82,14 @@ impl ErrorFeedback {
         }
     }
 
-    /// Encode `client`'s trained `params` against `base` with residual
-    /// compensation ([`encode_compensated`] over the client's stored
-    /// residual, created as zeros on its first lossy encode).
+    /// Encode `client`'s trained `params` against `base` on this
+    /// thread: lend its residual, [`encode_compensated`], give it back.
+    /// Identity touches no residual. No run encodes this way; it is
+    /// kept for the `tifl-benchmark` crate's lockstep loop and the
+    /// kernel bench's fold round, which encode on their own thread.
     ///
     /// # Panics
-    /// Panics if `params` and `base` differ in length, or if a client's
-    /// model length changed between rounds.
+    /// As [`encode_compensated`].
     #[must_use]
     pub fn encode(
         &mut self,
@@ -94,13 +100,12 @@ impl ErrorFeedback {
         scratch: &mut EncodeScratch,
     ) -> EncodedUpdate {
         if codec == CodecSpec::Identity {
-            return codec.encode_with(params, base, scratch);
+            return encode_compensated(codec, &mut Vec::new(), params, base, scratch);
         }
-        let e = self
-            .residuals
-            .entry(client)
-            .or_insert_with(|| vec![0.0; params.len()]);
-        encode_compensated(codec, e, params, base, scratch)
+        let mut residual = self.lend(client, params.len());
+        let enc = encode_compensated(codec, &mut residual, params, base, scratch);
+        self.give_back(client, residual);
+        enc
     }
 }
 
@@ -109,8 +114,8 @@ impl ErrorFeedback {
 /// `residual`, and leave in `residual` what the codec still failed to
 /// represent.
 ///
-/// * `Identity` — lossless, `residual` untouched; identical to
-///   [`CodecSpec::encode_with`].
+/// * `Identity` — lossless, `residual` untouched: the weights copied
+///   into a pooled buffer.
 /// * `QuantizeI8` — quantizes `params + e`, then stores the new
 ///   quantization error as `e` (bounded by one step per element).
 /// * `TopK` — sparsifies the compensated delta `(params − base) + e`,
@@ -140,7 +145,11 @@ pub fn encode_compensated(
     }
     let e = residual;
     let enc = match codec {
-        CodecSpec::Identity => codec.encode_with(params, base, scratch),
+        CodecSpec::Identity => {
+            let mut buf = scratch.take_dense();
+            buf.extend_from_slice(params.as_slice());
+            EncodedUpdate::Dense(ParamVec(buf))
+        }
         CodecSpec::QuantizeI8 => {
             // Two fused passes: compensate + range in one, quantize +
             // residual in the other (both bit-for-bit the separate
@@ -213,6 +222,34 @@ mod tests {
         )
     }
 
+    /// The weights a delta payload reconstructs against `base`.
+    fn decode(enc: &EncodedUpdate, base: &ParamVec) -> ParamVec {
+        let mut out = base.clone();
+        enc.axpy_into(1.0, &mut out);
+        out
+    }
+
+    /// What top-k ships without error feedback, built from the kernels:
+    /// the `frac` largest coordinates of the plain delta.
+    fn plain_topk(frac: f64, p: &ParamVec, base: &ParamVec) -> EncodedUpdate {
+        let delta: Vec<f32> = p
+            .as_slice()
+            .iter()
+            .zip(base.as_slice())
+            .map(|(&a, &b)| a - b)
+            .collect();
+        let k = CodecSpec::top_k_of(frac, delta.len());
+        let (mut order, mut indices, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        kernels::top_k_by_magnitude_into(&delta, k, &mut order, &mut indices, &mut values);
+        let mut idx_delta = Vec::new();
+        kernels::delta_encode_indices_into(&indices, &mut idx_delta);
+        EncodedUpdate::SparseDelta {
+            len: delta.len(),
+            idx_delta,
+            values,
+        }
+    }
+
     #[test]
     fn identity_bypasses_residuals() {
         let mut ef = ErrorFeedback::new();
@@ -220,7 +257,7 @@ mod tests {
         let p = params(50, 1);
         let base = params(50, 2);
         let enc = ef.encode(CodecSpec::Identity, 0, &p, &base, &mut scratch);
-        assert_eq!(enc, CodecSpec::Identity.encode(&p, &base));
+        assert_eq!(enc, EncodedUpdate::Dense(p));
         assert_eq!(ef.residuals.len(), 0);
     }
 
@@ -232,7 +269,11 @@ mod tests {
         let base = params(200, 4);
         let spec = CodecSpec::TopK { frac: 0.1 };
         let enc = ef.encode(spec, 7, &p, &base, &mut scratch);
-        assert_eq!(enc, spec.encode(&p, &base), "zero residual must be a no-op");
+        assert_eq!(
+            enc,
+            plain_topk(0.1, &p, &base),
+            "zero residual must be a no-op"
+        );
         assert_eq!(ef.residuals.len(), 1);
     }
 
@@ -247,7 +288,7 @@ mod tests {
         let p = ParamVec(vec![5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1]);
         let spec = CodecSpec::TopK { frac: 0.2 };
         let enc1 = ef.encode(spec, 0, &p, &base, &mut scratch);
-        let d1 = enc1.decode(&base);
+        let d1 = decode(&enc1, &base);
         // Only the two largest coordinates shipped.
         assert_eq!(d1.0[0], 5.0);
         assert_eq!(d1.0[1], 4.0);
@@ -255,7 +296,7 @@ mod tests {
         // Client trains to the same point again: the residual must push
         // the previously-dropped coordinates to the top.
         let enc2 = ef.encode(spec, 0, &p, &base, &mut scratch);
-        let d2 = enc2.decode(&base);
+        let d2 = decode(&enc2, &base);
         // Compensated delta is [5, 4, 6, 4, ...]: the dropped coord 2
         // (residual 3 + fresh delta 3 = 6) now outranks everything.
         assert_eq!(d2.0[2], 2.0 * 3.0, "residual 3.0 + fresh delta 3.0");
@@ -298,10 +339,14 @@ mod tests {
         // even after another client accumulated a residual.
         let p = params(40, 7);
         let enc = ef.encode(spec, 1, &p, &base, &mut scratch);
-        assert_eq!(enc, spec.encode(&p, &base));
+        assert_eq!(enc, plain_topk(0.1, &p, &base));
         assert_eq!(ef.residuals.len(), 2);
-        ef.reset();
+        // A checkpoint's residuals install as they were saved.
+        let saved = ef.residuals().clone();
+        ef.install(BTreeMap::new());
         assert_eq!(ef.residuals.len(), 0);
+        ef.install(saved.clone());
+        assert_eq!(ef.residuals, saved);
     }
 
     #[test]

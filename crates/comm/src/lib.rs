@@ -11,42 +11,31 @@
 //!   bandwidth tiers like the CPU-share groups in `tifl_sim`),
 //!   materialised into one `tifl_sim::LinkQuality` per device; every
 //!   latency path (round latency, straggler deadlines, tier profiling,
-//!   hierarchical aggregation planes) prices bytes in the transfer
-//!   seconds of [`link::transfer_secs`].
+//!   the [`hierarchy`]'s aggregation plane) prices bytes in the
+//!   transfer seconds of [`link::transfer_secs`].
 //! * **Update codecs** ([`codec`]) — [`CodecSpec`] names a compression
 //!   scheme over `ParamVec` updates ([`CodecSpec::Identity`],
-//!   [`CodecSpec::QuantizeI8`], [`CodecSpec::TopK`]); encoding yields an
-//!   [`EncodedUpdate`] that knows its exact wire byte-count and can fold
-//!   itself into a FedAvg accumulator without materialising a dense
-//!   intermediate per client.
+//!   [`CodecSpec::QuantizeI8`], [`CodecSpec::TopK`]). The one encoder,
+//!   [`encode_compensated`], yields an [`EncodedUpdate`] that knows its
+//!   exact wire byte-count and can fold itself into a FedAvg
+//!   accumulator without materialising a dense intermediate per client.
 //!
 //! A [`CommSpec`] bundles one codec with one link model (plus an
-//! optional hierarchical aggregation plane) and rides on
-//! `RunSpec`/`SessionConfig`, so any scenario in the evaluation matrix
-//! can become bandwidth-aware and compressed declaratively.
+//! optional [`HierarchySpec`]) and rides on `RunSpec`/`SessionConfig`,
+//! so any scenario in the evaluation matrix can become bandwidth-aware
+//! and compressed declaratively.
 
 pub mod codec;
 pub mod feedback;
+pub mod hierarchy;
 pub mod link;
 
 pub use codec::{CodecSpec, EncodeScratch, EncodedUpdate};
 pub use feedback::{encode_compensated, ErrorFeedback};
+pub use hierarchy::HierarchySpec;
 pub use link::LinkModel;
 
 use serde::{Deserialize, Serialize};
-
-/// A hierarchical aggregation plane (master/child aggregators): client
-/// updates are absorbed by `ceil(|updates| / fan_out)` child
-/// aggregators in parallel, whose dense partial aggregates the master
-/// combines. Costs are in transfer seconds ([`link::transfer_secs`])
-/// over `plane_bps` (see `tifl_fl::hierarchy::AggregationTree::with_plane`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HierarchySpec {
-    /// Maximum client updates handled per child aggregator.
-    pub fan_out: usize,
-    /// Bandwidth of the aggregation plane in bytes/s.
-    pub plane_bps: f64,
-}
 
 /// The communication axis of a run: which codec shrinks the uplink and
 /// which link model times the transfers.
@@ -75,6 +64,52 @@ impl CommSpec {
             codec,
             ..Self::default()
         }
+    }
+
+    /// Whether a run can take every value of this spec: a top-k
+    /// fraction in (0, 1]; a hierarchy's positive fan-out and plane
+    /// bandwidth; a `GroupScaled` link's positive group count and
+    /// bandwidths, decay in (0, 1] and non-negative RTT. NaN is out of
+    /// every range. The `tifl` CLI asks when it loads a document.
+    ///
+    /// # Errors
+    /// Names the first field out of range, with its value.
+    pub fn check(&self) -> Result<(), String> {
+        let fail = |field: &str, value: f64, want: &str| {
+            Err(format!("comm.{field} {value} is not {want}"))
+        };
+        let positive = |field: &str, v: f64| match v > 0.0 {
+            true => Ok(()),
+            false => fail(field, v, "positive"),
+        };
+        let unit = |field: &str, v: f64| match v > 0.0 && v <= 1.0 {
+            true => Ok(()),
+            false => fail(field, v, "in (0, 1]"),
+        };
+        if let CodecSpec::TopK { frac } = self.codec {
+            unit("codec.TopK.frac", frac)?;
+        }
+        if let Some(h) = self.hierarchy {
+            positive("hierarchy.fan_out", h.fan_out as f64)?;
+            positive("hierarchy.plane_bps", h.plane_bps)?;
+        }
+        if let LinkModel::GroupScaled {
+            groups,
+            up_bps,
+            down_bps,
+            decay,
+            rtt_sec,
+        } = self.link
+        {
+            positive("link.GroupScaled.groups", groups as f64)?;
+            positive("link.GroupScaled.up_bps", up_bps)?;
+            positive("link.GroupScaled.down_bps", down_bps)?;
+            unit("link.GroupScaled.decay", decay)?;
+            if rtt_sec.is_nan() || rtt_sec < 0.0 {
+                return fail("link.GroupScaled.rtt_sec", rtt_sec, "at least 0");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -119,5 +154,46 @@ mod tests {
             serde_json::from_str(r#"{"codec": "QuantizeI8"}"#).expect("partial spec parses");
         assert_eq!(spec.codec, CodecSpec::QuantizeI8);
         assert_eq!(spec.link, LinkModel::ClusterDefault);
+    }
+
+    #[test]
+    fn check_names_the_first_value_a_run_would_panic_on() {
+        assert_eq!(CommSpec::default().check(), Ok(()));
+        let link = |decay: f64, rtt_sec: f64| LinkModel::GroupScaled {
+            groups: 2,
+            up_bps: 1.0e6,
+            down_bps: 1.0e6,
+            decay,
+            rtt_sec,
+        };
+        let hierarchy = |fan_out, plane_bps| Some(HierarchySpec { fan_out, plane_bps });
+        for (spec, want) in [
+            (
+                CommSpec::with_codec(CodecSpec::TopK { frac: f64::NAN }),
+                "comm.codec.TopK.frac NaN is not in (0, 1]",
+            ),
+            (
+                CommSpec {
+                    hierarchy: hierarchy(4, 0.0),
+                    ..CommSpec::default()
+                },
+                "comm.hierarchy.plane_bps 0 is not positive",
+            ),
+            (
+                CommSpec {
+                    link: link(0.5, -1.0),
+                    ..CommSpec::default()
+                },
+                "comm.link.GroupScaled.rtt_sec -1 is not at least 0",
+            ),
+        ] {
+            assert_eq!(spec.check(), Err(want.to_string()), "{spec:?}");
+        }
+        let fine = CommSpec {
+            codec: CodecSpec::TopK { frac: 1.0 },
+            link: link(1.0, 0.0),
+            hierarchy: hierarchy(1, 1.0),
+        };
+        assert_eq!(fine.check(), Ok(()));
     }
 }

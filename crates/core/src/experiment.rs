@@ -397,17 +397,23 @@ impl ExperimentConfig {
 
     /// Whether this config's sizes fit each other. The population can
     /// be sampled and tiered: `clients_per_round` and
-    /// `tiering.num_tiers` are each between 1 and `num_clients`. And the
-    /// model can train on the data: it takes the family's feature count,
-    /// its hidden layer has at least one unit, and it scores at least
-    /// the family's classes. `Err` names what is out of range. The
-    /// `tifl` CLI asks when it loads a document; a session built from a
-    /// config that fails still panics.
+    /// `tiering.num_tiers` are each between 1 and `num_clients`. The
+    /// communication model's values are ones a run can take
+    /// ([`tifl_comm::CommSpec::check`]). And the model can train on the
+    /// data: it takes the family's feature count, its hidden layer has
+    /// at least one unit, and it scores at least the family's classes.
+    /// `Err` names what is out of range. The `tifl` CLI asks when it
+    /// loads a document; a session built from a config that fails still
+    /// panics.
     ///
     /// # Errors
-    /// A count is out of range, the model's input width or class count
-    /// does not fit the data, or its hidden layer is empty.
+    /// A count or comm value is out of range, the model's input width
+    /// or class count does not fit the data, or its hidden layer is
+    /// empty.
     pub fn check_sizes(&self) -> Result<(), String> {
+        if let Some(comm) = &self.comm {
+            comm.check()?;
+        }
         let n = self.num_clients;
         for (field, value) in [
             ("clients_per_round", self.clients_per_round),

@@ -903,20 +903,29 @@ impl RunRequest {
     }
 
     /// Whether the request's sizes fit: the experiment's
-    /// ([`ExperimentConfig::check_sizes`]) and its selection's. A tier
-    /// policy or adaptive selection draws each round's clients from one
-    /// tier, so every tier it can draw must hold as many clients as a
-    /// round asks for (the paper's `n_j ≥ |C|`); vanilla draws the same
-    /// round from the whole pool. `Err` names what does not fit. The
-    /// `tifl` CLI asks before it trains; a run that fails still panics.
+    /// ([`ExperimentConfig::check_sizes`]), the spec's comm values
+    /// ([`CommSpec::check`]) and its selection's. A deadline and a
+    /// re-profiling or adaptive interval are positive; only a tiered
+    /// selection re-profiles; a tier policy has one probability per
+    /// tier, one of them positive. A tier policy or adaptive selection
+    /// draws each round's clients from one tier, so every tier it can
+    /// draw must hold as many clients as a round asks for (the paper's
+    /// `n_j ≥ |C|`); vanilla draws the same round from the whole pool.
+    /// `Err` names what does not fit. The `tifl` CLI asks before it
+    /// trains; a run that fails still panics.
     ///
     /// # Errors
-    /// As [`ExperimentConfig::check_sizes`]; or the over-selection
+    /// As [`ExperimentConfig::check_sizes`] or [`CommSpec::check`]; or
+    /// a selection value above is out of range; or the over-selection
     /// factor is below 1; or a round asks a tier the selection can draw
     /// for more clients than it holds.
     pub fn check_sizes(&self) -> Result<(), String> {
         let exp = self.experiment();
         exp.check_sizes()?;
+        if let Some(comm) = &self.spec.comm {
+            comm.check()?;
+        }
+        self.check_selection(exp.tiering.num_tiers)?;
         let aggregation = self.spec.aggregation.unwrap_or(exp.aggregation);
         if let AggregationMode::FirstK { factor } = aggregation {
             if factor.is_nan() || factor < 1.0 {
@@ -949,6 +958,52 @@ impl RunRequest {
              policy {name}",
             exp.clients_per_round
         ))
+    }
+
+    /// The selection values of [`RunRequest::check_sizes`] over
+    /// `num_tiers` tiers.
+    fn check_selection(&self, num_tiers: usize) -> Result<(), String> {
+        let spec = &self.spec;
+        match spec.reprofile_every {
+            Some(0) => {
+                return Err("reprofile_every 0: the re-profiling interval must be positive".into())
+            }
+            Some(every) if !spec.selection.needs_profile() => {
+                return Err(format!(
+                    "reprofile_every {every} needs a tiered selection, not vanilla"
+                ))
+            }
+            _ => {}
+        }
+        match &spec.selection {
+            SelectionStrategy::Deadline { deadline_sec }
+                if deadline_sec.is_nan() || *deadline_sec <= 0.0 =>
+            {
+                Err(format!(
+                    "selection.Deadline.deadline_sec {deadline_sec} is not positive"
+                ))
+            }
+            SelectionStrategy::Adaptive {
+                config: Some(config),
+            } if config.interval == 0 => {
+                Err("selection.Adaptive.config.interval 0 is not positive".into())
+            }
+            SelectionStrategy::TierPolicy { policy } if !policy.is_vanilla() => {
+                let probs = &policy.probs;
+                if probs.len() != num_tiers {
+                    Err(format!(
+                        "selection.TierPolicy.policy.probs has {} entries for tiering.num_tiers \
+                         {num_tiers}",
+                        probs.len()
+                    ))
+                } else if !probs.iter().any(|&p| p > 0.0) {
+                    Err("selection.TierPolicy.policy.probs has no positive entry".into())
+                } else {
+                    Ok(())
+                }
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Execute the request.

@@ -194,6 +194,13 @@ mod tests {
         }
     }
 
+    /// `u`'s first upload under `spec` (a zero error-feedback residual).
+    fn encode(spec: tifl_comm::CodecSpec, u: &ClientUpdate, base: &ParamVec) -> EncodedUpdate {
+        let mut residual = vec![0.0; u.params.len()];
+        let mut scratch = tifl_comm::EncodeScratch::new();
+        tifl_comm::encode_compensated(spec, &mut residual, &u.params, base, &mut scratch)
+    }
+
     #[test]
     fn fedavg_weights_by_sample_count() {
         let g = aggregate_fedavg(&[upd(0, vec![0.0], 100), upd(1, vec![10.0], 300)]);
@@ -250,7 +257,6 @@ mod tests {
 
     #[test]
     fn encoded_identity_fold_is_bitwise_equal_to_plain_fold() {
-        use tifl_comm::CodecSpec;
         let updates: Vec<ClientUpdate> = (0..5)
             .map(|i| {
                 let vals: Vec<f32> = (0..9).map(|j| ((i * 13 + j * 3) as f32).cos()).collect();
@@ -264,7 +270,7 @@ mod tests {
         let mut encoded = StreamingFold::new(9, &weights);
         for u in &updates {
             plain.fold(u);
-            encoded.fold_encoded(&CodecSpec::Identity.encode(&u.params, &base), u.samples);
+            encoded.fold_encoded(&EncodedUpdate::Dense(u.params.clone()), u.samples);
         }
         let a = plain.finish().expect("non-empty");
         let b = encoded.finish_against(&base).expect("non-empty");
@@ -294,17 +300,21 @@ mod tests {
 
         let mut fold = StreamingFold::new(16, &weights);
         for u in &updates {
-            fold.fold_encoded(&spec.encode(&u.params, &base), u.samples);
+            fold.fold_encoded(&encode(spec, u, &base), u.samples);
         }
         let streamed = fold.finish_against(&base).expect("non-empty");
 
         // Reference: dense decode then batch mean.
         let decoded: Vec<ClientUpdate> = updates
             .iter()
-            .map(|u| ClientUpdate {
-                client: u.client,
-                params: spec.encode(&u.params, &base).decode(&base),
-                samples: u.samples,
+            .map(|u| {
+                let mut params = base.clone();
+                encode(spec, u, &base).axpy_into(1.0, &mut params);
+                ClientUpdate {
+                    client: u.client,
+                    params,
+                    samples: u.samples,
+                }
             })
             .collect();
         let batch = aggregate_fedavg(&decoded);
@@ -320,7 +330,7 @@ mod tests {
         let base = ParamVec(vec![1.0; 4]);
         let u = upd(0, vec![2.0, 1.0, 1.0, 1.0], 5);
         let mut fold = StreamingFold::new(4, &[5.0]);
-        fold.fold_encoded(&CodecSpec::TopK { frac: 0.5 }.encode(&u.params, &base), 5);
+        fold.fold_encoded(&encode(CodecSpec::TopK { frac: 0.5 }, &u, &base), 5);
         let _ = fold.finish();
     }
 

@@ -11,12 +11,15 @@
 //! bit-identical to one that never stopped — including credit-based
 //! adaptive runs, whose selector restores through
 //! [`ClientSelector::restore_state`](crate::selector::ClientSelector)
-//! (tested in `tests/end_to_end.rs`).
+//! (tested in `tests/end_to_end.rs`). A lossy run's error-feedback
+//! residuals ride along too, so its uploads compensate after a restore
+//! exactly as they would have without one.
 //!
 //! Static selectors are stateless given the round number and export
 //! `None`.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use tifl_tensor::ParamVec;
 
 /// Serialisable state of a stateful client selector (the adaptive
@@ -49,6 +52,11 @@ pub struct Checkpoint {
     /// field existed).
     #[serde(default)]
     pub selector: Option<SelectorState>,
+    /// Error-feedback residuals by client (empty under the lossless
+    /// Identity codec and for checkpoints written before this field
+    /// existed).
+    #[serde(default)]
+    pub residuals: BTreeMap<usize, Vec<f32>>,
 }
 
 impl Checkpoint {
@@ -81,6 +89,7 @@ mod tests {
             time: 456.75,
             global: ParamVec(vec![1.0, -2.5, 3.25]),
             selector: None,
+            residuals: BTreeMap::from([(3, vec![0.125, -1.5e-7]), (10, vec![0.0, 2.0])]),
         };
         let back = Checkpoint::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);
@@ -98,6 +107,7 @@ mod tests {
                 current_tier: 1,
                 acc_history: vec![(9, vec![0.5, 0.6]), (19, vec![0.7, 0.8])],
             }),
+            residuals: BTreeMap::new(),
         };
         let back = Checkpoint::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);
@@ -121,6 +131,7 @@ mod tests {
         .unwrap();
         let c = Checkpoint::from_json(&json).unwrap();
         assert_eq!(c.selector, None);
+        assert!(c.residuals.is_empty());
         assert_eq!(c.round, 1);
         assert_eq!(c.global, ParamVec(vec![1.0]));
     }

@@ -101,24 +101,21 @@ pub enum TaskTag {
 
 /// What a training task hands the coordinator.
 #[derive(Debug)]
-pub enum Upload {
-    /// The trained weights, folded as they are (the `Identity` codec).
-    Dense(ClientUpdate),
-    /// A lossy upload, encoded where the client trained.
-    Encoded {
-        /// The client that trained.
-        client: usize,
-        /// Its aggregation weight `s_c`.
-        samples: usize,
-        /// The wire payload.
-        payload: EncodedUpdate,
-        /// The client's error-feedback residual, updated by the encode,
-        /// on its way back to the lender.
-        residual: Vec<f32>,
-        /// Host seconds the encode took where it ran (0 without a
-        /// profiler clock).
-        host_sec: f64,
-    },
+pub struct Upload {
+    /// The client that trained.
+    pub client: usize,
+    /// Its aggregation weight `s_c`.
+    pub samples: usize,
+    /// The wire payload: under Identity the trained weights themselves
+    /// (`EncodedUpdate::Dense`, moved, never copied), else the encode
+    /// made where the client trained.
+    pub payload: EncodedUpdate,
+    /// Under a lossy codec, the client's error-feedback residual,
+    /// updated by the encode, on its way back to the lender.
+    pub residual: Option<Vec<f32>>,
+    /// Host seconds the encode took where it ran (0 under Identity or
+    /// without a profiler clock).
+    pub host_sec: f64,
 }
 
 /// One finished deferred evaluation.
@@ -190,32 +187,34 @@ impl<'scope> WorkQueue<'_, 'scope> {
     /// global snapshot; the result arrives as [`TaskResult::Update`]
     /// carrying `tag`. With a lent error-feedback `residual` the task
     /// also encodes the upload against that snapshot, timed on the
-    /// profiler's clock, and drops the dense weights
-    /// ([`Upload::Encoded`]); without one it uploads the weights
-    /// ([`Upload::Dense`]).
+    /// profiler's clock, and drops the dense weights; without one the
+    /// weights are the payload.
     pub fn submit_train(
         &self,
         tag: u64,
         client: usize,
         round: u64,
         global: Arc<ParamVec>,
-        residual: Option<Vec<f32>>,
+        mut residual: Option<Vec<f32>>,
     ) {
         self.submit(TaskTag::Train(tag), move |ctx| {
             let update = ctx.train(client, round, &global);
-            let Some(mut residual) = residual else {
-                let upload = Upload::Dense(update);
-                return TaskResult::Update { tag, upload };
+            let (payload, host_sec) = match residual.as_mut() {
+                None => (EncodedUpdate::Dense(update.params), 0.0),
+                Some(residual) => {
+                    let clock = ctx.host_clock.as_deref();
+                    let start = clock.map_or(0.0, HostClock::now_sec);
+                    let payload =
+                        client::encode_upload(ctx.codec, &update.params, &global, residual);
+                    (payload, clock.map_or(0.0, HostClock::now_sec) - start)
+                }
             };
-            let clock = ctx.host_clock.as_deref();
-            let start = clock.map_or(0.0, HostClock::now_sec);
-            let payload = client::encode_upload(ctx.codec, &update.params, &global, &mut residual);
-            let upload = Upload::Encoded {
+            let upload = Upload {
                 client,
                 samples: update.samples,
                 payload,
                 residual,
-                host_sec: clock.map_or(0.0, HostClock::now_sec) - start,
+                host_sec,
             };
             TaskResult::Update { tag, upload }
         });
@@ -397,8 +396,12 @@ mod tests {
                     match rx.recv().expect("4 updates") {
                         TaskResult::Update {
                             tag,
-                            upload: Upload::Dense(update),
-                        } => got[tag as usize] = Some(update.params),
+                            upload:
+                                Upload {
+                                    payload: EncodedUpdate::Dense(params),
+                                    ..
+                                },
+                        } => got[tag as usize] = Some(params),
                         other => panic!("only dense training was submitted: {other:?}"),
                     }
                 }
@@ -449,15 +452,14 @@ mod tests {
             for tag in 0..5u64 {
                 queue.submit(TaskTag::Train(tag), move |_| {
                     assert_eq!(std::thread::current().id(), here, "no worker spawned");
-                    let params = ParamVec::zeros(0);
-                    TaskResult::Update {
-                        tag,
-                        upload: Upload::Dense(ClientUpdate {
-                            client: 0,
-                            params,
-                            samples: 0,
-                        }),
-                    }
+                    let upload = Upload {
+                        client: 0,
+                        samples: 0,
+                        payload: EncodedUpdate::Dense(ParamVec::zeros(0)),
+                        residual: None,
+                        host_sec: 0.0,
+                    };
+                    TaskResult::Update { tag, upload }
                 });
             }
             // Non-blocking: every task already ran when `submit` returned.

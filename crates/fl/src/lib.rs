@@ -20,7 +20,6 @@ pub mod aggregator;
 pub mod checkpoint;
 pub mod client;
 pub(crate) mod exec;
-pub mod hierarchy;
 pub mod report;
 pub mod selector;
 pub mod session;

@@ -5,7 +5,6 @@ use crate::client::{self, ClientConfig};
 use crate::exec::{
     ClientExecutor, DeferredEvals, OrderedMerge, TaskResult, TaskTag, TrainContext, Upload,
 };
-use crate::hierarchy::AggregationTree;
 use crate::report::{RoundReport, TrainingReport};
 use crate::selector::ClientSelector;
 use rayon::prelude::*;
@@ -534,6 +533,7 @@ impl Session {
             time: self.clock.now(),
             global: self.global.clone(),
             selector: None,
+            residuals: self.feedback.residuals().clone(),
         }
     }
 
@@ -565,9 +565,7 @@ impl Session {
         self.clock.reset();
         self.clock.advance(checkpoint.time);
         self.round = checkpoint.round;
-        // Residuals are not part of the checkpoint: a restored lossy run
-        // restarts with clean error-feedback compensation.
-        self.feedback.reset();
+        self.feedback.install(checkpoint.residuals.clone());
     }
 
     /// Simulate the next round up to (but excluding) local training:
@@ -621,13 +619,8 @@ impl Session {
         // master absorbs dense partials).
         let latency = match self.config.comm.and_then(|spec| spec.hierarchy) {
             Some(h) => {
-                let tree = AggregationTree::with_plane(h.fan_out, h.plane_bps);
-                latency
-                    + tree.aggregation_latency_encoded(
-                        contributors.len(),
-                        self.upload_wire_bytes(),
-                        self.download_wire_bytes(),
-                    )
+                let (up, down) = (self.upload_wire_bytes(), self.download_wire_bytes());
+                latency + h.combine_latency(contributors.len(), up, down)
             }
             None => latency,
         };
@@ -813,10 +806,12 @@ impl Session {
     /// folds the moment its canonical predecessor has (an ordered merge
     /// into a [`StreamingFold`]), and the global-test evaluation of a
     /// finished round is deferred onto the executor so it overlaps the
-    /// next round's training. Under a lossy codec each contributor's
-    /// error-feedback residual is lent to its task, which encodes the
-    /// upload where it trained; the coordinator only folds the payload
-    /// and takes the residual back. Each client's result depends only
+    /// next round's training. Every upload is an `EncodedUpdate`
+    /// folded with [`StreamingFold::fold_encoded`]: under Identity the
+    /// trained weights themselves, moved; under a lossy codec the
+    /// payload the task encoded where it trained, against the
+    /// contributor's error-feedback residual, which it was lent and
+    /// which comes back with the payload. Each client's result depends only
     /// on `(seed, client, round)` and its residual, a client trains at
     /// most once per round, and folds happen in plan order, so the
     /// reports and weights are bit-for-bit the same for any `threads`;
@@ -866,19 +861,12 @@ impl Session {
                     match results.recv().expect("the work queue holds a sender") {
                         TaskResult::Update { tag, upload } => {
                             reported += 1;
-                            merge.push(tag as usize, upload, |upload| match upload {
-                                Upload::Dense(update) => fold.fold(&update),
-                                Upload::Encoded {
-                                    client,
-                                    samples,
-                                    payload,
-                                    residual,
-                                    host_sec,
-                                } => {
-                                    fold.fold_encoded(&payload, samples);
-                                    self.feedback.give_back(client, residual);
-                                    encode_sec += host_sec;
+                            merge.push(tag as usize, upload, |upload: Upload| {
+                                fold.fold_encoded(&upload.payload, upload.samples);
+                                if let Some(residual) = upload.residual {
+                                    self.feedback.give_back(upload.client, residual);
                                 }
+                                encode_sec += upload.host_sec;
                             });
                         }
                         TaskResult::Panicked {

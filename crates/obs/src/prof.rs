@@ -177,12 +177,6 @@ impl FrozenClock {
     pub fn shared() -> Arc<dyn HostClock> {
         Arc::new(Self::new())
     }
-
-    /// Reads served so far.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.ticks.load(Ordering::SeqCst)
-    }
 }
 
 impl HostClock for FrozenClock {
@@ -305,18 +299,16 @@ impl PhaseTotals {
 /// ```
 ///
 /// Spans land in a fixed-capacity ring (oldest overwritten, counted
-/// in [`HostProfiler::dropped`]); totals and counts accumulate in
-/// fixed per-phase arrays regardless of ring rotation.
+/// in [`HostProfiler::dropped`]); totals accumulate in a fixed
+/// per-phase array regardless of ring rotation.
 #[derive(Clone)]
 pub struct HostProfiler {
     clock: Arc<dyn HostClock>,
     buf: Vec<HostSpan>,
     cap: usize,
     head: usize,
-    total_spans: u64,
     dropped: u64,
     totals: [f64; Phase::COUNT],
-    counts: [u64; Phase::COUNT],
 }
 
 impl std::fmt::Debug for HostProfiler {
@@ -331,14 +323,9 @@ impl std::fmt::Debug for HostProfiler {
 }
 
 impl HostProfiler {
-    /// A profiler on the production [`RealClock`], holding at most
-    /// `capacity` spans. The buffer is allocated here, once.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self::with_clock(capacity, RealClock::shared())
-    }
-
-    /// A profiler on an explicit clock (tests inject [`FrozenClock`]).
+    /// A profiler holding at most `capacity` spans, stamped by `clock`
+    /// ([`RealClock`] in production; tests inject [`FrozenClock`]). The
+    /// buffer is allocated here, once.
     #[must_use]
     pub fn with_clock(capacity: usize, clock: Arc<dyn HostClock>) -> Self {
         Self {
@@ -346,10 +333,8 @@ impl HostProfiler {
             buf: Vec::with_capacity(capacity),
             cap: capacity,
             head: 0,
-            total_spans: 0,
             dropped: 0,
             totals: [0.0; Phase::COUNT],
-            counts: [0; Phase::COUNT],
         }
     }
 
@@ -394,8 +379,6 @@ impl HostProfiler {
 
     fn push(&mut self, span: HostSpan) {
         self.totals[span.phase.index()] += span.dur();
-        self.counts[span.phase.index()] += 1;
-        self.total_spans += 1;
         if self.buf.len() < self.cap {
             self.buf.push(span);
         } else {
@@ -420,22 +403,10 @@ impl HostProfiler {
         out
     }
 
-    /// Number of closed spans attributed to `phase`.
-    #[must_use]
-    pub fn count(&self, phase: Phase) -> u64 {
-        self.counts[phase.index()]
-    }
-
     /// Spans overwritten by ring rotation.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Total spans ever closed (held + dropped).
-    #[must_use]
-    pub fn total_spans(&self) -> u64 {
-        self.total_spans
     }
 
     /// The held spans in close order. Allocates — export path only.
@@ -458,7 +429,7 @@ mod tests {
         assert_eq!(clock.now_sec(), 0.0);
         assert_eq!(clock.now_sec(), 0.5);
         assert_eq!(clock.now_sec(), 1.0);
-        assert_eq!(clock.reads(), 3);
+        assert_eq!(clock.now_sec(), 1.5);
     }
 
     #[test]
@@ -481,12 +452,12 @@ mod tests {
         let spans = prof.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(prof.dropped(), 1);
-        assert_eq!(prof.total_spans(), 3);
+        assert_eq!(spans.len() as u64 + prof.dropped(), 3, "every span closed");
         assert_eq!(spans[0].round, 1);
         assert_eq!(spans[1].round, 2);
         assert_eq!(spans[1].start, 4.0);
         assert_eq!(spans[1].end, 5.0);
-        assert_eq!(prof.count(Phase::Train), 3);
+        // Totals keep the span the ring dropped.
         assert_eq!(prof.totals().train_sec, 3.0);
         assert_eq!(prof.totals().total(), 3.0);
     }
@@ -501,7 +472,7 @@ mod tests {
         assert_eq!((spans[1].start, spans[1].end), (1.75, 2.0));
         assert!(spans[1].end >= spans[0].end, "close order is clock order");
         assert_eq!(prof.totals().eval_sec, 0.25);
-        assert_eq!(prof.count(Phase::Eval), 1);
+        assert_eq!(spans.iter().filter(|s| s.phase == Phase::Eval).count(), 1);
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! next to the other flat-slice primitives, so they can be benchmarked
 //! and tested against the same `f32` conventions as `ops`:
 //!
-//! * whole-slice affine int8 quantization ([`quantize_i8`] /
+//! * whole-slice affine int8 quantization ([`quantize_i8_into`] /
 //!   [`dequantize_i8_axpy`]) — 4x smaller, error bounded by one
 //!   quantization step per element;
-//! * magnitude top-k selection ([`top_k_by_magnitude`]) with
+//! * magnitude top-k selection ([`top_k_by_magnitude_into`]) with
 //!   delta-encoded indices ([`axpy_sparse`]) — the classic sparsified
 //!   gradient/update format.
 //!
 //! All kernels are deterministic: ties in the top-k selection break
 //! toward the lower index, and every accumulation order is fixed. The
 //! decode-side kernels are unrolled for throughput and pinned bit-for-bit
-//! against their `_scalar` references; the encode-side kernels have
-//! `_into` variants that write into caller-owned buffers so the per-round
-//! hot path allocates nothing.
+//! against their `_scalar` references; the encode-side kernels write
+//! into caller-owned buffers so the per-round hot path allocates
+//! nothing.
 //!
 //! # Non-finite inputs
 //!
@@ -25,10 +25,10 @@
 //! update; the mapping is explicit and documented per kernel:
 //!
 //! * [`minmax`] ranges over the *finite* elements only;
-//! * [`quantize_i8`] encodes NaN and `-inf` as the `min` endpoint's code
-//!   and clamps `+inf` to the `max` endpoint's;
-//! * [`top_k_by_magnitude`] treats a NaN magnitude as smaller than every
-//!   real magnitude, so NaN elements genuinely lose selection.
+//! * [`quantize_i8_into`] encodes NaN and `-inf` as the `min` endpoint's
+//!   code and clamps `+inf` to the `max` endpoint's;
+//! * [`top_k_by_magnitude_into`] treats a NaN magnitude as smaller than
+//!   every real magnitude, so NaN elements genuinely lose selection.
 
 /// Minimum and maximum over the *finite* elements of a flat slice
 /// (`(0.0, 0.0)` when the slice is empty or contains no finite element).
@@ -105,8 +105,8 @@ fn minmax_from_keys(lo_k: i32, hi_k: i32) -> (f32, f32) {
     }
 }
 
-/// Affine int8 quantization over one flat slice: returns
-/// `(min, scale, codes)`
+/// Affine int8 quantization over one flat slice: writes one code per
+/// element into `codes` (cleared first) and returns `(min, scale)`,
 /// with `x ≈ min + scale * (code + 128)` and
 /// `scale = (max - min) / 255`.
 ///
@@ -118,15 +118,11 @@ fn minmax_from_keys(lo_k: i32, hi_k: i32) -> (f32, f32) {
 /// Non-finite inputs follow the module contract: the range spans the
 /// finite elements only, NaN and `-inf` take the `min` endpoint's code
 /// (decoding to `min`), and `+inf` saturates to the `max` endpoint's.
-#[must_use]
-pub fn quantize_i8(xs: &[f32]) -> (f32, f32, Vec<i8>) {
-    let mut codes = Vec::new();
-    let (min, scale) = quantize_i8_into(xs, &mut codes);
-    (min, scale, codes)
-}
-
-/// [`quantize_i8`] writing codes into a caller-owned buffer (cleared
-/// first); the allocation-free form used by the encode hot path.
+///
+/// No run calls this: a client's upload quantizes through
+/// [`quantize_i8_residual_into`], whose codes are this kernel's. It is
+/// the reference those codes are tested against, and what the
+/// benchmarks time as the plain int8 encode.
 pub fn quantize_i8_into(xs: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
     codes.clear();
     let (lo, hi) = minmax(xs);
@@ -306,7 +302,7 @@ pub fn dequantize_i8_axpy(alpha: f32, min: f32, scale: f32, codes: &[i8], out: &
     }
 }
 
-/// Selection key for [`top_k_by_magnitude`]: non-negative IEEE-754
+/// Selection key for [`top_k_by_magnitude_into`]: non-negative IEEE-754
 /// floats are order-isomorphic to their bit patterns, so `|x|` compares
 /// as the low 31 bits. Real magnitudes map to `bits + 1` (so `+0.0`
 /// gets key 1, `±inf` the largest key) and NaN magnitudes (payloads
@@ -323,28 +319,14 @@ fn magnitude_key(x: f32) -> u32 {
 }
 
 /// Indices and values of the `k` largest-magnitude elements of `xs`,
-/// returned in ascending index order. Ties in magnitude break toward
-/// the lower index, so the selection is deterministic.
+/// written in ascending index order into `indices` / `values` (all
+/// buffers cleared first; `order` is selection scratch). Ties in
+/// magnitude break toward the lower index, so the selection is
+/// deterministic.
 ///
 /// NaN elements genuinely lose selection (their magnitude sorts below
 /// every real magnitude, including `-inf`'s); they are only picked when
 /// `k` exceeds the number of non-NaN elements, lowest indices first.
-///
-/// # Panics
-/// Panics if `k` is zero or exceeds `xs.len()`.
-#[must_use]
-pub fn top_k_by_magnitude(xs: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut order = Vec::new();
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    top_k_by_magnitude_into(xs, k, &mut order, &mut indices, &mut values);
-    indices.into_iter().zip(values).collect()
-}
-
-/// [`top_k_by_magnitude`] writing into caller-owned buffers (all cleared
-/// first): `order` is selection scratch, `indices`/`values` receive the
-/// winners in ascending index order. The allocation-free form used by
-/// the encode hot path.
 ///
 /// # Panics
 /// Panics if `k` is zero or exceeds `xs.len()`.
@@ -446,20 +428,8 @@ pub fn axpy_sparse(alpha: f32, idx_delta: &[u32], values: &[f32], out: &mut [f32
     }
 }
 
-/// Delta-encode ascending absolute indices (inverse of the walk in
-/// [`axpy_sparse`]).
-///
-/// # Panics
-/// Panics if the indices are not strictly ascending.
-#[must_use]
-pub fn delta_encode_indices(indices: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    delta_encode_indices_into(indices, &mut out);
-    out
-}
-
-/// [`delta_encode_indices`] writing into a caller-owned buffer (cleared
-/// first); the allocation-free form used by the encode hot path.
+/// Delta-encode ascending absolute indices into `out` (cleared
+/// first): the inverse of the walk in [`axpy_sparse`].
 ///
 /// # Panics
 /// Panics if the indices are not strictly ascending.
@@ -482,6 +452,24 @@ pub fn delta_encode_indices_into(indices: &[u32], out: &mut Vec<u32>) {
 mod tests {
     use super::*;
 
+    fn quantize(xs: &[f32]) -> (f32, f32, Vec<i8>) {
+        let mut codes = Vec::new();
+        let (min, scale) = quantize_i8_into(xs, &mut codes);
+        (min, scale, codes)
+    }
+
+    fn top_k(xs: &[f32], k: usize) -> Vec<(u32, f32)> {
+        let (mut order, mut indices, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        top_k_by_magnitude_into(xs, k, &mut order, &mut indices, &mut values);
+        indices.into_iter().zip(values).collect()
+    }
+
+    fn delta_encode(indices: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        delta_encode_indices_into(indices, &mut out);
+        out
+    }
+
     #[test]
     fn minmax_finds_extremes() {
         assert_eq!(minmax(&[3.0, -1.0, 2.0]), (-1.0, 3.0));
@@ -500,7 +488,7 @@ mod tests {
     #[test]
     fn quantize_error_is_within_one_step() {
         let xs: Vec<f32> = (0..1000).map(|i| ((i * 37) as f32).sin() * 4.2).collect();
-        let (min, scale, codes) = quantize_i8(&xs);
+        let (min, scale, codes) = quantize(&xs);
         let mut out = vec![0.0f32; xs.len()];
         dequantize_i8_axpy(1.0, min, scale, &codes, &mut out);
         for (x, x_hat) in xs.iter().zip(&out) {
@@ -515,7 +503,7 @@ mod tests {
     #[test]
     fn quantize_constant_slice_is_exact() {
         let xs = vec![2.5f32; 17];
-        let (min, scale, codes) = quantize_i8(&xs);
+        let (min, scale, codes) = quantize(&xs);
         assert_eq!(scale, 0.0);
         let mut out = vec![0.0f32; 17];
         dequantize_i8_axpy(1.0, min, scale, &codes, &mut out);
@@ -525,7 +513,7 @@ mod tests {
     #[test]
     fn quantize_maps_non_finite_inputs_per_contract() {
         let xs = [f32::NAN, -4.0, f32::NEG_INFINITY, 6.0, f32::INFINITY];
-        let (min, scale, codes) = quantize_i8(&xs);
+        let (min, scale, codes) = quantize(&xs);
         // Range spans the finite elements only.
         assert_eq!(min, -4.0);
         assert!((scale - 10.0 / 255.0).abs() < 1e-6);
@@ -543,7 +531,7 @@ mod tests {
     #[test]
     fn quantize_all_non_finite_decodes_to_zero() {
         let xs = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-        let (min, scale, codes) = quantize_i8(&xs);
+        let (min, scale, codes) = quantize(&xs);
         assert_eq!((min, scale), (0.0, 0.0));
         assert_eq!(codes, vec![-128; 3]);
     }
@@ -551,14 +539,14 @@ mod tests {
     #[test]
     fn top_k_picks_largest_magnitudes_in_index_order() {
         let xs = [0.1, -5.0, 0.0, 3.0, -0.2];
-        let picked = top_k_by_magnitude(&xs, 2);
+        let picked = top_k(&xs, 2);
         assert_eq!(picked, vec![(1, -5.0), (3, 3.0)]);
     }
 
     #[test]
     fn top_k_ties_break_toward_lower_index() {
         let xs = [1.0, -1.0, 1.0];
-        let picked = top_k_by_magnitude(&xs, 2);
+        let picked = top_k(&xs, 2);
         assert_eq!(picked, vec![(0, 1.0), (1, -1.0)]);
     }
 
@@ -567,13 +555,13 @@ mod tests {
         // A single NaN must not win over any real magnitude — not even
         // over exact zeros.
         let xs = [0.0, f32::NAN, 0.1, -0.2, 0.0];
-        let picked = top_k_by_magnitude(&xs, 4);
+        let picked = top_k(&xs, 4);
         assert_eq!(
             picked.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
             vec![0, 2, 3, 4]
         );
         // Only when k exceeds the non-NaN count does NaN get picked.
-        let all = top_k_by_magnitude(&xs, 5);
+        let all = top_k(&xs, 5);
         assert_eq!(all.len(), 5);
         assert!(all[1].1.is_nan());
     }
@@ -581,21 +569,8 @@ mod tests {
     #[test]
     fn top_k_infinite_magnitudes_still_win() {
         let xs = [1.0, f32::NEG_INFINITY, f32::NAN, 2.0];
-        let picked = top_k_by_magnitude(&xs, 1);
+        let picked = top_k(&xs, 1);
         assert_eq!(picked[0].0, 1);
-    }
-
-    #[test]
-    fn top_k_into_matches_allocating_wrapper() {
-        let xs: Vec<f32> = (0..300).map(|i| ((i * 29) as f32).sin() * 7.0).collect();
-        let expected = top_k_by_magnitude(&xs, 30);
-        let (mut order, mut idx, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-        top_k_by_magnitude_into(&xs, 30, &mut order, &mut idx, &mut vals);
-        assert_eq!(idx.len(), 30);
-        for ((i, v), (&i2, &v2)) in expected.iter().zip(idx.iter().zip(&vals)) {
-            assert_eq!(*i, i2);
-            assert_eq!(v.to_bits(), v2.to_bits());
-        }
     }
 
     #[test]
@@ -618,7 +593,7 @@ mod tests {
     fn unrolled_axpy_sparse_matches_scalar_bitwise() {
         for n in [0usize, 1, 2, 4, 5, 9, 40] {
             let indices: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
-            let deltas = delta_encode_indices(&indices);
+            let deltas = delta_encode(&indices);
             let values: Vec<f32> = (0..n).map(|i| ((i * 13) as f32).cos() * 2.0).collect();
             let mut a = vec![0.1f32; n * 3 + 2];
             let mut b = a.clone();
@@ -636,7 +611,7 @@ mod tests {
     fn sparse_round_trip_via_delta_indices() {
         let indices = vec![2u32, 5, 6, 40];
         let values = vec![1.0f32, -2.0, 3.0, 0.5];
-        let deltas = delta_encode_indices(&indices);
+        let deltas = delta_encode(&indices);
         assert_eq!(deltas, vec![2, 3, 1, 34]);
         let mut out = vec![0.0f32; 41];
         axpy_sparse(2.0, &deltas, &values, &mut out);
@@ -649,6 +624,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn delta_encode_rejects_unsorted() {
-        let _ = delta_encode_indices(&[3, 2]);
+        let _ = delta_encode(&[3, 2]);
     }
 }

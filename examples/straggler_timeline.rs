@@ -16,7 +16,7 @@
     reason = "an example reports to its terminal"
 )]
 
-use tifl::fl::hierarchy::AggregationTree;
+use tifl::comm::link::transfer_secs;
 use tifl::prelude::*;
 
 fn print_trace(label: &str, plan: &RoundPlan, config: &SessionConfig) {
@@ -87,16 +87,20 @@ fn main() {
         mixed.latency / same.latency
     );
 
-    // Aggregation at fleet scale: the master-child tree of §3.1.
-    let tree = AggregationTree::with_fan_out(100);
+    // Aggregation at fleet scale: the master-child tree of §3.1, over a
+    // 1.6 Gbit/s aggregation plane.
+    let tree = HierarchySpec {
+        fan_out: 100,
+        plane_bps: 2.0e8,
+    };
     let bytes = 4 * cfg.model.build(0).param_count() as u64;
     println!("\nhierarchical aggregation ({}-byte updates):", bytes);
     for updates in [5usize, 100, 10_000, 100_000] {
         println!(
             "  {updates:>6} updates: flat {:>8.3}s  tree {:>8.3}s ({} children)",
-            tree.flat_latency(updates, bytes),
-            tree.aggregation_latency(updates, bytes),
-            tree.num_children(updates),
+            transfer_secs(updates as u64 * bytes, tree.plane_bps),
+            tree.combine_latency(updates, bytes, bytes),
+            updates.div_ceil(tree.fan_out),
         );
     }
 }

@@ -95,7 +95,6 @@ pub mod prelude {
     pub use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
     pub use tifl_fl::checkpoint::{Checkpoint, SelectorState};
     pub use tifl_fl::client::{ClientConfig, DpNoiseConfig};
-    pub use tifl_fl::hierarchy::AggregationTree;
     pub use tifl_fl::report::{ReportSummary, RoundReport, TrainingReport};
     pub use tifl_fl::selector::{ClientSelector, RandomSelector};
     pub use tifl_fl::session::{

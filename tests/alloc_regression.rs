@@ -12,7 +12,8 @@
 //! - the **worker** half — a compensated encode on the thread's own
 //!   encode workspace — allocates exactly the payload's buffers, which
 //!   leave with the upload: one for an int8 payload (its codes), two
-//!   for a top-k payload (its indices and values).
+//!   for a top-k payload (its indices and values), none for an Identity
+//!   payload (the trained weights themselves, moved).
 //!
 //! It lives in its own integration-test binary on purpose: the counter
 //! is process-global, so no other test may run concurrently in this
@@ -44,7 +45,8 @@ struct InFlight {
 
 /// One aggregation round through the calls `Session::run_rounds` makes,
 /// returning the allocations of its `[coordinator, worker]` halves.
-/// Identity uploads fold as they are and encode nothing.
+/// Every payload folds through `fold_encoded`; an Identity payload is
+/// the trained weights, moved, and its upload lends no residual.
 fn round(
     session: &mut Session,
     codec: CodecSpec,
@@ -62,28 +64,29 @@ fn round(
                 .extend(updates.iter().map(|u| feedback.lend(u.client, len)));
         }
     });
+    // What training hands each task: weights of its own (not counted).
+    let mut trained: Vec<ParamVec> = updates.iter().map(|u| u.params.clone()).collect();
     let worker = allocations_in(|| {
         let base = session.global_params();
-        for (u, residual) in updates.iter().zip(&mut in_flight.residuals) {
+        if lossy {
+            for (params, residual) in trained.iter().zip(&mut in_flight.residuals) {
+                in_flight
+                    .payloads
+                    .push(encode_upload(codec, params, base, residual));
+            }
+        } else {
             in_flight
                 .payloads
-                .push(encode_upload(codec, &u.params, base, residual));
+                .extend(trained.drain(..).map(EncodedUpdate::Dense));
         }
     });
     let fold = allocations_in(|| {
         let mut fold = session.begin_fold(contributors);
-        if lossy {
-            let sent = in_flight
-                .payloads
-                .drain(..)
-                .zip(in_flight.residuals.drain(..));
-            for (u, (payload, residual)) in updates.iter().zip(sent) {
-                fold.fold_encoded(&payload, u.samples);
+        let mut residuals = in_flight.residuals.drain(..);
+        for (u, payload) in updates.iter().zip(in_flight.payloads.drain(..)) {
+            fold.fold_encoded(&payload, u.samples);
+            if let Some(residual) = residuals.next() {
                 session.codec_state_mut().0.give_back(u.client, residual);
-            }
-        } else {
-            for u in updates {
-                fold.fold(u);
             }
         }
         let new_global = fold

@@ -22,9 +22,10 @@ mod common;
 
 use common::{on_every_backend, pinned_scenarios, tiny};
 use proptest::prelude::*;
+use tifl::comm::{encode_compensated, EncodeScratch};
 use tifl::obs::Digest128;
 use tifl::prelude::*;
-use tifl::tensor::ParamVec;
+use tifl::tensor::{codec, ParamVec};
 
 // -- 1. Identity × ClusterDefault is the legacy run, bit for bit -----------
 
@@ -418,6 +419,25 @@ fn spec_cli_runs_a_compressed_bandwidth_het_request() {
 
 // -- property tests ----------------------------------------------------------
 
+/// A client's first upload of `p` under `codec`: the one encoder, with
+/// a zero error-feedback residual, on a fresh scratch.
+fn first_upload(codec: CodecSpec, p: &ParamVec, base: &ParamVec) -> EncodedUpdate {
+    let mut residual = vec![0.0; p.len()];
+    encode_compensated(codec, &mut residual, p, base, &mut EncodeScratch::new())
+}
+
+/// The weights `enc` folds to against `base`, through the fold's own
+/// `axpy_into`.
+fn decoded(enc: &EncodedUpdate, base: &ParamVec) -> ParamVec {
+    let mut out = if enc.is_delta() {
+        base.clone()
+    } else {
+        ParamVec::zeros(base.len())
+    };
+    enc.axpy_into(1.0, &mut out);
+    out
+}
+
 proptest! {
     /// Identity encodes losslessly, bit for bit, whatever the weights.
     #[test]
@@ -426,28 +446,37 @@ proptest! {
     ) {
         let p = ParamVec(values);
         let base = ParamVec::zeros(p.len());
-        let enc = CodecSpec::Identity.encode(&p, &base);
-        prop_assert_eq!(enc.decode(&base), p.clone());
+        let enc = first_upload(CodecSpec::Identity, &p, &base);
+        prop_assert_eq!(&enc, &EncodedUpdate::Dense(p.clone()));
+        prop_assert_eq!(decoded(&enc, &base), p.clone());
         prop_assert_eq!(enc.wire_bytes(), 4 * p.len() as u64);
     }
 
     /// Int8 quantization errs by at most one quantization step per
-    /// element, at a quarter of the dense wire size (+ header).
+    /// element, at a quarter of the dense wire size (+ header). With a
+    /// zero residual the payload is the plain kernel's, and its fold is
+    /// the scalar dequantize reference's, bit for bit.
     #[test]
     fn prop_quantize_i8_error_within_one_step(
         values in prop::collection::vec(-50.0f32..50.0, 1..300),
     ) {
         let p = ParamVec(values);
         let base = ParamVec::zeros(p.len());
-        let enc = CodecSpec::QuantizeI8.encode(&p, &base);
-        let step = match &enc {
-            EncodedUpdate::QuantI8 { scale, .. } => *scale,
-            other => panic!("wrong payload {other:?}"),
+        let enc = first_upload(CodecSpec::QuantizeI8, &p, &base);
+        let EncodedUpdate::QuantI8 { min, scale, codes, .. } = &enc else {
+            panic!("wrong payload {enc:?}");
         };
-        let decoded = enc.decode(&base);
-        for (x, y) in p.as_slice().iter().zip(decoded.as_slice()) {
-            prop_assert!((x - y).abs() <= step,
-                "error {} exceeds step {}", (x - y).abs(), step);
+        let mut want = Vec::new();
+        let (want_min, want_scale) = codec::quantize_i8_into(p.as_slice(), &mut want);
+        prop_assert_eq!((min.to_bits(), scale.to_bits()), (want_min.to_bits(), want_scale.to_bits()));
+        prop_assert_eq!(codes, &want);
+        let got = decoded(&enc, &base);
+        let mut reference = vec![0.0; p.len()];
+        codec::dequantize_i8_axpy_scalar(1.0, *min, *scale, codes, &mut reference);
+        prop_assert_eq!(bits(got.as_slice()), bits(&reference));
+        for (x, y) in p.as_slice().iter().zip(got.as_slice()) {
+            prop_assert!((x - y).abs() <= *scale,
+                "error {} exceeds step {}", (x - y).abs(), scale);
         }
         prop_assert_eq!(enc.wire_bytes(), p.len() as u64 + 8);
     }
@@ -463,12 +492,11 @@ proptest! {
         let n = values.len().min(base_vals.len());
         let p = ParamVec(values[..n].to_vec());
         let base = ParamVec(base_vals[..n].to_vec());
-        let spec = CodecSpec::TopK { frac };
-        let enc = spec.encode(&p, &base);
+        let enc = first_upload(CodecSpec::TopK { frac }, &p, &base);
         let k = CodecSpec::top_k_of(frac, n);
         prop_assert_eq!(enc.wire_bytes(), 8 * k as u64);
 
-        let decoded = enc.decode(&base);
+        let decoded = decoded(&enc, &base);
         // Rank coordinates by |delta| (ties toward the lower index) and
         // split into kept / dropped.
         let mut order: Vec<usize> = (0..n).collect();
@@ -508,8 +536,12 @@ proptest! {
         let p = ParamVec(values);
         let base = ParamVec::zeros(p.len());
         prop_assert_eq!(
-            codec.encode(&p, &base).wire_bytes(),
+            first_upload(codec, &p, &base).wire_bytes(),
             codec.encoded_bytes(p.len())
         );
     }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }

@@ -177,36 +177,56 @@ fn reports_serialize_to_json() {
 
 #[test]
 fn checkpoint_resume_is_bit_identical_to_continuous_run() {
-    let cfg = tiny(10);
+    // Under a lossy codec the checkpoint carries every client's
+    // error-feedback residual, so the resumed uploads compensate exactly
+    // as the continuous run's do.
+    for codec in [
+        CodecSpec::Identity,
+        CodecSpec::QuantizeI8,
+        CodecSpec::TopK { frac: 0.1 },
+    ] {
+        let mut cfg = tiny(10);
+        cfg.comm = Some(CommSpec::with_codec(codec));
 
-    // Continuous run.
-    let mut continuous = cfg.make_session();
-    let mut sel_a = RandomSelector::new(cfg.num_clients, 99);
-    let full: Vec<_> = (0..cfg.rounds)
-        .map(|_| continuous.run_round(&mut sel_a))
-        .collect();
+        // Continuous run.
+        let mut continuous = cfg.make_session();
+        let mut sel_a = RandomSelector::new(cfg.num_clients, 99);
+        let full: Vec<_> = (0..cfg.rounds)
+            .map(|_| continuous.run_round(&mut sel_a))
+            .collect();
 
-    // Run half, checkpoint through JSON, restore into a fresh session,
-    // finish.
-    let mut first_half = cfg.make_session();
-    let mut sel_b = RandomSelector::new(cfg.num_clients, 99);
-    let half = cfg.rounds / 2;
-    let mut resumed_rounds: Vec<_> = (0..half)
-        .map(|_| first_half.run_round(&mut sel_b))
-        .collect();
-    let json = first_half.snapshot().to_json();
-    drop(first_half);
+        // Run half, checkpoint through JSON, restore into a fresh
+        // session, finish.
+        let mut first_half = cfg.make_session();
+        let mut sel_b = RandomSelector::new(cfg.num_clients, 99);
+        let half = cfg.rounds / 2;
+        let mut resumed_rounds: Vec<_> = (0..half)
+            .map(|_| first_half.run_round(&mut sel_b))
+            .collect();
+        let json = first_half.snapshot().to_json();
+        drop(first_half);
 
-    let checkpoint = tifl::fl::checkpoint::Checkpoint::from_json(&json).unwrap();
-    let mut second_half = cfg.make_session();
-    second_half.restore(&checkpoint);
-    let mut sel_c = RandomSelector::new(cfg.num_clients, 99);
-    resumed_rounds.extend((half..cfg.rounds).map(|_| second_half.run_round(&mut sel_c)));
+        let checkpoint = tifl::fl::checkpoint::Checkpoint::from_json(&json).unwrap();
+        assert_eq!(
+            checkpoint.residuals.is_empty(),
+            codec == CodecSpec::Identity,
+            "{codec:?}: only a lossy run has residuals to save"
+        );
+        let mut second_half = cfg.make_session();
+        second_half.restore(&checkpoint);
+        let mut sel_c = RandomSelector::new(cfg.num_clients, 99);
+        resumed_rounds.extend((half..cfg.rounds).map(|_| second_half.run_round(&mut sel_c)));
 
-    assert_eq!(
-        full, resumed_rounds,
-        "resumed run diverged from continuous run"
-    );
+        assert_eq!(
+            full, resumed_rounds,
+            "{codec:?}: resumed run diverged from continuous run"
+        );
+        assert_eq!(
+            continuous.global_params(),
+            second_half.global_params(),
+            "{codec:?}: resumed weights diverged"
+        );
+    }
 }
 
 #[test]

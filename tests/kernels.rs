@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use std::sync::Once;
-use tifl::comm::{CodecSpec, EncodeScratch};
+use tifl::comm::{encode_compensated, CodecSpec, EncodeScratch, EncodedUpdate};
 use tifl::tensor::ops::KernelCopy;
 use tifl::tensor::{codec, ops, Matrix, ParamVec};
 
@@ -378,7 +378,8 @@ proptest! {
         let indices: Vec<u32> = (0..out.len() as u32)
             .filter(|&i| mask[i as usize] == 0)
             .collect();
-        let idx_delta = codec::delta_encode_indices(&indices);
+        let mut idx_delta = Vec::new();
+        codec::delta_encode_indices_into(&indices, &mut idx_delta);
         let values = &vals[..indices.len()];
         let mut fast = out.clone();
         let mut slow = out.clone();
@@ -387,7 +388,7 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&slow));
     }
 
-    /// Non-finite contract of `quantize_i8`: the range covers finite
+    /// Non-finite contract of `quantize_i8_into`: the range covers finite
     /// elements only, NaN/−inf pin to code −128, +inf to 127, and every
     /// finite element round-trips within one quantization step.
     #[test]
@@ -397,7 +398,8 @@ proptest! {
     ) {
         let mut xs = xs;
         inject_specials(&mut xs, &tags);
-        let (min, scale, codes) = codec::quantize_i8(&xs);
+        let mut codes = Vec::new();
+        let (min, scale) = codec::quantize_i8_into(&xs, &mut codes);
         prop_assert_eq!(codes.len(), xs.len());
         prop_assert!(min.is_finite() && scale.is_finite());
         prop_assert!(scale >= 0.0);
@@ -427,7 +429,9 @@ proptest! {
         let mut xs = xs;
         inject_specials(&mut xs, &tags);
         let k = ((xs.len() as f32 * k_frac).ceil() as usize).clamp(1, xs.len());
-        let picked = codec::top_k_by_magnitude(&xs, k);
+        let (mut order, mut indices, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        codec::top_k_by_magnitude_into(&xs, k, &mut order, &mut indices, &mut values);
+        let picked: Vec<(u32, f32)> = indices.into_iter().zip(values).collect();
         prop_assert_eq!(picked.len(), k);
         let non_nan = xs.iter().filter(|x| !x.is_nan()).count();
         let picked_nan = picked
@@ -448,11 +452,51 @@ proptest! {
         }
     }
 
-    /// The scratch-arena encode path is payload-identical to the
-    /// allocating `CodecSpec::encode` for every codec, including across
-    /// buffer recycling.
+    /// The one encoder, with a zero residual, keeps the kernels'
+    /// non-finite contracts: its int8 payload is `quantize_i8_into`'s,
+    /// and its top-k payload keeps `top_k_by_magnitude_into`'s
+    /// coordinates, NaNs losing selection. (A zero residual turns a
+    /// `-0.0` into `+0.0`, so values compare as floats, NaN to NaN.)
     #[test]
-    fn encode_with_scratch_matches_allocating_encode(
+    fn compensated_encode_keeps_the_kernel_contracts(
+        xs in prop::collection::vec(-100.0f32..100.0, 1..300),
+        tags in prop::collection::vec(0u8..20, 1..300),
+        frac in 0.05f64..1.0,
+    ) {
+        let mut xs = xs;
+        inject_specials(&mut xs, &tags);
+        let p = ParamVec(xs.clone());
+        let base = ParamVec::zeros(xs.len());
+        let same = |a: f32, b: f32| a == b || (a.is_nan() && b.is_nan());
+
+        let mut codes = Vec::new();
+        let (min, scale) = codec::quantize_i8_into(&xs, &mut codes);
+        match encode_first(CodecSpec::QuantizeI8, &p, &base) {
+            EncodedUpdate::QuantI8 { min: m, scale: s, codes: c, .. } => {
+                prop_assert!(m == min && s == scale, "({m}, {s}) vs ({min}, {scale})");
+                prop_assert_eq!(c, codes);
+            }
+            other => panic!("wrong payload {other:?}"),
+        }
+
+        let k = CodecSpec::top_k_of(frac, xs.len());
+        let (mut order, mut indices, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        codec::top_k_by_magnitude_into(&xs, k, &mut order, &mut indices, &mut values);
+        let mut want = Vec::new();
+        codec::delta_encode_indices_into(&indices, &mut want);
+        match encode_first(CodecSpec::TopK { frac }, &p, &base) {
+            EncodedUpdate::SparseDelta { idx_delta, values: v, .. } => {
+                prop_assert_eq!(idx_delta, want);
+                prop_assert!(v.iter().zip(&values).all(|(&a, &b)| same(a, b)));
+            }
+            other => panic!("wrong payload {other:?}"),
+        }
+    }
+
+    /// A scratch that has served and recycled payloads encodes exactly
+    /// as a fresh one, at the planned wire size, for every codec.
+    #[test]
+    fn a_warm_scratch_encodes_as_a_fresh_one(
         params in prop::collection::vec(-10.0f32..10.0, 1..400),
         base in prop::collection::vec(-10.0f32..10.0, 1..400),
         frac in 0.05f64..1.0,
@@ -460,22 +504,25 @@ proptest! {
         let n = params.len().min(base.len());
         let p = ParamVec(params[..n].to_vec());
         let b = ParamVec(base[..n].to_vec());
-        let mut scratch = EncodeScratch::new();
+        let mut warm = EncodeScratch::new();
         for codec in [
             CodecSpec::Identity,
             CodecSpec::QuantizeI8,
             CodecSpec::TopK { frac },
         ] {
             for _ in 0..2 {
-                let enc = codec.encode_with(&p, &b, &mut scratch);
-                prop_assert_eq!(&enc, &codec.encode(&p, &b), "{:?}", codec);
+                let mut residual = vec![0.0; n];
+                let enc = encode_compensated(codec, &mut residual, &p, &b, &mut warm);
+                prop_assert_eq!(&enc, &encode_first(codec, &p, &b), "{:?}", codec);
                 prop_assert_eq!(enc.wire_bytes(), codec.encoded_bytes(n));
-                let mut out = scratch.take_empty();
-                enc.decode_into(&b, &mut out);
-                prop_assert_eq!(&out, &enc.decode(&b), "{:?}", codec);
-                scratch.recycle_dense(out);
-                scratch.recycle(enc);
+                warm.recycle(enc);
             }
         }
     }
+}
+
+/// A client's first upload of `p`: a zero residual, a fresh scratch.
+fn encode_first(codec: CodecSpec, p: &ParamVec, base: &ParamVec) -> EncodedUpdate {
+    let mut residual = vec![0.0; p.len()];
+    encode_compensated(codec, &mut residual, p, base, &mut EncodeScratch::new())
 }

@@ -936,6 +936,143 @@ fn cli_rejects_a_model_that_does_not_fit_its_data_when_the_document_is_loaded() 
 }
 
 #[test]
+fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
+    // Each row used to panic mid-run (exit 101): in `CodecSpec::top_k_of`,
+    // the aggregation hierarchy, `LinkModel::materialize`,
+    // `DeadlineSelector::new`, the re-profiling loop, the adaptive
+    // selector or the tier policy's draw. `tifl run --spec` now exits 1
+    // at load time naming the field, and so does a sweep manifest with
+    // such a cell (the cell carries the row's whole comm spec) before
+    // any run starts.
+    let dir = std::env::temp_dir().join(format!("tifl-badvalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let link = |groups, up_bps, decay, rtt_sec| LinkModel::GroupScaled {
+        groups,
+        up_bps,
+        down_bps: 1.0e6,
+        decay,
+        rtt_sec,
+    };
+    let comm = |codec, link, hierarchy| RunSpec {
+        comm: Some(CommSpec {
+            codec,
+            link,
+            hierarchy,
+        }),
+        ..RunSpec::default()
+    };
+    let topk = |frac| comm(CodecSpec::TopK { frac }, LinkModel::ClusterDefault, None);
+    let tree = |fan_out, plane_bps| {
+        let h = HierarchySpec { fan_out, plane_bps };
+        comm(CodecSpec::QuantizeI8, LinkModel::ClusterDefault, Some(h))
+    };
+    let grouped = |l| comm(CodecSpec::QuantizeI8, l, None);
+    let policy = |probs: Vec<f64>| SelectionStrategy::TierPolicy {
+        policy: Policy {
+            name: "custom".into(),
+            probs,
+        },
+    };
+    let spec = |selection, reprofile_every| RunSpec {
+        selection,
+        reprofile_every,
+        ..RunSpec::default()
+    };
+    let adaptive = SelectionStrategy::Adaptive {
+        config: Some(AdaptiveConfig {
+            interval: 0,
+            credits_per_tier: 4,
+            gamma: 2.0,
+        }),
+    };
+    let deadline = |deadline_sec| SelectionStrategy::Deadline { deadline_sec };
+    let rows: Vec<(RunSpec, &str)> = vec![
+        (topk(0.0), "comm.codec.TopK.frac 0 "),
+        (topk(2.0), "comm.codec.TopK.frac 2 "),
+        (topk(f64::NAN), "comm.codec.TopK.frac NaN "),
+        (tree(0, 2.0e8), "comm.hierarchy.fan_out 0 "),
+        (tree(4, 0.0), "comm.hierarchy.plane_bps 0 "),
+        (
+            grouped(link(0, 1.0e6, 0.5, 0.01)),
+            "comm.link.GroupScaled.groups 0 ",
+        ),
+        (
+            grouped(link(5, 0.0, 0.5, 0.01)),
+            "comm.link.GroupScaled.up_bps 0 ",
+        ),
+        (
+            grouped(link(5, 1.0e6, 0.0, 0.01)),
+            "comm.link.GroupScaled.decay 0 ",
+        ),
+        (
+            grouped(link(5, 1.0e6, 0.5, -1.0)),
+            "comm.link.GroupScaled.rtt_sec -1 ",
+        ),
+        (
+            spec(deadline(0.0), None),
+            "selection.Deadline.deadline_sec 0 ",
+        ),
+        (
+            spec(deadline(-1.0), None),
+            "selection.Deadline.deadline_sec -1 ",
+        ),
+        (spec(policy(vec![0.2; 5]), Some(0)), "reprofile_every 0: "),
+        (
+            spec(SelectionStrategy::Vanilla, Some(4)),
+            "reprofile_every 4 ",
+        ),
+        (
+            spec(adaptive, None),
+            "selection.Adaptive.config.interval 0 ",
+        ),
+        (
+            spec(policy(vec![0.5, 0.5]), None),
+            "selection.TierPolicy.policy.probs has 2 ",
+        ),
+        (
+            spec(policy(vec![0.0; 5]), None),
+            "selection.TierPolicy.policy.probs has no ",
+        ),
+    ];
+    for (i, (spec, field)) in rows.into_iter().enumerate() {
+        let request = RunRequest {
+            experiment: tiny(88),
+            rounds: Some(2),
+            seed: None,
+            clients_per_round: None,
+            spec,
+        };
+        let path = dir.join(format!("run{i}.json"));
+        std::fs::write(&path, serde_json::to_string(&request).unwrap()).expect("write fixture");
+        let path = path.to_str().unwrap();
+        let stderr = tifl_fails_on(&dir, &["run", "--spec", path], path);
+        assert!(stderr.contains(field), "row {i}: {stderr}");
+        // The experiment's own comm spec is checked the same way, and so
+        // is every cell of a sweep.
+        if request.spec.comm.is_none() {
+            continue;
+        }
+        let mut experiment = tiny(88);
+        experiment.comm = request.spec.comm;
+        let manifest = SweepManifest {
+            name: None,
+            experiment,
+            rounds: Some(2),
+            axes: SweepAxes::default(),
+        };
+        let path = dir.join(format!("sweep{i}.json"));
+        std::fs::write(&path, serde_json::to_string(&manifest).unwrap()).expect("write fixture");
+        let path = path.to_str().unwrap();
+        let store = dir.join(format!("store{i}"));
+        let args = ["sweep", path, "--out", store.to_str().unwrap()];
+        let stderr = tifl_fails_on(&dir, &args, path);
+        assert!(stderr.contains(field), "row {i}: {stderr}");
+        assert!(!store.exists(), "row {i}: no run may start");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_reports_an_unwritable_output_path_without_panicking() {
     // Every command handed an output path it cannot create — the parent
     // is a regular file — exits 1 with `[tifl] <path>: <cause>`.
