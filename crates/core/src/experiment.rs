@@ -399,21 +399,25 @@ impl ExperimentConfig {
     /// be sampled and tiered: `clients_per_round` and
     /// `tiering.num_tiers` are each between 1 and `num_clients`. The
     /// communication model's values are ones a run can take
-    /// ([`tifl_comm::CommSpec::check`]). And the model can train on the
-    /// data: it takes the family's feature count, its hidden layer has
-    /// at least one unit, and it scores at least the family's classes.
-    /// `Err` names what is out of range. The `tifl` CLI asks when it
-    /// loads a document; a session built from a config that fails still
-    /// panics.
+    /// ([`tifl_comm::CommSpec::check`]). The testbed can be priced: the
+    /// CPU profile lists at least one share and every share, the CPU
+    /// throughput, the profiler's `Tmax` and its round count are
+    /// positive, and the latency jitter is not negative. And the model
+    /// can train on the data: it takes the family's feature count, its
+    /// hidden layer has at least one unit, and it scores at least the
+    /// family's classes. `Err` names what is out of range. The `tifl`
+    /// CLI asks when it loads a document; a session built from a config
+    /// that fails still panics.
     ///
     /// # Errors
-    /// A count or comm value is out of range, the model's input width
-    /// or class count does not fit the data, or its hidden layer is
-    /// empty.
+    /// A count, comm, testbed or profiler value is out of range, the
+    /// model's input width or class count does not fit the data, or its
+    /// hidden layer is empty.
     pub fn check_sizes(&self) -> Result<(), String> {
         if let Some(comm) = &self.comm {
             comm.check()?;
         }
+        self.check_testbed()?;
         let n = self.num_clients;
         for (field, value) in [
             ("clients_per_round", self.clients_per_round),
@@ -441,6 +445,34 @@ impl ExperimentConfig {
             data.features(),
             data.classes
         ))
+    }
+
+    /// The testbed and profiler values of [`ExperimentConfig::check_sizes`].
+    fn check_testbed(&self) -> Result<(), String> {
+        let not_positive = |value: f64| value.is_nan() || value <= 0.0;
+        if self.cpu_profile.is_empty() {
+            return Err("cpu_profile [] lists no CPU share".into());
+        }
+        if let Some(i) = self.cpu_profile.iter().position(|&s| not_positive(s)) {
+            let share = self.cpu_profile[i];
+            return Err(format!("cpu_profile[{i}] {share} is not positive"));
+        }
+        for (field, value) in [
+            ("latency.flops_per_cpu_sec", self.latency.flops_per_cpu_sec),
+            ("profiler.tmax_sec", self.profiler.tmax_sec),
+        ] {
+            if not_positive(value) {
+                return Err(format!("{field} {value} is not positive"));
+            }
+        }
+        let sigma = self.latency.jitter_sigma;
+        if sigma.is_nan() || sigma < 0.0 {
+            return Err(format!("latency.jitter_sigma {sigma} is not at least 0"));
+        }
+        if self.profiler.sync_rounds == 0 {
+            return Err("profiler.sync_rounds 0 is not positive".into());
+        }
+        Ok(())
     }
 
     /// Build the simulated testbed for this config.

@@ -47,9 +47,7 @@ use tifl_fl::selector::{ClientSelector, RandomSelector};
 use tifl_fl::session::{AggregationMode, Session, SessionConfig, SessionOverrides, TaskPricing};
 use tifl_fl::timeline::chrome_round;
 use tifl_fl::{RoundReport, TrainingReport};
-use tifl_obs::{
-    ChromeEvent, HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase, PhaseTotals, RealClock,
-};
+use tifl_obs::{ChromeEvent, HostClock, HostProfiler, HostSpan, Phase, PhaseTotals, RealClock};
 use tifl_sim::Cluster;
 use tifl_tensor::split_seed;
 
@@ -166,20 +164,6 @@ impl RunSpec {
     #[must_use]
     pub fn profile_axis(&self) -> Option<CommSpec> {
         self.comm
-    }
-
-    /// How many §4.2 profiling passes a run of `rounds` rounds takes:
-    /// none when the selection needs no profile, one up front, or one
-    /// per re-profiling segment (a zero interval, which no run
-    /// accepts, takes none).
-    #[must_use]
-    pub fn profile_passes(&self, rounds: u64) -> u64 {
-        match self.reprofile_every {
-            _ if !self.selection.needs_profile() => 0,
-            None => 1,
-            Some(0) => 0,
-            Some(every) => rounds.div_ceil(every),
-        }
     }
 
     /// The session-level overrides this spec implies.
@@ -661,11 +645,10 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     }
 
     /// As [`Runner::run`] but observed: the session carries a host-time
-    /// phase profiler, and the metrics are read off the report
-    /// ([`TrainingReport::metrics`]). The report is bit-for-bit the one
-    /// [`Runner::run`] produces — host time feeds nothing back. The
-    /// run's virtual-time trace is [`Runner::virtual_trace`] of the
-    /// report.
+    /// phase profiler. The report is bit-for-bit the one [`Runner::run`]
+    /// produces — host time feeds nothing back. Every run metric is read
+    /// off that report, and the run's virtual-time trace is
+    /// [`Runner::virtual_trace`] of it.
     pub fn run_observed(&mut self) -> ObservedRun {
         let mut session = self.build_session();
         // The host profiler's spans are operator-facing wall-clock
@@ -691,9 +674,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         let host = session
             .take_host_profiler()
             .expect("host profiler attached above");
-        let passes = self.spec.profile_passes(self.exp.rounds());
         ObservedRun {
-            metrics: report.metrics(session.config(), passes),
             report,
             host_phases: host.totals(),
             host_spans: host.spans(),
@@ -836,16 +817,13 @@ fn build_selector(
     }
 }
 
-/// The result of [`Runner::run_observed`]: the training report, the
-/// metrics read off it and the run's host-time attribution. `report`
-/// is bit-for-bit what the unobserved run produces.
+/// The result of [`Runner::run_observed`]: the training report and the
+/// run's host-time attribution. `report` is bit-for-bit what the
+/// unobserved run produces.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// The training report, identical to [`Runner::run`]'s.
     pub report: TrainingReport,
-    /// Counters, gauges and histograms read off `report`
-    /// ([`TrainingReport::metrics`]).
-    pub metrics: MetricsSnapshot,
     /// Per-phase **host** seconds (wall-clock attribution). Best
     /// effort and machine-dependent; never serialized into run
     /// artifacts or hashed into `RunKey`s.
@@ -904,13 +882,15 @@ impl RunRequest {
 
     /// Whether the request's sizes fit: the experiment's
     /// ([`ExperimentConfig::check_sizes`]), the spec's comm values
-    /// ([`CommSpec::check`]) and its selection's. A deadline and a
-    /// re-profiling or adaptive interval are positive; only a tiered
-    /// selection re-profiles; a tier policy has one probability per
-    /// tier, one of them positive. A tier policy or adaptive selection
-    /// draws each round's clients from one tier, so every tier it can
-    /// draw must hold as many clients as a round asks for (the paper's
-    /// `n_j ≥ |C|`); vanilla draws the same round from the whole pool.
+    /// ([`CommSpec::check`]) and its selection's. A deadline, a
+    /// re-profiling or adaptive interval and the adaptive credits are
+    /// positive, and the adaptive `gamma` is a number ≥ 0; only a
+    /// tiered selection re-profiles; a tier policy has one probability
+    /// per tier, each a number ≥ 0 and one positive. A tier policy or
+    /// adaptive selection draws each round's clients from one tier, so
+    /// every tier it can draw must hold as many clients as a round asks
+    /// for (the paper's `n_j ≥ |C|`); vanilla draws the same round from
+    /// the whole pool.
     /// `Err` names what does not fit. The `tifl` CLI asks before it
     /// trains; a run that fails still panics.
     ///
@@ -985,16 +965,31 @@ impl RunRequest {
             }
             SelectionStrategy::Adaptive {
                 config: Some(config),
-            } if config.interval == 0 => {
-                Err("selection.Adaptive.config.interval 0 is not positive".into())
+            } => {
+                let field = "selection.Adaptive.config";
+                if config.interval == 0 {
+                    Err(format!("{field}.interval 0 is not positive"))
+                } else if config.credits_per_tier == 0 {
+                    Err(format!("{field}.credits_per_tier 0 is not positive"))
+                } else if config.gamma.is_nan() || config.gamma < 0.0 {
+                    Err(format!("{field}.gamma {} is not at least 0", config.gamma))
+                } else {
+                    Ok(())
+                }
             }
             SelectionStrategy::TierPolicy { policy } if !policy.is_vanilla() => {
                 let probs = &policy.probs;
+                let negative = probs.iter().position(|&p| p.is_nan() || p < 0.0);
                 if probs.len() != num_tiers {
                     Err(format!(
                         "selection.TierPolicy.policy.probs has {} entries for tiering.num_tiers \
                          {num_tiers}",
                         probs.len()
+                    ))
+                } else if let Some(i) = negative {
+                    Err(format!(
+                        "selection.TierPolicy.policy.probs[{i}] {} is not at least 0",
+                        probs[i]
                     ))
                 } else if !probs.iter().any(|&p| p > 0.0) {
                     Err("selection.TierPolicy.policy.probs has no positive entry".into())
@@ -1043,24 +1038,6 @@ mod tests {
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::tiny(60)
-    }
-
-    #[test]
-    fn profile_passes_count_the_segments() {
-        let tiered = RunSpec {
-            selection: SelectionStrategy::Adaptive { config: None },
-            ..RunSpec::default()
-        };
-        assert_eq!(RunSpec::default().profile_passes(10), 0);
-        assert_eq!(tiered.profile_passes(10), 1);
-        let every = |n| RunSpec {
-            reprofile_every: Some(n),
-            ..tiered.clone()
-        };
-        assert_eq!(every(3).profile_passes(10), 4);
-        assert_eq!(every(5).profile_passes(10), 2);
-        // A stored request with a zero interval must not panic the audit.
-        assert_eq!(every(0).profile_passes(10), 0);
     }
 
     #[test]

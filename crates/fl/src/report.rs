@@ -1,11 +1,9 @@
 //! Per-round and per-run training records, plus their content digests
 //! (the per-round digest chain behind `tifl diff` / `tifl audit`).
 
-use crate::session::{AggregationMode, SessionConfig};
 use serde::{Deserialize, Serialize};
 use tifl_obs::diff::{DiffReport, DiffSide, Divergence, FieldDelta};
 use tifl_obs::digest::{Digest128, DigestChain};
-use tifl_obs::metrics::{CounterSnap, GaugeSnap, HistSnap, MetricsSnapshot, LATENCY_BUCKETS_SEC};
 
 /// What happened in one global training round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -222,58 +220,6 @@ impl TrainingReport {
         1.0 - aggregated as f64 / selected as f64
     }
 
-    /// The run's metrics snapshot, read off its rounds: the run ran
-    /// under `config` and took `profile_passes` §4.2 profiling passes.
-    ///
-    /// Every selected client is dispatched; every aggregated one
-    /// completed and was folded. The rest timed out under
-    /// [`AggregationMode::WaitAll`] and were cancelled under
-    /// [`AggregationMode::FirstK`]. Evaluations follow the config's
-    /// cadence ([`SessionConfig::is_eval_round`]), as the trace does.
-    #[must_use]
-    pub fn metrics(&self, config: &SessionConfig, profile_passes: u64) -> MetricsSnapshot {
-        let sum = |f: fn(&RoundReport) -> usize| self.rounds.iter().map(f).sum::<usize>() as u64;
-        let dispatches = sum(|r| r.selected.len());
-        let folds = sum(|r| r.aggregated.len());
-        let unfinished = dispatches.saturating_sub(folds);
-        let first_k = matches!(config.aggregation, AggregationMode::FirstK { .. });
-        let evals = self
-            .rounds
-            .iter()
-            .filter(|r| config.is_eval_round(r.round))
-            .count() as u64;
-        let counters = [
-            ("profile_passes", profile_passes),
-            ("rounds", self.rounds.len() as u64),
-            ("dispatches", dispatches),
-            ("completes", folds),
-            ("timeouts", if first_k { 0 } else { unfinished }),
-            ("cancels", if first_k { unfinished } else { 0 }),
-            ("folds", folds),
-            ("evals", evals),
-            ("bytes_up", self.total_bytes_up()),
-            ("bytes_down", self.total_bytes_down()),
-        ];
-        MetricsSnapshot {
-            counters: counters
-                .into_iter()
-                .map(|(name, value)| CounterSnap {
-                    name: name.to_string(),
-                    value,
-                })
-                .collect(),
-            gauges: vec![GaugeSnap {
-                name: "virtual_time_sec".to_string(),
-                value: self.total_time(),
-            }],
-            histograms: vec![HistSnap::of(
-                "round_latency_sec",
-                &LATENCY_BUCKETS_SEC,
-                self.rounds.iter().map(|r| r.latency),
-            )],
-        }
-    }
-
     /// Total bytes shipped clients → server across the run.
     #[must_use]
     pub fn total_bytes_up(&self) -> u64 {
@@ -400,49 +346,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn metrics_are_read_off_the_rounds() {
-        let mut r = report();
-        r.rounds[0].aggregated = vec![0, 1];
-        r.rounds[1].aggregated = vec![1];
-        r.rounds[2].aggregated = vec![2];
-        let mut config = SessionConfig {
-            model: tifl_nn::models::ModelSpec::Mlp {
-                input: 4,
-                hidden: 4,
-                classes: 2,
-            },
-            client: crate::client::ClientConfig::paper_synthetic(),
-            clients_per_round: 2,
-            rounds: 3,
-            eval_every: 2,
-            tmax_sec: 1e9,
-            aggregation: AggregationMode::WaitAll,
-            comm: None,
-            seed: 0,
-        };
-        let m = r.metrics(&config, 1);
-        let counter = |name| m.counter(name).unwrap();
-        assert_eq!(counter("profile_passes"), 1);
-        assert_eq!(counter("rounds"), 3);
-        assert_eq!(counter("dispatches"), 6);
-        assert_eq!((counter("completes"), counter("folds")), (4, 4));
-        assert_eq!((counter("timeouts"), counter("cancels")), (2, 0));
-        // Rounds 0 and 2 evaluate: the cadence, not the accuracies.
-        assert_eq!(counter("evals"), 2);
-        assert_eq!((counter("bytes_up"), counter("bytes_down")), (250, 600));
-        assert_eq!(m.gauge("virtual_time_sec"), Some(30.0));
-        let hist = m.histogram("round_latency_sec").unwrap();
-        assert_eq!((hist.total, hist.sum), (3, 30.0));
-        // 5.0 sits on a bound and counts below it (upper-inclusive).
-        assert_eq!(hist.counts[..4], [0, 1, 2, 0]);
-
-        config.aggregation = AggregationMode::FirstK { factor: 1.5 };
-        let m = r.metrics(&config, 0);
-        assert_eq!(m.counter("timeouts"), Some(0));
-        assert_eq!(m.counter("cancels"), Some(2));
     }
 
     #[test]

@@ -1205,15 +1205,55 @@ mod tests {
         assert!(s.evaluate_groups(&[]).is_empty());
     }
 
+    /// Selects the same clients every round.
+    struct Fixed(Vec<usize>);
+
+    impl ClientSelector for Fixed {
+        fn name(&self) -> String {
+            "fixed".to_string()
+        }
+
+        fn select(&mut self, _round: u64, _count: usize) -> Vec<usize> {
+            self.0.clone()
+        }
+    }
+
     #[test]
     fn slower_hardware_dominates_round_latency() {
         // All clients on device group 5 (0.25 CPU) must yield slower
         // rounds than all on group 1 (2 CPUs).
         let s = small_session(1, 6);
-        let fast: Vec<(usize, TrainingTask)> = vec![(0, s.task_for(0)), (1, s.task_for(1))];
-        let slow: Vec<(usize, TrainingTask)> = vec![(8, s.task_for(8)), (9, s.task_for(9))];
-        let lf = s.cluster().round_latency(&fast, 0, 1e9);
-        let ls = s.cluster().round_latency(&slow, 0, 1e9);
+        let latency = |clients: &[usize]| s.plan_round(&mut Fixed(clients.to_vec())).latency;
+        let (lf, ls) = (latency(&[0, 1]), latency(&[8, 9]));
         assert!(ls > 2.0 * lf, "fast {lf}, slow {ls}");
+    }
+
+    #[test]
+    fn round_latency_is_max_of_members() {
+        // A round waits for its slowest member (Eq. 1): mixing a fast
+        // and a slow client gives the slow client's response latency.
+        let s = small_session(1, 6);
+        let plan = s.plan_round(&mut Fixed(vec![0, 9]));
+        let l9 = s.cluster().response(9, 0, &s.task_for(9)).unwrap();
+        let l0 = s.cluster().response(0, 0, &s.task_for(0)).unwrap();
+        assert!(l9 > l0, "fast {l0}, slow {l9}");
+        assert!(
+            (plan.latency - l9).abs() < 1e-9,
+            "round latency {} should equal slowest member {l9}",
+            plan.latency
+        );
+    }
+
+    #[test]
+    fn dropouts_are_charged_tmax() {
+        let mut s = small_session(1, 6);
+        s.config.tmax_sec = 123.0;
+        let mut dropout = tifl_sim::dropout::DropoutModel::always_available(10, 0);
+        dropout.kill(&[5]);
+        s.cluster.set_dropout(dropout);
+        let plan = s.plan_round(&mut Fixed(vec![5]));
+        assert_eq!(plan.responses, vec![(5, None)]);
+        assert!(plan.contributors.is_empty());
+        assert_eq!(plan.latency, 123.0);
     }
 }

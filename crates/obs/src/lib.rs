@@ -1,4 +1,4 @@
-//! Deterministic observability: tracing and metrics for TiFL runs.
+//! Deterministic observability: digests, diffs and traces for TiFL runs.
 //!
 //! The paper's core claims are *temporal* — tiered selection cuts round
 //! latency because stragglers stop gating `max_i L_i` (Eq. 1) — so a
@@ -19,9 +19,6 @@
 //! - [`diff`] — the [`DiffReport`] vocabulary behind `tifl diff`:
 //!   which round two runs first disagree on, and the field-level
 //!   deltas of that round.
-//! - [`metrics`] — the [`MetricsSnapshot`] a run artifact stores
-//!   (counters, gauges, fixed-bucket histograms), read off the run's
-//!   report and serialized byte-deterministically.
 //! - [`chrome`] — the [`ChromeEvent`] a trace is written as, loadable
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev), and
 //!   the host lane's renderer.
@@ -38,13 +35,14 @@
 //!
 //! # Determinism contract
 //!
-//! The virtual lane and the metrics are derived from the run's report
-//! (and the round plans it rebuilds), never from wall time, iteration
-//! order of hash maps, or thread scheduling. The same run therefore
-//! yields the same Chrome events — byte for byte — on `Lockstep` and
-//! `EventDriven{n}` backends for any `n`, and two runs of the same spec
-//! yield byte-identical [`MetricsSnapshot`] JSON. The root
-//! `tests/obs.rs` suite pins both properties.
+//! The virtual lane is derived from the run's report (and the round
+//! plans it rebuilds), never from wall time, iteration order of hash
+//! maps, or thread scheduling. The same run therefore yields the same
+//! report digest chain and the same Chrome events — byte for byte — on
+//! `Lockstep` and `EventDriven{n}` backends for any `n`. Every run
+//! metric (virtual time, rounds, dispatches, folds, bytes) is a pure
+//! function of that report, so nothing else is stored or pinned. The
+//! root `tests/obs.rs` suite pins both digests.
 //!
 //! The host lane is the deliberate exception: wall-clock durations
 //! genuinely vary between machines and runs, so [`prof`] spans are
@@ -55,14 +53,12 @@
 pub mod chrome;
 pub mod diff;
 pub mod digest;
-pub mod metrics;
 pub mod pivot;
 pub mod prof;
 
 pub use chrome::{host_chrome_trace, ChromeEvent};
 pub use diff::{first_divergence, DiffReport, DiffSide, Divergence, FieldDelta};
 pub use digest::{Digest128, DigestChain};
-pub use metrics::{CounterSnap, GaugeSnap, HistSnap, MetricsSnapshot};
 pub use pivot::{render_pivot, PivotRow};
 pub use prof::{FrozenClock, HostClock, HostProfiler, HostSpan, Phase, PhaseTotals, RealClock};
 

@@ -180,20 +180,6 @@ impl Cluster {
                 .sample_latency_link(task, cpu, &self.link_of(d), &mut rng),
         )
     }
-
-    /// Round latency (Eq. 1): max response latency over `selected`
-    /// devices, with non-responding devices charged `tmax`.
-    ///
-    /// # Panics
-    /// Panics if `selected` is empty.
-    #[must_use]
-    pub fn round_latency(&self, selected: &[(usize, TrainingTask)], round: u64, tmax: f64) -> f64 {
-        assert!(!selected.is_empty(), "round with no selected clients");
-        selected
-            .iter()
-            .map(|(d, task)| self.response(*d, round, task).map_or(tmax, |l| l.min(tmax)))
-            .fold(0.0f64, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -284,29 +270,6 @@ mod tests {
     fn different_rounds_jitter_differently() {
         let c = cluster();
         assert_ne!(c.response(3, 0, &task()), c.response(3, 1, &task()));
-    }
-
-    #[test]
-    fn round_latency_is_max_of_members() {
-        let c = cluster();
-        let sel: Vec<(usize, TrainingTask)> = vec![(0, task()), (49, task())];
-        let l = c.round_latency(&sel, 0, f64::INFINITY);
-        let l49 = c.response(49, 0, &task()).unwrap();
-        assert!(
-            (l - l49).abs() < 1e-9,
-            "round latency should equal slowest member"
-        );
-    }
-
-    #[test]
-    fn dropouts_are_charged_tmax() {
-        let mut c = cluster();
-        let mut d = DropoutModel::always_available(50, 0);
-        d.kill(&[5]);
-        c.set_dropout(d);
-        assert_eq!(c.response(5, 0, &task()), None);
-        let l = c.round_latency(&[(5, task())], 0, 123.0);
-        assert_eq!(l, 123.0);
     }
 
     #[test]

@@ -16,8 +16,6 @@ use crate::manifest::RunKey;
 use crate::store::{RunArtifact, RunStore};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use tifl_core::runner::Experiment;
-use tifl_obs::{HistSnap, MetricsSnapshot};
 
 /// One audit anomaly: where it is and what is wrong.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,7 +27,7 @@ pub struct AuditFinding {
     pub path: String,
     /// Stable finding kind (`corrupt`, `stale`, `truncated`,
     /// `bad-round-index`, `non-monotonic-clock`, `bad-latency`,
-    /// `bad-accuracy`, `bad-loss`, `metrics-mismatch`, `tmp-leftover`).
+    /// `bad-accuracy`, `bad-loss`, `tmp-leftover`).
     pub kind: String,
     /// Human-readable detail.
     pub message: String,
@@ -83,9 +81,7 @@ fn rel(path: &Path, dir: &Path) -> String {
 /// Audit one already-loaded artifact's internal consistency: request
 /// staleness against the key it is filed under, report-vs-request
 /// round count, round-index contiguity, clock monotonicity, latency
-/// sanity, accuracy/loss plausibility, and the stored metrics against
-/// the ones the report gives (`TrainingReport::metrics`; the digest
-/// chain covers only the report). (File-level checks — parse,
+/// sanity and accuracy/loss plausibility. (File-level checks — parse,
 /// claimed key, digest chain — happen in
 /// [`RunStore::load_checked`](crate::store::RunStore::load_checked)
 /// before this runs.)
@@ -157,49 +153,7 @@ pub fn audit_artifact(key: RunKey, path: &str, artifact: &RunArtifact) -> Vec<Au
             }
         }
     }
-    if let Some(stored) = &artifact.metrics {
-        let request = &artifact.request;
-        let experiment = request.experiment();
-        let config = experiment.session_config(&request.spec.session_overrides());
-        let passes = request.spec.profile_passes(experiment.rounds);
-        let recomputed = artifact.report.metrics(&config, passes);
-        if let Some(message) = metrics_mismatch(stored, &recomputed) {
-            flag("metrics-mismatch", message);
-        }
-    }
     findings
-}
-
-/// The first metric of `recomputed` whose stored value differs, named
-/// with both values. Stored metrics the recomputed snapshot does not
-/// have (the always-zero counters of since-deleted modes) are ignored.
-fn metrics_mismatch(stored: &MetricsSnapshot, recomputed: &MetricsSnapshot) -> Option<String> {
-    let hist = |h: &HistSnap| {
-        format!(
-            "{:?} ({} obs) over {:?}, sum {}",
-            h.counts, h.total, h.bounds, h.sum
-        )
-    };
-    let counters = recomputed.counters.iter().map(|c| {
-        let stored = stored.counter(&c.name).map(|v| v.to_string());
-        (&c.name, c.value.to_string(), stored)
-    });
-    let gauges = recomputed.gauges.iter().map(|g| {
-        let stored = stored.gauge(&g.name).map(|v| v.to_string());
-        (&g.name, g.value.to_string(), stored)
-    });
-    let hists = recomputed
-        .histograms
-        .iter()
-        .map(|h| (&h.name, hist(h), stored.histogram(&h.name).map(hist)));
-    counters
-        .chain(gauges)
-        .chain(hists)
-        .find(|(_, want, got)| got.as_ref() != Some(want))
-        .map(|(name, want, got)| {
-            let got = got.unwrap_or_else(|| "nothing".to_string());
-            format!("{name}: stored {got}, the report gives {want}")
-        })
 }
 
 /// Walk `store` and re-verify every artifact: bytes ↔ parse ↔ claimed

@@ -26,7 +26,7 @@ pub fn pivot_rows(store: &RunStore, target: Option<f64>) -> Vec<PivotRow> {
         .map(|artifact| {
             let report = &artifact.report;
             PivotRow {
-                label: artifact.label.clone(),
+                label: report.policy.clone(),
                 seed: artifact.request.experiment().seed,
                 rounds: report.rounds.len() as u64,
                 virtual_sec: report.total_time(),

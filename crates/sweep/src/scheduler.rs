@@ -32,7 +32,7 @@ use tifl_core::runner::{Experiment, RunRequest, Runner, SharedProfile};
 use tifl_data::FederatedDataset;
 use tifl_fl::session::SessionOverrides;
 use tifl_fl::TrainingReport;
-use tifl_obs::{Digest128, HostClock, MetricsSnapshot, Phase, PhaseTotals, RealClock};
+use tifl_obs::{Digest128, HostClock, Phase, PhaseTotals, RealClock};
 
 /// The cross-run profile-cache key: a content hash of the resolved
 /// experiment and the spec's comm axis — the same two inputs
@@ -252,7 +252,7 @@ impl RunOutcome {
     pub fn label(&self) -> &str {
         match self {
             RunOutcome::Completed { artifact, .. } | RunOutcome::Skipped { artifact } => {
-                &artifact.label
+                &artifact.report.policy
             }
             RunOutcome::Failed { label, .. } => label,
         }
@@ -808,9 +808,8 @@ fn execute_one(
     let label = run.request.spec.display_label();
     let started = clock.now_sec();
     match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(&run.request, cache, data))) {
-        Ok((report, metrics, mut phases)) => {
-            let mut artifact = RunArtifact::new(run.key, run.request.clone(), report);
-            artifact.metrics = Some(metrics);
+        Ok((report, mut phases)) => {
+            let artifact = RunArtifact::new(run.key, run.request.clone(), report);
             if let Some(store) = store {
                 let t_write = clock.now_sec();
                 let wrote = store.write(&artifact);
@@ -843,15 +842,13 @@ fn execute_one(
 /// it would have taken and the data it would have built itself
 /// (re-profiling runs measure per segment inside the run and bypass the
 /// profile cache, like an unshared runner), and sessions only read
-/// their data. Runs observed with no trace ring: the deterministic
-/// metrics snapshot, read off the report, rides into the artifact, and
-/// the run's per-phase host-seconds come back alongside for the
-/// sweep's utilization lanes.
+/// their data. Runs observed: the run's per-phase host-seconds come
+/// back alongside the report for the sweep's utilization lanes.
 fn run_one(
     request: &RunRequest,
     cache: &ProfileCache,
     data: Claim<'_, Arc<FederatedDataset>>,
-) -> (TrainingReport, MetricsSnapshot, PhaseTotals) {
+) -> (TrainingReport, PhaseTotals) {
     let experiment = request.experiment();
     let spec = request.spec.clone();
     let wants_shared = spec.selection.needs_profile() && spec.reprofile_every.is_none();
@@ -870,7 +867,7 @@ fn run_one(
     };
     runner.install_data(data.take(|| Arc::new(experiment.build_data())));
     let observed = runner.run_observed();
-    (observed.report, observed.metrics, observed.host_phases)
+    (observed.report, observed.host_phases)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -2,8 +2,8 @@
 //! by its [`RunKey`], plus a sweep-level summary.
 //!
 //! Artifact bytes are **deterministic**: everything in a
-//! [`RunArtifact`] is a pure function of the request (the report, the
-//! label) or stable per host (`host_parallelism`), and the store always
+//! [`RunArtifact`] is a pure function of the request (the report and
+//! its digest) or stable per host (`host_parallelism`), and the store always
 //! renders through the one shared serializer ([`write_json`]). That is
 //! what makes the resume contract testable — an interrupted sweep that
 //! resumes produces byte-identical artifacts to one that never stopped.
@@ -16,7 +16,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use tifl_core::runner::RunRequest;
 use tifl_fl::{ReportSummary, TrainingReport};
-use tifl_obs::{Digest128, MetricsSnapshot, PhaseTotals};
+use tifl_obs::{Digest128, PhaseTotals};
 
 /// The one JSON serializer every artifact path shares (the sweep store
 /// and the `tifl run --spec --out` single-run path): pretty-printed
@@ -39,13 +39,16 @@ pub fn host_parallelism() -> usize {
 }
 
 /// Everything one completed run leaves behind: identity, provenance
-/// (the full request), and the result.
+/// (the full request), and the result. Nothing derived from the report
+/// is stored beside it but its digest: every run metric, and the run's
+/// label (`report.policy`), is read off the report.
+///
+/// Artifacts written with a `label` or `metrics` member still load:
+/// the deserializer skips members it does not know.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunArtifact {
     /// Stable content key of the request (also the file name).
     pub key: RunKey,
-    /// The run's report label.
-    pub label: String,
     /// Logical cores of the host that produced the artifact.
     pub host_parallelism: usize,
     /// The request that produced the report (resume validates against
@@ -53,12 +56,6 @@ pub struct RunArtifact {
     pub request: RunRequest,
     /// The full training report.
     pub report: TrainingReport,
-    /// Deterministic run metrics (counters, gauges, histograms) read
-    /// off the report (`TrainingReport::metrics`); `tifl audit` checks
-    /// them against it. Optional so artifacts written
-    /// before the observability layer existed still load and validate.
-    #[serde(default)]
-    pub metrics: Option<MetricsSnapshot>,
     /// The report's per-round digest-chain head — the artifact's
     /// self-check. Optional so artifacts written before the digest
     /// chain existed still load and validate (the chain is recomputed
@@ -68,18 +65,15 @@ pub struct RunArtifact {
 }
 
 impl RunArtifact {
-    /// Package a completed run (without metrics; set
-    /// [`RunArtifact::metrics`] afterwards for observed runs).
+    /// Package a completed run.
     #[must_use]
     pub fn new(key: RunKey, request: RunRequest, report: TrainingReport) -> Self {
         let digest = Some(report.digest_chain());
         Self {
             key,
-            label: report.policy.clone(),
             host_parallelism: host_parallelism(),
             request,
             report,
-            metrics: None,
             digest,
         }
     }
@@ -661,9 +655,9 @@ mod tests {
 
     #[test]
     fn predigest_artifacts_still_load_and_validate() {
-        // Strip the `digest` (and `metrics`) fields the way a pre-chain
-        // artifact would look on disk: it must still load, validate,
-        // and recompute its chain on demand.
+        // Strip the `digest` field the way a pre-chain artifact would
+        // look on disk: it must still load, validate, and recompute its
+        // chain on demand.
         let store = tmp_store("predigest");
         let request = request(7, 2);
         let key = RunKey::of(&request);
@@ -672,7 +666,7 @@ mod tests {
         let text = std::fs::read_to_string(store.path_of(key)).expect("read");
         let mut value: serde::Value = serde_json::from_str(&text).expect("parses");
         if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(name, _)| name != "digest" && name != "metrics");
+            fields.retain(|(name, _)| name != "digest");
         }
         store
             .write_bytes(

@@ -437,6 +437,21 @@ fn train(args: &Args<'_>, mut request: RunRequest) -> Result<ExitCode, String> {
         .build()
         .expect("thread pool builds");
     let report = pool.install(|| request.run());
+    print_summary(&report);
+    for (r, a) in report.accuracy_over_rounds().iter().step_by(10) {
+        println!("round {r:>6}: {a:.3}");
+    }
+    if let Some(out) = args.value("--out") {
+        // The sweep store's serializer, so a single run's report and a
+        // sweep artifact's `report` field are the same JSON.
+        save(out, &report)?;
+        println!("wrote full report to {out}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// A run's two summary lines: time and accuracy, then wire bytes.
+fn print_summary(report: &TrainingReport) {
     println!(
         "{}: {} rounds, {:.0} virtual s, final accuracy {:.3} (best {:.3})",
         report.policy,
@@ -450,16 +465,6 @@ fn train(args: &Args<'_>, mut request: RunRequest) -> Result<ExitCode, String> {
         report.total_bytes_up() as f64 / 1e6,
         report.total_bytes_down() as f64 / 1e6
     );
-    for (r, a) in report.accuracy_over_rounds().iter().step_by(10) {
-        println!("round {r:>6}: {a:.3}");
-    }
-    if let Some(out) = args.value("--out") {
-        // The sweep store's serializer, so a single run's report and a
-        // sweep artifact's `report` field are the same JSON.
-        save(out, &report)?;
-        println!("wrote full report to {out}");
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn sweep(args: &Args<'_>) -> Result<ExitCode, String> {
@@ -537,21 +542,13 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
     // Accept either a run request or a stored artifact — an artifact
     // carries its request, and re-running it is deterministic, so the
     // trace it never stored can be regenerated bit-for-bit. An
-    // artifact's stored metrics double as a determinism check against
+    // artifact's stored report doubles as a determinism check against
     // the regenerated run.
     let path = args.operands[0];
-    let (request, stored_metrics) = match load::<RunArtifact>(path) {
+    let (request, stored) = match load::<RunArtifact>(path) {
         Ok(artifact) => {
             fits(path, &artifact.request)?;
-            let Some(metrics) = artifact.metrics else {
-                eprintln!(
-                    "[tifl] artifact has no metrics; re-run with run_observed \
-                     (re-execute the cell with `tifl sweep --out` to rewrite the \
-                     artifact with a metrics section, or trace the request file)"
-                );
-                return Ok(ExitCode::FAILURE);
-            };
-            (artifact.request, Some(metrics))
+            (artifact.request, Some(artifact.report))
         }
         Err(_) if load::<TrainingReport>(path).is_ok() => {
             return Err(format!(
@@ -592,14 +589,20 @@ fn trace(args: &Args<'_>) -> Result<ExitCode, String> {
         );
         start = r.time;
     }
-    print!("{}", observed.metrics.render_text());
-    if let Some(stored) = stored_metrics {
-        if stored == observed.metrics {
-            eprintln!("[tifl] regenerated metrics match the artifact's stored snapshot");
+    print_summary(&observed.report);
+    if let Some(stored) = stored {
+        if stored.digest_chain() == observed.report.digest_chain() {
+            eprintln!("[tifl] regenerated report matches the artifact's stored report");
         } else {
+            print!(
+                "{}",
+                stored
+                    .diff(path, &observed.report, "regenerated")
+                    .render_text()
+            );
             eprintln!(
-                "[tifl] WARNING: regenerated metrics diverge from the artifact's \
-                 stored snapshot — determinism bug or corrupt artifact (try `tifl audit`)"
+                "[tifl] WARNING: regenerated report diverges from the artifact's \
+                 stored report — determinism bug or corrupt artifact (try `tifl audit`)"
             );
             return Ok(ExitCode::FAILURE);
         }

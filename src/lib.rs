@@ -14,11 +14,11 @@
 //!   transfer-cost accounting and update codecs (int8 quantization,
 //!   top-k sparsification);
 //! * [`fl`] — the FL substrate: clients, FedAvg aggregator, round engine;
-//! * [`obs`] — observability: the Chrome trace-event vocabulary a
-//!   run's virtual-time lane is written in (laid out from the round
-//!   plans its report rebuilds, `Runner::virtual_trace`), the metrics
-//!   snapshot a run artifact stores (read off the run's report), and a
-//!   host-time phase profiler behind a pluggable [`prelude::HostClock`];
+//! * [`obs`] — observability: the report digest chain behind `tifl
+//!   diff` / `tifl audit`, the Chrome trace-event vocabulary a run's
+//!   virtual-time lane is written in (laid out from the round plans its
+//!   report rebuilds, `Runner::virtual_trace`), and a host-time phase
+//!   profiler behind a pluggable [`prelude::HostClock`];
 //! * [`core`] — the paper's contribution: profiler, tiering, static and
 //!   adaptive tier schedulers, training-time estimator, privacy
 //!   accounting, and the composable `RunSpec`/`Runner` execution API;
@@ -104,8 +104,7 @@ pub mod prelude {
     pub use tifl_nn::models::ModelSpec;
     pub use tifl_obs::{
         host_chrome_trace, ChromeEvent, DiffReport, DiffSide, Digest128, DigestChain, Divergence,
-        FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, MetricsSnapshot, Phase,
-        PhaseTotals, RealClock,
+        FieldDelta, FrozenClock, HostClock, HostProfiler, HostSpan, Phase, PhaseTotals, RealClock,
     };
     pub use tifl_sim::cluster::{Cluster, ClusterConfig};
     pub use tifl_sim::drift::DriftModel;

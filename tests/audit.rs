@@ -13,7 +13,11 @@
 //! 4. **`tifl merge`** — the union of two disjoint `--shard` half
 //!    stores is byte-identical to the uninterrupted unsharded sweep;
 //! 5. **Compatibility** — artifacts written before the digest field
-//!    existed still load, validate, audit clean, and diff.
+//!    existed still load, validate, audit clean, and diff; artifacts
+//!    that still carry the `label` and `metrics` members older stores
+//!    wrote load, validate, audit clean and trace;
+//! 6. **`tifl trace`** — re-runs an artifact's request and names the
+//!    first round where the regenerated report leaves the stored one.
 
 use proptest::prelude::*;
 use tifl::prelude::*;
@@ -254,53 +258,41 @@ fn flip_one_byte(path: &std::path::Path) {
 }
 
 #[test]
-fn audit_cli_flags_metrics_that_disagree_with_the_report() {
-    // The digest chain covers only the report, so an edited metrics
-    // section loads cleanly; the audit recomputes it from the report.
-    let dir = tmp_dir("audit-metrics");
+fn trace_cli_flags_a_report_that_disagrees_with_its_request() {
+    // An artifact whose report was edited and re-digested is
+    // self-consistent, so it loads and audits clean; only re-running its
+    // request shows the report is not the one the request produces.
+    let dir = tmp_dir("trace-edited");
     let store_dir = dir.join("arts");
     let mut builder = SweepBuilder::new(ExperimentConfig::tiny(12));
     let sweep = builder.rounds(3).workers(1).out(&store_dir).run();
     assert_eq!(sweep.completed(), 1);
     let store = RunStore::open(&store_dir).expect("store opens");
     let key = store.keys()[0];
-    let audit = || {
-        std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
-            .args(["audit", store_dir.to_str().unwrap(), "--deny"])
-            .output()
-            .expect("tifl runs")
-    };
-    let out = audit();
-    assert!(
-        out.status.success(),
-        "an untouched store audits clean: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
     let mut artifact = store.load_checked(key).expect("artifact loads");
-    let metrics = artifact.metrics.as_mut().expect("a sweep stores metrics");
-    let folds = metrics
-        .counters
-        .iter_mut()
-        .find(|c| c.name == "folds")
-        .expect("a folds counter");
-    folds.value += 1;
+    artifact.report.rounds[1].latency *= 1.5;
+    artifact.digest = Some(artifact.report.digest_chain());
     let bytes = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
     store
         .write_bytes(key, bytes.as_bytes())
         .expect("edited artifact writes");
-    let out = audit();
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "a metrics mismatch fails --deny"
+    let audit = audit_store(&store);
+    assert!(audit.is_clean(), "{}", audit.render_text());
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .args(["trace", store.path_of(key).to_str().unwrap()])
+        .output()
+        .expect("tifl runs");
+    assert_eq!(out.status.code(), Some(1), "an edited report fails trace");
+    let (text, err) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
     );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains(&key.to_string()), "must name the key: {text}");
     assert!(
-        text.contains("[metrics-mismatch]") && text.contains("folds: stored 7"),
-        "must name the finding and the metric: {text}"
+        text.contains("first divergent round: 1") && text.contains("latency"),
+        "must name the round and the field: {text}"
     );
+    assert!(err.contains("regenerated report diverges"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -631,8 +623,8 @@ fn sweep_cli_shard_halves_union_to_the_full_expansion() {
 
 #[test]
 fn predigest_artifacts_load_validate_audit_and_diff() {
-    // Simulate a store written before the digest/metrics fields
-    // existed: strip both from a fresh artifact's JSON. Everything —
+    // Simulate a store written before the digest field existed: strip
+    // it from a fresh artifact's JSON. Everything —
     // load, resume validation, audit, diff — must still work, with the
     // chain computed on the fly.
     let dir = tmp_dir("compat");
@@ -645,7 +637,7 @@ fn predigest_artifacts_load_validate_audit_and_diff() {
 
     let text = std::fs::read_to_string(store.path_of(key)).expect("read");
     let mut value: serde::Value = serde_json::from_str(&text).expect("parses");
-    strip_fields(&mut value, &["digest", "metrics"]);
+    strip_fields(&mut value, &["digest"]);
     std::fs::write(
         store.path_of(key),
         serde_json::to_string_pretty(&value).expect("renders"),
@@ -654,7 +646,6 @@ fn predigest_artifacts_load_validate_audit_and_diff() {
 
     let artifact = store.load_checked(key).expect("pre-digest artifact loads");
     assert_eq!(artifact.digest, None);
-    assert_eq!(artifact.metrics, None);
     assert!(
         store.validate_checked(key, &request).is_ok(),
         "resume still validates"
@@ -689,7 +680,8 @@ fn trace_cli_explains_metricless_artifacts_and_bare_reports() {
     let dir = tmp_dir("trace-msg");
     std::fs::create_dir_all(&dir).expect("temp dir");
 
-    // An artifact without metrics: clear message, nonzero exit.
+    // An artifact with neither `metrics` nor `digest` traces like any
+    // other: the report it carries is the check.
     let request = RunRequest {
         experiment: ExperimentConfig::tiny(41),
         rounds: Some(2),
@@ -699,20 +691,21 @@ fn trace_cli_explains_metricless_artifacts_and_bare_reports() {
     };
     let report = request.run();
     let key = RunKey::of(&request);
-    let mut artifact = RunArtifact::new(key, request, report.clone());
-    artifact.metrics = None;
+    let artifact = RunArtifact::new(key, request, report.clone());
+    let mut value: serde::Value =
+        serde_json::from_str(&serde_json::to_string(&artifact).unwrap()).expect("parses");
+    strip_fields(&mut value, &["digest"]);
     let art_path = dir.join("artifact.json");
-    std::fs::write(&art_path, serde_json::to_string_pretty(&artifact).unwrap()).expect("write");
+    let text = serde_json::to_string_pretty(&value).unwrap();
+    assert!(!text.contains("\"metrics\"") && !text.contains("\"digest\""));
+    std::fs::write(&art_path, text).expect("write");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
         .args(["trace", art_path.to_str().unwrap()])
         .output()
         .expect("tifl runs");
-    assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("artifact has no metrics; re-run with run_observed"),
-        "stderr: {err}"
-    );
+    assert!(out.status.success(), "stderr: {err}");
+    assert!(err.contains("regenerated report matches"), "stderr: {err}");
 
     // A bare training report: explanatory message, not a parse panic.
     let report_path = dir.join("report.json");
@@ -728,9 +721,10 @@ fn trace_cli_explains_metricless_artifacts_and_bare_reports() {
 }
 
 #[test]
-fn trace_cli_verifies_stored_metrics_on_artifacts() {
-    // A sweep-written artifact carries metrics; tracing it re-runs the
-    // request and must report the regenerated metrics matching.
+fn trace_cli_verifies_the_stored_report_on_artifacts() {
+    // Tracing a sweep-written artifact re-runs its request, prints the
+    // summary `tifl run` prints, and checks the regenerated report's
+    // digest chain against the stored one.
     let dir = tmp_dir("trace-verify");
     let mut builder = SweepBuilder::new(ExperimentConfig::tiny(51));
     builder.rounds(2).workers(1).out(&dir);
@@ -741,9 +735,81 @@ fn trace_cli_verifies_stored_metrics_on_artifacts() {
         .args(["trace", path.to_str().unwrap()])
         .output()
         .expect("tifl runs");
+    let (text, err) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "stderr: {err}");
+    assert!(err.contains("regenerated report matches"), "stderr: {err}");
+    assert!(
+        text.contains("vanilla: 2 rounds, ") && text.contains("wire: "),
+        "stdout: {text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn artifacts_with_stored_metrics_and_label_load_validate_audit_and_trace() {
+    // Stores written before artifacts dropped their derived copies carry
+    // a `label` and a `metrics` member. The deserializer skips members
+    // it does not know, so such an artifact is an ordinary one.
+    let dir = tmp_dir("legacy-members");
+    let mut builder = SweepBuilder::new(ExperimentConfig::tiny(53));
+    builder.rounds(3).workers(1).out(&dir);
+    assert_eq!(builder.run().completed(), 1);
+    let store = RunStore::open(&dir).expect("store opens");
+    let key = store.keys()[0];
+    let fresh = store.load_checked(key).expect("fresh artifact loads");
+
+    let text = std::fs::read_to_string(store.path_of(key)).expect("read");
+    let mut value: serde::Value = serde_json::from_str(&text).expect("parses");
+    let serde::Value::Object(fields) = &mut value else {
+        panic!("an artifact is a JSON object");
+    };
+    assert!(
+        fields
+            .iter()
+            .all(|(name, _)| name != "label" && name != "metrics"),
+        "a fresh artifact stores neither copy"
+    );
+    let member = |json: &str| serde_json::from_str::<serde::Value>(json).expect("member parses");
+    let label = member(&format!("{:?}", fresh.report.policy));
+    let metrics = member(
+        r#"{"counters": [{"name": "profile_passes", "value": 0},
+                         {"name": "rounds", "value": 3},
+                         {"name": "folds", "value": 9}],
+            "gauges": [{"name": "virtual_time_sec", "value": 42.5}],
+            "histograms": [{"name": "round_latency_sec", "bounds": [1.0, 5.0],
+                            "counts": [0, 1, 2], "total": 3, "sum": 42.5}]}"#,
+    );
+    fields.insert(1, ("label".to_string(), label));
+    let report_at = fields
+        .iter()
+        .position(|(name, _)| name == "report")
+        .expect("a report member");
+    fields.insert(report_at + 1, ("metrics".to_string(), metrics));
+    std::fs::write(
+        store.path_of(key),
+        serde_json::to_string_pretty(&value).expect("renders"),
+    )
+    .expect("rewrite");
+
+    assert_eq!(store.load_checked(key).expect("loads"), fresh);
+    assert_eq!(
+        store
+            .validate_checked(key, &fresh.request)
+            .expect("validates for resume"),
+        fresh
+    );
+    let audit = audit_store(&store);
+    assert!(audit.is_clean(), "{}", audit.render_text());
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tifl"))
+        .args(["trace", store.path_of(key).to_str().unwrap()])
+        .output()
+        .expect("tifl runs");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {err}");
-    assert!(err.contains("regenerated metrics match"), "stderr: {err}");
+    assert!(err.contains("regenerated report matches"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -234,53 +234,60 @@ fn adaptive_checkpoint_resume_is_bit_identical_to_continuous_run() {
     // The adaptive selector is stateful (credits, probabilities,
     // accuracy history): a checkpoint that only captured the session
     // would replay differently. `snapshot_with` + `restore_state` must
-    // make the resumed run bit-identical, through JSON.
-    let mut cfg = tiny(11);
-    cfg.rounds = 16;
-    let (tiers, _) = cfg.profile_and_tier();
-    let acfg = AdaptiveConfig {
-        interval: 4,
-        credits_per_tier: 5,
-        gamma: 2.0,
-    };
-    let make_selector = || AdaptiveTierSelector::new(tiers.clone(), acfg, 77);
+    // make the resumed run bit-identical, through JSON — under a lossy
+    // codec too (the checkpoint carries the error-feedback residuals),
+    // and when the resumed run uses another thread count: the
+    // continuous run trains on one thread, both halves on four.
+    for codec in [CodecSpec::Identity, CodecSpec::QuantizeI8] {
+        let mut cfg = tiny(11);
+        cfg.rounds = 16;
+        cfg.comm = Some(CommSpec::with_codec(codec));
+        let (tiers, _) = cfg.profile_and_tier();
+        let acfg = AdaptiveConfig {
+            interval: 4,
+            credits_per_tier: 5,
+            gamma: 2.0,
+        };
+        let make_selector = || AdaptiveTierSelector::new(tiers.clone(), acfg, 77);
 
-    // Continuous run.
-    let mut continuous = cfg.make_session();
-    let mut sel_a = make_selector();
-    let full: Vec<_> = (0..cfg.rounds)
-        .map(|_| continuous.run_round(&mut sel_a))
-        .collect();
+        // Continuous run.
+        let mut continuous = cfg.make_session();
+        let mut sel_a = make_selector();
+        let full = continuous.run_rounds(&mut sel_a, cfg.rounds, 1);
 
-    // Half, checkpoint (session + selector state) through JSON, restore
-    // into fresh objects, finish.
-    let mut first_half = cfg.make_session();
-    let mut sel_b = make_selector();
-    let half = cfg.rounds / 2;
-    let mut resumed_rounds: Vec<_> = (0..half)
-        .map(|_| first_half.run_round(&mut sel_b))
-        .collect();
-    let json = first_half.snapshot_with(&sel_b).to_json();
-    drop(first_half);
-    drop(sel_b);
+        // Half, checkpoint (session + selector state) through JSON,
+        // restore into fresh objects, finish.
+        let mut first_half = cfg.make_session();
+        let mut sel_b = make_selector();
+        let half = cfg.rounds / 2;
+        let mut resumed_rounds = first_half.run_rounds(&mut sel_b, half, 4);
+        let json = first_half.snapshot_with(&sel_b).to_json();
+        drop(first_half);
+        drop(sel_b);
 
-    let checkpoint = Checkpoint::from_json(&json).unwrap();
-    let state = checkpoint
-        .selector
-        .as_ref()
-        .expect("adaptive selectors checkpoint their state");
-    let mut second_half = cfg.make_session();
-    second_half.restore(&checkpoint);
-    let mut sel_c = make_selector();
-    tifl::fl::ClientSelector::restore_state(&mut sel_c, state);
-    resumed_rounds.extend((half..cfg.rounds).map(|_| second_half.run_round(&mut sel_c)));
+        let checkpoint = Checkpoint::from_json(&json).unwrap();
+        let state = checkpoint
+            .selector
+            .as_ref()
+            .expect("adaptive selectors checkpoint their state");
+        let mut second_half = cfg.make_session();
+        second_half.restore(&checkpoint);
+        let mut sel_c = make_selector();
+        tifl::fl::ClientSelector::restore_state(&mut sel_c, state);
+        resumed_rounds.extend(second_half.run_rounds(&mut sel_c, cfg.rounds - half, 4));
 
-    assert_eq!(
-        full, resumed_rounds,
-        "adaptive resumed run diverged from continuous run"
-    );
-    assert_eq!(sel_a.credits(), sel_c.credits());
-    assert_eq!(sel_a.probs(), sel_c.probs());
+        assert_eq!(
+            full, resumed_rounds,
+            "{codec:?}: adaptive resumed run diverged from continuous run"
+        );
+        assert_eq!(
+            continuous.global_params(),
+            second_half.global_params(),
+            "{codec:?}: resumed weights diverged"
+        );
+        assert_eq!(sel_a.credits(), sel_c.credits(), "{codec:?}");
+        assert_eq!(sel_a.probs(), sel_c.probs(), "{codec:?}");
+    }
 }
 
 #[test]

@@ -1,18 +1,19 @@
 //! The observability contract:
 //!
-//! 1. the virtual-time Chrome lane and the metrics snapshot are **bit
-//!    for bit** invariant across execution backends and thread counts —
-//!    both are read off the report (the lane from the round plans
+//! 1. the report's digest chain and the virtual-time Chrome lane are
+//!    **bit for bit** invariant across execution backends and thread
+//!    counts — the lane is read off the report (from the round plans
 //!    `Runner::virtual_trace` rebuilds from it), so `Lockstep` and
 //!    `EventDriven{1,4,8}` must produce identical bytes, which are
 //!    pinned;
 //! 2. observing a run never changes it: the report of
 //!    `run_observed` equals the report of `run`;
-//! 3. metrics snapshots are byte-deterministic (identical JSON) across
-//!    repeated runs, their digests are pinned, and they agree with the
-//!    Chrome lane's own event counts;
-//! 4. pre-observability artifacts (no `metrics` field) still load and
-//!    validate against the store's resume predicate.
+//! 3. reports are byte-deterministic across repeated runs, their
+//!    digest chains are pinned, and they agree with the Chrome lane's
+//!    own event counts;
+//! 4. an artifact stores its request and report and nothing derived
+//!    from them, and loads and validates against the store's resume
+//!    predicate.
 
 mod common;
 
@@ -62,7 +63,6 @@ fn fold_bytes(e: &ChromeEvent) -> u64 {
 fn trace_and_metrics_are_backend_and_thread_invariant() {
     for (name, cfg, spec) in scenarios() {
         let (lockstep, lockstep_trace) = traced(&cfg, &spec);
-        let lockstep_metrics = serde_json::to_string(&lockstep.metrics).expect("metrics serialize");
         assert!(
             !lockstep_trace.is_empty(),
             "{name}: a run must render a trace"
@@ -80,9 +80,9 @@ fn trace_and_metrics_are_backend_and_thread_invariant() {
                 "{name}: EventDriven{{{threads}}} trace diverged from Lockstep"
             );
             assert_eq!(
-                lockstep_metrics,
-                serde_json::to_string(&event.metrics).expect("metrics serialize"),
-                "{name}: EventDriven{{{threads}}} metrics diverged from Lockstep"
+                lockstep.report.digest_chain(),
+                event.report.digest_chain(),
+                "{name}: EventDriven{{{threads}}} digest chain diverged from Lockstep"
             );
             assert_eq!(
                 lockstep.report, event.report,
@@ -106,7 +106,7 @@ fn observing_a_run_does_not_change_its_report() {
     }
 }
 
-// -- 3. byte-deterministic snapshots ---------------------------------------
+// -- 3. byte-deterministic reports -----------------------------------------
 
 #[test]
 fn repeated_observed_runs_are_byte_identical() {
@@ -125,16 +125,17 @@ fn repeated_observed_runs_are_byte_identical() {
         "the trace must be run-to-run byte-identical"
     );
     assert_eq!(
-        serde_json::to_string(&a.metrics).expect("metrics serialize"),
-        serde_json::to_string(&b.metrics).expect("metrics serialize"),
-        "metrics snapshots must serialize to identical bytes"
+        serde_json::to_string(&a.report).expect("report serializes"),
+        serde_json::to_string(&b.report).expect("report serializes"),
+        "reports must serialize to identical bytes"
     );
 }
 
-/// The cases whose metrics bytes are pinned: the scenario matrix plus
-/// the shapes it lacks (timeouts, over-selection under a lossy codec, a
-/// hierarchy, re-profiling that does not divide the horizon).
-fn metrics_cases() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
+/// The cases whose report digests and trace bytes are pinned: the
+/// scenario matrix plus the shapes it lacks (timeouts, over-selection
+/// under a lossy codec, a hierarchy, re-profiling that does not divide
+/// the horizon).
+fn pinned_cases() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
     let mut timeouts = tiny(81);
     timeouts.profiler.tmax_sec = 0.5;
     let mut wide = tiny(82);
@@ -185,49 +186,84 @@ fn metrics_cases() -> Vec<(&'static str, ExperimentConfig, RunSpec)> {
     cases
 }
 
-/// The `Digest128` of each case's metrics snapshot, as the run first
-/// stored it. A change to any of these is a change to artifact bytes.
-const METRICS_GOLDEN: [(&str, &str); 10] = [
-    ("uniform-policy", "32128dd3f2709ce2304bd9b69352027b"),
-    ("vanilla", "4fd2c5c9c68df82d7ae9f8043ab073c0"),
-    ("adaptive", "2b519ccbc505aa0ea4ba1ed53f45f237"),
-    ("overselect", "302e7c54196aa9a85a502b26c96805bb"),
-    ("fedprox", "d8ed8a0c940c31ad3ef4dc47ec683f40"),
-    ("uniform+reprofile", "eb3ec9c5693400b86173f03130e01109"),
-    ("timeouts", "123d2650ea7ab729d646711056ef5cc8"),
-    ("adaptive+firstk+i8", "5fad2c807c8281baee42644ccd4c69eb"),
-    ("topk+hierarchy", "a6289080f4cd84ca88457296fa7b7369"),
-    ("uniform+reprofile3", "9d76572d89c7724475e2e4e867699f31"),
+/// The `digest_chain()` of each case's report, taken before artifacts
+/// stopped storing metrics beside it. A change to any of these is a
+/// change to a run's results.
+const REPORT_GOLDEN: [(&str, &str); 10] = [
+    ("uniform-policy", "3de4df8de8a9562b548c6bc9bea6c418"),
+    ("vanilla", "1f07da737dc8b25e02bd2438dc00ebcd"),
+    ("adaptive", "434ae8c96ceb13df6d04197b1678b49c"),
+    ("overselect", "4a1cf016eec6ceac0540f2734e421f7b"),
+    ("fedprox", "dddea256f113d931c714c1cf39dbf4fa"),
+    ("uniform+reprofile", "453e9ff9fb490cc0585176abe4578f37"),
+    ("timeouts", "051eab2a59204b03b1ed56324a9efae0"),
+    ("adaptive+firstk+i8", "66707d4bf03d7bca3319334f78e5624d"),
+    ("topk+hierarchy", "f648d4e058705aee087839865dd49b91"),
+    ("uniform+reprofile3", "6bd39d0aa6df523b05e6321b5e85d8a8"),
 ];
 
-/// The metrics a run's Chrome lane implies, counted off its events by
-/// category, must be the ones read off the report.
-fn assert_metrics_match_trace(name: &str, observed: &ObservedRun, events: &[ChromeEvent]) {
+/// The Chrome lane of a run of `spec` on `cfg`, counted off its events
+/// by category, must be the run its report records: every profiling
+/// pass, round, dispatch, completion, timeout or cancellation, fold,
+/// evaluation and uploaded byte, ending at the report's virtual time.
+fn assert_trace_matches_report(
+    name: &str,
+    cfg: &ExperimentConfig,
+    spec: &RunSpec,
+    report: &TrainingReport,
+    events: &[ChromeEvent],
+) {
     let count = |cat| of(events, cat).count() as u64;
-    let traced = [
-        ("profile_passes", count("profile")),
-        ("rounds", count("round")),
+    let sum = |f: fn(&RoundReport) -> usize| report.rounds.iter().map(f).sum::<usize>() as u64;
+    let rounds = report.rounds.len() as u64;
+    let passes = match spec.reprofile_every {
+        _ if !spec.selection.needs_profile() => 0,
+        None => 1,
+        Some(every) => rounds.div_ceil(every),
+    };
+    let config = cfg.session_config(&spec.session_overrides());
+    let (dispatches, folds) = (sum(|r| r.selected.len()), sum(|r| r.aggregated.len()));
+    let unfinished = dispatches - folds;
+    let first_k = matches!(config.aggregation, AggregationMode::FirstK { .. });
+    let evals = report
+        .rounds
+        .iter()
+        .filter(|r| config.is_eval_round(r.round))
+        .count() as u64;
+    let expected = [
+        ("profile", count("profile"), passes),
+        ("round", count("round"), rounds),
         (
-            "dispatches",
+            "dispatch",
             events.iter().filter(|e| e.tid > 0).count() as u64,
+            dispatches,
         ),
-        ("completes", count("train")),
-        ("timeouts", count("timeout")),
-        ("cancels", count("cancelled")),
-        ("folds", count("fold")),
-        ("evals", count("eval")),
-        ("bytes_up", of(events, "fold").map(fold_bytes).sum()),
+        ("train", count("train"), folds),
+        (
+            "timeout",
+            count("timeout"),
+            if first_k { 0 } else { unfinished },
+        ),
+        (
+            "cancelled",
+            count("cancelled"),
+            if first_k { unfinished } else { 0 },
+        ),
+        ("fold", count("fold"), folds),
+        ("eval", count("eval"), evals),
+        (
+            "bytes_up",
+            of(events, "fold").map(fold_bytes).sum(),
+            report.total_bytes_up(),
+        ),
     ];
-    let metrics = &observed.metrics;
-    for (counter, value) in traced {
-        assert_eq!(metrics.counter(counter), Some(value), "{name}: {counter}");
+    for (what, traced, reported) in expected {
+        assert_eq!(traced, reported, "{name}: {what}");
     }
     // The last round span closes at the run's virtual end (up to the
     // microsecond scaling of the Chrome timestamps).
     let end = of(events, "round").last().map_or(0.0, end_sec);
-    let time = metrics
-        .gauge("virtual_time_sec")
-        .expect("virtual time gauge");
+    let time = report.total_time();
     assert!(
         (end - time).abs() <= 1e-9 * time.max(1.0),
         "{name}: {end} vs {time}"
@@ -235,19 +271,19 @@ fn assert_metrics_match_trace(name: &str, observed: &ObservedRun, events: &[Chro
 }
 
 #[test]
-fn metrics_bytes_are_pinned_on_every_backend() {
-    let cases = metrics_cases();
-    assert_eq!(cases.len(), METRICS_GOLDEN.len());
-    for ((name, cfg, spec), (golden_name, golden)) in cases.iter().zip(METRICS_GOLDEN) {
+fn report_digests_are_pinned_on_every_backend() {
+    let cases = pinned_cases();
+    assert_eq!(cases.len(), REPORT_GOLDEN.len());
+    for ((name, cfg, spec), (golden_name, golden)) in cases.iter().zip(REPORT_GOLDEN) {
         assert_eq!(*name, golden_name);
         let (observed, events) = traced(cfg, spec);
-        assert_metrics_match_trace(name, &observed, &events);
+        assert_trace_matches_report(name, cfg, spec, &observed.report, &events);
         for spec in common::on_every_backend(spec) {
             let observed = Runner::with_spec(cfg, spec.clone()).run_observed();
             assert_eq!(
-                Digest128::of_value(&observed.metrics).to_string(),
+                observed.report.digest_chain().to_string(),
                 golden,
-                "{name} on {:?}: metrics bytes moved",
+                "{name} on {:?}: report digest chain moved",
                 spec.backend
             );
         }
@@ -278,7 +314,7 @@ const CHROME_GOLDEN: [(&str, &str, usize); 10] = [
 
 #[test]
 fn chrome_bytes_are_pinned_on_every_backend() {
-    let cases = metrics_cases();
+    let cases = pinned_cases();
     assert_eq!(cases.len(), CHROME_GOLDEN.len());
     for ((name, cfg, spec), (golden_name, golden, len)) in cases.iter().zip(CHROME_GOLDEN) {
         assert_eq!(*name, golden_name);
@@ -401,61 +437,29 @@ fn artifacts_without_metrics_still_load_and_validate() {
     };
     let observed = request.run_observed(0);
     let key = RunKey::of(&request);
-    let mut artifact = RunArtifact::new(key, request.clone(), observed.report);
-    artifact.metrics = Some(observed.metrics);
+    let artifact = RunArtifact::new(key, request.clone(), observed.report);
 
     let dir = std::env::temp_dir().join(format!("tifl-obs-compat-{}", std::process::id()));
     let store = RunStore::open(&dir).expect("store opens");
     store.write(&artifact).expect("artifact writes");
-    assert!(
-        store
-            .load_checked(key)
-            .expect("fresh artifact loads")
-            .metrics
-            .is_some(),
-        "a freshly written artifact carries its metrics"
-    );
 
-    // Rewrite the file as a pre-observability artifact: no `metrics`
-    // member at all, exactly what an old store contains.
+    // The file holds the request, the report and its digest: no copy of
+    // anything read off the report (its label or its metrics).
     let text = std::fs::read_to_string(store.path_of(key)).expect("artifact readable");
-    let mut value: serde::Value = serde_json::from_str(&text).expect("artifact parses");
-    let serde::Value::Object(pairs) = &mut value else {
+    let value: serde::Value = serde_json::from_str(&text).expect("artifact parses");
+    let serde::Value::Object(pairs) = &value else {
         panic!("artifact is a JSON object");
     };
-    let before = pairs.len();
-    pairs.retain(|(k, _)| k != "metrics");
-    assert_eq!(pairs.len(), before - 1, "the metrics member was present");
-    std::fs::write(
-        store.path_of(key),
-        serde_json::to_string_pretty(&value).expect("stripped artifact serializes"),
-    )
-    .expect("stripped artifact writes");
+    let members: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        members,
+        ["key", "host_parallelism", "request", "report", "digest"]
+    );
 
     let loaded = store
         .validate_checked(key, &request)
-        .expect("a metrics-less artifact must still validate for resume");
-    assert!(loaded.metrics.is_none());
-    assert!(store.validate_checked(key, &request).is_ok());
-
-    // An artifact from before the asynchronous mode was deleted still
-    // lists its three always-zero counters: metrics are name-keyed, so
-    // it loads, validates and audits clean.
-    let metrics = artifact.metrics.as_mut().expect("set above");
-    for name in ["async_arrivals", "async_stale", "async_timeouts"] {
-        assert_eq!(metrics.counter(name), None, "{name} is gone from new runs");
-        metrics.counters.push(tifl::obs::CounterSnap {
-            name: name.to_string(),
-            value: 0,
-        });
-    }
-    store
-        .write(&artifact)
-        .expect("legacy-counter artifact writes");
-    let loaded = store
-        .validate_checked(key, &request)
-        .expect("legacy counters must not invalidate an artifact");
-    assert_eq!(loaded.metrics, artifact.metrics);
+        .expect("a fresh artifact validates for resume");
+    assert_eq!(loaded, artifact);
     let audit = audit_store(&store);
     assert!(audit.is_clean(), "{}", audit.render_text());
     let _ = std::fs::remove_dir_all(&dir);
@@ -660,23 +664,18 @@ fn profiling_never_touches_the_deterministic_surface() {
         spec: spec.clone(),
     };
     // Swapping the host clock can never change the report, the trace,
-    // the metrics bytes, or the run's content key.
+    // or the run's content key.
     let (real, real_trace) = traced(&cfg, &spec);
     let mut runner = Runner::with_spec(&cfg, spec);
     runner.host_clock(FrozenClock::shared());
     let frozen = runner.run_observed();
     assert_eq!(real.report, frozen.report);
     assert_eq!(real_trace, runner.virtual_trace(&frozen.report));
-    assert_eq!(
-        serde_json::to_string(&real.metrics).expect("metrics serialize"),
-        serde_json::to_string(&frozen.metrics).expect("metrics serialize"),
-    );
     assert_eq!(RunKey::of(&request), RunKey::of(&request.clone()));
 
     // Host measurements stay out of the artifact bytes entirely.
     let key = RunKey::of(&request);
-    let mut artifact = RunArtifact::new(key, request, real.report);
-    artifact.metrics = Some(real.metrics);
+    let artifact = RunArtifact::new(key, request, real.report);
     let json = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
     assert!(
         !json.contains("host_phases") && !json.contains("host_spans"),
@@ -789,7 +788,7 @@ fn spec_for(scenario: u8) -> RunSpec {
 
 proptest! {
     /// On randomly drawn configurations, the virtual-time Chrome lane
-    /// and the serialized metrics snapshot are identical across
+    /// and the report's digest chain are identical across
     /// `Lockstep` and any `EventDriven` thread count, and across
     /// repeated runs.
     #[test]
@@ -817,12 +816,11 @@ proptest! {
             "trace diverged: scenario {} seed {} threads {}",
             scenario, seed, threads
         );
-        let lockstep_metrics =
-            serde_json::to_string(&lockstep.metrics).expect("metrics serialize");
+        let lockstep_chain = lockstep.report.digest_chain();
         prop_assert_eq!(
-            &lockstep_metrics,
-            &serde_json::to_string(&event.metrics).expect("metrics serialize"),
-            "metrics diverged: scenario {} seed {} threads {}",
+            lockstep_chain,
+            event.report.digest_chain(),
+            "digest chain diverged: scenario {} seed {} threads {}",
             scenario, seed, threads
         );
 
@@ -832,9 +830,6 @@ proptest! {
             &lockstep_bytes,
             &serde_json::to_string(&again_trace).expect("events serialize")
         );
-        prop_assert_eq!(
-            &lockstep_metrics,
-            &serde_json::to_string(&again.metrics).expect("metrics serialize")
-        );
+        prop_assert_eq!(lockstep_chain, again.report.digest_chain());
     }
 }

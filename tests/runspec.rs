@@ -940,10 +940,12 @@ fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
     // Each row used to panic mid-run (exit 101): in `CodecSpec::top_k_of`,
     // the aggregation hierarchy, `LinkModel::materialize`,
     // `DeadlineSelector::new`, the re-profiling loop, the adaptive
-    // selector or the tier policy's draw. `tifl run --spec` now exits 1
-    // at load time naming the field, and so does a sweep manifest with
-    // such a cell (the cell carries the row's whole comm spec) before
-    // any run starts.
+    // selector, the tier policy's draw, the cluster's latency model or
+    // the profiler; a negative tier probability trained as if nothing
+    // were wrong. `tifl run --spec` now exits 1 at load time naming the
+    // field, and so does a sweep manifest with such a cell (the cell
+    // carries the row's whole comm spec or experiment) before any run
+    // starts.
     let dir = std::env::temp_dir().join(format!("tifl-badvalue-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let link = |groups, up_bps, decay, rtt_sec| LinkModel::GroupScaled {
@@ -978,11 +980,11 @@ fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
         reprofile_every,
         ..RunSpec::default()
     };
-    let adaptive = SelectionStrategy::Adaptive {
+    let adaptive = |interval, credits_per_tier, gamma| SelectionStrategy::Adaptive {
         config: Some(AdaptiveConfig {
-            interval: 0,
-            credits_per_tier: 4,
-            gamma: 2.0,
+            interval,
+            credits_per_tier,
+            gamma,
         }),
     };
     let deadline = |deadline_sec| SelectionStrategy::Deadline { deadline_sec };
@@ -1022,8 +1024,20 @@ fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
             "reprofile_every 4 ",
         ),
         (
-            spec(adaptive, None),
+            spec(adaptive(0, 4, 2.0), None),
             "selection.Adaptive.config.interval 0 ",
+        ),
+        (
+            spec(adaptive(2, 0, 2.0), None),
+            "selection.Adaptive.config.credits_per_tier 0 ",
+        ),
+        (
+            spec(adaptive(2, 4, -1.0), None),
+            "selection.Adaptive.config.gamma -1 ",
+        ),
+        (
+            spec(adaptive(2, 4, f64::NAN), None),
+            "selection.Adaptive.config.gamma NaN ",
         ),
         (
             spec(policy(vec![0.5, 0.5]), None),
@@ -1033,10 +1047,51 @@ fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
             spec(policy(vec![0.0; 5]), None),
             "selection.TierPolicy.policy.probs has no ",
         ),
+        (
+            spec(policy(vec![-0.5, 1.5, 0.0, 0.0, 0.0]), None),
+            "selection.TierPolicy.policy.probs[0] -0.5 ",
+        ),
+        (
+            spec(policy(vec![0.5, f64::NAN, 0.5, 0.0, 0.0]), None),
+            "selection.TierPolicy.policy.probs[1] NaN ",
+        ),
     ];
-    for (i, (spec, field)) in rows.into_iter().enumerate() {
+    let edited = |edit: fn(&mut ExperimentConfig)| {
+        let mut experiment = tiny(88);
+        edit(&mut experiment);
+        experiment
+    };
+    let experiment_rows: Vec<(ExperimentConfig, &str)> = vec![
+        (
+            edited(|e| e.latency.flops_per_cpu_sec = 0.0),
+            "latency.flops_per_cpu_sec 0 ",
+        ),
+        (
+            edited(|e| e.latency.jitter_sigma = -1.0),
+            "latency.jitter_sigma -1 ",
+        ),
+        (
+            edited(|e| e.profiler.tmax_sec = 0.0),
+            "profiler.tmax_sec 0 ",
+        ),
+        (
+            edited(|e| e.profiler.sync_rounds = 0),
+            "profiler.sync_rounds 0 ",
+        ),
+        (edited(|e| e.cpu_profile.clear()), "cpu_profile [] "),
+        (edited(|e| e.cpu_profile = vec![0.0]), "cpu_profile[0] 0 "),
+    ];
+    let rows = rows
+        .into_iter()
+        .map(|(spec, field)| (tiny(88), spec, field))
+        .chain(
+            experiment_rows
+                .into_iter()
+                .map(|(experiment, field)| (experiment, RunSpec::default(), field)),
+        );
+    for (i, (experiment, spec, field)) in rows.enumerate() {
         let request = RunRequest {
-            experiment: tiny(88),
+            experiment,
             rounds: Some(2),
             seed: None,
             clients_per_round: None,
@@ -1047,13 +1102,14 @@ fn cli_rejects_comm_and_selection_values_a_run_would_panic_on() {
         let path = path.to_str().unwrap();
         let stderr = tifl_fails_on(&dir, &["run", "--spec", path], path);
         assert!(stderr.contains(field), "row {i}: {stderr}");
-        // The experiment's own comm spec is checked the same way, and so
+        // The experiment's own values are checked the same way, and so
         // is every cell of a sweep.
-        if request.spec.comm.is_none() {
+        let mut experiment = request.experiment.clone();
+        if request.spec.comm.is_some() {
+            experiment.comm = request.spec.comm;
+        } else if experiment == tiny(88) {
             continue;
         }
-        let mut experiment = tiny(88);
-        experiment.comm = request.spec.comm;
         let manifest = SweepManifest {
             name: None,
             experiment,
