@@ -6,7 +6,8 @@
 //! `dequantize_i8_axpy`/`axpy_sparse`, encode-side `quantize_i8_into` /
 //! `top_k_by_magnitude_into`, and one whole compensated fold round —
 //! and where local training spends its: the three GEMM forms at the
-//! shapes of a batch-10 step of the default MLP, that step over a
+//! shapes of a batch-10 step of the default MLP, the wide model's
+//! first-layer forward (`comm_wide`'s), that step over a
 //! client's forty batches, and the two kernels whose cost depends on
 //! which hidden units fired (ReLU, and a GEMM over post-ReLU
 //! activations). Those two and the step draw their inputs from a pool
@@ -211,6 +212,20 @@ fn bench_train_step(t: &mut Timing) {
     });
     t.bench("hot/matmul_transpose_b", || {
         ops::matmul_transpose_b(black_box(&dy), black_box(&w))
+    });
+
+    // The first-layer forward of `tifl-benchmark`'s `comm_wide` model
+    // (MLP 64-2048-10, batches of six). It is above the GEMMs'
+    // row-parallel threshold, so it runs on one thread, as on an
+    // executor worker: the gated number does not depend on the
+    // runner's cores.
+    let (x_wide, w_wide) = (wave(6, 64, 0.37), wave(64, 2048, 0.011));
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool builds");
+    t.bench("hot/matmul_6x64x2048", || {
+        one_thread.install(|| ops::matmul(black_box(&x_wide), black_box(&w_wide)))
     });
 
     let pre_activations = pre_activation_pool();

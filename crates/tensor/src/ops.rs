@@ -3,41 +3,61 @@
 //! The three GEMM forms ([`matmul`], [`matmul_transpose_a`],
 //! [`matmul_transpose_b`]) share one shape: every `out[i][j]` starts at
 //! `+0.0` and adds its `k` products in index order, one rounding per
-//! multiply and per add, so blocking, lane-parallel accumulation over
-//! `j` and row-parallel execution (rayon, above `PAR_THRESHOLD`
+//! multiply and per add, so tiling, lane-parallel accumulation over `j`
+//! and row-parallel execution (rayon, above `PAR_THRESHOLD`
 //! multiply-adds) cannot change a result bit. The element-wise kernels
 //! ([`axpy`], [`scale`]) are unrolled and pinned to scalar references
 //! the same way.
+//!
+//! # One register tile
+//! All three forms run one micro-kernel. It holds a block of
+//! `TILE_ROWS` (4) output rows by `TILE_COLS` (16) output columns in
+//! eight 8-lane accumulator locals for the whole `k` loop and stores
+//! each output once, when its sum is complete: per `k` step it loads
+//! one 16-wide row of `B` and one element of `A` per tile row, and no
+//! output goes back to memory between terms. The forms differ only in
+//! how their operands are read. `A` is gathered, a cache-sized block of
+//! rows at a time, into row tiles (four rows interleaved, so the `k`
+//! loop reads them without a bounds check): from its rows for
+//! [`matmul`] and [`matmul_transpose_b`], from its columns for
+//! [`matmul_transpose_a_into`].
+//! `B` is read in place, row-major, when its width is a whole number of
+//! 16-column panels; otherwise (the 10-class output layer) it is copied
+//! with each row zero-padded to whole panels, and [`matmul_transpose_b`]
+//! packs `b^T` the same way. Padded lanes are computed and never
+//! stored. The tile walks `B` one panel at a time, each panel against
+//! every row tile while it is in cache. The gathered `A` and the copy
+//! of `B` live in per-thread buffers, so a warm train step allocates
+//! neither.
 //!
 //! # Zeros in the left operand
 //! `matmul` and `matmul_transpose_a` skip a term whose `a` factor is
 //! `±0.0` (about half of a post-ReLU activation is), so there `0 × inf`
 //! and `0 × NaN` contribute nothing. `matmul_transpose_b` multiplies
 //! every term through, so the same operands give NaN. With finite
-//! operands the two agree bit for bit (adding `±0.0` to a sum that
-//! started at `+0.0` changes nothing); with non-finite weights they do
+//! operands the two agree bit for bit; with non-finite weights they do
 //! not, and `tests/kernels.rs` pins one case per kernel.
 //!
-//! The skip is a list, not a test in the loop: each row of `a` is read
-//! [`ZERO_SKIP_STRIP`] elements at a time, the positions of the
-//! non-zero ones are compacted into a stack buffer
-//! (`idx[n] = i; n += (v != 0.0)`, no branch on `v`), and the inner
-//! `j` loop runs once per listed position. Whether a hidden unit fired
-//! is close to a coin flip, so `if a_v == 0.0 { continue }` mispredicts
-//! on about every other element, and a misprediction costs more than
-//! the ten-column row of multiply-adds it skips: the output layer's
-//! GEMMs ran at two to three times their dense cost with it.
+//! The skip costs nothing while `B` is finite. An accumulator starts at
+//! `+0.0` and is never `−0.0` (`+0.0 + −0.0` is `+0.0`), so adding a
+//! zero-`a` term `±0.0 × b` changes no bit unless `b` is `±inf` or NaN.
+//! So every term is added as it is unless `A` holds a zero and `B` a
+//! non-finite element; then every term is masked, `a == 0 ? +0.0 :
+//! a × b`, by clearing the product's bits. One vectorised pass over the
+//! smaller operand's bits per call, and over the other's only when the
+//! first does not settle it, picks the accumulate. Neither is written
+//! as a branch on `a`: whether a hidden unit fired is close to a coin
+//! flip, and a mispredicted branch costs more than the term it skips.
 //!
 //! # Two compiled copies of the train-step kernels
-//! Two loops hold most of a client's training time: the GEMM row
-//! kernel behind [`matmul`] and [`matmul_transpose_b`], and the rank-1
-//! updates of [`matmul_transpose_a_into`]. Each body is written once,
-//! as plain `#[inline(always)]` code, and on x86-64 a
-//! `#[target_feature(enable = "avx2")]` wrapper compiles it a second
-//! time, so the loop vectoriser uses 8 lanes instead of the baseline's
-//! 4. Each kernel call asks [`KernelCopy::detect`] which copy to run:
-//! AVX2 when `is_x86_feature_detected!("avx2")` says the CPU has it,
-//! the portable copy otherwise and on every other target.
+//! The tile holds most of a client's training time. Its body (and the
+//! two operand scans) is written once, as plain `#[inline(always)]` code,
+//! and on x86-64 a `#[target_feature(enable = "avx2")]` wrapper compiles
+//! it a second time, so each accumulator is one 8-lane register instead
+//! of the baseline's two 4-lane ones. Each kernel call asks
+//! [`KernelCopy::detect`] which copy to run: AVX2 when
+//! `is_x86_feature_detected!("avx2")` says the CPU has it, the portable
+//! copy otherwise and on every other target.
 //!
 //! The copies cannot differ in a bit. Every lane does the IEEE `mul`
 //! and `add` the scalar expression names, in the same `k` order; only
@@ -90,13 +110,13 @@ impl KernelCopy {
 /// must be `#[inline(always)]`, and so must every helper it calls: code
 /// not inlined into the wrapper compiles for the baseline only.
 macro_rules! two_copies {
-    ($kernel:ident $(<const $c:ident: bool>)? ($($arg:ident: $ty:ty),*)) => {
+    ($kernel:ident $(<const $c:ident: bool>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
         impl KernelCopy {
-            fn $kernel$(<const $c: bool>)?(self, $($arg: $ty),*) {
+            fn $kernel$(<const $c: bool>)?(self, $($arg: $ty),*) $(-> $ret)? {
                 #[cfg(target_arch = "x86_64")]
                 #[target_feature(enable = "avx2")]
-                fn avx2$(<const $c: bool>)?($($arg: $ty),*) {
-                    $kernel$(::<$c>)?($($arg),*);
+                fn avx2$(<const $c: bool>)?($($arg: $ty),*) $(-> $ret)? {
+                    $kernel$(::<$c>)?($($arg),*)
                 }
                 if self.avx2 {
                     #[cfg(target_arch = "x86_64")]
@@ -105,90 +125,369 @@ macro_rules! two_copies {
                     // after `is_x86_feature_detected!("avx2")` returned true.
                     return unsafe { avx2$(::<$c>)?($($arg),*) };
                 }
-                $kernel$(::<$c>)?($($arg),*);
+                $kernel$(::<$c>)?($($arg),*)
             }
         }
     };
 }
 
-two_copies!(gemm_row<const SKIP_ZEROS: bool>(a_row: &[f32], b: &[f32], out_row: &mut [f32]));
-two_copies!(rank1_updates(a: &Matrix, b: &Matrix, out: &mut [f32]));
+two_copies!(gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]));
+two_copies!(all_finite(xs: &[f32]) -> bool);
+two_copies!(any_zero(xs: &[f32]) -> bool);
 
-/// Run `kernel` on every `(index, row)` of `out`; rows run in parallel
-/// once the GEMM has [`PAR_THRESHOLD`] multiply-adds. An `m x 0` output
-/// has nothing to compute.
-fn for_each_row(out: &mut Matrix, k: usize, kernel: impl Fn((usize, &mut [f32])) + Sync) {
-    let n = out.cols();
+/// Output rows of one register tile.
+const TILE_ROWS: usize = 4;
+
+/// Output columns of one register tile: two 8-lane vectors.
+const TILE_COLS: usize = 16;
+
+/// Eight `f32` lanes: one AVX2 register, two baseline ones.
+type Lanes = [f32; 8];
+
+/// How a GEMM reads a stored matrix as one of its operands.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// The matrix as stored.
+    Rows(&'a Matrix),
+    /// Its transpose: operand element `(i, p)` is stored at `(p, i)`.
+    Columns(&'a Matrix),
+}
+
+impl<'a> Operand<'a> {
+    /// The stored elements, in either reading.
+    fn data(self) -> &'a [f32] {
+        match self {
+            Operand::Rows(m) | Operand::Columns(m) => m.as_slice(),
+        }
+    }
+}
+
+/// One GEMM as the register tile runs it: `out (m x n) = A (m x k) *
+/// B (k x n)`, `out` row-major.
+#[derive(Clone, Copy)]
+struct Gemm<'a> {
+    /// A block of `A`'s rows, by row tiles: entry `t * k + p` holds
+    /// column `p` of the block's row `4t + r` at `[r]`, `+0.0` past its
+    /// last row.
+    a_tiles: &'a [[f32; TILE_ROWS]],
+    k: usize,
+    n: usize,
+    /// `B(p, j)` is `b[p * ldb + j]`: `ldb` is `n` rounded up to whole
+    /// 16-column panels, the padding zero.
+    b: &'a [f32],
+    ldb: usize,
+}
+
+/// `acc[l] += a * b[l]`, or with `MASKED` the term `+0.0` when `a` is
+/// `±0.0` (module docs): the product's bits are cleared, not branched
+/// around.
+#[inline(always)]
+fn accumulate<const MASKED: bool>(acc: &mut Lanes, a: f32, b: &Lanes) {
+    if MASKED {
+        let keep = u32::from(a != 0.0).wrapping_neg();
+        for (c, &b_v) in acc.iter_mut().zip(b) {
+            *c += f32::from_bits((a * b_v).to_bits() & keep);
+        }
+    } else {
+        for (c, &b_v) in acc.iter_mut().zip(b) {
+            *c += a * b_v;
+        }
+    }
+}
+
+/// Write one tile row's 16 sums, `lo` then `hi`, to `dst` (at most 16
+/// long: a padded panel keeps only its real columns).
+#[inline(always)]
+fn store(dst: &mut [f32], lo: &Lanes, hi: &Lanes) {
+    if let Ok(whole) = <&mut [f32; TILE_COLS]>::try_from(&mut *dst) {
+        whole[..8].copy_from_slice(lo);
+        whole[8..].copy_from_slice(hi);
+    } else {
+        let (d_lo, d_hi) = dst.split_at_mut(dst.len().min(8));
+        for (d, &v) in d_lo.iter_mut().zip(lo) {
+            *d = v;
+        }
+        for (d, &v) in d_hi.iter_mut().zip(hi) {
+            *d = v;
+        }
+    }
+}
+
+/// One register tile: the first `ROWS` rows of `out` (row stride `n`),
+/// columns `j .. j + width`, from `a_strip` (one row tile of
+/// [`Gemm::a_tiles`]) and the 16 columns from `j` on of `b_rows`.
+/// Eight named accumulators, not an array of them: an array did not
+/// stay in registers.
+#[inline(always)]
+fn tile<const ROWS: usize, const MASKED: bool>(
+    a_strip: &[[f32; TILE_ROWS]],
+    mut b_rows: std::slice::ChunksExact<'_, f32>,
+    out: &mut [f32],
+    (n, j, width): (usize, usize, usize),
+) {
+    let zero = [0.0f32; 8];
+    let (mut c00, mut c01, mut c10, mut c11) = (zero, zero, zero, zero);
+    let (mut c20, mut c21, mut c30, mut c31) = (zero, zero, zero, zero);
+    for a in a_strip {
+        // Not a `zip`: its length would divide by the row stride.
+        let Some(b_row) = b_rows.next() else { break };
+        let b_row = &b_row[j..j + TILE_COLS];
+        let b0: Lanes = std::array::from_fn(|l| b_row[l]);
+        let b1: Lanes = std::array::from_fn(|l| b_row[8 + l]);
+        accumulate::<MASKED>(&mut c00, a[0], &b0);
+        accumulate::<MASKED>(&mut c01, a[0], &b1);
+        if ROWS > 1 {
+            accumulate::<MASKED>(&mut c10, a[1], &b0);
+            accumulate::<MASKED>(&mut c11, a[1], &b1);
+        }
+        if ROWS > 2 {
+            accumulate::<MASKED>(&mut c20, a[2], &b0);
+            accumulate::<MASKED>(&mut c21, a[2], &b1);
+        }
+        if ROWS > 3 {
+            accumulate::<MASKED>(&mut c30, a[3], &b0);
+            accumulate::<MASKED>(&mut c31, a[3], &b1);
+        }
+    }
+    store(&mut out[j..j + width], &c00, &c01);
+    if ROWS > 1 {
+        store(&mut out[n + j..n + j + width], &c10, &c11);
+    }
+    if ROWS > 2 {
+        store(&mut out[2 * n + j..2 * n + j + width], &c20, &c21);
+    }
+    if ROWS > 3 {
+        store(&mut out[3 * n + j..3 * n + j + width], &c30, &c31);
+    }
+}
+
+/// The output rows `out` holds (row stride `g.n`), those of
+/// [`Gemm::a_tiles`], column panel by column panel: a panel of `B` is
+/// read by every row tile while it is in cache.
+#[inline(always)]
+fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]) {
+    let (k, n, a_tiles) = (g.k, g.n, g.a_tiles);
+    let rows = out.len() / n;
+    let b_rows = g.b.chunks_exact(g.ldb);
+    for j in (0..n).step_by(TILE_COLS) {
+        let dst = (n, j, TILE_COLS.min(n - j));
+        for (t, out) in out.chunks_mut(TILE_ROWS * n).enumerate() {
+            let a_strip = &a_tiles[t * k..(t + 1) * k];
+            match rows - t * TILE_ROWS {
+                1 => tile::<1, MASKED>(a_strip, b_rows.clone(), out, dst),
+                2 => tile::<2, MASKED>(a_strip, b_rows.clone(), out, dst),
+                3 => tile::<3, MASKED>(a_strip, b_rows.clone(), out, dst),
+                _ => tile::<4, MASKED>(a_strip, b_rows.clone(), out, dst),
+            }
+        }
+    }
+}
+
+/// Bit 31 of `flag(x)` ORed over `xs`: lane-wise integer operations,
+/// no branch per element.
+#[inline(always)]
+fn or_flags(xs: &[f32], flag: impl Fn(u32) -> u32) -> u32 {
+    let mut lanes = [0u32; 8];
+    let mut chunks = xs.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (acc, x) in lanes.iter_mut().zip(chunk) {
+            *acc |= flag(x.to_bits());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0, |acc, x| acc | flag(x.to_bits()));
+    lanes.iter().fold(tail, |acc, &l| acc | l) & 0x8000_0000
+}
+
+/// Whether no element of `xs` is `±inf` or NaN. An all-ones exponent
+/// carries into bit 31 when `0x0080_0000` is added to it; no other
+/// exponent does.
+#[inline(always)]
+fn all_finite(xs: &[f32]) -> bool {
+    or_flags(xs, |bits| (bits & 0x7F80_0000) + 0x0080_0000) == 0
+}
+
+/// Whether an element of `xs` is `±0.0` (NaN is not). Adding
+/// `0x7FFF_FFFF` to the magnitude bits carries into bit 31 unless they
+/// are all zero.
+#[inline(always)]
+fn any_zero(xs: &[f32]) -> bool {
+    or_flags(xs, |bits| !((bits & 0x7FFF_FFFF) + 0x7FFF_FFFF)) != 0
+}
+
+thread_local! {
+    /// The row tiles of a GEMM's `A` and the padded copy of its `B`
+    /// (module docs), kept per thread so a train step does not allocate
+    /// them per call.
+    static A_TILES: Cell<Vec<[f32; TILE_ROWS]>> = const { Cell::new(Vec::new()) };
+    static B_PACKED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on one of this thread's buffers. Taken, not borrowed: a
+/// nested call on this thread finds an empty buffer and grows its own.
+fn with_buffer<T, R>(
+    key: &'static std::thread::LocalKey<Cell<Vec<T>>>,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let mut buf = key.take();
+    let result = f(&mut buf);
+    key.set(buf);
+    result
+}
+
+/// The row tiles ([`Gemm::a_tiles`]) of `A`'s `rows` rows from row
+/// `first` on, into `a_tiles`.
+fn pack_a_tiles(
+    a: Operand<'_>,
+    (first, rows, k): (usize, usize, usize),
+    a_tiles: &mut Vec<[f32; TILE_ROWS]>,
+) {
+    a_tiles.clear();
+    a_tiles.resize(rows.div_ceil(TILE_ROWS) * k, [0.0; TILE_ROWS]);
+    for (t, strip) in a_tiles.chunks_exact_mut(k.max(1)).enumerate() {
+        let i0 = first + t * TILE_ROWS;
+        let live = TILE_ROWS.min(first + rows - i0);
+        match a {
+            Operand::Rows(a) => {
+                for r in 0..live {
+                    for (s, &v) in strip.iter_mut().zip(a.row(i0 + r)) {
+                        s[r] = v;
+                    }
+                }
+            }
+            Operand::Columns(a) => {
+                for (s, a_row) in strip.iter_mut().zip(a.as_slice().chunks_exact(a.cols())) {
+                    let src = &a_row[i0..i0 + live];
+                    if let Ok(whole) = <&[f32; TILE_ROWS]>::try_from(src) {
+                        *s = *whole;
+                    } else {
+                        s[..live].copy_from_slice(src);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `B` as the tile reads it, `(b, ldb)` of [`Gemm`]: a stored `B`
+/// whose width is whole panels is read in place; any other `B` (the
+/// 10-class output layer's, a transposed one) is copied into `packed`,
+/// each row zero-padded to whole panels.
+fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> (&'a [f32], usize) {
+    let (k, n) = match b {
+        Operand::Rows(b) => b.shape(),
+        Operand::Columns(b) => (b.cols(), b.rows()),
+    };
+    let ldb = n.next_multiple_of(TILE_COLS);
+    match b {
+        Operand::Rows(b) if ldb == n => return (b.as_slice(), n),
+        _ => {}
+    }
+    packed.clear();
+    packed.resize(k * ldb, 0.0);
+    match b {
+        Operand::Rows(b) => {
+            for (dst, src) in packed
+                .chunks_exact_mut(ldb)
+                .zip(b.as_slice().chunks_exact(n))
+            {
+                // An element loop: `copy_from_slice` of a length
+                // unknown here is a `memcpy` call per row.
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = v;
+                }
+            }
+        }
+        Operand::Columns(b) => pack_transposed(b, packed, ldb),
+    }
+    (packed, ldb)
+}
+
+/// `bt (k x ldb) = b (n x k)^T`, eight rows of `b` at a time so both
+/// the reads (eight streams) and the writes (32 contiguous bytes) stay
+/// sequential. Columns `n..ldb` keep the zeros they were made with.
+fn pack_transposed(b: &Matrix, bt: &mut [f32], ldb: usize) {
+    const BLOCK: usize = 8;
+    let n = b.rows();
+    let mut j0 = 0;
+    while j0 + BLOCK <= n {
+        let rows: [&[f32]; BLOCK] = std::array::from_fn(|jj| b.row(j0 + jj));
+        for (ki, dst) in bt.chunks_exact_mut(ldb).enumerate() {
+            for (d, row) in dst[j0..j0 + BLOCK].iter_mut().zip(&rows) {
+                *d = row[ki];
+            }
+        }
+        j0 += BLOCK;
+    }
+    for j in j0..n {
+        for (ki, &v) in b.row(j).iter().enumerate() {
+            bt[ki * ldb + j] = v;
+        }
+    }
+}
+
+/// Elements of `A` gathered into row tiles at a time: 32 KB, so a block
+/// of row tiles stays in cache while the panels of `B` pass it, and the
+/// buffer does not grow with the number of rows.
+const A_BLOCK: usize = 8 * 1024;
+
+/// `out (m x n) = A (m x k) * B (k x n)` in `copy`, a block of whole
+/// row tiles ([`A_BLOCK`]) at a time; blocks run in parallel once the
+/// GEMM has [`PAR_THRESHOLD`] multiply-adds. With `skip_zeros` a zero in
+/// `A` hides a non-finite `B` (module docs).
+fn gemm(
+    copy: KernelCopy,
+    (a, b): (Operand<'_>, Operand<'_>),
+    (m, k, n): (usize, usize, usize),
+    skip_zeros: bool,
+    out: &mut [f32],
+) {
     if n == 0 {
         return;
     }
-    if out.len() * k >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
+    // The masked accumulate differs from the dense one only where a zero
+    // of `A` meets a non-finite `B`; the smaller operand is scanned
+    // first, the other only if that does not settle it.
+    let (a_data, b_data) = (a.data(), b.data());
+    let zero_in_a = || copy.any_zero(a_data);
+    let non_finite_in_b = || !copy.all_finite(b_data);
+    let scans: [&dyn Fn() -> bool; 2] = if a_data.len() <= b_data.len() {
+        [&zero_in_a, &non_finite_in_b]
     } else {
-        out.as_mut_slice()
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    }
-}
-
-/// Elements of the left operand compacted at a time by the zero skip
-/// (module docs). Public so the kernel tests can straddle it.
-pub const ZERO_SKIP_STRIP: usize = 64;
-
-/// The positions of `strip`'s elements that are not `±0.0` (NaN counts
-/// as non-zero), ascending, compacted into `idx`: a store and an add
-/// per element, no branch on its value. `strip` holds at most
-/// [`ZERO_SKIP_STRIP`] elements.
-#[inline(always)]
-fn nonzero_positions<'a>(strip: &[f32], idx: &'a mut [usize; ZERO_SKIP_STRIP]) -> &'a [usize] {
-    let mut count = 0;
-    for (i, &v) in strip.iter().enumerate() {
-        idx[count] = i;
-        count += usize::from(v != 0.0);
-    }
-    &idx[..count]
-}
-
-/// `out_row[j] += a_v * b_row[j]`: the inner loop of every GEMM form.
-#[inline(always)]
-fn add_scaled_row(out_row: &mut [f32], a_v: f32, b_row: &[f32]) {
-    for (o, &b_v) in out_row.iter_mut().zip(b_row) {
-        *o += a_v * b_v;
-    }
-}
-
-/// One output row: `out_row (n) += a_row (k) * b (k x n, row-major)`.
-/// `ikj` order streams through `b`'s rows and vectorises the inner `j`
-/// loop. A function of its own, not the body of [`gemm_rows`]' closure:
-/// there `out_row` and `b` are captures, and the inner loop re-checks
-/// them for overlap at every position.
-#[inline(always)]
-fn gemm_row<const SKIP_ZEROS: bool>(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let n = out_row.len();
-    if SKIP_ZEROS {
-        let mut idx = [0; ZERO_SKIP_STRIP];
-        for (strip_idx, a_strip) in a_row.chunks(ZERO_SKIP_STRIP).enumerate() {
-            for &at in nonzero_positions(a_strip, &mut idx) {
-                let p = strip_idx * ZERO_SKIP_STRIP + at;
-                add_scaled_row(out_row, a_strip[at], &b[p * n..(p + 1) * n]);
+        [&non_finite_in_b, &zero_in_a]
+    };
+    let masked = skip_zeros && scans.iter().all(|scan| scan());
+    with_buffer(&B_PACKED, |packed| {
+        let (b, ldb) = pack_b(b, packed);
+        let run = |first: usize, out: &mut [f32]| {
+            with_buffer(&A_TILES, |a_tiles| {
+                pack_a_tiles(a, (first, out.len() / n, k), a_tiles);
+                let g = Gemm {
+                    a_tiles,
+                    k,
+                    n,
+                    b,
+                    ldb,
+                };
+                if masked {
+                    copy.gemm_rows::<true>(g, out);
+                } else {
+                    copy.gemm_rows::<false>(g, out);
+                }
+            });
+        };
+        let rows = (A_BLOCK / k.max(1)).max(TILE_ROWS) / TILE_ROWS * TILE_ROWS;
+        if m * n * k >= PAR_THRESHOLD {
+            out.par_chunks_mut(rows * n)
+                .enumerate()
+                .for_each(|(at, out)| run(at * rows, out));
+        } else {
+            for (at, out) in out.chunks_mut(rows * n).enumerate() {
+                run(at * rows, out);
             }
         }
-    } else {
-        for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            add_scaled_row(out_row, a_v, b_row);
-        }
-    }
-}
-
-/// `out (m x n) += a (m x k) * b (k x n, row-major)`, one output row at
-/// a time, in `copy`.
-fn gemm_rows<const SKIP_ZEROS: bool>(copy: KernelCopy, a: &Matrix, b: &[f32], out: &mut Matrix) {
-    for_each_row(out, a.cols(), |(row_idx, out_row)| {
-        copy.gemm_row::<SKIP_ZEROS>(a.row(row_idx), b, out_row);
     });
 }
 
@@ -209,12 +508,13 @@ pub fn matmul_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matrix {
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     let mut out = Matrix::zeros(m, n);
-    gemm_rows::<true>(copy, a, b.as_slice(), &mut out);
+    let operands = (Operand::Rows(a), Operand::Rows(b));
+    gemm(copy, operands, (m, k, n), true, out.as_mut_slice());
     out
 }
 
 /// Reference implementation of [`matmul_transpose_b`]: one scalar dot
-/// product per output element, nothing packed. The packed kernel is
+/// product per output element, nothing packed. The tiled kernel is
 /// pinned bit-for-bit against this in `tests/kernels.rs`.
 ///
 /// # Panics
@@ -227,35 +527,20 @@ pub fn matmul_transpose_b_scalar(a: &Matrix, b: &Matrix) -> Matrix {
         k, k2,
         "matmul_transpose_b inner dimension mismatch: {k} vs {k2}"
     );
-
-    let mut out = Matrix::zeros(m, n);
-    for_each_row(&mut out, k, |(row_idx, out_row)| {
-        let a_row = a.row(row_idx);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+            acc += x * y;
         }
-    });
-    out
-}
-
-thread_local! {
-    /// The packed `b^T` of [`matmul_transpose_b`], kept per thread so a
-    /// train step does not allocate a weight-sized buffer per call.
-    static PACKED_BT: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+        acc
+    })
 }
 
 /// `a * b^T`. Multiplies zeros in `a` through (module docs).
 ///
 /// Shape: `a (m x k) * b (n x k) -> (m x n)`. This is the input-gradient
-/// workhorse (`dX = dY * W^T`).
-/// `b^T` is packed once per call so the accumulation runs lane-parallel
-/// over `j`; each element still sums its products in `k` order, so the
-/// result is bit-for-bit [`matmul_transpose_b_scalar`]'s.
+/// workhorse (`dX = dY * W^T`). Each element sums its products in `k`
+/// order, so the result is bit-for-bit [`matmul_transpose_b_scalar`]'s.
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
@@ -274,38 +559,10 @@ pub fn matmul_transpose_b_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matr
         k, k2,
         "matmul_transpose_b inner dimension mismatch: {k} vs {k2}"
     );
-    // Taken, not borrowed: a nested call on this thread finds an empty
-    // buffer and grows its own.
-    let mut bt = PACKED_BT.take();
-    bt.resize(k * n, 0.0);
-    pack_transposed(b, &mut bt);
     let mut out = Matrix::zeros(m, n);
-    gemm_rows::<false>(copy, a, &bt, &mut out);
-    PACKED_BT.set(bt);
+    let operands = (Operand::Rows(a), Operand::Columns(b));
+    gemm(copy, operands, (m, k, n), false, out.as_mut_slice());
     out
-}
-
-/// `bt (k x n) = b (n x k)^T`, eight rows of `b` at a time so both the
-/// reads (eight streams) and the writes (32 contiguous bytes) stay
-/// sequential.
-fn pack_transposed(b: &Matrix, bt: &mut [f32]) {
-    const BLOCK: usize = 8;
-    let n = b.rows();
-    let mut j0 = 0;
-    while j0 + BLOCK <= n {
-        let rows: [&[f32]; BLOCK] = std::array::from_fn(|jj| b.row(j0 + jj));
-        for (ki, dst) in bt.chunks_exact_mut(n).enumerate() {
-            for (d, row) in dst[j0..j0 + BLOCK].iter_mut().zip(&rows) {
-                *d = row[ki];
-            }
-        }
-        j0 += BLOCK;
-    }
-    for j in j0..n {
-        for (ki, &v) in b.row(j).iter().enumerate() {
-            bt[ki * n + j] = v;
-        }
-    }
 }
 
 /// `a^T * b` into `out`, overwriting it. Skips zeros in `a` (module
@@ -331,27 +588,8 @@ pub fn matmul_transpose_a_into_with(copy: KernelCopy, a: &Matrix, b: &Matrix, ou
         "matmul_transpose_a inner dimension mismatch: {k} vs {k2}"
     );
     assert_eq!(out.shape(), (m, n), "matmul_transpose_a output shape");
-    let out = out.as_mut_slice();
-    out.fill(0.0);
-    copy.rank1_updates(a, b, out);
-}
-
-/// `out (m x n) += a^T * b` for `a (k x m)`, `b (k x n)`: one rank-1
-/// update per row of `a`, in `k` order (which keeps it deterministic),
-/// skipping zeros in `a`.
-#[inline(always)]
-fn rank1_updates(a: &Matrix, b: &Matrix, out: &mut [f32]) {
-    let n = b.cols();
-    let mut idx = [0; ZERO_SKIP_STRIP];
-    for ki in 0..a.rows() {
-        let b_row = b.row(ki);
-        for (strip_idx, a_strip) in a.row(ki).chunks(ZERO_SKIP_STRIP).enumerate() {
-            for &at in nonzero_positions(a_strip, &mut idx) {
-                let i = strip_idx * ZERO_SKIP_STRIP + at;
-                add_scaled_row(&mut out[i * n..(i + 1) * n], a_strip[at], b_row);
-            }
-        }
-    }
+    let operands = (Operand::Columns(a), Operand::Rows(b));
+    gemm(copy, operands, (m, k, n), true, out.as_mut_slice());
 }
 
 /// `a^T * b` as a fresh matrix; see [`matmul_transpose_a_into`].

@@ -2,7 +2,7 @@
 //! kernels and the three GEMM forms against their scalar reference
 //! implementations, plus the documented non-finite contract of the
 //! codec kernels, the GEMMs' zero-skip asymmetry, and the zero skip
-//! itself over sparsity patterns around its compaction strip.
+//! itself over sparsity patterns around the GEMMs' register tile.
 //!
 //! The GEMM kernels behind the three forms are compiled twice, a
 //! portable copy and on x86-64 an AVX2 one, and each call runs the copy
@@ -139,11 +139,20 @@ fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b:
     }
 }
 
-/// The training shape of the default MLP and one above the GEMMs'
-/// row-parallel threshold, specials included.
+/// The training shapes of the default MLP's two layers, and of the wide
+/// model's (above the GEMMs' row-parallel threshold), specials included;
+/// then, at each, a `b` that is finite but for one `±inf` or NaN under a
+/// column of zeros in `a`, so both accumulates of the tile run against
+/// the reference: the dense one on the finite operands, the masked one
+/// on the poisoned.
 #[test]
 fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
-    for shape in [(10usize, 64usize, 128usize), (6, 64, 2048)] {
+    for shape in [
+        (10usize, 64usize, 128usize),
+        (10, 128, 10),
+        (6, 64, 2048),
+        (6, 2048, 10),
+    ] {
         let (m, k, n) = shape;
         let wave = |len: usize, f: f32| -> Vec<f32> {
             (0..len).map(|i| (i as f32 * f).sin() * 3.0).collect()
@@ -156,6 +165,22 @@ fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
         inject_specials(&mut a, &tags(m * k, 7));
         inject_specials(&mut b, &tags(k * n, 13));
         assert_gemm_forms_match_reference(shape, &a, &b);
+
+        // `b` as `k x n` (`matmul`, `matmul_transpose_a`): the first
+        // element, the last, and the first of the second tile panel.
+        let (a, b) = (wave(m * k, 0.37), wave(k * n, 0.011));
+        for (p, j) in [(0, 0), (k - 1, n - 1), (16, 16.min(n - 1))] {
+            for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                b[p * n + j] = poison;
+                // Column `p` of `a` read as `m x k` and as `k x m`.
+                for i in 0..m {
+                    a[i * k + p] = 0.0;
+                    a[p * m + i] = -0.0;
+                }
+                assert_gemm_forms_match_reference(shape, &a, &b);
+            }
+        }
     }
 }
 
@@ -184,17 +209,13 @@ fn zero_times_infinity_is_skipped_by_two_gemm_forms_and_not_the_third() {
     assert!(ops::matmul_transpose_b_scalar(&zero_one, &b).as_slice()[0].is_nan());
 }
 
-/// Row lengths of the skipped operand that straddle the zero skip's
-/// compaction strip: the skip walks each row of `a` (as stored) strip
-/// by strip, so these are `k` for `matmul` and `m` for
-/// `matmul_transpose_a`.
-const STRADDLING: [usize; 5] = [
-    1,
-    ops::ZERO_SKIP_STRIP - 1,
-    ops::ZERO_SKIP_STRIP,
-    ops::ZERO_SKIP_STRIP + 1,
-    2 * ops::ZERO_SKIP_STRIP + 1,
-];
+/// Row lengths of the skipped operand (as stored): `k` for `matmul`
+/// and `m` for `matmul_transpose_a`. They straddle the tile's 4 rows
+/// and 16 columns, and run past several whole tiles.
+const STRADDLING: [usize; 11] = [1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 129];
+
+/// The longest of [`STRADDLING`].
+const LONGEST: usize = STRADDLING[STRADDLING.len() - 1];
 
 /// Every GEMM form against [`gemm_reference`] with the rows of `a` as
 /// stored (`rows x len`) under the zero skip of both skipping forms:
@@ -209,8 +230,8 @@ fn assert_skipping_gemms_match_reference(
 }
 
 /// A zero of either sign in `a` hides whatever it would have multiplied
-/// — `±inf` and NaN included — at every position of a strip, in the
-/// strip's tail, and across strips; every other term still lands.
+/// — `±inf` and NaN included — at every position of a row, inside a
+/// tile and across tiles; every other term still lands.
 #[test]
 fn zeros_in_a_hide_non_finite_b_at_every_strip_position() {
     let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
@@ -276,9 +297,10 @@ proptest! {
 
     /// Every GEMM form is its naive `k`-ordered reference on awkward
     /// shapes, with NaN/±inf/−0.0 in both operands and zeros in `a`;
-    /// a zero-size dimension gives an empty or all-zero result. `n`
-    /// reaches 40, so the AVX2 copy of the row kernel meets its
-    /// unrolled 32-column body and every 8-lane remainder after it.
+    /// a zero-size dimension gives an empty or all-zero result. `m`
+    /// and `n` reach 33 and 40, so the tile meets every row remainder
+    /// after whole 4-row tiles, and two whole 16-column panels before
+    /// every padded one.
     #[test]
     fn gemm_forms_match_reference_bitwise(
         m in 0usize..=33,
@@ -296,21 +318,21 @@ proptest! {
         assert_gemm_forms_match_reference((m, k, n), &a, &b);
     }
 
-    /// The zero skip is a list of positions, not a branch per element:
+    /// The zero skip is a masked accumulate, not a branch per element:
     /// both skipping GEMMs stay bitwise the naive reference over rows
     /// of `a` that are all zero, all non-zero, or mixed — `-0.0`
     /// counting as zero and NaN as non-zero — at row lengths around
-    /// the compaction strip, with non-finite values in `b`.
+    /// the tile, with non-finite values in `b`.
     #[test]
     fn zero_skipping_gemms_match_reference_on_sparsity_patterns(
         rows in 1usize..=4,
         len_pick in 0usize..STRADDLING.len(),
         n in 1usize..=12,
         row_kinds in prop::collection::vec(0u8..6, 4),
-        cells in prop::collection::vec(0u8..8, 4 * STRADDLING[4]),
-        a in prop::collection::vec(-4.0f32..4.0, 4 * STRADDLING[4]),
-        b in prop::collection::vec(-4.0f32..4.0, 12 * STRADDLING[4]),
-        tags_b in prop::collection::vec(0u8..200, 12 * STRADDLING[4]),
+        cells in prop::collection::vec(0u8..8, 4 * LONGEST),
+        a in prop::collection::vec(-4.0f32..4.0, 4 * LONGEST),
+        b in prop::collection::vec(-4.0f32..4.0, 12 * LONGEST),
+        tags_b in prop::collection::vec(0u8..200, 12 * LONGEST),
     ) {
         let len = STRADDLING[len_pick];
         let nonzero = |v: f32| if v == 0.0 { 1.0 } else { v };
