@@ -7,7 +7,8 @@
 //! `top_k_by_magnitude_into`, and one whole compensated fold round —
 //! and where local training spends its: the three GEMM forms at the
 //! shapes of a batch-10 step of the default MLP, the wide model's
-//! first-layer forward (`comm_wide`'s), that step over a
+//! first-layer forward (`comm_wide`'s), the RMSprop update of the
+//! default MLP's weights, that step over a
 //! client's forty batches, and the two kernels whose cost depends on
 //! which hidden units fired (ReLU, and a GEMM over post-ReLU
 //! activations). Those two and the step draw their inputs from a pool
@@ -41,7 +42,7 @@ use tifl_data::synth::Generator;
 use tifl_data::{SynthFamily, SynthSpec};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
 use tifl_nn::models::ModelSpec;
-use tifl_nn::{relu, relu_backward, RmsProp};
+use tifl_nn::{relu, relu_backward, Optimizer, RmsProp};
 use tifl_tensor::{codec, ops, split_seed, Matrix, ParamVec};
 
 /// One CIFAR-10-CNN-ish flattened model (order of the paper's models).
@@ -264,6 +265,21 @@ fn bench_train_step(t: &mut Timing) {
         classes: 10,
     }
     .build(1);
+
+    // One RMSprop step over the default model's 9 610 weights, in
+    // place, as `train_batch` steps them: a quarter of a
+    // `paper_policies` step. Learning rate 0 keeps the weights fixed.
+    let mut weights = model.params();
+    let grads = ParamVec(
+        (0..weights.len())
+            .map(|i| (i as f32 * 0.013).sin())
+            .collect(),
+    );
+    let mut rmsprop = RmsProp::new(0.0);
+    t.bench("hot/rmsprop_step_9610", || {
+        rmsprop.step(black_box(&mut weights), black_box(&grads));
+    });
+
     // One client's epoch as `local_train` cuts it: 400 samples, forty
     // batches of ten, cycled.
     let data = Generator::new(SynthSpec::family(SynthFamily::Cifar10), 42).generate_uniform(400, 0);

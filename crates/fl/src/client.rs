@@ -32,9 +32,15 @@ impl OptimizerSpec {
     /// (per-round decay is applied by the session).
     #[must_use]
     pub fn build(&self, lr_factor: f32) -> Box<dyn Optimizer> {
+        self.build_in(lr_factor, Vec::new())
+    }
+
+    /// [`OptimizerSpec::build`], its per-parameter state kept in
+    /// `state`'s memory ([`RmsProp::with_state`]).
+    fn build_in(&self, lr_factor: f32, state: Vec<f32>) -> Box<dyn Optimizer> {
         match *self {
             OptimizerSpec::Sgd { lr } => Box::new(Sgd::new(lr * lr_factor)),
-            OptimizerSpec::RmsProp { lr } => Box::new(RmsProp::new(lr * lr_factor)),
+            OptimizerSpec::RmsProp { lr } => Box::new(RmsProp::with_state(lr * lr_factor, state)),
         }
     }
 }
@@ -102,12 +108,39 @@ impl ClientConfig {
     }
 }
 
+/// A worker thread's model and optimiser state, kept between the client
+/// tasks it runs ([`local_train`]).
+struct Resident {
+    spec: ModelSpec,
+    model: Sequential,
+    optimizer_state: Vec<f32>,
+}
+
+thread_local! {
+    /// This thread's [`Resident`] slot: empty until its first client
+    /// task, and while a task holds it.
+    static RESIDENT: Cell<Option<Resident>> = const { Cell::new(None) };
+}
+
 /// Train the global model on one client's local data for one round.
 ///
-/// * builds a fresh model from `spec` holding the `global` weights;
+/// * loads the `global` weights into a model of `spec`;
 /// * runs `local_epochs` epochs of mini-batch SGD/RMSprop over a
-///   shuffled copy of the local training set;
+///   shuffled copy of the local training set, the optimiser's state
+///   starting at zero;
 /// * returns the updated weights.
+///
+/// The model and the optimiser's state buffer stay on the thread
+/// between calls, in one slot keyed by `spec`: a call whose `spec`
+/// matches the slot's loads the weights with `set_params` and reuses
+/// the state buffer's memory, so a warm task builds neither and its
+/// only model-sized allocation is the weights it returns. The result
+/// is the same bit for bit: a built model is zeros overwritten by
+/// `set_params`, every step overwrites both gradient buffers and
+/// consumes its own forward pass's activations, and the reused state
+/// starts at zero. The slot is taken, not borrowed, for the call: a
+/// call that panics loses only the slot, and the thread's next call
+/// builds a new one.
 ///
 /// Deterministic in `(seed, client, round)`: the shuffle RNG is derived
 /// from all three, so parallel execution across clients cannot change
@@ -123,10 +156,20 @@ pub fn local_train(
     seed: u64,
 ) -> ParamVec {
     assert!(!data.is_empty(), "client {client} has no training data");
-    let mut model = spec.build_with_params(global);
+    let (mut model, optimizer_state) = match RESIDENT.take() {
+        Some(Resident {
+            spec: kept,
+            mut model,
+            optimizer_state,
+        }) if kept == *spec => {
+            model.set_params(global);
+            (model, optimizer_state)
+        }
+        _ => (spec.build_with_params(global), Vec::new()),
+    };
 
     let lr_factor = config.lr_round_decay.powi(round as i32);
-    let mut opt = config.optimizer.build(lr_factor);
+    let mut opt = config.optimizer.build_in(lr_factor, optimizer_state);
 
     let mut shuffle_rng = seed_rng(split_seed(seed, split_seed(client as u64, round)));
     let mut indices: Vec<usize> = (0..data.len()).collect();
@@ -159,6 +202,11 @@ pub fn local_train(
     }
 
     let mut params = model.params();
+    RESIDENT.set(Some(Resident {
+        spec: *spec,
+        model,
+        optimizer_state: opt.take_state(),
+    }));
     if let Some(dp) = config.dp {
         apply_dp_noise(
             &mut params,

@@ -12,7 +12,7 @@ use tifl_tensor::{ops, ParamVec};
 ///
 /// Per-parameter state (RMSprop's squared-gradient mean) is one flat
 /// vector indexed like the parameters; it starts at zero, grows on
-/// demand and is dropped by [`Optimizer::reset_state`].
+/// demand and leaves with [`Optimizer::take_state`].
 pub trait Optimizer: Send {
     /// Apply one update step to the block of the flat parameter vector
     /// that starts at `offset`: mutate `params` using `grads`. Stepping
@@ -36,8 +36,13 @@ pub trait Optimizer: Send {
     /// Multiply the learning rate by `factor` (per-round decay).
     fn decay_lr(&mut self, factor: f32);
 
-    /// Reset any accumulated state (fresh client, new round).
-    fn reset_state(&mut self);
+    /// Hand over the per-parameter state buffer, leaving this optimiser
+    /// a fresh zero state, so a later optimiser can keep its state in the
+    /// same memory ([`RmsProp::with_state`]). A stateless optimiser hands
+    /// over an empty buffer.
+    fn take_state(&mut self) -> Vec<f32> {
+        Vec::new()
+    }
 }
 
 /// Plain stochastic gradient descent.
@@ -67,8 +72,6 @@ impl Optimizer for Sgd {
     fn decay_lr(&mut self, factor: f32) {
         self.lr *= factor;
     }
-
-    fn reset_state(&mut self) {}
 }
 
 /// RMSprop: adaptive per-parameter step sizes from a running mean of
@@ -96,6 +99,20 @@ impl RmsProp {
             rho,
             eps,
             cache: Vec::new(),
+        }
+    }
+
+    /// [`RmsProp::new`], its state kept in `state`'s memory (one that
+    /// an earlier optimiser handed over with
+    /// [`Optimizer::take_state`]). The buffer is cleared, so the state
+    /// starts at zero as a new optimiser's does and steps bit for bit
+    /// the same; it only grows into memory that is already mapped.
+    #[must_use]
+    pub fn with_state(lr: f32, mut state: Vec<f32>) -> Self {
+        state.clear();
+        Self {
+            cache: state,
+            ..Self::new(lr)
         }
     }
 }
@@ -126,8 +143,8 @@ impl Optimizer for RmsProp {
         self.lr *= factor;
     }
 
-    fn reset_state(&mut self) {
-        self.cache.clear();
+    fn take_state(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.cache)
     }
 }
 
@@ -188,13 +205,24 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut opt = RmsProp::new(0.01);
-        let mut p = ParamVec(vec![0.0]);
-        opt.step(&mut p, &ParamVec(vec![1.0]));
-        opt.reset_state();
-        let mut p2 = ParamVec(vec![0.0]);
-        opt.step(&mut p2, &ParamVec(vec![1.0]));
-        assert!((p.0[0] - p2.0[0]).abs() < 1e-9, "state leaked across reset");
+        // A state handed over restarts at zero, in the optimiser that
+        // handed it over and in the one that takes it.
+        let mut used = RmsProp::new(0.01);
+        let mut p = ParamVec(vec![0.5, -0.25, 2.0]);
+        let g = ParamVec(vec![0.3, -1.5, 4.0]);
+        used.step(&mut p, &g);
+        let kept = used.take_state();
+        assert_eq!(kept.len(), 3);
+        let mut fresh = RmsProp::new(0.01);
+        let mut taker = RmsProp::with_state(0.01, kept);
+        let (mut a, mut b, mut c) = (p.clone(), p.clone(), p);
+        for _ in 0..3 {
+            fresh.step(&mut a, &g);
+            taker.step(&mut b, &g);
+            used.step(&mut c, &g);
+        }
+        assert_eq!(a, b, "state leaked into the optimiser that took it");
+        assert_eq!(a, c, "state leaked across the hand-over");
     }
 
     #[test]

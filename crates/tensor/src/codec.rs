@@ -29,6 +29,34 @@
 //!   code and clamps `+inf` to the `max` endpoint's;
 //! * [`top_k_by_magnitude_into`] treats a NaN magnitude as smaller than
 //!   every real magnitude, so NaN elements genuinely lose selection.
+//!
+//! # Two compiled copies of the int8 encode passes
+//!
+//! A client's compensated int8 upload makes two passes over its update:
+//! [`add_into_minmax`] (the compensated sum and its finite range) and
+//! [`quantize_i8_residual_into`] (codes and the error left behind).
+//! Like the train-step kernels of [`crate::ops`], each body is written
+//! once as `#[inline(always)]` code with `#[inline(always)]` helpers and
+//! compiled twice, a portable copy and on x86-64 an AVX2 one, and each
+//! call runs the copy [`KernelCopy::detect`] picks. The AVX2 copy earns
+//! most on the range pass: the baseline instruction set has no 32-bit
+//! integer `min`/`max`, so the order-key reduction is emulated there.
+//! The copies cannot differ in a bit: every lane does the IEEE add,
+//! mul, min, max or truncating convert the scalar expression names,
+//! and only `avx2` is enabled, not `fma`. `tests/kernels.rs` runs both
+//! copies. Every other kernel here has one copy.
+//!
+//! # Top-k without a sort
+//!
+//! [`top_k_by_magnitude_into`] partitions packed `(magnitude, index)`
+//! words with `select_nth_unstable`, which leaves the `k` winners
+//! unordered. It copies their indices out, turns its `order` scratch
+//! into a bitmap with one bit per element, sets the winners' bits and
+//! reads the bitmap back word by word: the winners come out in
+//! ascending index order in one linear pass, with no sort and no
+//! allocation beyond the two output buffers.
+
+use crate::ops::KernelCopy;
 
 /// Minimum and maximum over the *finite* elements of a flat slice
 /// (`(0.0, 0.0)` when the slice is empty or contains no finite element).
@@ -70,7 +98,7 @@ const EXP_MASK: u32 = 0x7F80_0000;
 /// Neutral keys are unreachable for finite inputs: `i32::MAX` and
 /// `i32::MIN` are the keys of the NaN patterns `0x7FFF_FFFF` and
 /// `0xFFFF_FFFF`.
-#[inline]
+#[inline(always)]
 fn minmax_keys(x: f32) -> (i32, i32) {
     let b = x.to_bits();
     let finite = (b & EXP_MASK) != EXP_MASK;
@@ -84,7 +112,7 @@ fn minmax_keys(x: f32) -> (i32, i32) {
 /// Sign-flip transform: negative floats get their magnitude bits
 /// inverted, so `i32` comparison of keys matches float comparison.
 /// Self-inverse (the key's sign bit equals the float's).
-#[inline]
+#[inline(always)]
 fn order_key(b: u32) -> i32 {
     let b = b as i32;
     b ^ (((b >> 31) as u32) >> 1) as i32
@@ -151,7 +179,7 @@ pub fn quantize_i8_into(xs: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
 /// unchecked cast is sound, and the optimizer emits one plain vector
 /// truncation instead of the saturating cast's per-lane NaN/overflow
 /// fixups (which cost more than the quantize arithmetic itself).
-#[inline]
+#[inline(always)]
 #[allow(
     clippy::manual_clamp,
     reason = "`clamp` propagates NaN; the max/min chain drops it to 0.0 before the unchecked cast"
@@ -180,11 +208,34 @@ fn quantize_one(x: f32, lo: f32, inv_scale: f32) -> i8 {
 /// closure inside `extend` defeats the loop vectorizer, so instead each
 /// `FUSE_BLOCK`-element block gets one pure vectorized sum pass and
 /// one pure vectorized key-reduction pass while it is still L1-hot.
+/// Runs the AVX2 copy when the CPU has AVX2 (module docs).
 ///
 /// # Panics
 /// Panics if `a` and `b` differ in length.
 pub fn add_into_minmax(a: &[f32], b: &[f32], out: &mut Vec<f32>) -> (f32, f32) {
+    add_into_minmax_with(KernelCopy::detect(), a, b, out)
+}
+
+/// [`add_into_minmax`] in `copy`.
+///
+/// # Panics
+/// As [`add_into_minmax`].
+#[doc(hidden)]
+pub fn add_into_minmax_with(
+    copy: KernelCopy,
+    a: &[f32],
+    b: &[f32],
+    out: &mut Vec<f32>,
+) -> (f32, f32) {
     assert_eq!(a.len(), b.len(), "add_into_minmax length mismatch");
+    copy.sum_minmax(a, b, out)
+}
+
+two_copies!(sum_minmax(a: &[f32], b: &[f32], out: &mut Vec<f32>) -> (f32, f32));
+
+/// The body of [`add_into_minmax`], compiled once per copy.
+#[inline(always)]
+fn sum_minmax(a: &[f32], b: &[f32], out: &mut Vec<f32>) -> (f32, f32) {
     out.clear();
     let mut lo_k = i32::MAX;
     let mut hi_k = i32::MIN;
@@ -214,11 +265,28 @@ const FUSE_BLOCK: usize = 2048;
 ///
 /// Codes are bit-for-bit [`quantize_i8_into`]'s and the residual is the
 /// exact expression a separate pass would compute:
-/// `x − (min + scale · (code + 128))`.
+/// `x − (min + scale · (code + 128))`. Runs the AVX2 copy when the CPU
+/// has AVX2 (module docs).
 ///
 /// # Panics
 /// Panics if `xs` and `residual` differ in length.
 pub fn quantize_i8_residual_into(
+    xs: &[f32],
+    lo: f32,
+    hi: f32,
+    codes: &mut Vec<i8>,
+    residual: &mut [f32],
+) -> (f32, f32) {
+    quantize_i8_residual_into_with(KernelCopy::detect(), xs, lo, hi, codes, residual)
+}
+
+/// [`quantize_i8_residual_into`] in `copy`.
+///
+/// # Panics
+/// As [`quantize_i8_residual_into`].
+#[doc(hidden)]
+pub fn quantize_i8_residual_into_with(
+    copy: KernelCopy,
     xs: &[f32],
     lo: f32,
     hi: f32,
@@ -241,6 +309,30 @@ pub fn quantize_i8_residual_into(
     }
     let scale = range / 255.0;
     let inv_scale = 255.0 / range;
+    copy.quantize_residual(xs, lo, scale, inv_scale, codes, residual);
+    (lo, scale)
+}
+
+two_copies!(quantize_residual(
+    xs: &[f32],
+    lo: f32,
+    scale: f32,
+    inv_scale: f32,
+    codes: &mut Vec<i8>,
+    residual: &mut [f32]
+));
+
+/// The body of [`quantize_i8_residual_into`] over a non-empty range,
+/// compiled once per copy.
+#[inline(always)]
+fn quantize_residual(
+    xs: &[f32],
+    lo: f32,
+    scale: f32,
+    inv_scale: f32,
+    codes: &mut Vec<i8>,
+    residual: &mut [f32],
+) {
     // Blocked fusion (see [`add_into_minmax`]): per block, one pure
     // quantize pass and one pure dequantize-and-subtract pass, each a
     // vectorizable elementwise loop, with the block's codes and inputs
@@ -258,7 +350,6 @@ pub fn quantize_i8_residual_into(
         }
         i = end;
     }
-    (lo, scale)
 }
 
 /// Reference implementation of [`dequantize_i8_axpy`]: the plain
@@ -320,7 +411,8 @@ fn magnitude_key(x: f32) -> u32 {
 
 /// Indices and values of the `k` largest-magnitude elements of `xs`,
 /// written in ascending index order into `indices` / `values` (all
-/// buffers cleared first; `order` is selection scratch). Ties in
+/// buffers cleared first; `order` is selection scratch, then the
+/// winners' bitmap: module docs). Ties in
 /// magnitude break toward the lower index, so the selection is
 /// deterministic.
 ///
@@ -364,9 +456,20 @@ pub fn top_k_by_magnitude_into(
             .map(|(i, &x)| (u64::from(!magnitude_key(x)) << 32) | i as u64),
     );
     order.select_nth_unstable(k - 1);
-    let picked = &mut order[..k];
-    picked.sort_unstable_by_key(|&p| p as u32);
-    indices.extend(picked.iter().map(|&p| p as u32));
+    indices.extend(order[..k].iter().map(|&p| p as u32));
+    order.clear();
+    order.resize(xs.len().div_ceil(64), 0);
+    for &i in indices.iter() {
+        order[i as usize / 64] |= 1 << (i % 64);
+    }
+    indices.clear();
+    for (w, &word) in order.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            indices.push((w * 64) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
     values.extend(indices.iter().map(|&i| xs[i as usize]));
 }
 

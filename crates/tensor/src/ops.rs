@@ -79,7 +79,7 @@ const PAR_THRESHOLD: usize = 64 * 64 * 64;
 #[derive(Clone, Copy, Debug)]
 pub struct KernelCopy {
     /// Set only by [`KernelCopy::avx2`], after the CPU reported AVX2.
-    avx2: bool,
+    pub(crate) avx2: bool,
 }
 
 impl KernelCopy {
@@ -102,33 +102,6 @@ impl KernelCopy {
     pub fn detect() -> Self {
         Self::avx2().unwrap_or(Self::PORTABLE)
     }
-}
-
-/// Make the kernel function `$kernel` a [`KernelCopy`] method that runs
-/// it in that copy: on x86-64 through a nested wrapper that compiles
-/// `$kernel` again with AVX2 and nothing else (module docs). `$kernel`
-/// must be `#[inline(always)]`, and so must every helper it calls: code
-/// not inlined into the wrapper compiles for the baseline only.
-macro_rules! two_copies {
-    ($kernel:ident $(<const $c:ident: bool>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
-        impl KernelCopy {
-            fn $kernel$(<const $c: bool>)?(self, $($arg: $ty),*) $(-> $ret)? {
-                #[cfg(target_arch = "x86_64")]
-                #[target_feature(enable = "avx2")]
-                fn avx2$(<const $c: bool>)?($($arg: $ty),*) $(-> $ret)? {
-                    $kernel$(::<$c>)?($($arg),*)
-                }
-                if self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
-                    // SAFETY: `self.avx2` is set only by `KernelCopy::avx2`,
-                    // after `is_x86_feature_detected!("avx2")` returned true.
-                    return unsafe { avx2$(::<$c>)?($($arg),*) };
-                }
-                $kernel$(::<$c>)?($($arg),*)
-            }
-        }
-    };
 }
 
 two_copies!(gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]));
@@ -180,11 +153,15 @@ struct Gemm<'a> {
 
 /// `acc[l] += a * b[l]`, or with `MASKED` the term `+0.0` when `a` is
 /// `±0.0` (module docs): the product's bits are cleared, not branched
-/// around.
+/// around. The mask comes from `a`'s bits, as in [`any_zero`]: the
+/// magnitude plus `0x7FFF_FFFF` carries into bit 31 unless it is zero
+/// (NaN is not), and an arithmetic shift spreads that bit. A float
+/// compare here compiled to a compare and a branch for one tile shape.
 #[inline(always)]
 fn accumulate<const MASKED: bool>(acc: &mut Lanes, a: f32, b: &Lanes) {
     if MASKED {
-        let keep = u32::from(a != 0.0).wrapping_neg();
+        let nonzero = (a.to_bits() & 0x7FFF_FFFF) + 0x7FFF_FFFF;
+        let keep = ((nonzero as i32) >> 31) as u32;
         for (c, &b_v) in acc.iter_mut().zip(b) {
             *c += f32::from_bits((a * b_v).to_bits() & keep);
         }

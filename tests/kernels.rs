@@ -4,11 +4,13 @@
 //! codec kernels, the GEMMs' zero-skip asymmetry, and the zero skip
 //! itself over sparsity patterns around the GEMMs' register tile.
 //!
-//! The GEMM kernels behind the three forms are compiled twice, a
-//! portable copy and on x86-64 an AVX2 one, and each call runs the copy
-//! the CPU supports. Every test of them here runs each copy this CPU
-//! can execute, through the hidden `*_with` entry points, so the
-//! portable copy is pinned on an AVX2 host too.
+//! The GEMM kernels behind the three forms, and the two int8 encode
+//! passes of a compensated upload, are compiled twice, a portable copy
+//! and on x86-64 an AVX2 one, and each call runs the copy the CPU
+//! supports. Every test of them here runs each copy this CPU can
+//! execute, through the hidden `*_with` entry points, so the portable
+//! copy is pinned on an AVX2 host too. Top-k selection is pinned to a
+//! naive full sort.
 //!
 //! Equality is asserted on raw bit patterns, never on approximate
 //! values: the aggregation pipeline's two execution backends are pinned
@@ -18,6 +20,7 @@
 use proptest::prelude::*;
 use std::sync::Once;
 use tifl::comm::{encode_compensated, CodecSpec, EncodeScratch, EncodedUpdate};
+use tifl::nn::{Optimizer, RmsProp};
 use tifl::tensor::ops::KernelCopy;
 use tifl::tensor::{codec, ops, Matrix, ParamVec};
 
@@ -270,6 +273,136 @@ fn zeros_in_a_hide_non_finite_b_at_every_strip_position() {
                         "matmul_transpose_a len {len} hole {hole} row {i} {copy:?}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `len` finite values with `special` at the first element, the last
+/// and element 8: the block heads and tails of both copies' loops.
+fn with_specials(len: usize, seed: f32, special: f32) -> Vec<f32> {
+    let mut xs: Vec<f32> = (0..len).map(|i| (i as f32 * seed).sin() * 3.0).collect();
+    for at in [0, len - 1, 8] {
+        if at < len {
+            xs[at] = special;
+        }
+    }
+    xs
+}
+
+/// The lengths the encode passes are run at: [`STRADDLING`], and one
+/// past two of their 2 048-element blocks.
+fn encode_lengths() -> impl Iterator<Item = usize> {
+    STRADDLING.into_iter().chain([2 * 2048 + 3])
+}
+
+/// Both copies of the compensate-and-range pass give the same sums and
+/// range, bit for bit, and those of a plain sum followed by `minmax`,
+/// with NaN and ±inf at the ends and inside the first lanes.
+#[test]
+fn add_into_minmax_copies_agree_bitwise() {
+    for len in encode_lengths() {
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let a = with_specials(len, 0.37, special);
+            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.11).cos()).collect();
+            let sums: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+            let (lo, hi) = codec::minmax(&sums);
+            for copy in copies() {
+                let mut out = vec![7.0; 3];
+                let range = codec::add_into_minmax_with(copy, &a, &b, &mut out);
+                let case = format!("len {len} special {special} {copy:?}");
+                assert_eq!(bits(&out), bits(&sums), "{case}");
+                assert_eq!(bits(&[range.0, range.1]), bits(&[lo, hi]), "{case}");
+            }
+        }
+    }
+}
+
+/// Both copies of the quantize-and-residual pass write the same codes
+/// (`quantize_i8_into`'s), residuals and `(min, scale)`, bit for bit,
+/// with NaN and ±inf at the ends and inside the first lanes.
+#[test]
+fn quantize_i8_residual_copies_agree_bitwise() {
+    for len in encode_lengths() {
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let xs = with_specials(len, 0.29, special);
+            let (lo, hi) = codec::minmax(&xs);
+            let mut want_codes = Vec::new();
+            let want = codec::quantize_i8_into(&xs, &mut want_codes);
+            let mut runs = copies().into_iter().map(|copy| {
+                let (mut codes, mut residual) = (vec![5; 2], vec![0.0; len]);
+                let got = codec::quantize_i8_residual_into_with(
+                    copy,
+                    &xs,
+                    lo,
+                    hi,
+                    &mut codes,
+                    &mut residual,
+                );
+                (copy, got, codes, residual)
+            });
+            let (_, first, first_codes, first_residual) = runs.next().expect("the portable copy");
+            assert_eq!(first_codes, want_codes, "len {len} special {special}");
+            assert_eq!(bits(&[first.0, first.1]), bits(&[want.0, want.1]));
+            for (copy, got, codes, residual) in runs {
+                let case = format!("len {len} special {special} {copy:?}");
+                assert_eq!(codes, first_codes, "{case}");
+                assert_eq!(bits(&residual), bits(&first_residual), "{case}");
+                assert_eq!(bits(&[got.0, got.1]), bits(&[first.0, first.1]), "{case}");
+            }
+        }
+    }
+}
+
+/// Top-k spelled out naively: sort every index by magnitude descending
+/// (NaN below every real magnitude, `-0.0` equal to `+0.0`), then by
+/// index ascending; keep `k`; list them by index.
+fn top_k_reference(xs: &[f32], k: usize) -> Vec<u32> {
+    let magnitude = |i: usize| (!xs[i].is_nan()).then(|| xs[i].abs());
+    let mut by_rank: Vec<usize> = (0..xs.len()).collect();
+    by_rank.sort_by(|&i, &j| {
+        magnitude(j)
+            .partial_cmp(&magnitude(i))
+            .expect("magnitudes without NaN are ordered")
+            .then(i.cmp(&j))
+    });
+    let mut picked: Vec<u32> = by_rank[..k].iter().map(|&i| i as u32).collect();
+    picked.sort_unstable();
+    picked
+}
+
+/// `top_k_by_magnitude_into` picks the naive full sort's winners, in
+/// index order with their values, on heavy ties (one RMSprop step from
+/// zero state gives nearly every weight the same magnitude; a constant
+/// slice gives every one), on NaN and ±inf, at `k` from 1 to `n`, and
+/// at lengths around the bitmap's 64-bit words. The buffers stay warm
+/// across calls.
+#[test]
+fn top_k_matches_a_full_sort_reference() {
+    let (mut order, mut indices, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    for n in [1, 2, 63, 64, 65, 129, 1000] {
+        let grads: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).sin()).collect();
+        let mut delta = ParamVec::zeros(n);
+        RmsProp::new(0.01).step(&mut delta, &ParamVec(grads));
+        let mut specials = with_specials(n, 0.43, f32::NAN);
+        for at in (3..n).step_by(7) {
+            specials[at] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0, 0.0][at % 5];
+        }
+        let inputs = [
+            ("rmsprop first step", delta.0),
+            ("constant", vec![-0.25; n]),
+            ("specials", specials),
+        ];
+        for (name, xs) in &inputs {
+            for k in [1, n / 10, n / 2, n.saturating_sub(1), n] {
+                if k == 0 {
+                    continue;
+                }
+                codec::top_k_by_magnitude_into(xs, k, &mut order, &mut indices, &mut values);
+                let case = format!("{name} n {n} k {k}");
+                assert_eq!(indices, top_k_reference(xs, k), "{case}");
+                let want: Vec<f32> = indices.iter().map(|&i| xs[i as usize]).collect();
+                assert_eq!(bits(&values), bits(&want), "{case}");
             }
         }
     }
