@@ -7,8 +7,9 @@
 //! `top_k_by_magnitude_into`, and one whole compensated fold round —
 //! and where local training spends its: the three GEMM forms at the
 //! shapes of a batch-10 step of the default MLP, the wide model's
-//! first-layer forward (`comm_wide`'s), the RMSprop update of the
-//! default MLP's weights, that step over a
+//! first-layer forward (`comm_wide`'s), the output layer's whole pass
+//! at both widths, the RMSprop update of the default MLP's weights,
+//! that step over a
 //! client's forty batches, and the two kernels whose cost depends on
 //! which hidden units fired (ReLU, and a GEMM over post-ReLU
 //! activations). Those two and the step draw their inputs from a pool
@@ -41,6 +42,7 @@ use tifl_core::runner::Experiment;
 use tifl_data::synth::Generator;
 use tifl_data::{SynthFamily, SynthSpec};
 use tifl_fl::aggregator::{ClientUpdate, StreamingFold};
+use tifl_nn::loss::softmax_cross_entropy_into;
 use tifl_nn::models::ModelSpec;
 use tifl_nn::{relu, relu_backward, Optimizer, RmsProp};
 use tifl_tensor::{codec, ops, split_seed, Matrix, ParamVec};
@@ -216,17 +218,10 @@ fn bench_train_step(t: &mut Timing) {
     });
 
     // The first-layer forward of `tifl-benchmark`'s `comm_wide` model
-    // (MLP 64-2048-10, batches of six). It is above the GEMMs'
-    // row-parallel threshold, so it runs on one thread, as on an
-    // executor worker: the gated number does not depend on the
-    // runner's cores.
+    // (MLP 64-2048-10, batches of six).
     let (x_wide, w_wide) = (wave(6, 64, 0.37), wave(64, 2048, 0.011));
-    let one_thread = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("thread pool builds");
     t.bench("hot/matmul_6x64x2048", || {
-        one_thread.install(|| ops::matmul(black_box(&x_wide), black_box(&w_wide)))
+        ops::matmul(black_box(&x_wide), black_box(&w_wide))
     });
 
     let pre_activations = pre_activation_pool();
@@ -258,6 +253,43 @@ fn bench_train_step(t: &mut Timing) {
         at = (at + 1) % POOL;
         ops::matmul(black_box(&activations[at]), black_box(&w_out))
     });
+
+    // The output layer's whole pass in a train step (logits, softmax
+    // cross-entropy, both gradients, `dL/dh` masked by ReLU) on the
+    // post-ReLU activations, at the default model's width (batch 10)
+    // and at `comm_wide`'s (batch 6, 2 048 hidden units).
+    let wide_activations: Vec<Matrix> = (0..POOL)
+        .map(|s| {
+            Matrix::from_fn(6, 2048, |r, c| {
+                let h = split_seed(s as u64, (r * 2048 + c) as u64);
+                if h & 1 == 0 {
+                    0.0
+                } else {
+                    0.1 + (h >> 40) as f32 / (1u64 << 24) as f32
+                }
+            })
+        })
+        .collect();
+    for (label, pool, hidden) in [
+        ("step/output_layer_b10_h128", &activations, 128),
+        ("step/output_layer_b6_h2048", &wide_activations, 2048),
+    ] {
+        let (w, b) = (wave(hidden, 10, 0.017), vec![0.01; 10]);
+        let labels: Vec<usize> = (0..pool[0].rows()).map(|i| (i * 3) % 10).collect();
+        let (mut grad_w, mut grad_b) = (Matrix::zeros(hidden, 10), vec![0.0; 10]);
+        let mut scratch = ops::OutputLayerScratch::default();
+        let mut at = 0;
+        t.bench(label, || {
+            at = (at + 1) % POOL;
+            ops::output_layer(
+                black_box(&pool[at]),
+                (black_box(&w), black_box(&b)),
+                |logits, delta, ld| softmax_cross_entropy_into(logits, &labels, delta, ld),
+                (&mut grad_w, &mut grad_b),
+                &mut scratch,
+            )
+        });
+    }
 
     let mut model = ModelSpec::Mlp {
         input: 64,

@@ -298,7 +298,7 @@ mod tests {
         );
         let text = std::fs::read_to_string(path).expect("the checked-in baseline");
         let baseline = parse_baseline(&text);
-        assert_eq!(baseline.len(), 23);
+        assert_eq!(baseline.len(), 25);
         assert!(lookup(&baseline, "calibration/axpy_scalar").is_some());
         assert_eq!(baseline_json(&baseline), text, "the writer's own format");
     }

@@ -271,6 +271,8 @@ impl ClientSelector for AdaptiveTierSelector {
     fn monitored_groups(&self, round: u64) -> Option<Vec<Vec<usize>>> {
         // Only the rounds the update rule will read: `round - 1` and
         // `round - 1 - I` for selection rounds that are multiples of I.
+        // The session does not ask after the horizon's last round, which
+        // no selection round follows.
         (round + 1)
             .is_multiple_of(self.config.interval)
             .then(|| self.assignment.groups())

@@ -23,7 +23,8 @@ pub trait ClientSelector: Send {
     /// algorithm). `None` skips group evaluation for that round —
     /// selectors that only consume accuracies every `I` rounds should
     /// return `Some` only on the rounds they will read, sparing the
-    /// aggregator needless evaluation work.
+    /// aggregator needless evaluation work. The session never asks
+    /// after the configured horizon's last round: no selection reads it.
     fn monitored_groups(&self, _round: u64) -> Option<Vec<Vec<usize>>> {
         None
     }

@@ -690,7 +690,10 @@ impl Session {
     /// with later rounds and patches the report afterwards. Monitored-group
     /// evaluation is never deferred: the selector may need it before
     /// the next selection. It is one [`Session::evaluate_groups`] pass
-    /// at the ambient thread count, and one `Phase::Eval` host span.
+    /// at the ambient thread count, and one `Phase::Eval` host span, on
+    /// every round the selector asks for but the configured horizon's
+    /// last ([`SessionConfig::rounds`]` - 1`): no selection follows that
+    /// round to read it.
     pub fn finish_round(
         &mut self,
         plan: RoundPlan,
@@ -723,8 +726,13 @@ impl Session {
             (None, None)
         };
 
-        // Feed monitored-group accuracies back to the selector.
-        if let Some(groups) = selector.monitored_groups(round) {
+        // Feed monitored-group accuracies back to the selector, up to
+        // the horizon: no selection round follows the last one to read
+        // what it would observe.
+        let groups = (round + 1 != self.config.rounds)
+            .then(|| selector.monitored_groups(round))
+            .flatten();
+        if let Some(groups) = groups {
             let t_eval = self.host_begin();
             let accs = self.evaluate_groups(&groups);
             self.host_end(Phase::Eval, round, t_eval);

@@ -14,15 +14,38 @@ use tifl_tensor::Matrix;
 #[must_use]
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
     let (batch, classes) = logits.shape();
+    let mut grad = Matrix::zeros(batch, classes);
+    let loss = softmax_cross_entropy_into(logits, labels, grad.as_mut_slice(), classes);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with its gradient written into `grad`, row
+/// `i` at `grad[i * ld..]`; the `ld - classes` elements after each row
+/// are left as they are. Returns the mean loss.
+///
+/// # Panics
+/// Panics if `labels.len() != logits.rows()`, a label is out of range,
+/// `ld` is below the class count, or `grad` is shorter than the rows at
+/// stride `ld` need.
+pub fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[usize],
+    grad: &mut [f32],
+    ld: usize,
+) -> f32 {
+    let (batch, classes) = logits.shape();
     assert_eq!(labels.len(), batch, "label count must match batch size");
     assert!(batch > 0, "empty batch");
+    assert!(
+        ld >= classes,
+        "gradient row stride {ld} below {classes} classes"
+    );
 
-    let mut grad = Matrix::zeros(batch, classes);
     let mut total_loss = 0.0f64;
     let inv_batch = 1.0 / batch as f32;
 
     for (i, &label) in labels.iter().enumerate() {
-        let grow = grad.row_mut(i);
+        let grow = &mut grad[i * ld..i * ld + classes];
         let (loss, sum) = row_loss(logits.row(i), label, |j, e| grow[j] = e);
         total_loss += f64::from(loss);
         for g in grow.iter_mut() {
@@ -31,7 +54,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
         grow[label] -= inv_batch;
     }
 
-    ((total_loss / batch as f64) as f32, grad)
+    (total_loss / batch as f64) as f32
 }
 
 /// The mean loss of [`softmax_cross_entropy`] without its gradient: the

@@ -1,9 +1,10 @@
 //! The model: a two-layer MLP trained with softmax cross-entropy.
 
-use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_loss};
+use crate::loss::{softmax_cross_entropy_into, softmax_cross_entropy_loss};
 use crate::metrics;
 use crate::optim::Optimizer;
 use rand::rngs::StdRng;
+use tifl_tensor::ops::{KernelCopy, OutputLayerScratch};
 use tifl_tensor::{init, ops, Matrix, ParamVec};
 
 /// ReLU in place: every value that is not above zero (NaN included)
@@ -67,8 +68,8 @@ impl Dense {
 
     /// `dW = X^T dY` and `db = column sums of dY`, into the layer's own
     /// gradient buffers.
-    fn record_grads(&mut self, x: &Matrix, grad: &Matrix) {
-        ops::matmul_transpose_a_into(x, grad, &mut self.grad_w);
+    fn record_grads(&mut self, copy: KernelCopy, x: &Matrix, grad: &Matrix) {
+        ops::matmul_transpose_a_into_with(copy, x, grad, &mut self.grad_w);
         ops::col_sum_into(grad, &mut self.grad_b);
     }
 
@@ -91,6 +92,11 @@ pub struct Sequential {
     /// The last training forward's input and hidden activation, for
     /// the backward pass.
     cache: Option<(Matrix, Matrix)>,
+    /// [`Sequential::train_batch`]'s hidden activation, and the logits,
+    /// `δ` and `dL/dh` of its output-layer pass: kept between steps, so
+    /// a warm step allocates nothing.
+    h: Matrix,
+    pass: OutputLayerScratch,
 }
 
 impl Sequential {
@@ -106,6 +112,8 @@ impl Sequential {
             hidden: Dense::new(input, hidden, init.as_deref_mut()),
             output: Dense::new(hidden, classes, init),
             cache: None,
+            h: Matrix::zeros(0, 0),
+            pass: OutputLayerScratch::default(),
         }
     }
 
@@ -159,10 +167,11 @@ impl Sequential {
             .cache
             .take()
             .expect("Sequential::backward called without a preceding forward");
-        self.output.record_grads(&h, grad);
+        let copy = KernelCopy::detect();
+        self.output.record_grads(copy, &h, grad);
         let mut dh = ops::matmul_transpose_b(grad, &self.output.w);
         relu_backward(h.as_slice(), dh.as_mut_slice());
-        self.hidden.record_grads(&x, &dh);
+        self.hidden.record_grads(copy, &x, &dh);
         dh
     }
 
@@ -228,16 +237,50 @@ impl Sequential {
     /// One optimisation step on a mini-batch; returns the batch loss.
     ///
     /// Equal, bit for bit, to `forward` → loss → `backward` →
-    /// `Optimizer::step` on `params()`/`grads()` → `set_params`, minus
-    /// what that composition throws away: no input gradient `dL/dx`, and
-    /// the optimiser steps each weight and bias buffer in place at its
-    /// offset in the flat vector.
+    /// `Optimizer::step` on `params()`/`grads()` → `set_params` (a NaN
+    /// keeps its place, if not its payload), minus what that
+    /// composition throws away: no input gradient `dL/dx`, and the
+    /// optimiser steps each weight and bias buffer in place at its
+    /// offset in the flat vector. The output layer is one pass
+    /// ([`ops::output_layer`]: logits, loss, `δ`, its gradients and
+    /// `dL/dh` masked by ReLU), and the hidden activation and every
+    /// intermediate live in buffers the model keeps, so a warm step
+    /// allocates nothing.
     pub fn train_batch(&mut self, x: Matrix, labels: &[usize], opt: &mut dyn Optimizer) -> f32 {
-        let logits = self.forward(x, true);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-        self.backward_to_hidden(&dlogits);
+        self.train_batch_with(KernelCopy::detect(), x, labels, opt)
+    }
+
+    /// [`Sequential::train_batch`] with its GEMMs in the compiled copy
+    /// `copy`.
+    #[doc(hidden)]
+    pub fn train_batch_with(
+        &mut self,
+        copy: KernelCopy,
+        x: Matrix,
+        labels: &[usize],
+        opt: &mut dyn Optimizer,
+    ) -> f32 {
+        let Self {
+            hidden,
+            output,
+            h,
+            pass,
+            ..
+        } = self;
+        ops::matmul_into_with(copy, &x, &hidden.w, h);
+        ops::add_bias(h, &hidden.b);
+        relu(h.as_mut_slice());
+        let loss = ops::output_layer_with(
+            copy,
+            h,
+            (&output.w, &output.b),
+            |logits, delta, ld| softmax_cross_entropy_into(logits, labels, delta, ld),
+            (&mut output.grad_w, &mut output.grad_b),
+            pass,
+        );
+        hidden.record_grads(copy, &x, pass.dh());
         let mut offset = 0;
-        for layer in [&mut self.hidden, &mut self.output] {
+        for layer in [hidden, output] {
             opt.step_slice(offset, layer.w.as_mut_slice(), layer.grad_w.as_slice());
             offset += layer.w.len();
             opt.step_slice(offset, &mut layer.b, &layer.grad_b);

@@ -129,10 +129,7 @@ impl Optimizer for RmsProp {
     fn step_slice(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "RmsProp::step length mismatch");
         let cache = state_block(&mut self.cache, offset, params.len());
-        for ((c, p), &g) in cache.iter_mut().zip(params.iter_mut()).zip(grads) {
-            *c = self.rho * *c + (1.0 - self.rho) * g * g;
-            *p -= self.lr * g / (c.sqrt() + self.eps);
-        }
+        ops::rmsprop_update((self.lr, self.rho, self.eps), cache, params, grads);
     }
 
     fn learning_rate(&self) -> f32 {

@@ -1,7 +1,7 @@
 //! Dense `f32` tensor primitives for the TiFL reproduction.
 //!
 //! This crate deliberately implements only what the federated-learning
-//! stack above it needs: a row-major [`Matrix`] with rayon-parallel
+//! stack above it needs: a row-major [`Matrix`] with register-tiled
 //! matrix multiplication, element-wise kernels, deterministic RNG
 //! utilities, weight initialisers, and flat [`ParamVec`] views used by
 //! FedAvg-style aggregation.

@@ -64,6 +64,16 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Make this a `rows x cols` matrix in the buffer it already has,
+    /// growing the buffer only when it is too small. Elements keep
+    /// whatever they held (new ones are zero), so this is for a matrix
+    /// the caller overwrites next, as a GEMM's output.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {

@@ -3,11 +3,11 @@
 //! The three GEMM forms ([`matmul`], [`matmul_transpose_a`],
 //! [`matmul_transpose_b`]) share one shape: every `out[i][j]` starts at
 //! `+0.0` and adds its `k` products in index order, one rounding per
-//! multiply and per add, so tiling, lane-parallel accumulation over `j`
-//! and row-parallel execution (rayon, above `PAR_THRESHOLD`
-//! multiply-adds) cannot change a result bit. The element-wise kernels
-//! ([`axpy`], [`scale`]) are unrolled and pinned to scalar references
-//! the same way.
+//! multiply and per add, so tiling and lane-parallel accumulation over
+//! `j` cannot change a result bit. A GEMM runs on the thread that calls
+//! it: a client's task is already one of the executor's threads. The
+//! element-wise kernels ([`axpy`], [`scale`]) are unrolled and pinned
+//! to scalar references the same way.
 //!
 //! # One register tile
 //! All three forms run one micro-kernel. It holds a block of
@@ -16,19 +16,30 @@
 //! each output once, when its sum is complete: per `k` step it loads
 //! one 16-wide row of `B` and one element of `A` per tile row, and no
 //! output goes back to memory between terms. The forms differ only in
-//! how their operands are read. `A` is gathered, a cache-sized block of
-//! rows at a time, into row tiles (four rows interleaved, so the `k`
-//! loop reads them without a bounds check): from its rows for
-//! [`matmul`] and [`matmul_transpose_b`], from its columns for
-//! [`matmul_transpose_a_into`].
-//! `B` is read in place, row-major, when its width is a whole number of
-//! 16-column panels; otherwise (the 10-class output layer) it is copied
-//! with each row zero-padded to whole panels, and [`matmul_transpose_b`]
-//! packs `b^T` the same way. Padded lanes are computed and never
-//! stored. The tile walks `B` one panel at a time, each panel against
-//! every row tile while it is in cache. The gathered `A` and the copy
+//! how their operands are read. [`matmul`] and [`matmul_transpose_b`]
+//! read `A` in place, four stored rows per tile;
+//! [`matmul_transpose_a_into`] gathers its `A` (the columns of the
+//! stored matrix) a cache-sized block at a time into row tiles, four
+//! rows interleaved, because reading it in place costs its short `k`
+//! loops (a batch) a bounds check per step. `B` is read in place,
+//! row-major, when its width is a whole number of 16-column panels;
+//! otherwise (the 10-class output layer) it is copied with each row
+//! zero-padded to whole panels, and [`matmul_transpose_b`] packs `b^T`
+//! the same way. Padded lanes are computed and never stored. The tile
+//! walks `B` one panel at a time, each panel against every row tile of
+//! a block of `A` while it is in cache. The gathered `A` and the copy
 //! of `B` live in per-thread buffers, so a warm train step allocates
 //! neither.
+//!
+//! # The output layer in one pass
+//! A train step's output layer is [`output_layer`]: its three GEMMs
+//! (the logits `h W`, the weight gradient `hᵀ δ` and `dL/dh = δ Wᵀ`),
+//! the loss and the bias terms, in the tile above. Composed from the
+//! public forms, each narrow product (10 classes wide, or the batch as
+//! its `k`) re-scanned, re-packed and allocated its operands; the pass
+//! scans `h` once, packs `W` once into both layouts, and keeps `δ` in a
+//! 16-lane padded buffer both GEMMs read in place. Its buffers belong
+//! to the model ([`OutputLayerScratch`]).
 //!
 //! # Zeros in the left operand
 //! `matmul` and `matmul_transpose_a` skip a term whose `a` factor is
@@ -51,9 +62,10 @@
 //!
 //! # Two compiled copies of the train-step kernels
 //! The tile holds most of a client's training time. Its body (and the
-//! two operand scans) is written once, as plain `#[inline(always)]` code,
-//! and on x86-64 a `#[target_feature(enable = "avx2")]` wrapper compiles
-//! it a second time, so each accumulator is one 8-lane register instead
+//! two operand scans, and the RMSprop update [`rmsprop_update`]) is
+//! written once, as plain `#[inline(always)]` code, and on x86-64 a
+//! `#[target_feature(enable = "avx2")]` wrapper compiles it a second
+//! time, so each accumulator is one 8-lane register instead
 //! of the baseline's two 4-lane ones. Each kernel call asks
 //! [`KernelCopy::detect`] which copy to run: AVX2 when
 //! `is_x86_feature_detected!("avx2")` says the CPU has it, the portable
@@ -66,11 +78,7 @@
 //! references.
 
 use crate::Matrix;
-use rayon::prelude::*;
 use std::cell::Cell;
-
-/// Problems smaller than this many multiply-adds run sequentially.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Which compiled copy of the train-step kernels runs (module docs).
 /// The public kernels run [`KernelCopy::detect`]; the hidden `*_with`
@@ -104,9 +112,20 @@ impl KernelCopy {
     }
 }
 
-two_copies!(gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]));
+two_copies!(gemm_rows<const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]));
+two_copies!(gemm_tiled<const MASKED: bool>(
+    g: Gemm<'_>,
+    a_tiles: &[[f32; TILE_ROWS]],
+    out: &mut [f32]
+));
 two_copies!(all_finite(xs: &[f32]) -> bool);
 two_copies!(any_zero(xs: &[f32]) -> bool);
+two_copies!(rmsprop(
+    hyper: (f32, f32, f32),
+    cache: &mut [f32],
+    params: &mut [f32],
+    grads: &[f32]
+));
 
 /// Output rows of one register tile.
 const TILE_ROWS: usize = 4;
@@ -135,18 +154,18 @@ impl<'a> Operand<'a> {
     }
 }
 
+/// A `B` as the tile reads it: the `(b, ldb)` of [`Gemm`].
+type PackedB<'a> = (&'a [f32], usize);
+
 /// One GEMM as the register tile runs it: `out (m x n) = A (m x k) *
-/// B (k x n)`, `out` row-major.
+/// B (k x n)`, `out` row-major, for the output rows from `first` on.
 #[derive(Clone, Copy)]
 struct Gemm<'a> {
-    /// A block of `A`'s rows, by row tiles: entry `t * k + p` holds
-    /// column `p` of the block's row `4t + r` at `[r]`, `+0.0` past its
-    /// last row.
-    a_tiles: &'a [[f32; TILE_ROWS]],
+    first: usize,
     k: usize,
     n: usize,
     /// `B(p, j)` is `b[p * ldb + j]`: `ldb` is `n` rounded up to whole
-    /// 16-column panels, the padding zero.
+    /// 16-column panels. A padding lane is computed and never stored.
     b: &'a [f32],
     ldb: usize,
 }
@@ -191,13 +210,13 @@ fn store(dst: &mut [f32], lo: &Lanes, hi: &Lanes) {
 }
 
 /// One register tile: the first `ROWS` rows of `out` (row stride `n`),
-/// columns `j .. j + width`, from `a_strip` (one row tile of
-/// [`Gemm::a_tiles`]) and the 16 columns from `j` on of `b_rows`.
+/// columns `j .. j + width`, from `a_strip` (per `k` step one element
+/// of `A` per tile row) and the 16 columns from `j` on of `b_rows`.
 /// Eight named accumulators, not an array of them: an array did not
 /// stay in registers.
 #[inline(always)]
 fn tile<const ROWS: usize, const MASKED: bool>(
-    a_strip: &[[f32; TILE_ROWS]],
+    a_strip: impl Iterator<Item = [f32; TILE_ROWS]>,
     mut b_rows: std::slice::ChunksExact<'_, f32>,
     out: &mut [f32],
     (n, j, width): (usize, usize, usize),
@@ -238,19 +257,27 @@ fn tile<const ROWS: usize, const MASKED: bool>(
     }
 }
 
-/// The output rows `out` holds (row stride `g.n`), those of
-/// [`Gemm::a_tiles`], column panel by column panel: a panel of `B` is
-/// read by every row tile while it is in cache.
+/// The output rows `out` holds (row stride `g.n`), column panel by
+/// column panel: a panel of `B` is read by every row tile while it is
+/// in cache. Row tile `t` reads its `A` through `strip(i0, live)`, per
+/// `k` step one element of each of its `live` rows from row `i0` on
+/// (the missing rows of a short tile repeat its last one; the tile
+/// reads only its live rows' sums).
 #[inline(always)]
-fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]) {
-    let (k, n, a_tiles) = (g.k, g.n, g.a_tiles);
+fn gemm_tiles<const MASKED: bool, S: Iterator<Item = [f32; TILE_ROWS]>>(
+    g: Gemm<'_>,
+    out: &mut [f32],
+    strip: impl Fn(usize, usize) -> S,
+) {
+    let n = g.n;
     let rows = out.len() / n;
     let b_rows = g.b.chunks_exact(g.ldb);
     for j in (0..n).step_by(TILE_COLS) {
         let dst = (n, j, TILE_COLS.min(n - j));
         for (t, out) in out.chunks_mut(TILE_ROWS * n).enumerate() {
-            let a_strip = &a_tiles[t * k..(t + 1) * k];
-            match rows - t * TILE_ROWS {
+            let live = TILE_ROWS.min(rows - t * TILE_ROWS);
+            let a_strip = strip(g.first + t * TILE_ROWS, live);
+            match live {
                 1 => tile::<1, MASKED>(a_strip, b_rows.clone(), out, dst),
                 2 => tile::<2, MASKED>(a_strip, b_rows.clone(), out, dst),
                 3 => tile::<3, MASKED>(a_strip, b_rows.clone(), out, dst),
@@ -258,6 +285,30 @@ fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, out: &mut [f32]) {
             }
         }
     }
+}
+
+/// [`gemm_tiles`] on an `A` read in place from its stored rows: a tile
+/// reads four of them.
+#[inline(always)]
+fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]) {
+    let (k, lda) = (g.k, a.cols());
+    gemm_tiles::<MASKED, _>(g, out, |i0, live| {
+        let row = |r: usize| &a.as_slice()[(i0 + r.min(live - 1)) * lda..][..k];
+        let a_rows: [&[f32]; TILE_ROWS] = std::array::from_fn(row);
+        (0..k).map(move |p| a_rows.map(|row| row[p]))
+    });
+}
+
+/// [`gemm_tiles`] on an `A` gathered into row tiles (`a_tiles`, from
+/// [`pack_columns`]): entry `t * k + p` holds column `p` of rows
+/// `4t .. 4t + 4` of the block.
+#[inline(always)]
+fn gemm_tiled<const MASKED: bool>(g: Gemm<'_>, a_tiles: &[[f32; TILE_ROWS]], out: &mut [f32]) {
+    let k = g.k;
+    gemm_tiles::<MASKED, _>(g, out, |i0, _| {
+        let t = (i0 - g.first) / TILE_ROWS;
+        a_tiles[t * k..(t + 1) * k].iter().copied()
+    });
 }
 
 /// Bit 31 of `flag(x)` ORed over `xs`: lane-wise integer operations,
@@ -295,7 +346,7 @@ fn any_zero(xs: &[f32]) -> bool {
 }
 
 thread_local! {
-    /// The row tiles of a GEMM's `A` and the padded copy of its `B`
+    /// The row tiles of a transposed `A` and the padded copy of a `B`
     /// (module docs), kept per thread so a train step does not allocate
     /// them per call.
     static A_TILES: Cell<Vec<[f32; TILE_ROWS]>> = const { Cell::new(Vec::new()) };
@@ -314,10 +365,13 @@ fn with_buffer<T, R>(
     result
 }
 
-/// The row tiles ([`Gemm::a_tiles`]) of `A`'s `rows` rows from row
-/// `first` on, into `a_tiles`.
-fn pack_a_tiles(
-    a: Operand<'_>,
+/// The row tiles of `a^T`'s `rows` rows from row `first` on, into
+/// `a_tiles` ([`gemm_tiled`]), `+0.0` past the last row. Each tile row
+/// is four adjacent elements of a stored row of `a`; read in place
+/// instead, the short `k` loops of the weight gradients lost a fifth to
+/// their bounds checks.
+fn pack_columns(
+    a: &Matrix,
     (first, rows, k): (usize, usize, usize),
     a_tiles: &mut Vec<[f32; TILE_ROWS]>,
 ) {
@@ -326,23 +380,12 @@ fn pack_a_tiles(
     for (t, strip) in a_tiles.chunks_exact_mut(k.max(1)).enumerate() {
         let i0 = first + t * TILE_ROWS;
         let live = TILE_ROWS.min(first + rows - i0);
-        match a {
-            Operand::Rows(a) => {
-                for r in 0..live {
-                    for (s, &v) in strip.iter_mut().zip(a.row(i0 + r)) {
-                        s[r] = v;
-                    }
-                }
-            }
-            Operand::Columns(a) => {
-                for (s, a_row) in strip.iter_mut().zip(a.as_slice().chunks_exact(a.cols())) {
-                    let src = &a_row[i0..i0 + live];
-                    if let Ok(whole) = <&[f32; TILE_ROWS]>::try_from(src) {
-                        *s = *whole;
-                    } else {
-                        s[..live].copy_from_slice(src);
-                    }
-                }
+        for (s, a_row) in strip.iter_mut().zip(a.as_slice().chunks_exact(a.cols())) {
+            let src = &a_row[i0..i0 + live];
+            if let Ok(whole) = <&[f32; TILE_ROWS]>::try_from(src) {
+                *s = *whole;
+            } else {
+                s[..live].copy_from_slice(src);
             }
         }
     }
@@ -352,7 +395,7 @@ fn pack_a_tiles(
 /// whose width is whole panels is read in place; any other `B` (the
 /// 10-class output layer's, a transposed one) is copied into `packed`,
 /// each row zero-padded to whole panels.
-fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> (&'a [f32], usize) {
+fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> PackedB<'a> {
     let (k, n) = match b {
         Operand::Rows(b) => b.shape(),
         Operand::Columns(b) => (b.cols(), b.rows()),
@@ -382,6 +425,70 @@ fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> (&'a [f32], usize) {
     (packed, ldb)
 }
 
+/// The output layer's `W (hidden x classes)` as both of its GEMMs read
+/// it (`(b, ldb)` of [`Gemm`]), from one pass over `W`: for the logits,
+/// `W` itself when its rows are whole 16-lane panels, else a copy in
+/// `rows` with each row padded to whole panels; for `dL/dh`, `Wᵀ` in
+/// `cols`, each of its rows (one class) padded likewise. The padding is
+/// zero when a buffer is sized and not written again: a padded lane is
+/// computed and never stored, so what it holds changes no result.
+fn pack_output_weights<'a>(
+    w: &'a Matrix,
+    rows: &'a mut Vec<f32>,
+    cols: &'a mut Vec<f32>,
+) -> (PackedB<'a>, PackedB<'a>) {
+    const BLOCK: usize = 8;
+    let (hidden, classes) = w.shape();
+    let (ldr, ldc) = (
+        classes.next_multiple_of(TILE_COLS),
+        hidden.next_multiple_of(TILE_COLS),
+    );
+    let padded = ldr != classes;
+    for (buf, len) in [
+        (&mut *rows, if padded { hidden * ldr } else { 0 }),
+        (&mut *cols, classes * ldc),
+    ] {
+        if buf.len() != len {
+            buf.clear();
+            buf.resize(len, 0.0);
+        }
+    }
+    // Eight rows of `W` at a time: each row of `Wᵀ` then takes eight
+    // adjacent elements (32 contiguous bytes) per block.
+    let mut blocks = w.as_slice().chunks_exact(BLOCK * classes);
+    for (at, block) in blocks.by_ref().enumerate() {
+        let p0 = at * BLOCK;
+        if padded {
+            for (dst, src) in rows[p0 * ldr..]
+                .chunks_exact_mut(ldr)
+                .zip(block.chunks_exact(classes))
+            {
+                // An element loop: `copy_from_slice` of a length
+                // unknown here is a `memcpy` call per row.
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = v;
+                }
+            }
+        }
+        for (q, dst) in cols.chunks_exact_mut(ldc).enumerate() {
+            for (r, d) in dst[p0..p0 + BLOCK].iter_mut().enumerate() {
+                *d = block[r * classes + q];
+            }
+        }
+    }
+    let p0 = hidden - hidden % BLOCK;
+    for (r, src) in blocks.remainder().chunks_exact(classes).enumerate() {
+        if padded {
+            rows[(p0 + r) * ldr..][..classes].copy_from_slice(src);
+        }
+        for (dst, &v) in cols.chunks_exact_mut(ldc).zip(src) {
+            dst[p0 + r] = v;
+        }
+    }
+    let rows = if padded { &rows[..] } else { w.as_slice() };
+    ((rows, ldr), (cols, ldc))
+}
+
 /// `bt (k x ldb) = b (n x k)^T`, eight rows of `b` at a time so both
 /// the reads (eight streams) and the writes (32 contiguous bytes) stay
 /// sequential. Columns `n..ldb` keep the zeros they were made with.
@@ -405,19 +512,17 @@ fn pack_transposed(b: &Matrix, bt: &mut [f32], ldb: usize) {
     }
 }
 
-/// Elements of `A` gathered into row tiles at a time: 32 KB, so a block
-/// of row tiles stays in cache while the panels of `B` pass it, and the
-/// buffer does not grow with the number of rows.
+/// Elements of `A` one block of row tiles reads: 32 KB, so the block
+/// stays in cache while the panels of `B` pass it.
 const A_BLOCK: usize = 8 * 1024;
 
-/// `out (m x n) = A (m x k) * B (k x n)` in `copy`, a block of whole
-/// row tiles ([`A_BLOCK`]) at a time; blocks run in parallel once the
-/// GEMM has [`PAR_THRESHOLD`] multiply-adds. With `skip_zeros` a zero in
-/// `A` hides a non-finite `B` (module docs).
+/// `out (m x n) = A (m x k) * B (k x n)` in `copy`, on the calling
+/// thread. With `skip_zeros` a zero in `A` hides a non-finite `B`
+/// (module docs).
 fn gemm(
     copy: KernelCopy,
     (a, b): (Operand<'_>, Operand<'_>),
-    (m, k, n): (usize, usize, usize),
+    (k, n): (usize, usize),
     skip_zeros: bool,
     out: &mut [f32],
 ) {
@@ -437,35 +542,45 @@ fn gemm(
     };
     let masked = skip_zeros && scans.iter().all(|scan| scan());
     with_buffer(&B_PACKED, |packed| {
-        let (b, ldb) = pack_b(b, packed);
-        let run = |first: usize, out: &mut [f32]| {
-            with_buffer(&A_TILES, |a_tiles| {
-                pack_a_tiles(a, (first, out.len() / n, k), a_tiles);
-                let g = Gemm {
-                    a_tiles,
-                    k,
-                    n,
-                    b,
-                    ldb,
-                };
-                if masked {
-                    copy.gemm_rows::<true>(g, out);
-                } else {
-                    copy.gemm_rows::<false>(g, out);
-                }
-            });
-        };
-        let rows = (A_BLOCK / k.max(1)).max(TILE_ROWS) / TILE_ROWS * TILE_ROWS;
-        if m * n * k >= PAR_THRESHOLD {
-            out.par_chunks_mut(rows * n)
-                .enumerate()
-                .for_each(|(at, out)| run(at * rows, out));
-        } else {
-            for (at, out) in out.chunks_mut(rows * n).enumerate() {
-                run(at * rows, out);
-            }
-        }
+        let b = pack_b(b, packed);
+        gemm_packed(copy, a, b, (k, n), masked, out);
     });
+}
+
+/// [`gemm`] on a `B` already as the tile reads it (`(b, ldb)` of
+/// [`Gemm`]), with the accumulate chosen: a block of whole row tiles
+/// ([`A_BLOCK`]) at a time, so the block's rows of `A` stay in cache
+/// while the panels of `B` pass them.
+fn gemm_packed(
+    copy: KernelCopy,
+    a: Operand<'_>,
+    (b, ldb): PackedB<'_>,
+    (k, n): (usize, usize),
+    masked: bool,
+    out: &mut [f32],
+) {
+    let rows = (A_BLOCK / k.max(1)).max(TILE_ROWS) / TILE_ROWS * TILE_ROWS;
+    for (at, out) in out.chunks_mut(rows * n).enumerate() {
+        let g = Gemm {
+            first: at * rows,
+            k,
+            n,
+            b,
+            ldb,
+        };
+        match (a, masked) {
+            (Operand::Rows(a), true) => copy.gemm_rows::<true>(g, a, out),
+            (Operand::Rows(a), false) => copy.gemm_rows::<false>(g, a, out),
+            (Operand::Columns(a), masked) => with_buffer(&A_TILES, |a_tiles| {
+                pack_columns(a, (g.first, out.len() / n, k), a_tiles);
+                if masked {
+                    copy.gemm_tiled::<true>(g, a_tiles, out);
+                } else {
+                    copy.gemm_tiled::<false>(g, a_tiles, out);
+                }
+            }),
+        }
+    }
 }
 
 /// `a (m x k) * b (k x n) -> (m x n)`. Skips zeros in `a` (module docs).
@@ -481,13 +596,25 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 #[doc(hidden)]
 #[must_use]
 pub fn matmul_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    matmul_into_with(copy, a, b, &mut out);
+    out
+}
+
+/// [`matmul`] in the compiled copy `copy`, into `out`, which is
+/// reshaped to `m x n` in the memory it holds: a warm caller allocates
+/// nothing.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[doc(hidden)]
+pub fn matmul_into_with(copy: KernelCopy, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-    let mut out = Matrix::zeros(m, n);
+    out.reshape(m, n);
     let operands = (Operand::Rows(a), Operand::Rows(b));
-    gemm(copy, operands, (m, k, n), true, out.as_mut_slice());
-    out
+    gemm(copy, operands, (k, n), true, out.as_mut_slice());
 }
 
 /// Reference implementation of [`matmul_transpose_b`]: one scalar dot
@@ -538,7 +665,7 @@ pub fn matmul_transpose_b_with(copy: KernelCopy, a: &Matrix, b: &Matrix) -> Matr
     );
     let mut out = Matrix::zeros(m, n);
     let operands = (Operand::Rows(a), Operand::Columns(b));
-    gemm(copy, operands, (m, k, n), false, out.as_mut_slice());
+    gemm(copy, operands, (k, n), false, out.as_mut_slice());
     out
 }
 
@@ -566,7 +693,7 @@ pub fn matmul_transpose_a_into_with(copy: KernelCopy, a: &Matrix, b: &Matrix, ou
     );
     assert_eq!(out.shape(), (m, n), "matmul_transpose_a output shape");
     let operands = (Operand::Columns(a), Operand::Rows(b));
-    gemm(copy, operands, (m, k, n), true, out.as_mut_slice());
+    gemm(copy, operands, (k, n), true, out.as_mut_slice());
 }
 
 /// `a^T * b` as a fresh matrix; see [`matmul_transpose_a_into`].
@@ -575,6 +702,164 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), b.cols());
     matmul_transpose_a_into(a, b, &mut out);
     out
+}
+
+/// The buffers [`output_layer`] writes besides the layer's gradients,
+/// kept by the model between steps so that a warm step allocates none.
+#[derive(Clone, Debug)]
+pub struct OutputLayerScratch {
+    /// `W` with each row padded to whole 16-lane panels, the `B` of the
+    /// logits (empty while `W`'s rows are whole panels).
+    w_rows: Vec<f32>,
+    /// `Wᵀ`, each row padded likewise: the `B` of `dL/dh`.
+    w_cols: Vec<f32>,
+    /// `batch x classes`.
+    logits: Matrix,
+    /// δ = dL/d(logits): `batch` rows of `classes` padded with zeros to
+    /// whole 16-lane panels, the `B` the weight gradient's tile reads in
+    /// place, and the `A` of `dL/dh`.
+    delta: Matrix,
+    /// dL/dh, masked by ReLU: `batch x hidden`.
+    dh: Matrix,
+}
+
+impl Default for OutputLayerScratch {
+    fn default() -> Self {
+        Self {
+            w_rows: Vec::new(),
+            w_cols: Vec::new(),
+            logits: Matrix::zeros(0, 0),
+            delta: Matrix::zeros(0, 0),
+            dh: Matrix::zeros(0, 0),
+        }
+    }
+}
+
+impl OutputLayerScratch {
+    /// The last pass's gradient at the hidden activation, masked by
+    /// ReLU.
+    #[must_use]
+    pub fn dh(&self) -> &Matrix {
+        &self.dh
+    }
+}
+
+/// One training step's pass over a dense output layer `logits = h W + b`
+/// on the post-ReLU activation `h (batch x hidden)`: the logits (into
+/// `scratch`), then `loss(logits, δ, ld)`, which writes
+/// `δ = dL/d(logits)` as `batch` rows of stride `ld` (the padding is
+/// zero and stays so) and returns the loss; then `W`'s and `b`'s
+/// gradients into `grad_w (hidden x classes)` and `grad_b`, and
+/// `dL/dh = δ Wᵀ` masked by ReLU at `h` (into `scratch`). Returns the
+/// loss.
+///
+/// Bit for bit [`matmul`], [`add_bias`], the loss,
+/// [`matmul_transpose_a_into`], [`col_sum_into`],
+/// [`matmul_transpose_b`] and ReLU's backward pass composed, zero-skip
+/// decisions included (module docs). What the composition repeats it
+/// does once: `h` is scanned for zeros once, `W` is packed in one pass
+/// into both layouts its two GEMMs read, `δ` is written where both
+/// GEMMs read it in place, and nothing is allocated once `scratch` has
+/// grown.
+///
+/// # Panics
+/// Panics if the shapes disagree or `W` has no columns.
+pub fn output_layer(
+    h: &Matrix,
+    (w, b): (&Matrix, &[f32]),
+    loss: impl FnOnce(&Matrix, &mut [f32], usize) -> f32,
+    (grad_w, grad_b): (&mut Matrix, &mut [f32]),
+    scratch: &mut OutputLayerScratch,
+) -> f32 {
+    let grads = (grad_w, grad_b);
+    output_layer_with(KernelCopy::detect(), h, (w, b), loss, grads, scratch)
+}
+
+/// [`output_layer`] in the compiled copy `copy`.
+#[doc(hidden)]
+pub fn output_layer_with(
+    copy: KernelCopy,
+    h: &Matrix,
+    (w, b): (&Matrix, &[f32]),
+    loss: impl FnOnce(&Matrix, &mut [f32], usize) -> f32,
+    (grad_w, grad_b): (&mut Matrix, &mut [f32]),
+    scratch: &mut OutputLayerScratch,
+) -> f32 {
+    let (batch, hidden) = h.shape();
+    let classes = w.cols();
+    assert!(classes > 0, "output_layer: no classes");
+    assert_eq!(
+        w.rows(),
+        hidden,
+        "output_layer: weight rows vs hidden units"
+    );
+    assert_eq!(b.len(), classes, "output_layer: bias length");
+    assert_eq!(
+        grad_w.shape(),
+        w.shape(),
+        "output_layer: weight gradient shape"
+    );
+    assert_eq!(grad_b.len(), classes, "output_layer: bias gradient length");
+    let OutputLayerScratch {
+        w_rows,
+        w_cols,
+        logits,
+        delta,
+        dh,
+    } = scratch;
+    let zero_in_h = copy.any_zero(h.as_slice());
+
+    let (w_rows, w_cols) = pack_output_weights(w, w_rows, w_cols);
+    logits.reshape(batch, classes);
+    let masked = zero_in_h && !copy.all_finite(w.as_slice());
+    let out = logits.as_mut_slice();
+    gemm_packed(
+        copy,
+        Operand::Rows(h),
+        w_rows,
+        (hidden, classes),
+        masked,
+        out,
+    );
+    add_bias(logits, b);
+
+    let ldd = classes.next_multiple_of(TILE_COLS);
+    delta.reshape(batch, ldd);
+    delta.as_mut_slice().fill(0.0);
+    let loss = loss(logits, delta.as_mut_slice(), ldd);
+
+    let delta_b = (delta.as_slice(), ldd);
+    let masked = zero_in_h && !copy.all_finite(delta_b.0);
+    let dw = grad_w.as_mut_slice();
+    gemm_packed(
+        copy,
+        Operand::Columns(h),
+        delta_b,
+        (batch, classes),
+        masked,
+        dw,
+    );
+    grad_b.fill(0.0);
+    for row in delta.as_slice().chunks_exact(ldd) {
+        for (o, &v) in grad_b.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+
+    dh.reshape(batch, hidden);
+    let out = dh.as_mut_slice();
+    gemm_packed(
+        copy,
+        Operand::Rows(delta),
+        w_cols,
+        (classes, hidden),
+        false,
+        out,
+    );
+    for (g, &h) in dh.as_mut_slice().iter_mut().zip(h.as_slice()) {
+        *g = if h > 0.0 { *g } else { 0.0 };
+    }
+    loss
 }
 
 /// Reference implementation of [`axpy`]: the plain element-order loop.
@@ -616,6 +901,47 @@ pub fn axpy(alpha: f32, x: &[f32], out: &mut [f32]) {
     }
     for (o, &v) in os.into_remainder().iter_mut().zip(xs.remainder()) {
         *o += alpha * v;
+    }
+}
+
+/// One RMSprop step in place: per element, `c = rho·c + (1 − rho)·g·g`,
+/// then `p −= lr·g / (√c + eps)`, each product and quotient rounded as
+/// written (no fused multiply-add), so both compiled copies give the
+/// scalar loop's bits.
+///
+/// # Panics
+/// Panics if the three slices differ in length.
+pub fn rmsprop_update(
+    (lr, rho, eps): (f32, f32, f32),
+    cache: &mut [f32],
+    params: &mut [f32],
+    grads: &[f32],
+) {
+    rmsprop_update_with(KernelCopy::detect(), (lr, rho, eps), cache, params, grads);
+}
+
+/// [`rmsprop_update`] in the compiled copy `copy`.
+#[doc(hidden)]
+pub fn rmsprop_update_with(
+    copy: KernelCopy,
+    hyper: (f32, f32, f32),
+    cache: &mut [f32],
+    params: &mut [f32],
+    grads: &[f32],
+) {
+    assert!(
+        cache.len() == params.len() && params.len() == grads.len(),
+        "rmsprop_update length mismatch"
+    );
+    copy.rmsprop(hyper, cache, params, grads);
+}
+
+/// The body of [`rmsprop_update`], compiled twice.
+#[inline(always)]
+fn rmsprop((lr, rho, eps): (f32, f32, f32), cache: &mut [f32], params: &mut [f32], grads: &[f32]) {
+    for ((c, p), &g) in cache.iter_mut().zip(params.iter_mut()).zip(grads) {
+        *c = rho * *c + (1.0 - rho) * g * g;
+        *p -= lr * g / (c.sqrt() + eps);
     }
 }
 

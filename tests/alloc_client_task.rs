@@ -31,8 +31,7 @@ fn a_warm_client_task_allocates_only_the_weights_it_returns() {
         ..ClientConfig::paper_synthetic()
     };
     let model_bytes = 4 * global.len();
-    // One thread, as on an executor worker: the wide model's GEMMs are
-    // above the row-parallel threshold, and spawned threads allocate.
+    // One thread, as on an executor worker.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()

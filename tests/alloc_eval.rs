@@ -40,8 +40,7 @@ fn warm_evaluate(hidden: usize) -> (usize, usize, usize) {
 
 #[test]
 fn evaluation_allocates_its_activations_and_nothing_else() {
-    // One thread, as on an executor worker: the wide model's GEMMs are
-    // above the row-parallel threshold, and spawned threads allocate.
+    // One thread, as on an executor worker.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()

@@ -2,6 +2,7 @@
 //! seed, regardless of rayon parallelism.
 
 use tifl::core::scheduler::AdaptiveConfig;
+use tifl::obs::Digest128;
 use tifl::prelude::*;
 
 #[test]
@@ -92,4 +93,62 @@ fn thread_pool_size_does_not_change_results() {
         })
     };
     assert_eq!(run_with_threads(1), run_with_threads(8));
+}
+
+/// An adaptive selector that records the rounds it is handed
+/// accuracies for.
+struct Recording {
+    inner: AdaptiveTierSelector,
+    observed: Vec<u64>,
+}
+
+impl ClientSelector for Recording {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn select(&mut self, round: u64, count: usize) -> Vec<usize> {
+        self.inner.select(round, count)
+    }
+
+    fn monitored_groups(&self, round: u64) -> Option<Vec<Vec<usize>>> {
+        self.inner.monitored_groups(round)
+    }
+
+    fn observe(&mut self, round: u64, group_accuracies: &[f64]) {
+        self.observed.push(round);
+        self.inner.observe(round, group_accuracies);
+    }
+}
+
+/// Algorithm 2 compares `A^r` with `A^{r-I}` at selection rounds that
+/// are multiples of `I`, so over 30 rounds at `I = 10` it reads the
+/// observations of rounds 9 and 19 only: the per-tier evaluation after
+/// the horizon's last round is never made, and skipping it changes no
+/// report, at one thread or four.
+#[test]
+fn adaptive_run_observes_only_the_rounds_a_selection_reads() {
+    let mut cfg = ExperimentConfig::tiny(19);
+    cfg.rounds = 30;
+    let (tiers, _) = cfg.profile_and_tier();
+    let acfg = AdaptiveConfig {
+        interval: 10,
+        credits_per_tier: 50,
+        gamma: 2.0,
+    };
+    for threads in [1, 4] {
+        let mut selector = Recording {
+            inner: AdaptiveTierSelector::new(tiers.clone(), acfg, 23),
+            observed: Vec::new(),
+        };
+        let rounds = cfg
+            .make_session()
+            .run_rounds(&mut selector, cfg.rounds, threads);
+        assert_eq!(selector.observed, [9, 19], "{threads} threads");
+        assert_eq!(
+            Digest128::of_value(&rounds).to_string(),
+            "e07252c3cea116e4237b054e65a2c083",
+            "{threads} threads"
+        );
+    }
 }

@@ -143,7 +143,7 @@ fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b:
 }
 
 /// The training shapes of the default MLP's two layers, and of the wide
-/// model's (above the GEMMs' row-parallel threshold), specials included;
+/// model's, specials included;
 /// then, at each, a `b` that is finite but for one `±inf` or NaN under a
 /// column of zeros in `a`, so both accumulates of the tile run against
 /// the reference: the dense one on the finite operands, the masked one
@@ -349,6 +349,42 @@ fn quantize_i8_residual_copies_agree_bitwise() {
                 assert_eq!(codes, first_codes, "{case}");
                 assert_eq!(bits(&residual), bits(&first_residual), "{case}");
                 assert_eq!(bits(&[got.0, got.1]), bits(&[first.0, first.1]), "{case}");
+            }
+        }
+    }
+}
+
+/// Both copies of the RMSprop update give the scalar loop's bits, with
+/// NaN, ±inf and ±0 in the gradient and in the state, at lengths around
+/// both copies' vector widths.
+#[test]
+fn rmsprop_update_copies_match_the_scalar_loop_bitwise() {
+    let hyper = (0.01f32, 0.9f32, 1e-7f32);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+    for len in STRADDLING {
+        for (at, special) in specials.into_iter().enumerate() {
+            let mut grads = with_specials(len, 0.41, special);
+            let mut cache: Vec<f32> = (0..len).map(|i| (i as f32 * 0.23).cos().abs()).collect();
+            // The other specials further in, in the state and the
+            // gradient both.
+            for (i, &s) in specials.iter().cycle().skip(at + 1).take(4).enumerate() {
+                let j = (3 + 5 * i) % len;
+                cache[(j + 1) % len] = s;
+                grads[j] = s;
+            }
+            let params: Vec<f32> = (0..len).map(|i| (i as f32 * 0.07).sin()).collect();
+            let (lr, rho, eps) = hyper;
+            let (mut want_c, mut want_p) = (cache.clone(), params.clone());
+            for ((c, p), &g) in want_c.iter_mut().zip(&mut want_p).zip(&grads) {
+                *c = rho * *c + (1.0 - rho) * g * g;
+                *p -= lr * g / (c.sqrt() + eps);
+            }
+            for copy in copies() {
+                let (mut c, mut p) = (cache.clone(), params.clone());
+                ops::rmsprop_update_with(copy, hyper, &mut c, &mut p, &grads);
+                let case = format!("len {len} special {special} {copy:?}");
+                assert_eq!(bits(&c), bits(&want_c), "state, {case}");
+                assert_eq!(bits(&p), bits(&want_p), "weights, {case}");
             }
         }
     }

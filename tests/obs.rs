@@ -576,16 +576,18 @@ fn monitored_tier_evaluation_is_one_eval_span_per_monitored_round() {
             ..RunSpec::default()
         },
     };
-    // Rounds 2, 5, 8 and 11 are monitored; 2, 8 and 11 also evaluate
-    // the global model, and carry two Eval spans.
+    // Rounds 2, 5 and 8 are monitored; 2 and 8 also evaluate the
+    // global model, and carry two Eval spans. Round 11, the horizon's
+    // last, evaluates the global model only: no selection follows it
+    // to read its tiers' accuracies.
     let session = cfg.build_session(&SessionOverrides::default());
     let mut expected: SpanShape = Vec::new();
     for r in 0..cfg.rounds {
-        let monitored = (r + 1).is_multiple_of(interval);
+        let monitored = (r + 1).is_multiple_of(interval) && r + 1 != cfg.rounds;
         let spans = usize::from(session.is_eval_round(r)) + usize::from(monitored);
         expected.extend(std::iter::repeat_n((Phase::Eval, r), spans));
     }
-    assert_eq!(expected.len(), 7 + 4);
+    assert_eq!(expected.len(), 7 + 3);
 
     let lockstep = request.run_observed_with_clock(FrozenClock::shared());
     let (base_seq, base_evals) = span_shape(&lockstep.host_spans);

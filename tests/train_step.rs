@@ -11,9 +11,10 @@
 //! are held to the branching loop they replaced.
 
 use tifl::fl::client::{eval_model, local_train, ClientConfig, DpNoiseConfig, OptimizerSpec};
-use tifl::nn::{relu, relu_backward, softmax_cross_entropy, Optimizer, Sequential};
+use tifl::nn::{relu, relu_backward, softmax_cross_entropy, Optimizer, RmsProp, Sequential};
 use tifl::obs::Digest128;
 use tifl::prelude::*;
+use tifl::tensor::ops::KernelCopy;
 use tifl::tensor::Matrix;
 
 const MLP: ModelSpec = ModelSpec::Mlp {
@@ -70,6 +71,117 @@ fn train_batch_equals_the_reference_step_bitwise() {
                 bits(slow.params().as_slice()),
                 "{optimizer:?} step {step}: weights"
             );
+        }
+    }
+}
+
+/// [`bits`] with every NaN mapped to one pattern: an add of two NaNs
+/// keeps the payload of whichever operand the compiler put first, which
+/// IEEE 754 and Rust leave open (as `tests/kernels.rs`'s `gemm_bits`
+/// says). Everything else is compared bit for bit.
+fn canonical_bits(xs: &[f32]) -> Vec<u32> {
+    let canonical = |x: &f32| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() };
+    xs.iter().map(canonical).collect()
+}
+
+/// Where a special value goes: nowhere, or into `W2`, `b2` or the
+/// input at a few positions (the first element, the last, and one
+/// inside).
+#[derive(Clone, Copy, Debug)]
+enum Place {
+    Nowhere,
+    OutputWeights,
+    OutputBias,
+    Input,
+}
+
+/// The flat positions of `W2` and `b2` in `params()` for
+/// `Mlp { input, hidden, classes }`.
+fn output_ranges(
+    input: usize,
+    hidden: usize,
+    classes: usize,
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let w2 = input * hidden + hidden;
+    let b2 = w2 + hidden * classes;
+    (w2..b2, b2..b2 + classes)
+}
+
+/// Three positions of a block of `len`: first, last and one inside.
+fn spots(range: std::ops::Range<usize>) -> [usize; 3] {
+    let len = range.end - range.start;
+    [range.start, range.end - 1, range.start + len / 3]
+}
+
+/// `train_batch`, in each compiled copy this CPU runs, equals the
+/// reference step bit for bit (up to NaN payloads) over batch sizes
+/// around the tile's 4 rows and 16 lanes, hidden widths from 16 to
+/// 2048, 2 to 62 classes, and ±0, NaN and ±inf placed in `W2`, `b2`
+/// and `x`: the non-finite values drive the zero-skip decisions of the
+/// output layer's GEMMs, which the pass must take as the composition
+/// does.
+#[test]
+fn train_batch_equals_the_reference_step_on_every_copy_shape_and_special() {
+    const INPUT: usize = 12;
+    let copies: Vec<KernelCopy> = std::iter::once(KernelCopy::PORTABLE)
+        .chain(KernelCopy::avx2())
+        .collect();
+    let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let places = [Place::OutputWeights, Place::OutputBias, Place::Input];
+    let cases = std::iter::once((Place::Nowhere, 0.0))
+        .chain(places.into_iter().flat_map(|p| specials.map(|v| (p, v))));
+    let cases: Vec<(Place, f32)> = cases.collect();
+    for hidden in [16, 32, 128, 2048] {
+        for classes in [2, 10, 62] {
+            let spec = ModelSpec::Mlp {
+                input: INPUT,
+                hidden,
+                classes,
+            };
+            let (w2, b2) = output_ranges(INPUT, hidden, classes);
+            for batch in [1, 6, 7, 10, 16] {
+                let labels: Vec<usize> = (0..batch).map(|i| (i * 7) % classes).collect();
+                for &(place, special) in &cases {
+                    let mut params = spec.build(hidden as u64 + classes as u64).params();
+                    let mut x = Matrix::from_fn(batch, INPUT, |r, c| {
+                        ((r * INPUT + c) as f32 * 0.37).sin() * 2.0
+                    });
+                    let (target, at) = match place {
+                        Place::Nowhere => (&mut params.0[..], vec![]),
+                        Place::OutputWeights => (&mut params.0[..], spots(w2.clone()).to_vec()),
+                        Place::OutputBias => (&mut params.0[..], spots(b2.clone()).to_vec()),
+                        Place::Input => (x.as_mut_slice(), spots(0..batch * INPUT).to_vec()),
+                    };
+                    for at in at {
+                        target[at] = special;
+                    }
+                    for &copy in &copies {
+                        let case = format!(
+                            "{copy:?} hidden {hidden} classes {classes} batch {batch} \
+                             {special} in {place:?}"
+                        );
+                        let (mut fast, mut slow) = (spec.build(0), spec.build(0));
+                        fast.set_params(&params);
+                        slow.set_params(&params);
+                        let (mut fast_opt, mut slow_opt) = (RmsProp::new(0.01), RmsProp::new(0.01));
+                        for step in 0..2 {
+                            let got =
+                                fast.train_batch_with(copy, x.clone(), &labels, &mut fast_opt);
+                            let want = reference_step(&mut slow, x.clone(), &labels, &mut slow_opt);
+                            assert_eq!(
+                                canonical_bits(&[got]),
+                                canonical_bits(&[want]),
+                                "{case} step {step}: loss"
+                            );
+                            assert_eq!(
+                                canonical_bits(fast.params().as_slice()),
+                                canonical_bits(slow.params().as_slice()),
+                                "{case} step {step}: weights"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
