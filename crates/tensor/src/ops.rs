@@ -37,9 +37,10 @@
 //! the loss and the bias terms, in the tile above. Composed from the
 //! public forms, each narrow product (10 classes wide, or the batch as
 //! its `k`) re-scanned, re-packed and allocated its operands; the pass
-//! scans `h` once, packs `W` once into both layouts, and keeps `δ` in a
-//! 16-lane padded buffer both GEMMs read in place. Its buffers belong
-//! to the model ([`OutputLayerScratch`]).
+//! scans `h` once, packs `W` once per step into both layouts (with the
+//! packers the GEMM forms use), and keeps `δ` in a 16-lane padded
+//! buffer both of its GEMMs read in place. Its buffers belong to the
+//! model ([`OutputLayerScratch`]).
 //!
 //! # Zeros in the left operand
 //! `matmul` and `matmul_transpose_a` skip a term whose `a` factor is
@@ -408,85 +409,25 @@ fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> PackedB<'a> {
     packed.clear();
     packed.resize(k * ldb, 0.0);
     match b {
-        Operand::Rows(b) => {
-            for (dst, src) in packed
-                .chunks_exact_mut(ldb)
-                .zip(b.as_slice().chunks_exact(n))
-            {
-                // An element loop: `copy_from_slice` of a length
-                // unknown here is a `memcpy` call per row.
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = v;
-                }
-            }
-        }
+        Operand::Rows(b) => pack_padded(b, packed, ldb),
         Operand::Columns(b) => pack_transposed(b, packed, ldb),
     }
     (packed, ldb)
 }
 
-/// The output layer's `W (hidden x classes)` as both of its GEMMs read
-/// it (`(b, ldb)` of [`Gemm`]), from one pass over `W`: for the logits,
-/// `W` itself when its rows are whole 16-lane panels, else a copy in
-/// `rows` with each row padded to whole panels; for `dL/dh`, `Wᵀ` in
-/// `cols`, each of its rows (one class) padded likewise. The padding is
-/// zero when a buffer is sized and not written again: a padded lane is
-/// computed and never stored, so what it holds changes no result.
-fn pack_output_weights<'a>(
-    w: &'a Matrix,
-    rows: &'a mut Vec<f32>,
-    cols: &'a mut Vec<f32>,
-) -> (PackedB<'a>, PackedB<'a>) {
-    const BLOCK: usize = 8;
-    let (hidden, classes) = w.shape();
-    let (ldr, ldc) = (
-        classes.next_multiple_of(TILE_COLS),
-        hidden.next_multiple_of(TILE_COLS),
-    );
-    let padded = ldr != classes;
-    for (buf, len) in [
-        (&mut *rows, if padded { hidden * ldr } else { 0 }),
-        (&mut *cols, classes * ldc),
-    ] {
-        if buf.len() != len {
-            buf.clear();
-            buf.resize(len, 0.0);
+/// `bp (k x ldb) = b (k x n)`, each row followed by `ldb - n` elements
+/// that keep the zeros they were made with.
+fn pack_padded(b: &Matrix, bp: &mut [f32], ldb: usize) {
+    for (dst, src) in bp
+        .chunks_exact_mut(ldb)
+        .zip(b.as_slice().chunks_exact(b.cols()))
+    {
+        // An element loop: `copy_from_slice` of a length unknown here
+        // is a `memcpy` call per row.
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = v;
         }
     }
-    // Eight rows of `W` at a time: each row of `Wᵀ` then takes eight
-    // adjacent elements (32 contiguous bytes) per block.
-    let mut blocks = w.as_slice().chunks_exact(BLOCK * classes);
-    for (at, block) in blocks.by_ref().enumerate() {
-        let p0 = at * BLOCK;
-        if padded {
-            for (dst, src) in rows[p0 * ldr..]
-                .chunks_exact_mut(ldr)
-                .zip(block.chunks_exact(classes))
-            {
-                // An element loop: `copy_from_slice` of a length
-                // unknown here is a `memcpy` call per row.
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = v;
-                }
-            }
-        }
-        for (q, dst) in cols.chunks_exact_mut(ldc).enumerate() {
-            for (r, d) in dst[p0..p0 + BLOCK].iter_mut().enumerate() {
-                *d = block[r * classes + q];
-            }
-        }
-    }
-    let p0 = hidden - hidden % BLOCK;
-    for (r, src) in blocks.remainder().chunks_exact(classes).enumerate() {
-        if padded {
-            rows[(p0 + r) * ldr..][..classes].copy_from_slice(src);
-        }
-        for (dst, &v) in cols.chunks_exact_mut(ldc).zip(src) {
-            dst[p0 + r] = v;
-        }
-    }
-    let rows = if padded { &rows[..] } else { w.as_slice() };
-    ((rows, ldr), (cols, ldc))
 }
 
 /// `bt (k x ldb) = b (n x k)^T`, eight rows of `b` at a time so both
@@ -757,8 +698,8 @@ impl OutputLayerScratch {
 /// [`matmul_transpose_a_into`], [`col_sum_into`],
 /// [`matmul_transpose_b`] and ReLU's backward pass composed, zero-skip
 /// decisions included (module docs). What the composition repeats it
-/// does once: `h` is scanned for zeros once, `W` is packed in one pass
-/// into both layouts its two GEMMs read, `δ` is written where both
+/// does once: `h` is scanned for zeros once, `W` is packed once into
+/// both layouts its two GEMMs read, `δ` is written where both
 /// GEMMs read it in place, and nothing is allocated once `scratch` has
 /// grown.
 ///
@@ -809,7 +750,32 @@ pub fn output_layer_with(
     } = scratch;
     let zero_in_h = copy.any_zero(h.as_slice());
 
-    let (w_rows, w_cols) = pack_output_weights(w, w_rows, w_cols);
+    // `W` as the logits' GEMM reads it, and `Wᵀ` as `dL/dh`'s does,
+    // rows padded to whole panels. A buffer is zeroed only when its
+    // size changes: a padded lane is computed and never stored, so
+    // what it holds changes no result.
+    let (ldr, ldc) = (
+        classes.next_multiple_of(TILE_COLS),
+        hidden.next_multiple_of(TILE_COLS),
+    );
+    let padded = ldr != classes;
+    for (buf, len) in [
+        (&mut *w_rows, if padded { hidden * ldr } else { 0 }),
+        (&mut *w_cols, classes * ldc),
+    ] {
+        if buf.len() != len {
+            buf.clear();
+            buf.resize(len, 0.0);
+        }
+    }
+    let w_rows = if padded {
+        pack_padded(w, w_rows, ldr);
+        (&w_rows[..], ldr)
+    } else {
+        (w.as_slice(), ldr)
+    };
+    pack_transposed(w, w_cols, ldc);
+    let w_cols = (&w_cols[..], ldc);
     logits.reshape(batch, classes);
     let masked = zero_in_h && !copy.all_finite(w.as_slice());
     let out = logits.as_mut_slice();
