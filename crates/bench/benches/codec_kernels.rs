@@ -22,6 +22,11 @@
 //! profiling plus tiering of a 5 000-client population, which builds
 //! no dataset.
 //!
+//! The first line names the compiled copy of the train-step kernels
+//! (`portable`, `avx2` or `avx512`) that `KernelCopy::detect` picked on
+//! this CPU: every GEMM, scan, RMSprop and int8-encode label is timed in
+//! that copy.
+//!
 //! The `calibration/axpy_scalar` entry is a host-speed probe: the perf
 //! gate (`tifl_bench::timing`) divides every time by it before
 //! comparing against the checked-in `BENCH_codec_kernels.json`, so the
@@ -365,7 +370,12 @@ fn bench_setup(t: &mut Timing) {
     });
 }
 
+#[expect(
+    clippy::print_stdout,
+    reason = "the bench reports which kernel copy it timed"
+)]
 fn main() -> ExitCode {
+    println!("kernel copy: {}", ops::KernelCopy::detect().name());
     timing::run(std::env::args(), |t| {
         bench_kernels(t);
         bench_round(t);

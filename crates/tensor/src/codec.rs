@@ -30,21 +30,25 @@
 //! * [`top_k_by_magnitude_into`] treats a NaN magnitude as smaller than
 //!   every real magnitude, so NaN elements genuinely lose selection.
 //!
-//! # Two compiled copies of the int8 encode passes
+//! # Three compiled copies of the int8 encode passes
 //!
 //! A client's compensated int8 upload makes two passes over its update:
 //! [`add_into_minmax`] (the compensated sum and its finite range) and
 //! [`quantize_i8_residual_into`] (codes and the error left behind).
 //! Like the train-step kernels of [`crate::ops`], each body is written
 //! once as `#[inline(always)]` code with `#[inline(always)]` helpers and
-//! compiled twice, a portable copy and on x86-64 an AVX2 one, and each
-//! call runs the copy [`KernelCopy::detect`] picks. The AVX2 copy earns
-//! most on the range pass: the baseline instruction set has no 32-bit
-//! integer `min`/`max`, so the order-key reduction is emulated there.
+//! compiled three times, a portable copy and on x86-64 an AVX2 and an
+//! AVX-512F one, and each call runs the copy [`KernelCopy::detect`]
+//! picks, the widest the CPU has. The wide copies earn most on the
+//! range pass: the baseline instruction set has no 32-bit integer
+//! `min`/`max`, so the order-key reduction is emulated there; AVX-512
+//! then runs both passes 16 lanes wide.
 //! The copies cannot differ in a bit: every lane does the IEEE add,
 //! mul, min, max or truncating convert the scalar expression names,
-//! and only `avx2` is enabled, not `fma`. `tests/kernels.rs` runs both
-//! copies. Every other kernel here has one copy.
+//! and no `mul` and `add` are contracted into a fused multiply-add,
+//! which `avx512f` makes available (the [`crate::ops`] module docs).
+//! `tests/kernels.rs` runs every copy the CPU has. Every other kernel
+//! here has one copy.
 //!
 //! # Top-k without a sort
 //!
@@ -208,7 +212,7 @@ fn quantize_one(x: f32, lo: f32, inv_scale: f32) -> i8 {
 /// closure inside `extend` defeats the loop vectorizer, so instead each
 /// `FUSE_BLOCK`-element block gets one pure vectorized sum pass and
 /// one pure vectorized key-reduction pass while it is still L1-hot.
-/// Runs the AVX2 copy when the CPU has AVX2 (module docs).
+/// Runs the widest copy the CPU has (module docs).
 ///
 /// # Panics
 /// Panics if `a` and `b` differ in length.
@@ -231,7 +235,7 @@ pub fn add_into_minmax_with(
     copy.sum_minmax(a, b, out)
 }
 
-two_copies!(sum_minmax(a: &[f32], b: &[f32], out: &mut Vec<f32>) -> (f32, f32));
+kernel_copies!(sum_minmax(a: &[f32], b: &[f32], out: &mut Vec<f32>) -> (f32, f32));
 
 /// The body of [`add_into_minmax`], compiled once per copy.
 #[inline(always)]
@@ -265,8 +269,8 @@ const FUSE_BLOCK: usize = 2048;
 ///
 /// Codes are bit-for-bit [`quantize_i8_into`]'s and the residual is the
 /// exact expression a separate pass would compute:
-/// `x − (min + scale · (code + 128))`. Runs the AVX2 copy when the CPU
-/// has AVX2 (module docs).
+/// `x − (min + scale · (code + 128))`. Runs the widest copy the CPU has
+/// (module docs).
 ///
 /// # Panics
 /// Panics if `xs` and `residual` differ in length.
@@ -313,7 +317,7 @@ pub fn quantize_i8_residual_into_with(
     (lo, scale)
 }
 
-two_copies!(quantize_residual(
+kernel_copies!(quantize_residual(
     xs: &[f32],
     lo: f32,
     scale: f32,

@@ -11,38 +11,69 @@
 //!
 //! This is the only workspace crate allowed to contain `unsafe`: the
 //! unchecked float-to-int conversion of [`codec`]'s quantizer, and the
-//! calls into the AVX2 copies of [`ops`]' train-step kernels and of
-//! [`codec`]'s int8 encode passes, made only after the CPU reported
-//! AVX2, all in one macro. Every block carries a `// SAFETY:`
-//! contract. Elsewhere the workspace's `unsafe_code = "deny"` rejects
-//! `unsafe`, and its `tests/ledger.rs` fails on a waiver of that lint.
+//! calls into the AVX2 and AVX-512 copies of [`ops`]' train-step
+//! kernels and of [`codec`]'s int8 encode passes, each made only after
+//! the CPU reported the copy's feature (AVX2, or AVX-512F), all in one
+//! macro. Every block carries a `// SAFETY:` contract. Elsewhere the
+//! workspace's `unsafe_code = "deny"` rejects `unsafe`, and its
+//! `tests/ledger.rs` fails on a waiver of that lint.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 /// Make the kernel function `$kernel` a [`ops::KernelCopy`] method that
-/// runs it in that copy: on x86-64 through a nested wrapper that
-/// compiles `$kernel` again with AVX2 and nothing else (the [`ops`]
-/// module docs). `$kernel` must be `#[inline(always)]`, and so must
-/// every helper it calls: code not inlined into the wrapper compiles
-/// for the baseline only. Defined here, before the modules, so both
-/// [`ops`] and [`codec`] can use it.
-macro_rules! two_copies {
-    ($kernel:ident $(<const $c:ident: bool>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+/// runs it in that copy: on x86-64 through one of two nested wrappers
+/// that compile `$kernel` again, one with AVX2 and nothing else, one
+/// with AVX-512F (the [`ops`] module docs). A kernel whose first const
+/// parameter is `LANES` is instantiated at 8 lanes in the portable and
+/// AVX2 copies and at 16 in the AVX-512 one; no other parameter
+/// differs between copies. A kernel registered with `, avx512 as
+/// "avx2"` compiles its AVX-512 copy with AVX2 only: one that 16-lane
+/// registers make no faster. `$kernel` must be `#[inline(always)]`, and
+/// so must every helper it calls: code not inlined into a wrapper
+/// compiles for the baseline only. Defined here, before the modules,
+/// so both [`ops`] and [`codec`] can use it.
+macro_rules! kernel_copies {
+    ($kernel:ident<const LANES: usize $(, const $c:ident: bool)?> $args:tt $(-> $ret:ty)?) => {
+        kernel_copies!(
+            @copies "avx512f" $kernel [$(const $c: bool)?] [$($c)?] [8, $($c)?] [16, $($c)?]
+            $args $(-> $ret)?
+        );
+    };
+    ($kernel:ident $args:tt $(-> $ret:ty)? $(, avx512 as $wide_isa:literal)?) => {
+        kernel_copies!(@copies $($wide_isa)? "avx512f" $kernel [] [] [] [] $args $(-> $ret)?);
+    };
+    (@copies $wide_isa:literal $($_default:literal)? $kernel:ident [$($generics:tt)*]
+        [$($names:tt)*] [$($narrow:tt)*] [$($wide:tt)*] ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
         impl $crate::ops::KernelCopy {
-            fn $kernel$(<const $c: bool>)?(self, $($arg: $ty),*) $(-> $ret)? {
+            fn $kernel<$($generics)*>(self, $($arg: $ty),*) $(-> $ret)? {
                 #[cfg(target_arch = "x86_64")]
                 #[target_feature(enable = "avx2")]
-                fn avx2$(<const $c: bool>)?($($arg: $ty),*) $(-> $ret)? {
-                    $kernel$(::<$c>)?($($arg),*)
+                fn avx2<$($generics)*>($($arg: $ty),*) $(-> $ret)? {
+                    $kernel::<$($narrow)*>($($arg),*)
                 }
-                if self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
-                    // SAFETY: `self.avx2` is set only by `KernelCopy::avx2`,
-                    // after `is_x86_feature_detected!("avx2")` returned true.
-                    return unsafe { avx2$(::<$c>)?($($arg),*) };
+                #[cfg(target_arch = "x86_64")]
+                #[target_feature(enable = $wide_isa)]
+                fn avx512<$($generics)*>($($arg: $ty),*) $(-> $ret)? {
+                    $kernel::<$($wide)*>($($arg),*)
                 }
-                $kernel$(::<$c>)?($($arg),*)
+                #[cfg(target_arch = "x86_64")]
+                match self.isa {
+                    $crate::ops::Isa::Avx512 => {
+                        #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
+                        // SAFETY: `Isa::Avx512` is set only by `KernelCopy::avx512`,
+                        // after `is_x86_feature_detected!("avx512f")` returned true
+                        // (AVX-512F implies AVX2, as `target_feature` assumes).
+                        return unsafe { avx512::<$($names)*>($($arg),*) };
+                    }
+                    $crate::ops::Isa::Avx2 => {
+                        #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
+                        // SAFETY: `Isa::Avx2` is set only by `KernelCopy::avx2`,
+                        // after `is_x86_feature_detected!("avx2")` returned true.
+                        return unsafe { avx2::<$($names)*>($($arg),*) };
+                    }
+                    $crate::ops::Isa::Portable => {}
+                }
+                $kernel::<$($narrow)*>($($arg),*)
             }
         }
     };

@@ -11,13 +11,14 @@
 //!
 //! # One register tile
 //! All three forms run one micro-kernel. It holds a block of
-//! `TILE_ROWS` (4) output rows by `TILE_COLS` (16) output columns in
-//! eight 8-lane accumulator locals for the whole `k` loop and stores
-//! each output once, when its sum is complete: per `k` step it loads
-//! one 16-wide row of `B` and one element of `A` per tile row, and no
-//! output goes back to memory between terms. The forms differ only in
-//! how their operands are read. [`matmul`] and [`matmul_transpose_b`]
-//! read `A` in place, four stored rows per tile;
+//! `TILE_ROWS` (4) output rows by two `L`-lane vectors of output
+//! columns in eight accumulator locals for the whole `k` loop and
+//! stores each output once, when its sum is complete: per `k` step it
+//! loads one `2 L`-wide row of `B` and one element of `A` per tile row,
+//! and no output goes back to memory between terms. `L` is the copy's
+//! lane count (below): a 4×16 tile of 8 lanes, or a 4×32 tile of 16.
+//! The forms differ only in how their operands are read. [`matmul`] and
+//! [`matmul_transpose_b`] read `A` in place, four stored rows per tile;
 //! [`matmul_transpose_a_into`] gathers its `A` (the columns of the
 //! stored matrix) a cache-sized block at a time into row tiles, four
 //! rows interleaved, because reading it in place costs its short `k`
@@ -25,11 +26,14 @@
 //! row-major, when its width is a whole number of 16-column panels;
 //! otherwise (the 10-class output layer) it is copied with each row
 //! zero-padded to whole panels, and [`matmul_transpose_b`] packs `b^T`
-//! the same way. Padded lanes are computed and never stored. The tile
-//! walks `B` one panel at a time, each panel against every row tile of
-//! a block of `A` while it is in cache. The gathered `A` and the copy
-//! of `B` live in per-thread buffers, so a warm train step allocates
-//! neither.
+//! the same way. Panels are 16 columns in every copy, so the packing
+//! is shared: an 8-lane tile covers one panel, a 16-lane tile two,
+//! and where a row ends after one more panel the 16-lane tile runs
+//! as a half tile, one vector per row. Padded lanes are computed and
+//! never stored. The tile walks `B` one tile width at a time, each
+//! against every row tile of a block of `A` while it is in cache. The
+//! gathered `A` and the copy of `B` live in per-thread buffers, so a
+//! warm train step allocates neither.
 //!
 //! # The output layer in one pass
 //! A train step's output layer is [`output_layer`]: its three GEMMs
@@ -61,81 +65,142 @@
 //! as a branch on `a`: whether a hidden unit fired is close to a coin
 //! flip, and a mispredicted branch costs more than the term it skips.
 //!
-//! # Two compiled copies of the train-step kernels
+//! # Three compiled copies of the train-step kernels
 //! The tile holds most of a client's training time. Its body (and the
 //! two operand scans, and the RMSprop update [`rmsprop_update`]) is
-//! written once, as plain `#[inline(always)]` code, and on x86-64 a
-//! `#[target_feature(enable = "avx2")]` wrapper compiles it a second
-//! time, so each accumulator is one 8-lane register instead
-//! of the baseline's two 4-lane ones. Each kernel call asks
-//! [`KernelCopy::detect`] which copy to run: AVX2 when
-//! `is_x86_feature_detected!("avx2")` says the CPU has it, the portable
-//! copy otherwise and on every other target.
+//! written once, as plain `#[inline(always)]` code, and on x86-64 the
+//! crate's `kernel_copies!` macro compiles it twice more, in a
+//! `#[target_feature(enable = "avx2")]` wrapper and in a
+//! `#[target_feature(enable = "avx512f")]` one. The tile's lane count
+//! `L` is a const parameter the macro sets per copy:
+//!
+//! | copy | `L` | tile | an accumulator is |
+//! |---|---|---|---|
+//! | portable | 8 | 4×16 | two 4-lane SSE registers |
+//! | AVX2 | 8 | 4×16 | one `ymm` register |
+//! | AVX-512 | 16 | 4×32, half tile 4×16 | one `zmm` register |
+//!
+//! The scans and the int8 encode passes are plain loops that the
+//! compiler widens to the registers the copy has. The RMSprop update's
+//! AVX-512 copy is compiled for AVX2: it is bound by its square root
+//! and divide, which retire no more lanes per cycle in `zmm` than in
+//! `ymm`. Each kernel call asks [`KernelCopy::detect`] which copy to
+//! run: the widest that `is_x86_feature_detected!` reports (AVX-512F,
+//! then AVX2), the portable copy otherwise and on every other target.
+//! There is no option and no `target-cpu`: one binary runs on all three.
 //!
 //! The copies cannot differ in a bit. Every lane does the IEEE `mul`
-//! and `add` the scalar expression names, in the same `k` order; only
-//! `avx2` is enabled, not `fma`, so no `a * b + c` can become one
-//! rounding. `tests/kernels.rs` runs both copies against the naive
-//! references.
+//! and `add` the scalar expression names, in the same `k` order; wider
+//! lanes only compute more output columns at once. `avx512f` makes
+//! fused multiply-add available to the compiler (it implies `fma`), but
+//! Rust never contracts a separate `mul` and `add` into one rounding,
+//! and CI checks that the release binary holds no `vfmadd`/`vfmsub`/
+//! `vfnmadd`/`vfnmsub`. `tests/kernels.rs` runs every copy the CPU has
+//! ([`KernelCopy::available`]) against the naive references.
 
 use crate::Matrix;
 use std::cell::Cell;
 
 /// Which compiled copy of the train-step kernels runs (module docs).
 /// The public kernels run [`KernelCopy::detect`]; the hidden `*_with`
-/// entry points take a copy, so tests can run both on an AVX2 host.
+/// entry points take a copy, so tests can run every copy the CPU has.
 #[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelCopy {
-    /// Set only by [`KernelCopy::avx2`], after the CPU reported AVX2.
-    pub(crate) avx2: bool,
+    /// Set past `Portable` only after the CPU reported the feature.
+    pub(crate) isa: Isa,
+}
+
+/// The instructions a [`KernelCopy`] is compiled for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Portable,
+    Avx2,
+    Avx512,
 }
 
 impl KernelCopy {
     /// The copy every target compiles, in baseline instructions.
-    pub const PORTABLE: Self = Self { avx2: false };
+    pub const PORTABLE: Self = Self { isa: Isa::Portable };
 
     /// The AVX2 copy, if this CPU has AVX2; `None` on other CPUs and
     /// targets.
-    #[must_use]
-    pub fn avx2() -> Option<Self> {
+    fn avx2() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(Self { avx2: true });
+            return Some(Self { isa: Isa::Avx2 });
         }
         None
     }
 
-    /// The copy the public kernels run: AVX2 when the CPU has it.
+    /// The AVX-512 copy, if this CPU has AVX-512F; `None` on other CPUs
+    /// and targets.
+    fn avx512() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Some(Self { isa: Isa::Avx512 });
+        }
+        None
+    }
+
+    /// Every copy this CPU can run, narrowest first: the portable one,
+    /// then AVX2 and AVX-512 as the CPU reports them.
+    #[must_use]
+    pub fn available() -> Vec<Self> {
+        std::iter::once(Self::PORTABLE)
+            .chain(Self::avx2())
+            .chain(Self::avx512())
+            .collect()
+    }
+
+    /// The copy the public kernels run: the widest the CPU has.
     #[must_use]
     pub fn detect() -> Self {
-        Self::avx2().unwrap_or(Self::PORTABLE)
+        Self::avx512().or_else(Self::avx2).unwrap_or(Self::PORTABLE)
+    }
+
+    /// The copy's name: `portable`, `avx2` or `avx512`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self.isa {
+            Isa::Portable => "portable",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
     }
 }
 
-two_copies!(gemm_rows<const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]));
-two_copies!(gemm_tiled<const MASKED: bool>(
+kernel_copies!(gemm_rows<const LANES: usize, const MASKED: bool>(
+    g: Gemm<'_>,
+    a: &Matrix,
+    out: &mut [f32]
+));
+kernel_copies!(gemm_tiled<const LANES: usize, const MASKED: bool>(
     g: Gemm<'_>,
     a_tiles: &[[f32; TILE_ROWS]],
     out: &mut [f32]
 ));
-two_copies!(all_finite(xs: &[f32]) -> bool);
-two_copies!(any_zero(xs: &[f32]) -> bool);
-two_copies!(rmsprop(
+kernel_copies!(all_finite(xs: &[f32]) -> bool);
+kernel_copies!(any_zero(xs: &[f32]) -> bool);
+// Bound by its square root and divide, which retire no more lanes per
+// cycle in 16-lane registers than in 8-lane ones: compiled for AVX-512F,
+// the update read 1–4 % slower than its AVX2 copy.
+kernel_copies!(rmsprop(
     hyper: (f32, f32, f32),
     cache: &mut [f32],
     params: &mut [f32],
     grads: &[f32]
-));
+), avx512 as "avx2");
 
 /// Output rows of one register tile.
 const TILE_ROWS: usize = 4;
 
-/// Output columns of one register tile: two 8-lane vectors.
-const TILE_COLS: usize = 16;
+/// Columns of one panel of `B`: a packed `B`'s rows are a whole number
+/// of panels in every copy.
+const PANEL: usize = 16;
 
-/// Eight `f32` lanes: one AVX2 register, two baseline ones.
-type Lanes = [f32; 8];
+/// `L` `f32` lanes: one register of the copy that runs `L` lanes.
+type Lanes<const L: usize> = [f32; L];
 
 /// How a GEMM reads a stored matrix as one of its operands.
 #[derive(Clone, Copy)]
@@ -166,7 +231,7 @@ struct Gemm<'a> {
     k: usize,
     n: usize,
     /// `B(p, j)` is `b[p * ldb + j]`: `ldb` is `n` rounded up to whole
-    /// 16-column panels. A padding lane is computed and never stored.
+    /// [`PANEL`]s. A padding lane is computed and never stored.
     b: &'a [f32],
     ldb: usize,
 }
@@ -178,7 +243,7 @@ struct Gemm<'a> {
 /// (NaN is not), and an arithmetic shift spreads that bit. A float
 /// compare here compiled to a compare and a branch for one tile shape.
 #[inline(always)]
-fn accumulate<const MASKED: bool>(acc: &mut Lanes, a: f32, b: &Lanes) {
+fn accumulate<const MASKED: bool, const L: usize>(acc: &mut Lanes<L>, a: f32, b: &Lanes<L>) {
     if MASKED {
         let nonzero = (a.to_bits() & 0x7FFF_FFFF) + 0x7FFF_FFFF;
         let keep = ((nonzero as i32) >> 31) as u32;
@@ -192,15 +257,30 @@ fn accumulate<const MASKED: bool>(acc: &mut Lanes, a: f32, b: &Lanes) {
     }
 }
 
-/// Write one tile row's 16 sums, `lo` then `hi`, to `dst` (at most 16
+/// One tile row's two vectors: [`accumulate`] into `lo` from `b0`, and
+/// unless `HALF` into `hi` from `b1`.
+#[inline(always)]
+fn accumulate_row<const MASKED: bool, const L: usize, const HALF: bool>(
+    (lo, hi): (&mut Lanes<L>, &mut Lanes<L>),
+    a: f32,
+    (b0, b1): (&Lanes<L>, &Lanes<L>),
+) {
+    accumulate::<MASKED, L>(lo, a, b0);
+    if !HALF {
+        accumulate::<MASKED, L>(hi, a, b1);
+    }
+}
+
+/// Write one tile row's sums, `lo` then `hi`, to `dst` (at most `2 L`
 /// long: a padded panel keeps only its real columns).
 #[inline(always)]
-fn store(dst: &mut [f32], lo: &Lanes, hi: &Lanes) {
-    if let Ok(whole) = <&mut [f32; TILE_COLS]>::try_from(&mut *dst) {
-        whole[..8].copy_from_slice(lo);
-        whole[8..].copy_from_slice(hi);
+fn store<const L: usize>(dst: &mut [f32], lo: &Lanes<L>, hi: &Lanes<L>) {
+    if dst.len() == 2 * L {
+        let (d_lo, d_hi) = dst.split_at_mut(L);
+        d_lo.copy_from_slice(lo);
+        d_hi.copy_from_slice(hi);
     } else {
-        let (d_lo, d_hi) = dst.split_at_mut(dst.len().min(8));
+        let (d_lo, d_hi) = dst.split_at_mut(dst.len().min(L));
         for (d, &v) in d_lo.iter_mut().zip(lo) {
             *d = v;
         }
@@ -212,38 +292,40 @@ fn store(dst: &mut [f32], lo: &Lanes, hi: &Lanes) {
 
 /// One register tile: the first `ROWS` rows of `out` (row stride `n`),
 /// columns `j .. j + width`, from `a_strip` (per `k` step one element
-/// of `A` per tile row) and the 16 columns from `j` on of `b_rows`.
-/// Eight named accumulators, not an array of them: an array did not
-/// stay in registers.
+/// of `A` per tile row) and the `2 L` columns from `j` on of `b_rows`,
+/// or with `HALF` the `L` columns of a panel that ends the row. Eight
+/// named accumulators, not an array of them: an array did not stay in
+/// registers.
 #[inline(always)]
-fn tile<const ROWS: usize, const MASKED: bool>(
+fn tile<const ROWS: usize, const MASKED: bool, const L: usize, const HALF: bool>(
     a_strip: impl Iterator<Item = [f32; TILE_ROWS]>,
     mut b_rows: std::slice::ChunksExact<'_, f32>,
     out: &mut [f32],
     (n, j, width): (usize, usize, usize),
 ) {
-    let zero = [0.0f32; 8];
+    let zero = [0.0f32; L];
     let (mut c00, mut c01, mut c10, mut c11) = (zero, zero, zero, zero);
     let (mut c20, mut c21, mut c30, mut c31) = (zero, zero, zero, zero);
     for a in a_strip {
         // Not a `zip`: its length would divide by the row stride.
         let Some(b_row) = b_rows.next() else { break };
-        let b_row = &b_row[j..j + TILE_COLS];
-        let b0: Lanes = std::array::from_fn(|l| b_row[l]);
-        let b1: Lanes = std::array::from_fn(|l| b_row[8 + l]);
-        accumulate::<MASKED>(&mut c00, a[0], &b0);
-        accumulate::<MASKED>(&mut c01, a[0], &b1);
+        let b_row = &b_row[j..j + if HALF { L } else { 2 * L }];
+        let b0: Lanes<L> = std::array::from_fn(|l| b_row[l]);
+        let b1: Lanes<L> = if HALF {
+            zero
+        } else {
+            std::array::from_fn(|l| b_row[L + l])
+        };
+        let b = (&b0, &b1);
+        accumulate_row::<MASKED, L, HALF>((&mut c00, &mut c01), a[0], b);
         if ROWS > 1 {
-            accumulate::<MASKED>(&mut c10, a[1], &b0);
-            accumulate::<MASKED>(&mut c11, a[1], &b1);
+            accumulate_row::<MASKED, L, HALF>((&mut c10, &mut c11), a[1], b);
         }
         if ROWS > 2 {
-            accumulate::<MASKED>(&mut c20, a[2], &b0);
-            accumulate::<MASKED>(&mut c21, a[2], &b1);
+            accumulate_row::<MASKED, L, HALF>((&mut c20, &mut c21), a[2], b);
         }
         if ROWS > 3 {
-            accumulate::<MASKED>(&mut c30, a[3], &b0);
-            accumulate::<MASKED>(&mut c31, a[3], &b1);
+            accumulate_row::<MASKED, L, HALF>((&mut c30, &mut c31), a[3], b);
         }
     }
     store(&mut out[j..j + width], &c00, &c01);
@@ -258,14 +340,34 @@ fn tile<const ROWS: usize, const MASKED: bool>(
     }
 }
 
-/// The output rows `out` holds (row stride `g.n`), column panel by
-/// column panel: a panel of `B` is read by every row tile while it is
-/// in cache. Row tile `t` reads its `A` through `strip(i0, live)`, per
-/// `k` step one element of each of its `live` rows from row `i0` on
-/// (the missing rows of a short tile repeat its last one; the tile
-/// reads only its live rows' sums).
+/// [`tile`] for a row tile with `live` rows (1 to 4).
 #[inline(always)]
-fn gemm_tiles<const MASKED: bool, S: Iterator<Item = [f32; TILE_ROWS]>>(
+fn tile_rows<const MASKED: bool, const L: usize, const HALF: bool>(
+    live: usize,
+    a_strip: impl Iterator<Item = [f32; TILE_ROWS]>,
+    b_rows: std::slice::ChunksExact<'_, f32>,
+    out: &mut [f32],
+    dst: (usize, usize, usize),
+) {
+    match live {
+        1 => tile::<1, MASKED, L, HALF>(a_strip, b_rows, out, dst),
+        2 => tile::<2, MASKED, L, HALF>(a_strip, b_rows, out, dst),
+        3 => tile::<3, MASKED, L, HALF>(a_strip, b_rows, out, dst),
+        _ => tile::<4, MASKED, L, HALF>(a_strip, b_rows, out, dst),
+    }
+}
+
+/// The output rows `out` holds (row stride `g.n`), tile column by tile
+/// column (`2 L` columns): the columns of `B` a tile reads are read by
+/// every row tile while they are in cache. Row tile `t` reads its `A`
+/// through `strip(i0, live)`, per `k` step one element of each of its
+/// `live` rows from row `i0` on (the missing rows of a short tile
+/// repeat its last one; the tile reads only its live rows' sums). A
+/// 16-lane tile spans two panels; where only one is left it runs as a
+/// half tile, one vector per row. An 8-lane tile spans one panel and
+/// never does.
+#[inline(always)]
+fn gemm_tiles<const L: usize, const MASKED: bool, S: Iterator<Item = [f32; TILE_ROWS]>>(
     g: Gemm<'_>,
     out: &mut [f32],
     strip: impl Fn(usize, usize) -> S,
@@ -273,16 +375,16 @@ fn gemm_tiles<const MASKED: bool, S: Iterator<Item = [f32; TILE_ROWS]>>(
     let n = g.n;
     let rows = out.len() / n;
     let b_rows = g.b.chunks_exact(g.ldb);
-    for j in (0..n).step_by(TILE_COLS) {
-        let dst = (n, j, TILE_COLS.min(n - j));
+    for j in (0..n).step_by(2 * L) {
+        let half = 2 * L > PANEL && n - j <= L;
+        let dst = (n, j, (2 * L).min(n - j));
         for (t, out) in out.chunks_mut(TILE_ROWS * n).enumerate() {
             let live = TILE_ROWS.min(rows - t * TILE_ROWS);
             let a_strip = strip(g.first + t * TILE_ROWS, live);
-            match live {
-                1 => tile::<1, MASKED>(a_strip, b_rows.clone(), out, dst),
-                2 => tile::<2, MASKED>(a_strip, b_rows.clone(), out, dst),
-                3 => tile::<3, MASKED>(a_strip, b_rows.clone(), out, dst),
-                _ => tile::<4, MASKED>(a_strip, b_rows.clone(), out, dst),
+            if half {
+                tile_rows::<MASKED, L, true>(live, a_strip, b_rows.clone(), out, dst);
+            } else {
+                tile_rows::<MASKED, L, false>(live, a_strip, b_rows.clone(), out, dst);
             }
         }
     }
@@ -291,9 +393,9 @@ fn gemm_tiles<const MASKED: bool, S: Iterator<Item = [f32; TILE_ROWS]>>(
 /// [`gemm_tiles`] on an `A` read in place from its stored rows: a tile
 /// reads four of them.
 #[inline(always)]
-fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]) {
+fn gemm_rows<const L: usize, const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]) {
     let (k, lda) = (g.k, a.cols());
-    gemm_tiles::<MASKED, _>(g, out, |i0, live| {
+    gemm_tiles::<L, MASKED, _>(g, out, |i0, live| {
         let row = |r: usize| &a.as_slice()[(i0 + r.min(live - 1)) * lda..][..k];
         let a_rows: [&[f32]; TILE_ROWS] = std::array::from_fn(row);
         (0..k).map(move |p| a_rows.map(|row| row[p]))
@@ -304,9 +406,13 @@ fn gemm_rows<const MASKED: bool>(g: Gemm<'_>, a: &Matrix, out: &mut [f32]) {
 /// [`pack_columns`]): entry `t * k + p` holds column `p` of rows
 /// `4t .. 4t + 4` of the block.
 #[inline(always)]
-fn gemm_tiled<const MASKED: bool>(g: Gemm<'_>, a_tiles: &[[f32; TILE_ROWS]], out: &mut [f32]) {
+fn gemm_tiled<const L: usize, const MASKED: bool>(
+    g: Gemm<'_>,
+    a_tiles: &[[f32; TILE_ROWS]],
+    out: &mut [f32],
+) {
     let k = g.k;
-    gemm_tiles::<MASKED, _>(g, out, |i0, _| {
+    gemm_tiles::<L, MASKED, _>(g, out, |i0, _| {
         let t = (i0 - g.first) / TILE_ROWS;
         a_tiles[t * k..(t + 1) * k].iter().copied()
     });
@@ -401,7 +507,7 @@ fn pack_b<'a>(b: Operand<'a>, packed: &'a mut Vec<f32>) -> PackedB<'a> {
         Operand::Rows(b) => b.shape(),
         Operand::Columns(b) => (b.cols(), b.rows()),
     };
-    let ldb = n.next_multiple_of(TILE_COLS);
+    let ldb = n.next_multiple_of(PANEL);
     match b {
         Operand::Rows(b) if ldb == n => return (b.as_slice(), n),
         _ => {}
@@ -755,8 +861,8 @@ pub fn output_layer_with(
     // size changes: a padded lane is computed and never stored, so
     // what it holds changes no result.
     let (ldr, ldc) = (
-        classes.next_multiple_of(TILE_COLS),
-        hidden.next_multiple_of(TILE_COLS),
+        classes.next_multiple_of(PANEL),
+        hidden.next_multiple_of(PANEL),
     );
     let padded = ldr != classes;
     for (buf, len) in [
@@ -789,7 +895,7 @@ pub fn output_layer_with(
     );
     add_bias(logits, b);
 
-    let ldd = classes.next_multiple_of(TILE_COLS);
+    let ldd = classes.next_multiple_of(PANEL);
     delta.reshape(batch, ldd);
     delta.as_mut_slice().fill(0.0);
     let loss = loss(logits, delta.as_mut_slice(), ldd);
@@ -872,7 +978,7 @@ pub fn axpy(alpha: f32, x: &[f32], out: &mut [f32]) {
 
 /// One RMSprop step in place: per element, `c = rho·c + (1 − rho)·g·g`,
 /// then `p −= lr·g / (√c + eps)`, each product and quotient rounded as
-/// written (no fused multiply-add), so both compiled copies give the
+/// written (no fused multiply-add), so every compiled copy gives the
 /// scalar loop's bits.
 ///
 /// # Panics
@@ -902,7 +1008,7 @@ pub fn rmsprop_update_with(
     copy.rmsprop(hyper, cache, params, grads);
 }
 
-/// The body of [`rmsprop_update`], compiled twice.
+/// The body of [`rmsprop_update`], compiled once per copy.
 #[inline(always)]
 fn rmsprop((lr, rho, eps): (f32, f32, f32), cache: &mut [f32], params: &mut [f32], grads: &[f32]) {
     for ((c, p), &g) in cache.iter_mut().zip(params.iter_mut()).zip(grads) {
@@ -1028,6 +1134,13 @@ mod tests {
                 .iter()
                 .zip(b.as_slice())
                 .all(|(&x, &y)| (x - y).abs() <= tol)
+    }
+
+    #[test]
+    fn detect_picks_the_widest_available_copy() {
+        let copies = KernelCopy::available();
+        assert_eq!(copies.first(), Some(&KernelCopy::PORTABLE));
+        assert_eq!(copies.last(), Some(&KernelCopy::detect()));
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! itself over sparsity patterns around the GEMMs' register tile.
 //!
 //! The GEMM kernels behind the three forms, and the two int8 encode
-//! passes of a compensated upload, are compiled twice, a portable copy
-//! and on x86-64 an AVX2 one, and each call runs the copy the CPU
-//! supports. Every test of them here runs each copy this CPU can
-//! execute, through the hidden `*_with` entry points, so the portable
-//! copy is pinned on an AVX2 host too. Top-k selection is pinned to a
-//! naive full sort.
+//! passes of a compensated upload, are compiled three times, a portable
+//! copy and on x86-64 an AVX2 and an AVX-512 one, and each call runs
+//! the widest copy the CPU supports. Every test of them here runs each
+//! copy this CPU can execute, through the hidden `*_with` entry points,
+//! so the narrower copies are pinned on a wide host too. Top-k
+//! selection is pinned to a naive full sort.
 //!
 //! Equality is asserted on raw bit patterns, never on approximate
 //! values: the aggregation pipeline's two execution backends are pinned
@@ -24,17 +24,21 @@ use tifl::nn::{Optimizer, RmsProp};
 use tifl::tensor::ops::KernelCopy;
 use tifl::tensor::{codec, ops, Matrix, ParamVec};
 
-/// Every compiled copy of the train-step kernels this CPU can run: the
-/// portable one, and the AVX2 one when the CPU has AVX2. Without AVX2
-/// the wide half is reported as skipped, once, instead of failing.
+/// Every compiled copy of the train-step kernels this CPU can run:
+/// `KernelCopy::available()`, the portable one, then AVX2 and AVX-512
+/// as the CPU reports them. A copy the CPU lacks is reported as
+/// skipped, once, instead of failing.
 #[expect(clippy::print_stderr, reason = "a test helper's skip notice")]
 fn copies() -> Vec<KernelCopy> {
     static SKIPPED: Once = Once::new();
-    let wide = KernelCopy::avx2();
-    if wide.is_none() {
-        SKIPPED.call_once(|| eprintln!("kernels: no AVX2 on this CPU; its copy is skipped"));
+    let copies = KernelCopy::available();
+    if copies.len() < 3 {
+        SKIPPED.call_once(|| {
+            let names: Vec<&str> = copies.iter().map(|c| c.name()).collect();
+            eprintln!("kernels: this CPU runs the {names:?} copies; the wider ones are skipped");
+        });
     }
-    std::iter::once(KernelCopy::PORTABLE).chain(wide).collect()
+    copies
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {
@@ -142,12 +146,45 @@ fn assert_gemm_forms_match_reference(shape: (usize, usize, usize), a: &[f32], b:
     }
 }
 
+/// All three GEMM forms at `shape` against the reference, on finite
+/// operands and with specials injected; then a `b` that is finite but
+/// for one `±inf` or NaN under a column of zeros in `a` (`k x n`, as
+/// `matmul` and `matmul_transpose_a` read it: the first element, the
+/// last, the first of the second panel and of the third, where a
+/// 16-lane tile runs its half tile), so both accumulates of the tile
+/// run against the reference: the dense one on the finite operands,
+/// the masked one on the poisoned.
+fn assert_forms_match_reference_with_specials(shape: (usize, usize, usize)) {
+    let (m, k, n) = shape;
+    let wave =
+        |len: usize, f: f32| -> Vec<f32> { (0..len).map(|i| (i as f32 * f).sin() * 3.0).collect() };
+    let tags = |len: usize, step: usize| -> Vec<u8> {
+        (0..len).map(|i| ((i * step) % 97) as u8).collect()
+    };
+    let (mut a, mut b) = (wave(m * k, 0.37), wave(k * n, 0.011));
+    assert_gemm_forms_match_reference(shape, &a, &b);
+    inject_specials(&mut a, &tags(m * k, 7));
+    inject_specials(&mut b, &tags(k * n, 13));
+    assert_gemm_forms_match_reference(shape, &a, &b);
+
+    let (a, b) = (wave(m * k, 0.37), wave(k * n, 0.011));
+    let at = |p: usize, j: usize| (p.min(k - 1), j.min(n - 1));
+    for (p, j) in [at(0, 0), at(k - 1, n - 1), at(16, 16), at(k / 2, 32)] {
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let (mut a, mut b) = (a.clone(), b.clone());
+            b[p * n + j] = poison;
+            // Column `p` of `a` read as `m x k` and as `k x m`.
+            for i in 0..m {
+                a[i * k + p] = 0.0;
+                a[p * m + i] = -0.0;
+            }
+            assert_gemm_forms_match_reference(shape, &a, &b);
+        }
+    }
+}
+
 /// The training shapes of the default MLP's two layers, and of the wide
-/// model's, specials included;
-/// then, at each, a `b` that is finite but for one `±inf` or NaN under a
-/// column of zeros in `a`, so both accumulates of the tile run against
-/// the reference: the dense one on the finite operands, the masked one
-/// on the poisoned.
+/// model's, specials included ([`assert_forms_match_reference_with_specials`]).
 #[test]
 fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
     for shape in [
@@ -156,33 +193,19 @@ fn gemm_forms_match_reference_bitwise_at_training_and_parallel_shapes() {
         (6, 64, 2048),
         (6, 2048, 10),
     ] {
-        let (m, k, n) = shape;
-        let wave = |len: usize, f: f32| -> Vec<f32> {
-            (0..len).map(|i| (i as f32 * f).sin() * 3.0).collect()
-        };
-        let tags = |len: usize, step: usize| -> Vec<u8> {
-            (0..len).map(|i| ((i * step) % 97) as u8).collect()
-        };
-        let (mut a, mut b) = (wave(m * k, 0.37), wave(k * n, 0.011));
-        assert_gemm_forms_match_reference(shape, &a, &b);
-        inject_specials(&mut a, &tags(m * k, 7));
-        inject_specials(&mut b, &tags(k * n, 13));
-        assert_gemm_forms_match_reference(shape, &a, &b);
+        assert_forms_match_reference_with_specials(shape);
+    }
+}
 
-        // `b` as `k x n` (`matmul`, `matmul_transpose_a`): the first
-        // element, the last, and the first of the second tile panel.
-        let (a, b) = (wave(m * k, 0.37), wave(k * n, 0.011));
-        for (p, j) in [(0, 0), (k - 1, n - 1), (16, 16.min(n - 1))] {
-            for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
-                let (mut a, mut b) = (a.clone(), b.clone());
-                b[p * n + j] = poison;
-                // Column `p` of `a` read as `m x k` and as `k x m`.
-                for i in 0..m {
-                    a[i * k + p] = 0.0;
-                    a[p * m + i] = -0.0;
-                }
-                assert_gemm_forms_match_reference(shape, &a, &b);
-            }
+/// Widths around the 16-lane tile's 32 columns and its 16-column half
+/// tile (and the 8-lane tile's 16), at every row count of one to two
+/// row tiles and a `k` past the poisoned row 16: every copy against
+/// the reference, specials included.
+#[test]
+fn gemm_forms_match_reference_bitwise_across_the_panel_widths() {
+    for n in [1, 15, 16, 17, 31, 32, 33, 48, 2048] {
+        for m in 1..=9 {
+            assert_forms_match_reference_with_specials((m, 19, n));
         }
     }
 }
@@ -468,8 +491,8 @@ proptest! {
     /// shapes, with NaN/±inf/−0.0 in both operands and zeros in `a`;
     /// a zero-size dimension gives an empty or all-zero result. `m`
     /// and `n` reach 33 and 40, so the tile meets every row remainder
-    /// after whole 4-row tiles, and two whole 16-column panels before
-    /// every padded one.
+    /// after whole 4-row tiles, and two whole 16-column panels (one
+    /// whole 16-lane tile) before every padded one.
     #[test]
     fn gemm_forms_match_reference_bitwise(
         m in 0usize..=33,

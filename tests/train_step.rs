@@ -123,9 +123,7 @@ fn spots(range: std::ops::Range<usize>) -> [usize; 3] {
 #[test]
 fn train_batch_equals_the_reference_step_on_every_copy_shape_and_special() {
     const INPUT: usize = 12;
-    let copies: Vec<KernelCopy> = std::iter::once(KernelCopy::PORTABLE)
-        .chain(KernelCopy::avx2())
-        .collect();
+    let copies = KernelCopy::available();
     let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
     let places = [Place::OutputWeights, Place::OutputBias, Place::Input];
     let cases = std::iter::once((Place::Nowhere, 0.0))
