@@ -25,25 +25,25 @@
 /// that compile `$kernel` again, one with AVX2 and nothing else, one
 /// with AVX-512F (the [`ops`] module docs). A kernel whose first const
 /// parameter is `LANES` is instantiated at 8 lanes in the portable and
-/// AVX2 copies and at 16 in the AVX-512 one; no other parameter
-/// differs between copies. A kernel registered with `, avx512 as
-/// "avx2"` compiles its AVX-512 copy with AVX2 only: one that 16-lane
-/// registers make no faster. `$kernel` must be `#[inline(always)]`, and
-/// so must every helper it calls: code not inlined into a wrapper
-/// compiles for the baseline only. Defined here, before the modules,
-/// so both [`ops`] and [`codec`] can use it.
+/// AVX2 copies and at 16 in the AVX-512 one (and in the hidden
+/// [`ops::KernelCopy::PORTABLE_WIDE`], which runs the 16-lane body in
+/// baseline instructions on every target); no other parameter differs
+/// between copies. `$kernel` must be `#[inline(always)]`, and so must
+/// every helper it calls: code not inlined into a wrapper compiles for
+/// the baseline only. Defined here, before the modules, so both
+/// [`ops`] and [`codec`] can use it.
 macro_rules! kernel_copies {
     ($kernel:ident<const LANES: usize $(, const $c:ident: bool)?> $args:tt $(-> $ret:ty)?) => {
         kernel_copies!(
-            @copies "avx512f" $kernel [$(const $c: bool)?] [$($c)?] [8, $($c)?] [16, $($c)?]
+            @copies $kernel [$(const $c: bool)?] [$($c)?] [8, $($c)?] [16, $($c)?]
             $args $(-> $ret)?
         );
     };
-    ($kernel:ident $args:tt $(-> $ret:ty)? $(, avx512 as $wide_isa:literal)?) => {
-        kernel_copies!(@copies $($wide_isa)? "avx512f" $kernel [] [] [] [] $args $(-> $ret)?);
+    ($kernel:ident $args:tt $(-> $ret:ty)?) => {
+        kernel_copies!(@copies $kernel [] [] [] [] $args $(-> $ret)?);
     };
-    (@copies $wide_isa:literal $($_default:literal)? $kernel:ident [$($generics:tt)*]
-        [$($names:tt)*] [$($narrow:tt)*] [$($wide:tt)*] ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+    (@copies $kernel:ident [$($generics:tt)*] [$($names:tt)*] [$($narrow:tt)*] [$($wide:tt)*]
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
         impl $crate::ops::KernelCopy {
             fn $kernel<$($generics)*>(self, $($arg: $ty),*) $(-> $ret)? {
                 #[cfg(target_arch = "x86_64")]
@@ -52,28 +52,29 @@ macro_rules! kernel_copies {
                     $kernel::<$($narrow)*>($($arg),*)
                 }
                 #[cfg(target_arch = "x86_64")]
-                #[target_feature(enable = $wide_isa)]
+                #[target_feature(enable = "avx512f")]
                 fn avx512<$($generics)*>($($arg: $ty),*) $(-> $ret)? {
                     $kernel::<$($wide)*>($($arg),*)
                 }
-                #[cfg(target_arch = "x86_64")]
                 match self.isa {
+                    #[cfg(target_arch = "x86_64")]
                     $crate::ops::Isa::Avx512 => {
                         #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
                         // SAFETY: `Isa::Avx512` is set only by `KernelCopy::avx512`,
                         // after `is_x86_feature_detected!("avx512f")` returned true
                         // (AVX-512F implies AVX2, as `target_feature` assumes).
-                        return unsafe { avx512::<$($names)*>($($arg),*) };
+                        unsafe { avx512::<$($names)*>($($arg),*) }
                     }
+                    #[cfg(target_arch = "x86_64")]
                     $crate::ops::Isa::Avx2 => {
                         #[expect(unsafe_code, reason = "a `#[target_feature]` function is unsafe to call")]
                         // SAFETY: `Isa::Avx2` is set only by `KernelCopy::avx2`,
                         // after `is_x86_feature_detected!("avx2")` returned true.
-                        return unsafe { avx2::<$($names)*>($($arg),*) };
+                        unsafe { avx2::<$($names)*>($($arg),*) }
                     }
-                    $crate::ops::Isa::Portable => {}
+                    $crate::ops::Isa::PortableWide => $kernel::<$($wide)*>($($arg),*),
+                    $crate::ops::Isa::Portable => $kernel::<$($narrow)*>($($arg),*),
                 }
-                $kernel::<$($narrow)*>($($arg),*)
             }
         }
     };

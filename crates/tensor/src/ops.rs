@@ -80,14 +80,12 @@
 //! | AVX2 | 8 | 4×16 | one `ymm` register |
 //! | AVX-512 | 16 | 4×32, half tile 4×16 | one `zmm` register |
 //!
-//! The scans and the int8 encode passes are plain loops that the
-//! compiler widens to the registers the copy has. The RMSprop update's
-//! AVX-512 copy is compiled for AVX2: it is bound by its square root
-//! and divide, which retire no more lanes per cycle in `zmm` than in
-//! `ymm`. Each kernel call asks [`KernelCopy::detect`] which copy to
-//! run: the widest that `is_x86_feature_detected!` reports (AVX-512F,
-//! then AVX2), the portable copy otherwise and on every other target.
-//! There is no option and no `target-cpu`: one binary runs on all three.
+//! The scans, the RMSprop update and the int8 encode passes are plain
+//! loops that the compiler widens to the registers the copy has. Each
+//! kernel call asks [`KernelCopy::detect`] which copy to run: the
+//! widest that `is_x86_feature_detected!` reports (AVX-512F, then
+//! AVX2), the portable copy otherwise and on every other target. There
+//! is no option and no `target-cpu`: one binary runs on all three.
 //!
 //! The copies cannot differ in a bit. Every lane does the IEEE `mul`
 //! and `add` the scalar expression names, in the same `k` order; wider
@@ -96,7 +94,9 @@
 //! Rust never contracts a separate `mul` and `add` into one rounding,
 //! and CI checks that the release binary holds no `vfmadd`/`vfmsub`/
 //! `vfnmadd`/`vfnmsub`. `tests/kernels.rs` runs every copy the CPU has
-//! ([`KernelCopy::available`]) against the naive references.
+//! ([`KernelCopy::available`]) against the naive references, and the
+//! 16-lane tiling on every CPU through the portable body at 16 lanes
+//! ([`KernelCopy::PORTABLE_WIDE`]).
 
 use crate::Matrix;
 use std::cell::Cell;
@@ -111,17 +111,30 @@ pub struct KernelCopy {
     pub(crate) isa: Isa,
 }
 
-/// The instructions a [`KernelCopy`] is compiled for.
+/// The instructions a [`KernelCopy`] is compiled for, and its lanes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Isa {
     Portable,
+    /// The portable body at the AVX-512 copy's 16 lanes.
+    PortableWide,
+    #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
 impl KernelCopy {
     /// The copy every target compiles, in baseline instructions.
     pub const PORTABLE: Self = Self { isa: Isa::Portable };
+
+    /// The portable body instantiated at the AVX-512 copy's 16 lanes (a
+    /// 4×32 tile and its 4×16 half tile), in baseline instructions. No
+    /// public kernel runs it and [`KernelCopy::available`] does not list
+    /// it: it lets tests check the 16-lane tiling against the naive
+    /// references on every CPU, AVX-512 or not.
+    pub const PORTABLE_WIDE: Self = Self {
+        isa: Isa::PortableWide,
+    };
 
     /// The AVX2 copy, if this CPU has AVX2; `None` on other CPUs and
     /// targets.
@@ -159,12 +172,15 @@ impl KernelCopy {
         Self::avx512().or_else(Self::avx2).unwrap_or(Self::PORTABLE)
     }
 
-    /// The copy's name: `portable`, `avx2` or `avx512`.
+    /// The copy's name: `portable`, `portable-wide`, `avx2` or `avx512`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self.isa {
             Isa::Portable => "portable",
+            Isa::PortableWide => "portable-wide",
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => "avx512",
         }
     }
@@ -182,15 +198,12 @@ kernel_copies!(gemm_tiled<const LANES: usize, const MASKED: bool>(
 ));
 kernel_copies!(all_finite(xs: &[f32]) -> bool);
 kernel_copies!(any_zero(xs: &[f32]) -> bool);
-// Bound by its square root and divide, which retire no more lanes per
-// cycle in 16-lane registers than in 8-lane ones: compiled for AVX-512F,
-// the update read 1–4 % slower than its AVX2 copy.
 kernel_copies!(rmsprop(
     hyper: (f32, f32, f32),
     cache: &mut [f32],
     params: &mut [f32],
     grads: &[f32]
-), avx512 as "avx2");
+));
 
 /// Output rows of one register tile.
 const TILE_ROWS: usize = 4;

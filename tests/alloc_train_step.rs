@@ -4,9 +4,8 @@
 //! gradient buffers in place, and keeps its hidden activation and its
 //! output layer's logits, `δ` and `dL/dh` in buffers of its own, so a
 //! warm mini-batch allocates nothing at all. Pinned with the counting
-//! `#[global_allocator]` `alloc_regression.rs` uses, counting the
-//! calling thread only; the counter is process-global, hence a binary
-//! of its own with one `#[test]`.
+//! `#[global_allocator]` `alloc_regression.rs` uses; the counter is
+//! process-global, hence a binary of its own with one `#[test]`.
 
 use tifl::nn::models::ModelSpec;
 use tifl::nn::RmsProp;
@@ -35,9 +34,7 @@ fn warm_step(hidden: usize) -> (usize, usize) {
         let _ = model.train_batch(x.clone(), &y, &mut opt);
     }
     let input = x.clone();
-    // The step runs on this thread (a GEMM runs on the thread that
-    // calls it), so this thread's allocations are the step's.
-    counting_alloc::thread_allocations_in(|| {
+    counting_alloc::allocations_in(|| {
         let _ = model.train_batch(input, &y, &mut opt);
     })
 }

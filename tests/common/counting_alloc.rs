@@ -11,7 +11,6 @@
 )]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 struct CountingAlloc;
@@ -23,21 +22,9 @@ static BYTES: AtomicUsize = AtomicUsize::new(0);
 /// requests of exactly that size it saw.
 static WATCHED_SIZE: AtomicUsize = AtomicUsize::new(usize::MAX);
 static WATCHED: AtomicUsize = AtomicUsize::new(0);
-/// Set while [`thread_allocations_in`] counts: only the thread that
-/// marked itself in [`COUNTED_THREAD`] is counted.
-static THREAD_ONLY: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Whether this thread's allocations count under [`THREAD_ONLY`]. A
-    /// `const` `Cell<bool>` has no destructor, so reading it allocates
-    /// nothing.
-    static COUNTED_THREAD: Cell<bool> = const { Cell::new(false) };
-}
 
 fn count(bytes: usize) {
-    let counted_here = || COUNTED_THREAD.try_with(Cell::get).unwrap_or(false);
-    if COUNTING.load(Ordering::Relaxed) && (!THREAD_ONLY.load(Ordering::Relaxed) || counted_here())
-    {
+    if COUNTING.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes, Ordering::Relaxed);
         if bytes == WATCHED_SIZE.load(Ordering::Relaxed) {
@@ -83,20 +70,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 pub fn allocations_in(f: impl FnOnce()) -> (usize, usize) {
     let (allocs, bytes, _) = allocations_sized_in(usize::MAX, f);
     (allocs, bytes)
-}
-
-/// [`allocations_in`], counting only the allocations made on the calling
-/// thread: for work that runs on it alone. The test harness's own
-/// threads allocate now and then while a test runs (a few hundred
-/// bytes in a few calls), which a process-wide count cannot tell from
-/// the work's.
-pub fn thread_allocations_in(f: impl FnOnce()) -> (usize, usize) {
-    COUNTED_THREAD.with(|here| here.set(true));
-    THREAD_ONLY.store(true, Ordering::SeqCst);
-    let counted = allocations_in(f);
-    THREAD_ONLY.store(false, Ordering::SeqCst);
-    COUNTED_THREAD.with(|here| here.set(false));
-    counted
 }
 
 /// [`allocations_in`], plus how many of the allocations asked for

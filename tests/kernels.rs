@@ -27,17 +27,20 @@ use tifl::tensor::{codec, ops, Matrix, ParamVec};
 /// Every compiled copy of the train-step kernels this CPU can run:
 /// `KernelCopy::available()`, the portable one, then AVX2 and AVX-512
 /// as the CPU reports them. A copy the CPU lacks is reported as
-/// skipped, once, instead of failing.
+/// skipped, once, instead of failing. Then `KernelCopy::PORTABLE_WIDE`,
+/// the portable body at the AVX-512 copy's 16 lanes, so the 4×32 tile
+/// and its 16-column half tile are checked on every CPU.
 #[expect(clippy::print_stderr, reason = "a test helper's skip notice")]
 fn copies() -> Vec<KernelCopy> {
     static SKIPPED: Once = Once::new();
-    let copies = KernelCopy::available();
+    let mut copies = KernelCopy::available();
     if copies.len() < 3 {
         SKIPPED.call_once(|| {
             let names: Vec<&str> = copies.iter().map(|c| c.name()).collect();
             eprintln!("kernels: this CPU runs the {names:?} copies; the wider ones are skipped");
         });
     }
+    copies.push(KernelCopy::PORTABLE_WIDE);
     copies
 }
 

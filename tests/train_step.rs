@@ -113,9 +113,10 @@ fn spots(range: std::ops::Range<usize>) -> [usize; 3] {
     [range.start, range.end - 1, range.start + len / 3]
 }
 
-/// `train_batch`, in each compiled copy this CPU runs, equals the
-/// reference step bit for bit (up to NaN payloads) over batch sizes
-/// around the tile's 4 rows and 16 lanes, hidden widths from 16 to
+/// `train_batch`, in each compiled copy this CPU runs and in the
+/// portable body at 16 lanes, equals the reference step bit for bit (up
+/// to NaN payloads) over batch sizes around the tile's 4 rows and
+/// 16 lanes, hidden widths from 16 to
 /// 2048, 2 to 62 classes, and ±0, NaN and ±inf placed in `W2`, `b2`
 /// and `x`: the non-finite values drive the zero-skip decisions of the
 /// output layer's GEMMs, which the pass must take as the composition
@@ -123,7 +124,8 @@ fn spots(range: std::ops::Range<usize>) -> [usize; 3] {
 #[test]
 fn train_batch_equals_the_reference_step_on_every_copy_shape_and_special() {
     const INPUT: usize = 12;
-    let copies = KernelCopy::available();
+    let mut copies = KernelCopy::available();
+    copies.push(KernelCopy::PORTABLE_WIDE);
     let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
     let places = [Place::OutputWeights, Place::OutputBias, Place::Input];
     let cases = std::iter::once((Place::Nowhere, 0.0))
